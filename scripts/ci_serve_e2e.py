@@ -51,8 +51,9 @@ SUBPROCESS_ENV = dict(
 
 from repro.catalog import Catalog  # noqa: E402
 from repro.obs.metrics import parse_prometheus  # noqa: E402
-from repro.obs.trace import Trace, activate  # noqa: E402
+from repro.obs.trace import TRACE_HEADER  # noqa: E402
 from repro.server import HTTPFairnessClient  # noqa: E402
+from repro.shard.router import ROUTE_MS_HEADER  # noqa: E402
 from repro.service import (  # noqa: E402
     AuditRequest,
     FairnessClient,
@@ -104,12 +105,22 @@ def check_metrics(port: int, workers: int) -> int:
             failures += 1
             print(f"[e2e] FAIL: fairank_request_seconds has no full latency "
                   f"record for kind={kind}")
+    response_bytes = page.sum_by_label("fairank_http_response_bytes_count", "endpoint")
+    for kind in EXPECTED_REQUESTS:
+        if response_bytes.get(f"/v2/{kind}", 0.0) < 1:
+            failures += 1
+            print(f"[e2e] FAIL: fairank_http_response_bytes has no sample for "
+                  f"endpoint=/v2/{kind}")
     if workers > 1:
         ingress = page.sum_by_label("fairank_router_requests_total", "endpoint")
         if not ingress:
             failures += 1
             print("[e2e] FAIL: router metrics page carries no "
                   "fairank_router_requests_total samples")
+        if not page.sum_by_label("fairank_router_response_bytes_count", "endpoint"):
+            failures += 1
+            print("[e2e] FAIL: router metrics page carries no "
+                  "fairank_router_response_bytes samples")
     if not failures:
         surface = "aggregated fleet" if workers > 1 else "server"
         print(f"[e2e] metrics: {surface} page parses, per-kind counters match "
@@ -117,23 +128,34 @@ def check_metrics(port: int, workers: int) -> int:
     return failures
 
 
-def check_trace(remote: HTTPFairnessClient, workers: int) -> int:
+def check_trace(port: int, workers: int) -> int:
     """Pin a trace id through one request and audit the envelope timings."""
-    pinned = Trace("e2e-pinned-trace")
-    with activate(pinned):
-        traced = remote.quantify("table1", "table1-f")
-    timings = traced.timings or {}
+    import json
+    import urllib.request
+
+    pinned = "e2e-pinned-trace"
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}/v2/quantify",
+        data=json.dumps(
+            QuantifyRequest(dataset="table1", function="table1-f").to_json()
+        ).encode("utf-8"),
+        headers={TRACE_HEADER: pinned},
+        method="POST",
+    )
+    with urllib.request.urlopen(request, timeout=60) as response:
+        route_ms = response.headers.get(ROUTE_MS_HEADER)
+        timings = json.loads(response.read()).get("timings") or {}
     failures = 0
-    if timings.get("trace_id") != pinned.trace_id:
+    if timings.get("trace_id") != pinned:
         failures += 1
         print(f"[e2e] FAIL: envelope trace id {timings.get('trace_id')!r} is not "
-              f"the pinned ingress id {pinned.trace_id!r}")
+              f"the pinned ingress id {pinned!r}")
     if "total_ms" not in timings:
         failures += 1
         print(f"[e2e] FAIL: envelope timings carry no total_ms: {timings}")
-    if workers > 1 and "route_ms" not in timings:
+    if workers > 1 and route_ms is None:
         failures += 1
-        print(f"[e2e] FAIL: router did not stamp route_ms: {timings}")
+        print(f"[e2e] FAIL: router sent no {ROUTE_MS_HEADER} header")
     if not failures:
         hops = "client -> router -> worker" if workers > 1 else "client -> server"
         print(f"[e2e] trace: one id spans {hops} "
@@ -364,7 +386,7 @@ def main() -> int:
             # Scrape before the trace leg so the per-kind expectations above
             # stay exact; the extra traced quantify lands after the audit.
             failures += check_metrics(port, arguments.workers)
-            failures += check_trace(remote, arguments.workers)
+            failures += check_trace(port, arguments.workers)
         finally:
             failures += shutdown_server(process, "server")
 

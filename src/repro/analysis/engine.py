@@ -29,7 +29,7 @@ __all__ = ["AnalysisReport", "run_analysis"]
 
 #: The roots `fairank lint` and CI analyse when none are given (tests are
 #: excluded on purpose: fixture files carry deliberate violations).
-DEFAULT_TARGETS = ("src", "scripts", "benchmarks", "examples")
+DEFAULT_TARGETS = ("src", "scripts", "benchmarks", "examples", "perfbench")
 
 #: Where the committed ratchet lives, relative to the repo root.
 DEFAULT_BASELINE_NAME = ".fairlint-baseline.json"

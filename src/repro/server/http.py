@@ -34,7 +34,9 @@ Status mapping: ``200`` for a served request; ``400`` for a body that does
 not parse into a request; ``404`` for an unknown endpoint or a ``catalog``
 error envelope; ``422`` for any other execution error envelope (the
 structured ``{"code", "message"}`` payload still travels in the body);
-``405`` for a method an endpoint does not speak.  ``/v2/batch`` always
+``405`` for a method an endpoint does not speak; ``413`` (code
+``too_large``) for a body over :data:`MAX_BODY_BYTES`, which is never read
+— the connection is closed instead.  ``/v2/batch`` always
 answers ``200`` with one envelope per slot — per-request failures are
 in-slot, exactly like ``serve-batch``.
 
@@ -42,8 +44,9 @@ Observability (:mod:`repro.obs`): every request runs under a trace —
 inherited from the ``X-Fairank-Trace`` request header or freshly generated —
 whose id is echoed in the response header and in the envelope's ``timings``
 field; each response increments ``<prefix>_requests_total`` and lands in
-``<prefix>_request_seconds``, and a structured JSON log event is emitted
-when ``verbose`` is on or the request breached ``slow_ms``.
+``<prefix>_request_seconds`` and ``<prefix>_response_bytes``, and a
+structured JSON log event is emitted when ``verbose`` is on or the request
+breached ``slow_ms``.
 """
 
 from __future__ import annotations
@@ -63,7 +66,7 @@ from repro.service.executor import BatchExecutor
 from repro.service.jobs import PROTOCOL_VERSION, ServiceResult, request_from_json
 from repro.service.service import FairnessService, _error_code
 
-__all__ = ["FairnessHTTPServer", "REQUEST_ENDPOINTS", "V2ServerBase"]
+__all__ = ["FairnessHTTPServer", "MAX_BODY_BYTES", "REQUEST_ENDPOINTS", "V2ServerBase"]
 
 #: The request kinds served as ``POST /v2/<kind>`` (one endpoint per kind).
 REQUEST_ENDPOINTS: Tuple[str, ...] = (
@@ -80,6 +83,18 @@ REQUEST_ENDPOINTS: Tuple[str, ...] = (
 _STATUS_BY_ERROR_CODE = {"catalog": 404}
 _DEFAULT_ERROR_STATUS = 422
 
+#: Largest request body read off the socket (16 MiB); anything longer is
+#: answered ``413`` unread, so one request cannot make a server allocate
+#: whatever its ``Content-Length`` claims.
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
+#: Bucket upper bounds (bytes) of ``<prefix>_response_bytes``: 256 B to
+#: 16 MiB in factors of four (a warm 10k-row quantify is ~1.4 MB).
+RESPONSE_BYTES_BUCKETS: Tuple[float, ...] = tuple(float(4 ** n) for n in range(4, 13))
+
+#: Content type of every JSON response (envelopes and transport errors).
+JSON_CONTENT_TYPE = "application/json; charset=utf-8"
+
 #: Prometheus text exposition content type (``/v2/metrics``).
 METRICS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
@@ -94,6 +109,16 @@ _KNOWN_PATHS = frozenset(
 def _transport_error(code: str, message: str) -> Dict[str, object]:
     """A bodyless-failure payload (same shape as an envelope's ``error``)."""
     return {"error": {"code": code, "message": message}}
+
+
+def _endpoint_label(path: str) -> str:
+    """The ``endpoint`` metric label of a request path."""
+    path = urlsplit(path).path.rstrip("/")
+    return path if path in _KNOWN_PATHS else "other"
+
+
+class TooLargeError(ServiceError):
+    """A request body longer than :data:`MAX_BODY_BYTES` (``413 too_large``)."""
 
 
 class _JSONRequestHandler(BaseHTTPRequestHandler):
@@ -122,19 +147,33 @@ class _JSONRequestHandler(BaseHTTPRequestHandler):
         """Silence the stdlib's stderr lines (structured logging replaces them)."""
 
     def _send_json(self, status: int, payload: Dict[str, object]) -> None:
-        self._send_raw(
-            status, json.dumps(payload).encode("utf-8"),
-            "application/json; charset=utf-8",
-        )
+        self._send_raw(status, json.dumps(payload).encode("utf-8"))
 
-    def _send_raw(self, status: int, body: bytes, content_type: str) -> None:
+    def _send_raw(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str = JSON_CONTENT_TYPE,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> None:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         trace = getattr(self, "_trace", None)
         if trace is not None:
             self.send_header(TRACE_HEADER, trace.trace_id)
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
+        # Recorded before the write: a client that scrapes right after its
+        # answer arrives must see this response counted.
+        get_registry().histogram(
+            f"{self.server.metrics_prefix}_response_bytes",
+            "HTTP response body size in bytes by endpoint",
+            buckets=RESPONSE_BYTES_BUCKETS,
+        ).observe(float(len(body)), endpoint=_endpoint_label(self.path))
         self.wfile.write(body)
         self._status = status
         self.server._count_request()
@@ -145,14 +184,24 @@ class _JSONRequestHandler(BaseHTTPRequestHandler):
         Connections are keep-alive (HTTP/1.1), so the body must be consumed
         on *every* response path — including 404/405 rejections — or the
         unread bytes would be parsed as the next request line on the same
-        connection.  When the length is unknowable the connection is closed
-        instead.
+        connection.  When the length is unknowable, negative or over
+        :data:`MAX_BODY_BYTES` the body is left unread and the connection is
+        closed instead.
         """
         try:
             length = int(self.headers.get("Content-Length", 0) or 0)
         except ValueError:
             self.close_connection = True
             raise ServiceError("invalid Content-Length header") from None
+        if length < 0:
+            self.close_connection = True
+            raise ServiceError(f"invalid Content-Length header {length}")
+        if length > MAX_BODY_BYTES:
+            self.close_connection = True
+            raise TooLargeError(
+                f"request body of {length} bytes exceeds the "
+                f"{MAX_BODY_BYTES}-byte limit"
+            )
         if length == 0 and self.headers.get("Transfer-Encoding"):
             # Chunked bodies have no Content-Length; this server does not
             # decode them, so the connection cannot be reused safely.
@@ -195,7 +244,10 @@ class _JSONRequestHandler(BaseHTTPRequestHandler):
             try:
                 raw = self._drain_body()  # always, even on 404/405 (keep-alive)
             except ServiceError as error:
-                self._send_json(400, _transport_error(_error_code(error), str(error)))
+                status = 413 if isinstance(error, TooLargeError) else 400
+                self._send_json(
+                    status, _transport_error(_error_code(error), str(error))
+                )
             else:
                 try:
                     if method == "GET":
@@ -293,12 +345,11 @@ class _Handler(_JSONRequestHandler):
     def _serve_kind(self, kind: str, path: str, raw: bytes) -> None:
         request = self._parse_request(self._read_json_body(raw), kind)
         result = self.server.service.execute(request)
-        if result.ok:
-            self._send_json(200, result.to_json())
-            return
-        code = str(result.error.get("code", "error"))
-        status = _STATUS_BY_ERROR_CODE.get(code, _DEFAULT_ERROR_STATUS)
-        self._send_json(status, result.to_json())
+        status = 200
+        if not result.ok:
+            code = str(result.error.get("code", "error"))
+            status = _STATUS_BY_ERROR_CODE.get(code, _DEFAULT_ERROR_STATUS)
+        self._send_raw(status, result.encode())
 
     def _serve_batch(self, raw: bytes) -> None:
         document = self._read_json_body(raw)
@@ -325,12 +376,16 @@ class _Handler(_JSONRequestHandler):
         results = self.server.executor.run([request for _, request in parsed])
         for (index, _), result in zip(parsed, results):
             envelopes[index] = result
-        self._send_json(
+        # Byte-identical to json.dumps({"protocol": ..., "results": [...]}).
+        self._send_raw(
             200,
-            {
-                "protocol": PROTOCOL_VERSION,
-                "results": [envelopes[i].to_json() for i in range(len(entries))],
-            },
+            b"".join(
+                (
+                    b'{"protocol": %d, "results": [' % PROTOCOL_VERSION,
+                    b", ".join(envelopes[i].encode() for i in range(len(entries))),
+                    b"]}",
+                )
+            ),
         )
 
 
@@ -420,7 +475,7 @@ class V2ServerBase(ThreadingHTTPServer):
         self, *, method: str, path: str, status: int, duration_s: float, trace: Trace
     ) -> None:
         """Record one served HTTP exchange (metrics + structured log)."""
-        endpoint = path if path in _KNOWN_PATHS else "other"
+        endpoint = _endpoint_label(path)
         registry = get_registry()
         registry.counter(
             f"{self.metrics_prefix}_requests_total",

@@ -612,10 +612,20 @@ class ServiceResult:
     ``timings`` is per-request observability metadata (:mod:`repro.obs`):
     the request's trace id plus a phase breakdown in milliseconds
     (``key_ms``, ``compute_ms``, ``score_ms``, ``cache_ms``, ``queue_ms``
-    for batched requests, ``route_ms`` when served through the shard
-    router).  Like ``elapsed_s`` and ``store_stats`` it is *excluded* from
-    ``canonical()`` — two envelopes with different timings still compare
-    byte-identical on semantic content.
+    for batched requests).  The shard router reports its forwarding time
+    in the ``X-Fairank-Route-Ms`` response header instead, so relayed
+    envelopes stay byte-for-byte what the worker encoded.  Like
+    ``elapsed_s`` and ``store_stats`` it is *excluded* from ``canonical()``
+    — two envelopes with different timings still compare byte-identical
+    on semantic content.
+
+    ``payload_json`` is the encode-once form: the service builds results
+    from the immutable ``json.dumps(payload)`` bytes its cache holds, and
+    ``payload`` is then decoded lazily on first read into a tree private
+    to this result (mutating it never reaches the cache).  :meth:`encode`
+    splices those bytes into the wire body without decoding or
+    re-encoding them.  Leave ``payload`` at its default when passing
+    ``payload_json``: the bytes are the payload.
     """
 
     kind: str
@@ -627,6 +637,23 @@ class ServiceResult:
     timings: Optional[Dict[str, Any]] = None
     protocol: int = PROTOCOL_VERSION
     error: Optional[Dict[str, Any]] = None
+    payload_json: Optional[bytes] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.payload_json is not None:
+            # Dropped so the first read of ``payload`` falls through to
+            # __getattr__, which decodes the bytes.
+            object.__delattr__(self, "payload")
+
+    def __getattr__(self, name: str) -> Any:
+        # Only reached when normal lookup fails: ``payload`` of a result
+        # built from bytes that nobody has read yet.  Two threads racing
+        # here each decode an equal tree; either one may win.
+        if name != "payload" or self.payload_json is None:
+            raise AttributeError(name)
+        payload = json.loads(self.payload_json)
+        object.__setattr__(self, "payload", payload)
+        return payload
 
     @property
     def ok(self) -> bool:
@@ -663,6 +690,40 @@ class ServiceResult:
             "timings": self.timings,
             "error": self.error,
         }
+
+    def encode(self) -> bytes:
+        """The wire body: exactly ``json.dumps(self.to_json()).encode()``.
+
+        The payload bytes are spliced between the encoded envelope fields,
+        so a result built from ``payload_json`` is never decoded or
+        re-encoded here; only the small envelope fields are.
+        """
+        payload = self.payload_json
+        if payload is None:
+            payload = json.dumps(self.payload).encode("utf-8")
+        head = json.dumps(
+            {"protocol": self.protocol, "kind": self.kind, "key": self.key}
+        )
+        tail = json.dumps(
+            {
+                "cached": self.cached,
+                "elapsed_s": self.elapsed_s,
+                "store_stats": self.store_stats,
+                "timings": self.timings,
+                "error": self.error,
+            }
+        )
+        # json.dumps joins members with ", " and keys with ": ": drop the
+        # head's closing brace and the tail's opening one, and splice.
+        return b"".join(
+            (
+                head[:-1].encode("utf-8"),
+                b', "payload": ',
+                payload,
+                b", ",
+                tail[1:].encode("utf-8"),
+            )
+        )
 
     @classmethod
     def from_json(cls, payload: Mapping[str, object]) -> "ServiceResult":

@@ -24,7 +24,7 @@ layer turns the library's pure functions into a servable engine:
 
 from __future__ import annotations
 
-import marshal
+import json
 import re
 import time
 from dataclasses import dataclass
@@ -77,29 +77,6 @@ from repro.service.jobs import (
 )
 
 __all__ = ["CachedQuantify", "FairnessService", "StorePoolStats"]
-
-
-def _copy_json(value):
-    """Deep copy of a plain-JSON tree (dict/list/scalars only).
-
-    Payloads are JSON-safe by construction, so this replaces
-    ``copy.deepcopy`` on the warm serving path — same privacy guarantee
-    (mutating a served payload never corrupts the cached value) without
-    deepcopy's per-object memo bookkeeping, which dominated warm latency.
-    ``marshal`` round-trips plain containers at C speed; anything it cannot
-    handle (it raises ``ValueError``) falls back to a recursive copy.
-    """
-    try:
-        return marshal.loads(marshal.dumps(value))
-    # marshal cannot serialise this tree: the recursive copy below handles it.
-    # fairlint: disable=FL007 -- documented fallback chain
-    except ValueError:
-        pass
-    if isinstance(value, dict):
-        return {key: _copy_json(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_copy_json(item) for item in value]
-    return value
 
 
 def _error_code(error: BaseException) -> str:
@@ -846,8 +823,11 @@ class FairnessService:
         both for its request-level payload entry and for the underlying
         kernel entry of :meth:`quantify_cached` (the layer shared with
         :class:`~repro.session.engine.FaiRankEngine`); ``cache_stats``
-        therefore counts both layers.  The returned payload is a private
-        deep copy — mutating it never corrupts the cached value.
+        therefore counts both layers.  The request-level entry is the
+        ``json.dumps(payload)`` bytes, encoded once inside ``compute_ms``;
+        the result carries them as ``payload_json`` and decodes ``payload``
+        lazily into a tree of its own, so mutating it never corrupts the
+        cached value (kernel-level entries stay live objects).
         """
         started = time.perf_counter()
         # A fresh trace per request, inheriting any active trace id (HTTP
@@ -863,11 +843,12 @@ class FairnessService:
                     with trace.span("key"):
                         key = self.request_key(request)
 
-                def produce() -> Dict[str, object]:
+                def produce() -> bytes:
                     with trace.span("compute"):
-                        return self._build_payload(request)
+                        payload = self._build_payload(request)
+                        return json.dumps(payload).encode("utf-8")
 
-                payload, hit = self.cache.get_or_compute(key, produce)
+                payload_json, hit = self.cache.get_or_compute(key, produce)
             except FaiRankError as error:
                 elapsed = time.perf_counter() - started
                 self._record_request(request.kind, "error", False, elapsed, registry)
@@ -880,7 +861,7 @@ class FairnessService:
         return ServiceResult(
             kind=request.kind,
             key=key,
-            payload=_copy_json(payload),
+            payload_json=payload_json,
             cached=hit,
             elapsed_s=elapsed,
             store_stats=self.store_stats.as_dict(),

@@ -104,7 +104,8 @@ def save_warm_state(
     """Persist the service's warm state under ``directory``; returns the manifest.
 
     Saved: every *materialized* score store whose function has a portable
-    JSON form, and every result-cache entry holding a plain JSON payload.
+    JSON form, and every request-level result-cache entry (the encoded
+    payload bytes, decoded back into the bundle's JSON tree).
     Cold stores, non-portable functions and kernel-level cache entries are
     silently left out — they are rebuilt on demand after a restart, exactly
     as they were built the first time.  The top-level ``manifest.json`` is
@@ -137,16 +138,9 @@ def save_warm_state(
         )
     results: List[Dict[str, object]] = []
     for key, value, cost in service.cache.items():
-        if not isinstance(value, dict):
-            continue
-        entry = {"key": key, "cost": cost, "payload": value}
-        try:
-            json.dumps(entry)
         # Kernel-level memo entries (live objects) are rebuilt on demand.
-        # fairlint: disable=FL007 -- documented skip of one cache entry
-        except (TypeError, ValueError):
-            continue
-        results.append(entry)
+        if isinstance(value, bytes):
+            results.append({"key": key, "cost": cost, "payload": json.loads(value)})
     (directory / "results.json").write_text(
         json.dumps({"results": results}, indent=2) + "\n", encoding="utf-8"
     )
@@ -259,8 +253,9 @@ def _load_results(
             _skip(skips, "manifest", directory=str(directory))
             continue
         # Entries arrive least recently used first, so re-inserting in file
-        # order reproduces the cache's recency order exactly.
-        service.cache.put(key, value, cost=cost)
+        # order reproduces the cache's recency order exactly.  Re-encoding
+        # the decoded tree reproduces the bytes encoded at compute time.
+        service.cache.put(key, json.dumps(value).encode("utf-8"), cost=cost)
         loads.inc(component="result")
         restored += 1
     if restored:

@@ -30,8 +30,9 @@ per-slot ``unavailable`` envelopes inside a batch).
 Tracing: the ingress trace id (header-inherited or router-generated) rides
 to the worker on ``X-Fairank-Trace``, so the worker's envelope ``timings``
 carry the *same* trace id the router logs — one id spans both hops.  The
-router additionally stamps its own forwarding time into the relayed
-envelope as ``timings.route_ms``.
+router reports its own forwarding time in the ``X-Fairank-Route-Ms``
+response header of a per-kind request and relays the worker's body
+byte-for-byte — it never decodes or re-encodes an envelope.
 """
 
 from __future__ import annotations
@@ -70,7 +71,10 @@ from repro.shard.routing import (
     worker_slot,
 )
 
-__all__ = ["ShardRouter"]
+__all__ = ["ROUTE_MS_HEADER", "ShardRouter"]
+
+#: Response header carrying the router's forwarding time in milliseconds.
+ROUTE_MS_HEADER = "X-Fairank-Route-Ms"
 
 #: Transport-level failures that mean "this worker did not answer" (and the
 #: request should be retried on another worker).  ``HTTPError`` is *not* one
@@ -94,15 +98,16 @@ class _RouterHandler(_JSONRequestHandler):
         except ServiceError as error:
             self._send_json(503, _transport_error("unavailable", str(error)))
             return
-        self._send_raw(status, relayed, "application/json; charset=utf-8")
+        self._send_raw(status, relayed)
 
     def _serve_kind(self, kind: str, path: str, raw: bytes) -> None:
         """Forward one per-kind request to its fingerprint-routed worker.
 
         The body is parsed only to *extract references* — it is forwarded
-        verbatim, so worker responses (including validation errors for
-        malformed bodies) match single-process serving; the only router
-        addition is ``timings.route_ms`` stamped into a relayed envelope.
+        verbatim, and the worker's response is relayed verbatim, so
+        responses (including validation errors for malformed bodies) match
+        single-process serving byte for byte; the only router addition is
+        the ``X-Fairank-Route-Ms`` header.
         """
         slot = self.server.slot_for_body(raw)
         started = time.perf_counter()
@@ -121,9 +126,7 @@ class _RouterHandler(_JSONRequestHandler):
             status=status,
         )
         self._send_raw(
-            status,
-            self.server.annotate_envelope(relayed, route_ms),
-            "application/json; charset=utf-8",
+            status, relayed, headers={ROUTE_MS_HEADER: f"{route_ms:.3f}"}
         )
 
     def _serve_batch(self, raw: bytes) -> None:
@@ -344,28 +347,6 @@ class ShardRouter(V2ServerBase):
                     f"the router is shutting down; abandoned {method} {path} "
                     f"after {failures} failed forward(s)"
                 )
-
-    @staticmethod
-    def annotate_envelope(relayed: bytes, route_ms: float) -> bytes:
-        """Stamp the router's forwarding time into a relayed result envelope.
-
-        Anything that does not parse as a protocol-v2 envelope (transport
-        error payloads, malformed-body rejections) passes through verbatim.
-        ``timings`` is outside the canonical response surface, so the
-        re-serialisation keeps relayed responses byte-comparable to
-        single-process serving where it matters.
-        """
-        try:
-            payload = json.loads(relayed)
-        except ValueError:
-            return relayed
-        if not isinstance(payload, dict) or "kind" not in payload:
-            return relayed
-        timings = payload.get("timings")
-        timings = dict(timings) if isinstance(timings, dict) else {}
-        timings["route_ms"] = round(route_ms, 3)
-        payload["timings"] = timings
-        return json.dumps(payload).encode("utf-8")
 
     def unavailable_envelope(self, entry: object) -> Dict[str, object]:
         """A protocol-v2 error envelope for a batch slot no worker served."""

@@ -53,3 +53,29 @@ def crawled_marketplace():
     from repro.marketplace.crawler import MarketplaceCrawler
 
     return MarketplaceCrawler(seed=5).crawl("taskrabbit-sim", workers=120)
+
+
+def _claim_content_length(server, length):
+    """POST a two-byte body to ``server`` under a forged Content-Length.
+
+    Returns ``(status, Connection header, parsed JSON body)``.
+    """
+    import http.client
+    import json
+
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    try:
+        connection.putrequest("POST", "/v2/quantify")
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader("Content-Length", str(length))
+        connection.endheaders(b"{}")
+        response = connection.getresponse()
+        return response.status, response.getheader("Connection"), json.loads(response.read())
+    finally:
+        connection.close()
+
+
+@pytest.fixture(scope="session")
+def claim_content_length():
+    """The forged-Content-Length POST helper (server and router tests)."""
+    return _claim_content_length

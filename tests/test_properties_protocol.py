@@ -251,6 +251,60 @@ class TestResultRoundTrips:
         assert rebuilt.ok == result.ok
 
 
+# Payload trees as the service builds them: nested objects and arrays over
+# any text (non-ASCII included, escaped by json.dumps), exponent-form floats
+# such as 1e-07, and the NaN/Infinity tokens json.dumps emits by default.
+tree_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([1e-07, -2.5e-12, 1e300, float("nan"), float("inf")]),
+    st.text(),
+)
+payload_trees = st.dictionaries(
+    st.text(),
+    st.recursive(
+        tree_scalars,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(), children, max_size=4),
+        max_leaves=20,
+    ),
+    max_size=6,
+)
+
+
+class TestEncodeOnce:
+    @SETTINGS
+    @given(tree=payload_trees, envelope=service_results())
+    def test_spliced_bytes_equal_a_full_dumps(self, tree, envelope):
+        from_bytes = ServiceResult(
+            kind=envelope.kind,
+            key=envelope.key,
+            payload_json=json.dumps(tree).encode("utf-8"),
+            cached=envelope.cached,
+            elapsed_s=envelope.elapsed_s,
+            store_stats=envelope.store_stats,
+            timings=envelope.timings,
+            error=envelope.error,
+        )
+        from_tree = ServiceResult(
+            kind=envelope.kind,
+            key=envelope.key,
+            payload=tree,
+            cached=envelope.cached,
+            elapsed_s=envelope.elapsed_s,
+            store_stats=envelope.store_stats,
+            timings=envelope.timings,
+            error=envelope.error,
+        )
+        expected = json.dumps(from_tree.to_json()).encode("utf-8")
+        assert from_tree.encode() == expected
+        assert from_bytes.encode() == expected
+        # The lazily decoded tree re-encodes to the very same bytes.
+        assert json.dumps(from_bytes.to_json()).encode("utf-8") == expected
+
+
 # -- catalog snapshots ---------------------------------------------------------
 
 

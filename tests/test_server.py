@@ -18,6 +18,7 @@ from repro.errors import ServiceError
 from repro.experiments.workloads import crowdsourcing_marketplace
 from repro.scoring.linear import LinearScoringFunction
 from repro.server import REQUEST_ENDPOINTS, FairnessHTTPServer, HTTPFairnessClient
+from repro.server.http import MAX_BODY_BYTES
 from repro.service import (
     AuditRequest,
     FairnessClient,
@@ -225,6 +226,22 @@ class TestErrorMapping:
                 assert payload["kind"] == "quantify"
         finally:
             connection.close()
+
+    def test_oversized_body_is_413_unread_and_closes_the_connection(
+        self, server, claim_content_length
+    ):
+        status, connection, payload = claim_content_length(server, MAX_BODY_BYTES + 1)
+        assert status == 413
+        assert connection == "close"
+        assert payload["error"]["code"] == "too_large"
+        assert str(MAX_BODY_BYTES) in payload["error"]["message"]
+        assert raw_call(server, "/v2/health")[0] == 200  # still serving
+
+    def test_negative_content_length_is_400(self, server, claim_content_length):
+        status, connection, payload = claim_content_length(server, -1)
+        assert status == 400
+        assert connection == "close"
+        assert "Content-Length" in payload["error"]["message"]
 
     def test_invalid_parameters_fail_client_side(self, client):
         with pytest.raises(ServiceError, match="at least 2 steps"):

@@ -16,7 +16,12 @@ from repro.metrics.histogram import Binning, build_histogram
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.scoring.linear import LinearScoringFunction
-from repro.service import FairnessService, QuantifyRequest
+from repro.service import (
+    BreakdownRequest,
+    FairnessService,
+    QuantifyRequest,
+    SweepRequest,
+)
 
 
 @pytest.fixture(scope="module")
@@ -174,6 +179,29 @@ class TestServiceWarmState:
         assert not novel.cached and novel.error is None
         assert restarted.store_stats.scoring_passes == 0
         assert novel.canonical() == _service().execute(fresh_request).canonical()
+
+    def test_restored_entries_carry_the_bytes_encoded_at_compute_time(self, tmp_path):
+        warm = _service()
+        for request in (
+            _REQUEST,
+            BreakdownRequest(dataset="pop", function="balanced"),
+            SweepRequest(dataset="pop", function="balanced", steps=3),
+        ):
+            assert warm.execute(request).ok
+        computed = [
+            (key, value) for key, value, _ in warm.cache.items()
+            if isinstance(value, bytes)
+        ]
+        assert len(computed) == 3
+        warm.save_warm_state(tmp_path)
+
+        restarted = _service()
+        assert restarted.load_warm_state(tmp_path)["results"] == 3
+        restored = [(key, value) for key, value, _ in restarted.cache.items()]
+        assert restored == computed
+        replay = restarted.execute(_REQUEST)
+        assert replay.cached
+        assert replay.payload_json == dict(computed)[replay.key]
 
     def test_warm_dir_parameter_is_used_by_default(self, tmp_path):
         warm = _service()
