@@ -1,4 +1,4 @@
-"""QUANTIFY hot path — score materialization vs. the seed re-scoring path.
+"""QUANTIFY hot path — the score store vs. the direct re-scoring reference.
 
 The score store (:mod:`repro.core.scorestore`) materializes the full
 per-(dataset, function) score vector once and derives every partition's
@@ -6,12 +6,15 @@ scores, histograms and candidate splits from row indices.  This benchmark
 pins the perf trajectory of that layer:
 
 * **speedup** — on a 10k-row synthetic population, QUANTIFY through the
-  store must be at least 3x faster than the seed path (``materialize=False``,
-  the pre-materialization behaviour);
+  store must be at least 3x faster than the test-side reference
+  (``tests/scoring_reference.py``: greedy Algorithm 1 over group-by splits,
+  each partition scored directly and binned with ``build_histogram``);
 * **exactness** — tree, unfairness, ``splits_evaluated`` and the breakdown
-  must be byte-identical with and without the store;
+  must be byte-identical to the reference;
 * **compute-once** — on the bundled marketplace workload every individual is
-  scored exactly once per scoring function;
+  scored exactly once per scoring function, by ``quantify`` and by each of
+  the three roles (``Auditor.audit_job``, ``JobOwner.evaluate_function``,
+  ``EndUser.assess_job``);
 * **columnar data plane** — at 100k rows, validate + cold QUANTIFY on a
   column-backed population must be at least 5x the per-row dict path, with
   byte-identical results;
@@ -26,6 +29,7 @@ commit.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -37,9 +41,14 @@ from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import unfairness_breakdown
 from repro.data.dataset import Dataset
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
+from repro.marketplace.entities import Marketplace
+from repro.roles.auditor import Auditor
+from repro.roles.end_user import EndUser
+from repro.roles.job_owner import JobOwner
 from repro.scoring.linear import LinearScoringFunction
 
 from benchmarks.results import REPO_ROOT, write_results
+from tests.scoring_reference import reference_breakdown, reference_quantify
 
 #: The 10k-row scalability workload (E11's generator, fixed seed).
 POPULATION_SIZE = 10_000
@@ -102,16 +111,11 @@ class _CountingFunction(LinearScoringFunction):
 
 
 def test_store_speedup_and_exactness(benchmark):
-    """Materialized QUANTIFY is >= 3x the seed path, with identical results."""
+    """Materialized QUANTIFY is >= 3x the direct reference, with identical results."""
     dataset, function = _workload()
 
     def seed_run():
-        return quantify(
-            dataset,
-            function,
-            min_partition_size=MIN_PARTITION_SIZE,
-            materialize=False,
-        )
+        return reference_quantify(dataset, function, min_partition_size=MIN_PARTITION_SIZE)
 
     def store_run():
         return quantify(dataset, function, min_partition_size=MIN_PARTITION_SIZE)
@@ -125,7 +129,7 @@ def test_store_speedup_and_exactness(benchmark):
     assert store_result.splits_evaluated == seed_result.splits_evaluated
     assert store_result.partitioning.labels == seed_result.partitioning.labels
     assert store_result.partitioning.sizes == seed_result.partitioning.sizes
-    seed_breakdown = unfairness_breakdown(seed_result.partitioning, function)
+    seed_breakdown = reference_breakdown(seed_result.partitioning, function)
     store_breakdown = unfairness_breakdown(store_result.partitioning, function)
     assert store_breakdown.value == seed_breakdown.value
     assert store_breakdown.pairwise == seed_breakdown.pairwise
@@ -155,7 +159,7 @@ def test_store_speedup_and_exactness(benchmark):
         }
     )
     assert speedup >= REQUIRED_SPEEDUP, (
-        f"score materialization must be >= {REQUIRED_SPEEDUP}x the seed path "
+        f"score materialization must be >= {REQUIRED_SPEEDUP}x the direct reference "
         f"(seed {seed_elapsed * 1000:.1f}ms, store {store_elapsed * 1000:.1f}ms, "
         f"{speedup:.2f}x)"
     )
@@ -324,31 +328,59 @@ def test_million_row_leg():
     assert columnar["peak_rss_mb"] < dict_path["peak_rss_mb"]
 
 
+def _with_counting_job(marketplace: Marketplace, title: str):
+    """A copy of ``marketplace`` whose job ``title`` scores through a counter."""
+    counting = _CountingFunction(marketplace.job(title).function)
+    jobs = [
+        dataclasses.replace(job, function=counting) if job.title == title else job
+        for job in marketplace
+    ]
+    return Marketplace(marketplace.name, marketplace.workers, jobs), counting
+
+
 def test_marketplace_scores_each_individual_once():
-    """On the bundled marketplace, each individual is scored once per function."""
+    """On the bundled marketplace, each individual is scored once per function.
+
+    ``quantify`` and each of the three roles must make exactly one counted
+    scoring pass, over exactly the job's candidates, per job.
+    """
     marketplace = crowdsourcing_marketplace(size=400, seed=SEED)
+    roles = {
+        "quantify": lambda market, job, counting: quantify(
+            job.candidates(market.workers), counting, min_partition_size=5
+        ),
+        "audit_job": lambda market, job, counting: Auditor(min_partition_size=5).audit_job(
+            market, job
+        ),
+        "evaluate_function": lambda market, job, counting: JobOwner(
+            min_partition_size=5
+        ).evaluate_function(job.candidates(market.workers), counting),
+        "assess_job": lambda market, job, counting: EndUser(
+            {"Gender": "Female"}
+        ).assess_job(market, job.title),
+    }
     passes: List[Dict[str, object]] = []
     for job in marketplace:
         candidates = job.candidates(marketplace.workers)
-        counting = _CountingFunction(job.function)
-        result = quantify(candidates, counting, min_partition_size=5)
-        assert (
-            counting.calls == 1
-        ), f"{job.title}: expected exactly one scoring pass, saw {counting.calls}"
-        assert counting.rows == len(candidates)
-        passes.append(
-            {
-                "job": job.title,
-                "candidates": len(candidates),
-                "scoring_passes": counting.calls,
-                "partitions": len(result.partitioning),
-            }
-        )
+        entry: Dict[str, object] = {"job": job.title, "candidates": len(candidates)}
+        for role, run in roles.items():
+            market, counting = _with_counting_job(marketplace, job.title)
+            outcome = run(market, market.job(job.title), counting)
+            assert counting.calls == 1, (
+                f"{job.title} / {role}: expected exactly one scoring pass, "
+                f"saw {counting.calls}"
+            )
+            assert counting.rows == len(candidates), f"{job.title} / {role}"
+            entry[f"{role}_scoring_passes"] = counting.calls
+            if role == "quantify":
+                entry["partitions"] = len(outcome.partitioning)
+        passes.append(entry)
     print()
     for entry in passes:
+        counts = " ".join(f"{role}={entry[f'{role}_scoring_passes']}" for role in roles)
         print(
             f"{entry['job']:<22} {entry['candidates']:>5} candidates  "
-            f"{entry['scoring_passes']} scoring pass  {entry['partitions']} groups"
+            f"{entry['partitions']:>3} groups  scoring passes: {counts}"
         )
     _write_results({"marketplace_single_pass": passes})
 
@@ -362,7 +394,6 @@ def test_store_histogram_reuse_accounting():
     print()
     print(f"store after one search: {stats.describe()}")
     assert stats.scoring_passes == 1
-    assert stats.fallback_scorings == 0
     # Re-running the identical search is served almost entirely from memos.
     quantify(dataset, function, min_partition_size=MIN_PARTITION_SIZE, store=store)
     warm = store.stats

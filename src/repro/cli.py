@@ -35,6 +35,7 @@ from typing import List, Optional, Sequence
 
 from repro.core.formulations import Formulation
 from repro.core.quantify import quantify
+from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import unfairness_breakdown
 from repro.data.loaders import TABLE1_WEIGHTS, load_csv, load_example_table1
 from repro.errors import FaiRankError
@@ -286,6 +287,8 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
     effective_function = function
     if args.ranks_only:
         effective_function = RankDerivedScorer(function.rank(dataset), name="cli-from-ranks")
+    # One scoring pass serves the search, the breakdown and the rendering.
+    store = ScoreStore(dataset, effective_function)
     result = quantify(
         dataset,
         effective_function,
@@ -293,8 +296,11 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
         attributes=args.attributes,
         max_depth=args.max_depth,
         min_partition_size=args.min_partition_size,
+        store=store,
     )
-    breakdown = unfairness_breakdown(result.partitioning, effective_function, formulation)
+    breakdown = unfairness_breakdown(
+        result.partitioning, effective_function, formulation, store=store
+    )
     print(f"dataset: {dataset.name} ({len(dataset)} individuals)")
     print(f"scoring function: {function.describe()}"
           + (" [analysed via ranks only]" if args.ranks_only else ""))
@@ -304,7 +310,7 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
     print(f"least favored: {breakdown.least_favored}")
     if not args.no_tree:
         print()
-        print(render_tree(result.tree, effective_function, formulation))
+        print(render_tree(result.tree, effective_function, formulation, store=store))
     return 0
 
 

@@ -22,7 +22,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD
 from repro.core.partition import Partition, Partitioning, root_partition, split_partition
-from repro.core.scorestore import ScoreStore
+from repro.core.scorestore import ScoreStore, store_for
 from repro.core.unfairness import unfairness
 from repro.data.dataset import Dataset
 from repro.errors import PartitioningError
@@ -166,7 +166,6 @@ def exhaustive_search(
     limit: Optional[int] = 200_000,
     *,
     store: Optional[ScoreStore] = None,
-    materialize: bool = True,
 ) -> ExhaustiveResult:
     """Find the exact optimum partitioning by enumerating the whole space.
 
@@ -175,14 +174,11 @@ def exhaustive_search(
     deterministic across runs.
 
     The same leaf partitions recur in exponentially many enumerated
-    partitionings, so the search materializes scores once in a
-    :class:`~repro.core.scorestore.ScoreStore` (pass ``materialize=False``
-    for the direct re-scoring path, or ``store=`` to share an existing one).
+    partitionings, so the search scores through one
+    :class:`~repro.core.scorestore.ScoreStore`: a private store over
+    ``dataset``, or ``store=`` to share an existing one.
     """
-    if store is not None and not store.serves(function):
-        store = None  # built for a different function: never serve its scores
-    if store is None and materialize:
-        store = ScoreStore(dataset, function)
+    store = store_for(dataset, function, store)
     best_partitioning: Optional[Partitioning] = None
     best_value = 0.0
     explored = 0

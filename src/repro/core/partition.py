@@ -13,23 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.data.dataset import Dataset
 from repro.errors import PartitioningError
-from repro.metrics.histogram import Binning, Histogram, build_histogram
-from repro.scoring.base import ScoringFunction, frozen_scores
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.scorestore import ScoreStore
 
 __all__ = ["Partition", "Partitioning", "split_partition", "root_partition"]
-
-#: Per-partition score memo bound: a partition rarely sees more than a couple
-#: of distinct scoring functions in one session (the function under audit plus
-#: a rank-derived variant); a small bound keeps weight sweeps from pinning
-#: dozens of throwaway functions in memory.
-_SCORE_MEMO_SLOTS = 4
 
 
 @dataclass(frozen=True)
@@ -98,65 +88,6 @@ class Partition:
                 return value
         raise PartitioningError(f"partition {self.label!r} does not constrain {attribute!r}")
 
-    # -- scores -------------------------------------------------------------
-
-    def scores(
-        self, function: ScoringFunction, store: Optional["ScoreStore"] = None
-    ) -> np.ndarray:
-        """Scores of the partition's members under ``function``.
-
-        With a :class:`~repro.core.scorestore.ScoreStore` the scores are
-        sliced from the store's materialized vector.  Without one, the result
-        is memoised per function object on the partition itself, so the
-        session layer's Node boxes (statistics + histogram + rendering) score
-        each partition once instead of once per box.  Either way the returned
-        array is read-only — every caller shares one vector.
-        """
-        if store is not None and store.serves(function):
-            return store.scores(self)
-        memo: Optional[Dict[ScoringFunction, np.ndarray]] = getattr(self, "_score_memo", None)
-        if memo is not None:
-            cached = memo.get(function)
-            if cached is not None:
-                return cached
-        values = frozen_scores(function, self.members)
-        # Copy-and-swap keeps concurrent readers safe: the memo dict is never
-        # mutated in place, only atomically replaced.
-        updated = dict(memo) if memo is not None else {}
-        updated[function] = values
-        while len(updated) > _SCORE_MEMO_SLOTS:
-            updated.pop(next(iter(updated)))
-        object.__setattr__(self, "_score_memo", updated)
-        return values
-
-    def histogram(
-        self,
-        function: ScoringFunction,
-        binning: Optional[Binning] = None,
-        store: Optional["ScoreStore"] = None,
-    ) -> Histogram:
-        """Score histogram of the partition's members (Definition 2's ``h(p, f)``)."""
-        if store is not None and store.serves(function):
-            return store.histogram(self, binning=binning)
-        return build_histogram(self.scores(function), binning=binning)
-
-    def statistics(
-        self, function: ScoringFunction, store: Optional["ScoreStore"] = None
-    ) -> Dict[str, float]:
-        """Summary statistics shown in the session layer's Node box."""
-        if store is not None and store.serves(function):
-            return store.statistics(self)
-        values = self.scores(function)
-        if values.size == 0:
-            return {"size": 0, "mean": 0.0, "min": 0.0, "max": 0.0, "std": 0.0}
-        return {
-            "size": int(values.size),
-            "mean": float(values.mean()),
-            "min": float(values.min()),
-            "max": float(values.max()),
-            "std": float(values.std()),
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Partition({self.label!r}, n={self.size})"
 
@@ -179,7 +110,8 @@ def split_partition(
     With a :class:`~repro.core.scorestore.ScoreStore` the split is performed
     over the store's integer-coded columns and row indices (same children, in
     the same order, with lazily materialised members) instead of a Python
-    group-by — the store falls back to this path for unmappable partitions.
+    group-by; a partition the store cannot map raises
+    :class:`~repro.errors.PartitioningError`.
     """
     schema = partition.members.schema
     attr = schema.require_protected(attribute)
@@ -188,9 +120,7 @@ def split_partition(
             f"partition {partition.label!r} already constrains {attribute!r}"
         )
     if store is not None:
-        children = store.split(partition, attr)
-        if children is not None:
-            return children
+        return store.split(partition, attr)
     groups = partition.members.group_by([attribute])
     ordered_values: List[object] = list(partition.members.distinct_values(attribute))
     children = []
@@ -300,23 +230,6 @@ class Partitioning:
             raise PartitioningError(
                 f"individual {uid!r} is not covered by this partitioning"
             ) from None
-
-    def histograms(
-        self,
-        function: ScoringFunction,
-        binning: Optional[Binning] = None,
-        store: Optional["ScoreStore"] = None,
-    ) -> Tuple[Histogram, ...]:
-        """Score histogram of every partition, over a shared binning.
-
-        Routed through each partition's cached score vector (or the given
-        :class:`~repro.core.scorestore.ScoreStore`), so repeated histogram
-        requests never trigger extra scoring passes.
-        """
-        return tuple(
-            partition.histogram(function, binning=binning, store=store)
-            for partition in self.partitions
-        )
 
     def group_sizes(self) -> Dict[str, int]:
         """Mapping of partition label -> number of members."""

@@ -1,10 +1,10 @@
-"""Compute-once score materialization for the partitioning hot paths.
+"""Compute-once score materialization: the one scoring path of FaiRank.
 
 The QUANTIFY search (and everything layered on top of it — statistics boxes,
 breakdowns, audits, comparisons) repeatedly asks for the scores of *subsets*
 of one population under one scoring function: every candidate split, every
 tree node, every sibling histogram re-walks the same individuals.  The
-:class:`ScoreStore` removes that redundancy:
+:class:`ScoreStore` is the only code that answers that question:
 
 * the **full score vector** of the store's dataset is computed exactly once
   (one ``function.score_dataset`` pass) and every partition's scores are
@@ -26,13 +26,16 @@ tree node, every sibling histogram re-walks the same individuals.  The
   row tuples at all;
 * the memo is **bounded** (LRU over partitions) so a long-lived service
   store cannot grow without limit, and every counter needed to audit the
-  layer (scoring passes, slices, fallbacks, hits/misses/evictions) is
-  exposed as an immutable :class:`ScoreStoreStats` snapshot.
+  layer (scoring passes, slices, hits/misses/evictions) is exposed as an
+  immutable :class:`ScoreStoreStats` snapshot.
 
-A store only answers for partitions drawn from its own dataset.  Partitions
-whose members cannot be mapped onto the store's rows (e.g. an anonymised
-copy whose individuals were rewritten) fall back to direct scoring, so the
-store is always safe to pass down a pipeline.
+Every entry point that takes a scoring function (``quantify``,
+``unfairness``, the roles, the session renderers) resolves its store through
+:func:`store_for`: the caller's store when given, else a private store over
+the call's root dataset.  Mismatches raise instead of re-scoring: a store
+that does not :meth:`~ScoreStore.serves` the function raises
+:class:`~repro.errors.ScoringError`, and a partition whose members cannot be
+mapped onto the store's rows raises :class:`~repro.errors.PartitioningError`.
 
 Thread safety: all mutation happens under one lock; score vectors, codes and
 histogram values are immutable once published, so concurrent readers (the
@@ -52,15 +55,21 @@ import numpy as np
 
 from repro.data.dataset import Dataset, Individual, order_values
 from repro.data.schema import Attribute
-from repro.errors import FaiRankError, WarmStartError
-from repro.metrics.histogram import Binning, Histogram, build_histogram
+from repro.errors import FaiRankError, PartitioningError, ScoringError, WarmStartError
+from repro.metrics.histogram import Binning, Histogram
 from repro.obs.trace import span as trace_span
 from repro.scoring.base import ScoringFunction, frozen_scores
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.partition import Partition
 
-__all__ = ["STORE_BUNDLE_FORMAT", "STORE_BUNDLE_VERSION", "ScoreStore", "ScoreStoreStats"]
+__all__ = [
+    "STORE_BUNDLE_FORMAT",
+    "STORE_BUNDLE_VERSION",
+    "ScoreStore",
+    "ScoreStoreStats",
+    "store_for",
+]
 
 #: Identifies a persisted score-store bundle (arbitrary JSON is rejected loudly).
 STORE_BUNDLE_FORMAT = "fairank-scorestore"
@@ -79,13 +88,12 @@ class ScoreStoreStats:
     """Immutable snapshot of one store's effectiveness counters.
 
     ``scoring_passes`` counts invocations of ``function.score_dataset`` —
-    ideally exactly 1 (the materialization pass); ``fallback_scorings``
-    counts partitions that could not be sliced and were scored directly.
+    ideally exactly 1 (the materialization pass); ``sliced_partitions``
+    counts the partitions the store mapped onto its rows.
     """
 
     scoring_passes: int = 0
     sliced_partitions: int = 0
-    fallback_scorings: int = 0
     histogram_hits: int = 0
     histogram_misses: int = 0
     evictions: int = 0
@@ -104,7 +112,6 @@ class ScoreStoreStats:
         return {
             "scoring_passes": self.scoring_passes,
             "sliced_partitions": self.sliced_partitions,
-            "fallback_scorings": self.fallback_scorings,
             "histogram_hits": self.histogram_hits,
             "histogram_misses": self.histogram_misses,
             "evictions": self.evictions,
@@ -114,7 +121,7 @@ class ScoreStoreStats:
     def describe(self) -> str:
         return (
             f"{self.scoring_passes} scoring pass(es), "
-            f"{self.sliced_partitions} sliced / {self.fallback_scorings} fallback, "
+            f"{self.sliced_partitions} sliced partitions, "
             f"histograms {self.histogram_hits} hits / {self.histogram_misses} misses "
             f"({self.histogram_hit_rate:.0%}), {self.evictions} evictions"
         )
@@ -125,11 +132,12 @@ class _SlicedDataset(Dataset):
 
     The score store's splits produce one of these per child partition: the
     length (all a losing candidate split ever needs) is known immediately,
-    while the actual row tuple is only built when a consumer — the final
-    partitioning's validation, a renderer, a fallback scorer — iterates it.
-    Holding the *base dataset* (not its row tuple) keeps the laziness
-    transitive: slicing a column-backed base never forces it to materialise
-    rows until a consumer iterates the slice itself.
+    while the actual row tuple is only built when a consumer — a renderer,
+    a filter, anything that iterates individuals — asks for it.  Holding the
+    *base dataset* (not its row tuple) keeps the laziness transitive:
+    slicing a column-backed base never forces it to materialise rows until a
+    consumer iterates the slice itself, and :attr:`uids` is a slice of the
+    base's uids, so it never builds rows at all.
     """
 
     def __init__(self, base: Dataset, indices: np.ndarray, name: str) -> None:
@@ -150,6 +158,15 @@ class _SlicedDataset(Dataset):
             self.__dict__["_materialized"] = materialized
         return materialized
 
+    @property
+    def uids(self) -> Tuple[str, ...]:  # type: ignore[override]
+        cached = self.__dict__.get("_uids")
+        if cached is None:
+            base = self._base.uids
+            cached = tuple(base[index] for index in self._slice_indices.tolist())
+            self.__dict__["_uids"] = cached
+        return cached
+
     def __len__(self) -> int:
         return len(self._slice_indices)
 
@@ -166,13 +183,10 @@ class _Entry:
     with the same binning reuses the whole per-split histogram batch.
     """
 
-    __slots__ = ("indices", "owner", "scores", "histograms", "candidates", "bin_slices")
+    __slots__ = ("indices", "scores", "histograms", "candidates", "bin_slices")
 
-    def __init__(self, indices: Optional[np.ndarray], owner: Optional[Dataset] = None) -> None:
+    def __init__(self, indices: np.ndarray) -> None:
         self.indices = indices
-        # For fallback entries (indices None) the exact members object the
-        # entry answers for; mapped entries are validated via their indices.
-        self.owner = owner
         self.scores: Optional[np.ndarray] = None
         self.histograms: Dict[Binning, Histogram] = {}
         self.candidates: Dict[
@@ -283,7 +297,6 @@ class ScoreStore:
         self._bin_codes: Dict[Binning, np.ndarray] = {}
         self._scoring_passes = 0
         self._sliced_partitions = 0
-        self._fallback_scorings = 0
         self._histogram_hits = 0
         self._histogram_misses = 0
         self._evictions = 0
@@ -298,9 +311,9 @@ class ScoreStore:
         True for the store's own function object, and for distinct objects
         that prove content equality via the ``fingerprint()`` protocol (the
         service pool hands out stores keyed by fingerprint, so a rebuilt but
-        identical scorer must still be served).  Callers that receive False
-        fall back to direct scoring — sharing a store across *different*
-        functions must never silently serve the wrong scores.
+        identical scorer must still be served).  :func:`store_for` refuses a
+        store that does not serve the caller's function — sharing a store
+        across *different* functions must never silently serve wrong scores.
         """
         if function is self.function:
             return True
@@ -359,47 +372,58 @@ class ScoreStore:
                 }
             return self._row_index
 
-    def _indices_for(self, partition: "Partition") -> Optional[np.ndarray]:
-        """Row indices of the partition's members, or None if unmappable."""
-        return self._indices_for_members(partition.members)
+    def _indices_for_members(self, members: Dataset) -> np.ndarray:
+        """Row indices of ``members`` in the store's dataset.
 
-    def _indices_for_members(self, members: Dataset) -> Optional[np.ndarray]:
+        Raises :class:`~repro.errors.PartitioningError` when a member is not
+        one of the store's rows (by uid for trusted stores, by object
+        identity otherwise).
+        """
         if members is self.dataset:
             return np.arange(len(self.dataset), dtype=np.intp)
         if isinstance(members, _SlicedDataset) and members._base is self.dataset:
             return members._slice_indices
         row_index = self._row_index_map()
-        # Identity verification (trust_uids=False) needs the actual row
-        # objects; trusted stores map by uid alone, so a column-backed
-        # dataset stays unmaterialised.
-        rows = None if self.trust_uids else self.dataset.individuals
         indices = np.empty(len(members), dtype=np.intp)
+        if self.trust_uids:
+            # Trusted stores map by uid alone, so a column-backed dataset (or
+            # a slice of one) stays unmaterialised.
+            for position, uid in enumerate(members.uids):
+                index = row_index.get(uid)
+                if index is None:
+                    raise self._foreign(members)
+                indices[position] = index
+            return indices
+        # Identity verification needs the actual row objects.
+        rows = self.dataset.individuals
         for position, member in enumerate(members):
             index = row_index.get(member.uid)
-            if index is None:
-                return None
-            if rows is not None and rows[index] is not member:
-                return None
+            if index is None or rows[index] is not member:
+                raise self._foreign(members)
             indices[position] = index
         return indices
+
+    def _foreign(self, members: Dataset) -> PartitioningError:
+        return PartitioningError(
+            f"{members.name!r} is not drawn from the score store's dataset "
+            f"{self.dataset.name!r}; build the store over the partition's population"
+        )
 
     # -- partition-level access -------------------------------------------------
 
     def scores(self, partition: "Partition") -> np.ndarray:
         """Scores of the partition's members, sliced from the full vector.
 
-        Bit-for-bit identical to ``partition.members`` scored directly.  A
-        partition that cannot be mapped onto the store's rows is scored
-        directly (counted as a fallback) so callers never need to care.
+        Bit-for-bit identical to ``partition.members`` scored directly.
+        Raises :class:`~repro.errors.PartitioningError` for a partition whose
+        members cannot be mapped onto the store's rows.
         """
-        vector = self.vector()
         entry = self._entry(partition)
+        vector = self.vector()
         with self._lock:
             values = entry.scores
             if values is None:
-                if entry.indices is None:
-                    values = frozen_scores(self.function, partition.members)
-                elif partition.members is self.dataset:
+                if partition.members is self.dataset:
                     values = vector  # the root partition: the full vector itself
                 else:
                     values = vector[entry.indices]
@@ -425,20 +449,17 @@ class ScoreStore:
                 self._histogram_hits += 1
                 return cached
             self._histogram_misses += 1
-        if entry.indices is None:
-            histogram = build_histogram(self.scores(partition), binning=binning)
-        else:
-            codes = self._bin_codes_for(binning)
-            # minlength covers the NaN sentinel bin; the slice discards it.
-            counts = np.bincount(codes[entry.indices], minlength=binning.bins)
-            histogram = Histogram(
-                binning=binning, counts=tuple(int(c) for c in counts[: binning.bins])
-            )
+        codes = self._bin_codes_for(binning)
+        # minlength covers the NaN sentinel bin; the slice discards it.
+        counts = np.bincount(codes[entry.indices], minlength=binning.bins)
+        histogram = Histogram(
+            binning=binning, counts=tuple(int(c) for c in counts[: binning.bins])
+        )
         with self._lock:
             return entry.histograms.setdefault(binning, histogram)
 
     def statistics(self, partition: "Partition") -> Dict[str, float]:
-        """Summary statistics of the partition (mirrors ``Partition.statistics``)."""
+        """Summary statistics of the partition (the session layer's Node box)."""
         values = self.scores(partition)
         if values.size == 0:
             return {"size": 0, "mean": 0.0, "min": 0.0, "max": 0.0, "std": 0.0}
@@ -454,12 +475,11 @@ class ScoreStore:
 
     def candidate_split(
         self, partition: "Partition", attr: Attribute, binning: Binning
-    ) -> Optional[Tuple[Tuple[object, ...], Tuple[int, ...], Tuple[Histogram, ...]]]:
+    ) -> Tuple[Tuple[object, ...], Tuple[int, ...], Tuple[Histogram, ...]]:
         """Evaluate splitting ``partition`` on ``attr`` without materialising it.
 
         Returns ``(ordered child values, child sizes, child histograms)`` —
-        everything the greedy search needs to *score* a candidate split — or
-        None when the partition cannot be mapped onto the store's rows.  The
+        everything the greedy search needs to *score* a candidate split.  The
         histograms come from one two-dimensional ``bincount`` over the
         partition's rows (value code × bin code), bit-identical to building
         each child and histogramming it, but with no per-child Python work;
@@ -469,8 +489,6 @@ class ScoreStore:
         """
         entry = self._entry(partition)
         indices = entry.indices
-        if indices is None:
-            return None
         memo_key = (attr.name, binning)
         with self._lock:
             cached = entry.candidates.get(memo_key)
@@ -512,12 +530,10 @@ class ScoreStore:
             self._histogram_misses += len(result[2])
             return result
 
-    def split(self, partition: "Partition", attr: Attribute) -> Optional[Tuple["Partition", ...]]:
+    def split(self, partition: "Partition", attr: Attribute) -> Tuple["Partition", ...]:
         """Children of ``partition`` split on ``attr``, via index operations.
 
-        Returns None when the partition cannot be mapped onto the store's
-        rows (the caller then falls back to the group-by path).  Children are
-        produced in the same order as :func:`~repro.core.partition.split_partition`
+        Children are produced in the same order as a group-by split
         (declared domain order, else stable sorted), their member datasets
         materialise lazily, and their store entries are pre-registered so the
         subsequent histogram/score requests skip uid mapping entirely.
@@ -526,8 +542,6 @@ class ScoreStore:
 
         entry = self._entry(partition)
         indices = entry.indices
-        if indices is None:
-            return None
         codes, decode, encode, suffixes = self._attribute_codes(attr.name)
         sub = codes[indices]
         present = {decode[code] for code in np.unique(sub).tolist()}
@@ -646,8 +660,6 @@ class ScoreStore:
         objects that need uid re-mapping.
         """
         indices = entry.indices
-        if indices is None:
-            return entry.owner is members
         if members is self.dataset:
             return indices.size == len(self.dataset)
         if isinstance(members, _SlicedDataset) and members._base is self.dataset:
@@ -655,17 +667,16 @@ class ScoreStore:
             return own is indices or bool(np.array_equal(own, indices))
         if len(members) != indices.size:
             return False
-        remapped = self._indices_for_members(members)
-        return remapped is not None and bool(np.array_equal(remapped, indices))
+        return bool(np.array_equal(self._indices_for_members(members), indices))
 
     def _entry(self, partition: "Partition") -> _Entry:
         """The store entry for a partition, creating (and bounding) it once.
 
         An existing entry under the same key that belongs to a *different*
         population (see :meth:`_entry_matches`) is replaced rather than
-        reused.
+        reused.  A partition whose members are not the store's own rows
+        raises :class:`~repro.errors.PartitioningError` and memoises nothing.
         """
-        self.vector()
         key = partition.key
         members = partition.members
         with self._lock:
@@ -673,16 +684,13 @@ class ScoreStore:
             if entry is not None and self._entry_matches(entry, members):
                 self._partitions.move_to_end(key)
                 return entry
-        indices = self._indices_for(partition)
+        indices = self._indices_for_members(members)
         with self._lock:
             entry = self._partitions.get(key)
             if entry is None or not self._entry_matches(entry, members):
-                entry = _Entry(indices, owner=members if indices is None else None)
+                entry = _Entry(indices)
                 self._partitions[key] = entry
-                if indices is None:
-                    self._fallback_scorings += 1
-                else:
-                    self._sliced_partitions += 1
+                self._sliced_partitions += 1
                 self._evict_over_bound_locked()
             else:
                 self._partitions.move_to_end(key)
@@ -732,7 +740,7 @@ class ScoreStore:
             partitions = [
                 (key, entry.indices, dict(entry.histograms))
                 for key, entry in self._partitions.items()
-                if entry.indices is not None and entry.histograms
+                if entry.histograms
             ]
         # File writes happen outside the lock: the captured arrays are
         # immutable once published, so serving continues while saving.
@@ -936,7 +944,6 @@ class ScoreStore:
             return ScoreStoreStats(
                 scoring_passes=self._scoring_passes,
                 sliced_partitions=self._sliced_partitions,
-                fallback_scorings=self._fallback_scorings,
                 histogram_hits=self._histogram_hits,
                 histogram_misses=self._histogram_misses,
                 evictions=self._evictions,
@@ -956,3 +963,24 @@ class ScoreStore:
         """Iterate over the memoised partition keys (oldest first)."""
         with self._lock:
             return iter(list(self._partitions))
+
+
+def store_for(
+    dataset: Dataset, function: ScoringFunction, store: Optional[ScoreStore] = None
+) -> ScoreStore:
+    """The store one call scores through: ``store``, else a private one over ``dataset``.
+
+    Every entry point that takes a scoring function resolves its store here,
+    so one call makes at most one scoring pass.  A given store must serve
+    ``function`` (see :meth:`ScoreStore.serves`); serving another function's
+    scores would silently answer the wrong question, so it raises
+    :class:`~repro.errors.ScoringError` instead.
+    """
+    if store is None:
+        return ScoreStore(dataset, function)
+    if not store.serves(function):
+        raise ScoringError(
+            f"the score store for function {store.function.name!r} cannot serve "
+            f"{function.name!r}: their content differs"
+        )
+    return store

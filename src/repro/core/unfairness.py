@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD, resolve_binning
 from repro.core.partition import Partitioning
-from repro.core.scorestore import ScoreStore
+from repro.core.scorestore import ScoreStore, store_for
 from repro.metrics.histogram import Binning, Histogram
 from repro.scoring.base import ScoringFunction
 
@@ -116,11 +116,13 @@ def unfairness(
     pairs to compare), matching the convention of the paper's optimisation
     problem where at least two groups are needed for unequal treatment.
     An explicit ``binning`` must agree with the formulation's (see
-    :func:`~repro.core.formulations.resolve_binning`); a ``store`` serves
-    the histograms from materialized scores.
+    :func:`~repro.core.formulations.resolve_binning`).  Histograms come from
+    ``store`` (a private store over the partitioning's dataset by default,
+    see :func:`~repro.core.scorestore.store_for`).
     """
     effective = resolve_binning(formulation, binning)
-    histograms = partitioning.histograms(function, binning=effective, store=store)
+    store = store_for(partitioning.dataset, function, store)
+    histograms = [store.histogram(partition, effective) for partition in partitioning]
     return formulation.aggregate(pairwise_distances(histograms, formulation))
 
 
@@ -192,11 +194,12 @@ def unfairness_breakdown(
     is most separated, which group is most / least favoured (highest / lowest
     mean score), and the individual pairwise distances.  The binning is
     resolved through :func:`~repro.core.formulations.resolve_binning`, so it
-    always matches what ``quantify`` optimised; a ``store`` reuses the
-    search's materialized scores instead of re-scoring every partition.
+    always matches what ``quantify`` optimised; pass the search's ``store``
+    to reuse its scoring pass (a private store is built otherwise).
     """
     effective = resolve_binning(formulation, binning)
-    histograms = partitioning.histograms(function, binning=effective, store=store)
+    store = store_for(partitioning.dataset, function, store)
+    histograms = [store.histogram(partition, effective) for partition in partitioning]
     labels = partitioning.labels
 
     # pairwise_distances yields values in (i < j) order, matching
@@ -215,7 +218,7 @@ def unfairness_breakdown(
 
     mean_scores: Dict[str, float] = {}
     for partition, label in zip(partitioning, labels):
-        scores = partition.scores(function, store=store)
+        scores = store.scores(partition)
         mean_scores[label] = float(scores.mean()) if scores.size else 0.0
 
     return UnfairnessBreakdown(

@@ -371,11 +371,19 @@ class Dataset:
 
     @property
     def uids(self) -> Tuple[str, ...]:
-        """All row ids, in row order (column-backed: no rows materialised)."""
-        store = self._store
-        if store is not None:
-            return store.uids()
-        return tuple(ind.uid for ind in self._individuals)
+        """All row ids, in row order (column-backed: no rows materialised).
+
+        Cached: the score store's slices index into their base's uids.
+        """
+        cached = self.__dict__.get("_uids")
+        if cached is None:
+            store = self._store
+            if store is not None:
+                cached = store.uids()
+            else:
+                cached = tuple(ind.uid for ind in self._individuals)
+            self.__dict__["_uids"] = cached
+        return cached
 
     def by_uid(self, uid: str) -> Individual:
         """Return the individual with the given id."""

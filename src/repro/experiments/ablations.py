@@ -28,6 +28,7 @@ import numpy as np
 from repro.core.formulations import Formulation
 from repro.core.partition import Partitioning, root_partition, split_partition
 from repro.core.quantify import quantify
+from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import unfairness, unfairness_breakdown
 from repro.data.dataset import Dataset
 from repro.errors import ExperimentError
@@ -58,11 +59,14 @@ def ablate_bins(
         headers=["bins", "unfairness (bin units)", "unfairness (normalised)",
                  "#groups", "least favored"],
     )
+    store = ScoreStore(dataset, function)
     for bins in bin_counts:
         formulation = Formulation(bins=bins)
         result = quantify(dataset, function, formulation=formulation,
-                          attributes=list(attributes), min_partition_size=min_partition_size)
-        breakdown = unfairness_breakdown(result.partitioning, function, formulation)
+                          attributes=list(attributes), min_partition_size=min_partition_size,
+                          store=store)
+        breakdown = unfairness_breakdown(result.partitioning, function, formulation,
+                                         store=store)
         normalised = result.unfairness / (bins - 1) if bins > 1 else 0.0
         table.add_row(bins, result.unfairness, normalised,
                       len(result.partitioning), breakdown.least_favored or "-")
@@ -84,10 +88,12 @@ def ablate_min_partition_size(
         title="Ablation: minimum partition size",
         headers=["min size", "unfairness", "#groups", "smallest group", "least favored"],
     )
+    store = ScoreStore(dataset, function)
     for size in sizes:
         result = quantify(dataset, function, attributes=list(attributes),
-                          min_partition_size=size)
-        breakdown = unfairness_breakdown(result.partitioning, function, result.formulation)
+                          min_partition_size=size, store=store)
+        breakdown = unfairness_breakdown(result.partitioning, function, result.formulation,
+                                         store=store)
         table.add_row(size, result.unfairness, len(result.partitioning),
                       min(result.partitioning.sizes), breakdown.least_favored or "-")
     table.add_note("larger minimum sizes trade measured unfairness for statistically "
@@ -111,6 +117,7 @@ def _greedy_like_partitioning(
     splitting the whole frontier once per chosen attribute (global recoding
     of the tree), which is enough to compare selection criteria.
     """
+    store = ScoreStore(dataset, function)
     remaining = list(attributes)
     partitions = [root_partition(dataset)]
     while remaining:
@@ -122,7 +129,7 @@ def _greedy_like_partitioning(
                 if attribute in partition.constrained_attributes:
                     candidate.append([partition])
                     continue
-                children = split_partition(partition, attribute)
+                children = split_partition(partition, attribute, store=store)
                 if len(children) < 2 or any(c.size < min_partition_size for c in children):
                     candidate.append([partition])
                 else:
@@ -134,21 +141,21 @@ def _greedy_like_partitioning(
                 continue
             partitioning = Partitioning(dataset, flattened, validate=False)
             if chooser == "mean_gap":
-                means = [p.scores(function).mean() for p in partitioning if p.size]
+                means = [store.scores(p).mean() for p in partitioning if p.size]
                 score = float(max(means) - min(means)) if len(means) > 1 else 0.0
             elif chooser == "random":
                 score = float(rng.random())
             else:  # "emd" — the paper's criterion
-                score = unfairness(partitioning, function, formulation)
+                score = unfairness(partitioning, function, formulation, store=store)
             scored.append((score, attribute, flattened))
         if not scored:
             break
         scored.sort(key=lambda item: (-item[0], item[1]))
         best_score, best_attribute, best_partitions = scored[0]
         current_value = unfairness(Partitioning(dataset, partitions, validate=False),
-                                   function, formulation)
+                                   function, formulation, store=store)
         new_value = unfairness(Partitioning(dataset, best_partitions, validate=False),
-                               function, formulation)
+                               function, formulation, store=store)
         if new_value <= current_value + 1e-12:
             break
         partitions = best_partitions

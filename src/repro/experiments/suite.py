@@ -21,6 +21,7 @@ from repro.core.exhaustive import count_partitionings, exhaustive_search
 from repro.core.formulations import Formulation
 from repro.core.partition import Partitioning
 from repro.core.quantify import quantify
+from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import unfairness, unfairness_breakdown
 from repro.data.loaders import TABLE1_PUBLISHED_SCORES
 from repro.experiments.harness import registry
@@ -107,9 +108,10 @@ def run_figure2_partitioning(bins: int = 5) -> List[ReportTable]:
         headers=["partition", "members", "size", "score histogram", "mean score"],
     )
     binning = formulation.effective_binning
+    store = ScoreStore(dataset, function)
     for partition in figure2:
-        histogram = partition.histogram(function, binning=binning)
-        scores = partition.scores(function)
+        histogram = store.histogram(partition, binning)
+        scores = store.scores(partition)
         table.add_row(
             partition.label,
             ", ".join(partition.uids),
@@ -117,7 +119,7 @@ def run_figure2_partitioning(bins: int = 5) -> List[ReportTable]:
             histogram.describe(),
             float(scores.mean()),
         )
-    value = unfairness(figure2, function, formulation)
+    value = unfairness(figure2, function, formulation, store=store)
     table.add_note(f"unfairness (average pairwise EMD, {bins} bins): {value:.4f}")
 
     greedy = quantify(dataset, function, formulation=formulation,

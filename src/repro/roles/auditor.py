@@ -126,7 +126,9 @@ class Auditor:
         score store each audit runs against.  The service layer passes its
         fingerprint-keyed pool here, so a marketplace-wide audit fan-out
         shares materialized scoring passes across requests; without one,
-        every audit builds its own private store.
+        every audited population gets its own private store.  Either way
+        one audit makes one scoring pass, shared by its search and its
+        breakdown.
     """
 
     def __init__(
@@ -141,9 +143,9 @@ class Auditor:
         self.min_partition_size = min_partition_size
         self.store_provider = store_provider
 
-    def _store_for(self, dataset: Dataset, function: ScoringFunction) -> Optional[ScoreStore]:
+    def _store_for(self, dataset: Dataset, function: ScoringFunction) -> ScoreStore:
         if self.store_provider is None:
-            return None
+            return ScoreStore(dataset, function)
         return self.store_provider(dataset, function)
 
     # -- single-job audit --------------------------------------------------
@@ -223,14 +225,18 @@ class Auditor:
                 function = RankDerivedScorer(
                     function.reveal_ranking(population), name=f"{job.title}-from-ranks"
                 )
+            store = self._store_for(population, function)
             result = quantify(
                 population,
                 function,
                 formulation=self.formulation,
                 attributes=None,
                 min_partition_size=self.min_partition_size,
+                store=store,
             )
-            breakdown = unfairness_breakdown(result.partitioning, function, self.formulation)
+            breakdown = unfairness_breakdown(
+                result.partitioning, function, self.formulation, store=store
+            )
             table.add_row(
                 k,
                 result.unfairness,

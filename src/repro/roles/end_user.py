@@ -23,14 +23,16 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD
+from repro.core.partition import Partition, root_partition
 from repro.core.quantify import quantify
+from repro.core.scorestore import ScoreStore
 from repro.data.dataset import Dataset
 from repro.data.filters import And, Equals, Filter
 from repro.errors import MarketplaceError
 from repro.marketplace.entities import Marketplace
-from repro.metrics.histogram import build_histogram
+from repro.metrics.histogram import Histogram
 from repro.roles.report import ReportTable
-from repro.scoring.base import ScoringFunction
+from repro.scoring.base import ScoringFunction, rank_by_score
 from repro.scoring.rank import OpaqueScoringFunction, RankDerivedScorer
 
 __all__ = ["GroupOutcome", "EndUser"]
@@ -109,7 +111,13 @@ class EndUser:
     # -- single-job assessment ---------------------------------------------------
 
     def assess_job(self, marketplace: Marketplace, job_title: str) -> GroupOutcome:
-        """Report how one job treats the end-user's group."""
+        """Report how one job treats the end-user's group.
+
+        Every number — the group's and the population's scores, the ranking,
+        both histograms and the QUANTIFY check — comes from one private score
+        store over the job's candidates, so the assessment makes one scoring
+        pass.
+        """
         job = marketplace.job(job_title)
         candidates = job.candidates(marketplace.workers)
         function: ScoringFunction = job.function
@@ -119,10 +127,12 @@ class EndUser:
             )
 
         members, rest = self._split_population(candidates)
-        member_scores = function.score_dataset(members)
-        all_scores = function.score_dataset(candidates)
+        store = ScoreStore(candidates, function)
+        all_scores = store.vector()
+        group = Partition(constraints=tuple(self.group.items()), members=members)
+        member_scores = store.scores(group)
 
-        ranking = function.rank(candidates)
+        ranking = rank_by_score(candidates, function, scores=all_scores)
         member_positions = [ranking.position(uid) for uid in members.uids]
         exposure = sum(1.0 / np.log2(position + 1) for position in member_positions)
         total_exposure = sum(
@@ -130,14 +140,23 @@ class EndUser:
         )
 
         binning = self.formulation.effective_binning
-        member_histogram = build_histogram(member_scores, binning=binning)
+        member_histogram = store.histogram(group, binning)
         if len(rest):
-            rest_histogram = build_histogram(function.score_dataset(rest), binning=binning)
+            # Everyone outside the group: per-bin counts of the whole
+            # population minus the group's (each individual lands in one bin).
+            everyone = store.histogram(root_partition(candidates), binning)
+            rest_histogram = Histogram(
+                binning=binning,
+                counts=tuple(
+                    total - own
+                    for total, own in zip(everyone.counts, member_histogram.counts)
+                ),
+            )
             emd_vs_rest = self.formulation.distance(member_histogram, rest_histogram)
         else:
             emd_vs_rest = 0.0
 
-        flagged = self._group_flagged_as_disadvantaged(candidates, function)
+        flagged = self._group_flagged_as_disadvantaged(candidates, function, store)
 
         return GroupOutcome(
             marketplace=marketplace.name,
@@ -153,7 +172,7 @@ class EndUser:
         )
 
     def _group_flagged_as_disadvantaged(
-        self, candidates: Dataset, function: ScoringFunction
+        self, candidates: Dataset, function: ScoringFunction, store: ScoreStore
     ) -> bool:
         """True when QUANTIFY's most-unfair partitioning puts the group's members
         in a below-population-mean partition constrained by the group's attributes."""
@@ -162,8 +181,9 @@ class EndUser:
             function,
             formulation=self.formulation,
             attributes=None,
+            store=store,
         )
-        population_mean = float(function.score_dataset(candidates).mean())
+        population_mean = float(store.vector().mean())
         group_attributes = set(self.group)
         for partition in result.partitioning:
             constrained = set(partition.constrained_attributes)
@@ -175,7 +195,7 @@ class EndUser:
             )
             if not matches_group:
                 continue
-            scores = partition.scores(function)
+            scores = store.scores(partition)
             if scores.size and float(scores.mean()) < population_mean:
                 return True
         return False

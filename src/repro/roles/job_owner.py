@@ -20,6 +20,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD
 from repro.core.quantify import QuantifyResult, quantify
+from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import unfairness_breakdown
 from repro.data.dataset import Dataset
 from repro.errors import MarketplaceError, ScoringError
@@ -124,15 +125,23 @@ class JobOwner:
     def evaluate_function(
         self, candidates: Dataset, function: LinearScoringFunction
     ) -> VariantEvaluation:
-        """Quantify the unfairness a single variant induces over the candidates."""
+        """Quantify the unfairness a single variant induces over the candidates.
+
+        The search and its breakdown share one private score store, so each
+        variant costs one scoring pass over the candidates.
+        """
+        store = ScoreStore(candidates, function)
         result = quantify(
             candidates,
             function,
             formulation=self.formulation,
             attributes=self.attributes,
             min_partition_size=self.min_partition_size,
+            store=store,
         )
-        breakdown = unfairness_breakdown(result.partitioning, function, self.formulation)
+        breakdown = unfairness_breakdown(
+            result.partitioning, function, self.formulation, store=store
+        )
         return VariantEvaluation(
             function=function,
             unfairness=result.unfairness,

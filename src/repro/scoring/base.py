@@ -16,7 +16,7 @@ Two transparency regimes exist (paper §1/§2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,9 +30,9 @@ def frozen_scores(function: "ScoringFunction", dataset: "Dataset") -> np.ndarray
     """Score ``dataset`` and return a private, read-only float vector.
 
     The copy matters: a scorer may return (a view of) its own reusable
-    buffer, which a cache must neither freeze nor alias.  Every score memo
-    (``Partition.scores``, the score store) goes through this helper so the
-    aliasing rule lives in one place.
+    buffer, which a cache must neither freeze nor alias.  The score store's
+    one scoring pass (:meth:`repro.core.scorestore.ScoreStore.vector`) goes
+    through this helper so the aliasing rule lives in one place.
     """
     values = np.array(function.score_dataset(dataset), dtype=float)
     values.setflags(write=False)
@@ -125,12 +125,20 @@ class Ranking:
         """Scores aligned with :attr:`uids`."""
         return tuple(score for _, score in self.entries)
 
+    def _index(self, uid: str) -> int:
+        """0-based index of ``uid``; the uid map is built once, on first use."""
+        index = self.__dict__.get("_uid_index")
+        if index is None:
+            index = {candidate: row for row, (candidate, _) in enumerate(self.entries)}
+            object.__setattr__(self, "_uid_index", index)
+        try:
+            return index[uid]
+        except KeyError:
+            raise ScoringError(f"individual {uid!r} does not appear in the ranking") from None
+
     def position(self, uid: str) -> int:
         """1-based position of ``uid`` in the ranking."""
-        for index, (candidate, _) in enumerate(self.entries, start=1):
-            if candidate == uid:
-                return index
-        raise ScoringError(f"individual {uid!r} does not appear in the ranking")
+        return self._index(uid) + 1
 
     def top(self, k: int) -> Tuple[str, ...]:
         """Ids of the best ``k`` individuals."""
@@ -140,10 +148,7 @@ class Ranking:
 
     def score_of(self, uid: str) -> float:
         """Score of ``uid`` (raises if absent)."""
-        for candidate, score in self.entries:
-            if candidate == uid:
-                return score
-        raise ScoringError(f"individual {uid!r} does not appear in the ranking")
+        return self.entries[self._index(uid)][1]
 
     def as_table(self) -> List[Dict[str, object]]:
         """Rows of (position, uid, score) for display/export."""
@@ -153,12 +158,18 @@ class Ranking:
         ]
 
 
-def rank_by_score(dataset: Dataset, function: ScoringFunction) -> Ranking:
-    """Produce a best-first ranking of ``dataset`` under ``function``."""
-    scores = function.score_dataset(dataset)
-    order: Sequence[int] = sorted(
-        range(len(dataset)),
-        key=lambda i: (-scores[i], dataset[i].uid),
-    )
-    entries = tuple((dataset[i].uid, float(scores[i])) for i in order)
+def rank_by_score(
+    dataset: Dataset, function: ScoringFunction, scores: Optional[Sequence[float]] = None
+) -> Ranking:
+    """Produce a best-first ranking of ``dataset`` under ``function``.
+
+    ``scores`` are the function's scores of ``dataset`` in row order when the
+    caller already holds them (a score store's vector); otherwise the
+    dataset is scored here.
+    """
+    if scores is None:
+        scores = function.score_dataset(dataset)
+    uids = dataset.uids
+    order: Sequence[int] = sorted(range(len(dataset)), key=lambda i: (-scores[i], uids[i]))
+    entries = tuple((uids[i], float(scores[i])) for i in order)
     return Ranking(entries=entries, function_name=function.name)

@@ -5,9 +5,11 @@ comparison re-running the search for many functions, is a *batch*: many
 independent requests whose answers are wanted together.  The
 :class:`BatchExecutor` runs such a batch over a thread pool:
 
-* the quantify hot path spends its time in numpy's vectorised EMD kernels,
-  which release the GIL, so threads give real overlap without the cost of
-  process serialisation;
+* there is no CPU speed-up: the compute is mostly Python under the GIL, so
+  the threads do not overlap it.  ``BENCH_service.json``'s
+  ``batch_throughput`` measures a batch at or below serial speed (speedup
+  under 1x on a 2-vCPU host).  What the pool does guarantee is the next
+  two points;
 * identical requests (same content fingerprint) are *deduplicated*: one
   computation is submitted and every duplicate shares its result.  The
   cache's single-flight ``get_or_compute`` additionally dedupes requests

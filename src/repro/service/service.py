@@ -114,7 +114,6 @@ class StorePoolStats:
     evictions: int = 0
     scoring_passes: int = 0
     sliced_partitions: int = 0
-    fallback_scorings: int = 0
     histogram_hits: int = 0
     histogram_misses: int = 0
 
@@ -136,7 +135,6 @@ class StorePoolStats:
             "evictions": self.evictions,
             "scoring_passes": self.scoring_passes,
             "sliced_partitions": self.sliced_partitions,
-            "fallback_scorings": self.fallback_scorings,
             "histogram_hits": self.histogram_hits,
             "histogram_misses": self.histogram_misses,
             "hit_rate": round(self.hit_rate, 4),
@@ -395,7 +393,6 @@ class FairnessService:
             evictions=pool.evictions,
             scoring_passes=sum(s.scoring_passes for s in per_store),
             sliced_partitions=sum(s.sliced_partitions for s in per_store),
-            fallback_scorings=sum(s.fallback_scorings for s in per_store),
             histogram_hits=sum(s.histogram_hits for s in per_store),
             histogram_misses=sum(s.histogram_misses for s in per_store),
         )
@@ -1048,10 +1045,7 @@ class FairnessService:
                 child.size >= request.min_partition_size for child in children
             )
             if len(children) >= 2:
-                histograms = [
-                    child.histogram(function, binning=binning, store=store)
-                    for child in children
-                ]
+                histograms = [store.histogram(child, binning) for child in children]
                 value = formulation.aggregate(
                     pairwise_distances(histograms, formulation)
                 )
@@ -1059,7 +1053,7 @@ class FairnessService:
                 value = 0.0
             groups = []
             for child in children:
-                scores = child.scores(function, store=store)
+                scores = store.scores(child)
                 groups.append(
                     {
                         "label": child.label,

@@ -229,6 +229,7 @@ class FaiRankEngine:
             effective_function=function,
             result=result,
             breakdown=breakdown,
+            store_provider=self._service.score_store,
         )
         self._panels[identifier] = panel
         return panel

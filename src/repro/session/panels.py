@@ -12,9 +12,10 @@ renderings the interface would display.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List
 
 from repro.core.quantify import QuantifyResult
+from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import UnfairnessBreakdown
 from repro.data.dataset import Dataset
 from repro.errors import SessionError
@@ -39,6 +40,13 @@ class Panel:
     effective_function: ScoringFunction
     result: QuantifyResult
     breakdown: UnfairnessBreakdown
+    #: ``(population, function) -> ScoreStore`` serving the boxes and the
+    #: rendering: the engine's service pool, so they reuse the scoring pass
+    #: the search made.
+    store_provider: Callable[[Dataset, ScoringFunction], ScoreStore]
+
+    def _store(self) -> ScoreStore:
+        return self.store_provider(self.population, self.effective_function)
 
     @property
     def unfairness(self) -> float:
@@ -52,7 +60,12 @@ class Panel:
 
     def general_box(self) -> Dict[str, object]:
         """The General box: tree-level statistics."""
-        stats = tree_stats(self.result.tree, self.effective_function, self.config.formulation)
+        stats = tree_stats(
+            self.result.tree,
+            self.effective_function,
+            self.config.formulation,
+            store=self._store(),
+        )
         stats["panel"] = self.panel_id
         stats["configuration"] = self.config.describe()
         return stats
@@ -60,7 +73,12 @@ class Panel:
     def node_box(self, label: str) -> Dict[str, object]:
         """The Node box: statistics of one clicked partition."""
         node = self.result.tree.find(label)
-        return node_stats(node.partition, self.effective_function, self.config.formulation)
+        return node_stats(
+            node.partition,
+            self.effective_function,
+            self.config.formulation,
+            store=self._store(),
+        )
 
     def partition_labels(self) -> List[str]:
         return list(self.result.partition_labels)
@@ -73,6 +91,7 @@ class Panel:
             self.effective_function,
             self.config.formulation,
             show_histograms=show_histograms,
+            store=self._store(),
         )
         return "\n".join([header, self.config.describe(), "", tree_text])
 

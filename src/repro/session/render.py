@@ -12,6 +12,7 @@ from typing import List, Optional
 
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD
 from repro.core.partition import Partitioning
+from repro.core.scorestore import ScoreStore, store_for
 from repro.core.tree import PartitionNode, PartitionTree
 from repro.metrics.histogram import Histogram
 from repro.scoring.base import ScoringFunction
@@ -36,7 +37,7 @@ def render_histogram(histogram: Histogram, width: int = 20) -> str:
 
 def _node_line(
     node: PartitionNode,
-    function: Optional[ScoringFunction],
+    store: Optional[ScoreStore],
     formulation: Formulation,
     show_histograms: bool,
 ) -> str:
@@ -44,14 +45,12 @@ def _node_line(
     if node.split_attribute:
         text += f", split on {node.split_attribute}"
     text += ")"
-    if function is not None:
-        scores = node.partition.scores(function)
+    if store is not None:
+        scores = store.scores(node.partition)
         if scores.size:
             text += f" mean={scores.mean():.3f}"
         if show_histograms:
-            histogram = node.partition.histogram(
-                function, binning=formulation.effective_binning
-            )
+            histogram = store.histogram(node.partition, formulation.effective_binning)
             text += f" {histogram.describe()}"
     return text
 
@@ -61,22 +60,26 @@ def render_tree(
     function: Optional[ScoringFunction] = None,
     formulation: Formulation = MOST_UNFAIR_AVG_EMD,
     show_histograms: bool = True,
+    store: Optional[ScoreStore] = None,
 ) -> str:
     """Render a partitioning tree as an indented ASCII tree.
 
     When a scoring function is supplied, each node shows its mean score and
-    (optionally) its score histogram, mirroring Figure 2 of the paper.
+    (optionally) its score histogram, mirroring Figure 2 of the paper.  They
+    come from ``store`` (a private store over the tree's root population by
+    default; pass the search's store to avoid a second scoring pass).
     """
+    store = None if function is None else store_for(tree.dataset, function, store)
     lines: List[str] = []
 
     def _walk(node: PartitionNode, prefix: str, is_last: bool, is_root: bool) -> None:
         if is_root:
-            lines.append(_node_line(node, function, formulation, show_histograms))
+            lines.append(_node_line(node, store, formulation, show_histograms))
             child_prefix = ""
         else:
             connector = "`-- " if is_last else "|-- "
             lines.append(
-                prefix + connector + _node_line(node, function, formulation, show_histograms)
+                prefix + connector + _node_line(node, store, formulation, show_histograms)
             )
             child_prefix = prefix + ("    " if is_last else "|   ")
         for index, child in enumerate(node.children):
@@ -90,14 +93,21 @@ def render_partitioning(
     partitioning: Partitioning,
     function: Optional[ScoringFunction] = None,
     formulation: Formulation = MOST_UNFAIR_AVG_EMD,
+    store: Optional[ScoreStore] = None,
 ) -> str:
-    """Render a flat partitioning: one line per partition plus its histogram."""
+    """Render a flat partitioning: one line per partition plus its histogram.
+
+    Scores and histograms come from ``store`` (a private store over the
+    partitioning's dataset by default).
+    """
+    if function is not None:
+        store = store_for(partitioning.dataset, function, store)
     lines: List[str] = []
     for partition in partitioning:
         line = f"- {partition.label} (n={partition.size})"
         if function is not None:
-            scores = partition.scores(function)
-            histogram = partition.histogram(function, binning=formulation.effective_binning)
+            scores = store.scores(partition)
+            histogram = store.histogram(partition, formulation.effective_binning)
             if scores.size:
                 line += f" mean={scores.mean():.3f} {histogram.describe()}"
         lines.append(line)

@@ -9,12 +9,13 @@ a whole partitioning tree (the "General box").
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD
 from repro.core.partition import Partition
+from repro.core.scorestore import ScoreStore, store_for
 from repro.core.tree import PartitionTree
-from repro.core.unfairness import unfairness, unfairness_breakdown
+from repro.core.unfairness import unfairness_breakdown
 from repro.scoring.base import ScoringFunction
 
 __all__ = ["node_stats", "tree_stats"]
@@ -24,14 +25,17 @@ def node_stats(
     partition: Partition,
     function: ScoringFunction,
     formulation: Formulation = MOST_UNFAIR_AVG_EMD,
+    store: Optional[ScoreStore] = None,
 ) -> Dict[str, object]:
     """Statistics for one partition: size, score summary and histogram.
 
     This is what clicking a node in the partitioning tree shows in the demo's
-    Node box.
+    Node box.  Served by ``store`` (a private store over the partition's
+    members by default).
     """
-    histogram = partition.histogram(function, binning=formulation.effective_binning)
-    stats = partition.statistics(function)
+    store = store_for(partition.members, function, store)
+    histogram = store.histogram(partition, formulation.effective_binning)
+    stats = store.statistics(partition)
     return {
         "label": partition.label,
         "constraints": dict(partition.constraints),
@@ -50,14 +54,16 @@ def tree_stats(
     tree: PartitionTree,
     function: ScoringFunction,
     formulation: Formulation = MOST_UNFAIR_AVG_EMD,
+    store: Optional[ScoreStore] = None,
 ) -> Dict[str, object]:
     """Statistics for a whole partitioning tree (the demo's General box).
 
     Includes the tree shape, the unfairness of the leaf partitioning, the
     most and least favoured groups, and the most separated pair of groups.
+    Served by ``store`` (a private store over the tree's root by default).
     """
     partitioning = tree.to_partitioning()
-    breakdown = unfairness_breakdown(partitioning, function, formulation)
+    breakdown = unfairness_breakdown(partitioning, function, formulation, store=store)
     summary = tree.summary()
     summary.update(
         {

@@ -1,0 +1,188 @@
+"""Independent, store-free reference for partition scores and QUANTIFY.
+
+``repro`` answers every "scores / histogram of this partition under this
+function" question through :class:`repro.core.scorestore.ScoreStore`.  This
+module answers the same questions the direct way — score each partition's
+members with :func:`repro.scoring.base.frozen_scores` and bin them with
+:func:`repro.metrics.histogram.build_histogram` — and runs the greedy
+Algorithm 1 over group-by splits on top of that.  The store-equivalence
+tests and ``benchmarks/bench_quantify.py`` compare the store against it:
+results must match exactly, and the store must be faster.
+
+Tests import it as ``scoring_reference``; the benchmarks as
+``tests.scoring_reference``.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
+
+from repro.core.formulations import MOST_UNFAIR_AVG_EMD, Formulation, resolve_binning
+from repro.core.partition import Partition, Partitioning, root_partition, split_partition
+from repro.core.quantify import QuantifyResult
+from repro.core.tree import PartitionNode, PartitionTree
+from repro.core.unfairness import UnfairnessBreakdown, pairwise_distances
+from repro.data.dataset import Dataset
+from repro.metrics.histogram import Binning, Histogram, build_histogram
+from repro.scoring.base import ScoringFunction, frozen_scores
+
+__all__ = [
+    "DirectScorer",
+    "reference_breakdown",
+    "reference_quantify",
+    "reference_statistics",
+    "reference_unfairness",
+]
+
+
+class DirectScorer:
+    """Scores each partition's members directly, once per members object."""
+
+    def __init__(self, function: ScoringFunction) -> None:
+        self.function = function
+        # id(members) -> (members, scores); holding members keeps ids unique.
+        self._memo: Dict[int, Tuple[Dataset, np.ndarray]] = {}
+
+    def scores(self, partition: Partition) -> np.ndarray:
+        members = partition.members
+        cached = self._memo.get(id(members))
+        if cached is None:
+            cached = (members, frozen_scores(self.function, members))
+            self._memo[id(members)] = cached
+        return cached[1]
+
+    def histogram(self, partition: Partition, binning: Optional[Binning] = None) -> Histogram:
+        return build_histogram(self.scores(partition), binning=binning)
+
+
+def reference_statistics(partition: Partition, function: ScoringFunction) -> Dict[str, float]:
+    values = DirectScorer(function).scores(partition)
+    if values.size == 0:
+        return {"size": 0, "mean": 0.0, "min": 0.0, "max": 0.0, "std": 0.0}
+    return {
+        "size": int(values.size),
+        "mean": float(values.mean()),
+        "min": float(values.min()),
+        "max": float(values.max()),
+        "std": float(values.std()),
+    }
+
+
+def reference_unfairness(
+    partitioning: Partitioning,
+    function: ScoringFunction,
+    formulation: Formulation = MOST_UNFAIR_AVG_EMD,
+    scorer: Optional[DirectScorer] = None,
+) -> float:
+    scorer = scorer or DirectScorer(function)
+    binning = resolve_binning(formulation)
+    histograms = [scorer.histogram(partition, binning) for partition in partitioning]
+    return formulation.aggregate(pairwise_distances(histograms, formulation))
+
+
+def reference_breakdown(
+    partitioning: Partitioning,
+    function: ScoringFunction,
+    formulation: Formulation = MOST_UNFAIR_AVG_EMD,
+) -> UnfairnessBreakdown:
+    scorer = DirectScorer(function)
+    binning = resolve_binning(formulation)
+    histograms = [scorer.histogram(partition, binning) for partition in partitioning]
+    labels = partitioning.labels
+    values = pairwise_distances(histograms, formulation)
+    pairs = [(labels[i], labels[j]) for i in range(len(labels)) for j in range(i + 1, len(labels))]
+    pairwise = dict(zip(pairs, values))
+    mean_scores = {}
+    for partition, label in zip(partitioning, labels):
+        scores = scorer.scores(partition)
+        mean_scores[label] = float(scores.mean()) if scores.size else 0.0
+    return UnfairnessBreakdown(
+        value=formulation.aggregate(values),
+        formulation_name=formulation.name,
+        partition_labels=tuple(labels),
+        partition_sizes=partitioning.sizes,
+        pairwise=pairwise,
+        most_separated_pair=max(pairwise, key=pairwise.get) if pairwise else None,
+        least_separated_pair=min(pairwise, key=pairwise.get) if pairwise else None,
+        mean_scores=mean_scores,
+    )
+
+
+def reference_quantify(
+    dataset: Dataset,
+    function: ScoringFunction,
+    formulation: Formulation = MOST_UNFAIR_AVG_EMD,
+    attributes: Optional[Sequence[str]] = None,
+    max_depth: Optional[int] = None,
+    min_partition_size: int = 1,
+) -> QuantifyResult:
+    """Greedy Algorithm 1 over group-by splits and directly scored histograms."""
+    scorer = DirectScorer(function)
+    binning = resolve_binning(formulation)
+    if attributes is None:
+        attributes = dataset.schema.protected_names
+    attributes = tuple(dict.fromkeys(attributes))
+    splits_evaluated = 0
+
+    def best_split(partition: Partition, names: Tuple[str, ...], siblings: List[Histogram]):
+        nonlocal splits_evaluated
+        candidates = {}
+        for attribute in names:
+            children = split_partition(partition, attribute)
+            if len(children) >= 2 and all(c.size >= min_partition_size for c in children):
+                candidates[attribute] = children
+        best = None
+        for attribute in sorted(candidates):
+            histograms = [scorer.histogram(child, binning) for child in candidates[attribute]]
+            splits_evaluated += len(histograms)
+            score = formulation.aggregate(pairwise_distances(histograms + siblings, formulation))
+            if best is None or formulation.is_better(score, best[2]):
+                best = (attribute, candidates[attribute], score)
+        return best
+
+    def split(node: PartitionNode, attribute, children, names: Tuple[str, ...], depth: int):
+        node.split_attribute = attribute
+        remaining = tuple(name for name in names if name != attribute)
+        histograms = [scorer.histogram(child, binning) for child in children]
+        nodes = [node.add_child(PartitionNode(partition=child)) for child in children]
+        for index, child_node in enumerate(nodes):
+            siblings = [h for i, h in enumerate(histograms) if i != index]
+            grow(child_node, siblings, remaining, depth + 1)
+
+    def grow(node: PartitionNode, siblings: List[Histogram], names, depth: int) -> None:
+        partition = node.partition
+        if not names or (max_depth is not None and depth >= max_depth):
+            return
+        if partition.size < 2 * min_partition_size:
+            return
+        current = formulation.aggregate(
+            pairwise_distances([scorer.histogram(partition, binning)] + siblings, formulation)
+        )
+        node.annotation["vs_siblings"] = current
+        choice = best_split(partition, names, siblings)
+        if choice is None:
+            return
+        attribute, children, _ = choice
+        histograms = [scorer.histogram(child, binning) for child in children]
+        children_value = formulation.aggregate(
+            pairwise_distances(histograms + siblings, formulation)
+        )
+        node.annotation["children_vs_siblings"] = children_value
+        if formulation.is_better(children_value, current):
+            split(node, attribute, children, names, depth)
+
+    root = PartitionNode(partition=root_partition(dataset))
+    first = best_split(root.partition, attributes, [])
+    if first is not None:
+        split(root, first[0], first[1], attributes, 0)
+    tree = PartitionTree(root)
+    partitioning = tree.to_partitioning(validate=False)
+    return QuantifyResult(
+        tree=tree,
+        partitioning=partitioning,
+        unfairness=reference_unfairness(partitioning, function, formulation, scorer),
+        formulation=formulation,
+        splits_evaluated=splits_evaluated,
+    )

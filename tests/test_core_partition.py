@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.partition import Partition, Partitioning, root_partition, split_partition
+from repro.core.scorestore import ScoreStore
 from repro.errors import PartitioningError
 from repro.metrics.histogram import Binning
 
@@ -45,11 +46,12 @@ class TestPartition:
 
     def test_scores_histogram_and_statistics(self, table1_dataset, table1_function):
         root = root_partition(table1_dataset)
-        scores = root.scores(table1_function)
+        store = ScoreStore(table1_dataset, table1_function)
+        scores = store.scores(root)
         assert scores.shape == (10,)
-        histogram = root.histogram(table1_function, binning=Binning.unit(5))
+        histogram = store.histogram(root, Binning.unit(5))
         assert histogram.total == 10
-        stats = root.statistics(table1_function)
+        stats = store.statistics(root)
         assert stats["size"] == 10
         assert stats["min"] <= stats["mean"] <= stats["max"]
 
@@ -130,7 +132,8 @@ class TestPartitioning:
 
     def test_histograms_share_binning(self, table1_dataset, table1_function):
         partitioning = Partitioning.by_attributes(table1_dataset, ["Gender"])
-        histograms = partitioning.histograms(table1_function, binning=Binning.unit(5))
+        store = ScoreStore(table1_dataset, table1_function)
+        histograms = [store.histogram(partition, Binning.unit(5)) for partition in partitioning]
         assert len(histograms) == 2
         assert histograms[0].binning == histograms[1].binning
         assert sum(h.total for h in histograms) == 10

@@ -12,12 +12,18 @@ from repro.core.partition import Partitioning, root_partition, split_partition
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import unfairness, unfairness_breakdown
-from repro.data.dataset import Dataset
-from repro.errors import FormulationError
+from repro.data.dataset import Dataset, Individual
+from repro.errors import FormulationError, PartitioningError, ScoringError
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
 from repro.metrics.histogram import Binning, build_histogram
 from repro.scoring.linear import LinearScoringFunction
 from repro.service import BatchExecutor, FairnessService, QuantifyRequest
+from scoring_reference import (
+    reference_breakdown,
+    reference_quantify,
+    reference_statistics,
+    reference_unfairness,
+)
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +48,21 @@ class CountingFunction(LinearScoringFunction):
         self.calls += 1
         self.rows += len(dataset)
         return LinearScoringFunction.score_dataset(self, dataset)
+
+
+def assert_matches_reference(result, reference, function, formulation=None, store=None):
+    """Store-based QUANTIFY + breakdown equal the direct reference exactly."""
+    formulation = formulation or result.formulation
+    assert result.summary() == reference.summary()
+    assert result.unfairness == reference.unfairness
+    assert result.splits_evaluated == reference.splits_evaluated
+    assert result.partitioning.labels == reference.partitioning.labels
+    assert result.partitioning.sizes == reference.partitioning.sizes
+    stored = unfairness_breakdown(result.partitioning, function, formulation, store=store)
+    direct = reference_breakdown(reference.partitioning, function, formulation)
+    assert stored.value == direct.value
+    assert stored.pairwise == direct.pairwise
+    assert stored.mean_scores == direct.mean_scores
 
 
 class TestSlicing:
@@ -69,40 +90,11 @@ class TestSlicing:
         assert counting.calls == 1
         assert counting.rows == len(population)
         assert store.stats.scoring_passes == 1
-        assert store.stats.fallback_scorings == 0
-
-    def test_unmappable_partition_falls_back_to_direct_scoring(self, population, function):
-        store = ScoreStore(population, function)
-        other = synthetic_population(size=40, seed=99)
-        foreign = root_partition(other)
-        scores = store.scores(foreign)
-        assert np.array_equal(scores, function.score_dataset(other))
-        assert store.stats.fallback_scorings == 1
 
     def test_statistics_match_partition_statistics(self, population, function):
         store = ScoreStore(population, function)
         partition = root_partition(population)
-        assert store.statistics(partition) == partition.statistics(function)
-
-    def test_store_for_another_function_is_never_served(self, population, function):
-        other = LinearScoringFunction({"Language Test": 0.9, "Rating": 0.1}, name="other")
-        store = ScoreStore(population, function)
-        quantify(population, function, min_partition_size=5, store=store)
-        # Passing a store built for a different function must fall back to
-        # that function's own scores, not silently serve the store's.
-        mismatched = quantify(population, other, min_partition_size=5, store=store)
-        reference = quantify(population, other, min_partition_size=5)
-        assert mismatched.summary() == reference.summary()
-        partition = root_partition(population)
-        assert np.array_equal(
-            partition.scores(other, store=store), other.score_dataset(population)
-        )
-        # A rebuilt, content-identical function (equal fingerprint) is served.
-        twin = LinearScoringFunction(
-            {"Language Test": 0.6, "Rating": 0.4}, name="renamed-twin"
-        )
-        assert store.serves(twin)
-        assert not store.serves(other)
+        assert store.statistics(partition) == reference_statistics(partition, function)
 
     def test_shared_store_never_reuses_entries_across_datasets(self, population, function):
         # Partitions of different datasets can share a constraints key (every
@@ -118,6 +110,64 @@ class TestSlicing:
         # And the original dataset's results are unaffected by the interleaving.
         again = quantify(population, function, min_partition_size=5, store=store)
         assert again.summary() == full.summary()
+
+
+class TestRefusal:
+    """Mismatched stores and foreign partitions raise instead of re-scoring."""
+
+    def test_store_for_another_function_raises(self, population, function):
+        other = LinearScoringFunction({"Language Test": 0.9, "Rating": 0.1}, name="other")
+        store = ScoreStore(population, function)
+        result = quantify(population, function, min_partition_size=5, store=store)
+        assert not store.serves(other)
+        with pytest.raises(ScoringError):
+            quantify(population, other, min_partition_size=5, store=store)
+        with pytest.raises(ScoringError):
+            unfairness(result.partitioning, other, store=store)
+        with pytest.raises(ScoringError):
+            unfairness_breakdown(result.partitioning, other, store=store)
+
+    def test_foreign_partition_raises_and_memoises_nothing(self, population, function):
+        store = ScoreStore(population, function)
+        foreign = root_partition(synthetic_population(size=40, seed=99))
+        attr = population.schema.require_protected("Gender")
+        for ask in (
+            lambda: store.scores(foreign),
+            lambda: store.histogram(foreign, Binning.unit()),
+            lambda: store.candidate_split(foreign, attr, Binning.unit()),
+            lambda: split_partition(foreign, "Gender", store=store),
+        ):
+            with pytest.raises(PartitioningError):
+                ask()
+        assert len(store) == 0
+        assert store.stats.scoring_passes == 0
+        assert store.stats.sliced_partitions == 0
+        assert store.stats.histogram_requests == 0
+
+    def test_leaf_of_a_rebuilt_twin_raises_on_a_private_store(self, population, function):
+        # Same content, new row objects: an untrusted store cannot prove
+        # the leaf's members are its own rows.
+        twin = Dataset(
+            population.schema,
+            [Individual(uid=ind.uid, values=dict(ind.values)) for ind in population],
+            name="twin",
+        )
+        leaf = quantify(population, function, min_partition_size=5).partitioning[0]
+        store = ScoreStore(twin, function)
+        with pytest.raises(PartitioningError):
+            store.scores(leaf)
+        # A trusted (fingerprint-keyed) store maps the same leaf by uid.
+        trusted = ScoreStore(twin, function, trust_uids=True)
+        assert np.array_equal(trusted.scores(leaf), function.score_dataset(leaf.members))
+
+    def test_fingerprint_equal_twin_function_is_served(self, population, function):
+        twin = LinearScoringFunction({"Language Test": 0.6, "Rating": 0.4}, name="renamed-twin")
+        store = ScoreStore(population, function)
+        assert store.serves(twin)
+        result = quantify(population, twin, min_partition_size=5, store=store)
+        reference = reference_quantify(population, twin, min_partition_size=5)
+        assert_matches_reference(result, reference, twin, store=store)
+        assert store.stats.scoring_passes == 1
 
 
 class TestSplit:
@@ -231,12 +281,7 @@ class TestQuantifyRegression:
     def test_same_tree_same_splits_fewer_scorings(self, population, function):
         counting_seed = CountingFunction(function)
         counting_store = CountingFunction(function)
-        seed_result = quantify(
-            population,
-            counting_seed,
-            min_partition_size=5,
-            materialize=False,
-        )
+        seed_result = reference_quantify(population, counting_seed, min_partition_size=5)
         store_result = quantify(population, counting_store, min_partition_size=5)
         # Identical search outcome...
         assert store_result.summary() == seed_result.summary()
@@ -252,7 +297,7 @@ class TestQuantifyRegression:
     def test_breakdown_identical_with_store(self, population, function):
         result = quantify(population, function, min_partition_size=5)
         store = ScoreStore(population, function)
-        plain = unfairness_breakdown(result.partitioning, function)
+        plain = reference_breakdown(result.partitioning, function)
         stored = unfairness_breakdown(result.partitioning, function, store=store)
         assert stored.value == plain.value
         assert stored.pairwise == plain.pairwise
@@ -261,7 +306,7 @@ class TestQuantifyRegression:
     def test_unfairness_identical_with_store(self, population, function):
         partitioning = Partitioning.by_attributes(population, ["Gender", "Language"])
         store = ScoreStore(population, function)
-        assert unfairness(partitioning, function, store=store) == unfairness(
+        assert unfairness(partitioning, function, store=store) == reference_unfairness(
             partitioning, function
         )
 
@@ -276,10 +321,10 @@ class TestQuantifyRegression:
             with_store = quantify(
                 population, function, formulation, min_partition_size=5, store=store
             )
-            without = quantify(
-                population, function, formulation, min_partition_size=5, materialize=False
+            reference = reference_quantify(
+                population, function, formulation, min_partition_size=5
             )
-            assert with_store.summary() == without.summary()
+            assert_matches_reference(with_store, reference, function, formulation, store)
         assert store.stats.scoring_passes == 1
 
 
@@ -403,8 +448,8 @@ class TestServicePool:
         assert second is first
         # uid-mapped slicing over the rebuilt copy still avoids re-scoring.
         result = quantify(rebuilt, function, min_partition_size=5, store=second)
-        reference = quantify(rebuilt, function, min_partition_size=5, materialize=False)
-        assert result.summary() == reference.summary()
+        reference = reference_quantify(rebuilt, function, min_partition_size=5)
+        assert_matches_reference(result, reference, function, store=second)
         assert second.stats.scoring_passes == 1
 
     def test_pool_is_bounded(self):
@@ -447,4 +492,3 @@ class TestServicePool:
         # One store (and one scoring pass) per distinct (candidates, function)
         # pair — never more than one pass per audited job.
         assert stats.scoring_passes <= len(marketplace)
-        assert stats.fallback_scorings == 0

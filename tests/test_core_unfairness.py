@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.formulations import Aggregation, Formulation
 from repro.core.partition import Partitioning, root_partition
+from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import (
     cross_distances,
     pairwise_distances,
@@ -25,13 +26,15 @@ def gender_partitioning(table1_dataset):
 class TestPairwiseDistances:
     def test_number_of_pairs(self, table1_dataset, table1_function):
         partitioning = Partitioning.by_attributes(table1_dataset, ["Country"])
-        histograms = partitioning.histograms(table1_function, binning=Binning.unit(5))
+        store = ScoreStore(table1_dataset, table1_function)
+        histograms = [store.histogram(partition, Binning.unit(5)) for partition in partitioning]
         values = pairwise_distances(histograms, Formulation())
         count = len(histograms)
         assert len(values) == count * (count - 1) // 2
 
     def test_single_histogram_has_no_pairs(self, table1_dataset, table1_function):
-        histograms = Partitioning.single(table1_dataset).histograms(table1_function)
+        store = ScoreStore(table1_dataset, table1_function)
+        histograms = [store.histogram(p) for p in Partitioning.single(table1_dataset)]
         assert pairwise_distances(histograms, Formulation()) == []
 
     def test_vectorised_fast_path_matches_scalar_path(self):
@@ -86,7 +89,8 @@ class TestCrossDistances:
         assert cross_distances([], [], Formulation()) == []
 
     def test_partition_vs_siblings_no_siblings_is_zero(self, table1_dataset, table1_function):
-        histogram = root_partition(table1_dataset).histogram(table1_function)
+        store = ScoreStore(table1_dataset, table1_function)
+        histogram = store.histogram(root_partition(table1_dataset))
         assert partition_vs_siblings(histogram, [], Formulation()) == 0.0
 
     def test_partition_vs_siblings_average(self):
@@ -159,7 +163,7 @@ class TestBreakdown:
         breakdown = unfairness_breakdown(gender_partitioning, table1_function)
         for partition in gender_partitioning:
             assert breakdown.mean_scores[partition.label] == pytest.approx(
-                float(partition.scores(table1_function).mean())
+                float(table1_function.score_dataset(partition.members).mean())
             )
 
     def test_breakdown_single_partition(self, table1_dataset, table1_function):

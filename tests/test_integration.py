@@ -28,7 +28,8 @@ class TestPaperRunningExample:
         )
         # The partitioning must separate groups with clearly different means.
         means = sorted(
-            partition.scores(function).mean() for partition in result.partitioning
+            function.score_dataset(partition.members).mean()
+            for partition in result.partitioning
         )
         assert means[-1] - means[0] > 0.2
         assert result.unfairness > 0.5
