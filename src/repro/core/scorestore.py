@@ -22,8 +22,8 @@ tree node, every sibling histogram re-walks the same individuals.  The
 * **splits are index operations**: protected columns are integer-coded once,
   so splitting a partition on an attribute is a vectorised comparison over
   its row indices instead of a Python group-by, and the children's member
-  datasets materialise lazily — a losing candidate split never builds its
-  row tuples at all;
+  datasets are :class:`~repro.data.dataset.DatasetView` index views of the
+  store's dataset — a losing candidate split never copies a column;
 * the memo is **bounded** (LRU over partitions) so a long-lived service
   store cannot grow without limit, and every counter needed to audit the
   layer (scoring passes, slices, hits/misses/evictions) is exposed as an
@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Individual, order_values
+from repro.data.dataset import Dataset, DatasetView, order_values
 from repro.data.schema import Attribute
 from repro.errors import FaiRankError, PartitioningError, ScoringError, WarmStartError
 from repro.metrics.histogram import Binning, Histogram
@@ -125,53 +125,6 @@ class ScoreStoreStats:
             f"histograms {self.histogram_hits} hits / {self.histogram_misses} misses "
             f"({self.histogram_hit_rate:.0%}), {self.evictions} evictions"
         )
-
-
-class _SlicedDataset(Dataset):
-    """A Dataset defined by row indices into a base dataset, materialised lazily.
-
-    The score store's splits produce one of these per child partition: the
-    length (all a losing candidate split ever needs) is known immediately,
-    while the actual row tuple is only built when a consumer — a renderer,
-    a filter, anything that iterates individuals — asks for it.  Holding the
-    *base dataset* (not its row tuple) keeps the laziness transitive:
-    slicing a column-backed base never forces it to materialise rows until a
-    consumer iterates the slice itself, and :attr:`uids` is a slice of the
-    base's uids, so it never builds rows at all.
-    """
-
-    def __init__(self, base: Dataset, indices: np.ndarray, name: str) -> None:
-        # Deliberately does not call Dataset.__init__: rows are already
-        # validated (they are the base dataset's own), and materialising the
-        # member tuple is deferred until something iterates it.
-        self.schema = base.schema
-        self.name = name
-        self._base = base
-        self._slice_indices = indices
-
-    @property
-    def _individuals(self) -> Tuple[Individual, ...]:  # type: ignore[override]
-        materialized = self.__dict__.get("_materialized")
-        if materialized is None:
-            rows = self._base.individuals
-            materialized = tuple(rows[index] for index in self._slice_indices.tolist())
-            self.__dict__["_materialized"] = materialized
-        return materialized
-
-    @property
-    def uids(self) -> Tuple[str, ...]:  # type: ignore[override]
-        cached = self.__dict__.get("_uids")
-        if cached is None:
-            base = self._base.uids
-            cached = tuple(base[index] for index in self._slice_indices.tolist())
-            self.__dict__["_uids"] = cached
-        return cached
-
-    def __len__(self) -> int:
-        return len(self._slice_indices)
-
-    def __bool__(self) -> bool:
-        return len(self._slice_indices) > 0
 
 
 class _Entry:
@@ -261,12 +214,13 @@ class ScoreStore:
         LRU bound on the number of distinct partitions whose indices, scores
         and histograms are memoised; ``None`` disables the bound.
     trust_uids:
-        When False (default), a partition is sliced only if its member
-        *objects* are the store dataset's own rows — the safe setting for
-        ad-hoc stores.  The service layer keys stores by content fingerprint
-        and sets True, so content-identical datasets rebuilt between
-        requests (re-filtered copies, re-parsed uploads) still share one
-        scoring pass via uid mapping.
+        When False (default), a partition is sliced only if its members are
+        derived from the store's dataset — a view whose provenance chain
+        (:meth:`~repro.data.dataset.Dataset.indices_in`) reaches it; a
+        content-equal rebuilt dataset is refused.  The service layer keys
+        stores by content fingerprint and sets True, so content-identical
+        datasets rebuilt between requests (re-filtered copies, re-parsed
+        uploads) still share one scoring pass via uid mapping.
     """
 
     def __init__(
@@ -359,8 +313,8 @@ class ScoreStore:
     def _row_index_map(self) -> Dict[str, int]:
         """uid -> row position, built lazily (only uid-mapped partitions need it).
 
-        Built from ``dataset.uids``, which a column-backed dataset serves
-        without materialising rows.
+        Built from ``dataset.uids``, which every dataset serves without
+        materialising rows.
         """
         index = self._row_index
         if index is not None:
@@ -375,30 +329,22 @@ class ScoreStore:
     def _indices_for_members(self, members: Dataset) -> np.ndarray:
         """Row indices of ``members`` in the store's dataset.
 
-        Raises :class:`~repro.errors.PartitioningError` when a member is not
-        one of the store's rows (by uid for trusted stores, by object
-        identity otherwise).
+        Proven by provenance: a view whose parent chain reaches the store's
+        dataset maps by composing its index arrays.  A trusted store also
+        maps any other dataset by uid, so content-identical populations
+        rebuilt between requests share one scoring pass.  Anything else
+        raises :class:`~repro.errors.PartitioningError`.
         """
-        if members is self.dataset:
-            return np.arange(len(self.dataset), dtype=np.intp)
-        if isinstance(members, _SlicedDataset) and members._base is self.dataset:
-            return members._slice_indices
+        indices = members.indices_in(self.dataset)
+        if indices is not None:
+            return indices
+        if not self.trust_uids:
+            raise self._foreign(members)
         row_index = self._row_index_map()
         indices = np.empty(len(members), dtype=np.intp)
-        if self.trust_uids:
-            # Trusted stores map by uid alone, so a column-backed dataset (or
-            # a slice of one) stays unmaterialised.
-            for position, uid in enumerate(members.uids):
-                index = row_index.get(uid)
-                if index is None:
-                    raise self._foreign(members)
-                indices[position] = index
-            return indices
-        # Identity verification needs the actual row objects.
-        rows = self.dataset.individuals
-        for position, member in enumerate(members):
-            index = row_index.get(member.uid)
-            if index is None or rows[index] is not member:
+        for position, uid in enumerate(members.uids):
+            index = row_index.get(uid)
+            if index is None:
                 raise self._foreign(members)
             indices[position] = index
         return indices
@@ -535,8 +481,9 @@ class ScoreStore:
 
         Children are produced in the same order as a group-by split
         (declared domain order, else stable sorted), their member datasets
-        materialise lazily, and their store entries are pre-registered so the
-        subsequent histogram/score requests skip uid mapping entirely.
+        are index views of the store's dataset, and their store entries are
+        pre-registered so the subsequent histogram/score requests skip
+        mapping entirely.
         """
         from repro.core.partition import Partition
 
@@ -554,7 +501,7 @@ class ScoreStore:
         for value in ordered:
             code = encode[value]
             child_indices = indices[sub == code]
-            members = _SlicedDataset(
+            members = DatasetView(
                 self.dataset, child_indices, name=base_name + suffixes[code]
             )
             # Fast construction: the dataclass __init__/__post_init__ only
@@ -593,11 +540,10 @@ class ScoreStore:
         Returns ``(per-row codes, code -> value, value -> code, code ->
         member-dataset name suffix)``; entries are immutable once published,
         so the fast path reads without the lock.  The coding lives on
-        :meth:`Dataset.codes` now — a column-backed dataset already *stores*
-        its protected attributes as integer codes, so this is a zero-copy
-        read; a row-primary dataset computes and caches the coding once,
-        shared across every store over the same dataset object (an audit
-        fanning out over many functions codes each column once).
+        :meth:`Dataset.codes`, which derives it from the stored integer
+        codes once per dataset object and caches it, so every store over
+        the same dataset shares it (an audit fanning out over many
+        functions codes each column once).
         """
         cached = self._codes.get(name)
         if cached is not None:
@@ -656,18 +602,16 @@ class ScoreStore:
         datasets can share a key (e.g. every root partition has key ``()``).
         Reusing another dataset's entry would silently serve wrong scores, so
         every memo hit is validated — O(1) for partitions produced by this
-        store's own splits (the common case), O(members) only for foreign
-        objects that need uid re-mapping.
+        store's own splits (the common case: their index *is* the entry's),
+        O(members) otherwise.
         """
         indices = entry.indices
-        if members is self.dataset:
-            return indices.size == len(self.dataset)
-        if isinstance(members, _SlicedDataset) and members._base is self.dataset:
-            own = members._slice_indices
-            return own is indices or bool(np.array_equal(own, indices))
         if len(members) != indices.size:
             return False
-        return bool(np.array_equal(self._indices_for_members(members), indices))
+        if members is self.dataset:
+            return True
+        own = self._indices_for_members(members)
+        return own is indices or bool(np.array_equal(own, indices))
 
     def _entry(self, partition: "Partition") -> _Entry:
         """The store entry for a partition, creating (and bounding) it once.

@@ -1,4 +1,4 @@
-"""Contiguous numpy column arrays — the columnar backing of :class:`Dataset`.
+"""Contiguous numpy column arrays — the one backing of every :class:`Dataset`.
 
 This module is the storage half of the columnar data plane.  A
 :class:`ColumnStore` holds one population as a set of per-attribute arrays:
@@ -341,10 +341,10 @@ class ColumnStoreBuilder:
     """Accumulates row chunks into one :class:`ColumnStore`, never row dicts.
 
     The builder is the streaming half of ingestion: callers (the chunked CSV
-    loader, the synthetic generator) push per-column value chunks via
-    :meth:`append_chunk`; coded columns keep one encode dict across chunks
-    (codes are first-seen row order, exactly the coding the score store's
-    splits use), numeric columns accumulate ``float64`` chunk arrays, and
+    loader, the row constructor of :class:`~repro.data.dataset.Dataset`)
+    push per-column value chunks via :meth:`append_chunk`; coded columns
+    keep one type-exact encode dict across chunks (codes are first-seen row
+    order), numeric columns accumulate ``float64`` chunk arrays, and
     :meth:`finish` concatenates each column once.  Peak memory is one chunk
     of Python values plus the (compact) accumulated code arrays.
     """

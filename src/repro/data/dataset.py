@@ -1,28 +1,36 @@
-"""Tabular store of individuals (workers) for FaiRank — row- or column-backed.
+"""Tabular store of individuals (workers) for FaiRank — one column backing.
 
 The :class:`Dataset` is the substrate every other subsystem consumes: the
 scoring functions read observed attribute columns from it, the partitioning
 algorithms group its rows by protected-attribute values, the anonymiser
 rewrites its protected columns, and the marketplace generator produces it.
 
-Two backings share one contract:
+Every dataset is backed by one :class:`~repro.data.columns.ColumnStore` of
+contiguous numpy arrays: integer-coded protected attributes and ``float64``
+observed attributes, optionally memory-mapped from disk.  FaiRank's pipeline
+(select a population, filter or anonymise it, partition it) touches
+populations of exactly two origins:
 
-* **row-primary** datasets (the classic construction: ``Dataset(schema,
-  individuals)``) hold a tuple of :class:`Individual` objects and behave
-  exactly as they always have;
-* **column-primary** datasets (:meth:`Dataset.from_store`) hold a
-  :class:`~repro.data.columns.ColumnStore` of contiguous numpy arrays —
-  integer-coded protected attributes, ``float64`` observed attributes,
-  optionally memory-mapped from disk — and materialise :class:`Individual`
-  rows *lazily*, only if something actually iterates them.  Column access
-  (:meth:`column`, :meth:`numeric_column`, :meth:`observed_matrix`,
-  :meth:`codes`, :meth:`value_counts`, :meth:`distinct_values`) is served
-  straight from the arrays, so the scoring and partitioning hot paths never
-  touch per-row dicts.
+* **ingested** populations own their store.  The row constructor
+  ``Dataset(schema, individuals)`` is the ingestion route for row input: it
+  converts once through :class:`~repro.data.columns.ColumnStoreBuilder` (a
+  numeric attribute whose values are all plain floats becomes a ``float64``
+  array, every other attribute an integer-coded column whose decode table
+  keeps the exact values, so ``1``, ``1.0``, ``True`` and ``"1"`` stay
+  distinct).  :meth:`Dataset.from_store`, the loaders, the generator and
+  snapshot sidecars hand over a store directly.
+* **derived** populations are :class:`DatasetView` objects: a parent plus an
+  ``intp`` index array of the parent's rows.  :meth:`Dataset.filter`,
+  :meth:`Dataset.select_uids`, :meth:`Dataset.group_by` and the score
+  store's splits all return views.  A view's length and uids come from the
+  index alone; its columns are gathered from the parent only on first column
+  access (:meth:`DatasetView._realize`), so a losing candidate split never
+  copies a column.  The parent chain is the view's *provenance*:
+  :meth:`Dataset.indices_in` composes the index arrays up to an ancestor,
+  which is how a score store proves a partition is drawn from its dataset.
 
-Both backings produce identical values, identical orderings and identical
-content fingerprints, so every downstream result is byte-identical whichever
-backing a population arrived on.
+:class:`Individual` rows are a lazily materialised view of the columns,
+built once on first iteration; no scoring or partitioning path needs them.
 """
 
 from __future__ import annotations
@@ -33,15 +41,16 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 import numpy as np
 
-from repro.data.columns import CodedColumn, ColumnStore, ColumnStoreBuilder, NumericColumn
+from repro.data.columns import CodedColumn, Column, ColumnStore, ColumnStoreBuilder, NumericColumn
 from repro.data.schema import Attribute, AttributeType, Schema
 from repro.errors import DataError, EmptyDatasetError, UnknownAttributeError
 
-__all__ = ["Individual", "Dataset", "order_values"]
+__all__ = ["Individual", "Dataset", "DatasetView", "order_values"]
 
-#: Guards per-dataset lazy caches (integer codings, materialised rows) so
-#: concurrent readers (the service batch executor) never duplicate work.
-_codes_lock = threading.Lock()
+#: Guards per-dataset lazy caches (integer codings, realised view columns,
+#: materialised rows) so concurrent readers (the service batch executor)
+#: never duplicate work.  Re-entrant: realising a view realises its parent.
+_lazy_lock = threading.RLock()
 
 
 def order_values(attr: Attribute, present: Iterable[object]) -> Tuple[object, ...]:
@@ -58,15 +67,40 @@ def order_values(attr: Attribute, present: Iterable[object]) -> Tuple[object, ..
     return tuple(sorted(present, key=lambda v: (str(type(v)), str(v))))
 
 
+def _build_store(
+    schema: Schema, columns: Mapping[str, Sequence[object]], uids: Sequence[str]
+) -> ColumnStore:
+    """Package per-attribute value lists as a :class:`ColumnStore`.
+
+    A numeric attribute whose values are all plain floats becomes a
+    contiguous ``float64`` array; every other attribute becomes an
+    integer-coded column whose decode table keeps the exact values (ints
+    stay ints, bools stay bools).  Sequential ``w1..wn`` uids are not stored.
+    """
+    coded: List[str] = []
+    numeric: List[str] = []
+    for attr in schema:
+        if attr.atype is AttributeType.NUMERIC and all(
+            type(value) is float for value in columns[attr.name]
+        ):
+            numeric.append(attr.name)
+        else:
+            coded.append(attr.name)
+    sequential = all(uid == f"w{index + 1}" for index, uid in enumerate(uids))
+    builder = ColumnStoreBuilder(coded, numeric, collect_uids=not sequential)
+    builder.append_chunk(columns, uids=None if sequential else uids)
+    return builder.finish()
+
+
 @dataclass(frozen=True)
 class Individual:
     """A single individual (worker) with an identifier and attribute values.
 
     ``values`` maps attribute name to value.  Individuals are immutable; the
-    dataset is the unit of mutation (by producing new datasets).  For a
-    column-backed dataset these objects are a *materialised view*: they are
-    built on first iteration from the decode tables and numeric arrays, and
-    carry exactly the values the columns hold.
+    dataset is the unit of mutation (by producing new datasets).  Rows of a
+    dataset are a *materialised view* of its columns: built on first
+    iteration from the decode tables and numeric arrays, carrying exactly
+    the values the columns hold.
     """
 
     uid: str
@@ -92,27 +126,16 @@ class Individual:
 
 
 class Dataset:
-    """A set of individuals conforming to a :class:`Schema`.
+    """A set of individuals conforming to a :class:`Schema`, column-backed.
 
-    The dataset validates every row against the schema at construction time,
-    and exposes column access, filtering, projection and group-by operations
-    used throughout the library.
-
-    Columnar contract: a dataset built with :meth:`from_store` keeps the
-    population as contiguous per-attribute arrays (see
-    :mod:`repro.data.columns`) and serves :meth:`column`,
-    :meth:`numeric_column`, :meth:`observed_matrix`, :meth:`codes`,
-    :meth:`value_counts` and :meth:`distinct_values` directly from them —
-    no :class:`Individual` is ever created unless a consumer iterates rows,
-    at which point they materialise once and are cached.  Row-primary
-    datasets behave exactly as before; :meth:`codes` gives both backings the
-    same first-seen integer coding of any attribute column.
+    :attr:`store` is always a :class:`~repro.data.columns.ColumnStore`;
+    :meth:`column`, :meth:`numeric_column`, :meth:`observed_matrix`,
+    :meth:`codes`, :meth:`value_counts` and :meth:`distinct_values` are served
+    from its arrays, and validation is vectorised over them.  The filtering,
+    subset and group-by operations return :class:`DatasetView` objects over
+    this dataset.  :class:`Individual` rows materialise once, on first
+    iteration.
     """
-
-    #: Column backing; ``None`` for row-primary datasets.  A class attribute
-    #: so subclasses that bypass ``__init__`` (the score store's lazy slices)
-    #: still read a well-defined value.
-    _store: Optional[ColumnStore] = None
 
     def __init__(
         self,
@@ -121,9 +144,19 @@ class Dataset:
         name: str = "dataset",
         validate: bool = True,
     ) -> None:
+        rows = tuple(individuals)
+        columns: Dict[str, List[object]] = {}
+        for attr in schema:
+            try:
+                columns[attr.name] = [row.values[attr.name] for row in rows]
+            except KeyError:
+                missing = next(row for row in rows if attr.name not in row.values)
+                raise DataError(
+                    f"individual {missing.uid!r} is missing attribute {attr.name!r}"
+                ) from None
         self.schema = schema
         self.name = name
-        self.__dict__["_rows"] = tuple(individuals)
+        self._store = _build_store(schema, columns, [row.uid for row in rows])
         if validate:
             self._validate()
 
@@ -163,7 +196,7 @@ class Dataset:
         name: str = "dataset",
         uids: Optional[Sequence[str]] = None,
     ) -> "Dataset":
-        """Build a (row-primary) dataset from column vectors keyed by name."""
+        """Build a dataset from column vectors keyed by name."""
         if not columns:
             return cls(schema=schema, individuals=(), name=name)
         lengths = {len(values) for values in columns.values()}
@@ -174,11 +207,12 @@ class Dataset:
             uids = [f"w{i}" for i in range(1, n + 1)]
         elif len(uids) != n:
             raise DataError(f"got {len(uids)} uids for {n} rows")
-        records = [
-            {attr: columns[attr][i] for attr in columns} for i in range(n)
-        ]
-        individuals = [Individual(uid=str(uid), values=rec) for uid, rec in zip(uids, records)]
-        return cls(schema=schema, individuals=individuals, name=name)
+        uids = [str(uid) for uid in uids]
+        for attr in schema:
+            if attr.name not in columns and n:
+                raise DataError(f"individual {uids[0]!r} is missing attribute {attr.name!r}")
+        values = {attr.name: list(columns.get(attr.name, ())) for attr in schema}
+        return cls.from_store(schema, _build_store(schema, values, uids), name=name)
 
     @classmethod
     def from_store(
@@ -188,49 +222,26 @@ class Dataset:
         name: str = "dataset",
         validate: bool = True,
     ) -> "Dataset":
-        """Build a column-primary dataset over a :class:`ColumnStore`.
+        """Build a dataset over an existing :class:`ColumnStore`.
 
         No :class:`Individual` objects are created — rows materialise lazily
-        on first iteration.  Validation is vectorised: coded columns validate
-        each *distinct* value once, numeric columns validate their declared
-        range in one array comparison, and uid uniqueness is a set check.
+        on first iteration.
         """
         dataset = cls.__new__(cls)
         dataset.schema = schema
         dataset.name = name
         dataset._store = store
         if validate:
-            dataset._validate_store()
+            dataset._validate()
         return dataset
 
     def _validate(self) -> None:
-        seen_uids = set()
-        for individual in self._individuals:
-            if individual.uid in seen_uids:
-                raise DataError(f"duplicate individual id {individual.uid!r}")
-            seen_uids.add(individual.uid)
-            for attr in self.schema:
-                if attr.name not in individual.values:
-                    raise DataError(
-                        f"individual {individual.uid!r} is missing attribute {attr.name!r}"
-                    )
-                value = individual.values[attr.name]
-                if not attr.validate_value(value):
-                    raise DataError(
-                        f"individual {individual.uid!r} has invalid value {value!r} "
-                        f"for attribute {attr.name!r}"
-                    )
+        """Vectorised validation: unique uids, every attribute, every value.
 
-    def _validate_store(self) -> None:
-        """Vectorised validation of a column-backed dataset.
-
-        Checks the same contract as :meth:`_validate` — unique uids, every
-        schema attribute present, every value admissible — without building a
-        single row: O(distinct values) for coded columns, one vectorised
-        range comparison for numeric columns.
+        O(distinct values) for coded columns and one vectorised range
+        comparison for numeric columns; no row is built.
         """
-        store = self._store
-        assert store is not None
+        store = self.store
         uids = store.explicit_uids
         if uids is not None and len(set(uids)) != len(uids):
             seen = set()
@@ -246,9 +257,9 @@ class Dataset:
                     f"dataset {self.name!r} has no column for attribute {attr.name!r}"
                 ) from None
             if isinstance(column, CodedColumn):
-                for value in column.values:
+                for code, value in enumerate(column.values):
                     if not attr.validate_value(value):
-                        index = int(np.argmax(column.codes == column.values.index(value)))
+                        index = int(np.argmax(column.codes == code))
                         uid = store.uid_range(index, index + 1)[0]
                         raise DataError(
                             f"individual {uid!r} has invalid value {value!r} "
@@ -276,50 +287,26 @@ class Dataset:
     # -- backing -----------------------------------------------------------
 
     @property
-    def store(self) -> Optional[ColumnStore]:
-        """The column backing, or ``None`` for a row-primary dataset."""
+    def store(self) -> ColumnStore:
+        """The column backing."""
         return self._store
 
-    def to_store(self) -> ColumnStore:
-        """Package this dataset's values as a :class:`ColumnStore`.
+    def indices_in(self, ancestor: "Dataset") -> Optional[np.ndarray]:
+        """Positions of this dataset's rows in ``ancestor``, proven by provenance.
 
-        Column-backed datasets return their existing backing.  Row-primary
-        datasets are converted: a numeric attribute whose values are all
-        plain floats becomes a contiguous ``float64`` array, every other
-        attribute becomes an integer-coded column whose decode table keeps
-        the *exact* row values (ints stay ints, bools stay bools) — so a
-        dataset rebuilt from the store, e.g. after
-        :meth:`ColumnStore.save`/:meth:`ColumnStore.load`, has the same
-        content fingerprint as the original.
+        ``None`` when ``ancestor`` is not on this dataset's parent chain —
+        content equality is never enough.
         """
-        store = self._store
-        if store is not None:
-            return store
-        names = self.schema.names
-        columns = {name: self.column(name) for name in names}
-        coded: List[str] = []
-        numeric: List[str] = []
-        for attr in self.schema:
-            if attr.atype is AttributeType.NUMERIC and all(
-                type(value) is float for value in columns[attr.name]
-            ):
-                numeric.append(attr.name)
-            else:
-                coded.append(attr.name)
-        uids = self.uids
-        sequential = all(
-            uid == f"w{index + 1}" for index, uid in enumerate(uids)
-        )
-        builder = ColumnStoreBuilder(coded, numeric, collect_uids=not sequential)
-        builder.append_chunk(columns, uids=None if sequential else uids)
-        return builder.finish()
+        if ancestor is self:
+            return np.arange(len(self), dtype=np.intp)
+        return None
 
     @property
     def _individuals(self) -> Tuple[Individual, ...]:
-        """The row tuple, materialising it from the column store on demand."""
+        """The row tuple, materialised from the columns on first use."""
         rows = self.__dict__.get("_rows")
         if rows is None:
-            with _codes_lock:
+            with _lazy_lock:
                 rows = self.__dict__.get("_rows")
                 if rows is None:
                     rows = self._materialize_rows()
@@ -327,11 +314,10 @@ class Dataset:
         return rows
 
     def _materialize_rows(self) -> Tuple[Individual, ...]:
-        store = self._store
-        assert store is not None
+        store = self.store
         names = self.schema.names
         decoded = {name: store.column(name).decode_range(0, store.n) for name in names}
-        uids = store.uids()
+        uids = self.uids
         return tuple(
             Individual(
                 uid=uids[index],
@@ -343,10 +329,7 @@ class Dataset:
     # -- basic protocol ----------------------------------------------------
 
     def __len__(self) -> int:
-        store = self._store
-        if store is not None:
-            return store.n
-        return len(self._individuals)
+        return self.store.n
 
     def __iter__(self) -> Iterator[Individual]:
         return iter(self._individuals)
@@ -359,7 +342,7 @@ class Dataset:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Dataset(name={self.name!r}, n={len(self)}, "
+            f"{type(self).__name__}(name={self.name!r}, n={len(self)}, "
             f"protected={list(self.schema.protected_names)}, "
             f"observed={list(self.schema.observed_names)})"
         )
@@ -371,19 +354,8 @@ class Dataset:
 
     @property
     def uids(self) -> Tuple[str, ...]:
-        """All row ids, in row order (column-backed: no rows materialised).
-
-        Cached: the score store's slices index into their base's uids.
-        """
-        cached = self.__dict__.get("_uids")
-        if cached is None:
-            store = self._store
-            if store is not None:
-                cached = store.uids()
-            else:
-                cached = tuple(ind.uid for ind in self._individuals)
-            self.__dict__["_uids"] = cached
-        return cached
+        """All row ids, in row order (no rows materialised)."""
+        return self.store.uids()
 
     def by_uid(self, uid: str) -> Individual:
         """Return the individual with the given id."""
@@ -395,63 +367,47 @@ class Dataset:
     def iter_rows(self, chunk_rows: int = 65536) -> Iterator[Tuple[str, List[object]]]:
         """Yield ``(uid, [values in schema order])`` per row.
 
-        For a column-backed dataset this decodes ``chunk_rows`` rows at a
-        time and never materialises :class:`Individual` objects — it is the
-        streaming row walk content fingerprinting uses, so registering a
-        10M-row population holds one chunk of Python values at a time.
+        Decodes ``chunk_rows`` rows at a time and never materialises
+        :class:`Individual` objects — it is the streaming row walk content
+        fingerprinting uses, so registering a 10M-row population holds one
+        chunk of Python values at a time.
         """
-        store = self._store
-        names = self.schema.names
-        if store is not None and self.__dict__.get("_rows") is None:
-            yield from store.iter_rows(names, chunk_rows=chunk_rows)
-            return
-        for individual in self._individuals:
-            values = individual.values
-            yield individual.uid, [values[name] for name in names]
+        return self.store.iter_rows(self.schema.names, chunk_rows=chunk_rows)
 
     # -- column access -----------------------------------------------------
 
     def column(self, name: str) -> Tuple[object, ...]:
-        """Return the values of attribute ``name`` for all individuals, in order.
-
-        Column-backed datasets decode straight from the arrays; row-primary
-        datasets walk their rows.  Identical values either way.
-        """
+        """Return the values of attribute ``name`` for all individuals, in order."""
         self.schema.attribute(name)
-        store = self._store
-        if store is not None:
-            return tuple(store.column(name).decode_range(0, store.n))
-        return tuple(ind.values[name] for ind in self._individuals)
+        store = self.store
+        return tuple(store.column(name).decode_range(0, store.n))
 
     def numeric_column(self, name: str) -> np.ndarray:
         """Return a fresh float array of an observed (numeric) attribute column.
 
-        Column-backed datasets copy the contiguous ``float64`` array (no
-        per-row ``float()`` calls); the copy keeps the classic contract that
-        callers may mutate the result without corrupting the dataset.
+        A ``float64`` column is copied (no per-row ``float()`` calls); the
+        copy keeps the contract that callers may mutate the result without
+        corrupting the dataset.
         """
         attr = self.schema.attribute(name)
         if attr.atype is not AttributeType.NUMERIC:
             raise DataError(f"attribute {name!r} is not numeric")
-        store = self._store
-        if store is not None:
-            column = store.column(name)
-            if isinstance(column, NumericColumn):
-                return np.array(column.values, dtype=float)
-            return np.asarray(
-                [float(v) for v in column.decode_range(0, store.n)], dtype=float
-            )
-        return np.asarray([float(ind.values[name]) for ind in self._individuals], dtype=float)
+        column = self.store.column(name)
+        if isinstance(column, NumericColumn):
+            return np.array(column.values, dtype=float)
+        return np.asarray([float(v) for v in column.decode_range(0, len(column))], dtype=float)
 
     def codes(self, name: str) -> Tuple[np.ndarray, Tuple[object, ...], Dict[object, int]]:
         """Integer coding of attribute ``name``: ``(codes, decode, encode)``.
 
         ``codes`` is a read-only ``int64`` array of per-row codes, ``decode``
-        maps code -> value and ``encode`` value -> code, in first-seen row
-        order.  This is the coding the score store's index-based splits
-        consume; a column-backed dataset serves it straight from its coded
-        arrays (zero per-row work), a row-primary dataset computes and caches
-        it once per attribute.
+        maps code -> value and ``encode`` value -> code.  The coding is a
+        function of content alone: values equal under ``==`` (``1``, ``1.0``,
+        ``True``) share one code, codes are numbered in first-seen row order,
+        and each code decodes to the first-seen of its values — whatever
+        decode-table order the backing column has.  This is the coding the
+        score store's index-based splits consume; it is computed
+        vectorised from the column and cached once per attribute.
         """
         cache: Dict[str, Tuple[np.ndarray, Tuple[object, ...], Dict[object, int]]]
         cache = self.__dict__.setdefault("_codes_cache", {})
@@ -459,126 +415,73 @@ class Dataset:
         if cached is not None:
             return cached
         self.schema.attribute(name)
-        store = self._store
-        if store is not None:
-            result = self._codes_from_store(store, name)
-        else:
-            rows = self._individuals
-            encode: Dict[object, int] = {}
-            codes = np.empty(len(rows), dtype=np.int64)
-            encode_get = encode.get
-            for position, individual in enumerate(rows):
-                value = individual.values[name]
-                code = encode_get(value)
-                if code is None:
-                    code = len(encode)
-                    encode[value] = code
-                codes[position] = code
-            codes.setflags(write=False)
-            result = (codes, tuple(encode), encode)
-        with _codes_lock:
-            return cache.setdefault(name, result)
-
-    def _codes_from_store(
-        self, store: ColumnStore, name: str
-    ) -> Tuple[np.ndarray, Tuple[object, ...], Dict[object, int]]:
-        column = store.column(name)
+        column = self.store.column(name)
         if isinstance(column, CodedColumn):
-            decode = column.values
-            encode: Dict[object, int] = {}
-            for code, value in enumerate(decode):
-                encode.setdefault(value, code)
-            if len(encode) == len(decode):
-                return (column.codes, decode, encode)
-            # The decode table distinguishes equal-under-`==` values (1 vs
-            # 1.0); splits must not, to match the row-primary coding exactly.
-            collapsed: Dict[object, int] = {}
-            for value in decode:
-                collapsed.setdefault(value, len(collapsed))
-            remap = np.asarray([collapsed[value] for value in decode], dtype=np.int64)
-            codes = remap[np.asarray(column.codes)]
-            codes.setflags(write=False)
-            return (codes, tuple(collapsed), collapsed)
-        # Numeric backing: first-seen coding computed vectorised.
-        values = np.asarray(column.values)
-        uniques, first_pos, inverse = np.unique(
-            values, return_index=True, return_inverse=True
-        )
-        order = np.argsort(first_pos, kind="stable")
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order), dtype=np.int64)
-        codes = rank[inverse]
+            raw, table = column.codes, column.values
+        else:
+            uniques, raw = np.unique(column.values, return_inverse=True)
+            table = tuple(uniques.tolist())
+        # First row of each stored code (len(raw) for codes no row uses).
+        first = np.full(len(table), len(raw), dtype=np.int64)
+        np.minimum.at(first, raw, np.arange(len(raw)))
+        encode: Dict[object, int] = {}
+        remap = np.zeros(len(table), dtype=np.int64)
+        for code in np.argsort(first, kind="stable").tolist():
+            if first[code] == len(raw):
+                break
+            remap[code] = encode.setdefault(table[code], len(encode))
+        if len(encode) == len(table) and bool((remap == np.arange(len(table))).all()):
+            codes = np.asarray(raw, dtype=np.int64)
+        else:
+            codes = remap[raw]
         codes.setflags(write=False)
-        decode_list = [float(uniques[index]) for index in order]
-        encode = {value: code for code, value in enumerate(decode_list)}
-        return (codes, tuple(decode_list), encode)
+        result = (codes, tuple(encode), encode)
+        with _lazy_lock:
+            return cache.setdefault(name, result)
 
     def value_counts(self, name: str) -> Dict[object, int]:
         """Return a value -> count mapping for attribute ``name``.
 
-        Keys are emitted in first-seen row order (for a coded column, the
-        decode-table order — identical by construction).
+        Counted over :meth:`codes`, so values equal under ``==`` are counted
+        together and keys come in first-seen row order on every dataset.
         """
-        store = self._store
-        if store is not None:
-            column = store.column(name)
-            if isinstance(column, CodedColumn):
-                self.schema.attribute(name)
-                counts = np.bincount(column.codes, minlength=len(column.values))
-                return {
-                    value: int(counts[code])
-                    for code, value in enumerate(column.values)
-                    if counts[code]
-                }
-        counts_dict: Dict[object, int] = {}
-        for value in self.column(name):
-            counts_dict[value] = counts_dict.get(value, 0) + 1
-        return counts_dict
+        codes, decode, _ = self.codes(name)
+        counts = np.bincount(codes, minlength=len(decode)).tolist()
+        return dict(zip(decode, counts))
 
     def distinct_values(self, name: str) -> Tuple[object, ...]:
         """Distinct values of attribute ``name``.
 
         Uses the declared domain order when available; otherwise values are
         returned in a stable sorted order (by string representation for mixed
-        types) so downstream algorithms are deterministic.  Column-backed
-        datasets order the decode table instead of walking rows.
+        types) so downstream algorithms are deterministic.
         """
         attr = self.schema.attribute(name)
-        store = self._store
-        if store is not None:
-            column = store.column(name)
-            if isinstance(column, CodedColumn):
-                present_codes = set(np.unique(column.codes).tolist())
-                present = {
-                    value
-                    for code, value in enumerate(column.values)
-                    if code in present_codes
-                }
-                return order_values(attr, present)
-        return order_values(attr, self.column(name))
+        return order_values(attr, self.codes(name)[1])
 
     # -- relational-ish operations ------------------------------------------
 
     def filter(
         self, predicate: Callable[[Individual], bool], name: Optional[str] = None
-    ) -> "Dataset":
-        """Return a new dataset with only the individuals matching ``predicate``."""
-        kept = tuple(ind for ind in self._individuals if predicate(ind))
-        return Dataset(
-            schema=self.schema,
-            individuals=kept,
-            name=name or f"{self.name}/filtered",
-            validate=False,
+    ) -> "DatasetView":
+        """Return a view of the individuals matching ``predicate``."""
+        index = np.fromiter(
+            (position for position, row in enumerate(self._individuals) if predicate(row)),
+            dtype=np.intp,
         )
+        return DatasetView(self, index, name=name or f"{self.name}/filtered")
 
-    def select_uids(self, uids: Iterable[str]) -> "Dataset":
-        """Return a new dataset restricted to the given individual ids."""
+    def select_uids(self, uids: Iterable[str]) -> "DatasetView":
+        """Return a view restricted to the given individual ids."""
         wanted = set(uids)
-        missing = wanted - set(self.uids)
+        own = self.uids
+        missing = wanted - set(own)
         if missing:
             raise DataError(f"unknown individual ids: {sorted(missing)}")
-        kept = tuple(ind for ind in self._individuals if ind.uid in wanted)
-        return Dataset(self.schema, kept, name=f"{self.name}/subset", validate=False)
+        index = np.fromiter(
+            (position for position, uid in enumerate(own) if uid in wanted), dtype=np.intp
+        )
+        return DatasetView(self, index, name=f"{self.name}/subset")
 
     def project(self, names: Sequence[str]) -> "Dataset":
         """Return a dataset with only the attributes in ``names``."""
@@ -621,23 +524,33 @@ class Dataset:
         """Return this data re-validated under a (compatible) new schema."""
         return Dataset(schema, self._individuals, name=self.name)
 
-    def group_by(self, names: Sequence[str]) -> Dict[Tuple[object, ...], "Dataset"]:
+    def group_by(self, names: Sequence[str]) -> Dict[Tuple[object, ...], "DatasetView"]:
         """Group individuals by the combination of values of ``names``.
 
-        Returns a mapping from the value tuple to the sub-dataset of
-        individuals having those values, preserving input order inside each
-        group.  Group keys are emitted in first-seen order.
+        Returns a mapping from the value tuple to a view of the individuals
+        having those values, preserving row order inside each group.  Group
+        keys are emitted in first-seen order; each key holds the values of
+        its group's first row.
         """
+        combined = np.zeros(len(self), dtype=np.int64)
         for name in names:
-            self.schema.attribute(name)
-        groups: Dict[Tuple[object, ...], List[Individual]] = {}
-        for individual in self._individuals:
-            key = tuple(individual.values[name] for name in names)
-            groups.setdefault(key, []).append(individual)
-        return {
-            key: Dataset(self.schema, tuple(members), name=f"{self.name}/{key}", validate=False)
-            for key, members in groups.items()
-        }
+            codes, decode, _ = self.codes(name)
+            # Re-densify after each attribute so the combined code never
+            # overflows, however many attributes are grouped.
+            _, combined = np.unique(combined * len(decode) + codes, return_inverse=True)
+        _, first, group = np.unique(combined, return_index=True, return_inverse=True)
+        members = np.argsort(group, kind="stable")
+        ends = np.cumsum(np.bincount(group, minlength=len(first)))
+        store = self.store
+        columns = [store.column(name) for name in names]
+        groups: Dict[Tuple[object, ...], DatasetView] = {}
+        for code in np.argsort(first, kind="stable").tolist():
+            row = int(first[code])
+            key = tuple(column.decode_range(row, row + 1)[0] for column in columns)
+            start = int(ends[code - 1]) if code else 0
+            index = members[start : int(ends[code])]
+            groups[key] = DatasetView(self, index, name=f"{self.name}/{key}")
+        return groups
 
     def concat(self, other: "Dataset", name: Optional[str] = None) -> "Dataset":
         """Concatenate two datasets over the same schema."""
@@ -672,9 +585,8 @@ class Dataset:
         """Return an (n, m) float matrix of observed attribute columns.
 
         ``names`` defaults to every observed attribute in schema order.  This
-        is the matrix a linear scoring function multiplies by its weights;
-        for a column-backed dataset it is stacked straight from the
-        contiguous ``float64`` arrays.
+        is the matrix a linear scoring function multiplies by its weights,
+        stacked straight from the contiguous ``float64`` arrays.
         """
         if names is None:
             names = self.schema.observed_names
@@ -694,3 +606,68 @@ class Dataset:
                 name: len(self.distinct_values(name)) for name in self.schema.protected_names
             },
         }
+
+
+class DatasetView(Dataset):
+    """A derived population: the rows of ``parent`` at positions ``index``.
+
+    Holds only its parent and a read-only ``intp`` index array.  Its length
+    comes from the index and its uids are sliced from the parent's; its
+    column store is gathered from the parent's columns on first column
+    access, in :meth:`_realize` (the one place a view copies data).  The
+    view's rows are already validated: they are its parent's.
+    """
+
+    def __init__(self, parent: Dataset, index: np.ndarray, name: str) -> None:
+        index = np.asarray(index, dtype=np.intp)
+        index.setflags(write=False)
+        self.schema = parent.schema
+        self.name = name
+        self.parent = parent
+        self.index = index
+
+    @property
+    def store(self) -> ColumnStore:
+        """The view's columns, gathered from the parent on first access."""
+        store = self.__dict__.get("_store")
+        if store is None:
+            with _lazy_lock:
+                store = self.__dict__.get("_store")
+                if store is None:
+                    store = self._realize()
+                    self.__dict__["_store"] = store
+        return store
+
+    def _realize(self) -> ColumnStore:
+        """Gather this view's rows of every parent column into a new store."""
+        parent = self.parent.store
+        index = self.index
+        columns: Dict[str, Column] = {}
+        for name in parent.names:
+            column = parent.column(name)
+            if isinstance(column, CodedColumn):
+                columns[name] = CodedColumn(column.codes[index], column.values)
+            else:
+                columns[name] = NumericColumn(column.values[index])
+        return ColumnStore(len(index), columns, uids=self.uids)
+
+    def indices_in(self, ancestor: Dataset) -> Optional[np.ndarray]:
+        if ancestor is self:
+            return np.arange(len(self), dtype=np.intp)
+        if self.parent is ancestor:
+            return self.index
+        within = self.parent.indices_in(ancestor)
+        return None if within is None else within[self.index]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    @property
+    def uids(self) -> Tuple[str, ...]:
+        """The parent's uids at this view's positions (cached; no columns realised)."""
+        cached = self.__dict__.get("_uids")
+        if cached is None:
+            parent = self.parent.uids
+            cached = tuple(parent[position] for position in self.index.tolist())
+            self.__dict__["_uids"] = cached
+        return cached

@@ -38,13 +38,11 @@ def table1_workload() -> Tuple[Dataset, LinearScoringFunction]:
 def synthetic_population(size: int = 400, seed: int = 7, columnar: bool = False) -> Dataset:
     """An unbiased synthetic crowdsourcing population.
 
-    ``columnar=True`` packages the population as a column-backed dataset
-    (same values and content fingerprint, contiguous arrays instead of
-    per-row dicts — the only sane choice beyond ~100k rows).
+    ``columnar`` is accepted and ignored: every dataset is column-backed.
+    The keyword stays because the serving benchmark (``perfbench/``) still
+    passes ``columnar=True``.
     """
-    return CrowdsourcingGenerator(seed=seed).generate(
-        size, name=f"synthetic-{size}", columnar=columnar
-    )
+    return CrowdsourcingGenerator(seed=seed).generate(size, name=f"synthetic-{size}")
 
 
 def biased_population(

@@ -18,12 +18,13 @@ attribute schemas across platforms, per-job scoring functions, and realistic
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Individual
+from repro.data.dataset import Dataset
 from repro.data.schema import Schema, observed, protected
 from repro.errors import MarketplaceError
 from repro.marketplace.bias import BiasSpec, apply_bias
@@ -238,7 +239,9 @@ class MarketplaceCrawler:
         return [self.crawl(platform, workers=workers) for platform in available_platforms()]
 
     def _generate_workers(self, profile: PlatformProfile, size: int) -> Dataset:
-        rng = np.random.default_rng(self.seed + hash(profile.name) % 10_000)
+        # A stable digest of the platform name: hash() of a str changes with
+        # every interpreter (PYTHONHASHSEED), which made crawls irreproducible.
+        rng = np.random.default_rng(self.seed + zlib.crc32(profile.name.encode()) % 10_000)
         schema = profile.schema()
 
         columns: Dict[str, np.ndarray] = {}
@@ -253,13 +256,12 @@ class MarketplaceCrawler:
         for skill, (alpha, beta) in profile.skills.items():
             columns[skill] = np.round(rng.beta(alpha, beta, size=size), 4)
 
-        individuals = []
-        for index in range(size):
-            values: Dict[str, object] = {}
-            for attribute in schema.names:
-                raw = columns[attribute][index]
-                values[attribute] = (
-                    float(raw) if schema.attribute(attribute).is_observed else str(raw)
-                )
-            individuals.append(Individual(uid=f"{profile.name}-w{index + 1}", values=values))
-        return Dataset(schema, individuals, name=f"{profile.name}-crawl", validate=False)
+        values = {
+            attribute: [
+                float(raw) if schema.attribute(attribute).is_observed else str(raw)
+                for raw in columns[attribute].tolist()
+            ]
+            for attribute in schema.names
+        }
+        uids = [f"{profile.name}-w{index + 1}" for index in range(size)]
+        return Dataset.from_columns(schema, values, name=f"{profile.name}-crawl", uids=uids)

@@ -102,9 +102,9 @@ def _hash_dataset(dataset: Dataset) -> str:
             _encode((attr.name, attr.kind.value, attr.atype.value, attr.domain))
         )
     # iter_rows yields (uid, values-in-schema-order) straight from the column
-    # arrays for a column-backed dataset — the same bytes as walking
-    # Individual rows, without ever materialising them (a 10M-row population
-    # is hashed one decode chunk at a time).
+    # arrays — the same bytes as walking Individual rows, without ever
+    # materialising them (a 10M-row population is hashed one decode chunk
+    # at a time).
     for uid, values in dataset.iter_rows():
         digest.update(_encode(uid))
         digest.update(_encode(values))

@@ -181,7 +181,6 @@ def _load_dataset_source(source: Mapping[str, object], base_dir: Optional[Path] 
         return synthetic_population(
             size=int(source.get("size", 400)),  # type: ignore[arg-type]
             seed=int(source.get("seed", 7)),  # type: ignore[arg-type]
-            columnar=bool(source.get("columnar", False)),
         )
     raise CatalogError(
         f"unknown dataset loader {loader!r} in catalog snapshot; "
@@ -465,7 +464,7 @@ def save_catalog(
             directory = sidecar_root / resource.fingerprint[:16]
             try:
                 directory.mkdir(parents=True, exist_ok=True)
-                dataset.to_store().save(directory)
+                dataset.store.save(directory)
             except OSError as error:
                 raise CatalogError(
                     f"cannot write column sidecar for dataset {resource.name!r}: {error}"

@@ -101,7 +101,7 @@ class TestMemmapReloadAfterRestart:
     def test_memmap_reload_preserves_values_and_fingerprint(self, tmp_path):
         original = self._dataset()
         directory = tmp_path / "columns"
-        original.to_store().save(directory)
+        original.store.save(directory)
 
         # A fresh load from disk is exactly what a restarted server does.
         reloaded = Dataset.from_store(
@@ -115,7 +115,7 @@ class TestMemmapReloadAfterRestart:
 
     def test_memmap_arrays_stay_disk_backed(self, tmp_path):
         directory = tmp_path / "columns"
-        self._dataset().to_store().save(directory)
+        self._dataset().store.save(directory)
         store = ColumnStore.load(directory, mmap=True)
         backed = 0
         for name in store.names:
@@ -131,7 +131,7 @@ class TestMemmapReloadAfterRestart:
     def test_eager_load_matches_memmap_load(self, tmp_path):
         directory = tmp_path / "columns"
         original = self._dataset()
-        original.to_store().save(directory)
+        original.store.save(directory)
         eager = Dataset.from_store(
             original.schema, ColumnStore.load(directory, mmap=False), name="toy"
         )

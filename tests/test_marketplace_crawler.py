@@ -1,5 +1,10 @@
 """Tests for repro.marketplace.crawler (simulated platform crawls)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import MarketplaceError
@@ -71,3 +76,31 @@ class TestCrawler:
         marketplaces = MarketplaceCrawler(seed=2).crawl_all(workers=40)
         assert {m.name for m in marketplaces} == set(available_platforms())
         assert all(len(m.workers) == 40 for m in marketplaces)
+
+
+#: Prints the content fingerprint of every crawled marketplace, one per line.
+_FINGERPRINT_CRAWLS = """
+from repro.experiments.workloads import crawled_marketplaces
+from repro.service.fingerprint import fingerprint_marketplace
+for marketplace in crawled_marketplaces(workers=60, seed=11):
+    print(marketplace.name, fingerprint_marketplace(marketplace))
+"""
+
+
+class TestReproducibleAcrossProcesses:
+    def test_crawls_ignore_the_interpreter_hash_seed(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+
+        def crawl(hash_seed: str) -> str:
+            completed = subprocess.run(
+                [sys.executable, "-c", _FINGERPRINT_CRAWLS],
+                capture_output=True,
+                text=True,
+                check=True,
+                env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": hash_seed},
+            )
+            return completed.stdout
+
+        first, second = crawl("1"), crawl("2")
+        assert len(first.splitlines()) == len(available_platforms())
+        assert first == second
