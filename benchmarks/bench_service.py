@@ -20,6 +20,8 @@ import json
 import time
 from typing import Dict, List
 
+from repro.core.quantify import quantify
+from repro.core.scorestore import ScoreStore
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
 
 from benchmarks.results import REPO_ROOT, write_results
@@ -280,16 +282,17 @@ def test_sweep_shares_scoring_passes(benchmark):
         "each weight vector must be scored exactly once across summary + search"
     )
 
-    # Serial reference: fresh service, one quantify_cached per weight vector.
-    serial_service = _sweep_service()
-    dataset = serial_service.dataset("synthetic-10000")
-    base = serial_service.function("balanced")
+    # Serial reference: one quantify per weight vector, each over a private store.
+    dataset = service.dataset("synthetic-10000")
+    base = service.function("balanced")
     started = time.perf_counter()
     serial_values = []
     for index, weights in enumerate(SWEEP_WEIGHTS):
         variant = base.with_weights(name=f"balanced@sweep{index}", **weights)
-        served = serial_service.quantify_cached(dataset, variant, min_partition_size=5)
-        serial_values.append(served.result.unfairness)
+        served = quantify(
+            dataset, variant, min_partition_size=5, store=ScoreStore(dataset, variant)
+        )
+        serial_values.append(served.unfairness)
     serial_elapsed = time.perf_counter() - started
 
     sweep_values = [point["unfairness"] for point in result.payload["points"]]

@@ -9,7 +9,8 @@ Exercises the full deployment workflow exactly as an operator would:
    through :class:`~repro.server.client.HTTPFairnessClient`;
 4. assert every HTTP response is byte-identical (``ServiceResult.canonical``)
    to the in-process :class:`~repro.service.client.FairnessClient` answer
-   over a service booted from the *same* snapshot;
+   over a service booted from the *same* snapshot, and that the result
+   cache holds exactly one entry per distinct request key sent;
 5. terminate the server (SIGTERM) and fail unless it drains and exits 0.
 
 With ``--workers N`` (N > 1) the same gate runs against the *sharded*
@@ -126,6 +127,22 @@ def check_metrics(port: int, workers: int) -> int:
         print(f"[e2e] metrics: {surface} page parses, per-kind counters match "
               f"({sum(EXPECTED_REQUESTS.values())} requests accounted for)")
     return failures
+
+
+def check_cache_entries(remote, workers: int, keys: "set[str]") -> int:
+    """The result cache holds one entry per distinct request key, nothing else."""
+    health = remote.health()
+    if workers > 1:
+        caches = [entry["cache"] for entry in health["workers"]["health"]]
+    else:
+        caches = [health["cache"]]
+    entries = sum(int(cache["entries"]) for cache in caches)
+    if entries != len(keys):
+        print(f"[e2e] FAIL: result cache holds {entries} entries for "
+              f"{len(keys)} distinct request keys")
+        return 1
+    print(f"[e2e] cache: {entries} entries, one per distinct request key")
+    return 0
 
 
 def check_trace(port: int, workers: int) -> int:
@@ -355,11 +372,13 @@ def main() -> int:
             else:
                 print(f"[e2e] health ok, catalog: {health['catalog']}")
 
+            keys: "set[str]" = set()
             for (kind, via_http), (_, in_process) in zip(
                 scenario_calls(remote), scenario_calls(reference)
             ):
                 http_result = via_http()
                 local_result = in_process()
+                keys.add(local_result.key)
                 if http_result.canonical() == local_result.canonical():
                     print(f"[e2e] {kind}: byte-identical "
                           f"({http_result.elapsed_s * 1000:.1f} ms)")
@@ -377,11 +396,13 @@ def main() -> int:
             for request, http_result, local_result in zip(
                 batch_requests, via_batch, serial
             ):
+                keys.add(local_result.key)
                 if http_result.canonical() != local_result.canonical():
                     failures += 1
                     print(f"[e2e] FAIL: batched {request.kind} diverged")
             print(f"[e2e] batch of {len(batch_requests)}: "
                   f"{len(via_batch)} envelopes, order preserved")
+            failures += check_cache_entries(remote, arguments.workers, keys)
 
             # Scrape before the trace leg so the per-kind expectations above
             # stay exact; the extra traced quantify lands after the audit.

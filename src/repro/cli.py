@@ -42,7 +42,7 @@ from repro.errors import FaiRankError
 from repro.marketplace.crawler import MarketplaceCrawler, available_platforms
 from repro.roles.auditor import Auditor
 from repro.scoring.linear import LinearScoringFunction
-from repro.scoring.rank import RankDerivedScorer
+from repro.scoring.rank import observed_function
 from repro.session.render import render_tree
 
 __all__ = ["main", "build_parser"]
@@ -284,9 +284,7 @@ def _cmd_quantify(args: argparse.Namespace) -> int:
         distance=args.distance,
         bins=args.bins,
     )
-    effective_function = function
-    if args.ranks_only:
-        effective_function = RankDerivedScorer(function.rank(dataset), name="cli-from-ranks")
+    effective_function = observed_function(function, dataset, "cli", args.ranks_only)
     # One scoring pass serves the search, the breakdown and the rendering.
     store = ScoreStore(dataset, effective_function)
     result = quantify(

@@ -49,7 +49,9 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union,
+)
 
 import numpy as np
 
@@ -68,6 +70,7 @@ __all__ = [
     "STORE_BUNDLE_VERSION",
     "ScoreStore",
     "ScoreStoreStats",
+    "StoreProvider",
     "store_for",
 ]
 
@@ -907,6 +910,12 @@ class ScoreStore:
         """Iterate over the memoised partition keys (oldest first)."""
         with self._lock:
             return iter(list(self._partitions))
+
+
+#: Supplies the store a role or panel scores ``(dataset, function)`` through:
+#: the :class:`ScoreStore` class itself (a private store per call) or a
+#: service's fingerprint-keyed pool (``FairnessService.score_store``).
+StoreProvider = Callable[[Dataset, ScoringFunction], ScoreStore]
 
 
 def store_for(

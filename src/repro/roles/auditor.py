@@ -17,19 +17,17 @@ attributes) and reduced function transparency (rank-only histograms).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.anonymize.kanonymity import GlobalRecodingAnonymizer
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD
 from repro.core.quantify import QuantifyResult, quantify
-from repro.core.scorestore import ScoreStore
+from repro.core.scorestore import ScoreStore, StoreProvider
 from repro.core.unfairness import unfairness_breakdown
-from repro.data.dataset import Dataset
 from repro.errors import MarketplaceError
 from repro.marketplace.entities import Job, Marketplace
 from repro.roles.report import ReportTable
-from repro.scoring.base import ScoringFunction
-from repro.scoring.rank import OpaqueScoringFunction, RankDerivedScorer
+from repro.scoring.rank import observed_function
 
 __all__ = ["JobAudit", "AuditReport", "Auditor"]
 
@@ -122,13 +120,12 @@ class Auditor:
         Minimum partition size passed to QUANTIFY (avoids singleton groups
         when auditing large crawls).
     store_provider:
-        Optional callable ``(dataset, function) -> ScoreStore`` supplying the
-        score store each audit runs against.  The service layer passes its
-        fingerprint-keyed pool here, so a marketplace-wide audit fan-out
-        shares materialized scoring passes across requests; without one,
-        every audited population gets its own private store.  Either way
-        one audit makes one scoring pass, shared by its search and its
-        breakdown.
+        Supplies the score store each audit runs against (default: a private
+        :class:`~repro.core.scorestore.ScoreStore` per audited population).
+        The service layer passes its fingerprint-keyed pool here, so a
+        marketplace-wide audit fan-out shares materialized scoring passes
+        across requests.  Either way one audit makes at most one scoring
+        pass, shared by its search and its breakdown.
     """
 
     def __init__(
@@ -136,30 +133,20 @@ class Auditor:
         formulation: Formulation = MOST_UNFAIR_AVG_EMD,
         attributes: Optional[Sequence[str]] = None,
         min_partition_size: int = 1,
-        store_provider: Optional[Callable[[Dataset, ScoringFunction], ScoreStore]] = None,
+        store_provider: StoreProvider = ScoreStore,
     ) -> None:
         self.formulation = formulation
         self.attributes = tuple(attributes) if attributes is not None else None
         self.min_partition_size = min_partition_size
         self.store_provider = store_provider
 
-    def _store_for(self, dataset: Dataset, function: ScoringFunction) -> ScoreStore:
-        if self.store_provider is None:
-            return ScoreStore(dataset, function)
-        return self.store_provider(dataset, function)
-
     # -- single-job audit --------------------------------------------------
 
     def audit_job(self, marketplace: Marketplace, job: Job) -> JobAudit:
         """Audit one job, honouring its function-transparency setting."""
         candidates = job.candidates(marketplace.workers)
-        function: ScoringFunction = job.function
-        if isinstance(function, OpaqueScoringFunction):
-            # Only the ranking is observable: rebuild scores from positions.
-            function = RankDerivedScorer(
-                function.reveal_ranking(candidates), name=f"{job.title}-from-ranks"
-            )
-        store = self._store_for(candidates, function)
+        function = observed_function(job.function, candidates, job.title)
+        store = self.store_provider(candidates, function)
         result = quantify(
             candidates,
             function,
@@ -220,12 +207,8 @@ class Auditor:
                 population = candidates
             else:
                 population = anonymizer.anonymize(candidates, k=k).dataset
-            function: ScoringFunction = job.function
-            if isinstance(function, OpaqueScoringFunction):
-                function = RankDerivedScorer(
-                    function.reveal_ranking(population), name=f"{job.title}-from-ranks"
-                )
-            store = self._store_for(population, function)
+            function = observed_function(job.function, population, job.title)
+            store = self.store_provider(population, function)
             result = quantify(
                 population,
                 function,

@@ -25,7 +25,7 @@ import numpy as np
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD
 from repro.core.partition import Partition, root_partition
 from repro.core.quantify import quantify
-from repro.core.scorestore import ScoreStore
+from repro.core.scorestore import ScoreStore, StoreProvider
 from repro.data.dataset import Dataset
 from repro.data.filters import And, Equals, Filter
 from repro.errors import MarketplaceError
@@ -33,7 +33,7 @@ from repro.marketplace.entities import Marketplace
 from repro.metrics.histogram import Histogram
 from repro.roles.report import ReportTable
 from repro.scoring.base import ScoringFunction, rank_by_score
-from repro.scoring.rank import OpaqueScoringFunction, RankDerivedScorer
+from repro.scoring.rank import observed_function
 
 __all__ = ["GroupOutcome", "EndUser"]
 
@@ -73,17 +73,24 @@ class GroupOutcome:
 
 
 class EndUser:
-    """Simulates how a marketplace treats the group an end-user belongs to."""
+    """Simulates how a marketplace treats the group an end-user belongs to.
+
+    ``store_provider`` supplies the score store each assessment runs against
+    (default: a private :class:`~repro.core.scorestore.ScoreStore`); the
+    service layer passes its fingerprint-keyed pool.
+    """
 
     def __init__(
         self,
         group: Mapping[str, object],
         formulation: Formulation = MOST_UNFAIR_AVG_EMD,
+        store_provider: StoreProvider = ScoreStore,
     ) -> None:
         if not group:
             raise MarketplaceError("an end-user group needs at least one protected-attribute value")
         self.group: Dict[str, object] = dict(group)
         self.formulation = formulation
+        self.store_provider = store_provider
 
     # -- group membership -----------------------------------------------------
 
@@ -114,20 +121,16 @@ class EndUser:
         """Report how one job treats the end-user's group.
 
         Every number — the group's and the population's scores, the ranking,
-        both histograms and the QUANTIFY check — comes from one private score
-        store over the job's candidates, so the assessment makes one scoring
-        pass.
+        both histograms and the QUANTIFY check — comes from one score store
+        over the job's candidates, so the assessment makes at most one
+        scoring pass.
         """
         job = marketplace.job(job_title)
         candidates = job.candidates(marketplace.workers)
-        function: ScoringFunction = job.function
-        if isinstance(function, OpaqueScoringFunction):
-            function = RankDerivedScorer(
-                function.reveal_ranking(candidates), name=f"{job_title}-from-ranks"
-            )
+        function = observed_function(job.function, candidates, job_title)
 
         members, rest = self._split_population(candidates)
-        store = ScoreStore(candidates, function)
+        store = self.store_provider(candidates, function)
         all_scores = store.vector()
         group = Partition(constraints=tuple(self.group.items()), members=members)
         member_scores = store.scores(group)

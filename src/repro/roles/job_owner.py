@@ -20,7 +20,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD
 from repro.core.quantify import QuantifyResult, quantify
-from repro.core.scorestore import ScoreStore
+from repro.core.scorestore import ScoreStore, StoreProvider
 from repro.core.unfairness import unfairness_breakdown
 from repro.data.dataset import Dataset
 from repro.errors import MarketplaceError, ScoringError
@@ -108,17 +108,25 @@ class JobOwnerReport:
 
 
 class JobOwner:
-    """Explores scoring-function variants for a job and picks the fairest one."""
+    """Explores scoring-function variants for a job and picks the fairest one.
+
+    ``store_provider`` supplies the score store each variant is evaluated
+    against (default: a private :class:`~repro.core.scorestore.ScoreStore`);
+    the service layer passes its fingerprint-keyed pool, so a variant that
+    equals a function another request scored reuses that scoring pass.
+    """
 
     def __init__(
         self,
         formulation: Formulation = MOST_UNFAIR_AVG_EMD,
         attributes: Optional[Sequence[str]] = None,
         min_partition_size: int = 1,
+        store_provider: StoreProvider = ScoreStore,
     ) -> None:
         self.formulation = formulation
         self.attributes = tuple(attributes) if attributes is not None else None
         self.min_partition_size = min_partition_size
+        self.store_provider = store_provider
 
     # -- evaluation ----------------------------------------------------------
 
@@ -127,10 +135,10 @@ class JobOwner:
     ) -> VariantEvaluation:
         """Quantify the unfairness a single variant induces over the candidates.
 
-        The search and its breakdown share one private score store, so each
-        variant costs one scoring pass over the candidates.
+        The search and its breakdown share one score store, so each variant
+        costs at most one scoring pass over the candidates.
         """
-        store = ScoreStore(candidates, function)
+        store = self.store_provider(candidates, function)
         result = quantify(
             candidates,
             function,

@@ -26,7 +26,7 @@ from repro.data.dataset import Dataset, Individual
 from repro.errors import ScoringError
 from repro.scoring.base import Ranking, ScoringFunction
 
-__all__ = ["RankDerivedScorer", "OpaqueScoringFunction"]
+__all__ = ["RankDerivedScorer", "OpaqueScoringFunction", "observed_function"]
 
 PositionWeighting = Literal["linear", "exposure"]
 
@@ -153,3 +153,25 @@ class OpaqueScoringFunction(ScoringFunction):
         digest.update(b"opaque\x00")
         digest.update(inner.encode("ascii"))
         return digest.hexdigest()
+
+
+def observed_function(
+    function: ScoringFunction,
+    population: Dataset,
+    label: str,
+    ranks_only: bool = False,
+) -> ScoringFunction:
+    """The scoring function as observable over ``population``.
+
+    An opaque function exposes only the ranking it induces, and
+    ``ranks_only`` asks to analyse a transparent function through its
+    ranking too: both become a :class:`RankDerivedScorer` named
+    ``"<label>-from-ranks"``.  A transparent function is returned as is.
+    """
+    if isinstance(function, OpaqueScoringFunction):
+        return RankDerivedScorer(
+            function.reveal_ranking(population), name=f"{label}-from-ranks"
+        )
+    if ranks_only:
+        return RankDerivedScorer(function.rank(population), name=f"{label}-from-ranks")
+    return function

@@ -32,14 +32,13 @@ from repro.service.jobs import (
     SweepRequest,
     request_from_json,
 )
-from repro.service.service import CachedQuantify, FairnessService, StorePoolStats
+from repro.service.service import FairnessService, StorePoolStats
 
 __all__ = [
     "AuditRequest",
     "BatchExecutor",
     "BreakdownRequest",
     "CacheStats",
-    "CachedQuantify",
     "CompareRequest",
     "EndUserRequest",
     "FairnessClient",

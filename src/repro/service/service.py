@@ -11,15 +11,17 @@ layer turns the library's pure functions into a servable engine:
   resources through (fingerprint-aware, with replace/freeze semantics);
 * a **fingerprint-keyed result cache** so semantically identical requests
   are computed once (:mod:`repro.service.fingerprint`,
-  :mod:`repro.service.cache`);
+  :mod:`repro.service.cache`): request key -> encoded payload bytes, the one
+  kind of entry it holds;
+* a pool of materialized score stores
+  (:class:`~repro.core.scorestore.ScoreStore`) that every payload builder,
+  every role and :class:`~repro.session.engine.FaiRankEngine` score
+  through, so one (population, function) pair is scored once across
+  requests;
 * **request execution** for the typed wire protocol v2 of
   :mod:`repro.service.jobs` — all seven request kinds — returning JSON-ready
   :class:`~repro.service.jobs.ServiceResult` envelopes, with failures
-  reported as structured error payloads instead of raised-only exceptions;
-* cached wrappers around the role workflows (``Auditor``, ``JobOwner``,
-  ``EndUser``) and the core kernels (``quantify``, ``exhaustive_search``,
-  ``unfairness_breakdown``) for programmatic callers such as
-  :class:`~repro.session.engine.FaiRankEngine`.
+  reported as structured error payloads instead of raised-only exceptions.
 """
 
 from __future__ import annotations
@@ -29,11 +31,10 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.catalog import Catalog, ResourceKind
-from repro.core.exhaustive import ExhaustiveResult, exhaustive_search
-from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD, resolve_binning
+from repro.core.formulations import Formulation, resolve_binning
 from repro.core.partition import root_partition, split_partition
 from repro.core.quantify import QuantifyResult, quantify
 from repro.core.scorestore import ScoreStore
@@ -47,14 +48,13 @@ from repro.errors import CatalogError, FaiRankError, ServiceError
 from repro.marketplace.entities import Marketplace
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import Trace, activate, current_trace_id
-from repro.roles.auditor import AuditReport, Auditor
+from repro.roles.auditor import Auditor
 from repro.roles.end_user import EndUser
-from repro.roles.job_owner import JobOwner, JobOwnerReport
-from repro.roles.report import ReportTable
+from repro.roles.job_owner import JobOwner
 from repro.scoring.base import ScoringFunction
 from repro.scoring.library import weight_sweep
 from repro.scoring.linear import LinearScoringFunction
-from repro.scoring.rank import OpaqueScoringFunction, RankDerivedScorer
+from repro.scoring.rank import observed_function
 from repro.service.cache import CacheStats, LRUCache
 from repro.service.fingerprint import (
     combine_fingerprints,
@@ -76,7 +76,7 @@ from repro.service.jobs import (
     SweepRequest,
 )
 
-__all__ = ["CachedQuantify", "FairnessService", "StorePoolStats"]
+__all__ = ["FairnessService", "StorePoolStats"]
 
 
 def _error_code(error: BaseException) -> str:
@@ -86,16 +86,6 @@ def _error_code(error: BaseException) -> str:
         name = name[: -len("Error")]
     code = re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
     return code or "error"
-
-
-@dataclass(frozen=True)
-class CachedQuantify:
-    """A QUANTIFY search plus its breakdown, as served from the cache."""
-
-    result: QuantifyResult
-    breakdown: UnfairnessBreakdown
-    key: str
-    cached: bool
 
 
 @dataclass(frozen=True)
@@ -155,13 +145,7 @@ class FairnessService:
     Parameters
     ----------
     cache_size:
-        Maximum number of memoised results (ignored when ``cache`` is given).
-    max_cost:
-        Optional total-cost bound for the cache; the cost of a quantify
-        result is the number of candidate splits its search evaluated.
-    cache:
-        An externally owned :class:`~repro.service.cache.LRUCache`, e.g. to
-        share one cache between several services or sessions.
+        Maximum number of memoised request payloads.
     max_stores:
         Bound on the number of per-(dataset, function) score stores the
         service keeps for cross-request reuse (LRU-evicted beyond it).
@@ -175,8 +159,6 @@ class FairnessService:
     def __init__(
         self,
         cache_size: int = 256,
-        max_cost: Optional[float] = None,
-        cache: Optional[LRUCache] = None,
         max_stores: int = 32,
         catalog: Optional[Catalog] = None,
         warm_dir: Optional[Union[str, Path]] = None,
@@ -184,7 +166,8 @@ class FairnessService:
         if max_stores < 1:
             raise ServiceError(f"max_stores must be >= 1, got {max_stores}")
         self.catalog = catalog if catalog is not None else Catalog()
-        self.cache = cache if cache is not None else LRUCache(cache_size, max_cost=max_cost)
+        #: Request key -> the ``json.dumps(payload)`` bytes of its answer.
+        self.cache = LRUCache(cache_size)
         self.max_stores = max_stores
         # The store pool is itself an LRUCache: thread-safe LRU with
         # hit/miss/eviction stats and single-flight store construction.
@@ -397,217 +380,6 @@ class FairnessService:
             histogram_misses=sum(s.histogram_misses for s in per_store),
         )
 
-    # -- cached kernels (object-level API) ------------------------------------
-
-    def quantify_cached(
-        self,
-        dataset: Dataset,
-        function: ScoringFunction,
-        formulation: Formulation = MOST_UNFAIR_AVG_EMD,
-        *,
-        attributes: Optional[Sequence[str]] = None,
-        max_depth: Optional[int] = None,
-        min_partition_size: int = 1,
-    ) -> CachedQuantify:
-        """Memoised ``quantify`` + ``unfairness_breakdown`` over live objects.
-
-        The key is built from content fingerprints, so re-filtered copies of
-        the same population and freshly re-built but identical scoring
-        functions still hit the cache.
-        """
-        key = combine_fingerprints(
-            "quantify",
-            fingerprint_dataset(dataset),
-            fingerprint_function(function),
-            fingerprint_formulation(formulation),
-            fingerprint_value(
-                {
-                    "attributes": None if attributes is None else list(attributes),
-                    "max_depth": max_depth,
-                    "min_partition_size": min_partition_size,
-                }
-            ),
-        )
-
-        def produce() -> Tuple[QuantifyResult, UnfairnessBreakdown]:
-            store = self.score_store(dataset, function)
-            result = quantify(
-                dataset,
-                function,
-                formulation=formulation,
-                attributes=attributes,
-                max_depth=max_depth,
-                min_partition_size=min_partition_size,
-                store=store,
-            )
-            breakdown = unfairness_breakdown(
-                result.partitioning, function, formulation, store=store
-            )
-            return result, breakdown
-
-        (result, breakdown), hit = self.cache.get_or_compute(
-            key, produce, cost=lambda pair: float(pair[0].splits_evaluated + 1)
-        )
-        return CachedQuantify(result=result, breakdown=breakdown, key=key, cached=hit)
-
-    def exhaustive_cached(
-        self,
-        dataset: Dataset,
-        function: ScoringFunction,
-        formulation: Formulation = MOST_UNFAIR_AVG_EMD,
-        *,
-        attributes: Optional[Sequence[str]] = None,
-        limit: Optional[int] = 200_000,
-    ) -> ExhaustiveResult:
-        """Memoised :func:`~repro.core.exhaustive.exhaustive_search`."""
-        key = combine_fingerprints(
-            "exhaustive",
-            fingerprint_dataset(dataset),
-            fingerprint_function(function),
-            fingerprint_formulation(formulation),
-            fingerprint_value(
-                {
-                    "attributes": None if attributes is None else list(attributes),
-                    "limit": limit,
-                }
-            ),
-        )
-        result, _ = self.cache.get_or_compute(
-            key,
-            lambda: exhaustive_search(
-                dataset,
-                function,
-                formulation=formulation,
-                attributes=attributes,
-                limit=limit,
-                store=self.score_store(dataset, function),
-            ),
-            cost=lambda outcome: float(outcome.explored + 1),
-        )
-        return result
-
-    def breakdown_cached(
-        self,
-        dataset: Dataset,
-        function: ScoringFunction,
-        formulation: Formulation = MOST_UNFAIR_AVG_EMD,
-        *,
-        attributes: Optional[Sequence[str]] = None,
-        max_depth: Optional[int] = None,
-        min_partition_size: int = 1,
-    ) -> UnfairnessBreakdown:
-        """The breakdown of the quantified partitioning (shares the cache)."""
-        return self.quantify_cached(
-            dataset,
-            function,
-            formulation,
-            attributes=attributes,
-            max_depth=max_depth,
-            min_partition_size=min_partition_size,
-        ).breakdown
-
-    # -- cached role workflows -------------------------------------------------
-
-    def _resolve_marketplace(self, marketplace: Union[str, Marketplace]) -> Marketplace:
-        if isinstance(marketplace, str):
-            return self.marketplace(marketplace)
-        return marketplace
-
-    def audit_marketplace(
-        self,
-        marketplace: Union[str, Marketplace],
-        formulation: Formulation = MOST_UNFAIR_AVG_EMD,
-        *,
-        attributes: Optional[Sequence[str]] = None,
-        min_partition_size: int = 1,
-    ) -> AuditReport:
-        """Memoised AUDITOR workflow over a (named or live) marketplace."""
-        market = self._resolve_marketplace(marketplace)
-        key = combine_fingerprints(
-            "audit-report",
-            fingerprint_marketplace(market),
-            fingerprint_formulation(formulation),
-            fingerprint_value(
-                {
-                    "attributes": None if attributes is None else list(attributes),
-                    "min_partition_size": min_partition_size,
-                }
-            ),
-        )
-        auditor = Auditor(
-            formulation=formulation,
-            attributes=attributes,
-            min_partition_size=min_partition_size,
-            store_provider=self.score_store,
-        )
-        report, _ = self.cache.get_or_compute(
-            key,
-            lambda: auditor.audit_marketplace(market),
-            cost=lambda rep: float(
-                sum(audit.result.splits_evaluated for audit in rep.audits) + 1
-            ),
-        )
-        return report
-
-    def explore_job(
-        self,
-        marketplace: Union[str, Marketplace],
-        job_title: str,
-        sweep_steps: int = 5,
-        formulation: Formulation = MOST_UNFAIR_AVG_EMD,
-        *,
-        attributes: Optional[Sequence[str]] = None,
-        min_partition_size: int = 1,
-    ) -> JobOwnerReport:
-        """Memoised JOB OWNER workflow (weight sweep over one job)."""
-        market = self._resolve_marketplace(marketplace)
-        key = combine_fingerprints(
-            "job-owner",
-            fingerprint_marketplace(market),
-            fingerprint_formulation(formulation),
-            fingerprint_value(
-                {
-                    "job_title": job_title,
-                    "sweep_steps": sweep_steps,
-                    "attributes": None if attributes is None else list(attributes),
-                    "min_partition_size": min_partition_size,
-                }
-            ),
-        )
-        owner = JobOwner(
-            formulation=formulation,
-            attributes=attributes,
-            min_partition_size=min_partition_size,
-        )
-        report, _ = self.cache.get_or_compute(
-            key, lambda: owner.explore_job(market, job_title, sweep_steps=sweep_steps)
-        )
-        return report
-
-    def end_user_view(
-        self,
-        group: Mapping[str, object],
-        marketplaces: Sequence[Union[str, Marketplace]],
-        job_title: str,
-        formulation: Formulation = MOST_UNFAIR_AVG_EMD,
-    ) -> ReportTable:
-        """Memoised END USER workflow: one group, one job, several platforms."""
-        markets = [self._resolve_marketplace(market) for market in marketplaces]
-        key = combine_fingerprints(
-            "end-user",
-            fingerprint_value(dict(group)),
-            fingerprint_value(job_title),
-            fingerprint_formulation(formulation),
-            *[fingerprint_marketplace(market) for market in markets],
-        )
-        table, _ = self.cache.get_or_compute(
-            key,
-            lambda: EndUser(dict(group), formulation=formulation).compare_marketplaces(
-                markets, job_title
-            ),
-        )
-        return table
-
     # -- request execution (the wire protocol) --------------------------------
 
     def request_key(self, request: ServiceRequest) -> str:
@@ -816,15 +588,10 @@ class FairnessService:
         always get one result per request.  Error results are never cached:
         registering the missing resource makes the same request succeed.
 
-        Note on statistics: a cold quantify/compare request records a miss
-        both for its request-level payload entry and for the underlying
-        kernel entry of :meth:`quantify_cached` (the layer shared with
-        :class:`~repro.session.engine.FaiRankEngine`); ``cache_stats``
-        therefore counts both layers.  The request-level entry is the
-        ``json.dumps(payload)`` bytes, encoded once inside ``compute_ms``;
-        the result carries them as ``payload_json`` and decodes ``payload``
-        lazily into a tree of its own, so mutating it never corrupts the
-        cached value (kernel-level entries stay live objects).
+        The cache entry is the ``json.dumps(payload)`` bytes, encoded once
+        inside ``compute_ms``; the result carries them as ``payload_json``
+        and decodes ``payload`` lazily into a tree of its own, so mutating it
+        never corrupts the cached value.
         """
         started = time.perf_counter()
         # A fresh trace per request, inheriting any active trace id (HTTP
@@ -881,16 +648,32 @@ class FairnessService:
         self, dataset: Dataset, function_name: str, use_ranks_only: bool
     ) -> ScoringFunction:
         """Resolve a function honouring the transparency settings."""
-        function = self.function(function_name)
-        if isinstance(function, OpaqueScoringFunction):
-            return RankDerivedScorer(
-                function.reveal_ranking(dataset), name=f"{function_name}-from-ranks"
-            )
-        if use_ranks_only:
-            return RankDerivedScorer(
-                function.rank(dataset), name=f"{function_name}-from-ranks"
-            )
-        return function
+        return observed_function(
+            self.function(function_name), dataset, function_name, use_ranks_only
+        )
+
+    def _search(
+        self,
+        dataset: Dataset,
+        function: ScoringFunction,
+        formulation: Formulation,
+        request: Union[QuantifyRequest, CompareRequest, SweepRequest],
+    ) -> Tuple[QuantifyResult, UnfairnessBreakdown]:
+        """QUANTIFY plus its breakdown over the pooled store for the pair."""
+        store = self.score_store(dataset, function)
+        result = quantify(
+            dataset,
+            function,
+            formulation=formulation,
+            attributes=request.attributes,
+            max_depth=request.max_depth,
+            min_partition_size=request.min_partition_size,
+            store=store,
+        )
+        breakdown = unfairness_breakdown(
+            result.partitioning, function, formulation, store=store
+        )
+        return result, breakdown
 
     def _build_payload(self, request: ServiceRequest) -> Dict[str, object]:
         if isinstance(request, QuantifyRequest):
@@ -915,15 +698,7 @@ class FairnessService:
             dataset, request.function, request.use_ranks_only
         )
         formulation = request.formulation()
-        served = self.quantify_cached(
-            dataset,
-            function,
-            formulation,
-            attributes=request.attributes,
-            max_depth=request.max_depth,
-            min_partition_size=request.min_partition_size,
-        )
-        result, breakdown = served.result, served.breakdown
+        result, breakdown = self._search(dataset, function, formulation, request)
         return {
             "dataset": request.dataset,
             "function": request.function,
@@ -955,14 +730,7 @@ class FairnessService:
         if request.job is not None:
             audits = [auditor.audit_job(market, market.job(request.job))]
         else:
-            audits = list(
-                self.audit_marketplace(
-                    market,
-                    formulation,
-                    attributes=request.attributes,
-                    min_partition_size=request.min_partition_size,
-                ).audits
-            )
+            audits = auditor.audit_marketplace(market).audits
         jobs_payload = [
             {
                 "job": audit.job_title,
@@ -989,21 +757,15 @@ class FairnessService:
         formulation = request.formulation()
         rows: List[Dict[str, object]] = []
         for name in request.functions:
-            served = self.quantify_cached(
-                dataset,
-                self._effective_function(dataset, name, use_ranks_only=False),
-                formulation,
-                attributes=request.attributes,
-                max_depth=request.max_depth,
-                min_partition_size=request.min_partition_size,
-            )
+            function = self._effective_function(dataset, name, use_ranks_only=False)
+            result, breakdown = self._search(dataset, function, formulation, request)
             rows.append(
                 {
                     "function": name,
-                    "unfairness": served.result.unfairness,
-                    "groups": len(served.result.partitioning),
-                    "most_favored": served.breakdown.most_favored,
-                    "least_favored": served.breakdown.least_favored,
+                    "unfairness": result.unfairness,
+                    "groups": len(result.partitioning),
+                    "most_favored": breakdown.most_favored,
+                    "least_favored": breakdown.least_favored,
                 }
             )
         by_unfairness = sorted(rows, key=lambda row: (row["unfairness"], row["function"]))
@@ -1085,10 +847,8 @@ class FairnessService:
     def _sweep_payload(self, request: SweepRequest) -> Dict[str, object]:
         """Weight sweep over a linear function, one shared scoring pass per point.
 
-        Every sweep point resolves its :class:`~repro.core.scorestore.ScoreStore`
-        through the pool *before* running the search, so the summary statistics
-        and the (quantify + breakdown) kernel share one materialized vector —
-        the pool records a hit per point, visible in ``store_stats``.
+        Every sweep point's summary statistics and its search share the one
+        pooled :class:`~repro.core.scorestore.ScoreStore` for the variant.
         """
         dataset = self.dataset(request.dataset)
         base = self.function(request.function)
@@ -1110,25 +870,17 @@ class FairnessService:
             variant = LinearScoringFunction(
                 dict(weights), name=f"{base.name}@sweep{index}"
             )
-            store = self.score_store(dataset, variant)
-            vector = store.vector()
-            served = self.quantify_cached(
-                dataset,
-                variant,
-                formulation,
-                attributes=request.attributes,
-                max_depth=request.max_depth,
-                min_partition_size=request.min_partition_size,
-            )
+            result, breakdown = self._search(dataset, variant, formulation, request)
+            vector = self.score_store(dataset, variant).vector()
             points.append(
                 {
                     "weights": dict(variant.weights),
-                    "unfairness": served.result.unfairness,
-                    "groups": len(served.result.partitioning),
-                    "most_favored": served.breakdown.most_favored,
-                    "least_favored": served.breakdown.least_favored,
+                    "unfairness": result.unfairness,
+                    "groups": len(result.partitioning),
+                    "most_favored": breakdown.most_favored,
+                    "least_favored": breakdown.least_favored,
                     "mean_score": float(vector.mean()),
-                    "splits_evaluated": served.result.splits_evaluated,
+                    "splits_evaluated": result.splits_evaluated,
                 }
             )
         fairest = min(range(len(points)), key=lambda i: points[i]["unfairness"])
@@ -1147,7 +899,7 @@ class FairnessService:
     def _end_user_payload(self, request: EndUserRequest) -> Dict[str, object]:
         group = request.group_map
         formulation = request.formulation()
-        user = EndUser(group, formulation=formulation)
+        user = EndUser(group, formulation=formulation, store_provider=self.score_store)
         outcomes: List[Dict[str, object]] = []
         for name in request.marketplaces:
             market = self.marketplace(name)
@@ -1188,12 +940,15 @@ class FairnessService:
 
     def _job_owner_payload(self, request: JobOwnerRequest) -> Dict[str, object]:
         formulation = request.formulation()
-        report = self.explore_job(
-            request.marketplace,
+        owner = JobOwner(
+            formulation,
+            min_partition_size=request.min_partition_size,
+            store_provider=self.score_store,
+        )
+        report = owner.explore_job(
+            self.marketplace(request.marketplace),
             request.job,
             sweep_steps=request.sweep_steps,
-            formulation=formulation,
-            min_partition_size=request.min_partition_size,
         )
         variants = [
             {

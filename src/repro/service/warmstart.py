@@ -104,12 +104,12 @@ def save_warm_state(
     """Persist the service's warm state under ``directory``; returns the manifest.
 
     Saved: every *materialized* score store whose function has a portable
-    JSON form, and every request-level result-cache entry (the encoded
-    payload bytes, decoded back into the bundle's JSON tree).
-    Cold stores, non-portable functions and kernel-level cache entries are
-    silently left out — they are rebuilt on demand after a restart, exactly
-    as they were built the first time.  The top-level ``manifest.json`` is
-    written last, so an interrupted save is indistinguishable from no bundle.
+    JSON form, and every result-cache entry (the encoded payload bytes,
+    decoded back into the bundle's JSON tree).  Cold stores and stores of
+    non-portable functions are silently left out — they are rebuilt on
+    demand after a restart, exactly as they were built the first time.  The
+    top-level ``manifest.json`` is written last, so an interrupted save is
+    indistinguishable from no bundle.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -137,10 +137,8 @@ def save_warm_state(
             }
         )
     results: List[Dict[str, object]] = []
-    for key, value, cost in service.cache.items():
-        # Kernel-level memo entries (live objects) are rebuilt on demand.
-        if isinstance(value, bytes):
-            results.append({"key": key, "cost": cost, "payload": json.loads(value)})
+    for key, value in service.cache.items():
+        results.append({"key": key, "payload": json.loads(value)})  # type: ignore[arg-type]
     (directory / "results.json").write_text(
         json.dumps({"results": results}, indent=2) + "\n", encoding="utf-8"
     )
@@ -243,10 +241,10 @@ def _load_results(
     restored = 0
     for entry in entries:
         try:
+            # Older bundles also carry a per-entry "cost" field; it is ignored.
             key = str(entry["key"])
-            cost = float(entry["cost"])
             value = entry["payload"]
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError):
             _skip(skips, "manifest", directory=str(directory))
             continue
         if not isinstance(value, dict):
@@ -255,7 +253,7 @@ def _load_results(
         # Entries arrive least recently used first, so re-inserting in file
         # order reproduces the cache's recency order exactly.  Re-encoding
         # the decoded tree reproduces the bytes encoded at compute time.
-        service.cache.put(key, json.dumps(value).encode("utf-8"), cost=cost)
+        service.cache.put(key, json.dumps(value).encode("utf-8"))
         loads.inc(component="result")
         restored += 1
     if restored:

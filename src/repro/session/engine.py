@@ -21,7 +21,8 @@ and comparing panels.
 * ``compare(...)`` renders the multi-panel comparison table;
 * role helpers (``auditor_view`` etc.) connect the engine to the scenario
   workflows of :mod:`repro.roles`, resolving marketplaces by registered
-  name through the same catalog and sharing the service's result cache.
+  name through the same catalog and scoring through the service's
+  score-store pool.
 """
 
 from __future__ import annotations
@@ -29,16 +30,18 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.anonymize.kanonymity import GlobalRecodingAnonymizer
+from repro.core.quantify import quantify
+from repro.core.unfairness import unfairness_breakdown
 from repro.data.dataset import Dataset
 from repro.data.filters import TrueFilter, apply_filter
 from repro.errors import FaiRankError, SessionError
 from repro.marketplace.entities import Marketplace
-from repro.roles.auditor import AuditReport
-from repro.roles.job_owner import JobOwnerReport
+from repro.roles.auditor import AuditReport, Auditor
+from repro.roles.end_user import EndUser
+from repro.roles.job_owner import JobOwner, JobOwnerReport
 from repro.roles.report import ReportTable
 from repro.scoring.base import ScoringFunction
-from repro.scoring.rank import OpaqueScoringFunction, RankDerivedScorer
-from repro.service.cache import CacheStats
+from repro.scoring.rank import observed_function
 from repro.service.service import FairnessService
 from repro.session.config import SessionConfig
 from repro.session.panels import Panel, compare_panels
@@ -49,13 +52,13 @@ __all__ = ["FaiRankEngine"]
 class FaiRankEngine:
     """Headless FaiRank system: a shared catalogue plus interactive panels.
 
-    The compute step of every panel goes through a
-    :class:`~repro.service.service.FairnessService`, so re-opening a panel
-    with a semantically identical configuration (same population, same
-    weights, same formulation) is served from the fingerprint-keyed cache
-    instead of re-running the search.  Pass a shared service to let several
-    engines (or a batch executor) reuse one cache *and one catalogue* —
-    the engine holds no dataset/function dicts of its own.
+    Every panel searches over the backing
+    :class:`~repro.service.service.FairnessService`'s score-store pool, so
+    re-opening a panel over a semantically identical population and
+    function (even a rebuilt copy) re-runs the greedy search without a
+    second scoring pass.  Pass a shared service to let several engines (or
+    a batch executor) share one pool *and one catalogue* — the engine holds
+    no dataset/function dicts of its own.
     """
 
     def __init__(self, service: Optional[FairnessService] = None) -> None:
@@ -73,11 +76,6 @@ class FaiRankEngine:
     def catalog(self):
         """The single resource registry (owned by the backing service)."""
         return self._service.catalog
-
-    @property
-    def cache_stats(self) -> CacheStats:
-        """Result-cache effectiveness across this engine's panels."""
-        return self._service.cache_stats
 
     # -- catalogues (the Configuration box) ---------------------------------------
 
@@ -190,36 +188,28 @@ class FaiRankEngine:
             ).dataset
         return population
 
-    def _prepare_function(
-        self, config: SessionConfig, population: Dataset
-    ) -> ScoringFunction:
-        """Resolve the scoring function under the configured transparency setting."""
-        function = self.function(config.function_name)
-        if isinstance(function, OpaqueScoringFunction):
-            # The platform hides the function: only its ranking is available.
-            return RankDerivedScorer(
-                function.reveal_ranking(population),
-                name=f"{config.function_name}-from-ranks",
-            )
-        if config.use_ranks_only:
-            return RankDerivedScorer(
-                function.rank(population), name=f"{config.function_name}-from-ranks"
-            )
-        return function
-
     def open_panel(self, config: SessionConfig, panel_id: Optional[str] = None) -> Panel:
         """Run the full pipeline for one configuration and keep the panel open."""
         population = self._prepare_population(config)
-        function = self._prepare_function(config, population)
-        served = self._service.quantify_cached(
+        function = observed_function(
+            self.function(config.function_name),
+            population,
+            config.function_name,
+            config.use_ranks_only,
+        )
+        store = self._service.score_store(population, function)
+        result = quantify(
             population,
             function,
-            config.formulation,
+            formulation=config.formulation,
             attributes=config.attributes,
             max_depth=config.max_depth,
             min_partition_size=config.min_partition_size,
+            store=store,
         )
-        result, breakdown = served.result, served.breakdown
+        breakdown = unfairness_breakdown(
+            result.partitioning, function, config.formulation, store=store
+        )
         self._panel_counter += 1
         identifier = panel_id or f"P{self._panel_counter}"
         panel = Panel(
@@ -258,16 +248,21 @@ class FaiRankEngine:
 
     # -- role shortcuts ---------------------------------------------------------------
 
+    def _marketplace(self, marketplace: Union[str, Marketplace]) -> Marketplace:
+        if isinstance(marketplace, str):
+            return self._service.marketplace(marketplace)
+        return marketplace
+
     def auditor_view(
         self, marketplace: Union[str, Marketplace], **auditor_kwargs
     ) -> AuditReport:
         """Run the AUDITOR scenario on a marketplace (live object or registered name).
 
-        Routed through the service, so repeated audits of the same platform
-        are served from the result cache and share materialized scoring
-        passes via the score-store pool.
+        The audits score through the service's score-store pool, so repeated
+        audits of the same platform share materialized scoring passes.
         """
-        return self._service.audit_marketplace(marketplace, **auditor_kwargs)
+        auditor = Auditor(store_provider=self._service.score_store, **auditor_kwargs)
+        return auditor.audit_marketplace(self._marketplace(marketplace))
 
     def job_owner_view(
         self,
@@ -276,9 +271,10 @@ class FaiRankEngine:
         sweep_steps: int = 5,
         **owner_kwargs,
     ) -> JobOwnerReport:
-        """Run the JOB OWNER scenario for one job (cached, name-resolvable)."""
-        return self._service.explore_job(
-            marketplace, job_title, sweep_steps=sweep_steps, **owner_kwargs
+        """Run the JOB OWNER scenario for one job (name-resolvable, pooled stores)."""
+        owner = JobOwner(store_provider=self._service.score_store, **owner_kwargs)
+        return owner.explore_job(
+            self._marketplace(marketplace), job_title, sweep_steps=sweep_steps
         )
 
     def end_user_view(
@@ -288,4 +284,7 @@ class FaiRankEngine:
         job_title: str,
     ) -> ReportTable:
         """Run the END-USER scenario: one group, one job, several marketplaces."""
-        return self._service.end_user_view(group, list(marketplaces), job_title)
+        user = EndUser(group, store_provider=self._service.score_store)
+        return user.compare_marketplaces(
+            [self._marketplace(market) for market in marketplaces], job_title
+        )

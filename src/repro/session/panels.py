@@ -12,10 +12,10 @@ renderings the interface would display.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from repro.core.quantify import QuantifyResult
-from repro.core.scorestore import ScoreStore
+from repro.core.scorestore import ScoreStore, StoreProvider
 from repro.core.unfairness import UnfairnessBreakdown
 from repro.data.dataset import Dataset
 from repro.errors import SessionError
@@ -43,7 +43,7 @@ class Panel:
     #: ``(population, function) -> ScoreStore`` serving the boxes and the
     #: rendering: the engine's service pool, so they reuse the scoring pass
     #: the search made.
-    store_provider: Callable[[Dataset, ScoringFunction], ScoreStore]
+    store_provider: StoreProvider
 
     def _store(self) -> ScoreStore:
         return self.store_provider(self.population, self.effective_function)

@@ -17,7 +17,7 @@ from repro.errors import FormulationError, PartitioningError, ScoringError
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
 from repro.metrics.histogram import Binning, build_histogram
 from repro.scoring.linear import LinearScoringFunction
-from repro.service import BatchExecutor, FairnessService, QuantifyRequest
+from repro.service import AuditRequest, BatchExecutor, FairnessService, QuantifyRequest
 from scoring_reference import (
     reference_breakdown,
     reference_quantify,
@@ -486,8 +486,8 @@ class TestServicePool:
         service = FairnessService()
         marketplace = crowdsourcing_marketplace(size=150, seed=7)
         service.register_marketplace(marketplace)
-        report = service.audit_marketplace(marketplace.name, min_partition_size=5)
-        assert len(report.audits) == len(marketplace)
+        result = service.execute(AuditRequest(marketplace=marketplace.name, min_partition_size=5))
+        assert len(result.payload["jobs"]) == len(marketplace)
         stats = service.store_stats
         # One store (and one scoring pass) per distinct (candidates, function)
         # pair — never more than one pass per audited job.

@@ -16,6 +16,7 @@ import pytest
 from repro.catalog import ResourceKind
 from repro.cli import main
 from repro.core.quantify import quantify
+from repro.core.scorestore import ScoreStore
 from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
 from repro.errors import ServiceError, SessionError
 from repro.experiments.workloads import crowdsourcing_marketplace
@@ -265,16 +266,16 @@ class TestNewKindsServing:
         assert result.store_stats["scoring_passes"] == 5
 
         # Byte-identical to serial quantify calls over the same variants.
-        serial_service = FairnessService()
         dataset = sweep_service.dataset("pop")
         base = sweep_service.function("balanced")
         serial_values = []
         for index, vector in enumerate(weights):
             variant = base.with_weights(name=f"balanced@sweep{index}", **vector)
-            served = serial_service.quantify_cached(
-                dataset, variant, min_partition_size=3
+            served = quantify(
+                dataset, variant, min_partition_size=3,
+                store=ScoreStore(dataset, variant),
             )
-            serial_values.append(served.result.unfairness)
+            serial_values.append(served.unfairness)
         sweep_values = [point["unfairness"] for point in result.payload["points"]]
         assert json.dumps(sweep_values) == json.dumps(serial_values)
 

@@ -1,4 +1,4 @@
-"""LRU cache semantics: hits, misses, evictions, costs, single-flight."""
+"""LRU cache semantics: hits, misses, evictions, single-flight."""
 
 from __future__ import annotations
 
@@ -18,12 +18,11 @@ class TestBasicSemantics:
         stats = cache.stats
         assert stats.hits == 1 and stats.misses == 1 and stats.entries == 1
 
-    def test_put_replaces_value_and_cost(self):
+    def test_put_replaces_value(self):
         cache = LRUCache(capacity=4)
-        cache.put("k", "old", cost=10.0)
-        cache.put("k", "new", cost=2.0)
+        cache.put("k", "old")
+        cache.put("k", "new")
         assert cache.get("k") == "new"
-        assert cache.stats.total_cost == pytest.approx(2.0)
         assert len(cache) == 1
 
     def test_contains_and_invalidate(self):
@@ -33,7 +32,6 @@ class TestBasicSemantics:
         assert cache.invalidate("k") is True
         assert cache.invalidate("k") is False
         assert "k" not in cache
-        assert cache.stats.total_cost == pytest.approx(0.0)
 
     def test_clear_keeps_counters(self):
         cache = LRUCache(capacity=4)
@@ -46,8 +44,6 @@ class TestBasicSemantics:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
             LRUCache(capacity=0)
-        with pytest.raises(ValueError):
-            LRUCache(capacity=4, max_cost=0)
 
 
 class TestEviction:
@@ -60,62 +56,12 @@ class TestEviction:
         assert "a" in cache and "c" in cache and "b" not in cache
         assert cache.stats.evictions == 1
 
-    def test_cost_bound_evicts_lru_until_fitting(self):
-        cache = LRUCache(capacity=10, max_cost=10.0)
-        cache.put("a", 1, cost=4.0)
-        cache.put("b", 2, cost=4.0)
-        cache.put("c", 3, cost=4.0)  # 12 > 10: evict a
-        assert "a" not in cache
-        assert cache.stats.total_cost == pytest.approx(8.0)
-        assert cache.stats.evictions == 1
-
-    def test_oversized_entry_is_evicted_on_insert(self):
-        # Regression: an entry costlier than max_cost used to be admitted and
-        # then pinned forever by the `len(entries) > 1` guard of the budget
-        # sweep, permanently busting the budget.
-        cache = LRUCache(capacity=10, max_cost=5.0)
-        cache.put("big", "value", cost=50.0)
-        assert "big" not in cache
-        assert len(cache) == 0
-        assert cache.stats.total_cost == pytest.approx(0.0)
-        assert cache.stats.evictions == 1
-
-    def test_oversized_insert_keeps_cheaper_entries(self):
-        # Refusing the oversized entry must not flush the entries that fit.
-        cache = LRUCache(capacity=10, max_cost=5.0)
-        cache.put("a", 1, cost=2.0)
-        cache.put("b", 2, cost=2.0)
-        cache.put("big", "value", cost=50.0)
-        assert "a" in cache and "b" in cache and "big" not in cache
-        assert cache.stats.total_cost == pytest.approx(4.0)
-
-    def test_oversized_refresh_drops_the_existing_entry(self):
-        # Refreshing a resident key with an oversized cost removes it: the
-        # stale value must not keep serving under the budget it no longer fits.
-        cache = LRUCache(capacity=10, max_cost=5.0)
-        cache.put("k", "small", cost=1.0)
-        cache.put("k", "huge", cost=9.0)
-        assert "k" not in cache
-        assert cache.stats.total_cost == pytest.approx(0.0)
-
-    def test_total_cost_stays_exact_under_repeated_churn(self):
-        # Regression: invalidate() used `-=`, so thousands of float add /
-        # subtract cycles drifted total_cost away from the true sum.
-        cache = LRUCache(capacity=10, max_cost=100.0)
-        cache.put("anchor", 0, cost=3.3)
-        for index in range(5000):
-            cache.put("churn", index, cost=0.1)
-            cache.invalidate("churn")
-        assert cache.stats.total_cost == 3.3  # exact: recomputed, not drifted
-        cache.clear()
-        assert cache.stats.total_cost == 0.0
-
     def test_items_snapshot_preserves_recency_order(self):
         cache = LRUCache(capacity=4)
-        cache.put("a", 1, cost=1.0)
-        cache.put("b", 2, cost=2.0)
+        cache.put("a", 1)
+        cache.put("b", 2)
         cache.get("a")  # refresh: b becomes LRU
-        assert cache.items() == (("b", 2, 2.0), ("a", 1, 1.0))
+        assert cache.items() == (("b", 2), ("a", 1))
 
 
 class TestGetOrCompute:
@@ -132,11 +78,6 @@ class TestGetOrCompute:
         value, hit = cache.get_or_compute("k", produce)
         assert (value, hit) == ("value", True)
         assert len(calls) == 1
-
-    def test_cost_callback_is_applied(self):
-        cache = LRUCache(capacity=4)
-        cache.get_or_compute("k", lambda: "abc", cost=lambda v: float(len(v)))
-        assert cache.stats.total_cost == pytest.approx(3.0)
 
     def test_producer_error_propagates_and_key_stays_absent(self):
         cache = LRUCache(capacity=4)
@@ -179,7 +120,7 @@ class TestGetOrCompute:
 
 class TestStats:
     def test_hit_rate_and_describe(self):
-        stats = CacheStats(hits=3, misses=1, evictions=0, entries=2, total_cost=5.0)
+        stats = CacheStats(hits=3, misses=1, evictions=0, entries=2)
         assert stats.requests == 4
         assert stats.hit_rate == pytest.approx(0.75)
         assert "75% hit rate" in stats.describe()

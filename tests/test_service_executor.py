@@ -83,7 +83,7 @@ class TestBatchExecution:
         assert len(results) == 8
         assert len({id(result) for result in results}) == 1, "duplicates share the result"
         # Only one quantify computation hit the service cache as a miss.
-        assert service.cache_stats.misses == 2  # request payload + quantify kernel
+        assert service.cache_stats.misses == 1
 
     def test_empty_batch(self):
         assert BatchExecutor(build_service()).run([]) == []

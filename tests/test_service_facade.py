@@ -1,4 +1,4 @@
-"""FairnessService facade: registry, cached kernels, requests, engine + CLI."""
+"""FairnessService facade: registry, store pool, requests, engine + CLI."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.core.formulations import Formulation, Objective
 from repro.core.quantify import quantify
-from repro.core.unfairness import unfairness_breakdown
 from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
 from repro.errors import ServiceError
 from repro.experiments.workloads import crowdsourcing_marketplace
@@ -19,8 +17,9 @@ from repro.scoring.rank import OpaqueScoringFunction
 from repro.service import (
     AuditRequest,
     CompareRequest,
+    EndUserRequest,
     FairnessService,
-    LRUCache,
+    JobOwnerRequest,
     QuantifyRequest,
 )
 from repro.session.config import SessionConfig
@@ -54,51 +53,25 @@ class TestRegistry:
 
 
 class TestCachedKernels:
-    def test_quantify_cached_matches_direct_call(self, service):
-        dataset = service.dataset("table1")
-        function = service.function("table1-f")
-        served = service.quantify_cached(dataset, function)
-        direct = quantify(dataset, function)
-        assert served.result.unfairness == pytest.approx(direct.unfairness)
-        assert served.result.partitioning.labels == direct.partitioning.labels
-        direct_breakdown = unfairness_breakdown(direct.partitioning, function)
-        assert served.breakdown.most_favored == direct_breakdown.most_favored
-        assert served.cached is False
-        again = service.quantify_cached(dataset, function)
-        assert again.cached is True and again.key == served.key
-        assert again.result is served.result
-
     def test_semantically_identical_objects_hit_the_cache(self, service):
-        served = service.quantify_cached(
+        first = service.score_store(
             load_example_table1(), LinearScoringFunction(TABLE1_WEIGHTS, name="table1-f")
         )
-        again = service.quantify_cached(
-            load_example_table1(), LinearScoringFunction(TABLE1_WEIGHTS, name="table1-f")
+        again = service.score_store(
+            load_example_table1(), LinearScoringFunction(TABLE1_WEIGHTS, name="renamed")
         )
-        assert served.cached is False and again.cached is True
+        assert again is first
+        stats = service.store_stats
+        assert (stats.misses, stats.hits) == (1, 1)
 
     def test_different_formulation_misses(self, service):
-        dataset = service.dataset("table1")
-        function = service.function("table1-f")
-        service.quantify_cached(dataset, function)
-        least = service.quantify_cached(
-            dataset, function, Formulation(objective=Objective.LEAST_UNFAIR)
+        most = service.execute(QuantifyRequest(dataset="table1", function="table1-f"))
+        least = service.execute(
+            QuantifyRequest(dataset="table1", function="table1-f", objective="least_unfair")
         )
-        assert least.cached is False
-
-    def test_exhaustive_cached(self, service):
-        dataset = service.dataset("table1")
-        function = service.function("table1-f")
-        first = service.exhaustive_cached(dataset, function, attributes=("Gender",))
-        second = service.exhaustive_cached(dataset, function, attributes=("Gender",))
-        assert first is second  # served from the cache
-
-    def test_breakdown_cached_shares_quantify_entry(self, service):
-        dataset = service.dataset("table1")
-        function = service.function("table1-f")
-        served = service.quantify_cached(dataset, function)
-        breakdown = service.breakdown_cached(dataset, function)
-        assert breakdown is served.breakdown
+        assert least.cached is False and least.key != most.key
+        # Both searches ran over the one pooled scoring pass.
+        assert service.store_stats.scoring_passes == 1
 
 
 class TestRoleWorkflows:
@@ -108,28 +81,37 @@ class TestRoleWorkflows:
         service.register_marketplace(crowdsourcing_marketplace(size=80, seed=13))
         return service
 
+    @staticmethod
+    def _twice(service, request):
+        first = service.execute(request)
+        second = service.execute(request)
+        assert first.ok and not first.cached
+        assert second.cached and second.payload_json is first.payload_json
+        return first
+
     def test_audit_marketplace_cached(self, market_service):
-        first = market_service.audit_marketplace("crowdsourcing-sim", min_partition_size=3)
-        second = market_service.audit_marketplace("crowdsourcing-sim", min_partition_size=3)
-        assert first is second
-        assert {audit.job_title for audit in first.audits} == {
+        first = self._twice(
+            market_service, AuditRequest(marketplace="crowdsourcing-sim", min_partition_size=3)
+        )
+        assert {audit["job"] for audit in first.payload["jobs"]} == {
             "Content writing", "Data labelling", "Balanced microtasks",
             "English transcription",
         }
 
     def test_explore_job_cached(self, market_service):
-        first = market_service.explore_job("crowdsourcing-sim", "Content writing",
-                                           sweep_steps=3, min_partition_size=3)
-        second = market_service.explore_job("crowdsourcing-sim", "Content writing",
-                                            sweep_steps=3, min_partition_size=3)
-        assert first is second
-        assert first.evaluations
+        first = self._twice(
+            market_service,
+            JobOwnerRequest(marketplace="crowdsourcing-sim", job="Content writing",
+                            sweep_steps=3, min_partition_size=3),
+        )
+        assert first.payload["variants"]
 
     def test_end_user_view_cached(self, market_service):
-        group = {"Gender": "Female"}
-        first = market_service.end_user_view(group, ["crowdsourcing-sim"], "Data labelling")
-        second = market_service.end_user_view(group, ["crowdsourcing-sim"], "Data labelling")
-        assert first is second
+        self._twice(
+            market_service,
+            EndUserRequest(group={"Gender": "Female"}, marketplaces=("crowdsourcing-sim",),
+                           job="Data labelling"),
+        )
 
 
 class TestRequestExecution:
@@ -197,8 +179,9 @@ class TestRequestExecution:
         # Distinct request keys (payloads echo the requested name) ...
         assert first.key != second.key
         assert second.payload["function"] == "renamed"
-        # ... but the same unfairness, served from the shared quantify kernel.
+        # ... but the same unfairness, scored through the one pooled store.
         assert second.payload["unfairness"] == pytest.approx(first.payload["unfairness"])
+        assert service.store_stats.scoring_passes == 1
 
     def test_mutating_a_payload_does_not_corrupt_the_cache(self, service):
         request = QuantifyRequest(dataset="table1", function="table1-f")
@@ -215,17 +198,6 @@ class TestRequestExecution:
         result = service.execute(request, key)
         assert result.key == key
 
-    def test_shared_external_cache(self):
-        cache = LRUCache(capacity=16)
-        first = FairnessService(cache=cache)
-        second = FairnessService(cache=cache)
-        for svc in (first, second):
-            svc.register_dataset(load_example_table1(), name="table1")
-            svc.register_function(LinearScoringFunction(TABLE1_WEIGHTS, name="table1-f"))
-        first.execute(QuantifyRequest(dataset="table1", function="table1-f"))
-        result = second.execute(QuantifyRequest(dataset="table1", function="table1-f"))
-        assert result.cached is True
-
 
 class TestEngineIntegration:
     def test_open_panel_uses_the_service_cache(self):
@@ -239,7 +211,8 @@ class TestEngineIntegration:
                                min_partition_size=3)
         first = engine.open_panel(config)
         second = engine.open_panel(config)
-        assert engine.cache_stats.hits >= 1
+        stats = engine.service.store_stats
+        assert stats.scoring_passes == 1 and stats.hits >= 1
         assert first.result.unfairness == pytest.approx(second.result.unfairness)
         assert first.panel_id != second.panel_id  # panels stay distinct sessions
 
@@ -255,7 +228,8 @@ class TestEngineIntegration:
             engine.register_dataset(dataset)
             engine.register_function(function)
             engine.open_panel(config)
-        assert shared.cache_stats.hits >= 1
+        stats = shared.store_stats
+        assert stats.scoring_passes == 1 and stats.hits >= 1
 
 
 class TestServeBatchCLI:

@@ -109,6 +109,34 @@ class TestRolesScoreOnce:
         assert counting.rows == [len(job.candidates(market.workers))]
         assert outcome.population_size == len(job.candidates(market.workers))
 
+    def test_job_owner_evaluate_function_with_store_provider(self, marketplace):
+        title = transparent_titles(marketplace)[0]
+        candidates = marketplace.job(title).candidates(marketplace.workers)
+        counting = CountingFunction(marketplace.job(title).function)
+        stores: List[ScoreStore] = []
+
+        def provider(dataset, function):
+            stores.append(ScoreStore(dataset, function))
+            return stores[-1]
+
+        owner = JobOwner(min_partition_size=5, store_provider=provider)
+        owner.evaluate_function(candidates, counting)
+        assert counting.rows == [len(candidates)]
+        assert len(stores) == 1 and stores[0].stats.scoring_passes == 1
+
+    def test_end_user_assess_job_with_store_provider(self, marketplace):
+        title = transparent_titles(marketplace)[0]
+        market, job, counting = counted_job(marketplace, title)
+        stores: List[ScoreStore] = []
+
+        def provider(dataset, function):
+            stores.append(ScoreStore(dataset, function))
+            return stores[-1]
+
+        EndUser({"Gender": "Female"}, store_provider=provider).assess_job(market, title)
+        assert counting.rows == [len(job.candidates(market.workers))]
+        assert len(stores) == 1 and stores[0].stats.scoring_passes == 1
+
 
 class TestEndUserMatchesDirectScoring:
     def test_outcome_numbers_equal_the_direct_computation(self, marketplace):

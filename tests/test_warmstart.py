@@ -188,20 +188,35 @@ class TestServiceWarmState:
             SweepRequest(dataset="pop", function="balanced", steps=3),
         ):
             assert warm.execute(request).ok
-        computed = [
-            (key, value) for key, value, _ in warm.cache.items()
-            if isinstance(value, bytes)
-        ]
+        computed = list(warm.cache.items())
         assert len(computed) == 3
+        assert all(isinstance(value, bytes) for _, value in computed)
         warm.save_warm_state(tmp_path)
 
         restarted = _service()
         assert restarted.load_warm_state(tmp_path)["results"] == 3
-        restored = [(key, value) for key, value, _ in restarted.cache.items()]
+        restored = list(restarted.cache.items())
         assert restored == computed
         replay = restarted.execute(_REQUEST)
         assert replay.cached
         assert replay.payload_json == dict(computed)[replay.key]
+
+    def test_result_entries_with_a_cost_field_still_load(self, tmp_path):
+        # Older bundles carry a per-entry "cost"; the loader ignores it.
+        warm = _service()
+        reference = warm.execute(_REQUEST)
+        warm.save_warm_state(tmp_path)
+        results_file = tmp_path / "results.json"
+        bundle = json.loads(results_file.read_text(encoding="utf-8"))
+        for entry in bundle["results"]:
+            entry["cost"] = 42.0
+        results_file.write_text(json.dumps(bundle), encoding="utf-8")
+
+        restarted = _service()
+        assert restarted.load_warm_state(tmp_path) == {"stores": 1, "results": 1}
+        replay = restarted.execute(_REQUEST)
+        assert replay.cached and replay.payload_json == reference.payload_json
+        assert restarted.store_stats.scoring_passes == 0
 
     def test_warm_dir_parameter_is_used_by_default(self, tmp_path):
         warm = _service()
