@@ -5,7 +5,8 @@ Exercises the full deployment workflow exactly as an operator would:
 1. build a catalog snapshot with ``fairank catalog --save``;
 2. boot ``fairank serve --catalog <snapshot> --port 0`` as a real
    subprocess and parse the bound port from its stdout;
-3. fire one request per protocol-v2 kind (all seven) plus a mixed batch
+3. fire one request per protocol-v2 kind (all seven), a quantify that
+   addresses ``table1`` by content-fingerprint prefix, and a mixed batch
    through :class:`~repro.server.client.HTTPFairnessClient`;
 4. assert every HTTP response is byte-identical (``ServiceResult.canonical``)
    to the in-process :class:`~repro.service.client.FairnessClient` answer
@@ -55,6 +56,7 @@ from repro.obs.metrics import parse_prometheus  # noqa: E402
 from repro.obs.trace import TRACE_HEADER  # noqa: E402
 from repro.server import HTTPFairnessClient  # noqa: E402
 from repro.shard.router import ROUTE_MS_HEADER  # noqa: E402
+from repro.snapshot import snapshot_fingerprints  # noqa: E402
 from repro.service import (  # noqa: E402
     AuditRequest,
     FairnessClient,
@@ -67,10 +69,11 @@ MARKET_SIZE = "60"
 BOOT_TIMEOUT_S = 60.0
 
 #: Requests executed per kind by the gate before the metrics scrape: one
-#: single call each, plus the quantify/sweep/audit entries of the batch leg
-#: (the counter increments per execute, cache hit or not).
+#: single call each, the fingerprint-prefix quantify, plus the
+#: quantify/sweep/audit entries of the batch leg (the counter increments per
+#: execute, cache hit or not).
 EXPECTED_REQUESTS = {
-    "quantify": 2,
+    "quantify": 3,
     "audit": 2,
     "sweep": 2,
     "compare": 1,
@@ -177,6 +180,31 @@ def check_trace(port: int, workers: int) -> int:
         hops = "client -> router -> worker" if workers > 1 else "client -> server"
         print(f"[e2e] trace: one id spans {hops} "
               f"(total {timings.get('total_ms')} ms)")
+    return failures
+
+
+def check_prefix_quantify(remote, snapshot: Path, keys: "set[str]") -> int:
+    """Address ``table1`` by fingerprint prefix right after the named quantify.
+
+    The answer must echo the prefix and match a *fresh* in-process service:
+    the shared reference has just served the named request as well, so a
+    cache key that ignored the name would be wrong there in the same way.
+    """
+    prefix = snapshot_fingerprints(snapshot)[("dataset", "table1")][:12]
+    result = remote.quantify(prefix, "table1-f")
+    fresh = FairnessClient(FairnessService(catalog=Catalog.load(snapshot)))
+    expected = fresh.quantify(prefix, "table1-f")
+    keys.add(expected.key)
+    failures = 0
+    if result.payload.get("dataset") != prefix:
+        failures += 1
+        print(f"[e2e] FAIL: prefix quantify echoes dataset "
+              f"{result.payload.get('dataset')!r}, not {prefix!r}")
+    if result.canonical() != expected.canonical():
+        failures += 1
+        print("[e2e] FAIL: prefix quantify diverged from a fresh in-process service")
+    if not failures:
+        print(f"[e2e] quantify by prefix {prefix}: byte-identical to a fresh service")
     return failures
 
 
@@ -385,6 +413,8 @@ def main() -> int:
                 else:
                     failures += 1
                     print(f"[e2e] FAIL: {kind} diverged between HTTP and in-process")
+                if kind == "quantify":
+                    failures += check_prefix_quantify(remote, snapshot, keys)
 
             batch_requests = [
                 QuantifyRequest(dataset="table1", function="table1-f"),

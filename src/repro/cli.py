@@ -421,6 +421,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     from repro.roles.report import format_table
+    from repro.service.jobs import request_references
 
     service = _serve_batch_service(args)
     listing = service.catalog.describe()
@@ -444,10 +445,7 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
         print(f"\nbatch file {args.requests}: {len(requests)} request(s)")
         unresolved = 0
         for index, request in enumerate(requests, start=1):
-            # Name-level resolution only: computing full request keys would
-            # fingerprint datasets and, for rank-only requests, run the
-            # scoring/ranking itself — far too heavy for a listing command.
-            for kind, reference in _request_references(request):
+            for kind, reference in request_references(request.to_json()):
                 try:
                     {"dataset": service.dataset, "function": service.function,
                      "marketplace": service.marketplace}[kind](reference)
@@ -635,18 +633,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
         if temporary_snapshot is not None:
             temporary_snapshot.unlink(missing_ok=True)
     return 0
-
-
-def _request_references(request):
-    """(kind, name) pairs of the catalogue resources a request references.
-
-    Delegates to the shard router's extractor so the CLI's resolution check
-    and fingerprint routing can never disagree about which fields of a
-    request name catalogue resources.
-    """
-    from repro.shard.routing import request_references
-
-    return request_references(request.to_json())
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:

@@ -63,6 +63,7 @@ __all__ = [
     "ServiceRequest",
     "ServiceResult",
     "request_from_json",
+    "request_references",
 ]
 
 #: The protocol version this build speaks (and stamps on outgoing payloads).
@@ -76,6 +77,12 @@ _SUPPORTED_PROTOCOLS = (1, 2)
 #: normalised to sorted ``((attribute, weight), ...)`` pairs internally so
 #: frozen requests stay comparable regardless of key order.
 WeightVector = Tuple[Tuple[str, float], ...]
+
+#: ``(kind, name)`` — one catalogue resource a request references.
+Reference = Tuple[str, str]
+
+#: Points of an automatic sweep when a request does not say.
+_DEFAULT_SWEEP_STEPS = 5
 
 
 def _optional_str_tuple(value: Optional[Sequence[str]]) -> Optional[Tuple[str, ...]]:
@@ -365,7 +372,7 @@ class SweepRequest(_FormulationMixin):
 
     dataset: str = ""
     function: str = ""
-    steps: int = 5
+    steps: int = _DEFAULT_SWEEP_STEPS
     weights: Optional[Tuple[WeightVector, ...]] = None
     attributes: Optional[Tuple[str, ...]] = None
     max_depth: Optional[int] = None
@@ -377,9 +384,15 @@ class SweepRequest(_FormulationMixin):
         if not self.function:
             raise ServiceError("a sweep request needs a scoring-function name")
         object.__setattr__(self, "weights", _normalise_weight_vectors(self.weights))
-        if self.weights is not None and not self.weights:
-            raise ServiceError("a sweep request with explicit weights needs at least one vector")
-        if self.weights is None and self.steps < 2:
+        if self.weights is not None:
+            if not self.weights:
+                raise ServiceError(
+                    "a sweep request with explicit weights needs at least one vector"
+                )
+            # Explicit vectors make ``steps`` meaningless; one value keeps
+            # equal sweeps' JSON (and so their cache keys) equal.
+            object.__setattr__(self, "steps", _DEFAULT_SWEEP_STEPS)
+        elif self.steps < 2:
             raise ServiceError(f"an automatic sweep needs at least 2 steps, got {self.steps}")
         object.__setattr__(self, "attributes", _optional_str_tuple(self.attributes))
 
@@ -413,7 +426,7 @@ class SweepRequest(_FormulationMixin):
         return cls(
             dataset=str(payload["dataset"]),
             function=str(payload["function"]),
-            steps=int(payload.get("steps", 5)),  # type: ignore[arg-type]
+            steps=int(payload.get("steps", _DEFAULT_SWEEP_STEPS)),  # type: ignore[arg-type]
             weights=_normalise_weight_vectors(payload.get("weights")),  # type: ignore[arg-type]
             attributes=_optional_str_tuple(payload.get("attributes")),  # type: ignore[arg-type]
             max_depth=(
@@ -542,6 +555,33 @@ _REQUEST_KINDS: Dict[str, Type[ServiceRequest]] = {
     EndUserRequest.kind: EndUserRequest,
     JobOwnerRequest.kind: JobOwnerRequest,
 }
+
+
+def request_references(payload: Mapping[str, object]) -> Tuple[Reference, ...]:
+    """The catalogue resources a request payload references, sorted.
+
+    Works on the ``to_json`` form, so the service's request keys, the CLI's
+    resolution check and the shard router's fingerprint routing all read
+    references the same way.  Tolerant by design: unknown fields are
+    ignored and nothing is validated, so the router can compute a slot for
+    *any* body and leave rejection to the worker.  The request ``kind`` is
+    deliberately not part of the result: a ``quantify``, ``breakdown`` and
+    ``sweep`` over the same (dataset, function) pair should share one
+    worker's score store.
+    """
+    references = set()
+    for field_name, kind in (("dataset", "dataset"), ("function", "function"),
+                             ("marketplace", "marketplace")):
+        value = payload.get(field_name)
+        if isinstance(value, str) and value:
+            references.add((kind, value))
+    for field_name, kind in (("functions", "function"), ("marketplaces", "marketplace")):
+        value = payload.get(field_name)
+        if isinstance(value, (list, tuple)):
+            for name in value:
+                if isinstance(name, str) and name:
+                    references.add((kind, name))
+    return tuple(sorted(references))
 
 
 def request_from_json(payload: Mapping[str, object]) -> ServiceRequest:

@@ -31,7 +31,7 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.catalog import Catalog, ResourceKind
 from repro.core.formulations import Formulation, resolve_binning
@@ -59,9 +59,7 @@ from repro.service.cache import CacheStats, LRUCache
 from repro.service.fingerprint import (
     combine_fingerprints,
     fingerprint_dataset,
-    fingerprint_formulation,
     fingerprint_function,
-    fingerprint_marketplace,
     fingerprint_value,
 )
 from repro.service.jobs import (
@@ -74,6 +72,7 @@ from repro.service.jobs import (
     ServiceRequest,
     ServiceResult,
     SweepRequest,
+    request_references,
 )
 
 __all__ = ["FairnessService", "StorePoolStats"]
@@ -383,136 +382,29 @@ class FairnessService:
     # -- request execution (the wire protocol) --------------------------------
 
     def request_key(self, request: ServiceRequest) -> str:
-        """The cache key a request resolves to (content-based, not name-based).
+        """The cache key a request resolves to: its JSON plus its resources.
 
-        Names are resolved through the catalog first, so two services that
-        register *different* data under the same name produce different keys,
-        and renaming identical data produces identical keys.
+        The key hashes the request's own ``to_json()`` together with the
+        catalogue fingerprint of every resource it references.  Every name a
+        payload echoes is in the JSON, so two names for identical data get
+        distinct keys (and distinct cached answers, while still sharing one
+        content-keyed score store); the fingerprints make a name
+        re-registered with different content key differently too.  They are
+        read from the catalogue entries, computed once at registration, so
+        a key never scores or ranks anything.  An unknown resource or an
+        invalid formulation raises :class:`~repro.errors.ServiceError`.
         """
-        if isinstance(request, QuantifyRequest):
-            function = self._effective_function(
-                self.dataset(request.dataset), request.function, request.use_ranks_only
-            )
-            return combine_fingerprints(
-                "request-quantify",
-                fingerprint_dataset(self.dataset(request.dataset)),
-                fingerprint_function(function),
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(
-                    {
-                        # Function fingerprints ignore display names, but the
-                        # payload echoes the requested name, so it keys too.
-                        "function_name": request.function,
-                        "attributes": None
-                        if request.attributes is None
-                        else list(request.attributes),
-                        "max_depth": request.max_depth,
-                        "min_partition_size": request.min_partition_size,
-                    }
-                ),
-            )
-        if isinstance(request, AuditRequest):
-            return combine_fingerprints(
-                "request-audit",
-                fingerprint_marketplace(self.marketplace(request.marketplace)),
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(
-                    {
-                        "job": request.job,
-                        "attributes": None
-                        if request.attributes is None
-                        else list(request.attributes),
-                        "min_partition_size": request.min_partition_size,
-                    }
-                ),
-            )
-        if isinstance(request, CompareRequest):
-            return combine_fingerprints(
-                "request-compare",
-                fingerprint_dataset(self.dataset(request.dataset)),
-                *[
-                    fingerprint_function(self.function(name))
-                    for name in request.functions
-                ],
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(
-                    {
-                        "function_names": list(request.functions),
-                        "attributes": None
-                        if request.attributes is None
-                        else list(request.attributes),
-                        "max_depth": request.max_depth,
-                        "min_partition_size": request.min_partition_size,
-                    }
-                ),
-            )
-        if isinstance(request, BreakdownRequest):
-            function = self._effective_function(
-                self.dataset(request.dataset), request.function, request.use_ranks_only
-            )
-            return combine_fingerprints(
-                "request-breakdown",
-                fingerprint_dataset(self.dataset(request.dataset)),
-                fingerprint_function(function),
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(
-                    {
-                        "function_name": request.function,
-                        "attributes": None
-                        if request.attributes is None
-                        else list(request.attributes),
-                        "min_partition_size": request.min_partition_size,
-                    }
-                ),
-            )
-        if isinstance(request, SweepRequest):
-            return combine_fingerprints(
-                "request-sweep",
-                fingerprint_dataset(self.dataset(request.dataset)),
-                fingerprint_function(self.function(request.function)),
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(
-                    {
-                        "function_name": request.function,
-                        # steps is ignored whenever explicit weights are given,
-                        # so it must not split semantically identical requests.
-                        "steps": request.steps if request.weights is None else None,
-                        "weights": None if request.weights is None
-                        else [list(vector) for vector in request.weights],
-                        "attributes": None
-                        if request.attributes is None
-                        else list(request.attributes),
-                        "max_depth": request.max_depth,
-                        "min_partition_size": request.min_partition_size,
-                    }
-                ),
-            )
-        if isinstance(request, EndUserRequest):
-            return combine_fingerprints(
-                "request-end-user",
-                fingerprint_value(dict(request.group)),
-                fingerprint_value(request.job),
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(list(request.marketplaces)),
-                *[
-                    fingerprint_marketplace(self.marketplace(name))
-                    for name in request.marketplaces
-                ],
-            )
-        if isinstance(request, JobOwnerRequest):
-            return combine_fingerprints(
-                "request-job-owner",
-                fingerprint_marketplace(self.marketplace(request.marketplace)),
-                fingerprint_formulation(request.formulation()),
-                fingerprint_value(
-                    {
-                        "job": request.job,
-                        "sweep_steps": request.sweep_steps,
-                        "min_partition_size": request.min_partition_size,
-                    }
-                ),
-            )
-        raise ServiceError(f"unsupported request type {type(request).__name__}")
+        self._payload_builder(request)
+        wire = request.to_json()
+        try:
+            resources = [
+                f"{kind}:{self.catalog.get(ResourceKind(kind), ref).fingerprint}"
+                for kind, ref in request_references(wire)
+            ]
+        except CatalogError as error:
+            raise ServiceError(str(error)) from None
+        request.formulation()
+        return combine_fingerprints("request", fingerprint_value(wire), *resources)
 
     def error_result(
         self,
@@ -575,8 +467,7 @@ class FairnessService:
         """Execute one request, serving from the cache when possible.
 
         ``key`` lets callers that already computed :meth:`request_key` (the
-        batch executor does, for deduplication) skip recomputing it — for
-        rank-only requests the key itself involves ranking the population.
+        batch executor does, for deduplication) skip recomputing it.
         ``queue_s`` is how long the request waited before execution started
         (the batch executor measures it); it lands in the envelope's
         ``timings`` as ``queue_ms``.
@@ -609,7 +500,7 @@ class FairnessService:
 
                 def produce() -> bytes:
                     with trace.span("compute"):
-                        payload = self._build_payload(request)
+                        payload = self._payload_builder(request)(self, request)
                         return json.dumps(payload).encode("utf-8")
 
                 payload_json, hit = self.cache.get_or_compute(key, produce)
@@ -675,22 +566,13 @@ class FairnessService:
         )
         return result, breakdown
 
-    def _build_payload(self, request: ServiceRequest) -> Dict[str, object]:
-        if isinstance(request, QuantifyRequest):
-            return self._quantify_payload(request)
-        if isinstance(request, AuditRequest):
-            return self._audit_payload(request)
-        if isinstance(request, CompareRequest):
-            return self._compare_payload(request)
-        if isinstance(request, BreakdownRequest):
-            return self._breakdown_payload(request)
-        if isinstance(request, SweepRequest):
-            return self._sweep_payload(request)
-        if isinstance(request, EndUserRequest):
-            return self._end_user_payload(request)
-        if isinstance(request, JobOwnerRequest):
-            return self._job_owner_payload(request)
-        raise ServiceError(f"unsupported request type {type(request).__name__}")
+    def _payload_builder(self, request: ServiceRequest) -> Callable[..., Dict[str, object]]:
+        try:
+            return self._PAYLOAD_BUILDERS[type(request)]
+        except KeyError:
+            raise ServiceError(
+                f"unsupported request type {type(request).__name__}"
+            ) from None
 
     def _quantify_payload(self, request: QuantifyRequest) -> Dict[str, object]:
         dataset = self.dataset(request.dataset)
@@ -972,3 +854,15 @@ class FairnessService:
             "recommended": None if recommended is None else recommended.name,
             "most_unfair": None if most_unfair is None else most_unfair.name,
         }
+
+    #: Request class -> the method that builds its payload: the one place a
+    #: request kind is dispatched on.
+    _PAYLOAD_BUILDERS: Dict[type, Callable[..., Dict[str, object]]] = {
+        QuantifyRequest: _quantify_payload,
+        AuditRequest: _audit_payload,
+        CompareRequest: _compare_payload,
+        BreakdownRequest: _breakdown_payload,
+        SweepRequest: _sweep_payload,
+        EndUserRequest: _end_user_payload,
+        JobOwnerRequest: _job_owner_payload,
+    }

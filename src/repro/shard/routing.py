@@ -5,7 +5,8 @@ resources must land on the same worker, so that worker's materialized score
 vectors (:class:`~repro.core.scorestore.ScoreStore`) and result cache serve
 the whole key's traffic.  Three small pure functions implement it:
 
-1. :func:`request_references` extracts the ``(kind, name)`` resource
+1. :func:`~repro.service.jobs.request_references` (defined next to the
+   request types, re-exported here) extracts the ``(kind, name)`` resource
    references from a wire-protocol-v2 request payload (dataset, scoring
    function(s), marketplace(s)) without validating the request — the worker
    stays the single validation authority;
@@ -24,40 +25,14 @@ produces exactly the error envelope a single-process deployment would.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+from repro.service.jobs import Reference, request_references
 
 __all__ = ["request_references", "routing_key", "worker_slot"]
 
-#: ``(kind, name)`` pairs — the same reference shape the CLI's catalog
-#: resolution check uses.
-Reference = Tuple[str, str]
-
 #: ``(kind, name) -> content fingerprint``, as read from a snapshot file.
 FingerprintIndex = Dict[Reference, str]
-
-
-def request_references(payload: Mapping[str, object]) -> Tuple[Reference, ...]:
-    """The catalogue resources a request payload references, sorted.
-
-    Tolerant by design: unknown fields are ignored and nothing is validated,
-    so the router can compute a slot for *any* body and leave rejection to
-    the worker.  The request ``kind`` is deliberately not part of the result:
-    a ``quantify``, ``breakdown`` and ``sweep`` over the same (dataset,
-    function) pair should share one worker's score store.
-    """
-    references = set()
-    for field, kind in (("dataset", "dataset"), ("function", "function"),
-                        ("marketplace", "marketplace")):
-        value = payload.get(field)
-        if isinstance(value, str) and value:
-            references.add((kind, value))
-    for field, kind in (("functions", "function"), ("marketplaces", "marketplace")):
-        value = payload.get(field)
-        if isinstance(value, (list, tuple)):
-            for name in value:
-                if isinstance(name, str) and name:
-                    references.add((kind, name))
-    return tuple(sorted(references))
 
 
 def routing_key(

@@ -21,6 +21,11 @@ from repro.service import (
     FairnessService,
     QuantifyRequest,
     SweepRequest,
+    combine_fingerprints,
+    fingerprint_dataset,
+    fingerprint_formulation,
+    fingerprint_function,
+    fingerprint_value,
 )
 
 
@@ -216,6 +221,45 @@ class TestServiceWarmState:
         assert restarted.load_warm_state(tmp_path) == {"stores": 1, "results": 1}
         replay = restarted.execute(_REQUEST)
         assert replay.cached and replay.payload_json == reference.payload_json
+        assert restarted.store_stats.scoring_passes == 0
+
+    def test_results_saved_under_per_kind_keys_load_as_unserved_orphans(
+        self, tmp_path
+    ):
+        # Bundles written before request keys covered the request JSON carry
+        # keys from the old per-kind derivation (content fingerprints plus a
+        # hand-picked parameter dict).  They still load, match no request,
+        # and age out of the LRU; the stores load and serve the recompute.
+        warm = _service()
+        reference = warm.execute(_REQUEST)
+        warm.save_warm_state(tmp_path)
+        per_kind_key = combine_fingerprints(
+            "request-quantify",
+            fingerprint_dataset(warm.dataset(_REQUEST.dataset)),
+            fingerprint_function(warm.function(_REQUEST.function)),
+            fingerprint_formulation(_REQUEST.formulation()),
+            fingerprint_value(
+                {
+                    "function_name": _REQUEST.function,
+                    "attributes": None,
+                    "max_depth": None,
+                    "min_partition_size": _REQUEST.min_partition_size,
+                }
+            ),
+        )
+        results_file = tmp_path / "results.json"
+        bundle = json.loads(results_file.read_text(encoding="utf-8"))
+        for entry in bundle["results"]:
+            entry["key"] = per_kind_key
+        results_file.write_text(json.dumps(bundle), encoding="utf-8")
+
+        restarted = _service()
+        assert restarted.load_warm_state(tmp_path) == {"stores": 1, "results": 1}
+        assert per_kind_key in restarted.cache
+        replay = restarted.execute(_REQUEST)
+        assert not replay.cached
+        assert replay.payload_json == reference.payload_json
+        assert replay.canonical() == reference.canonical()
         assert restarted.store_stats.scoring_passes == 0
 
     def test_warm_dir_parameter_is_used_by_default(self, tmp_path):
