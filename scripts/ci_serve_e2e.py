@@ -306,24 +306,46 @@ def shutdown_server(process: subprocess.Popen, context: str) -> int:
     return 0
 
 
+def fleet_store_pool(remote, workers: int) -> "tuple[int, int]":
+    """(stores, scoring passes) summed over the server's or fleet's store pools."""
+    health = remote.health()
+    if workers > 1:
+        pools = [entry["store_pool"] for entry in health["workers"]["health"]]
+    else:
+        pools = [health["store_pool"]]
+    return (
+        sum(stats["stores"] for stats in pools),
+        sum(stats["scoring_passes"] for stats in pools),
+    )
+
+
+#: The (dataset, function) pairs the warm leg warms: life 1 the first,
+#: life 2 the second as well.
+WARM_PAIRS = (("table1", "table1-f"), ("table1", "balanced"))
+
+
 def check_warm_restart(
     snapshot: Path, workers: int, reference: FairnessClient, workdir: str
 ) -> int:
-    """Restart leg: a SIGTERM'd --warm-dir fleet must reboot hot.
+    """Restart leg: a SIGTERM'd --warm-dir fleet must reboot hot, twice.
 
     Life 1 boots cold with ``--warm-dir`` and warms one (dataset, function)
     pair; the graceful shutdown saves warm bundles.  Life 2 reboots from
     those bundles and must serve the same request byte-identically *from the
     reloaded cache*, with the store pool populated and zero scoring passes.
+    It then warms a second pair, and its shutdown re-saves into the same
+    directory.  Life 3 must load both stores with zero scoring passes and
+    byte-match in-process serving on a novel formulation of each pair.
     """
     warm_dir = Path(workdir) / f"warm-{workers}"
-    expected = reference.quantify("table1", "table1-f").canonical()
+    first, second = WARM_PAIRS
+    expected = reference.quantify(*first).canonical()
     failures = 0
 
     process, port = boot_server(snapshot, workers, warm_dir=warm_dir)
     try:
         remote = HTTPFairnessClient(f"http://127.0.0.1:{port}", timeout=60.0)
-        if remote.quantify("table1", "table1-f").canonical() != expected:
+        if remote.quantify(*first).canonical() != expected:
             failures += 1
             print("[e2e] FAIL: warm leg life 1 diverged from in-process")
     finally:
@@ -337,7 +359,7 @@ def check_warm_restart(
     process, port = boot_server(snapshot, workers, warm_dir=warm_dir)
     try:
         remote = HTTPFairnessClient(f"http://127.0.0.1:{port}", timeout=60.0)
-        result = remote.quantify("table1", "table1-f")
+        result = remote.quantify(*first)
         if result.canonical() != expected:
             failures += 1
             print("[e2e] FAIL: restarted fleet diverged from in-process")
@@ -345,15 +367,7 @@ def check_warm_restart(
             failures += 1
             print("[e2e] FAIL: restarted fleet did not serve from the "
                   "reloaded result cache")
-        health = remote.health()
-        if workers > 1:
-            pools = [
-                entry["store_pool"] for entry in health["workers"]["health"]
-            ]
-        else:
-            pools = [health["store_pool"]]
-        stores = sum(stats["stores"] for stats in pools)
-        passes = sum(stats["scoring_passes"] for stats in pools)
+        stores, passes = fleet_store_pool(remote, workers)
         if stores < 1:
             failures += 1
             print("[e2e] FAIL: restarted fleet's store pool is empty")
@@ -361,12 +375,40 @@ def check_warm_restart(
             failures += 1
             print(f"[e2e] FAIL: restarted fleet re-scored ({passes} pass(es)) "
                   "instead of loading the warm vectors")
+        if remote.quantify(*second).canonical() != reference.quantify(*second).canonical():
+            failures += 1
+            print("[e2e] FAIL: warm leg life 2 diverged on the second pair")
         if not failures:
             print(f"[e2e] warm restart: {len(bundles)} bundle(s) reloaded, "
                   f"first request cached + byte-identical, {stores} store(s) "
-                  "warm with 0 scoring passes")
+                  "warm with 0 scoring passes; second pair warmed")
     finally:
         failures += shutdown_server(process, "warm leg life 2")
+
+    process, port = boot_server(snapshot, workers, warm_dir=warm_dir)
+    try:
+        remote = HTTPFairnessClient(f"http://127.0.0.1:{port}", timeout=60.0)
+        stores, passes = fleet_store_pool(remote, workers)
+        if stores != len(WARM_PAIRS) or passes != 0:
+            failures += 1
+            print(f"[e2e] FAIL: re-saved bundles loaded {stores} store(s) with "
+                  f"{passes} scoring pass(es); expected {len(WARM_PAIRS)} with 0")
+        for pair in WARM_PAIRS:
+            novel = remote.quantify(*pair, aggregation="maximum")
+            if novel.canonical() != reference.quantify(*pair, aggregation="maximum").canonical():
+                failures += 1
+                print(f"[e2e] FAIL: life 3 diverged from in-process on a novel "
+                      f"formulation of {pair}")
+        _, passes = fleet_store_pool(remote, workers)
+        if passes != 0:
+            failures += 1
+            print(f"[e2e] FAIL: life 3 re-scored ({passes} pass(es)) for novel "
+                  "formulations instead of using the re-saved vectors")
+        if not failures:
+            print(f"[e2e] warm re-save: {stores} store(s) reloaded with 0 scoring "
+                  "passes; novel formulations of both pairs byte-identical")
+    finally:
+        failures += shutdown_server(process, "warm leg life 3")
     return failures
 
 

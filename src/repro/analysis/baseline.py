@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Tuple
 
 from repro.analysis.findings import Finding
+from repro.bundle import replace_text
 
 __all__ = ["Baseline", "BaselineDiff", "baseline_from_findings"]
 
@@ -56,7 +57,7 @@ class Baseline:
         return cls(entries=entries)
 
     def save(self, path: Path) -> None:
-        Path(path).write_text(self.to_text(), encoding="utf-8")
+        replace_text(Path(path), self.to_text())
 
     def to_text(self) -> str:
         payload = {

@@ -50,14 +50,15 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional, Tuple, Union,
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Union,
 )
 
 import numpy as np
 
 from repro.data.dataset import Dataset, DatasetView, order_values
 from repro.data.schema import Attribute
-from repro.errors import FaiRankError, PartitioningError, ScoringError, WarmStartError
+from repro.bundle import SCORE_STORE, BundleWriter, open_manifest, read_array
+from repro.errors import PartitioningError, ScoringError, WarmStartError
 from repro.metrics.histogram import Binning, Histogram
 from repro.obs.trace import span as trace_span
 from repro.scoring.base import ScoringFunction, frozen_scores
@@ -66,19 +67,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.core.partition import Partition
 
 __all__ = [
-    "STORE_BUNDLE_FORMAT",
-    "STORE_BUNDLE_VERSION",
     "ScoreStore",
     "ScoreStoreStats",
     "StoreProvider",
     "store_for",
 ]
-
-#: Identifies a persisted score-store bundle (arbitrary JSON is rejected loudly).
-STORE_BUNDLE_FORMAT = "fairank-scorestore"
-
-#: The bundle schema version this build writes (and the only one it reads).
-STORE_BUNDLE_VERSION = 1
 
 #: Default bound on memoised partitions per store.  A QUANTIFY search over a
 #: 10k-row population touches a couple of thousand candidate partitions; the
@@ -152,55 +145,6 @@ class _Entry:
         # binning -> this partition's slice of the per-row bin codes, shared
         # by every candidate attribute evaluated at this node.
         self.bin_slices: Dict[Binning, np.ndarray] = {}
-
-
-def _binning_to_json(binning: Binning) -> Dict[str, object]:
-    """A Binning as its (low, high, bins) triple — exact: JSON round-trips floats."""
-    return {"low": binning.low, "high": binning.high, "bins": binning.bins}
-
-
-def _binning_from_json(payload: Mapping[str, object]) -> Binning:
-    return Binning(
-        low=float(payload["low"]),  # type: ignore[arg-type]
-        high=float(payload["high"]),  # type: ignore[arg-type]
-        bins=int(payload["bins"]),  # type: ignore[arg-type]
-    )
-
-
-def _bundle_file(directory: Path, name: object) -> Path:
-    """Resolve a manifest-referenced file name, refusing path escapes."""
-    file_name = str(name)
-    if Path(file_name).name != file_name:
-        raise WarmStartError(
-            f"score-store bundle references a non-local file {file_name!r}",
-            reason="manifest",
-        )
-    return directory / file_name
-
-
-def _read_array(
-    directory: Path, name: object, dtype: type, rows: Optional[int]
-) -> np.ndarray:
-    """Read one raw ``.bin`` buffer, validating its exact element count.
-
-    ``np.fromfile`` happily returns a short array for a truncated file, so
-    the element count is checked explicitly — a partial ``.bin`` must fail
-    the load (reason ``truncated``), never silently serve fewer rows.
-    """
-    path = _bundle_file(directory, name)
-    try:
-        data = np.fromfile(path, dtype=dtype)
-    except OSError as error:
-        raise WarmStartError(
-            f"cannot read score-store buffer {path.name}: {error}", reason="truncated"
-        ) from None
-    if rows is not None and data.size != rows:
-        raise WarmStartError(
-            f"score-store buffer {path.name} holds {data.size} values, "
-            f"expected {rows} (truncated or foreign bundle)",
-            reason="truncated",
-        )
-    return data
 
 
 class ScoreStore:
@@ -657,23 +601,19 @@ class ScoreStore:
         return self._vector is not None
 
     def save(self, directory: Union[str, Path]) -> Dict[str, object]:
-        """Persist the store's hot state as raw ``.bin`` buffers + a manifest.
+        """Persist the store's hot state as a score-store bundle; returns its manifest.
 
-        Written (the raw-buffer-plus-manifest idiom of
-        :class:`~repro.data.columns.ColumnStore`): the materialized score
-        vector, the precomputed per-binning bin codes, and the histogram
-        memo — partition keys, row indices and counts — for every sliced
-        partition that has memoised histograms.  The manifest records the
-        (dataset, function) content fingerprints, so a later
-        :meth:`load` can verify the bundle still describes the live catalog
-        content.  The manifest is written *last*: an interrupted save leaves
-        no manifest, which a loader treats as "no bundle", never as state.
+        Written (see :mod:`repro.bundle`): the materialized score vector, the
+        precomputed per-binning bin codes, and the histogram memo — partition
+        keys, row indices and counts — for every sliced partition that has
+        memoised histograms.  The manifest records the (dataset, function)
+        content fingerprints, so a later :meth:`load` can verify the bundle
+        still describes the live catalog content, and the length of every
+        partition-index file.
 
         Raises :class:`~repro.errors.WarmStartError` when the vector was
         never materialized (there is nothing warm to persist).
         """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         from repro.service.fingerprint import fingerprint_dataset, fingerprint_function
 
         with self._lock:
@@ -691,21 +631,23 @@ class ScoreStore:
             ]
         # File writes happen outside the lock: the captured arrays are
         # immutable once published, so serving continues while saving.
-        np.ascontiguousarray(vector, dtype=np.float64).tofile(directory / "vector.bin")
+        writer = BundleWriter(directory, SCORE_STORE)
+        writer.array("vector.bin", vector, np.float64)
         codes_manifest: List[Dict[str, object]] = []
         for index, (binning, codes) in enumerate(bin_codes):
             file_name = f"bins_{index}.bin"
-            np.ascontiguousarray(codes, dtype=np.int64).tofile(directory / file_name)
+            writer.array(file_name, codes, np.int64)
             codes_manifest.append(
-                {"binning": _binning_to_json(binning), "file": file_name}
+                {"binning": binning.to_json(), "file": file_name}
             )
         memo_manifest: List[Dict[str, object]] = []
         for index, (key, indices, histograms) in enumerate(partitions):
             entry_json = {
                 "key": [[attribute, value] for attribute, value in key],
                 "indices": f"part_{index}.bin",
+                "length": int(indices.size),
                 "histograms": [
-                    {"binning": _binning_to_json(binning), "counts": list(h.counts)}
+                    {"binning": binning.to_json(), "counts": list(h.counts)}
                     for binning, h in histograms.items()
                 ],
             }
@@ -716,13 +658,9 @@ class ScoreStore:
             # fairlint: disable=FL007 -- documented skip of one memo entry
             except (TypeError, ValueError):
                 continue
-            np.ascontiguousarray(indices, dtype=np.int64).tofile(
-                directory / str(entry_json["indices"])
-            )
+            writer.array(str(entry_json["indices"]), indices, np.int64)
             memo_manifest.append(entry_json)
-        manifest: Dict[str, object] = {
-            "format": STORE_BUNDLE_FORMAT,
-            "version": STORE_BUNDLE_VERSION,
+        return writer.commit({
             "rows": int(vector.size),
             "dataset": self.dataset.name,
             "function": self.function.name,
@@ -731,11 +669,7 @@ class ScoreStore:
             "vector": "vector.bin",
             "bin_codes": codes_manifest,
             "partitions": memo_manifest,
-        }
-        (directory / "manifest.json").write_text(
-            json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-        )
-        return manifest
+        })
 
     @classmethod
     def load(
@@ -751,136 +685,79 @@ class ScoreStore:
 
         The bundle's recorded (dataset, function) fingerprints must match
         the *live* objects, and every buffer must have exactly the recorded
-        element count — drift, truncation or foreign content raises
-        :class:`~repro.errors.WarmStartError` (with a stable ``reason``) so
-        callers fall back to cold compute instead of serving wrong scores.
-        The loaded vector does **not** count as a scoring pass:
-        ``stats.scoring_passes`` stays 0 until a genuine recompute happens.
+        element count — drift, truncation, a foreign or older-version bundle
+        raises :class:`~repro.errors.WarmStartError` (with a stable
+        ``reason``) so callers fall back to cold compute instead of serving
+        wrong scores.  The loaded vector does **not** count as a scoring
+        pass: ``stats.scoring_passes`` stays 0 until a genuine recompute.
         """
-        directory = Path(directory)
         from repro.service.fingerprint import fingerprint_dataset, fingerprint_function
 
-        try:
-            raw = (directory / "manifest.json").read_text(encoding="utf-8")
-        except OSError as error:
-            raise WarmStartError(
-                f"cannot read score-store manifest in {directory}: {error}",
-                reason="manifest",
-            ) from None
-        try:
-            manifest = json.loads(raw)
-        except ValueError as error:
-            raise WarmStartError(
-                f"score-store manifest in {directory} is not valid JSON: {error}",
-                reason="manifest",
-            ) from None
-        if not isinstance(manifest, dict) or manifest.get("format") != STORE_BUNDLE_FORMAT:
-            raise WarmStartError(
-                f"{directory} does not hold a score-store bundle "
-                f"(format {manifest.get('format') if isinstance(manifest, dict) else None!r})",
-                reason="manifest",
-            )
-        if manifest.get("version") != STORE_BUNDLE_VERSION:
-            raise WarmStartError(
-                f"score-store bundle version {manifest.get('version')!r} is not "
-                f"supported (this build reads version {STORE_BUNDLE_VERSION})",
-                reason="manifest",
-            )
-        try:
-            return cls._load_verified(
-                directory, manifest, dataset, function,
-                dataset_fingerprint=fingerprint_dataset(dataset),
-                function_fingerprint=fingerprint_function(function),
-                max_partitions=max_partitions,
-                trust_uids=trust_uids,
-            )
-        except FaiRankError:
-            raise
-        except (KeyError, TypeError, ValueError) as error:
-            # A structurally mangled manifest (missing fields, wrong types)
-            # is a bundle problem, not a caller bug.
-            raise WarmStartError(
-                f"score-store manifest in {directory} is malformed: {error!r}",
-                reason="manifest",
-            ) from None
-
-    @classmethod
-    def _load_verified(
-        cls,
-        directory: Path,
-        manifest: Dict[str, object],
-        dataset: Dataset,
-        function: ScoringFunction,
-        *,
-        dataset_fingerprint: str,
-        function_fingerprint: str,
-        max_partitions: Optional[int],
-        trust_uids: bool,
-    ) -> "ScoreStore":
-        rows = int(manifest["rows"])  # type: ignore[arg-type]
-        if rows != len(dataset):
-            raise WarmStartError(
-                f"score-store bundle covers {rows} rows but dataset "
-                f"{dataset.name!r} has {len(dataset)}",
-                reason="fingerprint",
-            )
-        if manifest.get("dataset_fingerprint") != dataset_fingerprint:
-            raise WarmStartError(
-                f"score-store bundle was built over different dataset content "
-                f"than the live {dataset.name!r} (fingerprint drift)",
-                reason="fingerprint",
-            )
-        if manifest.get("function_fingerprint") != function_fingerprint:
-            raise WarmStartError(
-                f"score-store bundle was built for different function content "
-                f"than the live {function.name!r} (fingerprint drift)",
-                reason="fingerprint",
-            )
-        store = cls(
-            dataset, function, max_partitions=max_partitions, trust_uids=trust_uids
-        )
-        vector = _read_array(directory, manifest["vector"], np.float64, rows)
-        vector.setflags(write=False)
-        # Assigned directly — a warm load is not a scoring pass, so the
-        # store-pool accounting can prove a restarted fleet never re-scored.
-        store._vector = vector
-        for entry in manifest.get("bin_codes", ()):  # type: ignore[union-attr]
-            binning = _binning_from_json(entry["binning"])
-            codes = _read_array(directory, entry["file"], np.int64, rows)
-            if codes.size and (codes.min() < 0 or codes.max() > binning.bins):
+        directory = Path(directory)
+        with open_manifest(directory, SCORE_STORE) as manifest:
+            rows = int(manifest["rows"])  # type: ignore[arg-type]
+            if rows != len(dataset):
                 raise WarmStartError(
-                    f"score-store bin codes for {binning} fall outside "
-                    f"[0, {binning.bins}] (corrupted bundle)",
-                    reason="truncated",
+                    f"score-store bundle covers {rows} rows but dataset "
+                    f"{dataset.name!r} has {len(dataset)}",
+                    reason="fingerprint",
                 )
-            codes = codes.astype(np.intp, copy=False)
-            codes.setflags(write=False)
-            store._bin_codes[binning] = codes
-        for entry in manifest.get("partitions", ()):  # type: ignore[union-attr]
-            key = tuple(
-                (str(attribute), value) for attribute, value in entry["key"]
-            )
-            indices = _read_array(directory, entry["indices"], np.int64, None)
-            if indices.size > rows or (
-                indices.size and (indices.min() < 0 or indices.max() >= rows)
-            ):
+            if manifest["dataset_fingerprint"] != fingerprint_dataset(dataset):
                 raise WarmStartError(
-                    f"score-store partition indices for key {key!r} fall outside "
-                    f"the dataset's {rows} rows (corrupted bundle)",
-                    reason="truncated",
+                    f"score-store bundle was built over different dataset "
+                    f"content than the live {dataset.name!r} (fingerprint drift)",
+                    reason="fingerprint",
                 )
-            indices = indices.astype(np.intp, copy=False)
-            indices.setflags(write=False)
-            loaded = _Entry(indices)
-            for memo in entry.get("histograms", ()):
-                binning = _binning_from_json(memo["binning"])
-                loaded.histograms[binning] = Histogram(
-                    binning=binning,
-                    counts=tuple(int(count) for count in memo["counts"]),
+            if manifest["function_fingerprint"] != fingerprint_function(function):
+                raise WarmStartError(
+                    f"score-store bundle was built for different function "
+                    f"content than the live {function.name!r} (fingerprint drift)",
+                    reason="fingerprint",
                 )
-            store._partitions[key] = loaded
-        store._evict_over_bound_locked()
-        return store
+            store = cls(
+                dataset, function, max_partitions=max_partitions, trust_uids=trust_uids
+            )
+            # Assigned directly — a warm load is not a scoring pass, so
+            # the pool accounting can prove a restarted fleet never re-scored.
+            store._vector = read_array(
+                directory, manifest["vector"], np.float64, rows, mmap=False
+            )
+            for entry in manifest["bin_codes"]:  # type: ignore[union-attr]
+                binning = Binning.from_json(entry["binning"])
+                codes = read_array(directory, entry["file"], np.int64, rows, mmap=False)
+                if codes.size and (codes.min() < 0 or codes.max() > binning.bins):
+                    raise WarmStartError(
+                        f"score-store bin codes for {binning} fall outside "
+                        f"[0, {binning.bins}] (corrupted bundle)",
+                        reason="truncated",
+                    )
+                store._bin_codes[binning] = codes.astype(np.intp, copy=False)
+            for entry in manifest["partitions"]:  # type: ignore[union-attr]
+                key = tuple(
+                    (str(attribute), value) for attribute, value in entry["key"]
+                )
+                length = int(entry["length"])
+                indices = read_array(
+                    directory, entry["indices"], np.int64, length, mmap=False
+                )
+                if indices.size > rows or (
+                    indices.size and (indices.min() < 0 or indices.max() >= rows)
+                ):
+                    raise WarmStartError(
+                        f"score-store partition indices for key {key!r} fall "
+                        f"outside the dataset's {rows} rows (corrupted bundle)",
+                        reason="truncated",
+                    )
+                loaded = _Entry(indices.astype(np.intp, copy=False))
+                for memo in entry["histograms"]:
+                    binning = Binning.from_json(memo["binning"])
+                    loaded.histograms[binning] = Histogram(
+                        binning=binning,
+                        counts=tuple(int(count) for count in memo["counts"]),
+                    )
+                store._partitions[key] = loaded
+            store._evict_over_bound_locked()
+            return store
 
     # -- introspection ----------------------------------------------------------
 

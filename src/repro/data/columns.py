@@ -14,12 +14,14 @@ This module is the storage half of the columnar data plane.  A
 
 Stores are built incrementally by a :class:`ColumnStoreBuilder` — the
 streaming CSV loader appends fixed-size chunks and never materialises the
-whole file as row dicts — and persist to a directory of raw ``.bin`` files
-plus a JSON manifest (:meth:`ColumnStore.save` / :meth:`ColumnStore.load`).
-Loading re-opens every array as a read-only ``np.memmap`` by default, so a
-reloaded million-row population costs page-cache, not heap: the snapshot
-layer stores these directories next to the catalog snapshot, keyed by the
-dataset's content fingerprint.
+whole file as row dicts — and persist as a *column sidecar*: a
+:mod:`repro.bundle` directory of raw ``.bin`` files plus a JSON manifest
+(:meth:`ColumnStore.save` / :meth:`ColumnStore.load`).  This module decides
+what the manifest says; :mod:`repro.bundle` does every byte of the I/O and
+every format, version, file-name and length check.  Loading re-opens every
+array as a read-only memory map, so a reloaded million-row population
+costs page-cache, not heap: the snapshot layer stores these directories
+next to the catalog snapshot, keyed by the dataset's content fingerprint.
 
 Value fidelity contract: coded decode tables round-trip through JSON, so
 coded values must be ``str`` / ``int`` / ``float`` / ``bool`` / ``None``.
@@ -31,12 +33,12 @@ dataset it was built from.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro import bundle
 from repro.errors import DataError
 
 __all__ = [
@@ -44,17 +46,8 @@ __all__ = [
     "NumericColumn",
     "ColumnStore",
     "ColumnStoreBuilder",
-    "MANIFEST_NAME",
 ]
 
-#: File name of the per-directory column manifest.
-MANIFEST_NAME = "manifest.json"
-
-#: Identifies a column directory (so arbitrary directories are rejected loudly).
-MANIFEST_FORMAT = "fairank-columns"
-
-#: The manifest schema version this build writes (and the only one it reads).
-MANIFEST_VERSION = 1
 
 #: Python types whose values survive a JSON round trip exactly; only these may
 #: appear in a coded column that is persisted to disk.
@@ -224,15 +217,15 @@ class ColumnStore:
     # -- persistence -------------------------------------------------------
 
     def save(self, directory: Union[str, Path]) -> None:
-        """Write this store to ``directory`` (manifest + raw column files).
+        """Write this store to ``directory`` as a column sidecar bundle.
 
         Layout: ``manifest.json`` describes every column (kind, dtype, file,
-        decode table); each array is one raw little-endian ``.bin`` written
-        with ``ndarray.tofile``; explicit uids go to ``uids.json``.  Coded
-        decode values must be JSON-safe (str/int/float/bool/None).
+        decode table); each array is one raw native-order ``.bin``; explicit
+        uids go to ``uids.json``.  Coded decode values must be JSON-safe
+        (str/int/float/bool/None).  Files are replaced atomically, manifest
+        last (see :mod:`repro.bundle`).
         """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
+        writer = bundle.BundleWriter(directory, bundle.COLUMNS)
         manifest_columns: List[Dict[str, object]] = []
         for index, (name, column) in enumerate(self._columns.items()):
             file_name = f"col_{index}.bin"
@@ -243,8 +236,8 @@ class ColumnStore:
                             f"cannot persist column {name!r}: decode value {value!r} "
                             f"({type(value).__name__}) does not survive JSON"
                         )
-                array: np.ndarray = column.codes
-                entry: Dict[str, object] = {
+                writer.array(file_name, column.codes, np.int64)
+                manifest_columns.append({
                     "name": name,
                     "kind": "coded",
                     "file": file_name,
@@ -256,84 +249,55 @@ class ColumnStore:
                         else value
                         for value in column.values
                     ],
-                }
+                })
             else:
-                array = column.values
-                entry = {"name": name, "kind": "numeric", "file": file_name, "dtype": "float64"}
-            np.ascontiguousarray(array).tofile(directory / file_name)
-            manifest_columns.append(entry)
-        manifest = {
-            "format": MANIFEST_FORMAT,
-            "version": MANIFEST_VERSION,
+                writer.array(file_name, column.values, np.float64)
+                manifest_columns.append(
+                    {"name": name, "kind": "numeric", "file": file_name, "dtype": "float64"}
+                )
+        if self._uids is not None:
+            writer.document("uids.json", list(self._uids))
+        writer.commit({
             "rows": self.n,
             "uids": "explicit" if self._uids is not None else "sequential",
             "columns": manifest_columns,
-        }
-        if self._uids is not None:
-            (directory / "uids.json").write_text(
-                json.dumps(list(self._uids)) + "\n", encoding="utf-8"
-            )
-        (directory / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-        )
+        })
 
     @classmethod
-    def load(cls, directory: Union[str, Path], mmap: bool = True) -> "ColumnStore":
+    def load(cls, directory: Union[str, Path]) -> "ColumnStore":
         """Re-open a store saved by :meth:`save`.
 
-        With ``mmap=True`` (the default) every column array is a read-only
-        ``np.memmap`` over its ``.bin`` file — rows are paged in on demand,
-        so reloading a snapshot of a million-row population allocates almost
-        no heap.  ``mmap=False`` reads the files into ordinary arrays.
+        Every column array is a read-only memory map over its ``.bin``
+        file: rows are paged in on demand, so reloading a snapshot of a
+        million-row population allocates almost no heap.  A malformed,
+        foreign or truncated sidecar raises :class:`~repro.errors.BundleError`
+        (a :class:`~repro.errors.DataError`).
         """
         directory = Path(directory)
-        manifest_path = directory / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise DataError(f"no column manifest at {manifest_path}")
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as error:
-            raise DataError(f"cannot read column manifest {manifest_path}: {error}") from None
-        if manifest.get("format") != MANIFEST_FORMAT:
-            raise DataError(f"{manifest_path} is not a fairank column manifest")
-        if manifest.get("version") != MANIFEST_VERSION:
-            raise DataError(
-                f"unsupported column manifest version {manifest.get('version')!r}"
-            )
-        n = int(manifest["rows"])
-        columns: Dict[str, Column] = {}
-        for entry in manifest["columns"]:
-            name = str(entry["name"])
-            path = directory / str(entry["file"])
-            dtype = np.dtype(str(entry["dtype"]))
-            if not path.exists():
-                raise DataError(f"column file missing for {name!r}: {path}")
-            if mmap:
-                array = np.memmap(path, dtype=dtype, mode="r", shape=(n,))
-            else:
-                array = np.fromfile(path, dtype=dtype)
-                if array.shape != (n,):
-                    raise DataError(
-                        f"column file {path} has {array.size} rows, expected {n}"
-                    )
-            if entry["kind"] == "coded":
-                values = [
-                    bool(value["v"])
-                    if isinstance(value, dict) and value.get("t") == "b"
-                    else value
-                    for value in entry["values"]
+        with bundle.open_manifest(directory, bundle.COLUMNS) as manifest:
+            n = int(manifest["rows"])  # type: ignore[arg-type]
+            columns: Dict[str, Column] = {}
+            for entry in manifest["columns"]:  # type: ignore[union-attr]
+                name = str(entry["name"])
+                # The kind fixes the dtype; an unknown kind is a KeyError.
+                dtype = {"coded": np.int64, "numeric": np.float64}[entry["kind"]]
+                array = bundle.read_array(directory, entry["file"], dtype, n, mmap=True)
+                if entry["kind"] == "coded":
+                    values = [
+                        bool(value["v"])
+                        if isinstance(value, dict) and value.get("t") == "b"
+                        else value
+                        for value in entry["values"]
+                    ]
+                    columns[name] = CodedColumn(array, values)
+                else:
+                    columns[name] = NumericColumn(array)
+            uids: Optional[List[str]] = None
+            if manifest["uids"] == "explicit":
+                uids = [
+                    str(uid)
+                    for uid in bundle.read_json(directory / "uids.json")  # type: ignore[union-attr]
                 ]
-                columns[name] = CodedColumn(array, values)
-            elif entry["kind"] == "numeric":
-                columns[name] = NumericColumn(array)
-            else:
-                raise DataError(f"unknown column kind {entry['kind']!r} for {name!r}")
-        uids: Optional[List[str]] = None
-        if manifest.get("uids") == "explicit":
-            uids_path = directory / "uids.json"
-            if not uids_path.exists():
-                raise DataError(f"column store at {directory} is missing uids.json")
-            uids = [str(uid) for uid in json.loads(uids_path.read_text(encoding="utf-8"))]
         return cls(n, columns, uids=uids)
 
 

@@ -84,3 +84,13 @@ class WarmStartError(FaiRankError):
     def __init__(self, message: str, reason: str = "invalid") -> None:
         super().__init__(message)
         self.reason = reason
+
+
+class BundleError(WarmStartError, DataError):
+    """An on-disk bundle (see :mod:`repro.bundle`) cannot be read.
+
+    ``reason`` is ``manifest`` (unreadable, foreign, stale or malformed
+    metadata) or ``truncated`` (an array file missing or of the wrong size).
+    It is a :class:`DataError` to column-sidecar callers, and a
+    :class:`WarmStartError` that warm-start loaders skip under its reason.
+    """

@@ -15,7 +15,7 @@ which is what the EMD compares.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -87,6 +87,16 @@ class Binning:
         edges = self.edges
         index = int(np.searchsorted(edges, score, side="right")) - 1
         return int(np.clip(index, 0, self.bins - 1))
+
+    def to_json(self) -> Dict[str, object]:
+        """``low``/``high``/``bins`` as JSON: exact, as JSON round-trips floats."""
+        return {"low": self.low, "high": self.high, "bins": self.bins}
+
+    @classmethod
+    def from_json(cls, payload: Mapping[str, object]) -> "Binning":
+        """Rebuild a binning from :meth:`to_json` output."""
+        low, high = float(payload["low"]), float(payload["high"])  # type: ignore[arg-type]
+        return cls(low=low, high=high, bins=int(payload["bins"]))  # type: ignore[arg-type]
 
     @classmethod
     def unit(cls, bins: int = DEFAULT_BINS) -> "Binning":

@@ -31,9 +31,10 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
+from repro import bundle
 from repro.catalog import ResourceKind
 from repro.core.scorestore import ScoreStore
-from repro.errors import CatalogError, WarmStartError
+from repro.errors import BundleError, CatalogError, WarmStartError
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
 from repro.service.fingerprint import (
@@ -43,16 +44,9 @@ from repro.service.fingerprint import (
 from repro.snapshot import function_from_portable_json, function_to_portable_json
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from repro.data.dataset import Dataset
     from repro.service.service import FairnessService
 
-__all__ = ["WARM_FORMAT", "WARM_VERSION", "save_warm_state", "load_warm_state"]
-
-#: Identifies a warm-start bundle directory (arbitrary JSON is rejected loudly).
-WARM_FORMAT = "fairank-warmstart"
-
-#: The bundle schema version this build writes (and the only one it reads).
-WARM_VERSION = 1
+__all__ = ["save_warm_state", "load_warm_state"]
 
 
 def _metrics():
@@ -73,8 +67,8 @@ def _metrics():
     )
 
 
-def _skip(skips, reason: str, **fields: object) -> None:
-    skips.inc(reason=reason)
+def _skip(reason: str, **fields: object) -> None:
+    _metrics()[1].inc(reason=reason)
     get_logger().event("warmstart_skip", reason=reason, **fields)
 
 
@@ -108,11 +102,11 @@ def save_warm_state(
     decoded back into the bundle's JSON tree).  Cold stores and stores of
     non-portable functions are silently left out — they are rebuilt on
     demand after a restart, exactly as they were built the first time.  The
-    top-level ``manifest.json`` is written last, so an interrupted save is
-    indistinguishable from no bundle.
+    old top-level manifest is removed first and the new one written last
+    (see :mod:`repro.bundle`), so an interrupted save is indistinguishable
+    from no bundle.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    writer = bundle.BundleWriter(directory, bundle.WARM_START)
     stores_manifest: List[Dict[str, object]] = []
     for index, store in enumerate(service._store_pool.values()):
         if not isinstance(store, ScoreStore) or not store.materialized:
@@ -124,37 +118,29 @@ def save_warm_state(
         # fairlint: disable=FL007 -- documented skip of one store
         except CatalogError:
             continue
-        store_dir = f"store_{index:02d}"
-        store_manifest = store.save(directory / "stores" / store_dir)
+        store_dir = f"stores/store_{index:02d}"
+        store_manifest = store.save(writer.directory / store_dir)
         stores_manifest.append(
             {
-                "directory": f"stores/{store_dir}",
-                "dataset": store_manifest["dataset"],
-                "rows": store_manifest["rows"],
+                "directory": store_dir,
                 "dataset_fingerprint": store_manifest["dataset_fingerprint"],
-                "function_fingerprint": store_manifest["function_fingerprint"],
                 "function": function_json,
             }
         )
     results: List[Dict[str, object]] = []
     for key, value in service.cache.items():
         results.append({"key": key, "payload": json.loads(value)})  # type: ignore[arg-type]
-    (directory / "results.json").write_text(
-        json.dumps({"results": results}, indent=2) + "\n", encoding="utf-8"
-    )
-    manifest: Dict[str, object] = {
-        "format": WARM_FORMAT,
-        "version": WARM_VERSION,
-        "catalog_fingerprint": _catalog_fingerprint(service),
-        "stores": stores_manifest,
-        "results": "results.json",
-    }
-    (directory / "manifest.json").write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
+    writer.document("results.json", {"results": results})
+    manifest = writer.commit(
+        {
+            "catalog_fingerprint": _catalog_fingerprint(service),
+            "stores": stores_manifest,
+            "results": "results.json",
+        }
     )
     get_logger().event(
         "warmstart_save",
-        directory=str(directory),
+        directory=str(writer.directory),
         stores=len(stores_manifest),
         results=len(results),
     )
@@ -168,31 +154,25 @@ def _load_store(
     service: "FairnessService", directory: Path, entry: Dict[str, object]
 ) -> Optional[str]:
     """Load one store bundle into the pool; returns its pool key (or None)."""
-    loads, skips, bytes_total = _metrics()
-    store_dir = directory / str(entry.get("directory", ""))
+    loads, _, bytes_total = _metrics()
+    try:
+        store_dir = bundle.local_path(directory, entry.get("directory"))
+    except BundleError as error:
+        _skip(error.reason, directory=str(directory), error=str(error))
+        return None
     try:
         function = function_from_portable_json(entry["function"])  # type: ignore[arg-type]
     except (CatalogError, KeyError, TypeError) as error:
-        _skip(skips, "function", directory=str(store_dir), error=str(error))
-        return None
-    function_fingerprint = fingerprint_function(function)
-    if function_fingerprint != entry.get("function_fingerprint"):
-        _skip(
-            skips,
-            "fingerprint",
-            directory=str(store_dir),
-            detail="rebuilt function does not match its recorded fingerprint",
-        )
+        _skip("function", directory=str(store_dir), error=str(error))
         return None
     dataset_fingerprint = str(entry.get("dataset_fingerprint", ""))
-    dataset: Optional["Dataset"] = None
-    for resource in service.catalog.resources(ResourceKind.DATASET):
-        if resource.fingerprint == dataset_fingerprint:
-            dataset = resource.value  # type: ignore[assignment]
-            break
+    dataset = next(
+        (resource.value for resource in service.catalog.resources(ResourceKind.DATASET)
+         if resource.fingerprint == dataset_fingerprint),
+        None,
+    )
     if dataset is None:
         _skip(
-            skips,
             "fingerprint",
             directory=str(store_dir),
             detail="no live dataset matches the bundle's dataset fingerprint",
@@ -201,10 +181,12 @@ def _load_store(
     try:
         store = ScoreStore.load(store_dir, dataset, function, trust_uids=True)
     except WarmStartError as error:
-        _skip(skips, error.reason, directory=str(store_dir), error=str(error))
+        _skip(error.reason, directory=str(store_dir), error=str(error))
         return None
+    # ScoreStore.load verified the function against the bundle's recorded
+    # fingerprint, so the pool key is the one a cold request derives.
     key = combine_fingerprints(
-        "score-store", dataset_fingerprint, function_fingerprint
+        "score-store", dataset_fingerprint, fingerprint_function(function)
     )
     service._store_pool.put(key, store)
     loaded_bytes = _bundle_bytes(store_dir)
@@ -221,43 +203,29 @@ def _load_store(
     return key
 
 
-def _load_results(
-    service: "FairnessService", directory: Path, manifest: Dict[str, object]
-) -> int:
+def _load_results(service: "FairnessService", results_path: Path) -> int:
     """Reload cached result payloads; returns how many entries were restored."""
-    loads, skips, bytes_total = _metrics()
-    if manifest.get("catalog_fingerprint") != _catalog_fingerprint(service):
-        # The catalog content changed since the bundle was saved; cached
-        # results may reference resources that no longer mean the same thing.
-        _skip(skips, "catalog_drift", directory=str(directory))
-        return 0
-    results_file = directory / str(manifest.get("results", "results.json"))
+    loads, _, bytes_total = _metrics()
     try:
-        payload = json.loads(results_file.read_text(encoding="utf-8"))
-        entries = payload["results"]
-    except (OSError, ValueError, KeyError, TypeError) as error:
-        _skip(skips, "manifest", directory=str(directory), error=str(error))
+        entries = list(bundle.read_json(results_path)["results"])  # type: ignore[index]
+    except (BundleError, KeyError, TypeError) as error:
+        _skip("manifest", directory=str(results_path.parent), error=str(error))
         return 0
     restored = 0
     for entry in entries:
-        try:
-            # Older bundles also carry a per-entry "cost" field; it is ignored.
-            key = str(entry["key"])
-            value = entry["payload"]
-        except (KeyError, TypeError):
-            _skip(skips, "manifest", directory=str(directory))
-            continue
-        if not isinstance(value, dict):
-            _skip(skips, "manifest", directory=str(directory))
+        # Older bundles also carry a per-entry "cost" field; it is ignored.
+        value = entry.get("payload") if isinstance(entry, dict) else None
+        if not isinstance(value, dict) or "key" not in entry:
+            _skip("manifest", directory=str(results_path.parent))
             continue
         # Entries arrive least recently used first, so re-inserting in file
         # order reproduces the cache's recency order exactly.  Re-encoding
         # the decoded tree reproduces the bytes encoded at compute time.
-        service.cache.put(key, json.dumps(value).encode("utf-8"))
+        service.cache.put(str(entry["key"]), json.dumps(value).encode("utf-8"))
         loads.inc(component="result")
         restored += 1
     if restored:
-        loaded_bytes = results_file.stat().st_size
+        loaded_bytes = results_path.stat().st_size
         bytes_total.inc(loaded_bytes)
         get_logger().event(
             "warmstart_load",
@@ -279,31 +247,23 @@ def load_warm_state(
     ``manifest.json`` is a normal first boot — nothing is loaded or counted.
     """
     directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
+    if not (directory / bundle.MANIFEST).exists():
         return {"stores": 0, "results": 0}
-    _, skips, _ = _metrics()
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as error:
-        _skip(skips, "manifest", directory=str(directory), error=str(error))
-        return {"stores": 0, "results": 0}
-    if not isinstance(manifest, dict) or manifest.get("format") != WARM_FORMAT:
-        _skip(skips, "manifest", directory=str(directory), detail="not a warm bundle")
-        return {"stores": 0, "results": 0}
-    if manifest.get("version") != WARM_VERSION:
-        _skip(
-            skips,
-            "manifest",
-            directory=str(directory),
-            detail=f"unsupported bundle version {manifest.get('version')!r}",
-        )
+        with bundle.open_manifest(directory, bundle.WARM_START) as manifest:
+            entries = list(manifest["stores"])  # type: ignore[call-overload]
+            results_path = bundle.local_path(directory, manifest["results"])
+            catalog_fingerprint = manifest["catalog_fingerprint"]
+    except BundleError as error:
+        _skip(error.reason, directory=str(directory), error=str(error))
         return {"stores": 0, "results": 0}
     stores = 0
-    entries = manifest.get("stores", ())
-    if isinstance(entries, list):
-        for entry in entries:
-            if isinstance(entry, dict) and _load_store(service, directory, entry):
-                stores += 1
-    results = _load_results(service, directory, manifest)
-    return {"stores": stores, "results": results}
+    for entry in entries:
+        if isinstance(entry, dict) and _load_store(service, directory, entry):
+            stores += 1
+    if catalog_fingerprint != _catalog_fingerprint(service):
+        # The catalog content changed since the bundle was saved; cached
+        # results may reference resources that no longer mean the same thing.
+        _skip("catalog_drift", directory=str(directory))
+        return {"stores": stores, "results": 0}
+    return {"stores": stores, "results": _load_results(service, results_path)}

@@ -38,12 +38,12 @@ unknown version, unsupported resource) raise
 
 from __future__ import annotations
 
-import json
 from dataclasses import replace as dataclass_replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.errors import CatalogError, FaiRankError
+from repro import bundle
+from repro.errors import BundleError, CatalogError, FaiRankError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.catalog import Catalog
@@ -58,11 +58,9 @@ __all__ = [
     "function_from_portable_json",
 ]
 
-#: Identifies a snapshot file (so arbitrary JSON is rejected loudly).
-SNAPSHOT_FORMAT = "fairank-catalog"
-
-#: The snapshot schema version this build writes (and the only one it reads).
-SNAPSHOT_VERSION = 1
+#: The ``format``/``version`` stamp of a snapshot file (see :mod:`repro.bundle`).
+SNAPSHOT_FORMAT = bundle.SNAPSHOT.format
+SNAPSHOT_VERSION = bundle.SNAPSHOT.version
 
 
 # -- datasets -----------------------------------------------------------------
@@ -128,25 +126,23 @@ def _dataset_from_json(payload: Mapping[str, object]):
 
 #: Loader registry for datasets saved *by reference* instead of inline.  A
 #: source spec is ``{"loader": <key>, ...loader-specific fields...}``.
-#: ``base_dir`` anchors relative paths (the snapshot file's directory, so a
-#: snapshot plus its column sidecars can be moved or shipped as a unit).
-def _load_dataset_source(source: Mapping[str, object], base_dir: Optional[Path] = None):
+#: A column sidecar's ``dir`` must lie inside ``base_dir`` (the snapshot
+#: file's directory), so a snapshot plus its sidecars moves as a unit.
+def _load_dataset_source(source: Mapping[str, object], base_dir: Path):
     loader = source.get("loader")
     if loader == "columns":
         from repro.data.columns import ColumnStore
         from repro.data.dataset import Dataset
 
         try:
-            directory = Path(str(source["dir"]))
+            directory = bundle.local_path(base_dir, source["dir"])
             schema = _schema_from_json(source["schema"])  # type: ignore[arg-type]
         except KeyError as missing:
             raise CatalogError(
                 f"columns dataset source is missing field {missing.args[0]!r} "
                 "(needs dir, schema)"
             ) from None
-        if not directory.is_absolute() and base_dir is not None:
-            directory = base_dir / directory
-        store = ColumnStore.load(directory, mmap=bool(source.get("mmap", True)))
+        store = ColumnStore.load(directory)
         return Dataset.from_store(
             schema,
             store,
@@ -191,7 +187,14 @@ def _load_dataset_source(source: Mapping[str, object], base_dir: Optional[Path] 
 # -- scoring functions --------------------------------------------------------
 
 
-def _function_to_json(function, context: str) -> Dict[str, object]:
+def function_to_portable_json(
+    function, context: str = "scoring function"
+) -> Dict[str, object]:
+    """Portable JSON for a scoring function (warm-start bundles, snapshots).
+
+    Raises :class:`~repro.errors.CatalogError` for function types without a
+    portable content representation — callers skip those, they don't crash.
+    """
     from repro.scoring.linear import LinearScoringFunction
 
     if not isinstance(function, LinearScoringFunction):
@@ -206,7 +209,8 @@ def _function_to_json(function, context: str) -> Dict[str, object]:
     }
 
 
-def _function_from_json(payload: Mapping[str, object]):
+def function_from_portable_json(payload: Mapping[str, object]):
+    """Rebuild a scoring function from :func:`function_to_portable_json` output."""
     from repro.scoring.linear import LinearScoringFunction
 
     if payload.get("type") != "linear":
@@ -220,24 +224,6 @@ def _function_from_json(payload: Mapping[str, object]):
         name=str(payload.get("name", "linear")),
         normalize=False,
     )
-
-
-def function_to_portable_json(function, context: str = "scoring function") -> Dict[str, object]:
-    """Portable JSON for a scoring function (warm-start bundles, snapshots).
-
-    Raises :class:`~repro.errors.CatalogError` for function types without a
-    portable content representation — callers skip those, they don't crash.
-    """
-    return _function_to_json(function, context)
-
-
-def function_from_portable_json(payload: Mapping[str, object]):
-    """Rebuild a scoring function from :func:`function_to_portable_json` output.
-
-    Weights are preserved bit-for-bit so the rebuilt function's content
-    fingerprint matches the one recorded at save time.
-    """
-    return _function_from_json(payload)
 
 
 # -- filters ------------------------------------------------------------------
@@ -310,7 +296,7 @@ def _marketplace_to_json(marketplace) -> Dict[str, object]:
         {
             "title": job.title,
             "description": job.description,
-            "function": _function_to_json(
+            "function": function_to_portable_json(
                 job.function, f"job {job.title!r} of marketplace {marketplace.name!r}"
             ),
             "candidate_filter": _filter_to_json(job.candidate_filter),
@@ -331,7 +317,7 @@ def _marketplace_from_json(payload: Mapping[str, object]):
     jobs = [
         Job(
             title=str(entry["title"]),
-            function=_function_from_json(entry["function"]),
+            function=function_from_portable_json(entry["function"]),
             candidate_filter=_filter_from_json(entry["candidate_filter"]),
             description=str(entry.get("description", "")),
         )
@@ -351,11 +337,7 @@ def _formulation_to_json(formulation) -> Dict[str, object]:
         "bins": formulation.bins,
     }
     if formulation.binning is not None:
-        payload["binning"] = {
-            "low": formulation.binning.low,
-            "high": formulation.binning.high,
-            "bins": formulation.binning.bins,
-        }
+        payload["binning"] = formulation.binning.to_json()
     return payload
 
 
@@ -372,12 +354,7 @@ def _formulation_from_json(payload: Mapping[str, object]):
     binning = payload.get("binning")
     if binning is not None:
         formulation = dataclass_replace(
-            formulation,
-            binning=Binning(
-                low=float(binning["low"]),  # type: ignore[index]
-                high=float(binning["high"]),  # type: ignore[index]
-                bins=int(binning["bins"]),  # type: ignore[index]
-            ),
+            formulation, binning=Binning.from_json(binning)  # type: ignore[arg-type]
         )
     return formulation
 
@@ -399,7 +376,11 @@ def _resource_body(resource, dataset_sources: Mapping[str, Mapping[str, object]]
             return {"source": dict(source)}
         return {"dataset": _dataset_to_json(resource.value)}
     if resource.kind is ResourceKind.FUNCTION:
-        return {"function": _function_to_json(resource.value, f"function {resource.name!r}")}
+        return {
+            "function": function_to_portable_json(
+                resource.value, f"function {resource.name!r}"
+            )
+        }
     if resource.kind is ResourceKind.MARKETPLACE:
         return {"marketplace": _marketplace_to_json(resource.value)}
     if resource.kind is ResourceKind.FORMULATION:
@@ -463,7 +444,6 @@ def save_catalog(
             dataset = resource.value
             directory = sidecar_root / resource.fingerprint[:16]
             try:
-                directory.mkdir(parents=True, exist_ok=True)
                 dataset.store.save(directory)
             except OSError as error:
                 raise CatalogError(
@@ -492,19 +472,13 @@ def save_catalog(
         raise CatalogError(
             f"dataset_sources references unregistered datasets: {sorted(unknown)}"
         )
-    document: Dict[str, object] = {
-        "format": SNAPSHOT_FORMAT,
-        "version": SNAPSHOT_VERSION,
-        "resources": entries,
-    }
     try:
-        Path(path).write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
+        return bundle.write_document(path, bundle.SNAPSHOT, {"resources": entries})
     except OSError as error:
         raise CatalogError(f"cannot write catalog snapshot: {error}") from None
-    return document
 
 
-def _rebuild_resource(entry: Mapping[str, object], base_dir: Optional[Path] = None):
+def _rebuild_resource(entry: Mapping[str, object], base_dir: Path):
     """(kind, value) for one snapshot entry."""
     from repro.catalog import ResourceKind
 
@@ -519,7 +493,7 @@ def _rebuild_resource(entry: Mapping[str, object], base_dir: Optional[Path] = No
             return kind, _load_dataset_source(entry["source"], base_dir)  # type: ignore[arg-type]
         return kind, _dataset_from_json(entry["dataset"])  # type: ignore[arg-type]
     if kind is ResourceKind.FUNCTION:
-        return kind, _function_from_json(entry["function"])  # type: ignore[arg-type]
+        return kind, function_from_portable_json(entry["function"])  # type: ignore[arg-type]
     if kind is ResourceKind.MARKETPLACE:
         return kind, _marketplace_from_json(entry["marketplace"])  # type: ignore[arg-type]
     return kind, _formulation_from_json(entry["formulation"])  # type: ignore[arg-type]
@@ -528,29 +502,16 @@ def _rebuild_resource(entry: Mapping[str, object], base_dir: Optional[Path] = No
 def _read_snapshot_document(path: Union[str, Path]) -> List[Mapping[str, object]]:
     """Read and validate a snapshot file; returns its ``resources`` entries."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as error:
-        raise CatalogError(f"cannot read catalog snapshot: {error}") from None
-    try:
-        document = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise CatalogError(
-            f"catalog snapshot {path} is not valid JSON (truncated file?): {error}"
-        ) from None
-    if not isinstance(document, dict) or document.get("format") != SNAPSHOT_FORMAT:
-        raise CatalogError(
-            f"{path} is not a catalog snapshot (missing "
-            f'"format": "{SNAPSHOT_FORMAT}")'
-        )
-    version = document.get("version")
-    if version != SNAPSHOT_VERSION:
-        raise CatalogError(
-            f"unsupported catalog snapshot version {version!r}; "
-            f"this build reads version {SNAPSHOT_VERSION}"
-        )
-    entries = document.get("resources")
+        entries = bundle.read_document(Path(path), bundle.SNAPSHOT).get("resources")
+    except BundleError as error:
+        raise CatalogError(str(error)) from None
     if not isinstance(entries, list):
         raise CatalogError(f"catalog snapshot {path} has no 'resources' list")
+    for index, entry in enumerate(entries, start=1):
+        if not isinstance(entry, Mapping) or "name" not in entry or "kind" not in entry:
+            raise CatalogError(
+                f"catalog snapshot entry #{index} is malformed (needs kind and name)"
+            )
     return entries
 
 
@@ -565,11 +526,7 @@ def snapshot_fingerprints(path: Union[str, Path]) -> Dict[Tuple[str, str], str]:
     truncated JSON or an unknown version).
     """
     fingerprints: Dict[Tuple[str, str], str] = {}
-    for index, entry in enumerate(_read_snapshot_document(path), start=1):
-        if not isinstance(entry, Mapping) or "name" not in entry or "kind" not in entry:
-            raise CatalogError(
-                f"catalog snapshot entry #{index} is malformed (needs kind and name)"
-            )
+    for entry in _read_snapshot_document(path):
         fingerprint = entry.get("fingerprint")
         if fingerprint is not None:
             fingerprints[(str(entry["kind"]), str(entry["name"]))] = str(fingerprint)
@@ -592,10 +549,6 @@ def load_catalog(path: Union[str, Path]) -> "Catalog":
     base_dir = Path(path).resolve().parent
     catalog = Catalog()
     for index, entry in enumerate(entries, start=1):
-        if not isinstance(entry, Mapping) or "name" not in entry:
-            raise CatalogError(
-                f"catalog snapshot entry #{index} is malformed (needs kind and name)"
-            )
         try:
             kind, value = _rebuild_resource(entry, base_dir)
         except CatalogError:

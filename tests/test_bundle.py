@@ -1,0 +1,408 @@
+"""One bundle format: every persisted artifact refuses broken files the same way.
+
+One negative suite per bundle kind (column sidecar, score-store bundle,
+warm-start bundle, catalog snapshot), each covering a truncated ``.bin``, an
+over-long ``.bin``, a non-local file name, a foreign ``format``, a foreign
+``version`` and a manifest missing a required field.  Every case must end in
+the kind's typed error (or a warm-start skip reason), never a builtin
+``ValueError``/``KeyError`` and never a silent load.  Then the previous
+on-disk layout: v1 column sidecars and catalog snapshots still load
+byte-identically, and v1 score-store bundles inside a warm bundle are
+skipped while its results load.
+"""
+
+from __future__ import annotations
+
+import json
+import shutil
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro import bundle
+from repro.catalog import Catalog, ResourceKind
+from repro.core.quantify import quantify
+from repro.core.scorestore import ScoreStore
+from repro.data.columns import ColumnStore
+from repro.data.dataset import Dataset
+from repro.data.schema import Schema, observed, protected
+from repro.errors import BundleError, CatalogError, DataError, WarmStartError
+from repro.experiments.workloads import synthetic_population
+from repro.obs.metrics import get_registry
+from repro.scoring.linear import LinearScoringFunction
+from repro.service import FairnessService, QuantifyRequest
+from repro.service.fingerprint import fingerprint_dataset, fingerprint_function
+from repro.snapshot import load_catalog
+
+
+def _edit_json(path: Path, edit) -> None:
+    document = json.loads(path.read_text(encoding="utf-8"))
+    edit(document)
+    path.write_text(json.dumps(document), encoding="utf-8")
+
+
+def _truncate(path: Path) -> None:
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+
+
+def _extend(path: Path) -> None:
+    path.write_bytes(path.read_bytes() * 2)
+
+
+def _set(field: str, value):
+    return lambda document: document.__setitem__(field, value)
+
+
+def _delete(field: str):
+    return lambda document: document.pop(field)
+
+
+def _population() -> Dataset:
+    return synthetic_population(size=120, seed=7)
+
+
+_FUNCTION = LinearScoringFunction({"Language Test": 0.6, "Rating": 0.4}, name="bundle-f")
+
+
+# -- column sidecars ----------------------------------------------------------
+
+
+def _sidecar_manifest(edit):
+    return lambda root: _edit_json(root / "sidecar" / bundle.MANIFEST, edit)
+
+
+def _sidecar_outside(root: Path) -> None:
+    """Point column 0 at a correctly sized file outside the bundle."""
+    shutil.copy(root / "sidecar" / "col_0.bin", root / "outside.bin")
+    _sidecar_manifest(
+        lambda manifest: manifest["columns"][0].__setitem__("file", "../outside.bin")
+    )(root)
+
+
+SIDECAR_CASES = {
+    "truncated": (lambda root: _truncate(root / "sidecar" / "col_0.bin"), "truncated"),
+    "over-long": (lambda root: _extend(root / "sidecar" / "col_0.bin"), "truncated"),
+    "missing-file": (lambda root: (root / "sidecar" / "col_1.bin").unlink(), "truncated"),
+    "non-local": (_sidecar_outside, "manifest"),
+    "foreign-format": (_sidecar_manifest(_set("format", "x")), "manifest"),
+    "foreign-version": (_sidecar_manifest(_set("version", 99)), "manifest"),
+    "missing-field": (_sidecar_manifest(_delete("rows")), "manifest"),
+    "unknown-kind": (
+        _sidecar_manifest(
+            lambda manifest: manifest["columns"][0].__setitem__("kind", "sparse")
+        ),
+        "manifest",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIDECAR_CASES))
+def test_broken_column_sidecar_is_a_data_error(tmp_path, case):
+    _population().store.save(tmp_path / "sidecar")
+    mutate, reason = SIDECAR_CASES[case]
+    mutate(tmp_path)
+    with pytest.raises(DataError) as excinfo:
+        ColumnStore.load(tmp_path / "sidecar")
+    assert isinstance(excinfo.value, BundleError)
+    assert excinfo.value.reason == reason
+
+
+def test_empty_column_sidecar_round_trips(tmp_path):
+    empty = _population().filter(lambda row: False)
+    empty.store.save(tmp_path / "sidecar")
+    assert len(ColumnStore.load(tmp_path / "sidecar")) == 0
+
+
+# -- score-store bundles ------------------------------------------------------
+
+
+def _store_outside(root: Path) -> None:
+    shutil.copy(root / "store" / "vector.bin", root / "outside.bin")
+    _edit_json(root / "store" / bundle.MANIFEST, _set("vector", "../outside.bin"))
+
+
+def _store_manifest(edit):
+    return lambda root: _edit_json(root / "store" / bundle.MANIFEST, edit)
+
+
+STORE_CASES = {
+    "truncated": (lambda root: _truncate(root / "store" / "vector.bin"), "truncated"),
+    "over-long": (lambda root: _extend(root / "store" / "vector.bin"), "truncated"),
+    "truncated-partition": (
+        lambda root: _truncate(root / "store" / "part_0.bin"), "truncated"
+    ),
+    "non-local": (_store_outside, "manifest"),
+    "absolute": (
+        lambda root: _store_manifest(_set("vector", str(root / "store" / "vector.bin")))(root),
+        "manifest",
+    ),
+    "foreign-format": (_store_manifest(_set("format", "x")), "manifest"),
+    "previous-version": (_store_manifest(_set("version", 1)), "manifest"),
+    "foreign-version": (_store_manifest(_set("version", 99)), "manifest"),
+    "missing-field": (_store_manifest(_delete("rows")), "manifest"),
+    "missing-partition-length": (
+        _store_manifest(lambda manifest: manifest["partitions"][0].pop("length")),
+        "manifest",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STORE_CASES))
+def test_broken_score_store_bundle_is_a_warm_start_error(tmp_path, case):
+    population = _population()
+    store = ScoreStore(population, _FUNCTION)
+    quantify(population, _FUNCTION, min_partition_size=5, store=store)
+    assert store.save(tmp_path / "store")["partitions"]
+    mutate, reason = STORE_CASES[case]
+    mutate(tmp_path)
+    with pytest.raises(WarmStartError) as excinfo:
+        ScoreStore.load(tmp_path / "store", population, _FUNCTION)
+    assert excinfo.value.reason == reason
+
+
+# -- warm-start bundles -------------------------------------------------------
+
+_REQUEST = QuantifyRequest(dataset="pop", function="bundle-f", min_partition_size=5)
+
+
+def _warm_service() -> FairnessService:
+    service = FairnessService()
+    service.register_dataset(_population(), name="pop")
+    service.register_function(_FUNCTION)
+    return service
+
+
+def _warm_manifest(edit):
+    return lambda root: _edit_json(root / "warm" / bundle.MANIFEST, edit)
+
+
+def _warm_store_outside(root: Path) -> None:
+    shutil.copytree(root / "warm" / "stores" / "store_00", root / "elsewhere")
+    _warm_manifest(
+        lambda manifest: manifest["stores"][0].__setitem__("directory", "../elsewhere")
+    )(root)
+
+
+def _warm_results_outside(root: Path) -> None:
+    shutil.copy(root / "warm" / "results.json", root / "results.json")
+    _warm_manifest(_set("results", "../results.json"))(root)
+
+
+_VECTOR = Path("warm", "stores", "store_00", "vector.bin")
+
+#: case -> (mutation, skip reason, load counts)
+WARM_CASES = {
+    "truncated": (
+        lambda root: _truncate(root / _VECTOR), "truncated", {"stores": 0, "results": 1}
+    ),
+    "over-long": (
+        lambda root: _extend(root / _VECTOR), "truncated", {"stores": 0, "results": 1}
+    ),
+    "non-local-store": (_warm_store_outside, "manifest", {"stores": 0, "results": 1}),
+    "absolute-store": (
+        lambda root: _warm_manifest(
+            lambda manifest: manifest["stores"][0].__setitem__(
+                "directory", str(root / "warm" / "stores" / "store_00")
+            )
+        )(root),
+        "manifest",
+        {"stores": 0, "results": 1},
+    ),
+    "non-local-results": (
+        _warm_results_outside, "manifest", {"stores": 0, "results": 0}
+    ),
+    "foreign-format": (
+        _warm_manifest(_set("format", "x")), "manifest", {"stores": 0, "results": 0}
+    ),
+    "foreign-version": (
+        _warm_manifest(_set("version", 99)), "manifest", {"stores": 0, "results": 0}
+    ),
+    "missing-field": (
+        _warm_manifest(_delete("stores")), "manifest", {"stores": 0, "results": 0}
+    ),
+}
+
+
+def _skips(reason: str) -> float:
+    return get_registry().counter("fairank_warmstart_skips_total").value(reason=reason)
+
+
+@pytest.mark.parametrize("case", sorted(WARM_CASES))
+def test_broken_warm_bundle_is_skipped_with_a_reason(tmp_path, case):
+    warm = _warm_service()
+    reference = warm.execute(_REQUEST)
+    warm.save_warm_state(tmp_path / "warm")
+    mutate, reason, counts = WARM_CASES[case]
+    mutate(tmp_path)
+    before = _skips(reason)
+    restarted = _warm_service()
+    assert restarted.load_warm_state(tmp_path / "warm") == counts
+    assert _skips(reason) == before + 1
+    assert restarted.execute(_REQUEST).canonical() == reference.canonical()
+
+
+# -- catalog snapshots --------------------------------------------------------
+
+
+def _snapshot_document(edit):
+    return lambda root: _edit_json(root / "deploy" / "snap.json", edit)
+
+
+def _sidecar_file(root: Path) -> Path:
+    return next((root / "deploy" / "snap.json.columns").glob("*/col_0.bin"))
+
+
+def _snapshot_sidecar_outside(root: Path) -> None:
+    sidecar = _sidecar_file(root).parent
+    shutil.copytree(sidecar, root / "elsewhere")
+
+    def point_outside(document):
+        for entry in document["resources"]:
+            if entry["kind"] == "dataset":
+                entry["source"]["dir"] = "../elsewhere"
+
+    _snapshot_document(point_outside)(root)
+
+
+SNAPSHOT_CASES = {
+    "truncated": lambda root: _truncate(_sidecar_file(root)),
+    "over-long": lambda root: _extend(_sidecar_file(root)),
+    "non-local": _snapshot_sidecar_outside,
+    "foreign-format": _snapshot_document(_set("format", "x")),
+    "foreign-version": _snapshot_document(_set("version", 99)),
+    "missing-field": _snapshot_document(_delete("resources")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SNAPSHOT_CASES))
+def test_broken_catalog_snapshot_is_a_catalog_error(tmp_path, case):
+    catalog = Catalog()
+    catalog.register(_population(), name="pop")
+    catalog.register(_FUNCTION)
+    catalog.save(tmp_path / "deploy" / "snap.json", columnar_datasets=True)
+    SNAPSHOT_CASES[case](tmp_path)
+    with pytest.raises(CatalogError):
+        load_catalog(tmp_path / "deploy" / "snap.json")
+
+
+# -- the previous on-disk layout ----------------------------------------------
+
+
+def _toy() -> Dataset:
+    schema = Schema((
+        protected("Gender", domain=("F", "M")),
+        protected("Senior", domain=(True, False)),
+        observed("Rating", domain=(0.0, 1.0)),
+    ))
+    records = [
+        {"Gender": "F", "Senior": True, "Rating": 0.9},
+        {"Gender": "M", "Senior": False, "Rating": 0.4},
+        {"Gender": "F", "Senior": False, "Rating": 0.7},
+        {"Gender": "M", "Senior": True, "Rating": 0.2},
+    ]
+    return Dataset.from_records(schema, records, name="toy")
+
+
+def _write_previous_layout_snapshot(root: Path, dataset: Dataset, function) -> Path:
+    """A v1 snapshot + sidecar written the way builds before repro.bundle did:
+    ``ndarray.tofile`` straight into each file, then each JSON document."""
+    sidecar = root / "snap.json.columns" / "0123456789abcdef"
+    sidecar.mkdir(parents=True)
+    np.array([0, 1, 0, 1], dtype=np.int64).tofile(sidecar / "col_0.bin")
+    np.array([0, 1, 1, 0], dtype=np.int64).tofile(sidecar / "col_1.bin")
+    np.array([0.9, 0.4, 0.7, 0.2]).tofile(sidecar / "col_2.bin")
+    (sidecar / "manifest.json").write_text(json.dumps({
+        "format": "fairank-columns",
+        "version": 1,
+        "rows": 4,
+        "uids": "explicit",
+        "columns": [
+            {"name": "Gender", "kind": "coded", "file": "col_0.bin", "dtype": "int64",
+             "values": ["F", "M"]},
+            {"name": "Senior", "kind": "coded", "file": "col_1.bin", "dtype": "int64",
+             "values": [{"t": "b", "v": True}, {"t": "b", "v": False}]},
+            {"name": "Rating", "kind": "numeric", "file": "col_2.bin", "dtype": "float64"},
+        ],
+    }, indent=2) + "\n")
+    (sidecar / "uids.json").write_text(json.dumps(list(dataset.uids)) + "\n")
+    schema = [
+        {"name": attribute.name, "kind": attribute.kind.value,
+         "atype": attribute.atype.value,
+         "domain": None if attribute.domain is None else list(attribute.domain),
+         "description": attribute.description}
+        for attribute in dataset.schema
+    ]
+    path = root / "snap.json"
+    path.write_text(json.dumps({
+        "format": "fairank-catalog",
+        "version": 1,
+        "resources": [
+            {"kind": "dataset", "name": "toy", "frozen": False,
+             "fingerprint": fingerprint_dataset(dataset),
+             "source": {"loader": "columns", "dir": "snap.json.columns/0123456789abcdef",
+                        "name": "toy", "schema": schema}},
+            {"kind": "function", "name": function.name, "frozen": False,
+             "fingerprint": fingerprint_function(function),
+             "function": {"type": "linear", "name": function.name,
+                          "weights": dict(function.weights)}},
+        ],
+    }, indent=2) + "\n")
+    return path
+
+
+def test_previous_layout_sidecar_and_snapshot_load_byte_identically(tmp_path):
+    dataset = _toy()
+    function = LinearScoringFunction({"Rating": 1.0}, name="toy-f")
+    path = _write_previous_layout_snapshot(tmp_path, dataset, function)
+
+    loaded = load_catalog(path)
+    reloaded = loaded.resolve(ResourceKind.DATASET, "toy")
+    assert fingerprint_dataset(reloaded) == fingerprint_dataset(dataset)
+    assert reloaded.column("Senior") == dataset.column("Senior")
+
+    live = FairnessService()
+    live.register_dataset(dataset, name="toy")
+    live.register_function(function)
+    request = QuantifyRequest(dataset="toy", function="toy-f", min_partition_size=1)
+    booted = FairnessService(catalog=loaded).execute(request)
+    assert booted.canonical() == live.execute(request).canonical()
+
+
+def test_previous_layout_warm_bundle_loads_results_and_skips_v1_stores(tmp_path):
+    warm = _warm_service()
+    reference = warm.execute(_REQUEST)
+    manifest = warm.save_warm_state(tmp_path)
+    # Rewrite into the previous layout: v1 store manifests carried no
+    # partition lengths, and warm entries repeated the store's metadata.
+    for entry in manifest["stores"]:
+        store_manifest = tmp_path / entry["directory"] / bundle.MANIFEST
+
+        def downgrade(document):
+            document["version"] = 1
+            for partition in document["partitions"]:
+                partition.pop("length")
+
+        _edit_json(store_manifest, downgrade)
+        recorded = json.loads(store_manifest.read_text(encoding="utf-8"))
+        entry.update(
+            dataset=recorded["dataset"],
+            rows=recorded["rows"],
+            function_fingerprint=recorded["function_fingerprint"],
+        )
+    (tmp_path / bundle.MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n")
+
+    before = _skips("manifest")
+    restarted = _warm_service()
+    assert restarted.load_warm_state(tmp_path) == {"stores": 0, "results": 1}
+    assert _skips("manifest") == before + len(manifest["stores"])
+    replay = restarted.execute(_REQUEST)
+    assert replay.cached and replay.canonical() == reference.canonical()
+    novel = QuantifyRequest(
+        dataset="pop", function="bundle-f", aggregation="maximum", min_partition_size=5
+    )
+    assert restarted.execute(novel).payload_json == (
+        _warm_service().execute(novel).payload_json
+    )
+    assert restarted.store_stats.scoring_passes == 1

@@ -236,6 +236,24 @@ class TestDatasetSources:
             )
 
 
+class TestColumnarReSave:
+    def test_re_saving_a_loaded_columnar_snapshot_in_place(self, tmp_path):
+        from repro.experiments.workloads import synthetic_population
+        from repro.snapshot import load_catalog
+
+        path = tmp_path / "snap.json"
+        catalog = Catalog()
+        catalog.register(synthetic_population(size=20_000, seed=7), name="pop")
+        catalog.register(LinearScoringFunction(TABLE1_WEIGHTS, name="f"))
+        catalog.save(path, columnar_datasets=True)
+        expected = {(r.kind, r.name): r.fingerprint for r in catalog.resources()}
+
+        # The loaded catalog memory-maps the very files the re-save replaces.
+        load_catalog(path).save(path, columnar_datasets=True)
+        reloaded = load_catalog(path)
+        assert {(r.kind, r.name): r.fingerprint for r in reloaded.resources()} == expected
+
+
 class TestFailureModes:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CatalogError, match="cannot read catalog snapshot"):

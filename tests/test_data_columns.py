@@ -105,7 +105,7 @@ class TestMemmapReloadAfterRestart:
 
         # A fresh load from disk is exactly what a restarted server does.
         reloaded = Dataset.from_store(
-            original.schema, ColumnStore.load(directory, mmap=True), name="toy"
+            original.schema, ColumnStore.load(directory), name="toy"
         )
         assert len(reloaded) == len(original)
         assert reloaded.uids == original.uids
@@ -116,7 +116,7 @@ class TestMemmapReloadAfterRestart:
     def test_memmap_arrays_stay_disk_backed(self, tmp_path):
         directory = tmp_path / "columns"
         self._dataset().store.save(directory)
-        store = ColumnStore.load(directory, mmap=True)
+        store = ColumnStore.load(directory)
         backed = 0
         for name in store.names:
             column = store.column(name)
@@ -127,18 +127,6 @@ class TestMemmapReloadAfterRestart:
             if isinstance(base, np.memmap):
                 backed += 1
         assert backed == len(store.names)
-
-    def test_eager_load_matches_memmap_load(self, tmp_path):
-        directory = tmp_path / "columns"
-        original = self._dataset()
-        original.store.save(directory)
-        eager = Dataset.from_store(
-            original.schema, ColumnStore.load(directory, mmap=False), name="toy"
-        )
-        mapped = Dataset.from_store(
-            original.schema, ColumnStore.load(directory, mmap=True), name="toy"
-        )
-        assert fingerprint_dataset(eager) == fingerprint_dataset(mapped)
 
     def test_builder_chunks_match_single_append(self):
         columns = {

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -345,3 +347,69 @@ class TestServiceWarmState:
         restored = counter.value() - before
         # At least the 300-row float64 vector must have been accounted.
         assert restored >= 300 * 8
+
+
+def _two_function_service() -> FairnessService:
+    service = FairnessService()
+    service.register_dataset(synthetic_population(size=300, seed=7), name="pop")
+    service.register_function(
+        LinearScoringFunction({"Language Test": 0.9, "Rating": 0.1}, name="alpha")
+    )
+    service.register_function(
+        LinearScoringFunction({"Language Test": 0.1, "Rating": 0.9}, name="beta")
+    )
+    return service
+
+
+class TestReSave:
+    def test_failed_re_save_never_serves_another_functions_scores(
+        self, tmp_path, monkeypatch
+    ):
+        # Life 1 saves a store for alpha as stores/store_00.
+        first = _two_function_service()
+        first.execute(QuantifyRequest(dataset="pop", function="alpha", min_partition_size=5))
+        assert first.save_warm_state(tmp_path) is not None
+
+        # Life 2 warms only beta, so beta's store is the one saved as store_00,
+        # and the disk fills up on that store's manifest.
+        second = _two_function_service()
+        second.execute(QuantifyRequest(dataset="pop", function="beta", min_partition_size=5))
+        write_text = Path.write_text
+
+        def full_disk(path, *args, **kwargs):
+            if path.parent.name == "store_00" and "manifest.json" in path.name:
+                raise OSError(errno.ENOSPC, "No space left on device", str(path))
+            return write_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        assert second.save_warm_state(tmp_path) is None
+        monkeypatch.undo()
+
+        # Life 3 must answer a novel alpha request exactly like a cold service.
+        novel = QuantifyRequest(
+            dataset="pop", function="alpha", aggregation="maximum", min_partition_size=5
+        )
+        third = _two_function_service()
+        third.load_warm_state(tmp_path)
+        answer = third.execute(novel)
+        assert answer.error is None
+        assert answer.payload_json == _two_function_service().execute(novel).payload_json
+
+    def test_re_save_over_a_bundle_round_trips(self, tmp_path):
+        first = _two_function_service()
+        first.execute(QuantifyRequest(dataset="pop", function="alpha", min_partition_size=5))
+        first.save_warm_state(tmp_path)
+        second = _two_function_service()
+        second.execute(QuantifyRequest(dataset="pop", function="beta", min_partition_size=5))
+        second.save_warm_state(tmp_path)
+
+        third = _two_function_service()
+        assert third.load_warm_state(tmp_path) == {"stores": 1, "results": 1}
+        novel = QuantifyRequest(
+            dataset="pop", function="beta", aggregation="maximum", min_partition_size=5
+        )
+        assert third.execute(novel).payload_json == (
+            _two_function_service().execute(novel).payload_json
+        )
+        assert third.store_stats.scoring_passes == 0
+        assert not list(tmp_path.glob("**/.*.tmp")), "temporary files left behind"
