@@ -7,7 +7,8 @@ Exercises the full deployment workflow exactly as an operator would:
    subprocess and parse the bound port from its stdout;
 3. fire one request per protocol-v2 kind (all seven), a quantify that
    addresses ``table1`` by content-fingerprint prefix, and a mixed batch
-   through :class:`~repro.server.client.HTTPFairnessClient`;
+   (with a duplicate slot and a slot naming an unknown dataset, sent under
+   a pinned trace id) through :class:`~repro.server.client.HTTPFairnessClient`;
 4. assert every HTTP response is byte-identical (``ServiceResult.canonical``)
    to the in-process :class:`~repro.service.client.FairnessClient` answer
    over a service booted from the *same* snapshot, and that the result
@@ -53,12 +54,13 @@ SUBPROCESS_ENV = dict(
 
 from repro.catalog import Catalog  # noqa: E402
 from repro.obs.metrics import parse_prometheus  # noqa: E402
-from repro.obs.trace import TRACE_HEADER  # noqa: E402
+from repro.obs.trace import TRACE_HEADER, Trace, activate  # noqa: E402
 from repro.server import HTTPFairnessClient  # noqa: E402
 from repro.shard.router import ROUTE_MS_HEADER  # noqa: E402
 from repro.snapshot import snapshot_fingerprints  # noqa: E402
 from repro.service import (  # noqa: E402
     AuditRequest,
+    BatchExecutor,
     FairnessClient,
     FairnessService,
     QuantifyRequest,
@@ -71,7 +73,8 @@ BOOT_TIMEOUT_S = 60.0
 #: Requests executed per kind by the gate before the metrics scrape: one
 #: single call each, the fingerprint-prefix quantify, plus the
 #: quantify/sweep/audit entries of the batch leg (the counter increments per
-#: execute, cache hit or not).
+#: execute, cache hit or not; the batch's duplicate slot and its
+#: unknown-dataset slot never reach execute).
 EXPECTED_REQUESTS = {
     "quantify": 3,
     "audit": 2,
@@ -412,6 +415,49 @@ def check_warm_restart(
     return failures
 
 
+def check_batch(remote, reference, keys: "set[str]") -> int:
+    """A mixed batch under a pinned trace id, byte-compared to in-process.
+
+    The batch holds a duplicate slot and a slot naming an unknown dataset;
+    every slot (the error slot too) must echo the pinned trace id.
+    """
+    pinned = "e2e-pinned-batch"
+    sweep = SweepRequest(dataset="table1", function="table1-f", steps=3)
+    batch_requests = [
+        QuantifyRequest(dataset="table1", function="table1-f"),
+        sweep,
+        QuantifyRequest(dataset="no-such-dataset", function="table1-f"),
+        AuditRequest(marketplace="crowdsourcing-sim", min_partition_size=5),
+        sweep,
+    ]
+    with activate(Trace(pinned)):
+        via_batch = remote.batch(batch_requests)
+    expected = BatchExecutor(reference.service).run(batch_requests)
+    failures = 0
+    if len(via_batch) != len(expected):
+        print(f"[e2e] FAIL: batch answered {len(via_batch)} envelopes for "
+              f"{len(expected)} slots")
+        return 1
+    for index, (http_result, local_result) in enumerate(zip(via_batch, expected)):
+        if local_result.error is None:
+            keys.add(local_result.key)
+        if http_result.canonical() != local_result.canonical():
+            failures += 1
+            print(f"[e2e] FAIL: batch slot {index} ({http_result.kind}) diverged")
+        trace_id = (http_result.timings or {}).get("trace_id")
+        if trace_id != pinned:
+            failures += 1
+            print(f"[e2e] FAIL: batch slot {index} carries trace id {trace_id!r}, "
+                  f"not the pinned {pinned!r}")
+    if via_batch[2].error is None:
+        failures += 1
+        print("[e2e] FAIL: the unknown-dataset slot served instead of erroring")
+    if not failures:
+        print(f"[e2e] batch of {len(batch_requests)} (1 duplicate, 1 bad slot): "
+              f"byte-identical to BatchExecutor, order and trace id preserved")
+    return failures
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -458,22 +504,7 @@ def main() -> int:
                 if kind == "quantify":
                     failures += check_prefix_quantify(remote, snapshot, keys)
 
-            batch_requests = [
-                QuantifyRequest(dataset="table1", function="table1-f"),
-                SweepRequest(dataset="table1", function="table1-f", steps=3),
-                AuditRequest(marketplace="crowdsourcing-sim", min_partition_size=5),
-            ]
-            via_batch = remote.batch(batch_requests)
-            serial = [reference.service.execute(request) for request in batch_requests]
-            for request, http_result, local_result in zip(
-                batch_requests, via_batch, serial
-            ):
-                keys.add(local_result.key)
-                if http_result.canonical() != local_result.canonical():
-                    failures += 1
-                    print(f"[e2e] FAIL: batched {request.kind} diverged")
-            print(f"[e2e] batch of {len(batch_requests)}: "
-                  f"{len(via_batch)} envelopes, order preserved")
+            failures += check_batch(remote, reference, keys)
             failures += check_cache_entries(remote, arguments.workers, keys)
 
             # Scrape before the trace leg so the per-kind expectations above

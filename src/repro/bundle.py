@@ -10,8 +10,11 @@ Writing (:class:`BundleWriter`) unlinks the old manifest first, replaces
 every file atomically (temporary name, then ``os.replace``) and writes the
 manifest last.  A failed save therefore reads as "no bundle", never as an
 old manifest over new files, and a reader that memory-maps a file keeps its
-old inode while a re-save replaces the name.  Files are not fsync-ed; a
-file torn by a crash fails the length check on read.
+old inode while a re-save replaces the name.  Once the manifest is written,
+the ``.bin`` files of an earlier, larger save that this one did not write
+are removed, so a re-saved directory holds only what its manifest names.
+Files are not fsync-ed; a file torn by a crash fails the length check on
+read.
 
 Reading checks the manifest's ``format`` and ``version``, accepts only file
 names inside the bundle, and requires every array to hold exactly the
@@ -27,7 +30,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Dict, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Dict, Iterator, Mapping, NamedTuple, Set, Union
 
 import numpy as np
 
@@ -195,7 +198,9 @@ class BundleWriter:
     """Writes one bundle directory: files first, the manifest last.
 
     Creating the writer unlinks the directory's manifest, so from then until
-    :meth:`commit` the directory reads as "no bundle".
+    :meth:`commit` the directory reads as "no bundle".  :meth:`commit` then
+    removes every ``.bin`` file in the directory that this writer did not
+    write; nothing else in the directory is touched.
     """
 
     def __init__(self, directory: Union[str, Path], kind: BundleKind) -> None:
@@ -203,11 +208,13 @@ class BundleWriter:
         self.kind = kind
         self.directory.mkdir(parents=True, exist_ok=True)
         (self.directory / MANIFEST).unlink(missing_ok=True)
+        self._written: Set[str] = set()
 
     def array(self, name: str, values: np.ndarray, dtype: type) -> None:
         """Write ``values`` as the raw native-order ``dtype`` file ``name``."""
         data = np.ascontiguousarray(values, dtype=dtype)
         _replace(local_path(self.directory, name), data.tofile)
+        self._written.add(name)
 
     def document(self, name: str, payload: object) -> None:
         """Write ``payload`` as the JSON file ``name``."""
@@ -215,4 +222,8 @@ class BundleWriter:
 
     def commit(self, fields: Mapping[str, object]) -> Dict[str, object]:
         """Write the manifest (the kind's stamp plus ``fields``); returns it."""
-        return write_document(self.directory / MANIFEST, self.kind, fields)
+        manifest = write_document(self.directory / MANIFEST, self.kind, fields)
+        for path in self.directory.glob("*.bin"):
+            if path.name not in self._written:
+                path.unlink(missing_ok=True)
+        return manifest

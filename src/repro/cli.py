@@ -122,10 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="JSON file: a list of request objects, or {'requests': [...]} "
              "(each object needs a 'kind': quantify, audit, compare, breakdown, "
              "sweep, end_user or job_owner; protocol v1 files still execute)")
-    serve_parser.add_argument("--workers", type=int, default=None,
-                              help="thread-pool width (default: auto)")
-    serve_parser.add_argument("--serial", action="store_true",
-                              help="execute one request at a time instead of in parallel")
     serve_parser.add_argument("--repeat", type=int, default=1,
                               help="run the batch N times (later runs exercise the warm cache)")
     _add_registry_arguments(serve_parser)
@@ -194,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="number of worker processes; >1 boots a fingerprint-routing "
              "shard router over N snapshot-booted workers (default: 1, "
              "single-process serving)")
-    http_parser.add_argument("--batch-workers", type=int, default=None,
-                             help="per-worker thread-pool width of /v2/batch "
-                                  "(default: auto)")
     http_parser.add_argument("--verbose", action="store_true",
                              help="emit a structured JSON log event per request "
                                   "to stderr")
@@ -385,14 +378,12 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
     requests = _load_requests_file(args.requests)
     if args.repeat < 1:
         raise FaiRankError(f"--repeat must be >= 1, got {args.repeat}")
-    if args.workers is not None and args.workers < 1:
-        raise FaiRankError(f"--workers must be >= 1, got {args.workers}")
 
     service = _serve_batch_service(args)
-    executor = BatchExecutor(service, max_workers=args.workers)
+    executor = BatchExecutor(service)
     errors = 0
     for round_number in range(1, args.repeat + 1):
-        results = executor.run_serial(requests) if args.serial else executor.run(requests)
+        results = executor.run(requests)
         if args.repeat > 1:
             print(f"-- round {round_number} --")
         print(f"{'#':>3}  {'kind':<9} {'key':<12} {'served':<6} {'latency':>10}")
@@ -409,8 +400,7 @@ def _cmd_serve_batch(args: argparse.Namespace) -> int:
             if result.error is not None:
                 errors += 1
                 print(f"  ! #{index} [{result.error['code']}] {result.error['message']}")
-    mode = "serial" if args.serial else f"parallel x{executor.max_workers}"
-    print(f"executed {len(requests)} request(s) per round, {args.repeat} round(s), {mode}")
+    print(f"executed {len(requests)} request(s) per round, {args.repeat} round(s)")
     if errors:
         print(f"errors: {errors} request(s) returned an error envelope")
     print(f"cache: {service.cache_stats.describe()}")
@@ -542,7 +532,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service,
         host=args.host,
         port=args.port,
-        max_workers=args.batch_workers,
         verbose=args.verbose,
         slow_ms=args.slow_ms,
     )
@@ -597,8 +586,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
 
         # Per-worker flags ride along on every worker's command line.
         worker_arguments: list = []
-        if args.batch_workers is not None:
-            worker_arguments += ["--batch-workers", str(args.batch_workers)]
         if args.verbose:
             worker_arguments += ["--verbose"]
         if args.slow_ms is not None:

@@ -6,8 +6,10 @@ direct :meth:`FairnessService.execute <repro.service.service.FairnessService.exe
 call — carries one **trace id** end to end:
 
 * generated at ingress (client or server) when no trace is active;
-* propagated router → worker in the ``X-Fairank-Trace`` HTTP header and
-  across the batch executor's thread pool via a :mod:`contextvars` copy;
+* propagated router → worker in the ``X-Fairank-Trace`` HTTP header; the
+  router's ``/v2/batch`` fan-out is the one thread hop, and it runs each
+  sub-batch under a :mod:`contextvars` copy of the caller's context (a
+  worker's batch runs its slots in the request's own thread);
 * echoed back in the response's ``X-Fairank-Trace`` header and inside the
   envelope's ``timings`` field, so a slow answer can be matched to the
   router's and the worker's structured log lines.
@@ -62,9 +64,10 @@ def valid_trace_id(value: object) -> Optional[str]:
 class Trace:
     """One request's identity plus its accumulated phase timings (ms).
 
-    Thread-safe: a batch request's executor threads all record into their
-    own per-request traces, but a single request's compute path may itself
-    fan out (the score store is shared), so ``add`` locks.
+    A trace lives in one thread's context.  The only hop that carries it to
+    other threads is the shard router's ``/v2/batch`` fan-out, which runs
+    each sub-batch under a ``contextvars`` copy; the copies share this
+    object, so ``add`` locks.
     """
 
     __slots__ = ("trace_id", "_timings", "_lock")

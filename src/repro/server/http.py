@@ -535,6 +535,10 @@ class V2ServerBase(ThreadingHTTPServer):
 class FairnessHTTPServer(V2ServerBase):
     """A threaded HTTP server over one shared :class:`FairnessService`.
 
+    HTTP concurrency is one thread per connection.  A ``/v2/batch`` runs
+    its slots one after another in its connection's thread, under that
+    request's trace (see :class:`~repro.service.executor.BatchExecutor`).
+
     Parameters
     ----------
     service:
@@ -543,9 +547,6 @@ class FairnessHTTPServer(V2ServerBase):
         ``FairnessService(catalog=Catalog.load(path))``.
     host / port:
         Bind address; ``port=0`` picks a free ephemeral port (see ``.port``).
-    max_workers:
-        Thread-pool width of the ``/v2/batch`` executor (HTTP concurrency
-        itself is one thread per connection, unbounded).
     verbose:
         Emit a structured JSON log event for every request (stderr).
     slow_ms:
@@ -561,13 +562,12 @@ class FairnessHTTPServer(V2ServerBase):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_workers: Optional[int] = None,
         verbose: bool = False,
         slow_ms: Optional[float] = None,
     ) -> None:
         super().__init__(host, port, _Handler)
         self.service = service
-        self.executor = BatchExecutor(service, max_workers=max_workers)
+        self.executor = BatchExecutor(service)
         self.configure_observability(verbose=verbose, slow_ms=slow_ms)
 
     def _refresh_gauges(self, registry: MetricsRegistry) -> None:

@@ -5,12 +5,12 @@ data-management-application pattern: a service facade over analysis
 kernels).  See :mod:`repro.service.service` for the facade (which owns the
 system's single :class:`~repro.catalog.Catalog`), :mod:`repro.service.jobs`
 for wire protocol v2, :mod:`repro.service.client` for the in-process client
-facade, and :mod:`repro.service.executor` for the parallel batch executor.
+facade, and :mod:`repro.service.executor` for the batch executor.
 """
 
 from repro.service.cache import CacheStats, LRUCache
 from repro.service.client import FairnessClient, FairnessClientBase
-from repro.service.executor import BatchExecutor, default_max_workers
+from repro.service.executor import BatchExecutor
 from repro.service.fingerprint import (
     combine_fingerprints,
     fingerprint_dataset,
@@ -53,7 +53,6 @@ __all__ = [
     "ServiceResult",
     "SweepRequest",
     "combine_fingerprints",
-    "default_max_workers",
     "fingerprint_dataset",
     "fingerprint_formulation",
     "fingerprint_function",

@@ -1,30 +1,25 @@
-"""Parallel batch execution of service requests.
+"""Batch execution of service requests.
 
 An auditor fanning one analysis out across jobs and platforms, or a panel
 comparison re-running the search for many functions, is a *batch*: many
 independent requests whose answers are wanted together.  The
-:class:`BatchExecutor` runs such a batch over a thread pool:
+:class:`BatchExecutor` runs such a batch one request at a time, in the
+caller's thread:
 
-* there is no CPU speed-up: the compute is mostly Python under the GIL, so
-  the threads do not overlap it.  ``BENCH_service.json``'s
-  ``batch_throughput`` measures a batch at or below serial speed (speedup
-  under 1x on a 2-vCPU host).  What the pool does guarantee is the next
-  two points;
-* identical requests (same content fingerprint) are *deduplicated*: one
-  computation is submitted and every duplicate shares its result.  The
-  cache's single-flight ``get_or_compute`` additionally dedupes requests
-  that are distinct objects but race to the same key;
-* results are returned in input order, so a batch's output is deterministic
-  and byte-identical to serial execution regardless of thread scheduling.
+* there is no thread pool: the compute is mostly Python under the GIL, so
+  threads would not overlap it, and parallelism comes from processes
+  (``fairank serve --workers N``).  The caller's active trace (see
+  :mod:`repro.obs`) covers every slot without a context hop;
+* identical requests (same request key) are *deduplicated*: one
+  computation runs and every duplicate slot shares its result object;
+* results are returned in input order, byte-identical to
+  :meth:`BatchExecutor.run_serial`.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.errors import FaiRankError
 from repro.service.jobs import ServiceRequest, ServiceResult
@@ -32,79 +27,46 @@ from repro.service.jobs import ServiceRequest, ServiceResult
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.service.service import FairnessService
 
-__all__ = ["BatchExecutor", "default_max_workers"]
-
-
-def default_max_workers() -> int:
-    """Default thread-pool width (mirrors the stdlib's I/O-friendly default)."""
-    return min(32, (os.cpu_count() or 1) + 4)
+__all__ = ["BatchExecutor"]
 
 
 class BatchExecutor:
-    """Runs batches of requests against one service, concurrently.
+    """Runs batches of requests against one service.
 
     Parameters
     ----------
     service:
         The :class:`~repro.service.service.FairnessService` that resolves and
         executes requests.
-    max_workers:
-        Thread-pool width; defaults to :func:`default_max_workers`.
     """
 
-    def __init__(self, service: "FairnessService", max_workers: Optional[int] = None) -> None:
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
+    def __init__(self, service: "FairnessService") -> None:
         self.service = service
-        self.max_workers = max_workers or default_max_workers()
 
     def run(self, requests: Sequence[ServiceRequest]) -> List[ServiceResult]:
-        """Execute a batch concurrently; results come back in input order.
+        """Execute a batch; results come back in input order.
 
-        Requests with the same content fingerprint are submitted once and
-        share the resulting :class:`~repro.service.jobs.ServiceResult`.  A
-        request whose key cannot even be computed (it references resources
-        the service does not know) yields a protocol-v2 error envelope in
-        its slot instead of failing the whole batch.
+        Requests with the same request key run once and share the resulting
+        :class:`~repro.service.jobs.ServiceResult`.  A request whose key
+        cannot even be computed (it references resources the service does
+        not know) yields a protocol-v2 error envelope in its slot instead of
+        failing the whole batch.  Each computed slot's ``queue_ms`` is the
+        time from the start of the batch to the start of its execution.
         """
-        batch = list(requests)
-        if not batch:
-            return []
-        keys: List[Optional[str]] = []
-        failed: Dict[int, ServiceResult] = {}
-        for index, request in enumerate(batch):
+        started = time.perf_counter()
+        results: List[ServiceResult] = []
+        by_key: Dict[str, ServiceResult] = {}
+        for request in requests:
             try:
-                keys.append(self.service.request_key(request))
+                key = self.service.request_key(request)
             except FaiRankError as error:
-                keys.append(None)
-                failed[index] = self.service.error_result(request, error)
-        first_of: Dict[str, ServiceRequest] = {}
-        for key, request in zip(keys, batch):
-            if key is not None:
-                first_of.setdefault(key, request)
-        futures: Dict[str, "Future[ServiceResult]"] = {}
-        if first_of:
-            workers = min(self.max_workers, len(first_of))
-            submitted = time.perf_counter()
-
-            def run_one(
-                context: contextvars.Context, key: str, request: ServiceRequest
-            ) -> ServiceResult:
-                # The caller's context (active trace id, see repro.obs) rides
-                # into the pool thread; the submit-to-start delta becomes the
-                # envelope's queue_ms.
-                queue_s = time.perf_counter() - submitted
-                return context.run(self.service.execute, request, key, queue_s=queue_s)
-
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    key: pool.submit(run_one, contextvars.copy_context(), key, request)
-                    for key, request in first_of.items()
-                }
-        return [
-            failed[index] if key is None else futures[key].result()
-            for index, key in enumerate(keys)
-        ]
+                results.append(self.service.error_result(request, error))
+                continue
+            if key not in by_key:
+                queue_s = time.perf_counter() - started
+                by_key[key] = self.service.execute(request, key, queue_s=queue_s)
+            results.append(by_key[key])
+        return results
 
     def run_serial(self, requests: Sequence[ServiceRequest]) -> List[ServiceResult]:
         """Execute a batch one request at a time (reference ordering/results)."""

@@ -31,7 +31,7 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.catalog import Catalog, ResourceKind
 from repro.core.formulations import Formulation, resolve_binning
@@ -414,7 +414,11 @@ class FairnessService:
         elapsed_s: float = 0.0,
         timings: Optional[Dict[str, object]] = None,
     ) -> ServiceResult:
-        """The protocol-v2 error envelope for a failed request."""
+        """The protocol-v2 error envelope for a failed request.
+
+        Without ``timings`` (a batch slot whose key failed) the envelope
+        still carries the active trace id.
+        """
         return ServiceResult(
             kind=request.kind,
             key=key,
@@ -422,7 +426,7 @@ class FairnessService:
             cached=False,
             elapsed_s=elapsed_s,
             store_stats=self.store_stats.as_dict(),
-            timings=timings,
+            timings=timings or Trace(trace_id=current_trace_id()).timings(),
             error={"code": _error_code(error), "message": str(error)},
         )
 
@@ -522,16 +526,6 @@ class FairnessService:
             store_stats=self.store_stats.as_dict(),
             timings=self._finish_timings(trace, elapsed),
         )
-
-    def execute_many(
-        self,
-        requests: Sequence[ServiceRequest],
-        max_workers: Optional[int] = None,
-    ) -> List[ServiceResult]:
-        """Run a batch of requests concurrently (see ``BatchExecutor``)."""
-        from repro.service.executor import BatchExecutor
-
-        return BatchExecutor(self, max_workers=max_workers).run(requests)
 
     # -- payload builders ------------------------------------------------------
 

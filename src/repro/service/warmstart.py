@@ -28,6 +28,7 @@ Metric families (documented in ``docs/OPERATIONS.md``):
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
@@ -104,7 +105,8 @@ def save_warm_state(
     demand after a restart, exactly as they were built the first time.  The
     old top-level manifest is removed first and the new one written last
     (see :mod:`repro.bundle`), so an interrupted save is indistinguishable
-    from no bundle.
+    from no bundle.  After the commit, the ``stores/store_NN`` directories
+    of an earlier save that the new manifest no longer lists are removed.
     """
     writer = bundle.BundleWriter(directory, bundle.WARM_START)
     stores_manifest: List[Dict[str, object]] = []
@@ -138,6 +140,10 @@ def save_warm_state(
             "results": "results.json",
         }
     )
+    listed = {entry["directory"] for entry in stores_manifest}
+    for store_dir in (writer.directory / "stores").glob("store_*"):
+        if store_dir.is_dir() and f"stores/{store_dir.name}" not in listed:
+            shutil.rmtree(store_dir, ignore_errors=True)
     get_logger().event(
         "warmstart_save",
         directory=str(writer.directory),

@@ -135,7 +135,7 @@ class WorkerPool:
         ``min(backoff_base_s * 2**r, backoff_max_s)`` before respawning.
     worker_arguments:
         Extra ``fairank serve`` flags appended to every worker's command
-        line (e.g. ``["--batch-workers", "32", "--verbose"]``).
+        line (e.g. ``["--slow-ms", "250", "--verbose"]``).
     warm_dir:
         Optional warm-start root.  Each slot gets its own
         ``--warm-dir <warm_dir>/slot-<n>`` (per-slot subdirectories keep

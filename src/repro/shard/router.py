@@ -14,8 +14,8 @@ holds no dataset, no score store and no result cache, only the snapshot's
   retries on the next live worker — pure queries are idempotent, so a
   mid-load crash loses no request;
 * ``POST /v2/batch`` — split the batch by routing slot, fan the sub-batches
-  out concurrently, and reassemble every worker's in-slot envelopes back
-  into input order;
+  out concurrently (each under a copy of the caller's trace context), and
+  reassemble every worker's in-slot envelopes back into input order;
 * ``GET /v2/health`` — aggregate per-worker liveness, cache and store-pool
   statistics around the router's own serving counters;
 * ``GET /v2/metrics`` — merge the router's own registry (all families
@@ -37,6 +37,7 @@ byte-for-byte — it never decodes or re-encodes an envelope.
 
 from __future__ import annotations
 
+import contextvars
 import http.client
 import json
 import threading
@@ -170,9 +171,11 @@ class _RouterHandler(_JSONRequestHandler):
             for index, envelope in zip(indices, envelopes):
                 results[index] = envelope
 
+        # Each group runs in a copy of this handler's context, so the
+        # active trace id reaches _send (and the worker's X-Fairank-Trace).
         with ThreadPoolExecutor(max_workers=min(len(groups), 16)) as fan_out:
             for slot, indices in groups.items():
-                fan_out.submit(run_group, slot, indices)
+                fan_out.submit(contextvars.copy_context().run, run_group, slot, indices)
         self._send_json(
             200, {"protocol": PROTOCOL_VERSION, "results": results}
         )

@@ -115,6 +115,24 @@ def test_empty_column_sidecar_round_trips(tmp_path):
     assert len(ColumnStore.load(tmp_path / "sidecar")) == 0
 
 
+def test_commit_removes_only_the_bin_files_it_did_not_write(tmp_path):
+    first = bundle.BundleWriter(tmp_path, bundle.COLUMNS)
+    for name in ("a.bin", "b.bin", "c.bin"):
+        first.array(name, np.arange(3), np.int64)
+    first.commit({})
+    (tmp_path / "notes.txt").write_text("kept", encoding="utf-8")
+    (tmp_path / "child").mkdir()
+    (tmp_path / "child" / "d.bin").write_bytes(b"kept")
+    second = bundle.BundleWriter(tmp_path, bundle.COLUMNS)
+    second.array("a.bin", np.arange(2), np.int64)
+    second.commit({})
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "a.bin", "child", bundle.MANIFEST, "notes.txt"
+    ]
+    assert (tmp_path / "child" / "d.bin").read_bytes() == b"kept"
+    assert bundle.read_array(tmp_path, "a.bin", np.int64, 2, mmap=False).tolist() == [0, 1]
+
+
 # -- score-store bundles ------------------------------------------------------
 
 

@@ -127,17 +127,6 @@ class TestServeBatchPartialFailure:
         assert "! #4" in output and "unknown marketplace 'missing-market'" in output
         assert "2 request(s) returned an error envelope" in output
 
-    def test_mixed_batch_fails_in_serial_mode_too(self, tmp_path, capsys):
-        path = tmp_path / "mixed.json"
-        path.write_text(json.dumps([
-            {"kind": "quantify", "dataset": "table1", "function": "table1-f"},
-            {"kind": "quantify", "dataset": "missing-data", "function": "table1-f"},
-        ]))
-        assert main(["serve-batch", str(path), "--market-size", "60",
-                     "--serial"]) == 1
-        output = capsys.readouterr().out
-        assert "! #2" in output and "unknown dataset 'missing-data'" in output
-
     def test_repeat_rounds_report_stable_per_request_errors(self, tmp_path, capsys):
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps([

@@ -124,7 +124,7 @@ class TestServiceUnderThreadStress:
             request: reference_service.execute(request).canonical()
             for request in requests
         }
-        executor = BatchExecutor(service, max_workers=8)
+        executor = BatchExecutor(service)
 
         def run_batch(round_index: int):
             return [result.canonical() for result in executor.run(requests)]

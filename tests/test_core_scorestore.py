@@ -404,7 +404,7 @@ class TestThreadSafety:
         fresh.register_function(
             LinearScoringFunction({"Language Test": 0.5, "Rating": 0.5}, name="balanced")
         )
-        batched = BatchExecutor(fresh, max_workers=8).run(requests)
+        batched = BatchExecutor(fresh).run(requests)
         assert [r.canonical() for r in batched] == [r.canonical() for r in serial]
         # All four formulations share one (dataset, function) scoring pass.
         assert fresh.store_stats.scoring_passes == 1

@@ -25,7 +25,7 @@ from repro.obs.trace import (
 )
 from repro.scoring.linear import LinearScoringFunction
 from repro.server import FairnessHTTPServer
-from repro.service import FairnessService, QuantifyRequest
+from repro.service import BatchExecutor, FairnessService, QuantifyRequest
 
 
 def build_service() -> FairnessService:
@@ -274,7 +274,7 @@ class TestServiceTimings:
             for bins in (3, 4, 5)
         ]
         with activate(Trace("batch-parent")):
-            results = service.execute_many(requests)
+            results = BatchExecutor(service).run(requests)
         for result in results:
             assert result.timings["trace_id"] == "batch-parent"
             assert result.timings["queue_ms"] >= 0

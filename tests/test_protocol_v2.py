@@ -198,7 +198,7 @@ class TestErrorEnvelopes:
             QuantifyRequest(dataset="missing", function="table1-f"),
             AuditRequest(marketplace="crowdsourcing-sim", min_partition_size=3),
         ]
-        results = BatchExecutor(service, max_workers=4).run(batch)
+        results = BatchExecutor(service).run(batch)
         assert [r.ok for r in results] == [True, False, True]
         assert results[1].kind == "quantify"
         assert results[1].error["code"] == "service"
@@ -237,7 +237,7 @@ class TestNewKindsServing:
         assert result.ok is False
         assert result.error["code"] == "service"
         assert "at least one protected attribute" in result.error["message"]
-        batch = BatchExecutor(service, max_workers=2).run([
+        batch = BatchExecutor(service).run([
             QuantifyRequest(dataset="table1", function="table1-f"),
             BreakdownRequest(dataset="table1", function="table1-f", attributes=()),
         ])

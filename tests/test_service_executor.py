@@ -1,13 +1,17 @@
-"""Batch executor: concurrency, deduplication, deterministic ordering."""
+"""Batch executor: serial execution, deduplication, deterministic ordering."""
 
 from __future__ import annotations
 
+import threading
 from typing import List
 
 import pytest
 
+from repro.catalog import Catalog
 from repro.experiments.workloads import crowdsourcing_marketplace
 from repro.marketplace.generator import CrowdsourcingGenerator
+from repro.obs.trace import Trace, activate
+from repro.server import FairnessHTTPServer, HTTPFairnessClient
 from repro.scoring.linear import LinearScoringFunction
 from repro.service import (
     AuditRequest,
@@ -16,6 +20,8 @@ from repro.service import (
     FairnessService,
     QuantifyRequest,
 )
+from repro.shard import ShardRouter, WorkerPool
+from repro.snapshot import snapshot_fingerprints
 
 
 def build_service() -> FairnessService:
@@ -63,14 +69,14 @@ def mixed_batch_16() -> List:
 class TestBatchExecution:
     def test_16_request_batch_matches_serial_byte_for_byte(self):
         serial = BatchExecutor(build_service()).run_serial(mixed_batch_16())
-        batched = BatchExecutor(build_service(), max_workers=8).run(mixed_batch_16())
+        batched = BatchExecutor(build_service()).run(mixed_batch_16())
         assert len(serial) == len(batched) == 16
         assert [r.canonical() for r in batched] == [r.canonical() for r in serial]
 
     def test_results_come_back_in_input_order(self):
         service = build_service()
         batch = mixed_batch_16()
-        results = BatchExecutor(service, max_workers=4).run(batch)
+        results = BatchExecutor(service).run(batch)
         assert [result.kind for result in results] == [request.kind for request in batch]
         assert [result.key for result in results] == [
             service.request_key(request) for request in batch
@@ -79,36 +85,110 @@ class TestBatchExecution:
     def test_duplicate_requests_share_one_computation(self):
         service = build_service()
         request = QuantifyRequest(dataset="pop", function="balanced", min_partition_size=3)
-        results = BatchExecutor(service, max_workers=8).run([request] * 8)
+        results = BatchExecutor(service).run([request] * 8)
         assert len(results) == 8
         assert len({id(result) for result in results}) == 1, "duplicates share the result"
         # Only one quantify computation hit the service cache as a miss.
         assert service.cache_stats.misses == 1
 
+    def test_duplicates_in_a_mixed_batch_share_their_first_slots_result(self):
+        service = build_service()
+        batch = mixed_batch_16()
+        results = BatchExecutor(service).run(batch)
+        # Slots 12-15 repeat slots 0, 3, 9 and 11.
+        for duplicate, first in zip(range(12, 16), (0, 3, 9, 11)):
+            assert results[duplicate] is results[first]
+        assert service.cache_stats.misses == 12
+
     def test_empty_batch(self):
         assert BatchExecutor(build_service()).run([]) == []
 
-    def test_single_worker_still_correct(self):
-        serial = BatchExecutor(build_service()).run_serial(mixed_batch_16())
-        one_worker = BatchExecutor(build_service(), max_workers=1).run(mixed_batch_16())
-        assert [r.canonical() for r in one_worker] == [r.canonical() for r in serial]
 
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            BatchExecutor(build_service(), max_workers=0)
+class TestSerialContract:
+    def test_run_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError(f"BatchExecutor.run started thread {thread.name}")
 
-    def test_execute_many_is_the_service_entry_point(self):
         service = build_service()
-        batch = mixed_batch_16()[:4]
-        results = service.execute_many(batch, max_workers=4)
-        assert [result.kind for result in results] == [request.kind for request in batch]
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        results = BatchExecutor(service).run(mixed_batch_16())
+        assert all(result.error is None for result in results)
+
+    def test_run_inherits_the_active_trace_id(self):
+        batch = mixed_batch_16()[:4] + [QuantifyRequest(dataset="nope", function="balanced")]
+        with activate(Trace("pinned-batch-trace")):
+            results = BatchExecutor(build_service()).run(batch)
+        assert [result.timings["trace_id"] for result in results] == [
+            "pinned-batch-trace"
+        ] * len(batch)
+
+    def test_queue_ms_does_not_decrease_across_distinct_slots(self):
+        batch = mixed_batch_16()[:12]  # all distinct
+        results = BatchExecutor(build_service()).run(batch)
+        queued = [float(result.timings.get("queue_ms", 0.0)) for result in results]
+        assert queued == sorted(queued)
+        # Each slot waits for every slot before it.
+        assert queued[-1] >= sum(
+            float(result.timings["compute_ms"]) for result in results[:-1]
+        )
 
 
 class TestWarmBatch:
     def test_second_run_is_fully_cached(self):
         service = build_service()
-        executor = BatchExecutor(service, max_workers=4)
+        executor = BatchExecutor(service)
         cold = executor.run(mixed_batch_16())
         warm = executor.run(mixed_batch_16())
         assert all(result.cached for result in warm)
         assert [r.canonical() for r in warm] == [r.canonical() for r in cold]
+
+
+@pytest.fixture(scope="module")
+def snapshot(tmp_path_factory):
+    path = tmp_path_factory.mktemp("executor") / "deployment.json"
+    build_service().catalog.save(path)
+    return path
+
+
+def _mixed_batch_with_a_bad_slot() -> List:
+    batch = mixed_batch_16()
+    batch.insert(5, QuantifyRequest(dataset="nope", function="balanced"))
+    return batch
+
+
+class TestBatchOverHTTP:
+    """The same contract over ``/v2/batch``, single process and sharded."""
+
+    def _expected(self, snapshot) -> List[bytes]:
+        reference = FairnessService(catalog=Catalog.load(snapshot))
+        serial = BatchExecutor(reference).run_serial(_mixed_batch_with_a_bad_slot())
+        return [result.canonical() for result in serial]
+
+    def test_single_process_batch_matches_serial(self, snapshot):
+        service = FairnessService(catalog=Catalog.load(snapshot))
+        with FairnessHTTPServer(service, port=0) as server:
+            server.serve_in_background()
+            results = HTTPFairnessClient(server.base_url).batch(
+                _mixed_batch_with_a_bad_slot()
+            )
+        assert [r.canonical() for r in results] == self._expected(snapshot)
+        assert results[5].error is not None
+        # 12 distinct requests, 4 duplicates: one miss per distinct request.
+        assert service.cache_stats.misses == 12
+
+    def test_router_batch_matches_serial(self, snapshot):
+        pool = WorkerPool(snapshot, 2, backoff_base_s=0.1, backoff_max_s=1.0)
+        pool.start()
+        router = ShardRouter(pool, fingerprints=snapshot_fingerprints(snapshot))
+        router.serve_in_background()
+        try:
+            results = HTTPFairnessClient(router.base_url, timeout=120.0).batch(
+                _mixed_batch_with_a_bad_slot()
+            )
+        finally:
+            router.shutdown()
+            router.server_close()
+            pool.stop()
+        assert [r.canonical() for r in results] == self._expected(snapshot)
+        assert results[5].error is not None
+        assert not any(result.cached for result in results)

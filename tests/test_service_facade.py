@@ -244,7 +244,7 @@ class TestServeBatchCLI:
             ]
         }))
         exit_code = main(["serve-batch", str(path), "--market-size", "80",
-                          "--workers", "2", "--repeat", "2"])
+                          "--repeat", "2"])
         output = capsys.readouterr().out
         assert exit_code == 0
         assert "quantify" in output and "audit" in output
@@ -262,13 +262,15 @@ class TestServeBatchCLI:
         assert main(["serve-batch", str(path)]) == 2
         assert main(["serve-batch", str(tmp_path / "missing.json")]) == 2
 
-    def test_serve_batch_serial_mode_and_synthetic_datasets(self, tmp_path, capsys):
+    def test_serve_batch_synthetic_datasets(self, tmp_path, capsys):
         path = tmp_path / "requests.json"
         path.write_text(json.dumps([
             {"kind": "quantify", "dataset": "synthetic-60", "function": "balanced",
              "min_partition_size": 3},
         ]))
         exit_code = main(["serve-batch", str(path), "--market-size", "60",
-                          "--synthetic", "60", "--serial"])
+                          "--synthetic", "60"])
         assert exit_code == 0
-        assert "serial" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "quantify" in output and "miss" in output
+        assert "executed 1 request(s) per round, 1 round(s)" in output

@@ -266,6 +266,27 @@ class TestShardRouterParity:
         assert results[1]["error"]["code"] == "service"
         assert "unknown request kind" in results[2]["error"]["message"]
 
+    def test_batch_carries_the_callers_trace_id_into_every_slot(self, fleet):
+        from repro.obs.trace import TRACE_HEADER
+
+        _, router, _ = fleet
+        requests = [
+            QuantifyRequest(dataset="table1", function="table1-f"),
+            AuditRequest(marketplace="crowdsourcing-sim", min_partition_size=5),
+            QuantifyRequest(dataset="table1", function="balanced"),
+        ]
+        request = urllib.request.Request(
+            f"{router.base_url}/v2/batch",
+            data=json.dumps({"requests": [r.to_json() for r in requests]}).encode(),
+            method="POST",
+            headers={"Content-Type": "application/json", TRACE_HEADER: "pinned-batch-1"},
+        )
+        with urllib.request.urlopen(request, timeout=120) as response:
+            results = json.loads(response.read())["results"]
+        assert [result["timings"]["trace_id"] for result in results] == [
+            "pinned-batch-1"
+        ] * len(requests)
+
     def test_requests_for_same_pair_stick_to_one_worker(self, fleet):
         pool, router, client = fleet
         slot = worker_slot(

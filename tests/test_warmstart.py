@@ -413,3 +413,48 @@ class TestReSave:
         )
         assert third.store_stats.scoring_passes == 0
         assert not list(tmp_path.glob("**/.*.tmp")), "temporary files left behind"
+
+    def test_smaller_re_save_leaves_only_referenced_files(self, tmp_path):
+        # Life 1 warms both functions: stores/store_00 and stores/store_01.
+        first = _two_function_service()
+        for name in ("alpha", "beta"):
+            first.execute(QuantifyRequest(dataset="pop", function=name, min_partition_size=5))
+        assert len(first.save_warm_state(tmp_path)["stores"]) == 2
+        # Life 2 warms alpha alone with coarser partitions: one store, fewer parts.
+        second = _two_function_service()
+        second.execute(QuantifyRequest(dataset="pop", function="alpha", min_partition_size=100))
+        manifest = second.save_warm_state(tmp_path)
+        assert [entry["directory"] for entry in manifest["stores"]] == ["stores/store_00"]
+
+        store_dir = tmp_path / "stores" / "store_00"
+        store_manifest = json.loads((store_dir / "manifest.json").read_text(encoding="utf-8"))
+        referenced = {store_manifest["vector"]}
+        referenced.update(entry["file"] for entry in store_manifest["bin_codes"])
+        referenced.update(entry["indices"] for entry in store_manifest["partitions"])
+        on_disk = {
+            path.relative_to(tmp_path).as_posix()
+            for path in tmp_path.rglob("*") if path.is_file()
+        }
+        assert on_disk == {"manifest.json", "results.json", "stores/store_00/manifest.json"} | {
+            f"stores/store_00/{name}" for name in referenced
+        }
+        assert [path.name for path in (tmp_path / "stores").iterdir()] == ["store_00"]
+
+        captured = io.StringIO()
+        logger = get_logger()
+        logger.stream = captured
+        third = _two_function_service()
+        try:
+            assert third.load_warm_state(tmp_path) == {"stores": 1, "results": 1}
+        finally:
+            logger.stream = None
+        events = [json.loads(line) for line in captured.getvalue().splitlines()]
+        [store_event] = [
+            event for event in events
+            if event["event"] == "warmstart_load" and event["component"] == "store"
+        ]
+        assert store_event["bytes"] == sum(
+            (store_dir / name).stat().st_size for name in referenced
+        )
+        third.execute(QuantifyRequest(dataset="pop", function="alpha", min_partition_size=5))
+        assert third.store_stats.scoring_passes == 0
