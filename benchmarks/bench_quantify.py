@@ -229,11 +229,15 @@ import json, resource, sys, time
 from repro.core.quantify import quantify
 from repro.experiments.workloads import synthetic_population
 from repro.scoring.linear import LinearScoringFunction
+from repro.service.fingerprint import fingerprint_dataset
 
 size = int(sys.argv[1])
 started = time.perf_counter()
 dataset = synthetic_population(size=size)
 build_s = time.perf_counter() - started
+started = time.perf_counter()
+fingerprint_dataset(dataset)
+fingerprint_s = time.perf_counter() - started
 function = LinearScoringFunction(
     {"Language Test": 0.5, "Rating": 0.5}, name="balanced"
 )
@@ -243,6 +247,7 @@ quantify_s = time.perf_counter() - started
 print(json.dumps({
     "build_s": round(build_s, 3),
     "quantify_s": round(quantify_s, 3),
+    "fingerprint_s": round(fingerprint_s, 4),
     "rows_per_s": round(size / quantify_s),
     "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     "unfairness": result.unfairness,
@@ -253,10 +258,12 @@ print(json.dumps({
 
 
 def test_million_row_leg():
-    """Build and QUANTIFY a million-row population; record time and peak RSS.
+    """Build, fingerprint and QUANTIFY a million-row population.
 
-    Runs in its own interpreter so the kernel's peak-RSS high-water mark
-    isolates this one workload.
+    Records the three times and the peak RSS.  Runs in its own interpreter
+    so the kernel's peak-RSS high-water mark isolates this one workload.
+    Gate: the content fingerprint (hashed from the column buffers) costs
+    less than the QUANTIFY it keys.
     """
     completed = subprocess.run(
         [sys.executable, "-c", _MILLION_LEG_SCRIPT, str(MILLION)],
@@ -269,12 +276,14 @@ def test_million_row_leg():
     columnar = json.loads(completed.stdout.strip().splitlines()[-1])
     print()
     print(
-        f"1M rows: build {columnar['build_s']}s  quantify "
+        f"1M rows: build {columnar['build_s']}s  fingerprint "
+        f"{columnar['fingerprint_s']}s  quantify "
         f"{columnar['quantify_s']}s ({columnar['rows_per_s']:,} rows/s)  "
         f"peak RSS {columnar['peak_rss_mb']}MB"
     )
     _write_results({"quantify_1m": {"population": MILLION, "columnar": columnar}})
     assert columnar["partitions"] >= 1
+    assert columnar["fingerprint_s"] < columnar["quantify_s"], columnar
 
 
 def _with_counting_job(marketplace: Marketplace, title: str):

@@ -1,12 +1,13 @@
 """FL002: hot paths must never materialise per-row Python values.
 
-The columnar data plane (PR 7) made ``repro.core`` / ``repro.scoring`` /
-``repro.metrics`` operate on ``codes()`` / ``numeric_column()`` array
-slices; ``Dataset.column()`` and ``iter_rows()`` rebuild per-row Python
-objects and silently re-introduce the exact regression class the
-million-row benchmarks guard against.  This rule keeps those APIs out of
-the hot modules entirely — presentation layers (session, roles, CLI) may
-still use them.
+``repro.core`` / ``repro.scoring`` / ``repro.metrics`` operate on
+``codes()`` / ``numeric_column()`` array slices.  The one per-row decode
+the data plane still has is ``CodedColumn.decode_range()`` /
+``NumericColumn.decode_range()``, which builds one Python value per row;
+calling it on a hot path silently re-introduces the exact regression
+class the million-row benchmarks guard against.  This rule keeps it out
+of the hot modules entirely — the data plane itself (row materialisation,
+``group_by`` keys) may still use it.
 """
 
 from __future__ import annotations
@@ -21,10 +22,7 @@ from repro.analysis.source import Project, SourceModule
 __all__ = ["HotPathMaterialisation"]
 
 _HOT_PATHS = ("repro/core", "repro/scoring", "repro/metrics")
-_ROW_APIS = {
-    "iter_rows": "iterates row dicts",
-    "column": "materialises one Python value per row",
-}
+_ROW_DECODE = "decode_range"
 
 
 @register
@@ -33,8 +31,8 @@ class HotPathMaterialisation(Rule):
     name = "hot-path-materialisation"
     description = (
         "A hot-path module (repro.core / repro.scoring / repro.metrics) "
-        "calls a per-row API (Dataset.iter_rows / Dataset.column).  Use the "
-        "columnar slices — codes(), numeric_column(), value_counts() — so "
+        "calls the per-row decode .decode_range().  Use the columnar "
+        "slices — codes(), numeric_column(), value_counts() — so "
         "million-row datasets never materialise per-row Python values."
     )
 
@@ -50,9 +48,9 @@ class HotPathMaterialisation(Rule):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in _ROW_APIS:
+            if isinstance(func, ast.Attribute) and func.attr == _ROW_DECODE:
                 yield self.finding(
                     module, node.lineno, node.col_offset + 1,
-                    f".{func.attr}() {_ROW_APIS[func.attr]} on the hot path; "
-                    "use codes()/numeric_column() column slices",
+                    f".{_ROW_DECODE}() decodes one Python value per row on the "
+                    "hot path; use codes()/numeric_column() column slices",
                 )

@@ -43,10 +43,8 @@ SELFTEST_CASES: Dict[str, Tuple[str, str]] = {
     "FL002": (
         "repro/core/hot.py",
         "def total(dataset):\n"
-        "    value = 0.0\n"
-        "    for row in dataset.iter_rows():\n"
-        "        value += row['score']\n"
-        "    return value\n",
+        "    column = dataset.store['score']\n"
+        "    return sum(column.decode_range(0, len(column)))\n",
     ),
     "FL003": (
         "service/jobs.py",

@@ -75,7 +75,7 @@ def default_hierarchies(
     hierarchies: Dict[str, GeneralizationHierarchy] = {}
     for name in quasi_identifiers:
         attr = dataset.schema.attribute(name)
-        values = dataset.column(name) if len(dataset) else ()
+        values = dataset.distinct_values(name)
         numeric = attr.atype in (AttributeType.NUMERIC, AttributeType.ORDINAL) and all(
             _is_number(v) for v in values
         )

@@ -58,8 +58,11 @@ COLUMNS = BundleKind("fairank-columns", 1, "column sidecar")
 #: Version 2 records the length of every partition-index file; version-1
 #: bundles are refused (reason ``manifest``) and recomputed cold.
 SCORE_STORE = BundleKind("fairank-scorestore", 2, "score-store bundle")
-WARM_START = BundleKind("fairank-warmstart", 1, "warm-start bundle")
-SNAPSHOT = BundleKind("fairank-catalog", 1, "catalog snapshot")
+#: Version 2 of both records dataset fingerprints hashed from column buffers
+#: (``dataset-v2``); version-1 files carry the older row hash and are refused
+#: (reason ``manifest``) rather than re-fingerprinted.
+WARM_START = BundleKind("fairank-warmstart", 2, "warm-start bundle")
+SNAPSHOT = BundleKind("fairank-catalog", 2, "catalog snapshot")
 
 
 def local_path(directory: Path, name: object) -> Path:

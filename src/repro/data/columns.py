@@ -27,14 +27,18 @@ Value fidelity contract: coded decode tables round-trip through JSON, so
 coded values must be ``str`` / ``int`` / ``float`` / ``bool`` / ``None``.
 Values that are equal-but-differently-typed (``1`` vs ``1.0`` vs ``True``)
 are kept distinct in the decode table, so a persisted store reproduces the
-exact Python values — and therefore the exact content fingerprint — of the
-dataset it was built from.
+exact Python values of the dataset it was built from.  The content
+fingerprint (:func:`repro.service.fingerprint.fingerprint_dataset`) hashes
+these buffers directly: ``float64`` bytes, or the type-tagged decode table
+plus the ``int64`` codes after a remap to first-seen row order.  Decode
+order, unused and duplicate table entries therefore do not change it, and
+a reloaded sidecar keeps the fingerprint of its source.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,7 +59,13 @@ _JSON_SAFE_TYPES = (str, int, float, bool, type(None))
 
 
 def _type_key(value: object) -> Tuple[type, object]:
-    """Dict key distinguishing equal-but-differently-typed values (1 vs 1.0)."""
+    """Dict key distinguishing equal-but-differently-typed values (1 vs 1.0).
+
+    Floats key by their exact bits, so ``-0.0`` keeps its own entry beside
+    ``0.0`` (they compare equal) and every NaN shares one entry.
+    """
+    if isinstance(value, float):
+        return (value.__class__, value.hex())
     return (value.__class__, value)
 
 
@@ -167,7 +177,7 @@ class ColumnStore:
     def __contains__(self, name: object) -> bool:
         return name in self._columns
 
-    def column(self, name: str) -> Column:
+    def __getitem__(self, name: str) -> Column:
         """The column called ``name`` (raises :class:`DataError` if absent)."""
         try:
             return self._columns[name]
@@ -197,22 +207,6 @@ class ColumnStore:
         if self._uids is not None:
             return list(self._uids[start:stop])
         return [f"w{i}" for i in range(start + 1, stop + 1)]
-
-    def iter_rows(
-        self, names: Sequence[str], chunk_rows: int = 65536
-    ) -> Iterator[Tuple[str, List[object]]]:
-        """Yield ``(uid, [values in names order])`` per row, chunk by chunk.
-
-        Decodes ``chunk_rows`` rows at a time so iterating a 10M-row store
-        never holds more than one chunk of Python values.
-        """
-        columns = [self.column(name) for name in names]
-        for start in range(0, self.n, chunk_rows):
-            stop = min(start + chunk_rows, self.n)
-            decoded = [column.decode_range(start, stop) for column in columns]
-            uids = self.uid_range(start, stop)
-            for offset in range(stop - start):
-                yield uids[offset], [values[offset] for values in decoded]
 
     # -- persistence -------------------------------------------------------
 

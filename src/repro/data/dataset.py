@@ -129,9 +129,9 @@ class Dataset:
     """A set of individuals conforming to a :class:`Schema`, column-backed.
 
     :attr:`store` is always a :class:`~repro.data.columns.ColumnStore`;
-    :meth:`column`, :meth:`numeric_column`, :meth:`observed_matrix`,
-    :meth:`codes`, :meth:`value_counts` and :meth:`distinct_values` are served
-    from its arrays, and validation is vectorised over them.  The filtering,
+    :meth:`numeric_column`, :meth:`observed_matrix`, :meth:`codes`,
+    :meth:`value_counts` and :meth:`distinct_values` are served from its
+    arrays, and validation is vectorised over them.  The filtering,
     subset and group-by operations return :class:`DatasetView` objects over
     this dataset.  :class:`Individual` rows materialise once, on first
     iteration.
@@ -251,7 +251,7 @@ class Dataset:
                 seen.add(uid)
         for attr in self.schema:
             try:
-                column = store.column(attr.name)
+                column = store[attr.name]
             except DataError:
                 raise DataError(
                     f"dataset {self.name!r} has no column for attribute {attr.name!r}"
@@ -316,7 +316,7 @@ class Dataset:
     def _materialize_rows(self) -> Tuple[Individual, ...]:
         store = self.store
         names = self.schema.names
-        decoded = {name: store.column(name).decode_range(0, store.n) for name in names}
+        decoded = {name: store[name].decode_range(0, store.n) for name in names}
         uids = self.uids
         return tuple(
             Individual(
@@ -364,23 +364,7 @@ class Dataset:
                 return individual
         raise DataError(f"no individual with id {uid!r} in dataset {self.name!r}")
 
-    def iter_rows(self, chunk_rows: int = 65536) -> Iterator[Tuple[str, List[object]]]:
-        """Yield ``(uid, [values in schema order])`` per row.
-
-        Decodes ``chunk_rows`` rows at a time and never materialises
-        :class:`Individual` objects — it is the streaming row walk content
-        fingerprinting uses, so registering a 10M-row population holds one
-        chunk of Python values at a time.
-        """
-        return self.store.iter_rows(self.schema.names, chunk_rows=chunk_rows)
-
     # -- column access -----------------------------------------------------
-
-    def column(self, name: str) -> Tuple[object, ...]:
-        """Return the values of attribute ``name`` for all individuals, in order."""
-        self.schema.attribute(name)
-        store = self.store
-        return tuple(store.column(name).decode_range(0, store.n))
 
     def numeric_column(self, name: str) -> np.ndarray:
         """Return a fresh float array of an observed (numeric) attribute column.
@@ -392,7 +376,7 @@ class Dataset:
         attr = self.schema.attribute(name)
         if attr.atype is not AttributeType.NUMERIC:
             raise DataError(f"attribute {name!r} is not numeric")
-        column = self.store.column(name)
+        column = self.store[name]
         if isinstance(column, NumericColumn):
             return np.array(column.values, dtype=float)
         return np.asarray([float(v) for v in column.decode_range(0, len(column))], dtype=float)
@@ -415,7 +399,7 @@ class Dataset:
         if cached is not None:
             return cached
         self.schema.attribute(name)
-        column = self.store.column(name)
+        column = self.store[name]
         if isinstance(column, CodedColumn):
             raw, table = column.codes, column.values
         else:
@@ -542,7 +526,7 @@ class Dataset:
         members = np.argsort(group, kind="stable")
         ends = np.cumsum(np.bincount(group, minlength=len(first)))
         store = self.store
-        columns = [store.column(name) for name in names]
+        columns = [store[name] for name in names]
         groups: Dict[Tuple[object, ...], DatasetView] = {}
         for code in np.argsort(first, kind="stable").tolist():
             row = int(first[code])
@@ -644,7 +628,7 @@ class DatasetView(Dataset):
         index = self.index
         columns: Dict[str, Column] = {}
         for name in parent.names:
-            column = parent.column(name)
+            column = parent[name]
             if isinstance(column, CodedColumn):
                 columns[name] = CodedColumn(column.codes[index], column.values)
             else:

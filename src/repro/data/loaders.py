@@ -240,7 +240,7 @@ def load_csv(
     store = builder.finish()
     attributes: List[Attribute] = []
     for pname in protected_list:
-        column = store.column(pname)
+        column = store[pname]
         assert isinstance(column, CodedColumn)
         domain = sorted(column.values, key=lambda v: (str(type(v)), str(v)))
         attributes.append(

@@ -8,8 +8,13 @@ or a re-filtered copy of a registered dataset).
 
 Three fingerprint sources compose into a key:
 
-* datasets hash their schema plus every (uid, values) row, memoised per
-  object so a large population is only walked once per process;
+* datasets hash their schema, one digest per column buffer and their uids
+  (:func:`fingerprint_dataset`), memoised per object.  A column whose every
+  value is a float hashes as its little-endian ``float64`` bytes (NaN made
+  canonical); any other column hashes its type-tagged decode table plus its
+  ``int64`` codes, both first remapped to first-seen row order, so the hash
+  depends on the values alone and not on how the store was built.  No
+  per-row Python value is created;
 * scoring functions expose a ``fingerprint()`` protocol
   (:meth:`repro.scoring.base.ScoringFunction.fingerprint`); functions without
   a structured representation fall back to a pickle hash, and unpicklable
@@ -25,10 +30,13 @@ import hashlib
 import pickle
 import threading
 from enum import Enum
-from typing import Optional
+from typing import Dict, List, Optional
 from weakref import WeakKeyDictionary
 
+import numpy as np
+
 from repro.core.formulations import Formulation
+from repro.data.columns import CodedColumn, Column, ColumnStore
 from repro.data.dataset import Dataset
 from repro.scoring.base import ScoringFunction
 
@@ -94,20 +102,83 @@ _dataset_cache: "WeakKeyDictionary[Dataset, str]" = WeakKeyDictionary()
 _dataset_cache_lock = threading.Lock()
 
 
+#: Byte orders the column digests hash in, whatever the host's order.
+_FLOAT64 = np.dtype("<f8")
+_INT64 = np.dtype("<i8")
+
+
+def _float_digest(values: np.ndarray) -> bytes:
+    """Digest of a float column: its ``float64`` bytes, every NaN canonical."""
+    nan = np.isnan(values)
+    if nan.any():
+        values = np.where(nan, np.nan, values)
+    digest = hashlib.sha256(b"float64\x00")
+    digest.update(np.ascontiguousarray(values, dtype=_FLOAT64))
+    return digest.digest()
+
+
+def _first_seen(codes: np.ndarray, size: int) -> List[int]:
+    """The table codes rows use, in order of each code's first row."""
+    used = int(np.count_nonzero(np.bincount(codes, minlength=size)))
+    # Every used code's first row usually lies in a short prefix; widen it
+    # until the prefix holds them all (at worst, the whole column).
+    prefix = 1024
+    while True:
+        present, first = np.unique(codes[:prefix], return_index=True)
+        if len(present) == used:
+            return present[np.argsort(first)].tolist()
+        prefix *= 16
+
+
+def _column_digest(column: Column) -> bytes:
+    """Digest of one column's values, independent of how it was built."""
+    if not isinstance(column, CodedColumn):
+        return _float_digest(column.values)
+    codes, table = column.codes, column.values
+    used = _first_seen(codes, len(table))
+    if all(isinstance(table[code], float) for code in used):
+        lookup = np.zeros(len(table), dtype=np.float64)
+        lookup[used] = [table[code] for code in used]
+        return _float_digest(lookup[codes])
+    # Type-exact keys (1, 1.0, True and "1" stay distinct; all NaNs are one
+    # key); a duplicate entry takes the code of its first-seen twin.
+    keys: Dict[bytes, int] = {}
+    remap = np.zeros(len(table), dtype=np.int64)
+    for code in used:
+        remap[code] = keys.setdefault(_encode(table[code]), len(keys))
+    if len(keys) != len(used) or used != list(range(len(used))):
+        codes = remap[codes]
+    digest = hashlib.sha256(b"coded\x00")
+    digest.update(_encode(len(keys)))
+    digest.update(b"".join(keys))
+    digest.update(np.ascontiguousarray(codes, dtype=_INT64))
+    return digest.digest()
+
+
+def _uids_digest(store: ColumnStore) -> bytes:
+    """Digest of the row ids: a ``("seq", n)`` marker for ``w1..wn``."""
+    uids = store.explicit_uids
+    if uids is None or all(
+        uid == f"w{index}" for index, uid in enumerate(uids, start=1)
+    ):
+        return hashlib.sha256(_encode(("seq", store.n))).digest()
+    encoded = [uid.encode("utf-8") for uid in uids]
+    digest = hashlib.sha256(b"uids\x00")
+    digest.update(np.fromiter(map(len, encoded), dtype=_INT64, count=len(encoded)))
+    digest.update(b"".join(encoded))
+    return digest.digest()
+
+
 def _hash_dataset(dataset: Dataset) -> str:
-    digest = hashlib.sha256()
-    digest.update(b"dataset\x00")
+    digest = hashlib.sha256(b"dataset-v2\x00")
     for attr in dataset.schema:
         digest.update(
             _encode((attr.name, attr.kind.value, attr.atype.value, attr.domain))
         )
-    # iter_rows yields (uid, values-in-schema-order) straight from the column
-    # arrays — the same bytes as walking Individual rows, without ever
-    # materialising them (a 10M-row population is hashed one decode chunk
-    # at a time).
-    for uid, values in dataset.iter_rows():
-        digest.update(_encode(uid))
-        digest.update(_encode(values))
+    store = dataset.store
+    for name in dataset.schema.names:
+        digest.update(_column_digest(store[name]))
+    digest.update(_uids_digest(store))
     return digest.hexdigest()
 
 

@@ -504,7 +504,7 @@ def _read_snapshot_document(path: Union[str, Path]) -> List[Mapping[str, object]
     try:
         entries = bundle.read_document(Path(path), bundle.SNAPSHOT).get("resources")
     except BundleError as error:
-        raise CatalogError(str(error)) from None
+        raise CatalogError(str(error)) from error
     if not isinstance(entries, list):
         raise CatalogError(f"catalog snapshot {path} has no 'resources' list")
     for index, entry in enumerate(entries, start=1):

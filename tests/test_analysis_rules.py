@@ -150,9 +150,25 @@ class TestLockDiscipline:
 
 
 class TestHotPathMaterialisation:
-    def test_iter_rows_outside_hot_paths_is_fine(self, tmp_path):
+    def test_decode_range_outside_hot_paths_is_fine(self, tmp_path):
         _, source = SELFTEST_CASES["FL002"]
-        report = analyse(tmp_path, "repro/session/hot.py", source)
+        report = analyse(tmp_path, "repro/data/rows.py", source)
+        assert not fired(report, "FL002")
+
+    def test_decode_range_fires_in_every_hot_package(self, tmp_path):
+        _, source = SELFTEST_CASES["FL002"]
+        for package in ("core", "scoring", "metrics"):
+            root = tmp_path / package
+            report = analyse(root, f"repro/{package}/hot.py", source)
+            assert [finding.line for finding in fired(report, "FL002")] == [3]
+
+    def test_removed_row_iterators_no_longer_fire(self, tmp_path):
+        # Dataset.iter_rows / Dataset.column are gone; a same-named method of
+        # an unrelated object (a ResultTable's column) is not a row decode.
+        report = analyse(tmp_path, "repro/core/hot.py", (
+            "def labels(table):\n"
+            "    return table.column('partition')\n"
+        ))
         assert not fired(report, "FL002")
 
     def test_columnar_access_on_hot_path_is_fine(self, tmp_path):

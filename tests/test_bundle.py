@@ -324,8 +324,12 @@ def _toy() -> Dataset:
 
 
 def _write_previous_layout_snapshot(root: Path, dataset: Dataset, function) -> Path:
-    """A v1 snapshot + sidecar written the way builds before repro.bundle did:
-    ``ndarray.tofile`` straight into each file, then each JSON document."""
+    """A snapshot + v1 sidecar written the way builds before repro.bundle did:
+    ``ndarray.tofile`` straight into each file, then each JSON document.
+
+    The snapshot document carries the current version: a version-1 snapshot
+    records row-hash fingerprints and is refused whole, so the layout under
+    test here is the sidecar's bytes."""
     sidecar = root / "snap.json.columns" / "0123456789abcdef"
     sidecar.mkdir(parents=True)
     np.array([0, 1, 0, 1], dtype=np.int64).tofile(sidecar / "col_0.bin")
@@ -355,7 +359,7 @@ def _write_previous_layout_snapshot(root: Path, dataset: Dataset, function) -> P
     path = root / "snap.json"
     path.write_text(json.dumps({
         "format": "fairank-catalog",
-        "version": 1,
+        "version": bundle.SNAPSHOT.version,
         "resources": [
             {"kind": "dataset", "name": "toy", "frozen": False,
              "fingerprint": fingerprint_dataset(dataset),
@@ -378,7 +382,7 @@ def test_previous_layout_sidecar_and_snapshot_load_byte_identically(tmp_path):
     loaded = load_catalog(path)
     reloaded = loaded.resolve(ResourceKind.DATASET, "toy")
     assert fingerprint_dataset(reloaded) == fingerprint_dataset(dataset)
-    assert reloaded.column("Senior") == dataset.column("Senior")
+    assert [row["Senior"] for row in reloaded] == [row["Senior"] for row in dataset]
 
     live = FairnessService()
     live.register_dataset(dataset, name="toy")

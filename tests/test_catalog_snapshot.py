@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro import bundle
 from repro.catalog import Catalog, ResourceKind
+from repro.cli import main
 from repro.core.formulations import (
     LEAST_UNFAIR_AVG_EMD,
     MOST_UNFAIR_AVG_EMD,
@@ -12,7 +14,7 @@ from repro.core.formulations import (
 )
 from repro.data.filters import Equals, Not, OneOf
 from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
-from repro.errors import CatalogError, SessionError
+from repro.errors import BundleError, CatalogError, SessionError
 from repro.experiments.workloads import crowdsourcing_marketplace
 from repro.marketplace.entities import Job, Marketplace
 from repro.metrics.histogram import Binning
@@ -20,7 +22,7 @@ from repro.scoring.linear import LinearScoringFunction
 from repro.scoring.rank import RankDerivedScorer
 from repro.service import FairnessService, QuantifyRequest
 from repro.session.engine import FaiRankEngine
-from repro.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION
+from repro.snapshot import SNAPSHOT_FORMAT, SNAPSHOT_VERSION, snapshot_fingerprints
 
 
 def populated_service() -> FairnessService:
@@ -311,6 +313,48 @@ class TestFailureModes:
         path.write_text(json.dumps(document))
         with pytest.raises(CatalogError, match="drifted"):
             Catalog.load(path)
+
+
+class TestFingerprintVersion:
+    """Version-1 snapshots carry row-hash fingerprints and are refused whole."""
+
+    @staticmethod
+    def _version_1_snapshot(tmp_path):
+        path = tmp_path / "snap.json"
+        populated_service().catalog.save(path)
+        document = json.loads(path.read_text(encoding="utf-8"))
+        document["version"] = 1
+        path.write_text(json.dumps(document), encoding="utf-8")
+        return path
+
+    def test_current_snapshots_are_version_2(self):
+        assert SNAPSHOT_VERSION == bundle.SNAPSHOT.version == 2
+
+    def test_version_1_is_a_manifest_bundle_error(self, tmp_path):
+        path = self._version_1_snapshot(tmp_path)
+        with pytest.raises(BundleError) as refused:
+            bundle.read_document(path, bundle.SNAPSHOT)
+        assert refused.value.reason == "manifest"
+        assert "version 1" in str(refused.value)
+        assert "version 2" in str(refused.value)
+        with pytest.raises(CatalogError, match="catalog snapshot version 1") as loading:
+            Catalog.load(path)
+        cause = loading.value.__cause__
+        assert isinstance(cause, BundleError) and cause.reason == "manifest"
+        assert "drifted" not in str(loading.value)
+        with pytest.raises(CatalogError, match="catalog snapshot version 1"):
+            snapshot_fingerprints(path)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_serve_exits_non_zero_naming_both_versions(self, tmp_path, capsys, workers):
+        path = self._version_1_snapshot(tmp_path)
+        argv = ["serve", "--catalog", str(path), "--port", "0", "--workers", workers]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "unsupported catalog snapshot version 1" in captured.err
+        assert "reads version 2" in captured.err
+        assert "drifted" not in captured.err
+        assert "serving fairness protocol v2" not in captured.out
 
 
 class TestEngineExport:

@@ -65,7 +65,7 @@ class TestChunkedStreamingEquivalence:
         assert len(chunked) == len(one_shot) == 23
         assert chunked.uids == one_shot.uids
         for name in ("Gender", "City", "Rating"):
-            assert chunked.column(name) == one_shot.column(name)
+            assert [row[name] for row in chunked] == [row[name] for row in one_shot]
         assert fingerprint_dataset(chunked) == fingerprint_dataset(one_shot)
 
         function = LinearScoringFunction({"Rating": 1.0}, name="rating")
@@ -110,7 +110,7 @@ class TestMemmapReloadAfterRestart:
         assert len(reloaded) == len(original)
         assert reloaded.uids == original.uids
         for name in ("Gender", "City", "Rating"):
-            assert reloaded.column(name) == original.column(name)
+            assert [row[name] for row in reloaded] == [row[name] for row in original]
         assert fingerprint_dataset(reloaded) == fingerprint_dataset(original)
 
     def test_memmap_arrays_stay_disk_backed(self, tmp_path):
@@ -119,7 +119,7 @@ class TestMemmapReloadAfterRestart:
         store = ColumnStore.load(directory)
         backed = 0
         for name in store.names:
-            column = store.column(name)
+            column = store[name]
             array = column.codes if hasattr(column, "codes") else column.values
             base = array
             while isinstance(base, np.ndarray) and not isinstance(base, np.memmap):
@@ -142,8 +142,8 @@ class TestMemmapReloadAfterRestart:
             )
         one, two = whole.finish(), split.finish()
         for name in ("Gender", "Rating"):
-            assert one.column(name).decode_range(0, 5) == (
-                two.column(name).decode_range(0, 5)
+            assert one[name].decode_range(0, 5) == (
+                two[name].decode_range(0, 5)
             )
 
 
@@ -189,7 +189,7 @@ class TestSnapshotRoundTripProperty:
             reloaded = Catalog.load(path).resolve(ResourceKind.DATASET, "prop")
 
         assert len(reloaded) == size
-        round_tripped = reloaded.column("Code")
+        round_tripped = tuple(row["Code"] for row in reloaded)
         assert round_tripped == tuple(codes)
         # Tuple equality treats True == 1 == 1.0; pin the exact types too.
         assert [type(v) for v in round_tripped] == [type(v) for v in codes]
@@ -197,3 +197,16 @@ class TestSnapshotRoundTripProperty:
             float(r) for r in ratings
         ]
         assert fingerprint_dataset(reloaded) == fingerprint_dataset(original)
+
+
+class TestBuilderKeepsSignedZero:
+    def test_negative_zero_keeps_its_own_decode_entry(self):
+        # -0.0 == 0.0, so an equality-keyed encode table merged them and the
+        # second row read back as -0.0; every NaN still shares one entry.
+        nan = float("nan")
+        builder = ColumnStoreBuilder(["Code"], [])
+        builder.append_chunk({"Code": [-0.0, 0.0, "a", nan, float("nan")]})
+        column = builder.finish()["Code"]
+        decoded = column.decode_range(0, 5)
+        assert [value.hex() for value in decoded[:2]] == ["-0x0.0p+0", "0x0.0p+0"]
+        assert column.codes.tolist() == [0, 1, 2, 3, 3]

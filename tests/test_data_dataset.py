@@ -70,7 +70,7 @@ class TestConstruction:
             {"Gender": ["F", "M"], "City": ["NY", "SF"], "Rating": [0.1, 0.2]},
         )
         assert len(ds) == 2
-        assert ds.column("City") == ("NY", "SF")
+        assert tuple(row["City"] for row in ds) == ("NY", "SF")
 
     def test_from_columns_inconsistent_lengths(self, schema):
         with pytest.raises(DataError):
@@ -116,7 +116,7 @@ class TestAccess:
             dataset.by_uid("nope")
 
     def test_column_and_numeric_column(self, dataset):
-        assert dataset.column("Gender") == ("F", "M", "F", "M", "F")
+        assert tuple(row["Gender"] for row in dataset) == ("F", "M", "F", "M", "F")
         ratings = dataset.numeric_column("Rating")
         assert isinstance(ratings, np.ndarray)
         assert ratings.tolist() == [0.9, 0.4, 0.7, 0.2, 0.6]
@@ -132,7 +132,7 @@ class TestAccess:
 
     def test_unknown_column(self, dataset):
         with pytest.raises(UnknownAttributeError):
-            dataset.column("Nope")
+            dataset.codes("Nope")
 
 
 class TestOperations:
@@ -156,7 +156,7 @@ class TestOperations:
 
     def test_map_column(self, dataset):
         mapped = dataset.map_column("City", lambda c: "COAST" if c in ("SF", "LA") else c)
-        assert set(mapped.column("City")) == {"NY", "COAST"}
+        assert {row["City"] for row in mapped} == {"NY", "COAST"}
         # Domain is dropped so new values are allowed.
         assert mapped.schema.attribute("City").domain is None
 
@@ -205,7 +205,7 @@ class TestOperations:
     def test_to_records_roundtrip(self, schema, dataset):
         records = dataset.to_records(include_uid=False)
         rebuilt = Dataset.from_records(schema, records)
-        assert rebuilt.column("Rating") == dataset.column("Rating")
+        assert [row["Rating"] for row in rebuilt] == [row["Rating"] for row in dataset]
 
     def test_summary(self, dataset):
         summary = dataset.summary()

@@ -75,7 +75,7 @@ class TestLoadCsv:
         )
         ds = load_csv(path, protected_names=["Gender", "City"], observed_names=["Rating"])
         assert len(ds) == 3
-        assert ds.column("Gender") == ("F", "M", "F")
+        assert tuple(row["Gender"] for row in ds) == ("F", "M", "F")
         assert ds.numeric_column("Rating").tolist() == [0.9, 0.4, 0.7]
         assert ds.name == "workers"
 

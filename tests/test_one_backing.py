@@ -105,7 +105,7 @@ class TestEveryRouteIsColumnBacked:
     def test_row_constructor_converts_once(self, reference):
         assert isinstance(reference.store, ColumnStore)
         assert reference.__dict__.get("_rows") is None
-        assert typed(reference.column("Code")) == typed(MIXED)
+        assert typed(tuple(row["Code"] for row in reference)) == typed(MIXED)
 
     def test_from_records_and_from_columns(self, reference):
         schema = mixed_schema()
@@ -193,8 +193,8 @@ class TestViewsAndProvenance:
             assert np.array_equal(store.scores(partition), vector[expected])
             # Realised columns hold exactly the root rows' values.
             for name in population.schema.names:
-                root = population.column(name)
-                assert view.column(name) == tuple(root[i] for i in expected)
+                root = tuple(row[name] for row in population)
+                assert tuple(row[name] for row in view) == tuple(root[i] for i in expected)
         assert store.stats.scoring_passes == 1
 
     def test_store_children_are_views_of_the_store_dataset(self, population):
@@ -241,7 +241,7 @@ class TestLargeQuantifyRealisesNoChild:
         assert realised == []
         # The counter sits on the one realisation point: touching a column counts.
         leaf = result.partitioning[0].members
-        leaf.column("Gender")
+        leaf.codes("Gender")
         assert realised == [leaf.name]
 
 

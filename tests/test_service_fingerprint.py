@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import math
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.formulations import Aggregation, Formulation, Objective
+from repro.data.columns import CodedColumn, ColumnStore
+from repro.data.dataset import Dataset, DatasetView, Individual
 from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
+from repro.data.schema import Schema, observed, protected
 from repro.marketplace.generator import CrowdsourcingGenerator
 from repro.scoring.base import ScoringFunction
 from repro.scoring.linear import LinearScoringFunction
@@ -52,6 +61,151 @@ class TestDatasetFingerprint:
         dataset = load_example_table1()
         subset = dataset.select_uids(dataset.uids[:5])
         assert fingerprint_dataset(dataset) != fingerprint_dataset(subset)
+
+
+# -- content, not build route -------------------------------------------------
+
+#: A protected column of any value type and an observed numeric column.
+#: Each pool holds type-distinct twins (1 / 1.0 / True / "1", 0.0 / -0.0)
+#: and two NaN objects with different sign bits, which must hash alike.
+_NAN = float("nan")
+_NEGATIVE_NAN = math.copysign(float("nan"), -1.0)
+_CODES = (0, 1, 1.0, True, False, "1", "a", -0.0, 0.0, _NAN, _NEGATIVE_NAN, 2.5, None)
+_SCORES = (0.0, -0.0, 1.0, 2.5, _NAN, _NEGATIVE_NAN, 1, True)
+_SCHEMA = Schema((protected("Code"), observed("Score")))
+_NAMES = _SCHEMA.names
+
+
+@st.composite
+def _contents(draw, codes=_CODES):
+    """``(uids, {name: values})``; uids are ``w1..wn`` or the same reversed."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    columns = {
+        "Code": draw(st.lists(st.sampled_from(codes), min_size=n, max_size=n)),
+        "Score": draw(st.lists(st.sampled_from(_SCORES), min_size=n, max_size=n)),
+    }
+    uids = [f"w{index}" for index in range(1, n + 1)]
+    if draw(st.booleans()):
+        uids.reverse()
+    return uids, columns
+
+
+def _typed(value):
+    """The exact-typed identity of a value: all NaNs alike, -0.0 is not 0.0."""
+    if isinstance(value, float):
+        return float, "nan" if math.isnan(value) else value.hex()
+    return type(value), value
+
+
+#: Values that compare equal (or are all NaN) but are not the same value.
+_TWINS = ((1, 1.0, True, "1"), (0, False, 0.0, -0.0), (_NAN, _NEGATIVE_NAN))
+
+
+def _twin(value):
+    """The next member of ``value``'s twin group (``value`` if it has none)."""
+    for group in _TWINS:
+        keys = [_typed(member) for member in group]
+        if _typed(value) in keys:
+            return group[(keys.index(_typed(value)) + 1) % len(group)]
+    return value
+
+
+def _content_key(content):
+    uids, columns = content
+    return tuple(uids), tuple(tuple(map(_typed, columns[name])) for name in _NAMES)
+
+
+def _from_rows(content) -> Dataset:
+    uids, columns = content
+    rows = [
+        Individual(uid=uid, values={name: columns[name][index] for name in _NAMES})
+        for index, uid in enumerate(uids)
+    ]
+    return Dataset(_SCHEMA, rows, validate=False)
+
+
+def _hand_built_store(content) -> ColumnStore:
+    """Coded columns whose decode table is reversed, has an unused entry and
+    holds every value twice; rows alternate between the twins.  Uids are
+    always stored explicitly."""
+    uids, columns = content
+    built = {}
+    for name in _NAMES:
+        distinct = {}
+        for value in columns[name]:
+            distinct.setdefault(_typed(value), value)
+        table = ["unused"]
+        slots = {}
+        for key, value in reversed(list(distinct.items())):
+            slots[key] = (len(table), len(table) + 1)
+            table += [value, value]
+        codes = [
+            slots[_typed(value)][index % 2] for index, value in enumerate(columns[name])
+        ]
+        built[name] = CodedColumn(codes, table)
+    return ColumnStore(len(uids), built, uids=uids)
+
+
+def _build_routes(content):
+    """The same content built every way a dataset can be built."""
+    store = _hand_built_store(content)
+    routes = {
+        "rows": _from_rows(content),
+        "hand-built": Dataset.from_store(_SCHEMA, store, validate=False),
+    }
+    uids, columns = content
+    if None not in columns["Code"]:  # from_columns validates; None is invalid
+        routes["from_columns"] = Dataset.from_columns(_SCHEMA, columns, uids=uids)
+    with tempfile.TemporaryDirectory() as tmp:
+        store.save(Path(tmp) / "columns")
+        reloaded = ColumnStore.load(Path(tmp) / "columns")
+        routes["save/load"] = Dataset.from_store(_SCHEMA, reloaded, validate=False)
+        return {route: fingerprint_dataset(dataset) for route, dataset in routes.items()}
+
+
+class TestDatasetFingerprintProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(_contents())
+    def test_every_build_route_hashes_alike(self, content):
+        fingerprints = _build_routes(content)
+        assert len(set(fingerprints.values())) == 1, fingerprints
+
+    @settings(max_examples=300, deadline=None)
+    @given(_contents(), st.data())
+    def test_equal_iff_schema_uids_and_typed_values_are_equal(self, first, data):
+        # The second content is the first, the first with one value swapped
+        # for its twin, or an independent draw.
+        uids, columns = first
+        second = data.draw(st.one_of(st.just(first), _contents()))
+        if uids and data.draw(st.booleans()):
+            name = data.draw(st.sampled_from(_NAMES))
+            row = data.draw(st.integers(0, len(uids) - 1))
+            swapped = list(columns[name])
+            swapped[row] = _twin(swapped[row])
+            second = uids, {**columns, name: swapped}
+        left = fingerprint_dataset(_from_rows(first))
+        right = fingerprint_dataset(
+            Dataset.from_store(_SCHEMA, _hand_built_store(second), validate=False)
+        )
+        assert (left == right) == (_content_key(first) == _content_key(second))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _contents(codes=tuple(value for value in _CODES if value is not None)),
+        st.data(),
+    )
+    def test_realised_view_hashes_like_its_rows_rebuilt(self, content, data):
+        parent = _from_rows(content)
+        positions = data.draw(st.permutations(range(len(parent))))
+        keep = positions[: data.draw(st.integers(0, len(positions)))]
+        view = DatasetView(parent, keep, name="view")
+        assert view.store is not None  # realised: keeps the parent's decode tables
+        rows = [
+            {"uid": uid, **{name: content[1][name][position] for name in _NAMES}}
+            for uid, position in zip(view.uids, keep)
+        ]
+        rebuilt = Dataset.from_records(_SCHEMA, rows, uid_field="uid")
+        assert fingerprint_dataset(view) == fingerprint_dataset(rebuilt)
 
 
 class TestFunctionFingerprint:

@@ -10,9 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import bundle
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
-from repro.errors import WarmStartError
+from repro.errors import BundleError, WarmStartError
 from repro.experiments.workloads import synthetic_population
 from repro.metrics.histogram import Binning, build_histogram
 from repro.obs.log import get_logger
@@ -336,6 +337,34 @@ class TestServiceWarmState:
         before = _skip_count("manifest")
         assert _service().load_warm_state(tmp_path) == {"stores": 0, "results": 0}
         assert _skip_count("manifest") == before + 1
+
+    def test_version_1_bundle_falls_back_cold(self, tmp_path):
+        # Version-1 bundles record row-hash dataset fingerprints: the whole
+        # bundle is refused (reason "manifest"), never re-fingerprinted.
+        warm = _service()
+        reference = warm.execute(_REQUEST)
+        warm.save_warm_state(tmp_path)
+        manifest_path = tmp_path / bundle.MANIFEST
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert manifest["version"] == bundle.WARM_START.version == 2
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+        with pytest.raises(BundleError) as refused:
+            with bundle.open_manifest(tmp_path, bundle.WARM_START):
+                pass
+        assert refused.value.reason == "manifest"
+        assert "warm-start bundle version 1" in str(refused.value)
+        assert "reads version 2" in str(refused.value)
+
+        before = _skip_count("manifest")
+        restarted = _service()
+        assert restarted.load_warm_state(tmp_path) == {"stores": 0, "results": 0}
+        assert _skip_count("manifest") == before + 1
+        cold = restarted.execute(_REQUEST)
+        assert not cold.cached
+        assert cold.canonical() == reference.canonical()
+        assert restarted.store_stats.scoring_passes == 1
 
     def test_load_reports_bytes_restored(self, tmp_path):
         warm = _service()
