@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI gate for the docs tree: links, anchors, flags and rule ids must exist.
 
-Four checks over ``docs/*.md`` (plus ``README.md`` for links/anchors):
+Five checks over ``docs/*.md`` (plus ``README.md`` for links/anchors):
 
 * **links** — every internal markdown link ``[text](target)`` must point
   at a file that exists, resolved relative to the file containing the
@@ -18,6 +18,11 @@ Four checks over ``docs/*.md`` (plus ``README.md`` for links/anchors):
   ``docs/*.md`` must exist in the :mod:`repro.analysis` registry, so the
   rule catalogue in ``docs/ANALYSIS.md`` (and FL005's cross-reference in
   ``docs/OPERATIONS.md``) cannot drift from the shipped rule pack.
+* **request examples** — every ```` ```json ```` block in
+  ``docs/PROTOCOL.md`` whose ``kind`` is a request kind must parse through
+  :func:`repro.service.request_from_json`, so a documented request is one
+  the server accepts (response envelopes, which carry a ``payload``, are
+  not requests and are skipped).
 
 Exit status 0 when clean, 1 with one line per problem otherwise.  Run it
 from the repository root (CI does), or pass ``--root``.
@@ -45,6 +50,9 @@ _RULE_ID = re.compile(r"\bFL\d{3}\b")
 _HEADING = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+
+#: A fenced ```json block (its body captured).
+_JSON_BLOCK = re.compile(r"^```json\n(.*?)^```", re.DOTALL | re.MULTILINE)
 
 
 def _parser_flags() -> Set[str]:
@@ -146,6 +154,39 @@ def check_rule_ids(doc_files: List[Path]) -> List[str]:
     return problems
 
 
+def check_request_examples(protocol_doc: Path) -> List[str]:
+    """Every documented request example must parse into a request."""
+    import json
+
+    from repro.errors import ServiceError
+    from repro.server import REQUEST_ENDPOINTS
+    from repro.service import request_from_json
+
+    if not protocol_doc.exists():
+        return []
+    problems = []
+    for block in _JSON_BLOCK.findall(protocol_doc.read_text(encoding="utf-8")):
+        try:
+            example = json.loads(block)
+        except ValueError as error:
+            problems.append(f"{protocol_doc}: json block does not parse: {error}")
+            continue
+        if (
+            not isinstance(example, dict)
+            or example.get("kind") not in REQUEST_ENDPOINTS
+            or "payload" in example
+        ):
+            continue
+        try:
+            request_from_json(example)
+        except ServiceError as error:
+            problems.append(
+                f"{protocol_doc}: documented {example['kind']} request is "
+                f"rejected: {error}"
+            )
+    return problems
+
+
 def main(argv: List[str]) -> int:
     arguments = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     arguments.add_argument(
@@ -167,6 +208,7 @@ def main(argv: List[str]) -> int:
         check_links(link_files)
         + check_flags(doc_files)
         + check_rule_ids(doc_files)
+        + check_request_examples(root / "docs" / "PROTOCOL.md")
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -184,7 +226,7 @@ def main(argv: List[str]) -> int:
     print(
         f"docs check OK: {len(link_files)} file(s); links and anchors "
         f"resolve, {flag_count} documented flag reference(s) and "
-        f"{rule_count} rule id reference(s) exist"
+        f"{rule_count} rule id reference(s) exist, documented requests parse"
     )
     return 0
 

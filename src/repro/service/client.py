@@ -22,9 +22,8 @@ reaches a service).  :class:`FairnessClient` executes in-process;
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
-from repro.metrics.histogram import DEFAULT_BINS
 from repro.service.jobs import (
     AuditRequest,
     BreakdownRequest,
@@ -59,200 +58,79 @@ class FairnessClientBase:
         raise NotImplementedError("client subclasses implement _run")
 
     # -- one method per protocol-v2 request kind -------------------------------
+    #
+    # Each method takes its kind's required names positionally and forwards
+    # every other field as a keyword to the request class, so defaults and
+    # type checks live on the dataclass alone and an unknown keyword is the
+    # constructor's TypeError.
 
-    def quantify(
-        self,
-        dataset: str,
-        function: str,
-        *,
-        objective: str = "most_unfair",
-        aggregation: str = "average",
-        distance: str = "emd",
-        bins: int = DEFAULT_BINS,
-        attributes: Optional[Sequence[str]] = None,
-        max_depth: Optional[int] = None,
-        min_partition_size: int = 1,
-        use_ranks_only: bool = False,
-    ) -> ServiceResult:
-        """One QUANTIFY search plus its unfairness breakdown."""
-        return self._run(
-            QuantifyRequest(
-                dataset=dataset,
-                function=function,
-                objective=objective,
-                aggregation=aggregation,
-                distance=distance,
-                bins=bins,
-                attributes=None if attributes is None else tuple(attributes),
-                max_depth=max_depth,
-                min_partition_size=min_partition_size,
-                use_ranks_only=use_ranks_only,
-            )
-        )
+    def quantify(self, dataset: str, function: str, **options: Any) -> ServiceResult:
+        """One QUANTIFY search plus its unfairness breakdown.
+
+        ``options``: the formulation fields, ``attributes``, ``max_depth``,
+        ``min_partition_size`` and ``use_ranks_only`` of :class:`QuantifyRequest`.
+        """
+        return self._run(QuantifyRequest(dataset=dataset, function=function, **options))
 
     def audit(
-        self,
-        marketplace: str,
-        job: Optional[str] = None,
-        *,
-        objective: str = "most_unfair",
-        aggregation: str = "average",
-        distance: str = "emd",
-        bins: int = DEFAULT_BINS,
-        attributes: Optional[Sequence[str]] = None,
-        min_partition_size: int = 1,
+        self, marketplace: str, job: Optional[str] = None, **options: Any
     ) -> ServiceResult:
-        """The AUDITOR scenario over a marketplace (or one of its jobs)."""
-        return self._run(
-            AuditRequest(
-                marketplace=marketplace,
-                job=job,
-                objective=objective,
-                aggregation=aggregation,
-                distance=distance,
-                bins=bins,
-                attributes=None if attributes is None else tuple(attributes),
-                min_partition_size=min_partition_size,
-            )
-        )
+        """The AUDITOR scenario over a marketplace (or one of its jobs).
+
+        ``options``: the formulation fields, ``attributes`` and
+        ``min_partition_size`` of :class:`AuditRequest`.
+        """
+        return self._run(AuditRequest(marketplace=marketplace, job=job, **options))
 
     def compare(
-        self,
-        dataset: str,
-        functions: Sequence[str],
-        *,
-        objective: str = "most_unfair",
-        aggregation: str = "average",
-        distance: str = "emd",
-        bins: int = DEFAULT_BINS,
-        attributes: Optional[Sequence[str]] = None,
-        max_depth: Optional[int] = None,
-        min_partition_size: int = 1,
+        self, dataset: str, functions: Sequence[str], **options: Any
     ) -> ServiceResult:
-        """Quantify several scoring functions over one dataset and rank them."""
-        return self._run(
-            CompareRequest(
-                dataset=dataset,
-                functions=tuple(functions),
-                objective=objective,
-                aggregation=aggregation,
-                distance=distance,
-                bins=bins,
-                attributes=None if attributes is None else tuple(attributes),
-                max_depth=max_depth,
-                min_partition_size=min_partition_size,
-            )
-        )
+        """Quantify several scoring functions over one dataset and rank them.
 
-    def breakdown(
-        self,
-        dataset: str,
-        function: str,
-        *,
-        objective: str = "most_unfair",
-        aggregation: str = "average",
-        distance: str = "emd",
-        bins: int = DEFAULT_BINS,
-        attributes: Optional[Sequence[str]] = None,
-        min_partition_size: int = 1,
-        use_ranks_only: bool = False,
-    ) -> ServiceResult:
-        """Per-attribute unfairness of the first-level splits."""
-        return self._run(
-            BreakdownRequest(
-                dataset=dataset,
-                function=function,
-                objective=objective,
-                aggregation=aggregation,
-                distance=distance,
-                bins=bins,
-                attributes=None if attributes is None else tuple(attributes),
-                min_partition_size=min_partition_size,
-                use_ranks_only=use_ranks_only,
-            )
-        )
+        ``options``: the formulation fields, ``attributes``, ``max_depth`` and
+        ``min_partition_size`` of :class:`CompareRequest`.
+        """
+        return self._run(CompareRequest(dataset=dataset, functions=functions, **options))
 
-    def sweep(
-        self,
-        dataset: str,
-        function: str,
-        *,
-        steps: int = 5,
-        weights: Optional[Sequence[Mapping[str, float]]] = None,
-        objective: str = "most_unfair",
-        aggregation: str = "average",
-        distance: str = "emd",
-        bins: int = DEFAULT_BINS,
-        attributes: Optional[Sequence[str]] = None,
-        max_depth: Optional[int] = None,
-        min_partition_size: int = 1,
-    ) -> ServiceResult:
-        """Weight sweep over a linear function (explicit vectors or auto grid)."""
-        return self._run(
-            SweepRequest(
-                dataset=dataset,
-                function=function,
-                steps=steps,
-                weights=None if weights is None else tuple(weights),  # type: ignore[arg-type]
-                objective=objective,
-                aggregation=aggregation,
-                distance=distance,
-                bins=bins,
-                attributes=None if attributes is None else tuple(attributes),
-                max_depth=max_depth,
-                min_partition_size=min_partition_size,
-            )
-        )
+    def breakdown(self, dataset: str, function: str, **options: Any) -> ServiceResult:
+        """Per-attribute unfairness of the first-level splits.
+
+        ``options``: the formulation fields, ``attributes``,
+        ``min_partition_size`` and ``use_ranks_only`` of :class:`BreakdownRequest`.
+        """
+        return self._run(BreakdownRequest(dataset=dataset, function=function, **options))
+
+    def sweep(self, dataset: str, function: str, **options: Any) -> ServiceResult:
+        """Weight sweep over a linear function (explicit vectors or auto grid).
+
+        ``options``: ``steps``, ``weights`` (a list of ``{name: weight}``
+        maps), the formulation fields, ``attributes``, ``max_depth`` and
+        ``min_partition_size`` of :class:`SweepRequest`.
+        """
+        return self._run(SweepRequest(dataset=dataset, function=function, **options))
 
     def end_user(
         self,
         group: Mapping[str, object],
         marketplaces: Sequence[str],
         job: str,
-        *,
-        objective: str = "most_unfair",
-        aggregation: str = "average",
-        distance: str = "emd",
-        bins: int = DEFAULT_BINS,
+        **options: Any,
     ) -> ServiceResult:
-        """The END-USER scenario: one group, one job, several marketplaces."""
+        """The END-USER scenario: one group, one job, several marketplaces.
+
+        ``options``: the formulation fields of :class:`EndUserRequest`.
+        """
         return self._run(
-            EndUserRequest(
-                group=tuple(group.items()),
-                marketplaces=tuple(marketplaces),
-                job=job,
-                objective=objective,
-                aggregation=aggregation,
-                distance=distance,
-                bins=bins,
-            )
+            EndUserRequest(group=group, marketplaces=marketplaces, job=job, **options)
         )
 
-    def job_owner(
-        self,
-        marketplace: str,
-        job: str,
-        *,
-        sweep_steps: int = 5,
-        objective: str = "most_unfair",
-        aggregation: str = "average",
-        distance: str = "emd",
-        bins: int = DEFAULT_BINS,
-        min_partition_size: int = 1,
-    ) -> ServiceResult:
-        """The JOB-OWNER scenario: sweep a job's weights, recommend a variant."""
-        return self._run(
-            JobOwnerRequest(
-                marketplace=marketplace,
-                job=job,
-                sweep_steps=sweep_steps,
-                objective=objective,
-                aggregation=aggregation,
-                distance=distance,
-                bins=bins,
-                min_partition_size=min_partition_size,
-            )
-        )
+    def job_owner(self, marketplace: str, job: str, **options: Any) -> ServiceResult:
+        """The JOB-OWNER scenario: sweep a job's weights, recommend a variant.
+
+        ``options``: ``sweep_steps``, the formulation fields and
+        ``min_partition_size`` of :class:`JobOwnerRequest`.
+        """
+        return self._run(JobOwnerRequest(marketplace=marketplace, job=job, **options))
 
 
 class FairnessClient(FairnessClientBase):

@@ -3,9 +3,26 @@
 A request references datasets, scoring functions and marketplaces *by the
 name they are registered under* in the service's
 :class:`~repro.catalog.Catalog`, so every request is a small,
-JSON-serialisable value object.  ``to_json`` / ``from_json`` round-trip
-losslessly (``from_json(to_json(r)) == r``), which is what lets a batch of
-requests live in a file, a queue or an HTTP body.
+JSON-serialisable value object, which is what lets a batch of requests
+live in a file, a queue or an HTTP body.
+
+**One codec.**  A request kind is its frozen dataclass and nothing more:
+fields, defaults and the checks that belong to that kind alone.
+:class:`ServiceRequest` derives the wire form from ``dataclasses.fields()``
+and the field annotations:
+
+* ``to_json`` is ``{"protocol", "kind"}`` plus every field;
+* ``from_json`` takes a missing optional field's dataclass default, ignores
+  unknown fields and hands the rest to the constructor;
+* the constructor checks every value once against its annotation's JSON
+  type and normalises it (lists become tuples, weight vectors and groups
+  are sorted), so Python-side and JSON-side construction share one path
+  and ``from_json(to_json(r)) == r``.  A wrong type is a
+  :class:`~repro.errors.ServiceError` naming the kind, the field, the
+  expected and the found JSON type;
+* a field declared without a default is required: absent from a payload
+  it is a "missing required field" error, and empty it is a "needs ..."
+  error.
 
 **Protocol v2** adds a versioned envelope and three things v1 lacked:
 
@@ -33,18 +50,23 @@ requests live in a file, a queue or an HTTP body.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import (
     Any,
+    Callable,
     ClassVar,
     Dict,
     Mapping,
+    NamedTuple,
     Optional,
-    Sequence,
     Tuple,
     Type,
     Union,
+    get_args,
+    get_origin,
+    get_type_hints,
 )
 
 from repro.core.formulations import Formulation
@@ -78,62 +100,224 @@ _SUPPORTED_PROTOCOLS = (1, 2)
 #: frozen requests stay comparable regardless of key order.
 WeightVector = Tuple[Tuple[str, float], ...]
 
+#: The field types the codec knows (see ``_FIELD_CODECS``).
+Names = Tuple[str, ...]
+WeightVectors = Tuple[WeightVector, ...]
+#: An end-user group: sorted ``((attribute, value), ...)`` pairs.
+Group = Tuple[Tuple[str, object], ...]
+
 #: ``(kind, name)`` — one catalogue resource a request references.
 Reference = Tuple[str, str]
 
 #: Points of an automatic sweep when a request does not say.
 _DEFAULT_SWEEP_STEPS = 5
 
+#: What an empty required field leaves a request without.
+_REQUIRED_NOUNS = {
+    "dataset": "a dataset name",
+    "function": "a scoring-function name",
+    "functions": "at least one scoring function",
+    "marketplace": "a marketplace name",
+    "marketplaces": "at least one marketplace name",
+    "job": "a job title",
+    "group": "at least one protected-attribute value",
+}
 
-def _optional_str_tuple(value: Optional[Sequence[str]]) -> Optional[Tuple[str, ...]]:
+
+class _WrongType(Exception):
+    """A value does not have its field's JSON type; the message is what was found."""
+
+
+def _json_type(value: object) -> str:
+    """The JSON type name of a value (its Python type name if it has none)."""
     if value is None:
-        return None
-    return tuple(str(item) for item in value)
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, int):
+        return "integer"
+    if isinstance(value, float):
+        return "number"
+    if isinstance(value, str):
+        return "string"
+    if isinstance(value, (list, tuple)):
+        return "array"
+    if isinstance(value, Mapping):
+        return "object"
+    return type(value).__name__
 
 
-def _normalise_weight_vectors(
-    value: Optional[Sequence[Union[Mapping[str, float], Sequence[Tuple[str, float]]]]],
-) -> Optional[Tuple[WeightVector, ...]]:
-    """Canonicalise a sequence of weight maps to sorted pair tuples."""
-    if value is None:
-        return None
-    vectors = []
-    for entry in value:
-        items = entry.items() if isinstance(entry, Mapping) else entry
+def _is_str(value: object) -> bool:
+    return isinstance(value, str)
+
+
+def _is_integer(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_bool(value: object) -> bool:
+    return isinstance(value, bool)
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_scalar(value: object) -> bool:
+    return value is None or isinstance(value, (str, int, float, bool))
+
+
+def _as_is(is_type: Callable[[object], bool]) -> Callable[[object], Any]:
+    """A codec for a JSON scalar that ``is_type`` accepts unchanged."""
+
+    def decode(value: object) -> Any:
+        if not is_type(value):
+            raise _WrongType(_json_type(value))
+        return value
+
+    return decode
+
+
+def _array_of(item: Callable[[object], Any]) -> Callable[[object], Tuple[Any, ...]]:
+    """A codec for a JSON array (or tuple) whose items pass ``item``."""
+
+    def decode(value: object) -> Tuple[Any, ...]:
+        if not isinstance(value, (list, tuple)):
+            raise _WrongType(_json_type(value))
         try:
-            vectors.append(
-                tuple(sorted((str(name), float(weight)) for name, weight in items))
+            return tuple(item(entry) for entry in value)
+        except _WrongType as wrong:
+            raise _WrongType(f"an array holding {wrong}") from None
+
+    return decode
+
+
+def _object_pairs(
+    value: object, is_item: Callable[[object], bool]
+) -> Tuple[Tuple[str, Any], ...]:
+    """A ``{name: item}`` object, or its normalised pair tuple, as pairs."""
+    if isinstance(value, Mapping):
+        pairs = tuple(value.items())
+    elif isinstance(value, tuple) and all(
+        isinstance(pair, tuple) and len(pair) == 2 for pair in value
+    ):
+        pairs = value
+    else:
+        raise _WrongType(_json_type(value))
+    for name, item in pairs:
+        if not isinstance(name, str):
+            raise _WrongType(f"an object with a {_json_type(name)} key")
+        if not is_item(item):
+            raise _WrongType(f"an object holding {_json_type(item)}")
+    return pairs
+
+
+def _weight_vector(value: object) -> WeightVector:
+    pairs = _object_pairs(value, _is_number)
+    return tuple(sorted((name, float(weight)) for name, weight in pairs))
+
+
+def _group(value: object) -> Group:
+    return tuple(sorted(_object_pairs(value, _is_scalar), key=lambda pair: pair[0]))
+
+
+def _same(value: Any) -> Any:
+    return value
+
+
+class _Codec(NamedTuple):
+    """How one field type is checked on the way in and written on the way out."""
+
+    expected: str
+    decode: Callable[[object], Any]
+    encode: Callable[[Any], object]
+
+
+#: Field annotation -> its codec.  ``Optional[...]`` of any of these also
+#: takes ``null``.
+_FIELD_CODECS: Dict[object, _Codec] = {
+    str: _Codec("a string", _as_is(_is_str), _same),
+    int: _Codec("an integer", _as_is(_is_integer), _same),
+    bool: _Codec("true or false", _as_is(_is_bool), _same),
+    Names: _Codec("an array of strings", _array_of(_as_is(_is_str)), list),
+    WeightVectors: _Codec(
+        "an array of weight vectors ({name: number} objects)",
+        _array_of(_weight_vector),
+        lambda vectors: [dict(vector) for vector in vectors],
+    ),
+    Group: _Codec("an object of JSON scalars", _group, dict),
+}
+
+
+class _Field(NamedTuple):
+    name: str
+    codec: _Codec
+    #: The annotation is ``Optional[...]``: ``null`` is a value.
+    optional: bool
+    #: Declared without a default: must be present and non-empty.
+    required: bool
+
+
+@functools.lru_cache(maxsize=None)
+def _schema(request_type: type) -> Tuple[_Field, ...]:
+    """The codec of every field of a request class, in declaration order."""
+    hints = get_type_hints(request_type)
+    schema = []
+    for spec in fields(request_type):
+        annotation = hints[spec.name]
+        optional = get_origin(annotation) is Union and type(None) in get_args(annotation)
+        if optional:
+            (annotation,) = [a for a in get_args(annotation) if a is not type(None)]
+        schema.append(
+            _Field(
+                name=spec.name,
+                codec=_FIELD_CODECS[annotation],
+                optional=optional,
+                required=spec.default is MISSING and spec.default_factory is MISSING,
             )
-        except (TypeError, ValueError):
-            raise ServiceError(
-                "each weight vector must map attribute names to numeric weights, "
-                f"got {entry!r}"
-            ) from None
-    return tuple(vectors)
+        )
+    return tuple(schema)
 
 
-def _normalise_group(
-    value: Union[Mapping[str, object], Sequence[Tuple[str, object]]],
-) -> Tuple[Tuple[str, object], ...]:
-    """Canonicalise an end-user group to sorted (attribute, value) pairs."""
-    items = value.items() if isinstance(value, Mapping) else value
-    return tuple(sorted(((str(name), v) for name, v in items), key=lambda p: p[0]))
+@dataclass(frozen=True, kw_only=True)
+class ServiceRequest:
+    """Base of every request kind: the formulation fields and the one codec.
 
-
-@dataclass(frozen=True)
-class _FormulationMixin:
-    """Shared formulation fields (kept as plain strings for the wire).
-
-    String validation is *not* duplicated here: ``formulation()`` is the one
+    The formulation fields stay plain strings for the wire.  String
+    validation is *not* duplicated here: ``formulation()`` is the one
     resolution path — :meth:`repro.core.formulations.Formulation.from_names`
     — shared with the CLI and the experiments harness, so every layer raises
     the same error message for a bad objective/aggregation/distance name.
     """
 
+    kind: ClassVar[str]
+
     objective: str = "most_unfair"
     aggregation: str = "average"
     distance: str = "emd"
     bins: int = DEFAULT_BINS
+
+    def __post_init__(self) -> None:
+        for spec in _schema(type(self)):
+            value = getattr(self, spec.name)
+            if value is None and spec.optional:
+                continue
+            try:
+                decoded = spec.codec.decode(value)
+            except _WrongType as wrong:
+                expected = spec.codec.expected
+                if spec.optional:
+                    expected = f"null or {expected}"
+                raise ServiceError(
+                    f"{self.kind} request field {spec.name!r} must be {expected}, "
+                    f"got {wrong}"
+                ) from None
+            if spec.required and not decoded:
+                raise ServiceError(
+                    f"{self.kind} request needs {_REQUIRED_NOUNS[spec.name]}"
+                )
+            if decoded is not value:
+                object.__setattr__(self, spec.name, decoded)
 
     def formulation(self) -> Formulation:
         """Materialise the formulation (validates the string fields)."""
@@ -144,168 +328,70 @@ class _FormulationMixin:
             bins=self.bins,
         )
 
-    def _formulation_json(self) -> Dict[str, object]:
-        return {
-            "objective": self.objective,
-            "aggregation": self.aggregation,
-            "distance": self.distance,
-            "bins": self.bins,
-        }
+    def to_json(self) -> Dict[str, object]:
+        """``{"protocol", "kind"}`` plus every field, as plain JSON values."""
+        payload: Dict[str, object] = {"protocol": PROTOCOL_VERSION, "kind": self.kind}
+        for spec in _schema(type(self)):
+            value = getattr(self, spec.name)
+            payload[spec.name] = None if value is None else spec.codec.encode(value)
+        return payload
 
     @classmethod
-    def _formulation_kwargs(cls, payload: Mapping[str, object]) -> Dict[str, object]:
-        return {
-            "objective": str(payload.get("objective", "most_unfair")),
-            "aggregation": str(payload.get("aggregation", "average")),
-            "distance": str(payload.get("distance", "emd")),
-            "bins": int(payload.get("bins", DEFAULT_BINS)),  # type: ignore[arg-type]
-        }
+    def from_json(cls, payload: Mapping[str, object]) -> "ServiceRequest":
+        """Build the request a ``to_json``-form payload describes."""
+        values = {}
+        for spec in _schema(cls):
+            if spec.name in payload:
+                values[spec.name] = payload[spec.name]
+            elif spec.required:
+                raise ServiceError(
+                    f"{cls.kind} request payload is missing required field "
+                    f"{spec.name!r}"
+                )
+        return cls(**values)
 
-    def _envelope(self) -> Dict[str, object]:
-        return {"protocol": PROTOCOL_VERSION, "kind": self.kind}  # type: ignore[attr-defined]
 
-
-@dataclass(frozen=True)
-class QuantifyRequest(_FormulationMixin):
+@dataclass(frozen=True, kw_only=True)
+class QuantifyRequest(ServiceRequest):
     """Run the QUANTIFY search for one (dataset, function) configuration."""
 
     kind: ClassVar[str] = "quantify"
 
-    dataset: str = ""
-    function: str = ""
-    attributes: Optional[Tuple[str, ...]] = None
+    dataset: str
+    function: str
+    attributes: Optional[Names] = None
     max_depth: Optional[int] = None
     min_partition_size: int = 1
     use_ranks_only: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.dataset:
-            raise ServiceError("a quantify request needs a dataset name")
-        if not self.function:
-            raise ServiceError("a quantify request needs a scoring-function name")
-        object.__setattr__(self, "attributes", _optional_str_tuple(self.attributes))
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({"dataset": self.dataset, "function": self.function})
-        payload.update(self._formulation_json())
-        payload.update(
-            {
-                "attributes": list(self.attributes) if self.attributes is not None else None,
-                "max_depth": self.max_depth,
-                "min_partition_size": self.min_partition_size,
-                "use_ranks_only": self.use_ranks_only,
-            }
-        )
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "QuantifyRequest":
-        return cls(
-            dataset=str(payload["dataset"]),
-            function=str(payload["function"]),
-            attributes=_optional_str_tuple(payload.get("attributes")),  # type: ignore[arg-type]
-            max_depth=(
-                None if payload.get("max_depth") is None
-                else int(payload["max_depth"])  # type: ignore[arg-type]
-            ),
-            min_partition_size=int(payload.get("min_partition_size", 1)),  # type: ignore[arg-type]
-            use_ranks_only=bool(payload.get("use_ranks_only", False)),
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
-
-
-@dataclass(frozen=True)
-class AuditRequest(_FormulationMixin):
+@dataclass(frozen=True, kw_only=True)
+class AuditRequest(ServiceRequest):
     """Audit a whole marketplace (or one of its jobs): the AUDITOR scenario."""
 
     kind: ClassVar[str] = "audit"
 
-    marketplace: str = ""
+    marketplace: str
     job: Optional[str] = None
-    attributes: Optional[Tuple[str, ...]] = None
+    attributes: Optional[Names] = None
     min_partition_size: int = 1
 
-    def __post_init__(self) -> None:
-        if not self.marketplace:
-            raise ServiceError("an audit request needs a marketplace name")
-        object.__setattr__(self, "attributes", _optional_str_tuple(self.attributes))
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({"marketplace": self.marketplace, "job": self.job})
-        payload.update(self._formulation_json())
-        payload.update(
-            {
-                "attributes": list(self.attributes) if self.attributes is not None else None,
-                "min_partition_size": self.min_partition_size,
-            }
-        )
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "AuditRequest":
-        return cls(
-            marketplace=str(payload["marketplace"]),
-            job=None if payload.get("job") is None else str(payload["job"]),
-            attributes=_optional_str_tuple(payload.get("attributes")),  # type: ignore[arg-type]
-            min_partition_size=int(payload.get("min_partition_size", 1)),  # type: ignore[arg-type]
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
-
-
-@dataclass(frozen=True)
-class CompareRequest(_FormulationMixin):
+@dataclass(frozen=True, kw_only=True)
+class CompareRequest(ServiceRequest):
     """Quantify several scoring functions over one dataset and rank them."""
 
     kind: ClassVar[str] = "compare"
 
-    dataset: str = ""
-    functions: Tuple[str, ...] = ()
-    attributes: Optional[Tuple[str, ...]] = None
+    dataset: str
+    functions: Names
+    attributes: Optional[Names] = None
     max_depth: Optional[int] = None
     min_partition_size: int = 1
 
-    def __post_init__(self) -> None:
-        if not self.dataset:
-            raise ServiceError("a compare request needs a dataset name")
-        object.__setattr__(self, "functions", tuple(str(f) for f in self.functions))
-        if len(self.functions) < 1:
-            raise ServiceError("a compare request needs at least one scoring function")
-        object.__setattr__(self, "attributes", _optional_str_tuple(self.attributes))
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({"dataset": self.dataset, "functions": list(self.functions)})
-        payload.update(self._formulation_json())
-        payload.update(
-            {
-                "attributes": list(self.attributes) if self.attributes is not None else None,
-                "max_depth": self.max_depth,
-                "min_partition_size": self.min_partition_size,
-            }
-        )
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "CompareRequest":
-        return cls(
-            dataset=str(payload["dataset"]),
-            functions=tuple(
-                str(f) for f in payload.get("functions", ())  # type: ignore[union-attr]
-            ),
-            attributes=_optional_str_tuple(payload.get("attributes")),  # type: ignore[arg-type]
-            max_depth=(
-                None if payload.get("max_depth") is None
-                else int(payload["max_depth"])  # type: ignore[arg-type]
-            ),
-            min_partition_size=int(payload.get("min_partition_size", 1)),  # type: ignore[arg-type]
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
-
-
-@dataclass(frozen=True)
-class BreakdownRequest(_FormulationMixin):
+@dataclass(frozen=True, kw_only=True)
+class BreakdownRequest(ServiceRequest):
     """Per-attribute unfairness: how unfair is each first-level split alone?
 
     The first step of QUANTIFY ranks protected attributes by how unfair the
@@ -316,46 +402,15 @@ class BreakdownRequest(_FormulationMixin):
 
     kind: ClassVar[str] = "breakdown"
 
-    dataset: str = ""
-    function: str = ""
-    attributes: Optional[Tuple[str, ...]] = None
+    dataset: str
+    function: str
+    attributes: Optional[Names] = None
     min_partition_size: int = 1
     use_ranks_only: bool = False
 
-    def __post_init__(self) -> None:
-        if not self.dataset:
-            raise ServiceError("a breakdown request needs a dataset name")
-        if not self.function:
-            raise ServiceError("a breakdown request needs a scoring-function name")
-        object.__setattr__(self, "attributes", _optional_str_tuple(self.attributes))
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({"dataset": self.dataset, "function": self.function})
-        payload.update(self._formulation_json())
-        payload.update(
-            {
-                "attributes": list(self.attributes) if self.attributes is not None else None,
-                "min_partition_size": self.min_partition_size,
-                "use_ranks_only": self.use_ranks_only,
-            }
-        )
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "BreakdownRequest":
-        return cls(
-            dataset=str(payload["dataset"]),
-            function=str(payload["function"]),
-            attributes=_optional_str_tuple(payload.get("attributes")),  # type: ignore[arg-type]
-            min_partition_size=int(payload.get("min_partition_size", 1)),  # type: ignore[arg-type]
-            use_ranks_only=bool(payload.get("use_ranks_only", False)),
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
-
-
-@dataclass(frozen=True)
-class SweepRequest(_FormulationMixin):
+@dataclass(frozen=True, kw_only=True)
+class SweepRequest(ServiceRequest):
     """Weight sweep over a linear scoring function (the JOB-OWNER core loop).
 
     Either an explicit list of weight vectors (``weights``) or an automatic
@@ -370,20 +425,16 @@ class SweepRequest(_FormulationMixin):
 
     kind: ClassVar[str] = "sweep"
 
-    dataset: str = ""
-    function: str = ""
+    dataset: str
+    function: str
     steps: int = _DEFAULT_SWEEP_STEPS
-    weights: Optional[Tuple[WeightVector, ...]] = None
-    attributes: Optional[Tuple[str, ...]] = None
+    weights: Optional[WeightVectors] = None
+    attributes: Optional[Names] = None
     max_depth: Optional[int] = None
     min_partition_size: int = 1
 
     def __post_init__(self) -> None:
-        if not self.dataset:
-            raise ServiceError("a sweep request needs a dataset name")
-        if not self.function:
-            raise ServiceError("a sweep request needs a scoring-function name")
-        object.__setattr__(self, "weights", _normalise_weight_vectors(self.weights))
+        super().__post_init__()
         if self.weights is not None:
             if not self.weights:
                 raise ServiceError(
@@ -394,7 +445,6 @@ class SweepRequest(_FormulationMixin):
             object.__setattr__(self, "steps", _DEFAULT_SWEEP_STEPS)
         elif self.steps < 2:
             raise ServiceError(f"an automatic sweep needs at least 2 steps, got {self.steps}")
-        object.__setattr__(self, "attributes", _optional_str_tuple(self.attributes))
 
     @property
     def weight_maps(self) -> Optional[Tuple[Dict[str, float], ...]]:
@@ -403,157 +453,53 @@ class SweepRequest(_FormulationMixin):
             return None
         return tuple(dict(vector) for vector in self.weights)
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update({"dataset": self.dataset, "function": self.function})
-        payload.update(self._formulation_json())
-        payload.update(
-            {
-                "steps": self.steps,
-                "weights": (
-                    None if self.weights is None
-                    else [dict(vector) for vector in self.weights]
-                ),
-                "attributes": list(self.attributes) if self.attributes is not None else None,
-                "max_depth": self.max_depth,
-                "min_partition_size": self.min_partition_size,
-            }
-        )
-        return payload
 
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "SweepRequest":
-        return cls(
-            dataset=str(payload["dataset"]),
-            function=str(payload["function"]),
-            steps=int(payload.get("steps", _DEFAULT_SWEEP_STEPS)),  # type: ignore[arg-type]
-            weights=_normalise_weight_vectors(payload.get("weights")),  # type: ignore[arg-type]
-            attributes=_optional_str_tuple(payload.get("attributes")),  # type: ignore[arg-type]
-            max_depth=(
-                None if payload.get("max_depth") is None
-                else int(payload["max_depth"])  # type: ignore[arg-type]
-            ),
-            min_partition_size=int(payload.get("min_partition_size", 1)),  # type: ignore[arg-type]
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
-
-
-@dataclass(frozen=True)
-class EndUserRequest(_FormulationMixin):
+@dataclass(frozen=True, kw_only=True)
+class EndUserRequest(ServiceRequest):
     """The END-USER scenario: one group, one job, several marketplaces."""
 
     kind: ClassVar[str] = "end_user"
 
-    group: Tuple[Tuple[str, object], ...] = ()
-    marketplaces: Tuple[str, ...] = ()
-    job: str = ""
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "group", _normalise_group(self.group))
-        if not self.group:
-            raise ServiceError(
-                "an end-user request needs at least one protected-attribute value"
-            )
-        object.__setattr__(
-            self, "marketplaces", tuple(str(m) for m in self.marketplaces)
-        )
-        if not self.marketplaces:
-            raise ServiceError("an end-user request needs at least one marketplace name")
-        if not self.job:
-            raise ServiceError("an end-user request needs a job title")
+    group: Group
+    marketplaces: Names
+    job: str
 
     @property
     def group_map(self) -> Dict[str, object]:
         """The group as a plain ``{attribute: value}`` dict."""
         return dict(self.group)
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update(
-            {
-                "group": dict(self.group),
-                "marketplaces": list(self.marketplaces),
-                "job": self.job,
-            }
-        )
-        payload.update(self._formulation_json())
-        return payload
 
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "EndUserRequest":
-        return cls(
-            group=_normalise_group(payload["group"]),  # type: ignore[arg-type]
-            marketplaces=tuple(
-                str(m) for m in payload.get("marketplaces", ())  # type: ignore[union-attr]
-            ),
-            job=str(payload.get("job", "")),
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
-
-
-@dataclass(frozen=True)
-class JobOwnerRequest(_FormulationMixin):
+@dataclass(frozen=True, kw_only=True)
+class JobOwnerRequest(ServiceRequest):
     """The JOB-OWNER scenario: sweep one job's weights and recommend a variant."""
 
     kind: ClassVar[str] = "job_owner"
 
-    marketplace: str = ""
-    job: str = ""
+    marketplace: str
+    job: str
     sweep_steps: int = 5
     min_partition_size: int = 1
 
     def __post_init__(self) -> None:
-        if not self.marketplace:
-            raise ServiceError("a job-owner request needs a marketplace name")
-        if not self.job:
-            raise ServiceError("a job-owner request needs a job title")
+        super().__post_init__()
         if self.sweep_steps < 2:
             raise ServiceError(
                 f"a job-owner sweep needs at least 2 steps, got {self.sweep_steps}"
             )
 
-    def to_json(self) -> Dict[str, object]:
-        payload = self._envelope()
-        payload.update(
-            {
-                "marketplace": self.marketplace,
-                "job": self.job,
-                "sweep_steps": self.sweep_steps,
-                "min_partition_size": self.min_partition_size,
-            }
-        )
-        payload.update(self._formulation_json())
-        return payload
-
-    @classmethod
-    def from_json(cls, payload: Mapping[str, object]) -> "JobOwnerRequest":
-        return cls(
-            marketplace=str(payload["marketplace"]),
-            job=str(payload["job"]),
-            sweep_steps=int(payload.get("sweep_steps", 5)),  # type: ignore[arg-type]
-            min_partition_size=int(payload.get("min_partition_size", 1)),  # type: ignore[arg-type]
-            **cls._formulation_kwargs(payload),  # type: ignore[arg-type]
-        )
-
-
-ServiceRequest = Union[
-    QuantifyRequest,
-    AuditRequest,
-    CompareRequest,
-    BreakdownRequest,
-    SweepRequest,
-    EndUserRequest,
-    JobOwnerRequest,
-]
 
 _REQUEST_KINDS: Dict[str, Type[ServiceRequest]] = {
-    QuantifyRequest.kind: QuantifyRequest,
-    AuditRequest.kind: AuditRequest,
-    CompareRequest.kind: CompareRequest,
-    BreakdownRequest.kind: BreakdownRequest,
-    SweepRequest.kind: SweepRequest,
-    EndUserRequest.kind: EndUserRequest,
-    JobOwnerRequest.kind: JobOwnerRequest,
+    request_type.kind: request_type
+    for request_type in (
+        QuantifyRequest,
+        AuditRequest,
+        CompareRequest,
+        BreakdownRequest,
+        SweepRequest,
+        EndUserRequest,
+        JobOwnerRequest,
+    )
 }
 
 
@@ -598,7 +544,7 @@ def request_from_json(payload: Mapping[str, object]) -> ServiceRequest:
         raise ServiceError("a request payload must be a JSON object") from None
     try:
         protocol = int(raw_protocol)  # type: ignore[arg-type]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ServiceError(f"invalid protocol version {raw_protocol!r}") from None
     if protocol not in _SUPPORTED_PROTOCOLS:
         raise ServiceError(
@@ -619,12 +565,7 @@ def request_from_json(payload: Mapping[str, object]) -> ServiceRequest:
             f"unknown request kind {kind!r}; known kinds: "
             f"{', '.join(sorted(_REQUEST_KINDS))}"
         ) from None
-    try:
-        return request_type.from_json(payload)
-    except KeyError as missing:
-        raise ServiceError(
-            f"{kind} request payload is missing required field {missing.args[0]!r}"
-        ) from None
+    return request_type.from_json(payload)
 
 
 @dataclass(frozen=True)

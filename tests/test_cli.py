@@ -141,6 +141,21 @@ class TestServeBatchPartialFailure:
         assert output.count("! #2") == 2
         assert "1 request(s) returned an error envelope" in output
 
+    def test_wrong_typed_entry_exits_2_with_the_codec_message(self, tmp_path, capsys):
+        path = tmp_path / "wrong-type.json"
+        path.write_text(json.dumps([
+            {"kind": "quantify", "dataset": "table1", "function": "table1-f"},
+            {"kind": "quantify", "dataset": "table1", "function": "table1-f",
+             "min_partition_size": None},
+        ]))
+        assert main(["serve-batch", str(path), "--market-size", "60"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == (
+            "error: quantify request field 'min_partition_size' must be an "
+            "integer, got null"
+        )
+        assert "Traceback" not in captured.err + captured.out
+
 
 class TestExperimentsCommand:
     def test_run_single_experiment(self, capsys):

@@ -1,10 +1,11 @@
 """The docs tree and its CI gate (``scripts/check_docs.py``).
 
-The gate promises four invariants: every internal link in ``docs/*.md``
+The gate promises five invariants: every internal link in ``docs/*.md``
 and ``README.md`` resolves to a real file, every ``#fragment`` in those
 links names a real heading in its target, every ``--flag`` the docs name
-exists in the ``fairank`` CLI parser, and every ``FLnnn`` rule id the
-docs mention exists in the ``repro.analysis`` registry.  These tests run
+exists in the ``fairank`` CLI parser, every ``FLnnn`` rule id the docs
+mention exists in the ``repro.analysis`` registry, and every request
+example in ``docs/PROTOCOL.md`` parses into a request.  These tests run
 the gate exactly as CI does (a subprocess from the repository root),
 check the negative paths on synthetic broken docs, and pin the docs
 tree's required files.
@@ -108,6 +109,25 @@ def test_docs_gate_rejects_unknown_rule_id(tmp_path):
     assert completed.returncode == 1
     assert "FL666" in completed.stderr
     assert "not in the repro.analysis registry" in completed.stderr
+
+
+def test_docs_gate_rejects_a_request_example_the_server_refuses(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "PROTOCOL.md").write_text(
+        "# Requests\n\n"
+        '```json\n{"kind": "quantify", "dataset": "d", "function": "f"}\n```\n\n'
+        '```json\n{"kind": "compare", "dataset": "d", "functions": "f"}\n```\n\n'
+        '```json\n{"kind": "quantify", "key": "k", "payload": {}}\n```\n',
+        encoding="utf-8",
+    )
+    completed = _run_gate("--root", str(tmp_path))
+    assert completed.returncode == 1
+    problems = completed.stderr.strip().splitlines()
+    assert problems[0].endswith(
+        "documented compare request is rejected: compare request field "
+        "'functions' must be an array of strings, got string"
+    )
+    assert problems[1:] == ["docs check: 1 problem(s)"]
 
 
 def test_analysis_doc_catalogues_every_rule():

@@ -13,7 +13,10 @@ The sharded deployment leans on two lossless encodings:
 
 Random generators draw every request kind, every formulation name and
 random small catalogs; json.dumps round-trips ensure the payloads are
-actual JSON, not just dicts.
+actual JSON, not just dicts.  The request codec is also pinned from the
+other side: a value of the wrong JSON type in any field is a
+``ServiceError``, and a golden file fixes the exact ``to_json()`` dicts and
+request keys of every kind.
 """
 
 from __future__ import annotations
@@ -22,14 +25,19 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+import pytest
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.catalog import Catalog, ResourceKind
 from repro.core.formulations import Formulation
 from repro.data.dataset import Dataset, Individual
+from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
 from repro.data.schema import Schema, observed, protected
+from repro.errors import ServiceError
+from repro.experiments.workloads import crowdsourcing_marketplace
 from repro.scoring.linear import LinearScoringFunction
+from repro.service import FairnessService
 from repro.service.jobs import (
     AuditRequest,
     BreakdownRequest,
@@ -208,6 +216,202 @@ class TestRequestRoundTrips:
         once = request_from_json(request.to_json())
         twice = request_from_json(once.to_json())
         assert twice == once == request
+
+
+#: The JSON type of every request field.
+FIELD_TYPES = {
+    "dataset": "string", "function": "string", "marketplace": "string",
+    "job": "string", "objective": "string", "aggregation": "string",
+    "distance": "string",
+    "bins": "integer", "min_partition_size": "integer", "max_depth": "integer",
+    "steps": "integer", "sweep_steps": "integer",
+    "use_ranks_only": "boolean",
+    "attributes": "names", "functions": "names", "marketplaces": "names",
+    "weights": "weights",
+    "group": "group",
+}
+GOLDEN_PATH = Path(__file__).with_name("golden_requests.json")
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
+
+#: ``(kind, field)`` pairs that take null: the ones a golden request holds
+#: null in.  Every other field rejects it.
+NULLABLE = {
+    (case["to_json"]["kind"], field)
+    for case in GOLDEN.values()
+    for field, value in case["to_json"].items()
+    if value is None
+}
+
+wrong_scalars = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "integer": st.integers(min_value=-10**6, max_value=10**6),
+    "number": st.floats(allow_nan=False, allow_infinity=False),
+    "string": names | st.sampled_from(["", "false", "5", "abc"]),
+}
+wrong_arrays = st.lists(st.integers() | names, max_size=3)
+wrong_objects = st.dictionaries(names, st.integers() | names, max_size=3)
+
+
+def wrong_values(kind, field):
+    """JSON values of any type but the field's own."""
+    declared = FIELD_TYPES[field]
+    nullable = (kind, field) in NULLABLE
+    scalar_types = [
+        name for name in wrong_scalars
+        if name != declared and not (name == "null" and nullable)
+    ]
+    options = [wrong_scalars[name] for name in scalar_types]
+    non_strings = st.one_of([wrong_scalars[n] for n in ("boolean", "integer", "number")])
+    if declared == "names":
+        options += [wrong_objects, st.lists(non_strings | wrong_arrays, min_size=1)]
+    elif declared == "weights":
+        options += [
+            wrong_objects,
+            st.lists(names | non_strings | wrong_arrays, min_size=1),
+            st.lists(
+                st.dictionaries(
+                    names, names | st.booleans() | st.none() | wrong_arrays,
+                    min_size=1, max_size=2,
+                ),
+                min_size=1, max_size=2,
+            ),
+        ]
+    elif declared == "group":
+        options += [
+            wrong_arrays,
+            st.dictionaries(names, wrong_arrays | wrong_objects, min_size=1, max_size=2),
+        ]
+    else:
+        options += [wrong_arrays, wrong_objects]
+    return st.one_of(options)
+
+
+@st.composite
+def wrong_typed_payloads(draw):
+    payload = json.loads(json.dumps(draw(any_request).to_json()))
+    field = draw(st.sampled_from(sorted(set(payload) - {"protocol", "kind"})))
+    payload[field] = draw(wrong_values(payload["kind"], field))
+    return payload, field
+
+
+class TestRequestFieldTypes:
+    def test_every_request_field_has_a_declared_type(self):
+        every_field = set()
+        for case in GOLDEN.values():
+            every_field |= set(case["to_json"]) - {"protocol", "kind"}
+        assert every_field == set(FIELD_TYPES)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=wrong_typed_payloads())
+    @example(case=({"kind": "quantify", "dataset": "d", "function": "f",
+                    "min_partition_size": None}, "min_partition_size"))
+    @example(case=({"kind": "quantify", "dataset": "d", "function": "f",
+                    "bins": 5.9}, "bins"))
+    @example(case=({"kind": "quantify", "dataset": ["x"], "function": "f"}, "dataset"))
+    @example(case=({"kind": "breakdown", "dataset": "d", "function": "f",
+                    "use_ranks_only": "false"}, "use_ranks_only"))
+    @example(case=({"kind": "compare", "dataset": "d", "functions": "abc"}, "functions"))
+    @example(case=({"kind": "audit", "marketplace": "m", "attributes": "age"},
+                   "attributes"))
+    @example(case=({"kind": "sweep", "dataset": "d", "function": "f",
+                    "weights": [{"a": True}]}, "weights"))
+    @example(case=({"kind": "end_user", "group": {"a": [1]}, "marketplaces": ["m"],
+                    "job": "j"}, "group"))
+    def test_a_wrong_typed_field_is_a_service_error_naming_it(self, case):
+        payload, field = case
+        with pytest.raises(ServiceError) as raised:
+            request_from_json(payload)
+        message = str(raised.value)
+        assert f"{payload['kind']} request field {field!r} must be" in message
+        assert ", got " in message
+
+
+#: One all-defaults and one every-field-set request per kind (plus an
+#: automatic sweep with custom steps).  Their ``to_json()`` dicts and request
+#: keys in ``golden_requests.json`` were captured before the request codec
+#: was derived from the dataclass fields, over the catalog of
+#: ``golden_service()``.
+_FORMULATION = dict(
+    objective="least_unfair", aggregation="variance",
+    distance="total_variation", bins=7,
+)
+GOLDEN_REQUESTS = {
+    "quantify/defaults": QuantifyRequest(dataset="table1", function="table1-f"),
+    "quantify/every-field": QuantifyRequest(
+        dataset="table1", function="table1-f", attributes=("Gender", "Language"),
+        max_depth=2, min_partition_size=2, use_ranks_only=True, **_FORMULATION,
+    ),
+    "audit/defaults": AuditRequest(marketplace="crowdsourcing-sim"),
+    "audit/every-field": AuditRequest(
+        marketplace="crowdsourcing-sim", job="Content writing",
+        attributes=("Gender",), min_partition_size=3, **_FORMULATION,
+    ),
+    "compare/defaults": CompareRequest(dataset="table1", functions=("table1-f",)),
+    "compare/every-field": CompareRequest(
+        dataset="table1", functions=("table1-f", "table1-f"),
+        attributes=("Gender", "Country"), max_depth=1, min_partition_size=2,
+        **_FORMULATION,
+    ),
+    "breakdown/defaults": BreakdownRequest(dataset="table1", function="table1-f"),
+    "breakdown/every-field": BreakdownRequest(
+        dataset="table1", function="table1-f", attributes=("Language",),
+        min_partition_size=2, use_ranks_only=True, **_FORMULATION,
+    ),
+    "sweep/defaults": SweepRequest(dataset="table1", function="table1-f"),
+    "sweep/every-field": SweepRequest(
+        dataset="table1", function="table1-f", steps=3,
+        weights=({"Rating": 1, "Language Test": 0.25},
+                 {"Language Test": 0.5, "Rating": 0.5}),
+        attributes=("Gender",), max_depth=2, min_partition_size=2, **_FORMULATION,
+    ),
+    "sweep/steps": SweepRequest(dataset="table1", function="table1-f", steps=3),
+    "end_user/defaults": EndUserRequest(
+        group={"Gender": "F"}, marketplaces=("crowdsourcing-sim",),
+        job="Content writing",
+    ),
+    "end_user/every-field": EndUserRequest(
+        group={"Gender": "F", "Age": 30, "Verified": True, "Score": 0.5, "Note": None},
+        marketplaces=("crowdsourcing-sim", "crowdsourcing-sim"),
+        job="Content writing", **_FORMULATION,
+    ),
+    "job_owner/defaults": JobOwnerRequest(
+        marketplace="crowdsourcing-sim", job="Content writing"
+    ),
+    "job_owner/every-field": JobOwnerRequest(
+        marketplace="crowdsourcing-sim", job="Content writing", sweep_steps=3,
+        min_partition_size=2, **_FORMULATION,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def golden_service():
+    service = FairnessService()
+    service.register_dataset(load_example_table1(), name="table1")
+    service.register_function(LinearScoringFunction(TABLE1_WEIGHTS, name="table1-f"))
+    service.register_marketplace(crowdsourcing_marketplace(size=80, seed=13))
+    return service
+
+
+class TestGoldenRequests:
+    def test_golden_file_covers_every_kind(self):
+        assert set(GOLDEN) == set(GOLDEN_REQUESTS)
+        assert {request.kind for request in GOLDEN_REQUESTS.values()} == {
+            case.split("/")[0] for case in GOLDEN
+        } == {"quantify", "audit", "compare", "breakdown", "sweep", "end_user",
+              "job_owner"}
+
+    @pytest.mark.parametrize("case", sorted(GOLDEN_REQUESTS))
+    def test_to_json_and_request_key_are_unchanged(self, case, golden_service):
+        golden = GOLDEN[case]
+        request = GOLDEN_REQUESTS[case]
+        assert json.dumps(request.to_json(), sort_keys=True) == json.dumps(
+            golden["to_json"], sort_keys=True
+        )
+        assert request_from_json(golden["to_json"]) == request
+        assert golden_service.request_key(request) == golden["request_key"]
 
 
 json_scalars = st.one_of(

@@ -188,6 +188,32 @@ class TestErrorMapping:
         assert status == 400
         assert "declares kind 'audit'" in payload["error"]["message"]
 
+    @pytest.mark.parametrize(
+        "kind, body, field",
+        [
+            ("quantify", {"dataset": "table1", "function": "table1-f",
+                          "min_partition_size": None}, "min_partition_size"),
+            ("audit", {"marketplace": "crowdsourcing-sim", "attributes": "age"},
+             "attributes"),
+            ("compare", {"dataset": "table1", "functions": "abc"}, "functions"),
+            ("breakdown", {"dataset": "table1", "function": "table1-f",
+                           "use_ranks_only": "false"}, "use_ranks_only"),
+            ("sweep", {"dataset": "table1", "function": "table1-f", "steps": 5.9},
+             "steps"),
+            ("end_user", {"group": [["Gender", "F"]], "marketplaces": ["m"],
+                          "job": "J"}, "group"),
+            ("job_owner", {"marketplace": ["crowdsourcing-sim"], "job": "J"},
+             "marketplace"),
+        ],
+    )
+    def test_wrong_typed_field_is_400_naming_the_field(self, server, kind, body, field):
+        status, payload = raw_call(
+            server, f"/v2/{kind}", method="POST", body=json.dumps(body).encode()
+        )
+        assert status == 400
+        assert payload["error"]["code"] == "service"
+        assert f"{kind} request field {field!r} must be" in payload["error"]["message"]
+
     def test_unknown_endpoint_is_404(self, server):
         status, payload = raw_call(server, "/v2/nonsense", method="POST", body=b"{}")
         assert status == 404
@@ -278,16 +304,23 @@ class TestBatchEndpoint:
                     {"kind": "quantify", "dataset": "table1", "function": "table1-f"},
                     {"kind": "frobnicate"},
                     {"kind": "quantify"},
+                    {"kind": "quantify", "dataset": "table1", "function": "table1-f",
+                     "bins": "x"},
                 ]
             }
         ).encode()
         status, payload = raw_call(server, "/v2/batch", method="POST", body=body)
         assert status == 200
         results = payload["results"]
-        assert len(results) == 3
+        assert len(results) == 4
         assert results[0]["error"] is None
         assert "unknown request kind" in results[1]["error"]["message"]
         assert "missing required field 'dataset'" in results[2]["error"]["message"]
+        assert results[3]["kind"] == "quantify"
+        assert results[3]["error"] == {
+            "code": "service",
+            "message": "quantify request field 'bins' must be an integer, got string",
+        }
 
     def test_empty_batch_is_400(self, server):
         status, payload = raw_call(

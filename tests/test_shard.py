@@ -24,6 +24,7 @@ from repro.service import (
     FairnessClient,
     FairnessService,
     QuantifyRequest,
+    ServiceResult,
 )
 from repro.shard import (
     ShardRouter,
@@ -266,6 +267,42 @@ class TestShardRouterParity:
         assert results[1]["error"]["code"] == "service"
         assert "unknown request kind" in results[2]["error"]["message"]
 
+    def test_wrong_typed_slot_keeps_its_co_routed_neighbour(self, fleet, reference):
+        from repro.server import FairnessHTTPServer
+
+        pool, router, _ = fleet
+        good = {"kind": "quantify", "dataset": "table1", "function": "table1-f"}
+        bad = dict(good, bins="x")
+        slots = {
+            worker_slot(routing_key(request_references(entry), router.fingerprints),
+                        pool.size)
+            for entry in (good, bad)
+        }
+        assert len(slots) == 1  # one worker answers both slots
+        body = json.dumps({"requests": [good, bad]}).encode()
+
+        def post_batch(base_url):
+            request = urllib.request.Request(
+                f"{base_url}/v2/batch", data=body, method="POST",
+                headers={"Content-Type": "application/json"},
+            )
+            with urllib.request.urlopen(request, timeout=120) as response:
+                assert response.status == 200
+                return json.loads(response.read())["results"]
+
+        sharded = post_batch(router.base_url)
+        with FairnessHTTPServer(reference.service, port=0) as single:
+            single.serve_in_background()
+            single_process = post_batch(single.base_url)
+        assert sharded[0]["error"] is None
+        assert (
+            ServiceResult.from_json(sharded[0]).canonical()
+            == ServiceResult.from_json(single_process[0]).canonical()
+        )
+        assert sharded[1]["error"]["code"] == "service"
+        assert "'bins' must be an integer" in sharded[1]["error"]["message"]
+        assert json.dumps(sharded[1]) == json.dumps(single_process[1])
+
     def test_batch_carries_the_callers_trace_id_into_every_slot(self, fleet):
         from repro.obs.trace import TRACE_HEADER
 
@@ -347,6 +384,10 @@ class TestShardRouterParity:
         assert raw("/v2/quantify", body=b"{not json") == 400
         body = json.dumps({"dataset": "missing", "function": "table1-f"}).encode()
         assert raw("/v2/quantify", body=body) == 422
+        body = json.dumps(
+            {"dataset": "table1", "function": "table1-f", "use_ranks_only": "false"}
+        ).encode()
+        assert raw("/v2/quantify", body=body) == 400
 
 
 class TestRouterRelay:
