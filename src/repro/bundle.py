@@ -58,11 +58,14 @@ COLUMNS = BundleKind("fairank-columns", 1, "column sidecar")
 #: Version 2 records the length of every partition-index file; version-1
 #: bundles are refused (reason ``manifest``) and recomputed cold.
 SCORE_STORE = BundleKind("fairank-scorestore", 2, "score-store bundle")
-#: Version 2 of both records dataset fingerprints hashed from column buffers
+#: Version 2 records dataset fingerprints hashed from column buffers
 #: (``dataset-v2``); version-1 files carry the older row hash and are refused
 #: (reason ``manifest``) rather than re-fingerprinted.
 WARM_START = BundleKind("fairank-warmstart", 2, "warm-start bundle")
-SNAPSHOT = BundleKind("fairank-catalog", 2, "catalog snapshot")
+#: Version 3 stores every dataset as a column bundle (or a ``csv`` reference);
+#: version 2 (inline rows, generator loaders) and version 1 (row-hash
+#: fingerprints) are refused (reason ``manifest``), never converted.
+SNAPSHOT = BundleKind("fairank-catalog", 3, "catalog snapshot")
 
 
 def local_path(directory: Path, name: object) -> Path:

@@ -37,7 +37,7 @@ import threading
 from dataclasses import dataclass, field, replace as dataclass_replace
 from enum import Enum
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import CatalogError
 
@@ -335,29 +335,25 @@ class Catalog:
         path: Union[str, Path],
         *,
         dataset_sources: Optional[Mapping[str, Mapping[str, object]]] = None,
-        columnar_datasets: Union[bool, Sequence[str], None] = None,
+        columnar_datasets: object = None,
     ) -> Dict[str, object]:
-        """Write this catalogue to a JSON snapshot file (see :mod:`repro.snapshot`).
+        """Write this catalogue to a snapshot file (see :mod:`repro.snapshot`).
 
-        Datasets are embedded inline unless ``dataset_sources`` names a loader
-        reference for them; scoring functions are saved by their weights,
+        Every dataset and every marketplace's workers is written as a column
+        bundle under ``<path>.columns/<fingerprint>/``, which ships with the
+        file, unless ``dataset_sources`` maps the dataset to a ``csv`` loader
+        reference; scoring functions are saved by their weights,
         marketplaces by workers + jobs, formulations by name.  Returns the
         snapshot document that was written.
 
-        ``columnar_datasets`` (a list of dataset names, or ``True`` for all)
-        persists those datasets as raw column files under
-        ``<path>.columns/<fingerprint>/`` instead of embedded JSON rows;
-        :meth:`load` re-opens them as read-only memory maps.
+        ``columnar_datasets`` is accepted and ignored: it used to choose the
+        column-bundle form, which is now the only one, and callers written
+        for that still pass it.
         """
         from repro.snapshot import save_catalog
 
         with self._lock:
-            return save_catalog(
-                self,
-                path,
-                dataset_sources=dataset_sources,
-                columnar_datasets=columnar_datasets,
-            )
+            return save_catalog(self, path, dataset_sources=dataset_sources)
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "Catalog":

@@ -139,12 +139,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--save", default=None, metavar="PATH",
         help="write this registry to a catalog snapshot JSON file "
              "(bootable via 'fairank serve --catalog PATH')")
-    catalog_parser.add_argument(
-        "--columnar", action="store_true",
-        help="with --save: persist every dataset as raw column files under "
-             "PATH.columns/<fingerprint>/ instead of embedded JSON rows; "
-             "'fairank serve --catalog PATH' then memory-maps the arrays "
-             "(recommended beyond ~100k rows)")
     _add_registry_arguments(catalog_parser)
 
     # -- lint -------------------------------------------------------------------
@@ -448,12 +442,8 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
             print("every request resolves against this registry")
 
     if args.save:
-        service.catalog.save(
-            args.save, columnar_datasets=True if args.columnar else None
-        )
+        service.catalog.save(args.save)
         print(f"\ncatalog snapshot written to {args.save}")
-        if args.columnar:
-            print(f"column sidecars written to {args.save}.columns/")
     return 0
 
 
@@ -555,28 +545,27 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_serve_sharded(args: argparse.Namespace) -> int:
     """``fairank serve --workers N``: a fingerprint-routed worker fleet."""
+    import contextlib
     import tempfile
     from pathlib import Path
 
     from repro.shard import ShardRouter, WorkerPool
     from repro.snapshot import snapshot_fingerprints
 
-    temporary_snapshot = None
-    if args.catalog_path:
-        snapshot_path = Path(args.catalog_path)
-    else:
-        # The built-in registry must be identical in every worker, so it is
-        # materialised once as a snapshot the workers boot from.
-        service = _serve_batch_service(args)
-        handle = tempfile.NamedTemporaryFile(
-            prefix="fairank-catalog-", suffix=".json", delete=False
-        )
-        handle.close()
-        temporary_snapshot = Path(handle.name)
-        service.catalog.save(temporary_snapshot)
-        snapshot_path = temporary_snapshot
+    with contextlib.ExitStack() as cleanup:
+        if args.catalog_path:
+            snapshot_path = Path(args.catalog_path)
+        else:
+            # The built-in registry must be identical in every worker, so it
+            # is materialised once as a snapshot (and its .columns/ tree) in a
+            # temporary directory the workers boot from.
+            service = _serve_batch_service(args)
+            directory = cleanup.enter_context(
+                tempfile.TemporaryDirectory(prefix="fairank-catalog-")
+            )
+            snapshot_path = Path(directory) / "catalog.json"
+            service.catalog.save(snapshot_path)
 
-    try:
         # Validates the snapshot up front (missing file, truncated JSON, bad
         # version) and gives the router its shared-nothing routing index.
         fingerprints = snapshot_fingerprints(snapshot_path)
@@ -616,9 +605,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
             print("shutting down")
         finally:
             pool.stop()
-    finally:
-        if temporary_snapshot is not None:
-            temporary_snapshot.unlink(missing_ok=True)
     return 0
 
 

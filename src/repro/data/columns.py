@@ -210,19 +210,10 @@ class ColumnStore:
 
     # -- persistence -------------------------------------------------------
 
-    def save(self, directory: Union[str, Path]) -> None:
-        """Write this store to ``directory`` as a column sidecar bundle.
-
-        Layout: ``manifest.json`` describes every column (kind, dtype, file,
-        decode table); each array is one raw native-order ``.bin``; explicit
-        uids go to ``uids.json``.  Coded decode values must be JSON-safe
-        (str/int/float/bool/None).  Files are replaced atomically, manifest
-        last (see :mod:`repro.bundle`).
-        """
-        writer = bundle.BundleWriter(directory, bundle.COLUMNS)
-        manifest_columns: List[Dict[str, object]] = []
-        for index, (name, column) in enumerate(self._columns.items()):
-            file_name = f"col_{index}.bin"
+    def check_persistable(self) -> None:
+        """Raise :class:`~repro.errors.DataError` naming the first coded
+        column with a decode value that does not survive JSON."""
+        for name, column in self._columns.items():
             if isinstance(column, CodedColumn):
                 for value in column.values:
                     if not isinstance(value, _JSON_SAFE_TYPES):
@@ -230,6 +221,23 @@ class ColumnStore:
                             f"cannot persist column {name!r}: decode value {value!r} "
                             f"({type(value).__name__}) does not survive JSON"
                         )
+
+    def save(self, directory: Union[str, Path]) -> None:
+        """Write this store to ``directory`` as a column sidecar bundle.
+
+        Layout: ``manifest.json`` describes every column (kind, dtype, file,
+        decode table); each array is one raw native-order ``.bin``; explicit
+        uids go to ``uids.json``.  Coded decode values must be JSON-safe
+        (str/int/float/bool/None); :meth:`check_persistable` runs before
+        ``directory`` is touched.  Files are replaced atomically, manifest
+        last (see :mod:`repro.bundle`).
+        """
+        self.check_persistable()
+        writer = bundle.BundleWriter(directory, bundle.COLUMNS)
+        manifest_columns: List[Dict[str, object]] = []
+        for index, (name, column) in enumerate(self._columns.items()):
+            file_name = f"col_{index}.bin"
+            if isinstance(column, CodedColumn):
                 writer.array(file_name, column.codes, np.int64)
                 manifest_columns.append({
                     "name": name,

@@ -130,7 +130,7 @@ class FaiRankEngine:
             raise SessionError(str(error)) from None
         return dataset_name, [job.function.name for job in marketplace]
 
-    def save_catalog(self, path: str, columnar: bool = False) -> None:
+    def save_catalog(self, path: str) -> None:
         """Export this session's whole registry to a catalog snapshot file.
 
         The snapshot (see :mod:`repro.snapshot`) captures every dataset,
@@ -138,15 +138,11 @@ class FaiRankEngine:
         this engine *or* through its backing service, so the deployment can
         be rebooted elsewhere — ``fairank serve --catalog PATH`` serves the
         exact same resources (identical content fingerprints, hence
-        identical cache keys).
-
-        With ``columnar=True`` every registered dataset is persisted as raw
-        column files under ``<path>.columns/<fingerprint>/`` instead of
-        embedded JSON rows; reload memory-maps the arrays, so large
-        populations boot without parsing row dicts.
+        identical cache keys).  Datasets are written as column bundles
+        under ``<path>.columns/``, which ships with the file.
         """
         try:
-            self.catalog.save(path, columnar_datasets=True if columnar else None)
+            self.catalog.save(path)
         except FaiRankError as error:
             raise SessionError(str(error)) from None
 

@@ -2,48 +2,56 @@
 
 A FaiRank deployment is its :class:`~repro.catalog.Catalog`: the datasets,
 scoring functions, marketplaces and formulations a server resolves requests
-against.  This module serialises that registry to a single JSON *snapshot*
-file so a deployment can be rebuilt byte-identically in another process —
-``fairank serve --catalog snapshot.json`` boots a server from one, and
+against.  This module serialises that registry to a JSON *snapshot* file
+plus a ``<snapshot>.columns/`` directory, so a deployment can be rebuilt
+byte-identically in another process — ``fairank serve --catalog
+snapshot.json`` boots a server from one, and
 :meth:`~repro.session.engine.FaiRankEngine.save_catalog` exports a live
 session's registry.
 
-Snapshot format (``{"format": "fairank-catalog", "version": 1}``):
+Snapshot format (``{"format": "fairank-catalog", "version": 3}``):
 
-* **datasets** travel *inline* (schema + rows) by default, or *by loader
-  reference* (``{"source": {"loader": ...}}``) for populations that are
-  cheaper to rebuild than to embed — the built-in Table 1 example, a CSV
-  file on disk, a seeded synthetic population, or an on-disk *column
-  sidecar* (``save_catalog(..., columnar_datasets=...)`` writes each
-  dataset's raw column arrays under ``<snapshot>.columns/<fingerprint>/``
-  and load re-opens them as read-only memory maps — the only practical
-  shape for a million-row population);
+* **datasets** are saved as *column bundles*: each dataset's raw column
+  arrays go under ``<snapshot>.columns/<fingerprint-prefix>/`` (see
+  :meth:`repro.data.columns.ColumnStore.save`) and the entry records a
+  ``{"columns": {"dir", "name", "schema"}}`` reference; load re-opens the
+  arrays as read-only memory maps.  Datasets with the same fingerprint
+  share one directory.  The one other form is a ``csv`` loader reference
+  (``{"source": {"loader": "csv", ...}}``) to a file the user owns;
 * **scoring functions** travel by their normalised weights (only
   transparent :class:`~repro.scoring.linear.LinearScoringFunction` entries
   are snapshotable — an opaque or rank-derived function has no portable
   content representation);
-* **marketplaces** embed their workers dataset plus every job's title,
-  weights and candidate filter (the whole declarative filter algebra of
+* **marketplaces** record their workers as the same ``{dir, name,
+  schema}`` column-bundle reference, plus every job's title, weights and
+  candidate filter (the whole declarative filter algebra of
   :mod:`repro.data.filters` round-trips);
 * **formulations** travel by name: objective / aggregation / distance
   strings plus the binning.
+
+The ``.columns/`` directory ships with the snapshot file: recorded paths are
+relative and must stay inside the snapshot's directory.  A save checks every
+dataset before it writes anything, writes the column bundles, then the
+document, and finally removes each subdirectory of ``.columns/`` that the
+new document does not name.
 
 Every entry records the resource's content fingerprint at save time; load
 recomputes fingerprints and refuses a snapshot whose reconstructed content
 drifted, so a booted deployment serves exactly the cache keys the saving
 deployment computed.  All failure modes (unreadable file, truncated JSON,
-unknown version, unsupported resource) raise
-:class:`~repro.errors.CatalogError` with a message naming the problem.
+unknown version, unsupported resource, a value that does not survive JSON)
+raise :class:`~repro.errors.CatalogError` with a message naming the problem.
 """
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import replace as dataclass_replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro import bundle
-from repro.errors import BundleError, CatalogError, FaiRankError
+from repro.errors import BundleError, CatalogError, DataError, FaiRankError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.catalog import Catalog
@@ -96,92 +104,55 @@ def _schema_from_json(entries):
     return Schema(tuple(attributes))
 
 
-def _dataset_to_json(dataset) -> Dict[str, object]:
-    schema = _schema_to_json(dataset.schema)
-    individuals = [
-        {
-            "uid": individual.uid,
-            "values": {name: individual.values[name] for name in dataset.schema.names},
-        }
-        for individual in dataset
-    ]
-    return {"name": dataset.name, "schema": schema, "individuals": individuals}
+def _columns_dataset(reference: Mapping[str, object], base_dir: Path):
+    """Re-open a ``{dir, name, schema}`` column bundle as a memory-mapped dataset.
 
+    ``dir`` must lie inside ``base_dir`` (the snapshot file's directory), so
+    a snapshot plus its ``.columns/`` directory moves as a unit.
+    """
+    from repro.data.columns import ColumnStore
+    from repro.data.dataset import Dataset
 
-def _dataset_from_json(payload: Mapping[str, object]):
-    from repro.data.dataset import Dataset, Individual
-
-    schema = _schema_from_json(payload["schema"])  # type: ignore[arg-type]
-    individuals = tuple(
-        Individual(uid=str(row["uid"]), values=dict(row["values"]))
-        for row in payload["individuals"]  # type: ignore[union-attr]
-    )
-    return Dataset(
-        schema=schema,
-        individuals=individuals,
-        name=str(payload.get("name", "dataset")),
+    try:
+        directory = bundle.local_path(base_dir, reference["dir"])
+        schema = _schema_from_json(reference["schema"])  # type: ignore[arg-type]
+    except KeyError as missing:
+        raise CatalogError(
+            f"column bundle reference is missing field {missing.args[0]!r} "
+            "(needs dir, schema)"
+        ) from None
+    return Dataset.from_store(
+        schema,
+        ColumnStore.load(directory),
+        name=str(reference.get("name", "dataset")),
         validate=False,
     )
 
 
-#: Loader registry for datasets saved *by reference* instead of inline.  A
-#: source spec is ``{"loader": <key>, ...loader-specific fields...}``.
-#: A column sidecar's ``dir`` must lie inside ``base_dir`` (the snapshot
-#: file's directory), so a snapshot plus its sidecars moves as a unit.
-def _load_dataset_source(source: Mapping[str, object], base_dir: Path):
-    loader = source.get("loader")
-    if loader == "columns":
-        from repro.data.columns import ColumnStore
-        from repro.data.dataset import Dataset
+def _csv_dataset(source: Mapping[str, object]):
+    """Rebuild a dataset saved by ``csv`` loader reference."""
+    from repro.data.loaders import load_csv
 
-        try:
-            directory = bundle.local_path(base_dir, source["dir"])
-            schema = _schema_from_json(source["schema"])  # type: ignore[arg-type]
-        except KeyError as missing:
-            raise CatalogError(
-                f"columns dataset source is missing field {missing.args[0]!r} "
-                "(needs dir, schema)"
-            ) from None
-        store = ColumnStore.load(directory)
-        return Dataset.from_store(
-            schema,
-            store,
-            name=str(source.get("name", "dataset")),
-            validate=False,
+    if source.get("loader") != "csv":
+        raise CatalogError(
+            f"unknown dataset loader {source.get('loader')!r} in catalog snapshot; "
+            "known loaders: csv"
         )
-    if loader == "example_table1":
-        from repro.data.loaders import load_example_table1
-
-        return load_example_table1(name=str(source.get("name", "table1-example")))
-    if loader == "csv":
-        from repro.data.loaders import load_csv
-
-        try:
-            return load_csv(
-                str(source["path"]),
-                protected_names=[str(n) for n in source["protected"]],  # type: ignore[union-attr]
-                observed_names=[str(n) for n in source["observed"]],  # type: ignore[union-attr]
-                name=None if source.get("name") is None else str(source["name"]),
-                uid_field=(
-                    None if source.get("uid_field") is None else str(source["uid_field"])
-                ),
-            )
-        except KeyError as missing:
-            raise CatalogError(
-                f"csv dataset source is missing field {missing.args[0]!r} "
-                "(needs path, protected, observed)"
-            ) from None
-    if loader == "synthetic":
-        from repro.experiments.workloads import synthetic_population
-
-        return synthetic_population(
-            size=int(source.get("size", 400)),  # type: ignore[arg-type]
-            seed=int(source.get("seed", 7)),  # type: ignore[arg-type]
+    try:
+        return load_csv(
+            str(source["path"]),
+            protected_names=[str(n) for n in source["protected"]],  # type: ignore[union-attr]
+            observed_names=[str(n) for n in source["observed"]],  # type: ignore[union-attr]
+            name=None if source.get("name") is None else str(source["name"]),
+            uid_field=(
+                None if source.get("uid_field") is None else str(source["uid_field"])
+            ),
         )
-    raise CatalogError(
-        f"unknown dataset loader {loader!r} in catalog snapshot; "
-        "known loaders: columns, csv, example_table1, synthetic"
-    )
+    except KeyError as missing:
+        raise CatalogError(
+            f"csv dataset source is missing field {missing.args[0]!r} "
+            "(needs path, protected, observed)"
+        ) from None
 
 
 # -- scoring functions --------------------------------------------------------
@@ -291,7 +262,7 @@ def _filter_from_json(payload: Mapping[str, object]):
 # -- marketplaces -------------------------------------------------------------
 
 
-def _marketplace_to_json(marketplace) -> Dict[str, object]:
+def _marketplace_to_json(marketplace, workers: Dict[str, object]) -> Dict[str, object]:
     jobs = [
         {
             "title": job.title,
@@ -303,17 +274,13 @@ def _marketplace_to_json(marketplace) -> Dict[str, object]:
         }
         for job in marketplace
     ]
-    return {
-        "name": marketplace.name,
-        "workers": _dataset_to_json(marketplace.workers),
-        "jobs": jobs,
-    }
+    return {"name": marketplace.name, "workers": workers, "jobs": jobs}
 
 
-def _marketplace_from_json(payload: Mapping[str, object]):
+def _marketplace_from_json(payload: Mapping[str, object], base_dir: Path):
     from repro.marketplace.entities import Job, Marketplace
 
-    workers = _dataset_from_json(payload["workers"])  # type: ignore[arg-type]
+    workers = _columns_dataset(payload["workers"], base_dir)  # type: ignore[arg-type]
     jobs = [
         Job(
             title=str(entry["title"]),
@@ -362,19 +329,33 @@ def _formulation_from_json(payload: Mapping[str, object]):
 # -- snapshot save/load -------------------------------------------------------
 
 
-def _resource_body(resource, dataset_sources: Mapping[str, Mapping[str, object]]):
-    """The kind-specific body of one snapshot entry."""
+def _resource_body(
+    resource,
+    dataset_sources: Mapping[str, Mapping[str, object]],
+    columns: Callable[[object, str, str], Dict[str, object]],
+):
+    """The kind-specific body of one snapshot entry.
+
+    ``columns(dataset, fingerprint, label)`` returns the column-bundle
+    reference of a dataset that the save will write.
+    """
     from repro.catalog import ResourceKind
+    from repro.service.fingerprint import fingerprint_dataset
 
     if resource.kind is ResourceKind.DATASET:
         source = dataset_sources.get(resource.name)
         if source is not None:
-            if "loader" not in source:
+            if source.get("loader") != "csv":
                 raise CatalogError(
-                    f"dataset source for {resource.name!r} needs a 'loader' field"
+                    f"dataset source for {resource.name!r} has unknown loader "
+                    f"{source.get('loader')!r}; known loaders: csv"
                 )
             return {"source": dict(source)}
-        return {"dataset": _dataset_to_json(resource.value)}
+        return {
+            "columns": columns(
+                resource.value, resource.fingerprint, f"dataset {resource.name!r}"
+            )
+        }
     if resource.kind is ResourceKind.FUNCTION:
         return {
             "function": function_to_portable_json(
@@ -382,7 +363,13 @@ def _resource_body(resource, dataset_sources: Mapping[str, Mapping[str, object]]
             )
         }
     if resource.kind is ResourceKind.MARKETPLACE:
-        return {"marketplace": _marketplace_to_json(resource.value)}
+        workers = resource.value.workers
+        reference = columns(
+            workers,
+            fingerprint_dataset(workers),
+            f"workers of marketplace {resource.name!r}",
+        )
+        return {"marketplace": _marketplace_to_json(resource.value, reference)}
     if resource.kind is ResourceKind.FORMULATION:
         return {"formulation": _formulation_to_json(resource.value)}
     raise CatalogError(f"unhandled resource kind {resource.kind!r}")  # pragma: no cover
@@ -393,68 +380,38 @@ def save_catalog(
     path: Union[str, Path],
     *,
     dataset_sources: Optional[Mapping[str, Mapping[str, object]]] = None,
-    columnar_datasets: Union[bool, Sequence[str], None] = None,
 ) -> Dict[str, object]:
     """Write ``catalog`` to a snapshot file; returns the snapshot document.
 
-    ``dataset_sources`` maps a registered dataset name to a loader reference
-    (e.g. ``{"loader": "csv", "path": ..., "protected": [...], "observed":
-    [...]}``); named datasets are saved by that reference instead of inline.
+    Every dataset, and every marketplace's workers, is written as a column
+    bundle under ``<path>.columns/<fingerprint-prefix>/``.  The one
+    exception is a dataset that ``dataset_sources`` maps to a ``csv``
+    loader reference (``{"loader": "csv", "path": ..., "protected": [...],
+    "observed": [...]}``), which is saved by that reference.
 
-    ``columnar_datasets`` names registered datasets to persist as on-disk
-    *column sidecars*: each one's values are written as raw column files
-    under ``<path>.columns/<fingerprint-prefix>/`` (see
-    :meth:`repro.data.columns.ColumnStore.save`) and the snapshot entry
-    records a ``{"loader": "columns"}`` reference, so
-    :func:`load_catalog` re-opens the arrays as read-only memory maps
-    instead of parsing embedded JSON rows — the only practical shape for a
-    million-row population.  ``True`` selects every registered dataset.
-    The sidecar directory travels with the snapshot file (the recorded path
-    is relative), and a name may not appear in both ``dataset_sources`` and
-    ``columnar_datasets``.
+    Nothing is written unless every entry can be saved: a decode value that
+    does not survive JSON, an unportable function or an unknown source
+    raises :class:`~repro.errors.CatalogError` first.  After the document
+    is written, subdirectories of ``<path>.columns/`` it does not name are
+    removed.
     """
-    sources = dict(dataset_sources or {})
+    sources = dataset_sources or {}
     path = Path(path)
-    dataset_names = {
-        resource.name
-        for resource in catalog.resources()
-        if resource.kind.value == "dataset"
-    }
-    if columnar_datasets is True:
-        columnar = set(dataset_names)
-    else:
-        columnar = {str(name) for name in (columnar_datasets or ())}
-        unknown_columnar = columnar - dataset_names
-        if unknown_columnar:
-            raise CatalogError(
-                "columnar_datasets references unregistered datasets: "
-                f"{sorted(unknown_columnar)}"
-            )
-    overlap = columnar & set(sources)
-    if overlap:
-        raise CatalogError(
-            f"datasets named in both dataset_sources and columnar_datasets: "
-            f"{sorted(overlap)}"
-        )
-    if columnar:
-        sidecar_root = path.with_name(path.name + ".columns")
-        for resource in catalog.resources():
-            if resource.name not in columnar or resource.kind.value != "dataset":
-                continue
-            dataset = resource.value
-            directory = sidecar_root / resource.fingerprint[:16]
-            try:
-                dataset.store.save(directory)
-            except OSError as error:
-                raise CatalogError(
-                    f"cannot write column sidecar for dataset {resource.name!r}: {error}"
-                ) from None
-            sources[resource.name] = {
-                "loader": "columns",
-                "dir": f"{sidecar_root.name}/{resource.fingerprint[:16]}",
-                "name": dataset.name,
-                "schema": _schema_to_json(dataset.schema),
-            }
+    root = path.with_name(path.name + ".columns")
+    bundles: Dict[str, Tuple[object, str]] = {}
+
+    def columns(dataset, fingerprint: str, label: str) -> Dict[str, object]:
+        try:
+            dataset.store.check_persistable()
+        except DataError as error:
+            raise CatalogError(f"cannot save {label}: {error}") from None
+        bundles[fingerprint[:16]] = (dataset, label)
+        return {
+            "dir": f"{root.name}/{fingerprint[:16]}",
+            "name": dataset.name,
+            "schema": _schema_to_json(dataset.schema),
+        }
+
     entries: List[Dict[str, object]] = []
     for resource in catalog.resources():
         entry: Dict[str, object] = {
@@ -463,7 +420,7 @@ def save_catalog(
             "fingerprint": resource.fingerprint,
             "frozen": resource.frozen,
         }
-        entry.update(_resource_body(resource, sources))
+        entry.update(_resource_body(resource, sources, columns))
         entries.append(entry)
     unknown = set(sources) - {
         entry["name"] for entry in entries if entry["kind"] == "dataset"
@@ -472,10 +429,20 @@ def save_catalog(
         raise CatalogError(
             f"dataset_sources references unregistered datasets: {sorted(unknown)}"
         )
+    for directory, (dataset, label) in bundles.items():
+        try:
+            dataset.store.save(root / directory)  # type: ignore[attr-defined]
+        except OSError as error:
+            raise CatalogError(f"cannot write the column bundle of {label}: {error}") from None
     try:
-        return bundle.write_document(path, bundle.SNAPSHOT, {"resources": entries})
+        document = bundle.write_document(path, bundle.SNAPSHOT, {"resources": entries})
     except OSError as error:
-        raise CatalogError(f"cannot write catalog snapshot: {error}") from None
+        raise CatalogError(f"cannot write catalog snapshot {path}: {error}") from None
+    if root.is_dir():
+        for directory in root.iterdir():
+            if directory.is_dir() and directory.name not in bundles:
+                shutil.rmtree(directory, ignore_errors=True)
+    return document
 
 
 def _rebuild_resource(entry: Mapping[str, object], base_dir: Path):
@@ -490,12 +457,13 @@ def _rebuild_resource(entry: Mapping[str, object], base_dir: Path):
         ) from None
     if kind is ResourceKind.DATASET:
         if "source" in entry:
-            return kind, _load_dataset_source(entry["source"], base_dir)  # type: ignore[arg-type]
-        return kind, _dataset_from_json(entry["dataset"])  # type: ignore[arg-type]
+            return kind, _csv_dataset(entry["source"])  # type: ignore[arg-type]
+        return kind, _columns_dataset(entry["columns"], base_dir)  # type: ignore[arg-type]
     if kind is ResourceKind.FUNCTION:
         return kind, function_from_portable_json(entry["function"])  # type: ignore[arg-type]
     if kind is ResourceKind.MARKETPLACE:
-        return kind, _marketplace_from_json(entry["marketplace"])  # type: ignore[arg-type]
+        market = entry["marketplace"]
+        return kind, _marketplace_from_json(market, base_dir)  # type: ignore[arg-type]
     return kind, _formulation_from_json(entry["formulation"])  # type: ignore[arg-type]
 
 
@@ -544,8 +512,8 @@ def load_catalog(path: Union[str, Path]) -> "Catalog":
     from repro.catalog import Catalog
 
     entries = _read_snapshot_document(path)
-    # Relative loader paths (column sidecars) resolve against the snapshot's
-    # own directory, so a snapshot + sidecar tree relocates as a unit.
+    # Column-bundle paths resolve against the snapshot's own directory, so a
+    # snapshot and its .columns/ tree relocate as a unit.
     base_dir = Path(path).resolve().parent
     catalog = Catalog()
     for index, entry in enumerate(entries, start=1):

@@ -6,7 +6,7 @@ over-long ``.bin``, a non-local file name, a foreign ``format``, a foreign
 ``version`` and a manifest missing a required field.  Every case must end in
 the kind's typed error (or a warm-start skip reason), never a builtin
 ``ValueError``/``KeyError`` and never a silent load.  Then the previous
-on-disk layout: v1 column sidecars and catalog snapshots still load
+on-disk layout: v1 column sidecars inside a current snapshot still load
 byte-identically, and v1 score-store bundles inside a warm bundle are
 skipped while its results load.
 """
@@ -279,7 +279,7 @@ def _snapshot_sidecar_outside(root: Path) -> None:
     def point_outside(document):
         for entry in document["resources"]:
             if entry["kind"] == "dataset":
-                entry["source"]["dir"] = "../elsewhere"
+                entry["columns"]["dir"] = "../elsewhere"
 
     _snapshot_document(point_outside)(root)
 
@@ -299,7 +299,7 @@ def test_broken_catalog_snapshot_is_a_catalog_error(tmp_path, case):
     catalog = Catalog()
     catalog.register(_population(), name="pop")
     catalog.register(_FUNCTION)
-    catalog.save(tmp_path / "deploy" / "snap.json", columnar_datasets=True)
+    catalog.save(tmp_path / "deploy" / "snap.json")
     SNAPSHOT_CASES[case](tmp_path)
     with pytest.raises(CatalogError):
         load_catalog(tmp_path / "deploy" / "snap.json")
@@ -363,8 +363,8 @@ def _write_previous_layout_snapshot(root: Path, dataset: Dataset, function) -> P
         "resources": [
             {"kind": "dataset", "name": "toy", "frozen": False,
              "fingerprint": fingerprint_dataset(dataset),
-             "source": {"loader": "columns", "dir": "snap.json.columns/0123456789abcdef",
-                        "name": "toy", "schema": schema}},
+             "columns": {"dir": "snap.json.columns/0123456789abcdef",
+                         "name": "toy", "schema": schema}},
             {"kind": "function", "name": function.name, "frozen": False,
              "fingerprint": fingerprint_function(function),
              "function": {"type": "linear", "name": function.name,

@@ -138,22 +138,6 @@ class TestRoundTrip:
 
 
 class TestDatasetSources:
-    def test_dataset_saved_by_loader_reference(self, tmp_path):
-        catalog = Catalog()
-        catalog.register(load_example_table1(), name="table1")
-        path = tmp_path / "snap.json"
-        document = catalog.save(
-            path, dataset_sources={"table1": {"loader": "example_table1"}}
-        )
-        (entry,) = document["resources"]
-        assert entry["source"] == {"loader": "example_table1"}
-        assert "dataset" not in entry
-        loaded = Catalog.load(path)
-        assert (
-            loaded.get(ResourceKind.DATASET, "table1").fingerprint
-            == catalog.get(ResourceKind.DATASET, "table1").fingerprint
-        )
-
     def test_csv_loader_reference(self, tmp_path):
         csv_path = tmp_path / "workers.csv"
         rows = ["Gender,Skill"] + [f"F,{0.2 + 0.05 * i}" for i in range(6)]
@@ -225,7 +209,9 @@ class TestDatasetSources:
                 }
             )
         )
-        with pytest.raises(CatalogError, match="unknown dataset loader 'teleport'"):
+        with pytest.raises(
+            CatalogError, match="unknown dataset loader 'teleport'.*known loaders: csv$"
+        ):
             Catalog.load(path)
 
     def test_sources_for_unregistered_datasets_are_rejected(self, tmp_path):
@@ -234,8 +220,121 @@ class TestDatasetSources:
         with pytest.raises(CatalogError, match="unregistered"):
             catalog.save(
                 tmp_path / "snap.json",
-                dataset_sources={"nope": {"loader": "example_table1"}},
+                dataset_sources={"nope": {"loader": "csv", "path": "x.csv"}},
             )
+
+    @pytest.mark.parametrize("loader", ["example_table1", "synthetic", None])
+    def test_a_source_that_is_not_csv_is_refused_at_save(self, tmp_path, loader):
+        catalog = Catalog()
+        catalog.register(load_example_table1(), name="table1")
+        with pytest.raises(CatalogError, match="known loaders: csv"):
+            catalog.save(
+                tmp_path / "snap.json", dataset_sources={"table1": {"loader": loader}}
+            )
+        assert list(tmp_path.iterdir()) == []
+
+
+def _bundle_dirs(path):
+    return sorted(child.name for child in path.with_name(path.name + ".columns").iterdir())
+
+
+def _region_dataset(region):
+    from repro.data.dataset import Dataset
+    from repro.data.schema import Schema, observed, protected
+
+    schema = Schema((protected("Region"), observed("Rating", domain=(0.0, 1.0))))
+    records = [{"Region": region, "Rating": 0.5}, {"Region": "us", "Rating": 0.2}]
+    return Dataset.from_records(schema, records, name="regions")
+
+
+class TestColumnBundles:
+    """Every dataset and every marketplace's workers is saved as a column bundle."""
+
+    def test_marketplace_and_its_workers_dataset_share_one_directory(self, tmp_path):
+        catalog = populated_service().catalog
+        path = tmp_path / "snap.json"
+        document = catalog.save(path)
+        entries = {(e["kind"], e["name"]): e for e in document["resources"]}
+        workers = entries[("dataset", "crowdsourcing-sim")]["columns"]
+        market = entries[("marketplace", "crowdsourcing-sim")]["marketplace"]
+        assert market["workers"] == workers
+        table1 = entries[("dataset", "table1")]["columns"]
+        assert set(table1) == {"dir", "name", "schema"}
+        assert _bundle_dirs(path) == sorted(
+            entry["dir"].rsplit("/", 1)[1] for entry in (table1, workers)
+        )
+        # No entry holds row values: 40 workers inline would be ~8 kB.
+        for entry in document["resources"]:
+            assert "individuals" not in json.dumps(entry)
+            assert "dataset" not in entry and "source" not in entry
+            assert len(json.dumps(entry)) < 4000, entry["name"]
+        loaded = Catalog.load(path)
+        for resource in catalog.resources():
+            assert (
+                loaded.get(resource.kind, resource.name).fingerprint
+                == resource.fingerprint
+            )
+
+    @pytest.mark.parametrize(
+        "region", [("eu", "west"), complex(1, 2)], ids=["tuple", "complex"]
+    )
+    def test_a_value_json_cannot_hold_is_refused_before_anything_is_written(
+        self, tmp_path, region
+    ):
+        path = tmp_path / "snap.json"
+        catalog = Catalog()
+        catalog.register(load_example_table1(), name="table1")
+        catalog.save(path)
+        before = (path.read_bytes(), _bundle_dirs(path))
+
+        catalog.register(_region_dataset(region), name="regions")
+        with pytest.raises(CatalogError, match="dataset 'regions'.*column 'Region'"):
+            catalog.save(path)
+        assert (path.read_bytes(), _bundle_dirs(path)) == before
+        assert Catalog.load(path).names(ResourceKind.DATASET) == ("table1",)
+
+        fresh = tmp_path / "fresh.json"
+        with pytest.raises(CatalogError, match="column 'Region'"):
+            catalog.save(fresh)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "snap.json", "snap.json.columns"
+        ]
+
+    def test_a_write_failure_is_a_catalog_error(self, tmp_path):
+        path = tmp_path / "snap.json"
+        (tmp_path / "snap.json.columns").write_text("not a directory")
+        catalog = Catalog()
+        catalog.register(load_example_table1(), name="table1")
+        with pytest.raises(
+            CatalogError, match="cannot write the column bundle of dataset 'table1'"
+        ):
+            catalog.save(path)
+        assert not path.exists()
+        (tmp_path / "snap.json.columns").unlink()
+        path.mkdir()
+        with pytest.raises(CatalogError, match="cannot write catalog snapshot"):
+            catalog.save(path)
+
+    def test_re_save_keeps_only_referenced_bundles(self, tmp_path):
+        path = tmp_path / "snap.json"
+        catalog = Catalog()
+        catalog.register(load_example_table1(), name="table1")
+        catalog.register(_region_dataset("eu"), name="regions")
+        catalog.save(path)
+        assert len(_bundle_dirs(path)) == 2
+        stray = path.with_name("snap.json.columns") / "notes.txt"
+        stray.write_text("kept")
+        loaded_before = Catalog.load(path)
+
+        catalog.remove(ResourceKind.DATASET, "regions")
+        catalog.save(path)
+        table1 = catalog.get(ResourceKind.DATASET, "table1").fingerprint[:16]
+        assert _bundle_dirs(path) == sorted([table1, "notes.txt"])
+        assert Catalog.load(path).names(ResourceKind.DATASET) == ("table1",)
+        # The earlier catalog's memory maps outlive their removed directory.
+        regions = loaded_before.resolve(ResourceKind.DATASET, "regions")
+        assert regions.numeric_column("Rating").tolist() == [0.5, 0.2]
+        assert [row["Region"] for row in regions] == ["eu", "us"]
 
 
 class TestColumnarReSave:
@@ -247,11 +346,11 @@ class TestColumnarReSave:
         catalog = Catalog()
         catalog.register(synthetic_population(size=20_000, seed=7), name="pop")
         catalog.register(LinearScoringFunction(TABLE1_WEIGHTS, name="f"))
-        catalog.save(path, columnar_datasets=True)
+        catalog.save(path)
         expected = {(r.kind, r.name): r.fingerprint for r in catalog.resources()}
 
         # The loaded catalog memory-maps the very files the re-save replaces.
-        load_catalog(path).save(path, columnar_datasets=True)
+        load_catalog(path).save(path)
         reloaded = load_catalog(path)
         assert {(r.kind, r.name): r.fingerprint for r in reloaded.resources()} == expected
 
@@ -316,27 +415,28 @@ class TestFailureModes:
 
 
 class TestFingerprintVersion:
-    """Version-1 snapshots carry row-hash fingerprints and are refused whole."""
+    """Version-1 (row-hash fingerprints) and version-2 (inline rows, generator
+    loaders) snapshots are refused whole."""
 
     @staticmethod
-    def _version_1_snapshot(tmp_path):
+    def _old_snapshot(tmp_path, version):
         path = tmp_path / "snap.json"
         populated_service().catalog.save(path)
         document = json.loads(path.read_text(encoding="utf-8"))
-        document["version"] = 1
+        document["version"] = version
         path.write_text(json.dumps(document), encoding="utf-8")
         return path
 
-    def test_current_snapshots_are_version_2(self):
-        assert SNAPSHOT_VERSION == bundle.SNAPSHOT.version == 2
+    def test_current_snapshots_are_version_3(self):
+        assert SNAPSHOT_VERSION == bundle.SNAPSHOT.version == 3
 
     def test_version_1_is_a_manifest_bundle_error(self, tmp_path):
-        path = self._version_1_snapshot(tmp_path)
+        path = self._old_snapshot(tmp_path, 1)
         with pytest.raises(BundleError) as refused:
             bundle.read_document(path, bundle.SNAPSHOT)
         assert refused.value.reason == "manifest"
         assert "version 1" in str(refused.value)
-        assert "version 2" in str(refused.value)
+        assert "version 3" in str(refused.value)
         with pytest.raises(CatalogError, match="catalog snapshot version 1") as loading:
             Catalog.load(path)
         cause = loading.value.__cause__
@@ -345,14 +445,42 @@ class TestFingerprintVersion:
         with pytest.raises(CatalogError, match="catalog snapshot version 1"):
             snapshot_fingerprints(path)
 
+    def test_version_2_with_inline_rows_is_a_manifest_bundle_error(self, tmp_path):
+        path = tmp_path / "snap.json"
+        dataset = load_example_table1()
+        path.write_text(json.dumps({
+            "format": SNAPSHOT_FORMAT,
+            "version": 2,
+            "resources": [{
+                "kind": "dataset", "name": "table1", "frozen": False,
+                "dataset": {
+                    "name": dataset.name, "schema": [],
+                    "individuals": [
+                        {"uid": row.uid, "values": dict(row.values)} for row in dataset
+                    ],
+                },
+            }],
+        }), encoding="utf-8")
+        with pytest.raises(BundleError) as refused:
+            bundle.read_document(path, bundle.SNAPSHOT)
+        assert refused.value.reason == "manifest"
+        assert "unsupported catalog snapshot version 2" in str(refused.value)
+        assert "reads version 3" in str(refused.value)
+        with pytest.raises(CatalogError, match="catalog snapshot version 2") as loading:
+            Catalog.load(path)
+        cause = loading.value.__cause__
+        assert isinstance(cause, BundleError) and cause.reason == "manifest"
+        with pytest.raises(CatalogError, match="catalog snapshot version 2"):
+            snapshot_fingerprints(path)
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_serve_exits_non_zero_naming_both_versions(self, tmp_path, capsys, workers):
-        path = self._version_1_snapshot(tmp_path)
+        path = self._old_snapshot(tmp_path, 1)
         argv = ["serve", "--catalog", str(path), "--port", "0", "--workers", workers]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "unsupported catalog snapshot version 1" in captured.err
-        assert "reads version 2" in captured.err
+        assert "reads version 3" in captured.err
         assert "drifted" not in captured.err
         assert "serving fairness protocol v2" not in captured.out
 

@@ -201,15 +201,16 @@ class TestServeErrorPaths:
             LinearScoringFunction(TABLE1_WEIGHTS, name="table1-f")
         )
         snapshot = tmp_path / "snap.json"
-        service.catalog.save(snapshot)
-        # Tamper with one individual's value but keep the recorded
-        # fingerprint: the rebuilt content no longer matches it.
-        document = json.loads(snapshot.read_text())
-        for entry in document["resources"]:
-            if entry["kind"] == "dataset":
-                entry["dataset"]["individuals"][0]["values"]["Rating"] = 99.0
-                break
-        snapshot.write_text(json.dumps(document))
+        document = service.catalog.save(snapshot)
+        # Tamper with one coded decode value in the dataset's column bundle
+        # but keep the recorded fingerprint: the rebuilt content no longer
+        # matches it.
+        (entry,) = [e for e in document["resources"] if e["kind"] == "dataset"]
+        manifest = tmp_path / entry["columns"]["dir"] / "manifest.json"
+        columns = json.loads(manifest.read_text())
+        coded = next(c for c in columns["columns"] if c["kind"] == "coded")
+        coded["values"][0] = "Tampered"
+        manifest.write_text(json.dumps(columns))
         assert main(["serve", "--catalog", str(snapshot), "--port", "0"]) == 2
         captured = capsys.readouterr()
         assert "drifted" in captured.err
@@ -220,3 +221,23 @@ class TestServeErrorPaths:
         snapshot.write_text('{"format": "fairank-catalog", "version"')
         assert main(["serve", "--catalog", str(snapshot), "--port", "0"]) == 2
         assert "not valid JSON" in capsys.readouterr().err
+
+    def test_sharded_boot_failure_leaves_no_temporary_snapshot(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import tempfile
+
+        from repro.errors import ServiceError
+        from repro.shard import WorkerPool
+
+        def refuse(pool):
+            # The snapshot and its column bundles exist by now.
+            assert pool.snapshot.with_name("catalog.json.columns").is_dir()
+            raise ServiceError("worker 0 failed to boot: refused by the test")
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(WorkerPool, "start", refuse)
+        argv = ["serve", "--workers", "2", "--port", "0", "--market-size", "40"]
+        assert main(argv) == 2
+        assert "refused by the test" in capsys.readouterr().err
+        assert list(tmp_path.glob("fairank-catalog-*")) == []

@@ -167,7 +167,7 @@ class TestSnapshotRoundTripProperty:
         ),
     )
     def test_integer_coded_columns_round_trip_snapshot(self, codes, ratings):
-        """Protected columns of mixed ints/bools/strings survive a columnar
+        """Protected columns of mixed ints/bools/strings survive a
         catalog snapshot save/load with exact values and exact types."""
         size = min(len(codes), len(ratings))
         codes, ratings = codes[:size], ratings[:size]
@@ -185,7 +185,7 @@ class TestSnapshotRoundTripProperty:
         service.register_dataset(original, name="prop")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "catalog.json"
-            service.catalog.save(path, columnar_datasets=True)
+            service.catalog.save(path)
             reloaded = Catalog.load(path).resolve(ResourceKind.DATASET, "prop")
 
         assert len(reloaded) == size

@@ -149,7 +149,7 @@ def test_docs_gate_requires_docs_tree(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--catalog", "--workers", "--columnar", "--slow-ms", "--verbose"]
+    "flag", ["--catalog", "--workers", "--slow-ms", "--verbose"]
 )
 def test_operational_flags_are_documented(flag):
     """The serving flags OPERATIONS.md promises to cover are actually there."""

@@ -84,11 +84,11 @@ def rebuilt_from_rows(dataset: Dataset) -> Dataset:
     return Dataset(dataset.schema, rows, name="rebuilt")
 
 
-def reload(dataset: Dataset, tmp_path: Path, sidecar: bool) -> Dataset:
+def reload(dataset: Dataset, tmp_path: Path) -> Dataset:
     service = FairnessService()
     service.register_dataset(dataset, name="data")
-    path = tmp_path / ("sidecar.json" if sidecar else "inline.json")
-    service.catalog.save(path, columnar_datasets=True if sidecar else None)
+    path = tmp_path / "snapshot.json"
+    service.catalog.save(path)
     return Catalog.load(path).resolve(ResourceKind.DATASET, "data")
 
 
@@ -133,15 +133,13 @@ class TestEveryRouteIsColumnBacked:
         ]
         assert_same_content(loaded, Dataset.from_records(loaded.schema, records))
 
-    @pytest.mark.parametrize("sidecar", [False, True], ids=["inline", "sidecar"])
-    def test_snapshot_routes(self, reference, tmp_path, sidecar):
-        assert_same_content(reload(reference, tmp_path, sidecar), reference)
+    def test_snapshot_routes(self, reference, tmp_path):
+        assert_same_content(reload(reference, tmp_path), reference)
 
-    @pytest.mark.parametrize("sidecar", [False, True], ids=["inline", "sidecar"])
-    def test_generator_without_biases(self, tmp_path, sidecar):
+    def test_generator_without_biases(self, tmp_path):
         generated = synthetic_population(300, seed=3)
         assert_same_content(generated, rebuilt_from_rows(generated))
-        assert_same_content(reload(generated, tmp_path, sidecar), generated)
+        assert_same_content(reload(generated, tmp_path), generated)
 
     def test_generator_with_biases(self):
         biased, _ = biased_population(300, seed=3)
