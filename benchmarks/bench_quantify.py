@@ -18,8 +18,12 @@ pins the perf trajectory of that layer:
 * **data plane** — at 100k rows, validate + cold QUANTIFY over the column
   store is recorded, and a dataset built from row input gives results
   identical to one built straight from the store;
+* **what-if leg** — the job owner's cold search shape: each round a fresh
+  weight vector over one 100k-row population (``min_partition_size``
+  2000, mostly the root split), QUANTIFY plus breakdown through a fresh
+  store, checked against the reference every round; the median is recorded;
 * **million-row leg** — a 1M-row population is built and QUANTIFYed in a
-  fresh interpreter; wall-clock and peak RSS (``ru_maxrss``) are recorded.
+  fresh interpreter; wall-clock and peak RSS (``VmHWM``) are recorded.
 
 Results are written to ``BENCH_quantify.json`` at the repository root; CI
 uploads the file as a workflow artifact so the trajectory is tracked per
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import statistics
 import subprocess
 import sys
 import time
@@ -61,7 +66,12 @@ COLUMNAR_POPULATION = 100_000
 COLUMNAR_MIN_PARTITION = 250
 COLUMNAR_ROUNDS = 3
 
-#: The million-row leg (a fresh interpreter, peak RSS via ru_maxrss).
+#: The what-if leg (a fresh scoring function per round at 100k rows).
+WHATIF_POPULATION = 100_000
+WHATIF_MIN_PARTITION = 2000
+WHATIF_ROUNDS = 9
+
+#: The million-row leg (a fresh interpreter, peak RSS via VmHWM).
 MILLION = 1_000_000
 
 _RESULTS_PATH = REPO_ROOT / "BENCH_quantify.json"
@@ -222,8 +232,71 @@ def test_columnar_data_plane():
     )
 
 
-#: Runs in a fresh interpreter so ``ru_maxrss`` (the process high-water
-#: mark) reflects exactly this workload.  Prints one JSON line.
+def test_whatif_leg():
+    """Cold QUANTIFY + breakdown at 100k rows, one fresh function per round.
+
+    Every round's tree, unfairness, ``splits_evaluated`` and breakdown must
+    be byte-identical to the direct reference.  The population (and its
+    integer codings) is shared across rounds, as in a long-lived service;
+    the score store is not, so each round pays one scoring pass.
+    """
+    dataset = synthetic_population(size=WHATIF_POPULATION, seed=SEED)
+
+    def search(function):
+        store = ScoreStore(dataset, function)
+        result = quantify(
+            dataset, function, min_partition_size=WHATIF_MIN_PARTITION, store=store
+        )
+        return result, unfairness_breakdown(result.partitioning, function, store=store)
+
+    elapsed: List[float] = []
+    for round_index in range(WHATIF_ROUNDS + 1):
+        share = 0.05 + 0.9 * round_index / WHATIF_ROUNDS
+        function = LinearScoringFunction(
+            {"Language Test": share, "Rating": 1.0 - share}, name=f"whatif-{round_index}"
+        )
+        started = time.perf_counter()
+        result, breakdown = search(function)
+        took = time.perf_counter() - started
+        reference = reference_quantify(
+            dataset, function, min_partition_size=WHATIF_MIN_PARTITION
+        )
+        assert result.summary() == reference.summary()
+        assert result.unfairness == reference.unfairness
+        assert result.splits_evaluated == reference.splits_evaluated
+        assert result.partitioning.labels == reference.partitioning.labels
+        assert result.partitioning.sizes == reference.partitioning.sizes
+        direct = reference_breakdown(reference.partitioning, function)
+        assert breakdown.value == direct.value
+        assert breakdown.pairwise == direct.pairwise
+        assert breakdown.mean_scores == direct.mean_scores
+        if round_index:  # round 0 warms the population's integer codings
+            elapsed.append(took)
+    median = statistics.median(elapsed)
+    print()
+    print(
+        f"what-if {WHATIF_POPULATION} rows: median {median * 1000:.2f}ms over "
+        f"{WHATIF_ROUNDS} fresh functions ({len(result.partitioning)} groups, "
+        f"{result.splits_evaluated} splits evaluated)"
+    )
+    _write_results(
+        {
+            "whatif_100k": {
+                "population": WHATIF_POPULATION,
+                "min_partition_size": WHATIF_MIN_PARTITION,
+                "rounds": WHATIF_ROUNDS,
+                "median_ms": round(median * 1000, 2),
+                "identical_results": True,
+            }
+        }
+    )
+
+
+#: Runs in a fresh interpreter so the peak RSS reflects exactly this
+#: workload.  It reads ``VmHWM``, the high-water mark of this process image:
+#: Linux carries ``ru_maxrss`` across exec, so that would report the
+#: forking pytest process's peak whenever it is the larger.  Prints one
+#: JSON line.
 _MILLION_LEG_SCRIPT = """
 import json, resource, sys, time
 from repro.core.quantify import quantify
@@ -244,12 +317,17 @@ function = LinearScoringFunction(
 started = time.perf_counter()
 result = quantify(dataset, function, min_partition_size=size // 400)
 quantify_s = time.perf_counter() - started
+try:
+    with open("/proc/self/status") as status:
+        peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+except OSError:
+    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({
     "build_s": round(build_s, 3),
     "quantify_s": round(quantify_s, 3),
     "fingerprint_s": round(fingerprint_s, 4),
     "rows_per_s": round(size / quantify_s),
-    "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    "peak_rss_mb": round(peak_kb / 1024, 1),
     "unfairness": result.unfairness,
     "partitions": len(result.partitioning),
     "splits_evaluated": result.splits_evaluated,
@@ -261,7 +339,7 @@ def test_million_row_leg():
     """Build, fingerprint and QUANTIFY a million-row population.
 
     Records the three times and the peak RSS.  Runs in its own interpreter
-    so the kernel's peak-RSS high-water mark isolates this one workload.
+    so the peak-RSS high-water mark isolates this one workload.
     Gate: the content fingerprint (hashed from the column buffers) costs
     less than the QUANTIFY it keys.
     """

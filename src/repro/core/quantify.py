@@ -267,7 +267,8 @@ def quantify(
         Protected attributes the search may split on (default: every
         protected attribute of the dataset schema).
     max_depth:
-        Optional cap on tree depth (number of nested splits).
+        Optional cap on tree depth (number of nested splits); at least 1,
+        since the search always tries the root split.
     min_partition_size:
         Minimum number of individuals a partition must keep for a split to
         be considered (1 reproduces the paper exactly; larger values avoid
@@ -288,6 +289,8 @@ def quantify(
     dataset.require_non_empty()
     if min_partition_size < 1:
         raise PartitioningError(f"min_partition_size must be >= 1, got {min_partition_size}")
+    if max_depth is not None and max_depth < 1:
+        raise PartitioningError(f"max_depth must be >= 1, got {max_depth}")
     if attributes is None:
         attributes = dataset.schema.protected_names
     else:

@@ -20,10 +20,13 @@ tree node, every sibling histogram re-walks the same individuals.  The
   full vector per binning plus a ``bincount`` per partition, verified
   bin-for-bin identical to :func:`~repro.metrics.histogram.build_histogram`;
 * **splits are index operations**: protected columns are integer-coded once,
-  so splitting a partition on an attribute is a vectorised comparison over
-  its row indices instead of a Python group-by, and the children's member
-  datasets are :class:`~repro.data.dataset.DatasetView` index views of the
-  store's dataset — a losing candidate split never copies a column;
+  so a candidate split is one ``bincount`` over (value code × bin code) and
+  the winning split is one stable ``argsort`` of the partition's codes, cut
+  into one contiguous slice per child, instead of a Python group-by.  The
+  root partition's indices are ``arange(n)``, so there the full code arrays
+  are read directly, with no gather.  The children's member datasets are
+  :class:`~repro.data.dataset.DatasetView` index views of the store's
+  dataset — a losing candidate split never copies a column;
 * the memo is **bounded** (LRU over partitions) so a long-lived service
   store cannot grow without limit, and every counter needed to audit the
   layer (scoring passes, slices, hits/misses/evictions) is exposed as an
@@ -186,6 +189,9 @@ class ScoreStore:
         self._lock = threading.RLock()
         self._vector: Optional[np.ndarray] = None
         self._row_index: Optional[Dict[str, int]] = None
+        # arange(n): the root entry's indices, one shared read-only array.
+        self._root = np.arange(len(dataset), dtype=np.intp)
+        self._root.setflags(write=False)
         self._partitions: "OrderedDict[object, _Entry]" = OrderedDict()
         # attribute name -> (per-row codes, code -> value, value -> code,
         # code -> member-dataset name suffix); see _attribute_codes.
@@ -282,6 +288,8 @@ class ScoreStore:
         rebuilt between requests share one scoring pass.  Anything else
         raises :class:`~repro.errors.PartitioningError`.
         """
+        if members is self.dataset:
+            return self._root
         indices = members.indices_in(self.dataset)
         if indices is not None:
             return indices
@@ -343,8 +351,10 @@ class ScoreStore:
                 return cached
             self._histogram_misses += 1
         codes = self._bin_codes_for(binning)
+        if partition.members is not self.dataset:
+            codes = codes[entry.indices]
         # minlength covers the NaN sentinel bin; the slice discards it.
-        counts = np.bincount(codes[entry.indices], minlength=binning.bins)
+        counts = np.bincount(codes, minlength=binning.bins)
         histogram = Histogram(
             binning=binning, counts=tuple(int(c) for c in counts[: binning.bins])
         )
@@ -381,7 +391,6 @@ class ScoreStore:
         ``(partition, attribute, binning)``.
         """
         entry = self._entry(partition)
-        indices = entry.indices
         memo_key = (attr.name, binning)
         with self._lock:
             cached = entry.candidates.get(memo_key)
@@ -393,12 +402,18 @@ class ScoreStore:
         # Stride bins + 1: bin codes include the NaN sentinel ``bins``, which
         # must not spill into the next value's bin 0.
         stride = binning.bins + 1
-        sub = codes[indices]
-        bin_sub = entry.bin_slices.get(binning)
-        if bin_sub is None:
-            bin_sub = self._bin_codes_for(binning)[indices]
-            entry.bin_slices[binning] = bin_sub
-        counts = np.bincount(sub * stride + bin_sub, minlength=len(decode) * stride)
+        if partition.members is self.dataset:
+            # The root's indices are arange(n): read the full arrays directly.
+            cells = codes * stride
+            cells += self._bin_codes_for(binning)
+        else:
+            bin_sub = entry.bin_slices.get(binning)
+            if bin_sub is None:
+                bin_sub = self._bin_codes_for(binning)[entry.indices]
+                entry.bin_slices[binning] = bin_sub
+            cells = codes[entry.indices] * stride
+            cells += bin_sub
+        counts = np.bincount(cells, minlength=len(decode) * stride)
         counts = counts.reshape(len(decode), stride)
         # Sizes count members (including NaN-scored ones); histogram counts
         # drop the sentinel column, matching build_histogram's NaN handling.
@@ -427,19 +442,33 @@ class ScoreStore:
         """Children of ``partition`` split on ``attr``, via index operations.
 
         Children are produced in the same order as a group-by split
-        (declared domain order, else stable sorted), their member datasets
-        are index views of the store's dataset, and their store entries are
-        pre-registered so the subsequent histogram/score requests skip
-        mapping entirely.
+        (declared domain order, else stable sorted).  Their row indices are
+        contiguous slices of one array: the partition's indices grouped by
+        one stable ``argsort`` of its value codes, so each child keeps its
+        rows in the parent's order — exactly ``indices[codes == code]``.  The
+        root's indices are ``arange(n)``, so there the sort order itself is
+        the grouped array.  The children's member datasets are index views
+        of the store's dataset, and their store entries are pre-registered
+        so the subsequent histogram/score requests skip mapping entirely.
         """
         from repro.core.partition import Partition
 
         entry = self._entry(partition)
-        indices = entry.indices
         codes, decode, encode, suffixes = self._attribute_codes(attr.name)
-        sub = codes[indices]
-        present = {decode[code] for code in np.unique(sub).tolist()}
-        ordered = tuple(v for v in self._ordered_values(attr) if v in present)
+        root = partition.members is self.dataset
+        sub = codes if root else codes[entry.indices]
+        counts = np.bincount(sub, minlength=len(decode))
+        ends = np.cumsum(counts).tolist()
+        sizes = counts.tolist()
+        ordered = tuple(v for v in self._ordered_values(attr) if sizes[encode[v]])
+        # NumPy's stable sort is a radix sort on 8- and 16-bit keys.
+        if len(decode) <= 1 << 8:
+            sub = sub.astype(np.uint8)
+        elif len(decode) <= 1 << 16:
+            sub = sub.astype(np.uint16)
+        order = np.argsort(sub, kind="stable")
+        grouped = order if root else entry.indices[order]
+        grouped.setflags(write=False)
         children: List[Partition] = []
         entries: List[Tuple[object, np.ndarray]] = []
         base_name = partition.members.name
@@ -447,7 +476,7 @@ class ScoreStore:
         attr_name = attr.name
         for value in ordered:
             code = encode[value]
-            child_indices = indices[sub == code]
+            child_indices = grouped[ends[code] - sizes[code] : ends[code]]
             members = DatasetView(
                 self.dataset, child_indices, name=base_name + suffixes[code]
             )
@@ -546,19 +575,28 @@ class ScoreStore:
         """Whether a memoised entry really describes this partition's members.
 
         Partition keys are constraint tuples, so partitions of *different*
-        datasets can share a key (e.g. every root partition has key ``()``).
+        datasets can share a key (e.g. every root partition has key ``()``,
+        and a trusted store maps a permuted twin's root onto all its rows).
         Reusing another dataset's entry would silently serve wrong scores, so
-        every memo hit is validated — O(1) for partitions produced by this
-        store's own splits (the common case: their index *is* the entry's),
-        O(members) otherwise.
+        every memo hit is validated — O(1) for the root and for partitions
+        produced by this store's own splits (the common case: their index
+        *is* the entry's), O(members) otherwise.  The root is checked like
+        any other partition, so a twin's permuted root entry never serves
+        the store's own root, whose scores and splits read the full arrays.
         """
         indices = entry.indices
         if len(members) != indices.size:
             return False
-        if members is self.dataset:
-            return True
         own = self._indices_for_members(members)
-        return own is indices or bool(np.array_equal(own, indices))
+        if own is indices:
+            return True
+        if not np.array_equal(own, indices):
+            return False
+        if own is self._root:
+            # A loaded bundle's root entry: adopt the shared array, so later
+            # checks see it by identity.
+            entry.indices = own
+        return True
 
     def _entry(self, partition: "Partition") -> _Entry:
         """The store entry for a partition, creating (and bounding) it once.

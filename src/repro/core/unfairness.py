@@ -8,6 +8,7 @@ distances come from the :class:`~repro.core.formulations.Formulation`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -37,6 +38,21 @@ def _emd_scale(formulation: Formulation, bins: int) -> float:
     if formulation.distance.name == "normalized_emd" and bins > 1:
         return 1.0 / (bins - 1)
     return 1.0
+
+
+#: Histogram counts whose upper-triangle pair indices are memoised; a node
+#: rarely has more than a few dozen children plus siblings, and the bound
+#: keeps the memo under ~16MB even when filled with the largest entries.
+_PAIR_MEMO_MAX_COUNT = 256
+
+
+@functools.lru_cache(maxsize=32)
+def _upper_pairs(count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(count, k=1)`` as read-only arrays, memoised per count."""
+    rows, cols = np.triu_indices(count, k=1)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def _cdf_matrix(histograms: Sequence[Histogram]) -> np.ndarray:
@@ -72,8 +88,11 @@ def pairwise_distances(
         cdfs = _cdf_matrix(histograms)
         gaps = np.abs(cdfs[:, None, :] - cdfs[None, :, :]).sum(axis=2)
         scale = _emd_scale(formulation, bins)
-        indices = np.triu_indices(count, k=1)
-        return (gaps[indices] * scale).tolist()
+        if count <= _PAIR_MEMO_MAX_COUNT:
+            pairs = _upper_pairs(count)
+        else:
+            pairs = np.triu_indices(count, k=1)
+        return (gaps[pairs] * scale).tolist()
     values: List[float] = []
     for i in range(count):
         for j in range(i + 1, count):

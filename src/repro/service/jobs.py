@@ -123,6 +123,10 @@ _REQUIRED_NOUNS = {
     "group": "at least one protected-attribute value",
 }
 
+#: Smallest value an integer field accepts, checked at decode so a request
+#: outside its bound never gets a key or reaches compute.
+_MINIMUMS = {"max_depth": 1}
+
 
 class _WrongType(Exception):
     """A value does not have its field's JSON type; the message is what was found."""
@@ -315,6 +319,12 @@ class ServiceRequest:
             if spec.required and not decoded:
                 raise ServiceError(
                     f"{self.kind} request needs {_REQUIRED_NOUNS[spec.name]}"
+                )
+            minimum = _MINIMUMS.get(spec.name)
+            if minimum is not None and decoded < minimum:
+                raise ServiceError(
+                    f"{self.kind} request field {spec.name!r} must be >= {minimum}, "
+                    f"got {decoded}"
                 )
             if decoded is not value:
                 object.__setattr__(self, spec.name, decoded)

@@ -58,6 +58,10 @@ class TestQuantifyCommand:
         assert main(["quantify", "--ranks-only", "--attributes", "Gender"]) == 0
         assert "ranks only" in capsys.readouterr().out
 
+    def test_max_depth_below_one_is_reported(self, capsys):
+        assert main(["quantify", "--max-depth", "0"]) == 2
+        assert "max_depth must be >= 1, got 0" in capsys.readouterr().err
+
     def test_invalid_weight_is_reported(self, capsys):
         assert main(["quantify", "--weight", "Rating"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -89,6 +89,12 @@ class TestQuantifyParameters:
         with pytest.raises(PartitioningError):
             quantify(table1_dataset, table1_function, min_partition_size=0)
 
+    @pytest.mark.parametrize("max_depth", [0, -1])
+    def test_max_depth_below_one_rejected(self, table1_dataset, table1_function, max_depth):
+        # The root split is always tried, so a depth below 1 has no meaning.
+        with pytest.raises(PartitioningError, match=f"max_depth must be >= 1, got {max_depth}"):
+            quantify(table1_dataset, table1_function, max_depth=max_depth)
+
     def test_max_depth_limits_tree(self, small_population, balanced_function):
         shallow = quantify(small_population, balanced_function,
                            attributes=CATEGORICAL_ATTRS, max_depth=1)

@@ -6,6 +6,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.formulations import Formulation, resolve_binning
 from repro.core.partition import Partitioning, root_partition, split_partition
@@ -13,6 +15,7 @@ from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import unfairness, unfairness_breakdown
 from repro.data.dataset import Dataset, Individual
+from repro.data.schema import Schema, observed, protected
 from repro.errors import FormulationError, PartitioningError, ScoringError
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
 from repro.metrics.histogram import Binning, build_histogram
@@ -160,6 +163,26 @@ class TestRefusal:
         trusted = ScoreStore(twin, function, trust_uids=True)
         assert np.array_equal(trusted.scores(leaf), function.score_dataset(leaf.members))
 
+    def test_permuted_twin_root_never_serves_the_store_root(self, population, function):
+        # A trusted store maps a shuffled twin's root (key ()) onto all its
+        # rows, in the twin's order; the store's own root must not reuse it.
+        rows = list(population)[::-1]
+        twin = Dataset(
+            population.schema,
+            [Individual(uid=ind.uid, values=dict(ind.values)) for ind in rows],
+            name="twin",
+        )
+        store = ScoreStore(population, function, trust_uids=True)
+        twin_root, own_root = root_partition(twin), root_partition(population)
+        assert np.array_equal(store.scores(twin_root), function.score_dataset(twin))
+        assert np.array_equal(store.scores(own_root), function.score_dataset(population))
+        assert np.array_equal(store.scores(twin_root), function.score_dataset(twin))
+        for plain, stored in zip(
+            split_partition(own_root, "Gender"),
+            split_partition(own_root, "Gender", store=store),
+        ):
+            assert stored.members.uids == plain.members.uids
+
     def test_fingerprint_equal_twin_function_is_served(self, population, function):
         twin = LinearScoringFunction({"Language Test": 0.6, "Rating": 0.4}, name="renamed-twin")
         store = ScoreStore(population, function)
@@ -199,6 +222,131 @@ class TestSplit:
                 direct = build_histogram(function.score_dataset(child.members), binning=binning)
                 assert histogram.counts == direct.counts
                 assert histogram.binning == direct.binning
+
+
+class NaNEveryScorer(LinearScoringFunction):
+    """A linear scorer that answers NaN for every ``nan_every``-th uid (row-pure)."""
+
+    nan_every = 0
+
+    def score_dataset(self, dataset):
+        scores = np.array(LinearScoringFunction.score_dataset(self, dataset))
+        if self.nan_every:
+            numbers = np.array([int(uid.lstrip("w")) for uid in dataset.uids])
+            scores[numbers % self.nan_every == 0] = float("nan")
+        return scores
+
+
+_CUT_SCHEMA = Schema((
+    protected("Gender", domain=("F", "M", "X")),
+    protected("Code"),
+    protected("Band"),
+    observed("Skill"),
+))
+
+
+@st.composite
+def cut_populations(draw):
+    """A population whose "Code" column may hold more than 256 distinct values."""
+    size = draw(st.integers(min_value=1, max_value=700))
+    codes = draw(st.sampled_from([2, 40, 1000]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    columns = {
+        "Gender": rng.choice(["F", "M", "X"], size).tolist(),
+        "Code": rng.integers(0, codes, size).tolist(),
+        "Band": rng.choice(["lo", "mid", "hi"], size, p=[0.6, 0.3, 0.1]).tolist(),
+        "Skill": rng.random(size).round(3).tolist(),
+    }
+    uids = [f"w{position + 1}" for position in range(size)]
+    population = Dataset.from_columns(_CUT_SCHEMA, columns, name="cut", uids=uids)
+    # A content-identical twin rebuilt in a shuffled row order: a trusted
+    # store maps its rows by uid onto non-ascending indices.
+    order = rng.permutation(size).tolist()
+    twin = Dataset.from_columns(
+        _CUT_SCHEMA,
+        {name: [values[row] for row in order] for name, values in columns.items()},
+        name="twin",
+        uids=[uids[row] for row in order],
+    )
+    nan_every = draw(st.sampled_from([0, 3]))
+    return population, twin, nan_every
+
+
+def _store_rows(store, members):
+    """Row indices of ``members`` in the store's dataset, mapped by uid."""
+    position = {uid: row for row, uid in enumerate(store.dataset.uids)}
+    return np.array([position[uid] for uid in members.uids], dtype=np.intp)
+
+
+def _assert_cut_matches(store, partition, attribute, scorer):
+    """Store split == group-by split == the per-child boolean mask cut."""
+    attr = _CUT_SCHEMA.require_protected(attribute)
+    stored = store.split(partition, attr)
+    plain = split_partition(partition, attribute)
+    assert [c.constraints for c in stored] == [c.constraints for c in plain]
+    rows = _store_rows(store, partition.members)
+    codes, _, encode = store.dataset.codes(attribute)
+    for fast, slow in zip(stored, plain):
+        masked = rows[codes[rows] == encode[fast.constraint_value(attribute)]]
+        cut = fast.members.index
+        assert cut.dtype == masked.dtype
+        assert np.array_equal(cut, masked)
+        assert np.array_equal(cut, _store_rows(store, slow.members))
+        assert not cut.flags.writeable
+        assert fast.members.name == slow.members.name
+        assert np.array_equal(
+            store.scores(fast), scorer.score_dataset(slow.members), equal_nan=True
+        )
+    for binning in (Binning.unit(), Binning.unit(bins=7)):
+        values, sizes, histograms = store.candidate_split(partition, attr, binning)
+        assert list(values) == [c.constraint_value(attribute) for c in plain]
+        assert list(sizes) == [c.size for c in plain]
+        for histogram, child in zip(histograms, plain):
+            direct = build_histogram(scorer.score_dataset(child.members), binning=binning)
+            assert histogram.counts == direct.counts
+    return stored
+
+
+class TestSplitCut:
+    """Children cut from one stable argsort equal the group-by and mask cuts."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cut_populations())
+    def test_cut_matches_group_by_and_mask(self, drawn):
+        population, twin, nan_every = drawn
+        scorer = NaNEveryScorer({"Skill": 1.0}, name="cut-f")
+        scorer.nan_every = nan_every
+        store = ScoreStore(population, scorer)
+        for attribute in _CUT_SCHEMA.protected_names:
+            _assert_cut_matches(store, root_partition(population), attribute, scorer)
+        # View partitions: a child of the root, and the root of a filtered view.
+        for child in _assert_cut_matches(store, root_partition(population), "Band", scorer):
+            _assert_cut_matches(store, child, "Code", scorer)
+        kept = population.filter(lambda row: row.values["Gender"] != "X")
+        if len(kept):
+            _assert_cut_matches(store, root_partition(kept), "Code", scorer)
+        # Non-ascending indices: a trusted store fed the shuffled twin.
+        trusted = ScoreStore(population, scorer, trust_uids=True)
+        for attribute in _CUT_SCHEMA.protected_names:
+            for child in _assert_cut_matches(trusted, root_partition(twin), attribute, scorer):
+                other = "Code" if attribute != "Code" else "Gender"
+                _assert_cut_matches(trusted, child, other, scorer)
+
+    def test_wide_column_takes_the_sixteen_bit_path(self):
+        # More than 256 distinct codes: the argsort key is narrowed to uint16.
+        rows = 600
+        columns = {
+            "Gender": ["F", "M", "X"] * (rows // 3),
+            "Code": [(position * 7919) % 500 for position in range(rows)],
+            "Band": ["lo", "hi"] * (rows // 2),
+            "Skill": [(position % 10) / 10 for position in range(rows)],
+        }
+        population = Dataset.from_columns(_CUT_SCHEMA, columns, name="wide")
+        assert len(population.codes("Code")[1]) > 256
+        scorer = NaNEveryScorer({"Skill": 1.0}, name="wide-f")
+        store = ScoreStore(population, scorer)
+        children = _assert_cut_matches(store, root_partition(population), "Code", scorer)
+        assert len(children) == 500
 
 
 class TestHistogramMemo:

@@ -7,6 +7,7 @@ from repro.core.formulations import Aggregation, Formulation
 from repro.core.partition import Partitioning, root_partition
 from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import (
+    _upper_pairs,
     cross_distances,
     pairwise_distances,
     partition_vs_siblings,
@@ -51,6 +52,31 @@ class TestPairwiseDistances:
             for j in range(i + 1, 6)
         ]
         assert fast == pytest.approx(slow)
+
+    def test_memoised_pairs_give_identical_lists(self):
+        # The upper-triangle pair indices are memoised per count: repeated
+        # and interleaved counts must give exactly the first call's list.
+        binning = Binning.unit(5)
+        rng = np.random.default_rng(5)
+        histograms = [build_histogram(rng.random(30), binning=binning) for _ in range(9)]
+        formulation = Formulation()
+        counts = (3, 5, 3, 9, 5, 3, 9)
+        first = {}
+        for count in counts:
+            values = pairwise_distances(histograms[:count], formulation)
+            assert values == first.setdefault(count, values)
+            rows, cols = _upper_pairs(count)
+            expected_rows, expected_cols = np.triu_indices(count, k=1)
+            assert np.array_equal(rows, expected_rows)
+            assert np.array_equal(cols, expected_cols)
+            assert not rows.flags.writeable and not cols.flags.writeable
+            assert _upper_pairs(count)[0] is rows
+            slow = [
+                formulation.distance(histograms[i], histograms[j])
+                for i in range(count)
+                for j in range(i + 1, count)
+            ]
+            assert values == pytest.approx(slow)
 
     def test_fast_path_normalized_emd(self):
         binning = Binning.unit(5)

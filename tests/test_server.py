@@ -214,6 +214,30 @@ class TestErrorMapping:
         assert payload["error"]["code"] == "service"
         assert f"{kind} request field {field!r} must be" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("max_depth", [0, -1])
+    @pytest.mark.parametrize(
+        "kind, body",
+        [
+            ("quantify", {"dataset": "table1", "function": "table1-f"}),
+            ("compare", {"dataset": "table1", "functions": ["table1-f", "balanced"]}),
+            ("sweep", {"dataset": "table1", "function": "table1-f"}),
+        ],
+    )
+    def test_max_depth_below_one_is_400_naming_the_bound(
+        self, server, kind, body, max_depth
+    ):
+        status, payload = raw_call(
+            server,
+            f"/v2/{kind}",
+            method="POST",
+            body=json.dumps({**body, "max_depth": max_depth}).encode(),
+        )
+        assert status == 400
+        assert payload["error"] == {
+            "code": "service",
+            "message": f"{kind} request field 'max_depth' must be >= 1, got {max_depth}",
+        }
+
     def test_unknown_endpoint_is_404(self, server):
         status, payload = raw_call(server, "/v2/nonsense", method="POST", body=b"{}")
         assert status == 404

@@ -57,6 +57,30 @@ class TestQuantifyRequest:
         assert request.attributes == ("Gender",)
 
 
+class TestMaxDepthBound:
+    """``max_depth`` below 1 is refused at decode, naming kind, field and bound."""
+
+    PAYLOADS = {
+        "quantify": {"dataset": "d", "function": "f"},
+        "compare": {"dataset": "d", "functions": ["f", "g"]},
+        "sweep": {"dataset": "d", "function": "f"},
+    }
+
+    @pytest.mark.parametrize("max_depth", [0, -1])
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    def test_below_one_is_refused(self, kind, max_depth):
+        payload = {"kind": kind, **self.PAYLOADS[kind], "max_depth": max_depth}
+        message = f"{kind} request field 'max_depth' must be >= 1, got {max_depth}"
+        with pytest.raises(ServiceError, match=message):
+            request_from_json(payload)
+
+    @pytest.mark.parametrize("max_depth", [None, 1, 2])
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    def test_null_and_positive_depths_decode(self, kind, max_depth):
+        payload = {"kind": kind, **self.PAYLOADS[kind], "max_depth": max_depth}
+        assert request_from_json(payload).max_depth == max_depth
+
+
 class TestAuditRequest:
     def test_round_trip(self):
         request = AuditRequest(
