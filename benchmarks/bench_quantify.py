@@ -22,6 +22,10 @@ pins the perf trajectory of that layer:
   weight vector over one 100k-row population (``min_partition_size``
   2000, mostly the root split), QUANTIFY plus breakdown through a fresh
   store, checked against the reference every round; the median is recorded;
+* **bins leg** — at 100k rows, the store's per-row bin codes (one count
+  of interior edges per row) must equal the ``searchsorted`` reference
+  (``reference_bin_codes``) and be no slower than it, at the default 5
+  bins and at the 256-bin cap; both timings are recorded;
 * **million-row leg** — a 1M-row population is built and QUANTIFYed in a
   fresh interpreter; wall-clock and peak RSS (``VmHWM``) are recorded.
 
@@ -40,19 +44,26 @@ import sys
 import time
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import unfairness_breakdown
 from repro.data.dataset import Dataset
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
 from repro.marketplace.entities import Marketplace
+from repro.metrics.histogram import MAX_BINS, Binning
 from repro.roles.auditor import Auditor
 from repro.roles.end_user import EndUser
 from repro.roles.job_owner import JobOwner
 from repro.scoring.linear import LinearScoringFunction
 
 from benchmarks.results import REPO_ROOT, write_results
-from tests.scoring_reference import reference_breakdown, reference_quantify
+from tests.scoring_reference import (
+    reference_bin_codes,
+    reference_breakdown,
+    reference_quantify,
+)
 
 #: The 10k-row scalability workload (E11's generator, fixed seed).
 POPULATION_SIZE = 10_000
@@ -70,6 +81,11 @@ COLUMNAR_ROUNDS = 3
 WHATIF_POPULATION = 100_000
 WHATIF_MIN_PARTITION = 2000
 WHATIF_ROUNDS = 9
+
+#: The bins leg (per-row bin codes of one 100k-row score vector).
+BINS_POPULATION = 100_000
+BINS_COUNTS = (5, MAX_BINS)
+BINS_ROUNDS = 9
 
 #: The million-row leg (a fresh interpreter, peak RSS via VmHWM).
 MILLION = 1_000_000
@@ -289,6 +305,50 @@ def test_whatif_leg():
                 "identical_results": True,
             }
         }
+    )
+
+
+def test_bins_leg():
+    """Per-row bin codes at 100k rows: edge counting vs. the binary search.
+
+    Each round times a fresh store's codes (its vector already
+    materialized, so only the binning is timed) against
+    ``reference_bin_codes`` on the same vector, interleaved; the codes must
+    be identical and the store no slower, at 5 bins and at the cap.
+    """
+    dataset = synthetic_population(size=BINS_POPULATION, seed=SEED)
+    function = LinearScoringFunction(
+        {"Language Test": 0.5, "Rating": 0.5}, name="balanced"
+    )
+    vector = ScoreStore(dataset, function).vector()
+    results: Dict[str, Dict[str, object]] = {}
+    for bins in BINS_COUNTS:
+        binning = Binning.unit(bins)
+        # One fresh store per timed call, its vector materialized untimed.
+        stores = [ScoreStore(dataset, function) for _ in range(BINS_ROUNDS + 1)]
+        for store in stores:
+            store.vector()
+        assert np.array_equal(
+            stores.pop()._bin_codes_for(binning), reference_bin_codes(vector, binning)
+        )
+        kernel_s, reference_s = _best_of_interleaved(
+            lambda: stores.pop()._bin_codes_for(binning),
+            lambda: reference_bin_codes(vector, binning),
+            BINS_ROUNDS,
+        )
+        print()
+        print(
+            f"bins {bins} at {BINS_POPULATION} rows: edge count "
+            f"{kernel_s * 1000:.2f}ms, searchsorted {reference_s * 1000:.2f}ms"
+        )
+        assert kernel_s <= reference_s
+        results[str(bins)] = {
+            "kernel_ms": round(kernel_s * 1000, 3),
+            "searchsorted_ms": round(reference_s * 1000, 3),
+            "identical_codes": True,
+        }
+    _write_results(
+        {"bins_100k": {"population": BINS_POPULATION, "bins": results}}
     )
 
 

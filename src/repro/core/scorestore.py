@@ -16,7 +16,7 @@ tree node, every sibling histogram re-walks the same individuals.  The
   stores by ``(dataset fingerprint, function fingerprint)``, so the
   composite identity of a cached histogram is
   ``(dataset, function, partition, binning)`` as the paper's interactive
-  workload demands.  Counts come from one ``searchsorted`` pass over the
+  workload demands.  Counts come from one edge-counting pass over the
   full vector per binning plus a ``bincount`` per partition, verified
   bin-for-bin identical to :func:`~repro.metrics.histogram.build_histogram`;
 * **splits are index operations**: protected columns are integer-coded once,
@@ -58,10 +58,10 @@ from typing import (
 
 import numpy as np
 
-from repro.data.dataset import Dataset, DatasetView, order_values
+from repro.data.dataset import Dataset, DatasetView, order_values, stable_group_order
 from repro.data.schema import Attribute
 from repro.bundle import SCORE_STORE, BundleWriter, open_manifest, read_array
-from repro.errors import PartitioningError, ScoringError, WarmStartError
+from repro.errors import FormulationError, PartitioningError, ScoringError, WarmStartError
 from repro.metrics.histogram import Binning, Histogram
 from repro.obs.trace import span as trace_span
 from repro.scoring.base import ScoringFunction, frozen_scores
@@ -446,8 +446,9 @@ class ScoreStore:
         contiguous slices of one array: the partition's indices grouped by
         one stable ``argsort`` of its value codes, so each child keeps its
         rows in the parent's order — exactly ``indices[codes == code]``.  The
-        root's indices are ``arange(n)``, so there the sort order itself is
-        the grouped array.  The children's member datasets are index views
+        root's indices are ``arange(n)``, so there the grouped array is the
+        dataset's own cached :meth:`~repro.data.dataset.Dataset.grouping`,
+        sorted once per dataset.  The children's member datasets are index views
         of the store's dataset, and their store entries are pre-registered
         so the subsequent histogram/score requests skip mapping entirely.
         """
@@ -455,20 +456,18 @@ class ScoreStore:
 
         entry = self._entry(partition)
         codes, decode, encode, suffixes = self._attribute_codes(attr.name)
-        root = partition.members is self.dataset
-        sub = codes if root else codes[entry.indices]
-        counts = np.bincount(sub, minlength=len(decode))
+        if partition.members is self.dataset:
+            # The root's grouping depends on the dataset alone: shared by
+            # every store over it, whatever the scoring function.
+            grouped, counts = self.dataset.grouping(attr.name)
+        else:
+            sub = codes[entry.indices]
+            counts = np.bincount(sub, minlength=len(decode))
+            grouped = entry.indices[stable_group_order(sub, len(decode))]
+            grouped.setflags(write=False)
         ends = np.cumsum(counts).tolist()
         sizes = counts.tolist()
         ordered = tuple(v for v in self._ordered_values(attr) if sizes[encode[v]])
-        # NumPy's stable sort is a radix sort on 8- and 16-bit keys.
-        if len(decode) <= 1 << 8:
-            sub = sub.astype(np.uint8)
-        elif len(decode) <= 1 << 16:
-            sub = sub.astype(np.uint16)
-        order = np.argsort(sub, kind="stable")
-        grouped = order if root else entry.indices[order]
-        grouped.setflags(write=False)
         children: List[Partition] = []
         entries: List[Tuple[object, np.ndarray]] = []
         base_name = partition.members.name
@@ -553,6 +552,13 @@ class ScoreStore:
         NaN scores dropped — they are assigned the sentinel code ``bins``,
         which every consumer discards (histogram rows/columns beyond
         ``bins - 1`` are sliced away).
+
+        A clipped score's bin is the number of interior edges at or below
+        it, which equals ``clip(searchsorted(edges, score, "right") - 1, 0,
+        bins - 1)`` for sorted edges, repeated ones included.  Counting
+        costs one comparison per row and interior edge, far less than a
+        binary search on unsorted keys; the count fits ``uint8`` because a
+        binning has at most :data:`~repro.metrics.histogram.MAX_BINS` bins.
         """
         cached = self._bin_codes.get(binning)
         if cached is not None:
@@ -560,8 +566,12 @@ class ScoreStore:
         vector = self.vector()
         edges = binning.edges
         clipped = np.clip(vector, edges[0], edges[-1])
-        codes = np.searchsorted(edges, clipped, side="right") - 1
-        np.clip(codes, 0, binning.bins - 1, out=codes)
+        counts = np.zeros(clipped.size, dtype=np.uint8)
+        at_or_above = np.empty(clipped.size, dtype=bool)
+        for edge in edges[1:-1].tolist():
+            np.greater_equal(clipped, edge, out=at_or_above)
+            counts += at_or_above.view(np.uint8)
+        codes = counts.astype(np.intp)
         nan_rows = np.isnan(clipped)
         if nan_rows.any():
             codes[nan_rows] = binning.bins
@@ -761,7 +771,7 @@ class ScoreStore:
                 directory, manifest["vector"], np.float64, rows, mmap=False
             )
             for entry in manifest["bin_codes"]:  # type: ignore[union-attr]
-                binning = Binning.from_json(entry["binning"])
+                binning = _bundle_binning(entry["binning"])
                 codes = read_array(directory, entry["file"], np.int64, rows, mmap=False)
                 if codes.size and (codes.min() < 0 or codes.max() > binning.bins):
                     raise WarmStartError(
@@ -788,7 +798,7 @@ class ScoreStore:
                     )
                 loaded = _Entry(indices.astype(np.intp, copy=False))
                 for memo in entry["histograms"]:
-                    binning = Binning.from_json(memo["binning"])
+                    binning = _bundle_binning(memo["binning"])
                     loaded.histograms[binning] = Histogram(
                         binning=binning,
                         counts=tuple(int(count) for count in memo["counts"]),
@@ -825,6 +835,22 @@ class ScoreStore:
         """Iterate over the memoised partition keys (oldest first)."""
         with self._lock:
             return iter(list(self._partitions))
+
+
+def _bundle_binning(payload: Dict[str, object]) -> Binning:
+    """A bundle's binning, or ``WarmStartError`` when this build refuses it.
+
+    An older build accepted more than :data:`~repro.metrics.histogram.MAX_BINS`
+    bins, so a bundle it saved can hold a binning that is now out of bounds:
+    the store then boots cold instead of failing the load.
+    """
+    try:
+        return Binning.from_json(payload)
+    except FormulationError as error:
+        raise WarmStartError(
+            f"score-store bundle holds a binning this build refuses: {error}",
+            reason="manifest",
+        ) from None
 
 
 #: Supplies the store a role or panel scores ``(dataset, function)`` through:

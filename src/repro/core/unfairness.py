@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD, resolve_binning
 from repro.core.partition import Partitioning
 from repro.core.scorestore import ScoreStore, store_for
-from repro.metrics.histogram import Binning, Histogram
+from repro.metrics.histogram import Binning, Histogram, cache_cdfs
 from repro.scoring.base import ScoringFunction
 
 __all__ = [
@@ -60,8 +60,10 @@ def _cdf_matrix(histograms: Sequence[Histogram]) -> np.ndarray:
 
     Each histogram's CDF is cached on the histogram itself, so memoised
     histograms (the score store serves the same objects to every sibling
-    set) pay for their cumulative sum once per search.
+    set) pay for their cumulative sum once per search; the ones not yet
+    cached are computed together (:func:`~repro.metrics.histogram.cache_cdfs`).
     """
+    cache_cdfs(histograms)
     count = len(histograms)
     matrix = np.empty((count, histograms[0].binning.bins - 1))
     for row, histogram in enumerate(histograms):

@@ -45,12 +45,25 @@ from repro.data.columns import CodedColumn, Column, ColumnStore, ColumnStoreBuil
 from repro.data.schema import Attribute, AttributeType, Schema
 from repro.errors import DataError, EmptyDatasetError, UnknownAttributeError
 
-__all__ = ["Individual", "Dataset", "DatasetView", "order_values"]
+__all__ = ["Individual", "Dataset", "DatasetView", "order_values", "stable_group_order"]
 
 #: Guards per-dataset lazy caches (integer codings, realised view columns,
 #: materialised rows) so concurrent readers (the service batch executor)
 #: never duplicate work.  Re-entrant: realising a view realises its parent.
 _lazy_lock = threading.RLock()
+
+
+def stable_group_order(codes: np.ndarray, distinct: int) -> np.ndarray:
+    """Stable ``argsort`` of integer ``codes`` below ``distinct``.
+
+    The keys are narrowed to ``uint8``/``uint16`` where they fit: NumPy's
+    stable sort is a radix sort at those widths.
+    """
+    if distinct <= 1 << 8:
+        codes = codes.astype(np.uint8)
+    elif distinct <= 1 << 16:
+        codes = codes.astype(np.uint16)
+    return np.argsort(codes, kind="stable")
 
 
 def order_values(attr: Attribute, present: Iterable[object]) -> Tuple[object, ...]:
@@ -422,6 +435,30 @@ class Dataset:
         result = (codes, tuple(encode), encode)
         with _lazy_lock:
             return cache.setdefault(name, result)
+
+    def grouping(self, name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows grouped by the :meth:`codes` of ``name``: ``(order, counts)``.
+
+        ``order`` holds the row positions of code 0, then of code 1, and so
+        on, each group in row order (one stable ``argsort`` of the codes);
+        ``counts[code]`` is the group's size, so with ``ends =
+        cumsum(counts)`` group ``code`` is ``order[ends[code] -
+        counts[code]:ends[code]]``.  A function of the dataset alone, so the
+        score store's root splits slice it under every scoring function.
+        Both arrays are read-only and cached once per attribute.
+        """
+        cache: Dict[str, Tuple[np.ndarray, np.ndarray]]
+        cache = self.__dict__.setdefault("_grouping_cache", {})
+        cached = cache.get(name)
+        if cached is not None:
+            return cached
+        codes, decode, _ = self.codes(name)
+        counts = np.bincount(codes, minlength=len(decode))
+        order = stable_group_order(codes, len(decode))
+        counts.setflags(write=False)
+        order.setflags(write=False)
+        with _lazy_lock:
+            return cache.setdefault(name, (order, counts))
 
     def value_counts(self, name: str) -> Dict[object, int]:
         """Return a value -> count mapping for attribute ``name``.

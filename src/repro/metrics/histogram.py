@@ -21,11 +21,18 @@ import numpy as np
 
 from repro.errors import FormulationError
 
-__all__ = ["Binning", "Histogram", "build_histogram", "DEFAULT_BINS"]
+__all__ = [
+    "Binning", "Histogram", "build_histogram", "cache_cdfs", "DEFAULT_BINS", "MAX_BINS",
+]
 
 #: Default number of equal-width bins over the score range, matching the
 #: worked example of the paper (scores in [0, 1] bucketed into 5 bins).
 DEFAULT_BINS = 5
+
+#: Upper bound on the bins of a binning.  Per-row bin codes are counted in
+#: ``uint8`` (see ``ScoreStore._bin_codes_for``), so every code below the
+#: NaN sentinel fits in one byte.
+MAX_BINS = 256
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,10 @@ class Binning:
     def __post_init__(self) -> None:
         if self.bins < 1:
             raise FormulationError(f"a binning needs at least 1 bin, got {self.bins}")
+        if self.bins > MAX_BINS:
+            raise FormulationError(
+                f"a binning has at most {MAX_BINS} bins, got {self.bins}"
+            )
         if not np.isfinite(self.low) or not np.isfinite(self.high):
             raise FormulationError("binning bounds must be finite")
         if self.high < self.low:
@@ -194,6 +205,34 @@ class Histogram:
     def describe(self) -> str:
         """One-line rendering used by the session layer, e.g. ``[2|0|1|3|4]``."""
         return "[" + "|".join(str(c) for c in self.counts) + "]"
+
+
+def cache_cdfs(histograms: Sequence[Histogram]) -> None:
+    """Cache :meth:`Histogram.normalized` and :meth:`Histogram.cdf` in one batch.
+
+    Histograms over one binning whose CDF is not cached yet are normalised
+    and summed as the rows of one matrix, instead of one small array
+    operation each.  The rows are bit-identical to what each histogram
+    computes on its own: the division is element-wise and a cumulative sum
+    adds in order along its axis.  A zero-total row normalises to the
+    uniform distribution, as an empty histogram does.  Already cached
+    arrays are kept.
+    """
+    fresh = [histogram for histogram in histograms if "_cdf_cache" not in vars(histogram)]
+    if not fresh:
+        return
+    counts = np.array([histogram.counts for histogram in fresh], dtype=float)
+    totals = counts.sum(axis=1, keepdims=True)
+    empty = totals[:, 0] <= 0
+    normalized = counts / np.where(empty[:, None], 1.0, totals)
+    normalized[empty] = 1.0 / counts.shape[1]
+    cdfs = np.cumsum(normalized, axis=1)
+    normalized.setflags(write=False)
+    cdfs.setflags(write=False)
+    for histogram, row, cdf in zip(fresh, normalized, cdfs[:, :-1]):
+        cache = vars(histogram)
+        cache.setdefault("_normalized_cache", row)
+        cache.setdefault("_cdf_cache", cdf)
 
 
 def build_histogram(

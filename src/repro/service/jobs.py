@@ -71,7 +71,7 @@ from typing import (
 
 from repro.core.formulations import Formulation
 from repro.errors import ServiceError
-from repro.metrics.histogram import DEFAULT_BINS
+from repro.metrics.histogram import DEFAULT_BINS, MAX_BINS
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -123,9 +123,12 @@ _REQUIRED_NOUNS = {
     "group": "at least one protected-attribute value",
 }
 
-#: Smallest value an integer field accepts, checked at decode so a request
-#: outside its bound never gets a key or reaches compute.
-_MINIMUMS = {"max_depth": 1}
+#: ``(minimum, maximum or None)`` an integer field accepts, checked at decode
+#: so a request outside its bounds never gets a key or reaches compute.
+_BOUNDS: Dict[str, Tuple[Optional[int], Optional[int]]] = {
+    "max_depth": (1, None),
+    "bins": (1, MAX_BINS),
+}
 
 
 class _WrongType(Exception):
@@ -320,10 +323,13 @@ class ServiceRequest:
                 raise ServiceError(
                     f"{self.kind} request needs {_REQUIRED_NOUNS[spec.name]}"
                 )
-            minimum = _MINIMUMS.get(spec.name)
-            if minimum is not None and decoded < minimum:
+            minimum, maximum = _BOUNDS.get(spec.name, (None, None))
+            if (minimum is not None and decoded < minimum) or (
+                maximum is not None and decoded > maximum
+            ):
+                bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
                 raise ServiceError(
-                    f"{self.kind} request field {spec.name!r} must be >= {minimum}, "
+                    f"{self.kind} request field {spec.name!r} must be {bound}, "
                     f"got {decoded}"
                 )
             if decoded is not value:

@@ -30,6 +30,7 @@ from repro.scoring.base import ScoringFunction, frozen_scores
 
 __all__ = [
     "DirectScorer",
+    "reference_bin_codes",
     "reference_breakdown",
     "reference_quantify",
     "reference_statistics",
@@ -55,6 +56,20 @@ class DirectScorer:
 
     def histogram(self, partition: Partition, binning: Optional[Binning] = None) -> Histogram:
         return build_histogram(self.scores(partition), binning=binning)
+
+
+def reference_bin_codes(scores: np.ndarray, binning: Binning) -> np.ndarray:
+    """Per-row bin codes by binary search: the store's codes, computed the slow way.
+
+    Clip into the binning's range, ``searchsorted`` into the edges (right-open
+    bins, last edge inclusive), and give NaN the sentinel code ``bins``.
+    """
+    edges = binning.edges
+    clipped = np.clip(scores, edges[0], edges[-1])
+    codes = np.searchsorted(edges, clipped, side="right") - 1
+    np.clip(codes, 0, binning.bins - 1, out=codes)
+    codes[np.isnan(clipped)] = binning.bins
+    return codes
 
 
 def reference_statistics(partition: Partition, function: ScoringFunction) -> Dict[str, float]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import threading
 
 import numpy as np
@@ -13,15 +14,16 @@ from repro.core.formulations import Formulation, resolve_binning
 from repro.core.partition import Partitioning, root_partition, split_partition
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
-from repro.core.unfairness import unfairness, unfairness_breakdown
+from repro.core.unfairness import pairwise_distances, unfairness, unfairness_breakdown
 from repro.data.dataset import Dataset, Individual
 from repro.data.schema import Schema, observed, protected
-from repro.errors import FormulationError, PartitioningError, ScoringError
+from repro.errors import FormulationError, PartitioningError, ScoringError, WarmStartError
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
-from repro.metrics.histogram import Binning, build_histogram
+from repro.metrics.histogram import MAX_BINS, Binning, Histogram, build_histogram, cache_cdfs
 from repro.scoring.linear import LinearScoringFunction
 from repro.service import AuditRequest, BatchExecutor, FairnessService, QuantifyRequest
 from scoring_reference import (
+    reference_bin_codes,
     reference_breakdown,
     reference_quantify,
     reference_statistics,
@@ -640,3 +642,244 @@ class TestServicePool:
         # One store (and one scoring pass) per distinct (candidates, function)
         # pair — never more than one pass per audited job.
         assert stats.scoring_passes <= len(marketplace)
+
+
+class TableScorer(LinearScoringFunction):
+    """Scores each row from a fixed ``{uid: score}`` table (row-pure)."""
+
+    table: dict = {}
+
+    def score_dataset(self, dataset):
+        return np.array([self.table[uid] for uid in dataset.uids], dtype=float)
+
+
+def _table_population(scores, name="table"):
+    """A ``_CUT_SCHEMA`` population of ``len(scores)`` rows plus its scorer."""
+    size = len(scores)
+    rng = np.random.default_rng(size)
+    columns = {
+        "Gender": rng.choice(["F", "M", "X"], size).tolist(),
+        "Code": rng.integers(0, 4, size).tolist(),
+        "Band": rng.choice(["lo", "mid", "hi"], size).tolist(),
+        "Skill": rng.random(size).round(3).tolist(),
+    }
+    uids = [f"w{position + 1}" for position in range(size)]
+    population = Dataset.from_columns(_CUT_SCHEMA, columns, name=name, uids=uids)
+    scorer = TableScorer({"Skill": 1.0}, name=f"{name}-f")
+    scorer.table = dict(zip(uids, (float(score) for score in scores)))
+    return population, scorer
+
+
+def _edge_scores(binning, seed=0):
+    """Scores on every edge and both of its float neighbours, plus the hostile cases."""
+    edges = binning.edges
+    special = [np.nan, np.inf, -np.inf, edges[0] - 1.0, edges[-1] + 1.0, np.nan]
+    rng = np.random.default_rng(seed)
+    spread = rng.uniform(edges[0] - 0.5, edges[-1] + 0.5, 200)
+    return np.concatenate([
+        special,
+        edges,
+        np.nextafter(edges, -np.inf),
+        np.nextafter(edges, np.inf),
+        spread,
+    ])
+
+
+_KERNEL_BINNINGS = [
+    factory(bins)
+    for bins in (1, 2, 5, 7, 100, 256)
+    for factory in (
+        Binning.unit,
+        lambda bins: Binning(-3.0, 2.0, bins=bins),
+        # Degenerate: low == high widens to one unit around the value.
+        lambda bins: Binning(0.5, 0.5, bins=bins),
+        # A one-ulp range: most edges repeat.
+        lambda bins: Binning(1.0, float(np.nextafter(1.0, 2.0)), bins=bins),
+    )
+]
+
+
+class TestBinCodeKernel:
+    """Counting interior edges equals the searchsorted binning, bin for bin."""
+
+    @pytest.mark.parametrize("binning", _KERNEL_BINNINGS, ids=str)
+    def test_codes_and_histograms_match_the_references(self, binning):
+        scores = _edge_scores(binning)
+        population, scorer = _table_population(scores)
+        store = ScoreStore(population, scorer)
+        codes = store._bin_codes_for(binning)
+        expected = reference_bin_codes(store.vector(), binning)
+        assert codes.dtype == expected.dtype == np.intp
+        assert np.array_equal(codes, expected)
+        assert not codes.flags.writeable
+        root = root_partition(population)
+        direct = build_histogram(scores, binning=binning)
+        assert store.histogram(root, binning).counts == direct.counts
+        # The non-root path gathers the same codes through the child's indices.
+        for child in store.split(root, _CUT_SCHEMA.require_protected("Band")):
+            child_scores = scorer.score_dataset(child.members)
+            direct = build_histogram(child_scores, binning=binning)
+            assert store.histogram(child, binning).counts == direct.counts
+
+    def test_save_load_keeps_int64_bin_codes(self, tmp_path):
+        binnings = (Binning.unit(), Binning(-3.0, 2.0, bins=256))
+        scores = _edge_scores(binnings[1])
+        population, scorer = _table_population(scores)
+        store = ScoreStore(population, scorer)
+        root = root_partition(population)
+        for binning in binnings:
+            store.histogram(root, binning)
+        manifest = store.save(tmp_path)
+        loaded = ScoreStore.load(tmp_path, population, scorer)
+        for entry in manifest["bin_codes"]:
+            binning = Binning.from_json(entry["binning"])
+            raw = np.fromfile(tmp_path / entry["file"], dtype=np.int64)
+            assert raw.size == len(population)
+            assert np.array_equal(raw, store._bin_codes_for(binning))
+            assert np.array_equal(loaded._bin_codes_for(binning), raw)
+        assert sorted(loaded._bin_codes, key=str) == sorted(binnings, key=str)
+
+
+    @pytest.mark.parametrize("section", ["bin_codes", "partitions"])
+    def test_out_of_bounds_bundle_binning_is_refused(
+        self, tmp_path, population, function, section
+    ):
+        # A bundle saved when more than MAX_BINS bins were accepted.
+        store = ScoreStore(population, function)
+        store.histogram(root_partition(population), Binning.unit())
+        store.save(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        entry = manifest[section][0]
+        if section == "partitions":
+            entry = entry["histograms"][0]
+        entry["binning"]["bins"] = MAX_BINS + 1
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(WarmStartError, match="refuses") as raised:
+            ScoreStore.load(tmp_path, population, function)
+        assert raised.value.reason == "manifest"
+
+
+class TestBatchedCdfs:
+    """Batched normalized()/cdf() rows equal each histogram's own, bit for bit."""
+
+    @pytest.mark.parametrize("bins", [1, 2, 5, 256])
+    def test_cached_rows_equal_fresh_histograms(self, bins):
+        rng = np.random.default_rng(bins)
+        population, scorer = _table_population(rng.random(900))
+        genders = population.codes("Gender")
+        # Every "X" row scores NaN: that child's histogram is empty (uniform).
+        x_rows = genders[0] == genders[2]["X"]
+        for uid, is_x in zip(population.uids, x_rows.tolist()):
+            if is_x:
+                scorer.table[uid] = float("nan")
+        store = ScoreStore(population, scorer)
+        binning = Binning.unit(bins)
+        root = root_partition(population)
+        band = store.split(root, _CUT_SCHEMA.require_protected("Band"))
+        checked_empty = False
+        for partition in (root, band[0]):
+            for attribute in _CUT_SCHEMA.protected_names:
+                attr = _CUT_SCHEMA.require_protected(attribute)
+                values, _, histograms = store.candidate_split(partition, attr, binning)
+                cache_cdfs(histograms)
+                for value, histogram in zip(values, histograms):
+                    assert "_cdf_cache" in vars(histogram)
+                    fresh = Histogram(binning=binning, counts=histogram.counts)
+                    assert np.array_equal(histogram.normalized(), fresh.normalized())
+                    assert np.array_equal(histogram.cdf(), fresh.cdf())
+                    assert not histogram.normalized().flags.writeable
+                    assert not histogram.cdf().flags.writeable
+                    if attribute == "Gender" and value == "X":
+                        assert histogram.is_empty
+                        assert np.array_equal(
+                            histogram.normalized(), np.full(bins, 1.0 / bins)
+                        )
+                        checked_empty = True
+        assert checked_empty
+
+    def test_emd_fast_path_batches_its_histograms(self, population, function):
+        store = ScoreStore(population, function)
+        widest = max(
+            population.schema.protected_names,
+            key=lambda name: len(population.codes(name)[1]),
+        )
+        attr = population.schema.require_protected(widest)
+        _, _, histograms = store.candidate_split(root_partition(population), attr, Binning.unit())
+        assert len(histograms) > 2
+        assert not any("_cdf_cache" in vars(histogram) for histogram in histograms)
+        pairwise_distances(histograms, Formulation())
+        # One batch: every cached CDF is a row of one matrix.
+        bases = {id(vars(histogram)["_cdf_cache"].base) for histogram in histograms}
+        assert len(bases) == 1
+
+    def test_cached_arrays_are_kept(self):
+        binning = Binning.unit()
+        first = Histogram(binning=binning, counts=(1, 0, 2, 0, 3))
+        second = Histogram(binning=binning, counts=(0, 0, 0, 0, 0))
+        normalized, cdf = first.normalized(), first.cdf()
+        partial = second.normalized()
+        cache_cdfs([first, second, first])
+        assert first.normalized() is normalized and first.cdf() is cdf
+        assert second.normalized() is partial
+        assert np.array_equal(second.cdf(), np.cumsum(partial)[:-1])
+
+
+class TestRootGrouping:
+    """The root split slices the dataset's own cached grouping."""
+
+    def test_stores_over_one_dataset_share_the_grouping(self, population):
+        first = LinearScoringFunction({"Language Test": 0.2, "Rating": 0.8}, name="g1")
+        second = LinearScoringFunction({"Language Test": 0.9, "Rating": 0.1}, name="g2")
+        root = root_partition(population)
+        for attribute in population.schema.protected_names:
+            attr = population.schema.require_protected(attribute)
+            order, counts = population.grouping(attribute)
+            assert not order.flags.writeable and not counts.flags.writeable
+            codes, _, encode = population.codes(attribute)
+            children = [
+                ScoreStore(population, function).split(root, attr)
+                for function in (first, second)
+            ]
+            for left, right in zip(*children):
+                assert left.members.index.base is order
+                assert right.members.index.base is order
+                code = encode[left.constraint_value(attribute)]
+                assert np.array_equal(left.members.index, np.flatnonzero(codes == code))
+                assert np.array_equal(right.members.index, left.members.index)
+
+    def test_twin_never_reuses_another_datasets_grouping(self):
+        population, scorer = _table_population(np.linspace(0.0, 1.0, 300), name="base")
+        order = np.random.default_rng(3).permutation(len(population)).tolist()
+        uids = population.uids
+        twin = Dataset.from_columns(
+            _CUT_SCHEMA,
+            {
+                name: [population.store[name].decode_range(0, len(population))[row]
+                       for row in order]
+                for name in _CUT_SCHEMA.names
+            },
+            name="twin",
+            uids=[uids[row] for row in order],
+        )
+        store = ScoreStore(population, scorer, trust_uids=True)
+        for attribute in _CUT_SCHEMA.protected_names:
+            attr = _CUT_SCHEMA.require_protected(attribute)
+            assert twin.grouping(attribute)[0] is not population.grouping(attribute)[0]
+            for child in store.split(root_partition(twin), attr):
+                index = child.members.index
+                assert not np.shares_memory(index, population.grouping(attribute)[0])
+                assert not np.shares_memory(index, twin.grouping(attribute)[0])
+                assert np.array_equal(index, _store_rows(store, child.members))
+
+    def test_non_root_split_is_cut_from_its_own_indices(self, population, function):
+        store = ScoreStore(population, function)
+        schema = population.schema
+        names = schema.protected_names
+        for parent in store.split(root_partition(population), schema.require_protected(names[0])):
+            rows = parent.members.index
+            codes, _, encode = population.codes(names[1])
+            for child in store.split(parent, schema.require_protected(names[1])):
+                index = child.members.index
+                code = encode[child.constraint_value(names[1])]
+                assert np.array_equal(index, rows[codes[rows] == code])
+                assert not np.shares_memory(index, population.grouping(names[1])[0])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FormulationError
-from repro.metrics.histogram import DEFAULT_BINS, Binning, Histogram, build_histogram
+from repro.metrics.histogram import DEFAULT_BINS, MAX_BINS, Binning, Histogram, build_histogram
 
 
 class TestBinning:
@@ -22,6 +22,9 @@ class TestBinning:
     def test_invalid_bins(self):
         with pytest.raises(FormulationError):
             Binning(0.0, 1.0, bins=0)
+        with pytest.raises(FormulationError, match=f"at most {MAX_BINS} bins, got 257"):
+            Binning(0.0, 1.0, bins=MAX_BINS + 1)
+        assert Binning(0.0, 1.0, bins=MAX_BINS).edges.size == MAX_BINS + 1
 
     def test_invalid_bounds(self):
         with pytest.raises(FormulationError):

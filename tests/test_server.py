@@ -16,6 +16,7 @@ from repro.core.formulations import MOST_UNFAIR_AVG_EMD
 from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
 from repro.errors import ServiceError
 from repro.experiments.workloads import crowdsourcing_marketplace
+from repro.metrics.histogram import MAX_BINS
 from repro.scoring.linear import LinearScoringFunction
 from repro.server import REQUEST_ENDPOINTS, FairnessHTTPServer, HTTPFairnessClient
 from repro.server.http import MAX_BODY_BYTES
@@ -236,6 +237,20 @@ class TestErrorMapping:
         assert payload["error"] == {
             "code": "service",
             "message": f"{kind} request field 'max_depth' must be >= 1, got {max_depth}",
+        }
+
+    @pytest.mark.parametrize("bins", [0, MAX_BINS + 1])
+    def test_bins_outside_bounds_is_400_naming_the_bound(self, server, bins):
+        body = {"dataset": "table1", "function": "table1-f", "bins": bins}
+        status, payload = raw_call(
+            server, "/v2/quantify", method="POST", body=json.dumps(body).encode()
+        )
+        assert status == 400
+        assert payload["error"] == {
+            "code": "service",
+            "message": (
+                f"quantify request field 'bins' must be in [1, {MAX_BINS}], got {bins}"
+            ),
         }
 
     def test_unknown_endpoint_is_404(self, server):

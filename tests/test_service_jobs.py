@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.core.formulations import Aggregation, Objective
 from repro.errors import ServiceError
+from repro.metrics.histogram import DEFAULT_BINS, MAX_BINS
 from repro.service.jobs import (
     AuditRequest,
     CompareRequest,
@@ -79,6 +81,34 @@ class TestMaxDepthBound:
     def test_null_and_positive_depths_decode(self, kind, max_depth):
         payload = {"kind": kind, **self.PAYLOADS[kind], "max_depth": max_depth}
         assert request_from_json(payload).max_depth == max_depth
+
+
+class TestBinsBound:
+    """``bins`` outside [1, MAX_BINS] is refused at decode, naming kind, field and bounds."""
+
+    PAYLOADS = {
+        "quantify": {"dataset": "d", "function": "f"},
+        "audit": {"marketplace": "m"},
+        "compare": {"dataset": "d", "functions": ["f", "g"]},
+        "breakdown": {"dataset": "d", "function": "f"},
+        "sweep": {"dataset": "d", "function": "f"},
+        "end_user": {"group": {"Gender": "F"}, "marketplaces": ["m"], "job": "j"},
+        "job_owner": {"marketplace": "m", "job": "j"},
+    }
+
+    @pytest.mark.parametrize("bins", [0, -1, MAX_BINS + 1, 10**9])
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    def test_outside_bounds_is_refused(self, kind, bins):
+        payload = {"kind": kind, **self.PAYLOADS[kind], "bins": bins}
+        message = f"{kind} request field 'bins' must be in [1, {MAX_BINS}], got {bins}"
+        with pytest.raises(ServiceError, match=re.escape(message)):
+            request_from_json(payload)
+
+    @pytest.mark.parametrize("bins", [1, DEFAULT_BINS, MAX_BINS])
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    def test_bounds_decode(self, kind, bins):
+        payload = {"kind": kind, **self.PAYLOADS[kind], "bins": bins}
+        assert request_from_json(payload).bins == bins
 
 
 class TestAuditRequest:
