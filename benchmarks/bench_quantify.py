@@ -22,6 +22,12 @@ pins the perf trajectory of that layer:
   weight vector over one 100k-row population (``min_partition_size``
   2000, mostly the root split), QUANTIFY plus breakdown through a fresh
   store, checked against the reference every round; the median is recorded;
+* **root-candidates leg** — at 100k rows, the six root candidate splits
+  of a fresh store (its attributes counted in packs, one ``bincount`` per
+  pack) must equal the per-attribute reference
+  (``reference_candidate_split``) and take no longer than its counting
+  alone (``reference_candidate_counts``, one ``bincount`` per attribute);
+  both medians are recorded;
 * **bins leg** — at 100k rows, the store's per-row bin codes (one count
   of interior edges per row) must equal the ``searchsorted`` reference
   (``reference_bin_codes``) and be no slower than it, at the default 5
@@ -46,6 +52,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.partition import root_partition
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import unfairness_breakdown
@@ -62,6 +69,8 @@ from benchmarks.results import REPO_ROOT, write_results
 from tests.scoring_reference import (
     reference_bin_codes,
     reference_breakdown,
+    reference_candidate_counts,
+    reference_candidate_split,
     reference_quantify,
 )
 
@@ -81,6 +90,10 @@ COLUMNAR_ROUNDS = 3
 WHATIF_POPULATION = 100_000
 WHATIF_MIN_PARTITION = 2000
 WHATIF_ROUNDS = 9
+
+#: The root-candidates leg (the six root candidate splits at 100k rows).
+ROOT_POPULATION = 100_000
+ROOT_ROUNDS = 9
 
 #: The bins leg (per-row bin codes of one 100k-row score vector).
 BINS_POPULATION = 100_000
@@ -302,6 +315,69 @@ def test_whatif_leg():
                 "min_partition_size": WHATIF_MIN_PARTITION,
                 "rounds": WHATIF_ROUNDS,
                 "median_ms": round(median * 1000, 2),
+                "identical_results": True,
+            }
+        }
+    )
+
+
+def test_root_candidates_leg():
+    """The root's six candidate splits at 100k rows: packed vs. per attribute.
+
+    Each round takes a fresh store under a fresh function, its vector and
+    bin codes made untimed, and times its six ``candidate_split`` calls
+    (attributes counted in packs, then the results built) against the
+    per-attribute reference counting the same bin codes, alternately.
+    Every candidate's values, sizes and counts must equal the reference,
+    and the packed side must be no slower even though only it builds
+    results.
+    """
+    dataset = synthetic_population(size=ROOT_POPULATION, seed=SEED)
+    schema = dataset.schema
+    attrs = [schema.require_protected(name) for name in schema.protected_names]
+    binning = Binning.unit()
+    root = root_partition(dataset)
+    packed_s: List[float] = []
+    reference_s: List[float] = []
+    for round_index in range(ROOT_ROUNDS + 1):
+        share = 0.05 + 0.9 * round_index / ROOT_ROUNDS
+        function = LinearScoringFunction(
+            {"Language Test": share, "Rating": 1.0 - share}, name=f"root-{round_index}"
+        )
+        store = ScoreStore(dataset, function)
+        codes = store._bin_codes_for(binning)
+        started = time.perf_counter()
+        packed = [store.candidate_split(root, attr, binning) for attr in attrs]
+        took_packed = time.perf_counter() - started
+        started = time.perf_counter()
+        for attr in attrs:
+            reference_candidate_counts(dataset, attr, codes, binning)
+        took_reference = time.perf_counter() - started
+        for attr, candidates in zip(attrs, packed):
+            reference = reference_candidate_split(
+                dataset, attr, reference_bin_codes(store.vector(), binning), binning
+            )
+            assert candidates[:2] == reference[:2]
+            assert [h.counts for h in candidates[2]] == [h.counts for h in reference[2]]
+        if round_index:  # round 0 builds the dataset's codings and packs
+            packed_s.append(took_packed)
+            reference_s.append(took_reference)
+    packed_ms = statistics.median(packed_s) * 1000
+    reference_ms = statistics.median(reference_s) * 1000
+    print()
+    print(
+        f"root candidates {ROOT_POPULATION} rows: packed {packed_ms:.3f}ms, "
+        f"per attribute {reference_ms:.3f}ms ({len(attrs)} attributes)"
+    )
+    assert packed_ms <= reference_ms
+    _write_results(
+        {
+            "root_candidates_100k": {
+                "population": ROOT_POPULATION,
+                "attributes": len(attrs),
+                "rounds": ROOT_ROUNDS,
+                "packed_ms": round(packed_ms, 3),
+                "per_attribute_ms": round(reference_ms, 3),
                 "identical_results": True,
             }
         }

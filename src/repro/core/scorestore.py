@@ -24,9 +24,20 @@ tree node, every sibling histogram re-walks the same individuals.  The
   the winning split is one stable ``argsort`` of the partition's codes, cut
   into one contiguous slice per child, instead of a Python group-by.  The
   root partition's indices are ``arange(n)``, so there the full code arrays
-  are read directly, with no gather.  The children's member datasets are
-  :class:`~repro.data.dataset.DatasetView` index views of the store's
-  dataset — a losing candidate split never copies a column;
+  are read directly, with no gather, and the root's candidates are counted
+  in **packs**: protected attributes in ascending cardinality order (the
+  name breaks ties) share one mixed-radix code
+  (:meth:`~repro.data.dataset.Dataset.packed_codes`, cached per dataset)
+  while the product of their cardinalities × ``(bins + 1)`` stays within
+  the row count, so one ``bincount`` over (value combination × bin code)
+  counts the whole pack, no larger than its input, and each attribute's
+  counts are an exact integer marginal of it.  Nodes below the root keep
+  one gather and ``bincount`` per attribute: a pack code there must be
+  rebuilt from gathered codes per node, which measured slower below ~10k
+  rows, and a cold search rarely reaches a larger non-root node.  The
+  children's member datasets are :class:`~repro.data.dataset.DatasetView`
+  index views of the store's dataset — a losing candidate split never
+  copies a column;
 * the memo is **bounded** (LRU over partitions) so a long-lived service
   store cannot grow without limit, and every counter needed to audit the
   layer (scoring passes, slices, hits/misses/evictions) is exposed as an
@@ -189,9 +200,9 @@ class ScoreStore:
         self._lock = threading.RLock()
         self._vector: Optional[np.ndarray] = None
         self._row_index: Optional[Dict[str, int]] = None
-        # arange(n): the root entry's indices, one shared read-only array.
-        self._root = np.arange(len(dataset), dtype=np.intp)
-        self._root.setflags(write=False)
+        # arange(n): the root entry's indices, shared by every store over
+        # the dataset.
+        self._root = dataset.positions()
         self._partitions: "OrderedDict[object, _Entry]" = OrderedDict()
         # attribute name -> (per-row codes, code -> value, value -> code,
         # code -> member-dataset name suffix); see _attribute_codes.
@@ -288,8 +299,6 @@ class ScoreStore:
         rebuilt between requests share one scoring pass.  Anything else
         raises :class:`~repro.errors.PartitioningError`.
         """
-        if members is self.dataset:
-            return self._root
         indices = members.indices_in(self.dataset)
         if indices is not None:
             return indices
@@ -389,6 +398,10 @@ class ScoreStore:
         only the winning attribute ever becomes real :class:`Partition`
         objects (via :meth:`split`).  Results are memoised per
         ``(partition, attribute, binning)``.
+
+        At the root the ``bincount`` counts the attribute's whole pack and
+        memoises every attribute in it (:meth:`_root_candidates`), so the
+        pack's other candidates are memo hits.
         """
         entry = self._entry(partition)
         memo_key = (attr.name, binning)
@@ -397,30 +410,71 @@ class ScoreStore:
             if cached is not None:
                 self._histogram_hits += len(cached[2])
                 return cached
+        if partition.members is self.dataset:
+            # The root's indices are arange(n): read the full arrays directly.
+            return self._root_candidates(entry, attr, binning)
         codes, decode, encode, _ = self._attribute_codes(attr.name)
-        ordered_all = self._ordered_values(attr)
         # Stride bins + 1: bin codes include the NaN sentinel ``bins``, which
         # must not spill into the next value's bin 0.
         stride = binning.bins + 1
-        if partition.members is self.dataset:
-            # The root's indices are arange(n): read the full arrays directly.
-            cells = codes * stride
-            cells += self._bin_codes_for(binning)
-        else:
-            bin_sub = entry.bin_slices.get(binning)
-            if bin_sub is None:
-                bin_sub = self._bin_codes_for(binning)[entry.indices]
-                entry.bin_slices[binning] = bin_sub
-            cells = codes[entry.indices] * stride
-            cells += bin_sub
+        bin_sub = entry.bin_slices.get(binning)
+        if bin_sub is None:
+            # Widened once per node, so the add at each candidate is same-type.
+            bin_sub = self._bin_codes_for(binning)[entry.indices].astype(np.intp)
+            entry.bin_slices[binning] = bin_sub
+        cells = codes[entry.indices] * stride
+        cells += bin_sub
         counts = np.bincount(cells, minlength=len(decode) * stride)
-        counts = counts.reshape(len(decode), stride)
+        result = self._candidates(attr, binning, counts.reshape(len(decode), stride), encode)
+        with self._lock:
+            result = entry.candidates.setdefault(memo_key, result)
+            self._histogram_misses += len(result[2])
+            return result
+
+    def _root_candidates(
+        self, entry: _Entry, attr: Attribute, binning: Binning
+    ) -> Tuple[Tuple[object, ...], Tuple[int, ...], Tuple[Histogram, ...]]:
+        """Candidate splits of the root on ``attr``'s whole pack, all memoised.
+
+        One ``bincount`` over (pack value combination × bin code) of the
+        full arrays (see :func:`_root_packs`); each attribute's (value ×
+        bin) counts are the exact integer sum over the pack's other axes.
+        """
+        stride = binning.bins + 1
+        pack = next(
+            (pack for pack in _root_packs(self.dataset, stride) if attr.name in pack),
+            (attr.name,),
+        )
+        codings = [self._attribute_codes(name) for name in pack]
+        shape = tuple(len(coding[1]) for coding in codings) + (stride,)
+        cells = self.dataset.packed_codes(pack) * stride
+        cells += self._bin_codes_for(binning)
+        counts = np.bincount(cells, minlength=int(np.prod(shape))).reshape(shape)
+        schema = self.dataset.schema
+        results = []
+        for axis, (name, coding) in enumerate(zip(pack, codings)):
+            others = tuple(other for other in range(len(pack)) if other != axis)
+            pack_attr = attr if name == attr.name else schema.attribute(name)
+            results.append(
+                (name, self._candidates(pack_attr, binning, counts.sum(axis=others), coding[2]))
+            )
+        with self._lock:
+            for name, result in results:
+                entry.candidates.setdefault((name, binning), result)
+            result = entry.candidates[(attr.name, binning)]
+            self._histogram_misses += len(result[2])
+            return result
+
+    def _candidates(
+        self, attr: Attribute, binning: Binning, counts: np.ndarray, encode: Dict[object, int]
+    ) -> Tuple[Tuple[object, ...], Tuple[int, ...], Tuple[Histogram, ...]]:
+        """One candidate split from its (value code × bin code) count matrix."""
         # Sizes count members (including NaN-scored ones); histogram counts
         # drop the sentinel column, matching build_histogram's NaN handling.
         sizes = counts.sum(axis=1).tolist()
         counts_list = counts[:, : binning.bins].tolist()
         # order_values over a subset is a filter of the full ordering.
-        ordered = tuple(value for value in ordered_all if sizes[encode[value]])
+        ordered = tuple(value for value in self._ordered_values(attr) if sizes[encode[value]])
         child_sizes = []
         histograms = []
         for value in ordered:
@@ -432,11 +486,7 @@ class ScoreStore:
             object.__setattr__(histogram, "binning", binning)
             object.__setattr__(histogram, "counts", tuple(counts_list[code]))
             histograms.append(histogram)
-        result = (ordered, tuple(child_sizes), tuple(histograms))
-        with self._lock:
-            result = entry.candidates.setdefault(memo_key, result)
-            self._histogram_misses += len(result[2])
-            return result
+        return ordered, tuple(child_sizes), tuple(histograms)
 
     def split(self, partition: "Partition", attr: Attribute) -> Tuple["Partition", ...]:
         """Children of ``partition`` split on ``attr``, via index operations.
@@ -559,6 +609,8 @@ class ScoreStore:
         costs one comparison per row and interior edge, far less than a
         binary search on unsorted keys; the count fits ``uint8`` because a
         binning has at most :data:`~repro.metrics.histogram.MAX_BINS` bins.
+        The codes stay that narrow in memory: ``uint8``, or ``uint16`` when
+        the sentinel needs it (256 bins).
         """
         cached = self._bin_codes.get(binning)
         if cached is not None:
@@ -566,12 +618,12 @@ class ScoreStore:
         vector = self.vector()
         edges = binning.edges
         clipped = np.clip(vector, edges[0], edges[-1])
-        counts = np.zeros(clipped.size, dtype=np.uint8)
+        codes = np.zeros(clipped.size, dtype=np.uint8)
         at_or_above = np.empty(clipped.size, dtype=bool)
         for edge in edges[1:-1].tolist():
             np.greater_equal(clipped, edge, out=at_or_above)
-            counts += at_or_above.view(np.uint8)
-        codes = counts.astype(np.intp)
+            codes += at_or_above.view(np.uint8)
+        codes = codes.astype(_bin_code_dtype(binning.bins), copy=False)
         nan_rows = np.isnan(clipped)
         if nan_rows.any():
             codes[nan_rows] = binning.bins
@@ -779,7 +831,9 @@ class ScoreStore:
                         f"[0, {binning.bins}] (corrupted bundle)",
                         reason="truncated",
                     )
-                store._bin_codes[binning] = codes.astype(np.intp, copy=False)
+                codes = codes.astype(_bin_code_dtype(binning.bins))
+                codes.setflags(write=False)
+                store._bin_codes[binning] = codes
             for entry in manifest["partitions"]:  # type: ignore[union-attr]
                 key = tuple(
                     (str(attribute), value) for attribute, value in entry["key"]
@@ -835,6 +889,36 @@ class ScoreStore:
         """Iterate over the memoised partition keys (oldest first)."""
         with self._lock:
             return iter(list(self._partitions))
+
+
+def _root_packs(dataset: Dataset, stride: int) -> Tuple[Tuple[str, ...], ...]:
+    """The dataset's protected attributes grouped for counting at the root.
+
+    Attributes in ascending cardinality order (the name breaks ties) join
+    the current pack while the product of its cardinalities × ``stride``
+    stays within the row count, so a pack's ``bincount`` output is no
+    larger than its input; an attribute that does not fit starts the next
+    pack, alone if it alone exceeds the bound.
+    """
+    rows = len(dataset)
+    cardinality = {
+        name: len(dataset.codes(name)[1]) for name in dataset.schema.protected_names
+    }
+    packs: List[List[str]] = []
+    cells = 0
+    for name in sorted(cardinality, key=lambda name: (cardinality[name], name)):
+        if packs and cells * cardinality[name] <= rows:
+            packs[-1].append(name)
+            cells *= cardinality[name]
+        else:
+            packs.append([name])
+            cells = cardinality[name] * stride
+    return tuple(tuple(pack) for pack in packs)
+
+
+def _bin_code_dtype(bins: int) -> np.dtype:
+    """The narrowest unsigned type holding every bin code, the sentinel ``bins`` too."""
+    return np.min_scalar_type(bins)
 
 
 def _bundle_binning(payload: Dict[str, object]) -> Binning:

@@ -311,7 +311,7 @@ class Dataset:
         content equality is never enough.
         """
         if ancestor is self:
-            return np.arange(len(self), dtype=np.intp)
+            return self.positions()
         return None
 
     @property
@@ -459,6 +459,46 @@ class Dataset:
         order.setflags(write=False)
         with _lazy_lock:
             return cache.setdefault(name, (order, counts))
+
+    def packed_codes(self, names: Tuple[str, ...]) -> np.ndarray:
+        """Mixed-radix coding of several attributes: one code per value combination.
+
+        Row ``r`` holds ``(codes_0[r] * k_1 + codes_1[r]) * k_2 + ...`` over
+        the :meth:`codes` of ``names`` in order, ``k_i`` being the number of
+        distinct values of ``names[i]``; a ``bincount`` of it reshaped to
+        ``(k_0, k_1, ...)`` counts every combination, and summing away the
+        other axes gives one attribute's counts.  The caller keeps the
+        product of the ``k_i`` within ``int64``.  A single name's packing is
+        its codes.  Read-only and cached once per tuple of names.
+        """
+        cache: Dict[Tuple[str, ...], np.ndarray]
+        cache = self.__dict__.setdefault("_packed_cache", {})
+        cached = cache.get(names)
+        if cached is not None:
+            return cached
+        packed = self.codes(names[0])[0]
+        if len(names) > 1:
+            packed = packed.copy()
+            for name in names[1:]:
+                codes, decode, _ = self.codes(name)
+                packed *= len(decode)
+                packed += codes
+            packed.setflags(write=False)
+        with _lazy_lock:
+            return cache.setdefault(names, packed)
+
+    def positions(self) -> np.ndarray:
+        """Read-only ``arange(n)``: every row's position, cached once per dataset.
+
+        The root partition's indices in every score store over this dataset.
+        """
+        positions = self.__dict__.get("_positions")
+        if positions is None:
+            positions = np.arange(len(self), dtype=np.intp)
+            positions.setflags(write=False)
+            with _lazy_lock:
+                positions = self.__dict__.setdefault("_positions", positions)
+        return positions
 
     def value_counts(self, name: str) -> Dict[object, int]:
         """Return a value -> count mapping for attribute ``name``.
@@ -674,7 +714,7 @@ class DatasetView(Dataset):
 
     def indices_in(self, ancestor: Dataset) -> Optional[np.ndarray]:
         if ancestor is self:
-            return np.arange(len(self), dtype=np.intp)
+            return self.positions()
         if self.parent is ancestor:
             return self.index
         within = self.parent.indices_in(ancestor)

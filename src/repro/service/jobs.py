@@ -74,6 +74,7 @@ from repro.errors import ServiceError
 from repro.metrics.histogram import DEFAULT_BINS, MAX_BINS
 
 __all__ = [
+    "MAX_SWEEP_POINTS",
     "PROTOCOL_VERSION",
     "QuantifyRequest",
     "AuditRequest",
@@ -112,6 +113,11 @@ Reference = Tuple[str, str]
 #: Points of an automatic sweep when a request does not say.
 _DEFAULT_SWEEP_STEPS = 5
 
+#: The most points one sweep request evaluates, each a full QUANTIFY:
+#: bounds a sweep's ``steps``, a job owner's ``sweep_steps`` and the number
+#: of explicit ``weights`` vectors alike.
+MAX_SWEEP_POINTS = 64
+
 #: What an empty required field leaves a request without.
 _REQUIRED_NOUNS = {
     "dataset": "a dataset name",
@@ -123,11 +129,15 @@ _REQUIRED_NOUNS = {
     "group": "at least one protected-attribute value",
 }
 
-#: ``(minimum, maximum or None)`` an integer field accepts, checked at decode
-#: so a request outside its bounds never gets a key or reaches compute.
+#: ``(minimum or None, maximum or None)`` a field accepts, checked at decode
+#: so a request outside its bounds never gets a key or reaches compute.  An
+#: integer field is bounded by its value, an array field by its length.
 _BOUNDS: Dict[str, Tuple[Optional[int], Optional[int]]] = {
     "max_depth": (1, None),
     "bins": (1, MAX_BINS),
+    "steps": (None, MAX_SWEEP_POINTS),
+    "sweep_steps": (None, MAX_SWEEP_POINTS),
+    "weights": (None, MAX_SWEEP_POINTS),
 }
 
 
@@ -324,13 +334,20 @@ class ServiceRequest:
                     f"{self.kind} request needs {_REQUIRED_NOUNS[spec.name]}"
                 )
             minimum, maximum = _BOUNDS.get(spec.name, (None, None))
-            if (minimum is not None and decoded < minimum) or (
-                maximum is not None and decoded > maximum
+            sized = isinstance(decoded, tuple)
+            measure = len(decoded) if sized else decoded
+            if (minimum is not None and measure < minimum) or (
+                maximum is not None and measure > maximum
             ):
-                bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
+                if maximum is None:
+                    bound = f">= {minimum}"
+                elif minimum is None:
+                    bound = f"<= {maximum}"
+                else:
+                    bound = f"in [{minimum}, {maximum}]"
                 raise ServiceError(
-                    f"{self.kind} request field {spec.name!r} must be {bound}, "
-                    f"got {decoded}"
+                    f"{self.kind} request field {spec.name!r} must "
+                    f"{'have length' if sized else 'be'} {bound}, got {measure}"
                 )
             if decoded is not value:
                 object.__setattr__(self, spec.name, decoded)

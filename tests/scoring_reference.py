@@ -24,7 +24,8 @@ from repro.core.partition import Partition, Partitioning, root_partition, split_
 from repro.core.quantify import QuantifyResult
 from repro.core.tree import PartitionNode, PartitionTree
 from repro.core.unfairness import UnfairnessBreakdown, pairwise_distances
-from repro.data.dataset import Dataset
+from repro.data.dataset import Dataset, order_values
+from repro.data.schema import Attribute
 from repro.metrics.histogram import Binning, Histogram, build_histogram
 from repro.scoring.base import ScoringFunction, frozen_scores
 
@@ -32,6 +33,8 @@ __all__ = [
     "DirectScorer",
     "reference_bin_codes",
     "reference_breakdown",
+    "reference_candidate_counts",
+    "reference_candidate_split",
     "reference_quantify",
     "reference_statistics",
     "reference_unfairness",
@@ -70,6 +73,58 @@ def reference_bin_codes(scores: np.ndarray, binning: Binning) -> np.ndarray:
     np.clip(codes, 0, binning.bins - 1, out=codes)
     codes[np.isnan(clipped)] = binning.bins
     return codes
+
+
+def reference_candidate_counts(
+    dataset: Dataset,
+    attr: Attribute,
+    bin_codes: np.ndarray,
+    binning: Binning,
+    rows: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """(value code × bin code) counts of one attribute: one ``bincount`` per attribute.
+
+    The score store's kernel before it counted root attributes in packs,
+    over the rows at ``rows`` (every row when ``None``); ``bin_codes`` are
+    per-row codes of ``dataset``'s full score vector (see
+    :func:`reference_bin_codes`).  Column ``bins`` holds the NaN-scored rows.
+    """
+    codes, decode, _ = dataset.codes(attr.name)
+    stride = binning.bins + 1
+    if rows is None:
+        cells = codes * stride
+        cells += bin_codes
+    else:
+        cells = codes[rows] * stride
+        cells += bin_codes[rows]
+    counts = np.bincount(cells, minlength=len(decode) * stride)
+    return counts.reshape(len(decode), stride)
+
+
+def reference_candidate_split(
+    dataset: Dataset,
+    attr: Attribute,
+    bin_codes: np.ndarray,
+    binning: Binning,
+    rows: Optional[np.ndarray] = None,
+) -> Tuple[Tuple[object, ...], Tuple[int, ...], Tuple[Histogram, ...]]:
+    """One candidate split from :func:`reference_candidate_counts`.
+
+    Returns ``(ordered values, sizes, histograms)`` like
+    ``ScoreStore.candidate_split``; sizes count NaN-scored members too.
+    """
+    _, decode, encode = dataset.codes(attr.name)
+    counts = reference_candidate_counts(dataset, attr, bin_codes, binning, rows)
+    sizes = counts.sum(axis=1).tolist()
+    ordered = tuple(value for value in order_values(attr, decode) if sizes[encode[value]])
+    return (
+        ordered,
+        tuple(sizes[encode[value]] for value in ordered),
+        tuple(
+            Histogram(binning=binning, counts=tuple(counts[encode[value], : binning.bins].tolist()))
+            for value in ordered
+        ),
+    )
 
 
 def reference_statistics(partition: Partition, function: ScoringFunction) -> Dict[str, float]:

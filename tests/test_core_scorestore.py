@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import threading
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from repro.core.formulations import Formulation, resolve_binning
 from repro.core.partition import Partitioning, root_partition, split_partition
 from repro.core.quantify import quantify
-from repro.core.scorestore import ScoreStore
+from repro.core.scorestore import ScoreStore, _root_packs
 from repro.core.unfairness import pairwise_distances, unfairness, unfairness_breakdown
 from repro.data.dataset import Dataset, Individual
 from repro.data.schema import Schema, observed, protected
@@ -25,6 +26,7 @@ from repro.service import AuditRequest, BatchExecutor, FairnessService, Quantify
 from scoring_reference import (
     reference_bin_codes,
     reference_breakdown,
+    reference_candidate_split,
     reference_quantify,
     reference_statistics,
     reference_unfairness,
@@ -687,7 +689,7 @@ def _edge_scores(binning, seed=0):
 
 _KERNEL_BINNINGS = [
     factory(bins)
-    for bins in (1, 2, 5, 7, 100, 256)
+    for bins in (1, 2, 5, 7, 100, 255, 256)
     for factory in (
         Binning.unit,
         lambda bins: Binning(-3.0, 2.0, bins=bins),
@@ -709,7 +711,8 @@ class TestBinCodeKernel:
         store = ScoreStore(population, scorer)
         codes = store._bin_codes_for(binning)
         expected = reference_bin_codes(store.vector(), binning)
-        assert codes.dtype == expected.dtype == np.intp
+        # Narrow in memory: uint8, uint16 once the NaN sentinel (bins) needs it.
+        assert codes.dtype == (np.uint8 if binning.bins < 256 else np.uint16)
         assert np.array_equal(codes, expected)
         assert not codes.flags.writeable
         root = root_partition(population)
@@ -737,6 +740,7 @@ class TestBinCodeKernel:
             assert raw.size == len(population)
             assert np.array_equal(raw, store._bin_codes_for(binning))
             assert np.array_equal(loaded._bin_codes_for(binning), raw)
+            assert loaded._bin_codes_for(binning).dtype == store._bin_codes_for(binning).dtype
         assert sorted(loaded._bin_codes, key=str) == sorted(binnings, key=str)
 
 
@@ -883,3 +887,137 @@ class TestRootGrouping:
                 code = encode[child.constraint_value(names[1])]
                 assert np.array_equal(index, rows[codes[rows] == code])
                 assert not np.shares_memory(index, population.grouping(names[1])[0])
+
+
+def _triples(candidates):
+    """A candidate split as plain values: (values, sizes, (binning, counts) per child)."""
+    values, sizes, histograms = candidates
+    return values, sizes, tuple((h.binning, h.counts) for h in histograms)
+
+
+@st.composite
+def packed_cases(draw):
+    """A population, its hostile scorer and a bin count for the packed root."""
+    size = draw(st.integers(min_value=1, max_value=700))
+    # "Code" spans one value up to more than 256 of them.
+    code_range = draw(st.sampled_from([1, 2, 40, 1000]))
+    bins = draw(st.sampled_from([1, 5, 256]))
+    nan_every = draw(st.sampled_from([0, 3]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    columns = {
+        "Gender": rng.choice(["F", "M", "X"], size).tolist(),
+        "Code": rng.integers(0, code_range, size).tolist(),
+        "Band": rng.choice(["lo", "hi"], size).tolist(),
+        "Skill": rng.random(size).round(3).tolist(),
+    }
+    uids = [f"w{position + 1}" for position in range(size)]
+    population = Dataset.from_columns(_CUT_SCHEMA, columns, name="packed", uids=uids)
+    # Scores outside the unit binning on both sides, and NaN.
+    scores = rng.uniform(-0.5, 1.5, size)
+    if nan_every:
+        scores[::nan_every] = np.nan
+    scorer = TableScorer({"Skill": 1.0}, name="packed-f")
+    scorer.table = dict(zip(uids, scores.tolist()))
+    # Uid-mapped twins a trusted store accepts: all rows shuffled, and a subset.
+    twins = []
+    for rows in (rng.permutation(size), np.flatnonzero(rng.random(size) < 0.5)):
+        twins.append(Dataset.from_columns(
+            _CUT_SCHEMA,
+            {name: [values[row] for row in rows.tolist()] for name, values in columns.items()},
+            name="twin",
+            uids=[uids[row] for row in rows.tolist()],
+        ))
+    return population, scorer, Binning.unit(bins), twins
+
+
+class TestPackedRootCandidates:
+    """Root candidates counted per pack equal one bincount per attribute."""
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(packed_cases())
+    def test_packed_root_equals_the_per_attribute_oracle(self, case):
+        population, scorer, binning, twins = case
+        names = _CUT_SCHEMA.protected_names
+        stride = binning.bins + 1
+
+        def oracle(dataset, name, rows=None):
+            codes = reference_bin_codes(np.asarray(scorer.score_dataset(dataset)), binning)
+            attr = _CUT_SCHEMA.require_protected(name)
+            return _triples(reference_candidate_split(dataset, attr, codes, binning, rows))
+
+        # A trusted store fed uid-mapped twins: their roots gather, and no
+        # dataset's packs are built for them.
+        trusted = ScoreStore(population, scorer, trust_uids=True)
+        for twin in twins:
+            if len(twin):
+                for name in names:
+                    attr = _CUT_SCHEMA.require_protected(name)
+                    got = trusted.candidate_split(root_partition(twin), attr, binning)
+                    assert _triples(got) == oracle(twin, name)
+        for dataset in [population, *twins]:
+            assert "_packed_cache" not in vars(dataset)
+
+        # The pack rule: ascending cardinality (name breaks ties), greedy,
+        # and a pack's cells x stride never exceed the rows.
+        packs = _root_packs(population, stride)
+        cardinality = {name: len(population.codes(name)[1]) for name in names}
+        flat = [name for pack in packs for name in pack]
+        assert flat == sorted(names, key=lambda name: (cardinality[name], name))
+        cells = [math.prod(cardinality[name] for name in pack) * stride for pack in packs]
+        for pack, pack_cells in zip(packs, cells):
+            assert len(pack) == 1 or pack_cells <= len(population)
+        for pack_cells, following in zip(cells, packs[1:]):
+            assert pack_cells * cardinality[following[0]] > len(population)
+        for name in names:
+            if cardinality[name] * stride > len(population):
+                assert (name,) in packs
+
+        # The packed root: the first attribute of a pack counts it, the rest
+        # are memo hits, and every attribute equals the oracle.
+        store = ScoreStore(population, scorer)
+        root = root_partition(population)
+        for pack in packs:
+            for position, name in enumerate(pack):
+                before = store.stats
+                got = store.candidate_split(root, _CUT_SCHEMA.require_protected(name), binning)
+                after = store.stats
+                if position:
+                    assert after.histogram_misses == before.histogram_misses
+                    assert after.histogram_hits == before.histogram_hits + len(got[2])
+                else:
+                    assert after.histogram_misses == before.histogram_misses + len(got[2])
+                assert _triples(got) == oracle(population, name)
+
+        # Children seeded from a pack's memo: the winner was never requested.
+        for pack in packs:
+            if len(pack) < 2:
+                continue
+            seeded = ScoreStore(population, scorer)
+            first, second = (_CUT_SCHEMA.require_protected(name) for name in pack[:2])
+            seeded.candidate_split(root, first, binning)
+            for child in seeded.split(root, second):
+                before = seeded.stats.histogram_hits
+                histogram = seeded.histogram(child, binning)
+                assert seeded.stats.histogram_hits == before + 1
+                direct = build_histogram(
+                    np.asarray(scorer.score_dataset(child.members)), binning=binning
+                )
+                assert histogram.counts == direct.counts
+                # Below the root, the gather path.
+                got = seeded.candidate_split(child, first, binning)
+                assert _triples(got) == oracle(population, first.name, child.members.index)
+
+    @pytest.mark.parametrize("attributes", [("Code",), ("Band", "Gender")])
+    @pytest.mark.parametrize("bins", [1, 5, 256])
+    def test_restricted_search_matches_the_reference(self, attributes, bins):
+        rng = np.random.default_rng(bins)
+        scores = rng.uniform(-0.5, 1.5, 600)
+        scores[::7] = np.nan
+        population, scorer = _table_population(scores)
+        formulation = Formulation(bins=bins)
+        result = quantify(population, scorer, formulation, attributes=attributes)
+        reference = reference_quantify(population, scorer, formulation, attributes=attributes)
+        assert result.summary() == reference.summary()
+        assert result.unfairness == reference.unfairness
+        assert result.partitioning.labels == reference.partitioning.labels
+        assert result.partitioning.sizes == reference.partitioning.sizes

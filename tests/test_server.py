@@ -20,6 +20,7 @@ from repro.metrics.histogram import MAX_BINS
 from repro.scoring.linear import LinearScoringFunction
 from repro.server import REQUEST_ENDPOINTS, FairnessHTTPServer, HTTPFairnessClient
 from repro.server.http import MAX_BODY_BYTES
+from repro.service.jobs import MAX_SWEEP_POINTS
 from repro.service import (
     AuditRequest,
     FairnessClient,
@@ -252,6 +253,32 @@ class TestErrorMapping:
                 f"quantify request field 'bins' must be in [1, {MAX_BINS}], got {bins}"
             ),
         }
+
+    @pytest.mark.parametrize(
+        "kind, body, message",
+        [
+            ("sweep", {"dataset": "table1", "function": "table1-f", "steps": 100_000},
+             f"sweep request field 'steps' must be <= {MAX_SWEEP_POINTS}, got 100000"),
+            ("sweep", {"dataset": "table1", "function": "table1-f",
+                       "weights": [{"Rating": 1.0}] * (MAX_SWEEP_POINTS + 1)},
+             f"sweep request field 'weights' must have length <= {MAX_SWEEP_POINTS}, "
+             f"got {MAX_SWEEP_POINTS + 1}"),
+            ("job_owner", {"marketplace": "crowdsourcing-sim", "job": "Content writing",
+                           "sweep_steps": MAX_SWEEP_POINTS + 1},
+             f"job_owner request field 'sweep_steps' must be <= {MAX_SWEEP_POINTS}, "
+             f"got {MAX_SWEEP_POINTS + 1}"),
+        ],
+    )
+    def test_oversized_sweep_is_400_naming_the_bound(self, server, kind, body, message):
+        before = server.service.cache_stats
+        status, payload = raw_call(
+            server, f"/v2/{kind}", method="POST", body=json.dumps(body).encode()
+        )
+        assert status == 400
+        assert payload["error"] == {"code": "service", "message": message}
+        # Refused at decode: never keyed, never looked up.
+        after = server.service.cache_stats
+        assert (after.hits, after.misses) == (before.hits, before.misses)
 
     def test_unknown_endpoint_is_404(self, server):
         status, payload = raw_call(server, "/v2/nonsense", method="POST", body=b"{}")

@@ -11,10 +11,12 @@ from repro.core.formulations import Aggregation, Objective
 from repro.errors import ServiceError
 from repro.metrics.histogram import DEFAULT_BINS, MAX_BINS
 from repro.service.jobs import (
+    MAX_SWEEP_POINTS,
     AuditRequest,
     CompareRequest,
     QuantifyRequest,
     ServiceResult,
+    SweepRequest,
     request_from_json,
 )
 
@@ -109,6 +111,48 @@ class TestBinsBound:
     def test_bounds_decode(self, kind, bins):
         payload = {"kind": kind, **self.PAYLOADS[kind], "bins": bins}
         assert request_from_json(payload).bins == bins
+
+
+class TestSweepSizeBound:
+    """A sweep's points are bounded at decode: ``steps``, ``sweep_steps``, ``weights``."""
+
+    CASES = {
+        "steps": ("sweep", {"dataset": "d", "function": "f"}),
+        "sweep_steps": ("job_owner", {"marketplace": "m", "job": "j"}),
+    }
+
+    @pytest.mark.parametrize("count", [MAX_SWEEP_POINTS + 1, 100_000])
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_too_many_steps_are_refused(self, field, count):
+        kind, payload = self.CASES[field]
+        message = f"{kind} request field {field!r} must be <= {MAX_SWEEP_POINTS}, got {count}"
+        with pytest.raises(ServiceError, match=re.escape(message)):
+            request_from_json({"kind": kind, **payload, field: count})
+
+    @pytest.mark.parametrize("count", [MAX_SWEEP_POINTS + 1, 1000])
+    def test_too_many_weight_vectors_are_refused(self, count):
+        payload = {
+            "kind": "sweep", "dataset": "d", "function": "f",
+            "weights": [{"Rating": 1.0}] * count,
+        }
+        message = (
+            f"sweep request field 'weights' must have length <= {MAX_SWEEP_POINTS}, "
+            f"got {count}"
+        )
+        with pytest.raises(ServiceError, match=re.escape(message)):
+            request_from_json(payload)
+        with pytest.raises(ServiceError, match=re.escape(message)):
+            SweepRequest(dataset="d", function="f", weights=[{"Rating": 1.0}] * count)
+
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_the_bound_itself_decodes(self, field):
+        kind, payload = self.CASES[field]
+        request = request_from_json({"kind": kind, **payload, field: MAX_SWEEP_POINTS})
+        assert getattr(request, field) == MAX_SWEEP_POINTS
+        vectors = [{"Rating": 1.0}] * MAX_SWEEP_POINTS
+        sweep = request_from_json({"kind": "sweep", "dataset": "d", "function": "f",
+                                   "weights": vectors})
+        assert len(sweep.weights) == MAX_SWEEP_POINTS
 
 
 class TestAuditRequest:
