@@ -22,6 +22,12 @@ pins the perf trajectory of that layer:
   weight vector over one 100k-row population (``min_partition_size``
   2000, mostly the root split), QUANTIFY plus breakdown through a fresh
   store, checked against the reference every round; the median is recorded;
+* **sweep-service leg** — the same shape served: each round one fresh
+  single-vector sweep through ``FairnessService.execute`` (100k rows,
+  ``min_partition_size`` 2000), so it misses the result cache and the
+  store pool; every payload must equal, byte for byte, the one built from
+  ``reference_quantify`` plus ``reference_breakdown``; the median is
+  recorded;
 * **root-candidates leg** — at 100k rows, the six root candidate splits
   of a fresh store (its attributes counted in packs, one ``bincount`` per
   pack) must equal the per-attribute reference
@@ -64,9 +70,11 @@ from repro.roles.auditor import Auditor
 from repro.roles.end_user import EndUser
 from repro.roles.job_owner import JobOwner
 from repro.scoring.linear import LinearScoringFunction
+from repro.service import FairnessService, SweepRequest
 
 from benchmarks.results import REPO_ROOT, write_results
 from tests.scoring_reference import (
+    DirectScorer,
     reference_bin_codes,
     reference_breakdown,
     reference_candidate_counts,
@@ -90,6 +98,11 @@ COLUMNAR_ROUNDS = 3
 WHATIF_POPULATION = 100_000
 WHATIF_MIN_PARTITION = 2000
 WHATIF_ROUNDS = 9
+
+#: The sweep-service leg (a fresh single-vector sweep per round at 100k rows).
+SWEEP_POPULATION = 100_000
+SWEEP_MIN_PARTITION = 2000
+SWEEP_ROUNDS = 9
 
 #: The root-candidates leg (the six root candidate splits at 100k rows).
 ROOT_POPULATION = 100_000
@@ -314,6 +327,85 @@ def test_whatif_leg():
                 "population": WHATIF_POPULATION,
                 "min_partition_size": WHATIF_MIN_PARTITION,
                 "rounds": WHATIF_ROUNDS,
+                "median_ms": round(median * 1000, 2),
+                "identical_results": True,
+            }
+        }
+    )
+
+
+def _reference_sweep_payload(dataset: Dataset, base: str, weights: Dict[str, float]):
+    """A one-point sweep payload built from the direct reference alone."""
+    variant = LinearScoringFunction(weights, name=f"{base}@sweep0")
+    result = reference_quantify(dataset, variant, min_partition_size=SWEEP_MIN_PARTITION)
+    breakdown = reference_breakdown(result.partitioning, variant)
+    scores = DirectScorer(variant).scores(root_partition(dataset))
+    return {
+        "dataset": dataset.name,
+        "function": base,
+        "formulation": result.formulation.name,
+        "population": len(dataset),
+        "points": [
+            {
+                "weights": dict(variant.weights),
+                "unfairness": result.unfairness,
+                "groups": len(result.partitioning),
+                "most_favored": breakdown.most_favored,
+                "least_favored": breakdown.least_favored,
+                "mean_score": float(scores.mean()),
+                "splits_evaluated": result.splits_evaluated,
+            }
+        ],
+        "fairest_index": 0,
+        "fairest_weights": dict(variant.weights),
+        "most_unfair_index": 0,
+    }
+
+
+def test_sweep_service_leg():
+    """Fresh single-vector sweeps through the service at 100k rows.
+
+    Each round's weight vector is new, so the sweep misses the result cache
+    and the store pool: one scoring pass, the split search and the
+    favoured groups, as a job owner tuning weights pays per point.  The
+    dataset (and its integer codings and observed matrix) lives as long as
+    the service.  Every payload must be byte-identical to the one built
+    from the direct reference.
+    """
+    dataset = synthetic_population(size=SWEEP_POPULATION, seed=SEED)
+    service = FairnessService()
+    service.register_dataset(dataset, name=dataset.name)
+    base = service.register_function(
+        LinearScoringFunction({"Language Test": 0.5, "Rating": 0.5}, name="balanced")
+    )
+    elapsed: List[float] = []
+    for round_index in range(SWEEP_ROUNDS + 1):
+        share = 0.07 + 0.9 * round_index / SWEEP_ROUNDS
+        weights = {"Language Test": share, "Rating": 1.0 - share}
+        request = SweepRequest(
+            dataset=dataset.name, function=base, weights=(weights,),
+            min_partition_size=SWEEP_MIN_PARTITION,
+        )
+        started = time.perf_counter()
+        served = service.execute(request)
+        took = time.perf_counter() - started
+        assert served.ok and not served.cached, served.error
+        expected = _reference_sweep_payload(dataset, base, weights)
+        assert json.dumps(served.payload) == json.dumps(expected)
+        if round_index:  # round 0 builds the dataset's codings and matrix
+            elapsed.append(took)
+    median = statistics.median(elapsed)
+    print()
+    print(
+        f"sweep service {SWEEP_POPULATION} rows: median {median * 1000:.2f}ms over "
+        f"{SWEEP_ROUNDS} fresh weight vectors"
+    )
+    _write_results(
+        {
+            "sweep_service_100k": {
+                "population": SWEEP_POPULATION,
+                "min_partition_size": SWEEP_MIN_PARTITION,
+                "rounds": SWEEP_ROUNDS,
                 "median_ms": round(median * 1000, 2),
                 "identical_results": True,
             }

@@ -21,6 +21,7 @@ from repro.core.scorestore import ScoreStore, ScoreStoreStats
 from repro.core.tree import PartitionNode, PartitionTree
 from repro.core.unfairness import (
     UnfairnessBreakdown,
+    favored_groups,
     pairwise_distances,
     partition_vs_siblings,
     unfairness,
@@ -45,6 +46,7 @@ __all__ = [
     "unfairness",
     "unfairness_breakdown",
     "UnfairnessBreakdown",
+    "favored_groups",
     "pairwise_distances",
     "partition_vs_siblings",
     "quantify",

@@ -138,7 +138,7 @@ class ScoreStoreStats:
 
 
 class _Entry:
-    """Per-partition store entry: row indices, lazy scores, histogram memos.
+    """Per-partition store entry: row indices and histogram memos.
 
     ``candidates`` memoises the outcome of candidate-split evaluation —
     ``(attribute, binning) -> (ordered values, child sizes, child
@@ -146,11 +146,10 @@ class _Entry:
     with the same binning reuses the whole per-split histogram batch.
     """
 
-    __slots__ = ("indices", "scores", "histograms", "candidates", "bin_slices")
+    __slots__ = ("indices", "histograms", "candidates", "bin_slices")
 
     def __init__(self, indices: np.ndarray) -> None:
         self.indices = indices
-        self.scores: Optional[np.ndarray] = None
         self.histograms: Dict[Binning, Histogram] = {}
         self.candidates: Dict[
             Tuple[str, Binning],
@@ -172,8 +171,8 @@ class ScoreStore:
     function:
         The scoring function whose scores are materialized.
     max_partitions:
-        LRU bound on the number of distinct partitions whose indices, scores
-        and histograms are memoised; ``None`` disables the bound.
+        LRU bound on the number of distinct partitions whose indices and
+        histograms are memoised; ``None`` disables the bound.
     trust_uids:
         When False (default), a partition is sliced only if its members are
         derived from the store's dataset — a view whose provenance chain
@@ -324,22 +323,19 @@ class ScoreStore:
     def scores(self, partition: "Partition") -> np.ndarray:
         """Scores of the partition's members, sliced from the full vector.
 
-        Bit-for-bit identical to ``partition.members`` scored directly.
+        Bit-for-bit identical to ``partition.members`` scored directly.  The
+        slice is a fresh read-only array, not memoised: every caller reads a
+        partition's scores once, so a memo would only keep them alive.
         Raises :class:`~repro.errors.PartitioningError` for a partition whose
         members cannot be mapped onto the store's rows.
         """
         entry = self._entry(partition)
         vector = self.vector()
-        with self._lock:
-            values = entry.scores
-            if values is None:
-                if partition.members is self.dataset:
-                    values = vector  # the root partition: the full vector itself
-                else:
-                    values = vector[entry.indices]
-                    values.setflags(write=False)
-                entry.scores = values
-            return values
+        if partition.members is self.dataset:
+            return vector  # the root partition: the full vector itself
+        values = vector[entry.indices]
+        values.setflags(write=False)
+        return values
 
     def histogram(self, partition: "Partition", binning: Optional[Binning] = None) -> Histogram:
         """Memoised score histogram of the partition over ``binning``.

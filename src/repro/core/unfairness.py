@@ -27,6 +27,7 @@ __all__ = [
     "partition_vs_siblings",
     "UnfairnessBreakdown",
     "unfairness_breakdown",
+    "favored_groups",
 ]
 
 #: Distances with a vectorised CDF-based fast path (1-D EMD closed form).
@@ -162,6 +163,38 @@ def partition_vs_siblings(
     return formulation.aggregate(values)
 
 
+def _leaf_means(partitioning: Partitioning, store: ScoreStore) -> Dict[str, float]:
+    """Mean score per partition label, in label order (0.0 for an empty partition)."""
+    means: Dict[str, float] = {}
+    for partition, label in zip(partitioning, partitioning.labels):
+        scores = store.scores(partition)
+        means[label] = float(scores.mean()) if scores.size else 0.0
+    return means
+
+
+def _extremes(means: Dict[str, float]) -> Tuple[Optional[str], Optional[str]]:
+    """``(highest, lowest)`` label by mean score; the first label wins a tie."""
+    if not means:
+        return None, None
+    return max(means, key=means.__getitem__), min(means, key=means.__getitem__)
+
+
+def favored_groups(
+    partitioning: Partitioning,
+    function: ScoringFunction,
+    store: Optional[ScoreStore] = None,
+) -> Tuple[Optional[str], Optional[str]]:
+    """``(most, least)`` favoured partition labels: highest / lowest mean score.
+
+    The same labels as :attr:`UnfairnessBreakdown.most_favored` and
+    :attr:`~UnfairnessBreakdown.least_favored`, from the leaf means alone:
+    no histograms and no pairwise distances.  Scores come from ``store``
+    (see :func:`~repro.core.scorestore.store_for`).
+    """
+    store = store_for(partitioning.dataset, function, store)
+    return _extremes(_leaf_means(partitioning, store))
+
+
 @dataclass(frozen=True)
 class UnfairnessBreakdown:
     """Detailed unfairness report for a partitioning (session-layer General box)."""
@@ -178,16 +211,12 @@ class UnfairnessBreakdown:
     @property
     def most_favored(self) -> Optional[str]:
         """Label of the partition with the highest mean score."""
-        if not self.mean_scores:
-            return None
-        return max(self.mean_scores, key=lambda label: self.mean_scores[label])
+        return _extremes(self.mean_scores)[0]
 
     @property
     def least_favored(self) -> Optional[str]:
         """Label of the partition with the lowest mean score."""
-        if not self.mean_scores:
-            return None
-        return min(self.mean_scores, key=lambda label: self.mean_scores[label])
+        return _extremes(self.mean_scores)[1]
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -237,11 +266,6 @@ def unfairness_breakdown(
     most_separated = max(pairwise, key=lambda k: pairwise[k]) if pairwise else None
     least_separated = min(pairwise, key=lambda k: pairwise[k]) if pairwise else None
 
-    mean_scores: Dict[str, float] = {}
-    for partition, label in zip(partitioning, labels):
-        scores = store.scores(partition)
-        mean_scores[label] = float(scores.mean()) if scores.size else 0.0
-
     return UnfairnessBreakdown(
         value=formulation.aggregate(values),
         formulation_name=formulation.name,
@@ -250,5 +274,5 @@ def unfairness_breakdown(
         pairwise=pairwise,
         most_separated_pair=most_separated,
         least_separated_pair=least_separated,
-        mean_scores=mean_scores,
+        mean_scores=_leaf_means(partitioning, store),
     )

@@ -643,18 +643,48 @@ class Dataset:
         return records
 
     def observed_matrix(self, names: Optional[Sequence[str]] = None) -> np.ndarray:
-        """Return an (n, m) float matrix of observed attribute columns.
+        """Return a C-contiguous (n, m) float matrix of observed attribute columns.
 
         ``names`` defaults to every observed attribute in schema order.  This
-        is the matrix a linear scoring function multiplies by its weights,
-        stacked straight from the contiguous ``float64`` arrays.
+        is the matrix a linear scoring function multiplies by its weights.
+        Every observed numeric column, in schema order, is stacked once per
+        dataset into one read-only matrix: a request for exactly those
+        columns gets that matrix itself, any other order or subset is one
+        column gather from it.  Names outside it (unknown, non-numeric or
+        numeric but not observed) are stacked column by column, which raises
+        for the first two.
         """
         if names is None:
             names = self.schema.observed_names
         if not names:
             return np.zeros((len(self), 0), dtype=float)
+        full, positions = self._observed()
+        try:
+            index = [positions[name] for name in names]
+        except KeyError:
+            return np.column_stack([self.numeric_column(name) for name in names])
+        if index == list(range(full.shape[1])):
+            return full
+        return full.take(index, axis=1)
+
+    def _observed(self) -> Tuple[np.ndarray, Dict[str, int]]:
+        """Every observed numeric column stacked in schema order, and name -> column.
+
+        Read-only and cached once per dataset, shared by every scoring
+        function over it.
+        """
+        cached = self.__dict__.get("_observed_cache")
+        if cached is not None:
+            return cached
+        names = [
+            attr.name for attr in self.schema if attr.is_observed and attr.is_numeric
+        ]
         columns = [self.numeric_column(name) for name in names]
-        return np.column_stack(columns) if columns else np.zeros((len(self), 0))
+        full = np.column_stack(columns) if columns else np.zeros((len(self), 0))
+        full.setflags(write=False)
+        result = (full, {name: column for column, name in enumerate(names)})
+        with _lazy_lock:
+            return self.__dict__.setdefault("_observed_cache", result)
 
     def summary(self) -> Dict[str, object]:
         """Return a summary dict used by the session layer's General box."""

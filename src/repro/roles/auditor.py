@@ -23,7 +23,7 @@ from repro.anonymize.kanonymity import GlobalRecodingAnonymizer
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD
 from repro.core.quantify import QuantifyResult, quantify
 from repro.core.scorestore import ScoreStore, StoreProvider
-from repro.core.unfairness import unfairness_breakdown
+from repro.core.unfairness import favored_groups
 from repro.errors import MarketplaceError
 from repro.marketplace.entities import Job, Marketplace
 from repro.roles.report import ReportTable
@@ -125,7 +125,7 @@ class Auditor:
         The service layer passes its fingerprint-keyed pool here, so a
         marketplace-wide audit fan-out shares materialized scoring passes
         across requests.  Either way one audit makes at most one scoring
-        pass, shared by its search and its breakdown.
+        pass, shared by its search and its favoured groups.
     """
 
     def __init__(
@@ -155,16 +155,14 @@ class Auditor:
             min_partition_size=self.min_partition_size,
             store=store,
         )
-        breakdown = unfairness_breakdown(
-            result.partitioning, function, self.formulation, store=store
-        )
+        most, least = favored_groups(result.partitioning, function, store=store)
         return JobAudit(
             job_title=job.title,
             transparent_function=job.is_transparent,
             unfairness=result.unfairness,
             partitions=result.partition_labels,
-            most_favored=breakdown.most_favored,
-            least_favored=breakdown.least_favored,
+            most_favored=most,
+            least_favored=least,
             result=result,
         )
 
@@ -217,14 +215,12 @@ class Auditor:
                 min_partition_size=self.min_partition_size,
                 store=store,
             )
-            breakdown = unfairness_breakdown(
-                result.partitioning, function, self.formulation, store=store
-            )
+            most, least = favored_groups(result.partitioning, function, store=store)
             table.add_row(
                 k,
                 result.unfairness,
                 len(result.partitioning),
-                breakdown.most_favored or "-",
-                breakdown.least_favored or "-",
+                most or "-",
+                least or "-",
             )
         return table

@@ -21,7 +21,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD
 from repro.core.quantify import QuantifyResult, quantify
 from repro.core.scorestore import ScoreStore, StoreProvider
-from repro.core.unfairness import unfairness_breakdown
+from repro.core.unfairness import favored_groups
 from repro.data.dataset import Dataset
 from repro.errors import MarketplaceError, ScoringError
 from repro.marketplace.entities import Marketplace
@@ -135,7 +135,7 @@ class JobOwner:
     ) -> VariantEvaluation:
         """Quantify the unfairness a single variant induces over the candidates.
 
-        The search and its breakdown share one score store, so each variant
+        The search and its favoured groups share one score store, so each variant
         costs at most one scoring pass over the candidates.
         """
         store = self.store_provider(candidates, function)
@@ -147,15 +147,13 @@ class JobOwner:
             min_partition_size=self.min_partition_size,
             store=store,
         )
-        breakdown = unfairness_breakdown(
-            result.partitioning, function, self.formulation, store=store
-        )
+        most, least = favored_groups(result.partitioning, function, store=store)
         return VariantEvaluation(
             function=function,
             unfairness=result.unfairness,
             partitions=result.partition_labels,
-            most_favored=breakdown.most_favored,
-            least_favored=breakdown.least_favored,
+            most_favored=most,
+            least_favored=least,
             result=result,
         )
 

@@ -58,6 +58,9 @@ class LinearScoringFunction(ScoringFunction):
         total = sum(cleaned.values())
         if total <= 0:
             raise ScoringError("at least one weight must be positive")
+        if not np.isfinite(total):
+            # Normalised by an infinite sum, every weight would become 0.
+            raise ScoringError(f"the weights' sum is not finite: {weights!r}")
         if normalize:
             cleaned = {attr: weight / total for attr, weight in cleaned.items()}
         self.weights: Dict[str, float] = cleaned

@@ -113,9 +113,10 @@ Reference = Tuple[str, str]
 #: Points of an automatic sweep when a request does not say.
 _DEFAULT_SWEEP_STEPS = 5
 
-#: The most points one sweep request evaluates, each a full QUANTIFY:
-#: bounds a sweep's ``steps``, a job owner's ``sweep_steps`` and the number
-#: of explicit ``weights`` vectors alike.
+#: The most points one request fans out to, each a full QUANTIFY or job
+#: assessment: bounds a sweep's ``steps``, a job owner's
+#: ``sweep_steps``, the number of explicit ``weights`` vectors, a compare's
+#: ``functions`` and an end user's ``marketplaces`` alike.
 MAX_SWEEP_POINTS = 64
 
 #: What an empty required field leaves a request without.
@@ -134,10 +135,13 @@ _REQUIRED_NOUNS = {
 #: integer field is bounded by its value, an array field by its length.
 _BOUNDS: Dict[str, Tuple[Optional[int], Optional[int]]] = {
     "max_depth": (1, None),
+    "min_partition_size": (1, None),
     "bins": (1, MAX_BINS),
     "steps": (None, MAX_SWEEP_POINTS),
     "sweep_steps": (None, MAX_SWEEP_POINTS),
     "weights": (None, MAX_SWEEP_POINTS),
+    "functions": (None, MAX_SWEEP_POINTS),
+    "marketplaces": (None, MAX_SWEEP_POINTS),
 }
 
 

@@ -39,7 +39,7 @@ from repro.core.partition import root_partition, split_partition
 from repro.core.quantify import QuantifyResult, quantify
 from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import (
-    UnfairnessBreakdown,
+    favored_groups,
     pairwise_distances,
     unfairness_breakdown,
 )
@@ -543,8 +543,8 @@ class FairnessService:
         function: ScoringFunction,
         formulation: Formulation,
         request: Union[QuantifyRequest, CompareRequest, SweepRequest],
-    ) -> Tuple[QuantifyResult, UnfairnessBreakdown]:
-        """QUANTIFY plus its breakdown over the pooled store for the pair."""
+    ) -> Tuple[QuantifyResult, ScoreStore]:
+        """QUANTIFY over the pooled store for the pair, and that store."""
         store = self.score_store(dataset, function)
         result = quantify(
             dataset,
@@ -555,10 +555,7 @@ class FairnessService:
             min_partition_size=request.min_partition_size,
             store=store,
         )
-        breakdown = unfairness_breakdown(
-            result.partitioning, function, formulation, store=store
-        )
-        return result, breakdown
+        return result, store
 
     def _payload_builder(self, request: ServiceRequest) -> Callable[..., Dict[str, object]]:
         try:
@@ -574,7 +571,10 @@ class FairnessService:
             dataset, request.function, request.use_ranks_only
         )
         formulation = request.formulation()
-        result, breakdown = self._search(dataset, function, formulation, request)
+        result, store = self._search(dataset, function, formulation, request)
+        breakdown = unfairness_breakdown(
+            result.partitioning, function, formulation, store=store
+        )
         return {
             "dataset": request.dataset,
             "function": request.function,
@@ -634,14 +634,15 @@ class FairnessService:
         rows: List[Dict[str, object]] = []
         for name in request.functions:
             function = self._effective_function(dataset, name, use_ranks_only=False)
-            result, breakdown = self._search(dataset, function, formulation, request)
+            result, store = self._search(dataset, function, formulation, request)
+            most, least = favored_groups(result.partitioning, function, store=store)
             rows.append(
                 {
                     "function": name,
                     "unfairness": result.unfairness,
                     "groups": len(result.partitioning),
-                    "most_favored": breakdown.most_favored,
-                    "least_favored": breakdown.least_favored,
+                    "most_favored": most,
+                    "least_favored": least,
                 }
             )
         by_unfairness = sorted(rows, key=lambda row: (row["unfairness"], row["function"]))
@@ -723,8 +724,9 @@ class FairnessService:
     def _sweep_payload(self, request: SweepRequest) -> Dict[str, object]:
         """Weight sweep over a linear function, one shared scoring pass per point.
 
-        Every sweep point's summary statistics and its search share the one
-        pooled :class:`~repro.core.scorestore.ScoreStore` for the variant.
+        Every sweep point's search, favoured groups and mean score share the
+        one pooled :class:`~repro.core.scorestore.ScoreStore` for the
+        variant, looked up once per point.
         """
         dataset = self.dataset(request.dataset)
         base = self.function(request.function)
@@ -746,16 +748,16 @@ class FairnessService:
             variant = LinearScoringFunction(
                 dict(weights), name=f"{base.name}@sweep{index}"
             )
-            result, breakdown = self._search(dataset, variant, formulation, request)
-            vector = self.score_store(dataset, variant).vector()
+            result, store = self._search(dataset, variant, formulation, request)
+            most, least = favored_groups(result.partitioning, variant, store=store)
             points.append(
                 {
                     "weights": dict(variant.weights),
                     "unfairness": result.unfairness,
                     "groups": len(result.partitioning),
-                    "most_favored": breakdown.most_favored,
-                    "least_favored": breakdown.least_favored,
-                    "mean_score": float(vector.mean()),
+                    "most_favored": most,
+                    "least_favored": least,
+                    "mean_score": float(store.vector().mean()),
                     "splits_evaluated": result.splits_evaluated,
                 }
             )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -12,10 +13,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.formulations import Formulation, resolve_binning
-from repro.core.partition import Partitioning, root_partition, split_partition
+from repro.core.partition import Partition, Partitioning, root_partition, split_partition
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore, _root_packs
-from repro.core.unfairness import pairwise_distances, unfairness, unfairness_breakdown
+from repro.core.unfairness import (
+    favored_groups,
+    pairwise_distances,
+    unfairness,
+    unfairness_breakdown,
+)
 from repro.data.dataset import Dataset, Individual
 from repro.data.schema import Schema, observed, protected
 from repro.errors import FormulationError, PartitioningError, ScoringError, WarmStartError
@@ -88,6 +94,20 @@ class TestSlicing:
         store = ScoreStore(population, function)
         root = root_partition(population)
         assert store.scores(root) is store.vector()
+
+    def test_partition_scores_are_not_kept_alive(self, population, function):
+        # A leaf's scores are read once (its mean, its statistics box); the
+        # store slices them fresh instead of holding every leaf's copy.
+        store = ScoreStore(population, function)
+        result = quantify(population, function, min_partition_size=5, store=store)
+        leaf = result.partitioning.partitions[0]
+        first = store.scores(leaf)
+        assert not first.flags.writeable
+        alive = weakref.ref(first)
+        again = store.scores(leaf)
+        assert again is not first and again.tobytes() == first.tobytes()
+        del first
+        assert alive() is None
 
     def test_vector_is_computed_exactly_once(self, population, function):
         counting = CountingFunction(function)
@@ -1021,3 +1041,72 @@ class TestPackedRootCandidates:
         assert result.unfairness == reference.unfairness
         assert result.partitioning.labels == reference.partitioning.labels
         assert result.partitioning.sizes == reference.partitioning.sizes
+
+
+@st.composite
+def favored_cases(draw):
+    """A population, its scorer and a partitioning: tied means, one partition, NaN."""
+    size = draw(st.integers(min_value=1, max_value=300))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    # Few distinct scores make tied means likely; one score ties every mean.
+    palette = draw(st.sampled_from([(0.5,), (0.0, 1.0), (0.0, 0.25, 0.5, 1.0)]))
+    scores = rng.choice(palette, size)
+    nan_every = draw(st.sampled_from([0, 1, 3, 50]))
+    if nan_every:
+        scores[::nan_every] = np.nan
+    population, scorer = _table_population(scores, name="favored")
+    root = root_partition(population)
+    shape = draw(st.sampled_from(["root", "split", "split+empty", "quantify"]))
+    if shape == "root":
+        partitions = [root]
+    elif shape == "quantify":
+        minimum = draw(st.integers(min_value=1, max_value=20))
+        partitions = list(quantify(population, scorer, min_partition_size=minimum).partitioning)
+    else:
+        partitions = list(split_partition(root, draw(st.sampled_from(_CUT_SCHEMA.protected_names))))
+        if shape == "split+empty":
+            # An empty leaf's mean is 0.0, placed anywhere in the label order.
+            empty = Partition(constraints=(("Gender", "none"),), members=population.select_uids([]))
+            partitions.insert(draw(st.integers(min_value=0, max_value=len(partitions))), empty)
+    return population, scorer, Partitioning(population, partitions, validate=False)
+
+
+class TestFavoredGroups:
+    """``favored_groups`` names the breakdown's favoured labels from leaf means alone."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(favored_cases())
+    def test_matches_both_breakdowns(self, case):
+        population, scorer, partitioning = case
+        store = ScoreStore(population, scorer)
+        got = favored_groups(partitioning, scorer, store=store)
+        stored = unfairness_breakdown(partitioning, scorer, store=store)
+        direct = reference_breakdown(partitioning, scorer)
+        assert got == (stored.most_favored, stored.least_favored)
+        assert got == (direct.most_favored, direct.least_favored)
+        assert favored_groups(partitioning, scorer) == got
+
+    def test_ties_go_to_the_first_label(self):
+        population, scorer = _table_population([0.5] * 30, name="tied")
+        children = split_partition(root_partition(population), "Band")
+        partitioning = Partitioning(population, children)
+        first = partitioning.labels[0]
+        assert favored_groups(partitioning, scorer) == (first, first)
+
+    def test_reads_leaf_scores_only(self, population, function):
+        counting = CountingFunction(function)
+        store = ScoreStore(population, counting)
+        result = quantify(population, counting, min_partition_size=5, store=store)
+        before = store.stats
+        favored_groups(result.partitioning, counting, store=store)
+        after = store.stats
+        assert counting.calls == 1
+        # No histogram is built or looked up, so no pairwise table either.
+        assert after.histogram_requests == before.histogram_requests
+
+    def test_refuses_a_store_for_another_function(self, population, function):
+        other = LinearScoringFunction({"Language Test": 0.9, "Rating": 0.1}, name="other")
+        store = ScoreStore(population, function)
+        with pytest.raises(ScoringError):
+            favored_groups(Partitioning(population, [root_partition(population)]), other,
+                           store=store)

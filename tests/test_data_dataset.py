@@ -1,11 +1,19 @@
 """Tests for repro.data.dataset."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from repro.core.partition import root_partition
+from repro.core.quantify import quantify
+from repro.core.scorestore import ScoreStore
 from repro.data.dataset import Dataset, Individual
-from repro.data.schema import Schema, observed, protected
+from repro.data.schema import AttributeType, Schema, observed, protected
 from repro.errors import DataError, EmptyDatasetError, UnknownAttributeError
+from repro.experiments.workloads import synthetic_population
+from repro.scoring.linear import LinearScoringFunction
+from scoring_reference import DirectScorer
 
 
 @pytest.fixture
@@ -212,3 +220,117 @@ class TestOperations:
         assert summary["size"] == 5
         assert summary["protected_attributes"] == ["Gender", "City"]
         assert summary["protected_cardinalities"]["City"] == 3
+
+
+class TestObservedMatrix:
+    """One read-only matrix of observed numeric columns per dataset."""
+
+    @pytest.fixture
+    def wide(self):
+        schema = Schema((
+            protected("Gender", domain=("F", "M")),
+            observed("Rating", domain=(0.0, 1.0)),
+            protected("Age", domain=(18.0, 99.0), atype=AttributeType.NUMERIC),
+            observed("Level", domain=("junior", "senior"), atype=AttributeType.CATEGORICAL),
+            observed("Language Test", domain=(0.0, 1.0)),
+            observed("Speed", domain=(0.0, 1.0)),
+        ))
+        rng = np.random.default_rng(5)
+        size = 200
+        columns = {
+            "Gender": rng.choice(["F", "M"], size).tolist(),
+            "Rating": rng.random(size).tolist(),
+            "Age": rng.integers(18, 99, size).astype(float).tolist(),
+            "Level": rng.choice(["junior", "senior"], size).tolist(),
+            "Language Test": rng.random(size).tolist(),
+            "Speed": rng.random(size).round(2).tolist(),
+        }
+        return Dataset.from_columns(schema, columns, name="wide")
+
+    NUMERIC = ("Rating", "Language Test", "Speed")
+
+    def test_schema_order_request_is_the_cached_matrix_itself(self, dataset, wide):
+        full = wide.observed_matrix(self.NUMERIC)
+        assert wide.observed_matrix(list(self.NUMERIC)) is full
+        assert not full.flags.writeable
+        assert full.flags.c_contiguous
+        with pytest.raises(ValueError):
+            full[0, 0] = 1.0
+        # Every observed attribute numeric: the default request is it too.
+        assert dataset.observed_matrix() is dataset.observed_matrix(["Rating"])
+        assert not dataset.observed_matrix().flags.writeable
+
+    @pytest.mark.parametrize("names", [
+        ("Language Test", "Rating"),
+        ("Speed", "Rating", "Language Test"),
+        ("Rating",),
+        ("Speed",),
+        ("Rating", "Speed"),
+        ("Rating", "Rating"),
+    ])
+    def test_other_orders_and_subsets_equal_column_stack(self, wide, names):
+        got = wide.observed_matrix(names)
+        stacked = np.column_stack([wide.numeric_column(name) for name in names])
+        assert got.shape == stacked.shape
+        assert got.flags.c_contiguous
+        assert got.tobytes() == stacked.tobytes()
+        assert not np.shares_memory(got, wide.observed_matrix(self.NUMERIC))
+
+    def test_names_outside_the_matrix(self, wide):
+        # Numeric but not observed: stacked column by column, as before.
+        got = wide.observed_matrix(["Age", "Rating"])
+        stacked = np.column_stack([wide.numeric_column("Age"), wide.numeric_column("Rating")])
+        assert got.tobytes() == stacked.tobytes()
+        with pytest.raises(UnknownAttributeError):
+            wide.observed_matrix(["Rating", "Nope"])
+        with pytest.raises(DataError, match="attribute 'Level' is not numeric"):
+            wide.observed_matrix(["Level"])
+        with pytest.raises(DataError, match="attribute 'Level' is not numeric"):
+            wide.observed_matrix()
+
+    def test_one_matrix_shared_by_every_store_and_function(self, wide, monkeypatch):
+        full = wide.observed_matrix(self.NUMERIC)
+        calls = []
+        original = Dataset.numeric_column
+        monkeypatch.setattr(
+            Dataset, "numeric_column",
+            lambda self, name: calls.append(name) or original(self, name),
+        )
+        for weights in ({"Rating": 1.0, "Speed": 2.0}, {"Speed": 1.0, "Language Test": 1.0},
+                        {"Rating": 1.0, "Language Test": 1.0, "Speed": 1.0}):
+            ScoreStore(wide, LinearScoringFunction(weights)).vector()
+        assert calls == []
+        assert wide.observed_matrix(self.NUMERIC) is full
+
+    def test_still_one_matrix_after_many_weight_orders(self, wide):
+        full = wide.observed_matrix(self.NUMERIC)
+        cached = dict(vars(wide))
+        for order in itertools.permutations(self.NUMERIC):
+            for count in (1, 2, 3):
+                names = order[:count]
+                function = LinearScoringFunction({name: 1.0 + i for i, name in enumerate(names)})
+                function.score_dataset(wide)
+        # No cache keyed by the order of the names: nothing new was kept.
+        assert wide.observed_matrix(self.NUMERIC) is full
+        assert vars(wide).keys() == cached.keys()
+
+    def test_scores_bit_identical_to_direct_scoring(self):
+        population = synthetic_population(size=500, seed=3)
+        names = population.schema.observed_names
+        women = population.filter(lambda row: row["Gender"] == "Female", name="women")
+        for weights in (dict(zip(names, (0.3, 0.7))), dict(zip(reversed(names), (0.3, 0.7))),
+                        {names[-1]: 1.0}):
+            function = LinearScoringFunction(weights)
+            store = ScoreStore(population, function)
+            direct = DirectScorer(function)
+            result = quantify(population, function, min_partition_size=20, store=store)
+            partitions = [root_partition(population), *result.partitioning,
+                          root_partition(women)]
+            for partition in partitions:
+                members = partition.members
+                used = [name for name in weights if weights[name]]
+                # The column-stacking formula the cached matrix replaced.
+                stacked = np.column_stack([members.numeric_column(name) for name in used])
+                expected = stacked @ np.asarray([function.weights[name] for name in used])
+                assert store.scores(partition).tobytes() == expected.tobytes()
+                assert direct.scores(partition).tobytes() == expected.tobytes()

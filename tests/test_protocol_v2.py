@@ -260,9 +260,10 @@ class TestNewKindsServing:
                          weights=tuple(weights), min_partition_size=3)
         )
         assert result.ok and len(result.payload["points"]) == 5
-        # The pool recorded reuse: summary stats and the search kernels share
-        # one materialized vector per sweep point.
-        assert result.store_stats["hits"] > 0
+        # Each point's search, favoured groups and mean score share one
+        # pooled store, looked up once, and one materialized vector.
+        assert result.store_stats["misses"] == 5
+        assert result.store_stats["hits"] == 0
         assert result.store_stats["scoring_passes"] == 5
 
         # Byte-identical to serial quantify calls over the same variants.
@@ -288,6 +289,17 @@ class TestNewKindsServing:
         )
         assert result.ok
         assert result.payload["points"][0]["weights"] == {"Rating": 1.0}
+
+    def test_sweep_vector_whose_sum_overflows_is_a_scoring_error(self, service):
+        # Normalised by an infinite sum, both weights used to become 0.0 and
+        # the sweep answered with everyone scored 0.
+        result = service.execute(
+            SweepRequest(dataset="table1", function="table1-f",
+                         weights=({"Language Test": 1e308, "Rating": 1e308},))
+        )
+        assert result.ok is False
+        assert result.error["code"] == "scoring"
+        assert "sum is not finite" in result.error["message"]
 
     def test_sweep_rejects_opaque_functions(self, service):
         from repro.scoring.rank import OpaqueScoringFunction

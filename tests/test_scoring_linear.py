@@ -55,6 +55,18 @@ class TestConstruction:
         with pytest.raises(ScoringError):
             LinearScoringFunction({"Skill": float("nan")})
 
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_rejects_weights_whose_sum_overflows(self, normalize):
+        # Each weight is finite but the sum is not: normalised by it, every
+        # weight used to become 0.0 and every individual scored 0.
+        with pytest.raises(ScoringError, match="sum is not finite"):
+            LinearScoringFunction({"Rating": 1e308, "Skill": 1e308}, normalize=normalize)
+
+    def test_largest_finite_sum_still_normalises(self):
+        function = LinearScoringFunction({"Rating": 1e308, "Skill": 1e307})
+        assert function.weights["Rating"] > function.weights["Skill"] > 0.0
+        assert sum(function.weights.values()) == pytest.approx(1.0)
+
     def test_uniform_and_single_constructors(self):
         uniform = LinearScoringFunction.uniform(["Skill", "Rating"])
         assert uniform.weights == {"Skill": 0.5, "Rating": 0.5}

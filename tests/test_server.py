@@ -53,6 +53,30 @@ def client(server):
     return HTTPFairnessClient(server.base_url)
 
 
+#: Well-typed requests outside a decode bound: ``(kind, body, message)``.
+BOUND_CASES = [
+    *(
+        (kind, {**body, "min_partition_size": 0},
+         f"{kind} request field 'min_partition_size' must be >= 1, got 0")
+        for kind, body in (
+            ("quantify", {"dataset": "table1", "function": "table1-f"}),
+            ("audit", {"marketplace": "crowdsourcing-sim"}),
+            ("compare", {"dataset": "table1", "functions": ["table1-f", "balanced"]}),
+            ("breakdown", {"dataset": "table1", "function": "table1-f"}),
+            ("sweep", {"dataset": "table1", "function": "table1-f"}),
+            ("job_owner", {"marketplace": "crowdsourcing-sim", "job": "Content writing"}),
+        )
+    ),
+    ("compare", {"dataset": "table1", "functions": ["table1-f"] * (MAX_SWEEP_POINTS + 1)},
+     f"compare request field 'functions' must have length <= {MAX_SWEEP_POINTS}, "
+     f"got {MAX_SWEEP_POINTS + 1}"),
+    ("end_user", {"group": {"Gender": "Female"}, "job": "Content writing",
+                  "marketplaces": ["crowdsourcing-sim"] * (MAX_SWEEP_POINTS + 1)},
+     f"end_user request field 'marketplaces' must have length <= {MAX_SWEEP_POINTS}, "
+     f"got {MAX_SWEEP_POINTS + 1}"),
+]
+
+
 def raw_call(server, path, method="GET", body=None, headers=None):
     """A raw HTTP exchange (status, parsed JSON) bypassing the typed client."""
     request = urllib.request.Request(
@@ -279,6 +303,29 @@ class TestErrorMapping:
         # Refused at decode: never keyed, never looked up.
         after = server.service.cache_stats
         assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    @pytest.mark.parametrize("kind, body, message", BOUND_CASES)
+    def test_partition_size_and_fan_out_bounds_are_400(self, server, kind, body, message):
+        before = server.service.cache_stats
+        status, payload = raw_call(
+            server, f"/v2/{kind}", method="POST", body=json.dumps(body).encode()
+        )
+        assert status == 400
+        assert payload["error"] == {"code": "service", "message": message}
+        after = server.service.cache_stats
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_weights_whose_sum_overflows_are_422_scoring(self, server):
+        # Each weight is finite; their sum is not, and normalising by it
+        # used to turn every weight into 0 and score everyone 0.
+        body = {"dataset": "table1", "function": "table1-f",
+                "weights": [{"Language Test": 1e308, "Rating": 1e308}]}
+        status, payload = raw_call(
+            server, "/v2/sweep", method="POST", body=json.dumps(body).encode()
+        )
+        assert status == 422
+        assert payload["error"]["code"] == "scoring"
+        assert "sum is not finite" in payload["error"]["message"]
 
     def test_unknown_endpoint_is_404(self, server):
         status, payload = raw_call(server, "/v2/nonsense", method="POST", body=b"{}")

@@ -155,6 +155,60 @@ class TestSweepSizeBound:
         assert len(sweep.weights) == MAX_SWEEP_POINTS
 
 
+class TestMinPartitionSizeBound:
+    """``min_partition_size`` below 1 is refused at decode on every kind that has it."""
+
+    PAYLOADS = {
+        "quantify": {"dataset": "d", "function": "f"},
+        "audit": {"marketplace": "m"},
+        "compare": {"dataset": "d", "functions": ["f", "g"]},
+        "breakdown": {"dataset": "d", "function": "f"},
+        "sweep": {"dataset": "d", "function": "f"},
+        "job_owner": {"marketplace": "m", "job": "j"},
+    }
+
+    @pytest.mark.parametrize("size", [0, -1, -10**9])
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    def test_below_one_is_refused(self, kind, size):
+        payload = {"kind": kind, **self.PAYLOADS[kind], "min_partition_size": size}
+        message = f"{kind} request field 'min_partition_size' must be >= 1, got {size}"
+        with pytest.raises(ServiceError, match=re.escape(message)):
+            request_from_json(payload)
+
+    @pytest.mark.parametrize("kind", sorted(PAYLOADS))
+    def test_one_decodes(self, kind):
+        payload = {"kind": kind, **self.PAYLOADS[kind], "min_partition_size": 1}
+        assert request_from_json(payload).min_partition_size == 1
+
+
+class TestFanOutBound:
+    """A compare's ``functions`` and an end user's ``marketplaces`` are bounded in length."""
+
+    CASES = {
+        "functions": ("compare", {"dataset": "d"}),
+        "marketplaces": ("end_user", {"group": {"Gender": "F"}, "job": "j"}),
+    }
+
+    @pytest.mark.parametrize("count", [MAX_SWEEP_POINTS + 1, 1000])
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_too_many_names_are_refused(self, field, count):
+        kind, payload = self.CASES[field]
+        names = [f"n{index}" for index in range(count)]
+        message = (
+            f"{kind} request field {field!r} must have length <= {MAX_SWEEP_POINTS}, "
+            f"got {count}"
+        )
+        with pytest.raises(ServiceError, match=re.escape(message)):
+            request_from_json({"kind": kind, **payload, field: names})
+
+    @pytest.mark.parametrize("field", sorted(CASES))
+    def test_the_bound_itself_decodes(self, field):
+        kind, payload = self.CASES[field]
+        names = [f"n{index}" for index in range(MAX_SWEEP_POINTS)]
+        request = request_from_json({"kind": kind, **payload, field: names})
+        assert len(getattr(request, field)) == MAX_SWEEP_POINTS
+
+
 class TestAuditRequest:
     def test_round_trip(self):
         request = AuditRequest(

@@ -26,6 +26,7 @@ from repro.service import (
     QuantifyRequest,
     ServiceResult,
 )
+from repro.service.jobs import MAX_SWEEP_POINTS
 from repro.shard import (
     ShardRouter,
     WorkerPool,
@@ -423,6 +424,42 @@ class TestRouterRelay:
         status, connection, payload = claim_content_length(router, -5)
         assert (status, connection) == (400, "close")
         assert client.health()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "kind, body, status, code, message",
+        [
+            ("quantify",
+             {"dataset": "table1", "function": "table1-f", "min_partition_size": 0},
+             400, "service", "quantify request field 'min_partition_size' must be >= 1, got 0"),
+            ("compare",
+             {"dataset": "table1", "functions": ["table1-f"] * (MAX_SWEEP_POINTS + 1)},
+             400, "service",
+             f"compare request field 'functions' must have length <= {MAX_SWEEP_POINTS}, "
+             f"got {MAX_SWEEP_POINTS + 1}"),
+            ("end_user",
+             {"group": {"Gender": "Female"}, "job": "Content writing",
+              "marketplaces": ["crowdsourcing-sim"] * (MAX_SWEEP_POINTS + 1)},
+             400, "service",
+             f"end_user request field 'marketplaces' must have length <= "
+             f"{MAX_SWEEP_POINTS}, got {MAX_SWEEP_POINTS + 1}"),
+            ("sweep",
+             {"dataset": "table1", "function": "table1-f",
+              "weights": [{"Language Test": 1e308, "Rating": 1e308}]},
+             422, "scoring",
+             "the weights' sum is not finite: {'Language Test': 1e+308, 'Rating': 1e+308}"),
+        ],
+    )
+    def test_refusals_relay_through_the_router(self, fleet, kind, body, status, code, message):
+        _, router, _ = fleet
+        request = urllib.request.Request(
+            f"{router.base_url}/v2/{kind}", data=json.dumps(body).encode("utf-8"),
+            method="POST",
+        )
+        with pytest.raises(urllib.error.HTTPError) as refused:
+            urllib.request.urlopen(request, timeout=120)
+        assert refused.value.code == status
+        payload = json.loads(refused.value.read())
+        assert payload["error"] == {"code": code, "message": message}
 
     def test_router_records_response_bytes(self, fleet):
         from repro.obs.metrics import get_registry
