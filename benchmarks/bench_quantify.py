@@ -39,7 +39,15 @@ pins the perf trajectory of that layer:
   (``reference_bin_codes``) and be no slower than it, at the default 5
   bins and at the 256-bin cap; both timings are recorded;
 * **million-row leg** — a 1M-row population is built and QUANTIFYed in a
-  fresh interpreter; wall-clock and peak RSS (``VmHWM``) are recorded.
+  fresh interpreter; wall-clock and peak RSS (``VmHWM``) are recorded;
+* **deep leg** — the serving benchmark's hot quantify (10k rows,
+  ``min_partition_size`` 24, a deep tree): a fresh store per round, each
+  result equal to ``reference_quantify``; the median and its cost per
+  evaluated split are recorded;
+* **roles leg** — the three role scenarios of the serving benchmark run
+  cold on a freshly generated 400-worker marketplace each round (audit of
+  every job, job-owner sweep, end-user assessment); every search a role
+  runs is checked against ``reference_quantify``; the medians are recorded.
 
 Results are written to ``BENCH_quantify.json`` at the repository root; CI
 uploads the file as a workflow artifact so the trajectory is tracked per
@@ -70,6 +78,7 @@ from repro.roles.auditor import Auditor
 from repro.roles.end_user import EndUser
 from repro.roles.job_owner import JobOwner
 from repro.scoring.linear import LinearScoringFunction
+from repro.scoring.rank import observed_function
 from repro.service import FairnessService, SweepRequest
 
 from benchmarks.results import REPO_ROOT, write_results
@@ -115,6 +124,20 @@ BINS_ROUNDS = 9
 
 #: The million-row leg (a fresh interpreter, peak RSS via VmHWM).
 MILLION = 1_000_000
+
+#: The deep-search leg (the serving benchmark's 10k-row hot quantify).
+DEEP_POPULATION = 10_000
+DEEP_SEED = 1
+DEEP_MIN_PARTITION = 24
+DEEP_ROUNDS = 9
+
+#: The roles leg (the serving benchmark's role requests, cold).
+ROLES_MARKET_SIZE = 400
+ROLES_SEED = 1
+ROLES_JOB = "Content writing"
+ROLES_MIN_PARTITION = 5
+ROLES_SWEEP_STEPS = 3
+ROLES_ROUNDS = 5
 
 _RESULTS_PATH = REPO_ROOT / "BENCH_quantify.json"
 
@@ -525,6 +548,135 @@ def test_bins_leg():
 #: Linux carries ``ru_maxrss`` across exec, so that would report the
 #: forking pytest process's peak whenever it is the larger.  Prints one
 #: JSON line.
+def _assert_same_search(result, reference) -> None:
+    assert result.summary() == reference.summary()
+    assert result.unfairness == reference.unfairness
+    assert result.splits_evaluated == reference.splits_evaluated
+    assert result.partitioning.labels == reference.partitioning.labels
+
+
+def test_deep_leg():
+    """A deep search: 10k rows at ``min_partition_size`` 24, a fresh store per round.
+
+    The cost is per evaluated split, not per row: every node scores all
+    its candidate splits, so the median is also recorded per split.
+    """
+    dataset = synthetic_population(size=DEEP_POPULATION, seed=DEEP_SEED)
+    function = LinearScoringFunction({"Language Test": 0.6, "Rating": 0.4}, name="skill-mix")
+    reference = reference_quantify(dataset, function, min_partition_size=DEEP_MIN_PARTITION)
+    elapsed: List[float] = []
+    for round_index in range(DEEP_ROUNDS + 1):
+        started = time.perf_counter()
+        result = quantify(dataset, function, min_partition_size=DEEP_MIN_PARTITION)
+        took = time.perf_counter() - started
+        _assert_same_search(result, reference)
+        if round_index:  # round 0 builds the dataset's codings
+            elapsed.append(took)
+    median = statistics.median(elapsed)
+    per_split_us = median / result.splits_evaluated * 1e6
+    print()
+    print(
+        f"deep {DEEP_POPULATION} rows: median {median * 1000:.2f}ms, "
+        f"{result.splits_evaluated} splits evaluated ({per_split_us:.0f}us each), "
+        f"{len(result.partitioning)} leaves"
+    )
+    _write_results(
+        {
+            "deep_10k": {
+                "population": DEEP_POPULATION,
+                "min_partition_size": DEEP_MIN_PARTITION,
+                "rounds": DEEP_ROUNDS,
+                "median_ms": round(median * 1000, 2),
+                "per_split_us": round(per_split_us, 1),
+                "splits_evaluated": result.splits_evaluated,
+                "partitions": len(result.partitioning),
+                "identical_results": True,
+            }
+        }
+    )
+
+
+def _check_role_searches(market, audit, owner, formulation) -> None:
+    """Every search the auditor and the job owner ran equals the reference."""
+    for job_audit in audit.audits:
+        job = market.job(job_audit.job_title)
+        candidates = job.candidates(market.workers)
+        function = observed_function(job.function, candidates, job.title)
+        _assert_same_search(
+            job_audit.result,
+            reference_quantify(
+                candidates, function, formulation, min_partition_size=ROLES_MIN_PARTITION
+            ),
+        )
+    candidates = market.job(ROLES_JOB).candidates(market.workers)
+    for evaluation in owner.evaluations:
+        _assert_same_search(
+            evaluation.result,
+            reference_quantify(
+                candidates, evaluation.function, formulation,
+                min_partition_size=ROLES_MIN_PARTITION,
+            ),
+        )
+
+
+def test_roles_leg():
+    """The auditor, job-owner and end-user scenarios, cold, on 400 workers.
+
+    Each round generates the marketplace afresh (untimed), so no coding,
+    grouping or score store survives from the round before.  The end
+    user's search (every protected attribute, ``min_partition_size`` 1)
+    is checked against the reference directly.
+    """
+    elapsed: Dict[str, List[float]] = {"audit": [], "job_owner": [], "end_user": []}
+    for round_index in range(ROLES_ROUNDS + 1):
+        market = crowdsourcing_marketplace(ROLES_MARKET_SIZE, seed=ROLES_SEED)
+        auditor = Auditor(min_partition_size=ROLES_MIN_PARTITION)
+        owner = JobOwner(min_partition_size=ROLES_MIN_PARTITION)
+        user = EndUser({"Gender": "Female"})
+        timed = {
+            "audit": lambda: auditor.audit_marketplace(market),
+            "job_owner": lambda: owner.explore_job(
+                market, ROLES_JOB, sweep_steps=ROLES_SWEEP_STEPS
+            ),
+            "end_user": lambda: user.assess_job(market, ROLES_JOB),
+        }
+        outcomes = {}
+        for role, call in timed.items():
+            started = time.perf_counter()
+            outcomes[role] = call()
+            took = time.perf_counter() - started
+            if round_index:  # round 0 warms the interpreter's imports
+                elapsed[role].append(took)
+        if not round_index:
+            _check_role_searches(market, outcomes["audit"], outcomes["job_owner"],
+                                 auditor.formulation)
+            job = market.job(ROLES_JOB)
+            candidates = job.candidates(market.workers)
+            function = observed_function(job.function, candidates, ROLES_JOB)
+            _assert_same_search(
+                quantify(candidates, function, user.formulation),
+                reference_quantify(candidates, function, user.formulation),
+            )
+    medians = {role: statistics.median(times) for role, times in elapsed.items()}
+    print()
+    print(
+        f"roles on {ROLES_MARKET_SIZE} workers (cold): "
+        + ", ".join(f"{role} {value * 1000:.1f}ms" for role, value in medians.items())
+    )
+    _write_results(
+        {
+            "roles_market": {
+                "workers": ROLES_MARKET_SIZE,
+                "job": ROLES_JOB,
+                "min_partition_size": ROLES_MIN_PARTITION,
+                "rounds": ROLES_ROUNDS,
+                **{f"{role}_ms": round(value * 1000, 2) for role, value in medians.items()},
+                "identical_results": True,
+            }
+        }
+    )
+
+
 _MILLION_LEG_SCRIPT = """
 import json, resource, sys, time
 from repro.core.quantify import quantify

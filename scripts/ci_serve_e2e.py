@@ -8,7 +8,8 @@ Exercises the full deployment workflow exactly as an operator would:
 3. fire one request per protocol-v2 kind (all seven), a quantify that
    addresses ``table1`` by content-fingerprint prefix, and a mixed batch
    (with a duplicate slot and a slot naming an unknown dataset, sent under
-   a pinned trace id) through :class:`~repro.server.client.HTTPFairnessClient`;
+   a pinned trace id) through :class:`~repro.server.client.HTTPFairnessClient`,
+   then 20 quantify POSTs on one keep-alive connection within 0.4s;
 4. assert every HTTP response is byte-identical (``ServiceResult.canonical``)
    to the in-process :class:`~repro.service.client.FairnessClient` answer
    over a service booted from the *same* snapshot, and that the result
@@ -64,6 +65,7 @@ from repro.service import (  # noqa: E402
     FairnessClient,
     FairnessService,
     QuantifyRequest,
+    ServiceResult,
     SweepRequest,
 )
 
@@ -183,6 +185,53 @@ def check_trace(port: int, workers: int) -> int:
         hops = "client -> router -> worker" if workers > 1 else "client -> server"
         print(f"[e2e] trace: one id spans {hops} "
               f"(total {timings.get('total_ms')} ms)")
+    return failures
+
+
+#: Keep-alive leg: POSTs timed on one connection and their time budget.
+KEEPALIVE_POSTS = 20
+KEEPALIVE_BUDGET_S = 0.4
+
+
+def check_keepalive(port: int, reference) -> int:
+    """Time quantify POSTs on one HTTP/1.1 keep-alive connection.
+
+    Every answer must be byte-identical to in-process, and all of them must
+    fit the budget: a response that waits on the client's delayed ACK
+    (Nagle's algorithm on the server socket) costs ~40ms each.
+    """
+    import http.client
+    import json
+
+    body = json.dumps(QuantifyRequest(dataset="table1", function="table1-f").to_json())
+    expected = reference.quantify("table1", "table1-f").canonical()
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    failures = 0
+    try:
+        started = time.perf_counter()
+        for index in range(KEEPALIVE_POSTS + 1):
+            if index == 1:  # the first POST may compute; time the rest
+                started = time.perf_counter()
+            connection.request(
+                "POST", "/v2/quantify", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            payload = json.loads(response.read())
+            if ServiceResult.from_json(payload).canonical() != expected:
+                failures += 1
+        elapsed = time.perf_counter() - started
+    finally:
+        connection.close()
+    if failures:
+        print(f"[e2e] FAIL: {failures} keep-alive answer(s) diverged from in-process")
+    if elapsed >= KEEPALIVE_BUDGET_S:
+        failures += 1
+        print(f"[e2e] FAIL: {KEEPALIVE_POSTS} keep-alive POSTs took {elapsed:.3f}s "
+              f"(budget {KEEPALIVE_BUDGET_S}s)")
+    if not failures:
+        print(f"[e2e] keep-alive: {KEEPALIVE_POSTS} POSTs on one connection in "
+              f"{elapsed * 1000:.0f} ms, byte-identical")
     return failures
 
 
@@ -511,6 +560,7 @@ def main() -> int:
             # stay exact; the extra traced quantify lands after the audit.
             failures += check_metrics(port, arguments.workers)
             failures += check_trace(port, arguments.workers)
+            failures += check_keepalive(port, reference)
         finally:
             failures += shutdown_server(process, "server")
 

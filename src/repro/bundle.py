@@ -59,9 +59,11 @@ COLUMNS = BundleKind("fairank-columns", 1, "column sidecar")
 #: bundles are refused (reason ``manifest``) and recomputed cold.
 SCORE_STORE = BundleKind("fairank-scorestore", 2, "score-store bundle")
 #: Version 2 records dataset fingerprints hashed from column buffers
-#: (``dataset-v2``); version-1 files carry the older row hash and are refused
-#: (reason ``manifest``) rather than re-fingerprinted.
-WARM_START = BundleKind("fairank-warmstart", 2, "warm-start bundle")
+#: (``dataset-v2``); version-1 files carry the older row hash.  Version 3
+#: marks answers computed by the one EMD kernel (a 2-histogram distance
+#: differs from version 2's in its last bits).  Older bundles are refused
+#: (reason ``manifest``) and boot cold, so an old answer is never served.
+WARM_START = BundleKind("fairank-warmstart", 3, "warm-start bundle")
 #: Version 3 stores every dataset as a column bundle (or a ``csv`` reference);
 #: version 2 (inline rows, generator loaders) and version 1 (row-hash
 #: fingerprints) are refused (reason ``manifest``), never converted.

@@ -23,7 +23,6 @@ from repro.core.unfairness import (
     UnfairnessBreakdown,
     favored_groups,
     pairwise_distances,
-    partition_vs_siblings,
     unfairness,
     unfairness_breakdown,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "UnfairnessBreakdown",
     "favored_groups",
     "pairwise_distances",
-    "partition_vs_siblings",
     "quantify",
     "QuantifyResult",
     "most_unfair_attribute",

@@ -65,7 +65,9 @@ class Aggregation(str, Enum):
         with a single partition has no pairs) is 0.0 — a single group cannot
         be unfair to itself.
         """
-        data = np.asarray(list(values), dtype=float)
+        data = np.asarray(
+            values if isinstance(values, np.ndarray) else list(values), dtype=float
+        )
         if data.size == 0:
             return 0.0
         if self is Aggregation.AVERAGE:

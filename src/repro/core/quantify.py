@@ -24,13 +24,15 @@ renders) and as the leaf :class:`~repro.core.partition.Partitioning`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD, resolve_binning
 from repro.core.partition import Partition, Partitioning, root_partition, split_partition
 from repro.core.scorestore import ScoreStore, store_for
 from repro.core.tree import PartitionNode, PartitionTree
-from repro.core.unfairness import pairwise_distances, unfairness
+from repro.core.unfairness import pair_distances, unfairness, upper_pairs
 from repro.data.dataset import Dataset
 from repro.errors import PartitioningError
 from repro.metrics.histogram import Binning, Histogram
@@ -77,16 +79,6 @@ class QuantifyResult:
         return summary
 
 
-class _SplitCounter:
-    """Mutable counter shared across the recursion (explicit, no globals)."""
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, amount: int = 1) -> None:
-        self.count += amount
-
-
 def _candidate_histograms(
     partition: Partition,
     attributes: Sequence[str],
@@ -117,13 +109,167 @@ def _candidate_histograms(
     return evaluated
 
 
+def _score_node(
+    own: Optional[Histogram],
+    siblings: Sequence[Histogram],
+    candidates: Sequence[Tuple[Histogram, ...]],
+    formulation: Formulation,
+) -> Tuple[float, List[float]]:
+    """``(currentAvg, one score per candidate)`` for one node, in one batch.
+
+    ``own`` (when given), the siblings and every candidate's children are
+    the rows of one CDF matrix, and every distance the node needs comes
+    from one kernel call (:func:`~repro.core.unfairness.pair_distances`).
+    A candidate's score aggregates the distances of ``children + siblings``
+    in the i < j order of :func:`~repro.core.unfairness.pairwise_distances`:
+    first every pair that involves a child, then the sibling×sibling
+    block, which is computed once and shared by every candidate and by
+    ``currentAvg`` (``[own] + siblings``).  So ``aggregate`` sees the same
+    floats in the same order as it would from one ``pairwise_distances``
+    call per set.  currentAvg is 0.0 when ``own`` is not given.
+    """
+    count = len(siblings)
+    first = 0 if own is None else 1
+    histograms: List[Histogram] = ([] if own is None else [own]) + list(siblings)
+    block_rows, block_cols = upper_pairs(count)
+    rows = [block_rows + first]
+    cols = [block_cols + first]
+    if own is not None:
+        rows.append(np.zeros(count, dtype=block_rows.dtype))
+        cols.append(np.arange(first, first + count, dtype=block_rows.dtype))
+    for children in candidates:
+        # Each candidate's rows are its children followed by a repeat of the
+        # siblings' rows, so its pairs are upper_pairs(children + siblings)
+        # shifted by one offset.  Row-major, the pairs whose first member is
+        # a child come first.
+        start = len(histograms)
+        pair_rows, pair_cols = upper_pairs(len(children) + count)
+        involving = pair_rows.size - block_rows.size
+        rows.append(pair_rows[:involving] + start)
+        cols.append(pair_cols[:involving] + start)
+        histograms.extend(children)
+        histograms.extend(siblings)
+    if len(histograms) < 2:
+        return 0.0, []
+    values = pair_distances(histograms, np.concatenate(rows), np.concatenate(cols), formulation)
+    ends = np.cumsum([part.size for part in rows]).tolist()
+    block = values[: ends[0]]
+    scores = [
+        formulation.aggregate(np.concatenate((values[start:end], block)))
+        for start, end in zip(ends, ends[1:])
+    ]
+    if own is None:
+        return 0.0, scores
+    return scores[0], scores[1:]
+
+
+@dataclass
+class _Search:
+    """What every node of one greedy search shares, and its split count."""
+
+    formulation: Formulation
+    binning: Binning
+    store: ScoreStore
+    min_partition_size: int = 1
+    max_depth: Optional[int] = None
+    splits_evaluated: int = 0
+
+    def best_split(
+        self,
+        partition: Partition,
+        own: Optional[Histogram],
+        siblings: Sequence[Histogram],
+        attributes: Sequence[str],
+    ) -> Tuple[float, Optional[Tuple[str, Tuple[Partition, ...], float, Tuple[Histogram, ...]]]]:
+        """``(currentAvg, best split)`` of one node, scored by :func:`_score_node`.
+
+        The best split is ``(attribute, children, score, child histograms)``,
+        or ``None`` when no attribute is admissible; currentAvg is 0.0 when
+        ``own`` is not given.  Ties go to the first attribute by name.
+        """
+        evaluated = _candidate_histograms(
+            partition, attributes, self.binning, self.min_partition_size, self.store
+        )
+        order = sorted(evaluated)
+        current, scores = _score_node(
+            own, siblings, [evaluated[attribute] for attribute in order], self.formulation
+        )
+        best: Optional[Tuple[str, float]] = None
+        for attribute, score in zip(order, scores):
+            self.splits_evaluated += len(evaluated[attribute])
+            if best is None or self.formulation.is_better(score, best[1]):
+                best = (attribute, score)
+        if best is None:
+            return current, None
+        attribute, score = best
+        children = split_partition(partition, attribute, store=self.store)
+        return current, (attribute, children, score, evaluated[attribute])
+
+    def grow(
+        self,
+        node: PartitionNode,
+        attribute: str,
+        children: Tuple[Partition, ...],
+        histograms: Tuple[Histogram, ...],
+        attributes: Tuple[str, ...],
+        depth: int,
+    ) -> None:
+        """Split ``node`` on ``attribute`` and run Algorithm 1 on each child."""
+        remaining = tuple(a for a in attributes if a != attribute)
+        node.split_attribute = attribute
+        for index, child in enumerate(children):
+            self.visit(
+                node.add_child(PartitionNode(partition=child)),
+                histograms[index],
+                histograms[:index] + histograms[index + 1 :],
+                remaining,
+                depth,
+            )
+
+    def visit(
+        self,
+        node: PartitionNode,
+        own: Histogram,
+        siblings: Sequence[Histogram],
+        attributes: Tuple[str, ...],
+        depth: int,
+    ) -> None:
+        """Recursive body of Algorithm 1, growing the tree in place."""
+        if not attributes:
+            return
+        if self.max_depth is not None and depth >= self.max_depth:
+            return
+        if node.partition.size < 2 * self.min_partition_size:
+            # Splitting cannot yield two children of at least min_partition_size.
+            return
+
+        # currentAvg (Algorithm 1, line 4): the unfairness the local
+        # partitioning {current} ∪ siblings exhibits, i.e. the aggregated
+        # pairwise distance over that set of histograms.  childrenAvg
+        # (line 8): the unfairness it would exhibit if current were replaced
+        # by its children, which is the winning candidate's score (the same
+        # histograms in the same order).
+        current_value, choice = self.best_split(node.partition, own, siblings, attributes)
+        node.annotation["vs_siblings"] = current_value
+        if choice is None:
+            return
+        attribute, children, children_value, histograms = choice
+        node.annotation["children_vs_siblings"] = children_value
+
+        # Algorithm 1, line 9: keep the partition unless replacing it by its
+        # children improves the objective of the local partitioning.  (With
+        # no siblings this degenerates to "split only if the children differ
+        # at all", since a single partition has zero unfairness.)
+        if self.formulation.is_better(children_value, current_value):
+            self.grow(node, attribute, children, histograms, attributes, depth + 1)
+
+
 def most_unfair_attribute(
     partition: Partition,
     function: ScoringFunction,
     attributes: Sequence[str],
     formulation: Formulation = MOST_UNFAIR_AVG_EMD,
     siblings: Sequence[Histogram] = (),
-    counter: Optional[_SplitCounter] = None,
     min_partition_size: int = 1,
     store: Optional[ScoreStore] = None,
 ) -> Optional[Tuple[str, Tuple[Partition, ...], float]]:
@@ -140,106 +286,9 @@ def most_unfair_attribute(
     histograms, and only the winning attribute's children are materialised.
     """
     store = store_for(partition.members, function, store)
-    evaluated = _candidate_histograms(
-        partition, attributes, resolve_binning(formulation), min_partition_size, store
-    )
-    if not evaluated:
-        return None
-
-    best_attribute: Optional[str] = None
-    best_score = 0.0
-    for attribute in sorted(evaluated):
-        child_histograms = evaluated[attribute]
-        if counter is not None:
-            counter.add(len(child_histograms))
-        all_histograms = list(child_histograms) + list(siblings)
-        score = formulation.aggregate(pairwise_distances(all_histograms, formulation))
-        if best_attribute is None or formulation.is_better(score, best_score):
-            best_attribute, best_score = attribute, score
-    assert best_attribute is not None
-    return (best_attribute, split_partition(partition, best_attribute, store=store), best_score)
-
-
-def _quantify_node(
-    node: PartitionNode,
-    sibling_histograms: Sequence[Histogram],
-    function: ScoringFunction,
-    attributes: Tuple[str, ...],
-    formulation: Formulation,
-    counter: _SplitCounter,
-    max_depth: Optional[int],
-    min_partition_size: int,
-    depth: int,
-    store: ScoreStore,
-) -> None:
-    """Recursive body of Algorithm 1, growing the tree in place."""
-    binning = resolve_binning(formulation)
-    partition = node.partition
-
-    if not attributes:
-        return
-    if max_depth is not None and depth >= max_depth:
-        return
-    if partition.size < 2 * min_partition_size:
-        # Splitting cannot yield two children of at least min_partition_size.
-        return
-
-    current_histogram = store.histogram(partition, binning)
-    # currentAvg (Algorithm 1, line 4): the unfairness the local partitioning
-    # {current} ∪ siblings exhibits, i.e. the aggregated pairwise distance
-    # over that set of histograms.
-    current_value = formulation.aggregate(
-        pairwise_distances([current_histogram] + list(sibling_histograms), formulation)
-    )
-    node.annotation["vs_siblings"] = current_value
-
-    choice = most_unfair_attribute(
-        partition,
-        function,
-        attributes,
-        formulation=formulation,
-        siblings=sibling_histograms,
-        counter=counter,
-        min_partition_size=min_partition_size,
-        store=store,
-    )
-    if choice is None:
-        return
-    attribute, children, _ = choice
-
-    # childrenAvg (Algorithm 1, line 8): the unfairness the local partitioning
-    # would exhibit if current were replaced by its children.
-    child_histograms = [store.histogram(child, binning) for child in children]
-    children_value = formulation.aggregate(
-        pairwise_distances(child_histograms + list(sibling_histograms), formulation)
-    )
-    node.annotation["children_vs_siblings"] = children_value
-
-    # Algorithm 1, line 9: keep the partition unless replacing it by its
-    # children improves the objective of the local partitioning.  (With no
-    # siblings this degenerates to "split only if the children differ at
-    # all", since a single partition has zero unfairness.)
-    if not formulation.is_better(children_value, current_value):
-        return
-
-    remaining = tuple(a for a in attributes if a != attribute)
-    node.split_attribute = attribute
-    child_nodes = [node.add_child(PartitionNode(partition=child)) for child in children]
-
-    for index, child_node in enumerate(child_nodes):
-        new_siblings = [h for i, h in enumerate(child_histograms) if i != index]
-        _quantify_node(
-            child_node,
-            new_siblings,
-            function,
-            remaining,
-            formulation,
-            counter,
-            max_depth,
-            min_partition_size,
-            depth + 1,
-            store=store,
-        )
+    search = _Search(formulation, resolve_binning(formulation), store, min_partition_size)
+    _, choice = search.best_split(partition, None, siblings, attributes)
+    return None if choice is None else choice[:3]
 
 
 def quantify(
@@ -300,54 +349,34 @@ def quantify(
     if not attributes:
         raise PartitioningError("QUANTIFY needs at least one protected attribute to split on")
 
-    counter = _SplitCounter()
     root = PartitionNode(partition=root_partition(dataset))
-    binning = resolve_binning(formulation)
     store = store_for(dataset, function, store)
+    search = _Search(
+        formulation, resolve_binning(formulation), store, min_partition_size, max_depth
+    )
 
     # First invocation (paper §3.2): split the whole population on the most
     # unfair attribute, then run the recursive procedure once per resulting
     # partition with the other partitions as its siblings.
-    first_choice = most_unfair_attribute(
-        root.partition,
-        function,
-        attributes,
-        formulation=formulation,
-        siblings=(),
-        counter=counter,
-        min_partition_size=min_partition_size,
-        store=store,
-    )
+    _, first_choice = search.best_split(root.partition, None, (), attributes)
     if first_choice is not None:
-        attribute, children, _ = first_choice
-        root.split_attribute = attribute
-        remaining = tuple(a for a in attributes if a != attribute)
-        child_nodes = [root.add_child(PartitionNode(partition=child)) for child in children]
-        child_histograms = [store.histogram(child, binning) for child in children]
-        for index, child_node in enumerate(child_nodes):
-            siblings = [h for i, h in enumerate(child_histograms) if i != index]
-            _quantify_node(
-                child_node,
-                siblings,
-                function,
-                remaining,
-                formulation,
-                counter,
-                max_depth,
-                min_partition_size,
-                depth=1,
-                store=store,
-            )
+        attribute, children, root_value, histograms = first_choice
+        search.grow(root, attribute, children, histograms, attributes, depth=1)
 
     tree = PartitionTree(root)
     # The tree was grown by recursive splits, so its leaves partition the
     # population by construction; re-validating would re-walk every uid.
     partitioning = tree.to_partitioning(validate=False)
-    value = unfairness(partitioning, function, formulation, store=store)
+    if first_choice is not None and all(child.is_leaf for child in root.children):
+        # The leaves are the root's children, in order: unfairness(P, f) is
+        # the winning split's score.
+        value = root_value
+    else:
+        value = unfairness(partitioning, function, formulation, store=store)
     return QuantifyResult(
         tree=tree,
         partitioning=partitioning,
         unfairness=value,
         formulation=formulation,
-        splits_evaluated=counter.count,
+        splits_evaluated=search.splits_evaluated,
     )

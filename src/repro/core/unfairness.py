@@ -17,25 +17,25 @@ import numpy as np
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD, resolve_binning
 from repro.core.partition import Partitioning
 from repro.core.scorestore import ScoreStore, store_for
-from repro.metrics.histogram import Binning, Histogram, cache_cdfs
+from repro.metrics.histogram import Binning, Histogram, cdf_matrix
 from repro.scoring.base import ScoringFunction
 
 __all__ = [
     "unfairness",
     "pairwise_distances",
-    "cross_distances",
-    "partition_vs_siblings",
+    "pair_distances",
+    "upper_pairs",
     "UnfairnessBreakdown",
     "unfairness_breakdown",
     "favored_groups",
 ]
 
-#: Distances with a vectorised CDF-based fast path (1-D EMD closed form).
+#: Distances computed by the EMD kernel (the 1-D closed form over CDFs).
 _EMD_LIKE = {"emd", "normalized_emd"}
 
 
 def _emd_scale(formulation: Formulation, bins: int) -> float:
-    """Per-distance scale factor for the vectorised EMD fast path."""
+    """Per-distance scale factor of the EMD kernel."""
     if formulation.distance.name == "normalized_emd" and bins > 1:
         return 1.0 / (bins - 1)
     return 1.0
@@ -56,73 +56,50 @@ def _upper_pairs(count: int) -> Tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def _cdf_matrix(histograms: Sequence[Histogram]) -> np.ndarray:
-    """Stack histogram CDFs (without the final all-ones column) row-wise.
+def upper_pairs(count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(count, k=1)``: every pair ``i < j`` in row-major order.
 
-    Each histogram's CDF is cached on the histogram itself, so memoised
-    histograms (the score store serves the same objects to every sibling
-    set) pay for their cumulative sum once per search; the ones not yet
-    cached are computed together (:func:`~repro.metrics.histogram.cache_cdfs`).
+    Read-only arrays, memoised for counts up to ``_PAIR_MEMO_MAX_COUNT``.
     """
-    cache_cdfs(histograms)
-    count = len(histograms)
-    matrix = np.empty((count, histograms[0].binning.bins - 1))
-    for row, histogram in enumerate(histograms):
-        matrix[row] = histogram.cdf()
-    return matrix
+    if count <= _PAIR_MEMO_MAX_COUNT:
+        return _upper_pairs(count)
+    return np.triu_indices(count, k=1)
+
+
+def pair_distances(
+    histograms: Sequence[Histogram],
+    rows: np.ndarray,
+    cols: np.ndarray,
+    formulation: Formulation,
+) -> np.ndarray:
+    """Distances between ``histograms[rows[p]]`` and ``histograms[cols[p]]`` for every p.
+
+    EMD and normalized EMD go through the one EMD kernel: the L1 distance
+    between the two CDF rows of one matrix (:func:`~repro.metrics.histogram.cdf_matrix`),
+    times the distance's scale, for any number of histograms.  Each pair's
+    value depends on its two histograms alone, not on which other pairs
+    share the call.  Other distances call ``formulation.distance`` per pair.
+    """
+    if formulation.distance.name in _EMD_LIKE:
+        cdfs = cdf_matrix(histograms)
+        gaps = np.abs(cdfs[rows] - cdfs[cols]).sum(axis=1)
+        return gaps * _emd_scale(formulation, histograms[0].binning.bins)
+    distance = formulation.distance
+    return np.array(
+        [distance(histograms[i], histograms[j]) for i, j in zip(rows.tolist(), cols.tolist())],
+        dtype=float,
+    )
 
 
 def pairwise_distances(
     histograms: Sequence[Histogram],
     formulation: Formulation,
 ) -> List[float]:
-    """All pairwise distances between the given histograms (i < j order).
-
-    EMD-style distances use a vectorised closed form (L1 distance between
-    CDFs, from cached per-histogram CDFs) so that the partitioning search
-    stays interactive even when a node has many children; other distances
-    fall back to pairwise calls.
-    """
+    """All pairwise distances between the given histograms (i < j order)."""
     count = len(histograms)
     if count < 2:
         return []
-    if formulation.distance.name in _EMD_LIKE and count > 2:
-        bins = histograms[0].binning.bins
-        cdfs = _cdf_matrix(histograms)
-        gaps = np.abs(cdfs[:, None, :] - cdfs[None, :, :]).sum(axis=2)
-        scale = _emd_scale(formulation, bins)
-        if count <= _PAIR_MEMO_MAX_COUNT:
-            pairs = _upper_pairs(count)
-        else:
-            pairs = np.triu_indices(count, k=1)
-        return (gaps[pairs] * scale).tolist()
-    values: List[float] = []
-    for i in range(count):
-        for j in range(i + 1, count):
-            values.append(formulation.distance(histograms[i], histograms[j]))
-    return values
-
-
-def cross_distances(
-    first: Sequence[Histogram],
-    second: Sequence[Histogram],
-    formulation: Formulation,
-) -> List[float]:
-    """Distances between every histogram of ``first`` and every one of ``second``."""
-    if not first or not second:
-        return []
-    if formulation.distance.name in _EMD_LIKE and (len(first) * len(second)) > 4:
-        bins = first[0].binning.bins
-        cdf_first = _cdf_matrix(first)
-        cdf_second = _cdf_matrix(second)
-        gaps = np.abs(cdf_first[:, None, :] - cdf_second[None, :, :]).sum(axis=2)
-        scale = _emd_scale(formulation, bins)
-        return [float(v) for v in gaps.ravel() * scale]
-    return [
-        formulation.distance(a, b)
-        for a in first
-        for b in second
-    ]
+    return pair_distances(histograms, *upper_pairs(count), formulation).tolist()
 
 
 def unfairness(
@@ -146,21 +123,6 @@ def unfairness(
     store = store_for(partitioning.dataset, function, store)
     histograms = [store.histogram(partition, effective) for partition in partitioning]
     return formulation.aggregate(pairwise_distances(histograms, formulation))
-
-
-def partition_vs_siblings(
-    partition_histogram: Histogram,
-    sibling_histograms: Sequence[Histogram],
-    formulation: Formulation,
-) -> float:
-    """Aggregated distance between one partition and each of its siblings.
-
-    This is the quantity ``avg(EMD(current, siblings, f))`` used by
-    Algorithm 1 to decide whether splitting ``current`` further increases
-    unfairness.  With no siblings the value is 0.
-    """
-    values = cross_distances([partition_histogram], list(sibling_histograms), formulation)
-    return formulation.aggregate(values)
 
 
 def _leaf_means(partitioning: Partitioning, store: ScoreStore) -> Dict[str, float]:
@@ -253,8 +215,7 @@ def unfairness_breakdown(
     labels = partitioning.labels
 
     # pairwise_distances yields values in (i < j) order, matching
-    # itertools-style combinations over the labels, so the vectorised EMD
-    # fast path can be reused instead of the per-pair distance calls.
+    # itertools-style combinations over the labels.
     values = pairwise_distances(histograms, formulation)
     label_pairs = [
         (labels[i], labels[j])

@@ -14,6 +14,7 @@ which is what the EMD compares.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -22,7 +23,7 @@ import numpy as np
 from repro.errors import FormulationError
 
 __all__ = [
-    "Binning", "Histogram", "build_histogram", "cache_cdfs", "DEFAULT_BINS", "MAX_BINS",
+    "Binning", "Histogram", "build_histogram", "cdf_matrix", "DEFAULT_BINS", "MAX_BINS",
 ]
 
 #: Default number of equal-width bins over the score range, matching the
@@ -177,10 +178,9 @@ class Histogram:
     def cdf(self) -> np.ndarray:
         """Cumulative distribution over the bins, without the final all-ones bin.
 
-        This is the quantity the vectorised EMD fast path compares; it is
-        cached (histograms are immutable) so memoised histograms amortise the
-        cumulative sum across the thousands of pairwise distances one
-        partitioning search evaluates.
+        This is the quantity the EMD kernel compares; :func:`cdf_matrix`
+        computes the same rows, bit for bit, for many histograms at once.
+        Cached, as histograms are immutable.
         """
         cached = getattr(self, "_cdf_cache", None)
         if cached is not None:
@@ -207,32 +207,27 @@ class Histogram:
         return "[" + "|".join(str(c) for c in self.counts) + "]"
 
 
-def cache_cdfs(histograms: Sequence[Histogram]) -> None:
-    """Cache :meth:`Histogram.normalized` and :meth:`Histogram.cdf` in one batch.
+def cdf_matrix(histograms: Sequence[Histogram]) -> np.ndarray:
+    """The CDFs of ``histograms`` over one binning, one row each.
 
-    Histograms over one binning whose CDF is not cached yet are normalised
-    and summed as the rows of one matrix, instead of one small array
-    operation each.  The rows are bit-identical to what each histogram
-    computes on its own: the division is element-wise and a cumulative sum
-    adds in order along its axis.  A zero-total row normalises to the
-    uniform distribution, as an empty histogram does.  Already cached
-    arrays are kept.
+    Computed in one batch from the counts: normalised and summed as the
+    rows of one matrix, instead of one small array operation each.  Each
+    row is bit-identical to that histogram's :meth:`~Histogram.cdf`: the
+    division is element-wise and a cumulative sum adds in order along its
+    axis.  A zero-total row normalises to the uniform distribution, as an
+    empty histogram does.
     """
-    fresh = [histogram for histogram in histograms if "_cdf_cache" not in vars(histogram)]
-    if not fresh:
-        return
-    counts = np.array([histogram.counts for histogram in fresh], dtype=float)
+    bins = histograms[0].binning.bins
+    counts = np.fromiter(
+        itertools.chain.from_iterable(histogram.counts for histogram in histograms),
+        dtype=float,
+        count=len(histograms) * bins,
+    ).reshape(len(histograms), bins)
     totals = counts.sum(axis=1, keepdims=True)
     empty = totals[:, 0] <= 0
     normalized = counts / np.where(empty[:, None], 1.0, totals)
-    normalized[empty] = 1.0 / counts.shape[1]
-    cdfs = np.cumsum(normalized, axis=1)
-    normalized.setflags(write=False)
-    cdfs.setflags(write=False)
-    for histogram, row, cdf in zip(fresh, normalized, cdfs[:, :-1]):
-        cache = vars(histogram)
-        cache.setdefault("_normalized_cache", row)
-        cache.setdefault("_cdf_cache", cdf)
+    normalized[empty] = 1.0 / bins
+    return np.cumsum(normalized, axis=1)[:, :-1]
 
 
 def build_histogram(

@@ -367,16 +367,21 @@ class FairnessService:
     def store_stats(self) -> StorePoolStats:
         """Aggregate effectiveness of the score-store pool (for monitoring)."""
         pool = self._store_pool.stats
-        per_store = [store.stats for store in self._store_pool.values()]
+        # Built on every request and batch slot: sum the live stores' plain
+        # counters rather than one locked snapshot object per store.
+        totals = [0, 0, 0, 0]
+        for store in self._store_pool.values():
+            for index, value in enumerate(store.counters()):
+                totals[index] += value
         return StorePoolStats(
             stores=pool.entries,
             hits=pool.hits,
             misses=pool.misses,
             evictions=pool.evictions,
-            scoring_passes=sum(s.scoring_passes for s in per_store),
-            sliced_partitions=sum(s.sliced_partitions for s in per_store),
-            histogram_hits=sum(s.histogram_hits for s in per_store),
-            histogram_misses=sum(s.histogram_misses for s in per_store),
+            scoring_passes=totals[0],
+            sliced_partitions=totals[1],
+            histogram_hits=totals[2],
+            histogram_misses=totals[3],
         )
 
     # -- request execution (the wire protocol) --------------------------------

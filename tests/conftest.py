@@ -79,3 +79,36 @@ def _claim_content_length(server, length):
 def claim_content_length():
     """The forged-Content-Length POST helper (server and router tests)."""
     return _claim_content_length
+
+
+def _keepalive_posts(server, path, body, count):
+    """POST ``body`` to ``path`` ``count`` times over one keep-alive connection.
+
+    One untimed POST first (it may compute the answer), then ``count`` timed
+    ones.  Returns ``(response bodies, seconds for the timed POSTs)``.
+    """
+    import http.client
+    import time
+
+    connection = http.client.HTTPConnection(server.host, server.port, timeout=30)
+    headers = {"Content-Type": "application/json"}
+    try:
+        bodies = []
+        started = None
+        for index in range(count + 1):
+            if index == 1:
+                started = time.perf_counter()
+            connection.request("POST", path, body=body, headers=headers)
+            response = connection.getresponse()
+            assert response.status == 200
+            assert response.getheader("Connection") != "close"
+            bodies.append(response.read())
+        return bodies[1:], time.perf_counter() - started
+    finally:
+        connection.close()
+
+
+@pytest.fixture(scope="session")
+def keepalive_posts():
+    """The keep-alive POST loop helper (server and router tests)."""
+    return _keepalive_posts

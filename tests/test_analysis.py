@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
@@ -119,10 +120,15 @@ class TestBaseline:
             max_size=4,
         )
     )
-    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-    def test_baseline_round_trips_losslessly(self, tmp_path, entries):
+    # No deadline: an example's work is ~1ms, but its file operations wait
+    # on the disk.  With another process writing 1.5GB files, saving over an
+    # existing file (ext4 flushes the new data at the rename) took up to
+    # 260ms, and creating and removing a fresh directory up to 470ms.
+    @settings(deadline=None)
+    def test_baseline_round_trips_losslessly(self, entries):
         """save -> load preserves the mask, and a finding set built from
-        the mask diffs to exactly (no new, no stale, all masked)."""
+        the mask diffs to exactly (no new, no stale, all masked).  Each
+        example saves into its own fresh directory."""
         findings = [
             _finding(path, rule, line=index)
             for path, rules in entries.items()
@@ -130,9 +136,10 @@ class TestBaseline:
             for index in range(1, count + 1)
         ]
         baseline = baseline_from_findings(findings)
-        target = tmp_path / "baseline.json"
-        baseline.save(target)
-        reloaded = Baseline.load(target)
+        with tempfile.TemporaryDirectory() as directory:
+            target = Path(directory) / "baseline.json"
+            baseline.save(target)
+            reloaded = Baseline.load(target)
         assert reloaded.entries == baseline.entries
         assert reloaded.total == len(findings)
         diff = reloaded.diff(findings)

@@ -1,15 +1,20 @@
 """Tests for the greedy QUANTIFY algorithm (Algorithm 1)."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.exhaustive import exhaustive_search
 from repro.core.formulations import Aggregation, Formulation, Objective
 from repro.core.partition import root_partition
-from repro.core.quantify import most_unfair_attribute, quantify
-from repro.core.unfairness import unfairness
+from repro.core.quantify import _score_node, most_unfair_attribute, quantify
+from repro.core.unfairness import pairwise_distances, unfairness
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema, observed, protected
 from repro.errors import PartitioningError
+from repro.metrics.distances import get_distance
+from repro.metrics.histogram import MAX_BINS, Binning, Histogram
 from repro.scoring.linear import LinearScoringFunction
 
 CATEGORICAL_ATTRS = ["Gender", "Country", "Language", "Ethnicity"]
@@ -189,3 +194,64 @@ class TestMostUnfairAttribute:
         assert attribute in CATEGORICAL_ATTRS
         assert len(children) >= 2
         assert score >= 0.0
+
+
+@st.composite
+def node_cases(draw):
+    """One node's histograms: an optional own one, 0-3 siblings, 0-4 candidates."""
+    bins = draw(st.integers(min_value=1, max_value=MAX_BINS))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    # Share of all-zero (empty) histograms, and how sparse the others are.
+    empty = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    density = draw(st.sampled_from([0.05, 0.5, 1.0]))
+    binning = Binning.unit(bins)
+
+    def histogram() -> Histogram:
+        counts = rng.integers(0, 40, bins) * (rng.random(bins) < density)
+        if rng.random() < empty:
+            counts[:] = 0
+        return Histogram(binning=binning, counts=tuple(int(count) for count in counts))
+
+    own = histogram() if draw(st.booleans()) else None
+    siblings = [histogram() for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    sizes = draw(st.lists(st.integers(min_value=2, max_value=7), max_size=4))
+    candidates = [tuple(histogram() for _ in range(size)) for size in sizes]
+    formulation = Formulation(
+        aggregation=draw(st.sampled_from(list(Aggregation))),
+        distance=get_distance(
+            draw(st.sampled_from(["emd", "normalized_emd", "total_variation"]))
+        ),
+        bins=bins,
+    )
+    return own, siblings, candidates, formulation
+
+
+class TestBatchedNodeScoring:
+    """A node's scores from one matrix and one kernel call equal one
+    ``pairwise_distances`` call per set, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(node_cases())
+    def test_scores_equal_one_pairwise_call_per_set(self, case):
+        own, siblings, candidates, formulation = case
+        current, scores = _score_node(own, siblings, candidates, formulation)
+        assert len(scores) == len(candidates)
+        for children, score in zip(candidates, scores):
+            expected = formulation.aggregate(
+                pairwise_distances(list(children) + siblings, formulation)
+            )
+            assert score.hex() == expected.hex()
+        if own is None:
+            assert current == 0.0
+        else:
+            expected = formulation.aggregate(
+                pairwise_distances([own] + siblings, formulation)
+            )
+            assert current.hex() == expected.hex()
+
+    def test_two_child_candidate_without_siblings(self):
+        binning = Binning.unit(5)
+        first = Histogram(binning=binning, counts=(3, 0, 1, 0, 0))
+        second = Histogram(binning=binning, counts=(0, 0, 1, 2, 5))
+        _, (score,) = _score_node(None, [], [(first, second)], Formulation())
+        assert score == pairwise_distances([first, second], Formulation())[0]

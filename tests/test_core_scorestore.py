@@ -26,7 +26,7 @@ from repro.data.dataset import Dataset, Individual
 from repro.data.schema import Schema, observed, protected
 from repro.errors import FormulationError, PartitioningError, ScoringError, WarmStartError
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
-from repro.metrics.histogram import MAX_BINS, Binning, Histogram, build_histogram, cache_cdfs
+from repro.metrics.histogram import MAX_BINS, Binning, Histogram, build_histogram, cdf_matrix
 from repro.scoring.linear import LinearScoringFunction
 from repro.service import AuditRequest, BatchExecutor, FairnessService, QuantifyRequest
 from scoring_reference import (
@@ -635,6 +635,32 @@ class TestServicePool:
         assert service.store_stats.stores == 2
         assert service.store_stats.evictions == 2
 
+    def test_pool_counters_equal_the_live_stores_stats_after_evictions(self):
+        service = self._service(max_stores=2)
+        for index in range(5):
+            service.register_function(
+                LinearScoringFunction(
+                    {"Language Test": 0.1 + index * 0.2, "Rating": 0.5}, name=f"f{index}"
+                )
+            )
+            service.execute(
+                QuantifyRequest(dataset="pop", function=f"f{index}", min_partition_size=5)
+            )
+            service.execute(
+                QuantifyRequest(
+                    dataset="pop", function=f"f{index // 2}", aggregation="maximum",
+                    min_partition_size=5,
+                )
+            )
+        stats = service.store_stats
+        live = [store.stats for store in service._store_pool.values()]
+        assert stats.evictions >= 3 and stats.stores == len(live) == 2
+        assert stats.scoring_passes == sum(s.scoring_passes for s in live) == 2
+        assert stats.sliced_partitions == sum(s.sliced_partitions for s in live)
+        assert stats.histogram_hits == sum(s.histogram_hits for s in live)
+        assert stats.histogram_misses == sum(s.histogram_misses for s in live)
+        assert stats.histogram_hits > 0 and stats.histogram_misses > 0
+
     def test_rejects_non_positive_max_stores(self):
         from repro.errors import ServiceError
 
@@ -784,10 +810,10 @@ class TestBinCodeKernel:
 
 
 class TestBatchedCdfs:
-    """Batched normalized()/cdf() rows equal each histogram's own, bit for bit."""
+    """``cdf_matrix`` rows equal each histogram's own cdf(), bit for bit."""
 
     @pytest.mark.parametrize("bins", [1, 2, 5, 256])
-    def test_cached_rows_equal_fresh_histograms(self, bins):
+    def test_matrix_rows_equal_fresh_histograms(self, bins):
         rng = np.random.default_rng(bins)
         population, scorer = _table_population(rng.random(900))
         genders = population.codes("Gender")
@@ -805,47 +831,18 @@ class TestBatchedCdfs:
             for attribute in _CUT_SCHEMA.protected_names:
                 attr = _CUT_SCHEMA.require_protected(attribute)
                 values, _, histograms = store.candidate_split(partition, attr, binning)
-                cache_cdfs(histograms)
-                for value, histogram in zip(values, histograms):
-                    assert "_cdf_cache" in vars(histogram)
+                matrix = cdf_matrix(histograms)
+                assert matrix.shape == (len(histograms), bins - 1)
+                for value, histogram, row in zip(values, histograms, matrix):
                     fresh = Histogram(binning=binning, counts=histogram.counts)
-                    assert np.array_equal(histogram.normalized(), fresh.normalized())
-                    assert np.array_equal(histogram.cdf(), fresh.cdf())
-                    assert not histogram.normalized().flags.writeable
-                    assert not histogram.cdf().flags.writeable
+                    assert row.tobytes() == fresh.cdf().tobytes()
                     if attribute == "Gender" and value == "X":
                         assert histogram.is_empty
                         assert np.array_equal(
-                            histogram.normalized(), np.full(bins, 1.0 / bins)
+                            fresh.normalized(), np.full(bins, 1.0 / bins)
                         )
                         checked_empty = True
         assert checked_empty
-
-    def test_emd_fast_path_batches_its_histograms(self, population, function):
-        store = ScoreStore(population, function)
-        widest = max(
-            population.schema.protected_names,
-            key=lambda name: len(population.codes(name)[1]),
-        )
-        attr = population.schema.require_protected(widest)
-        _, _, histograms = store.candidate_split(root_partition(population), attr, Binning.unit())
-        assert len(histograms) > 2
-        assert not any("_cdf_cache" in vars(histogram) for histogram in histograms)
-        pairwise_distances(histograms, Formulation())
-        # One batch: every cached CDF is a row of one matrix.
-        bases = {id(vars(histogram)["_cdf_cache"].base) for histogram in histograms}
-        assert len(bases) == 1
-
-    def test_cached_arrays_are_kept(self):
-        binning = Binning.unit()
-        first = Histogram(binning=binning, counts=(1, 0, 2, 0, 3))
-        second = Histogram(binning=binning, counts=(0, 0, 0, 0, 0))
-        normalized, cdf = first.normalized(), first.cdf()
-        partial = second.normalized()
-        cache_cdfs([first, second, first])
-        assert first.normalized() is normalized and first.cdf() is cdf
-        assert second.normalized() is partial
-        assert np.array_equal(second.cdf(), np.cumsum(partial)[:-1])
 
 
 class TestRootGrouping:
@@ -1110,3 +1107,46 @@ class TestFavoredGroups:
         with pytest.raises(ScoringError):
             favored_groups(Partitioning(population, [root_partition(population)]), other,
                            store=store)
+
+
+@st.composite
+def search_cases(draw):
+    """A population, its scorer and a formulation for a whole greedy search."""
+    size = draw(st.integers(min_value=2, max_value=400))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scores = rng.uniform(-0.2, 1.2, size)
+    nan_every = draw(st.sampled_from([0, 5, 1]))
+    if nan_every:
+        scores[::nan_every] = np.nan  # every 1: all-empty histograms
+    formulation = Formulation.from_names(
+        objective=draw(st.sampled_from(["most_unfair", "least_unfair"])),
+        aggregation=draw(st.sampled_from(["average", "maximum", "minimum", "variance"])),
+        distance=draw(st.sampled_from(["emd", "normalized_emd", "total_variation"])),
+        bins=draw(st.integers(min_value=1, max_value=MAX_BINS)),
+    )
+    options = {
+        "min_partition_size": draw(st.sampled_from([1, 3, 20])),
+        "max_depth": draw(st.sampled_from([None, 1, 2])),
+    }
+    return scores, formulation, options
+
+
+class TestSearchMatchesReference:
+    """Batched node scoring leaves the whole search equal to the reference."""
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(search_cases())
+    def test_search_equals_reference_quantify(self, case):
+        scores, formulation, options = case
+        population, scorer = _table_population(scores)
+        result = quantify(population, scorer, formulation, **options)
+        reference = reference_quantify(population, scorer, formulation, **options)
+        assert result.summary() == reference.summary()
+        assert result.unfairness.hex() == reference.unfairness.hex()
+        assert result.splits_evaluated == reference.splits_evaluated
+        assert result.partitioning.labels == reference.partitioning.labels
+        # currentAvg and childrenAvg of every node, bit for bit.
+        for node, expected in zip(result.tree.root.iter_nodes(), reference.tree.root.iter_nodes()):
+            assert {key: value.hex() for key, value in node.annotation.items()} == {
+                key: value.hex() for key, value in expected.annotation.items()
+            }

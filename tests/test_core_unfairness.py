@@ -1,21 +1,24 @@
 """Tests for repro.core.unfairness (Definition 2 of the paper)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.formulations import Aggregation, Formulation
-from repro.core.partition import Partitioning, root_partition
+from repro.core.partition import Partitioning
 from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import (
     _upper_pairs,
-    cross_distances,
     pairwise_distances,
-    partition_vs_siblings,
     unfairness,
     unfairness_breakdown,
 )
 from repro.metrics.distances import get_distance
-from repro.metrics.histogram import Binning, build_histogram
+from repro.metrics.emd import emd, normalized_emd
+from repro.metrics.histogram import MAX_BINS, Binning, Histogram, build_histogram
 from repro.scoring.linear import LinearScoringFunction
 
 
@@ -100,34 +103,54 @@ class TestPairwiseDistances:
         assert len(values) == 6
 
 
-class TestCrossDistances:
-    def test_cross_matches_individual_calls(self):
-        binning = Binning.unit(5)
-        rng = np.random.default_rng(5)
-        first = [build_histogram(rng.random(15), binning=binning) for _ in range(3)]
-        second = [build_histogram(rng.random(15), binning=binning) for _ in range(4)]
-        formulation = Formulation()
-        fast = cross_distances(first, second, formulation)
-        slow = [formulation.distance(a, b) for a in first for b in second]
-        assert fast == pytest.approx(slow)
+class TestOneEmdKernel:
+    """Every histogram count, 2 included, goes through the one CDF kernel."""
 
-    def test_empty_inputs(self):
-        assert cross_distances([], [], Formulation()) == []
+    @settings(max_examples=120, deadline=None)
+    @given(
+        bins=st.integers(min_value=1, max_value=MAX_BINS),
+        count=st.integers(min_value=2, max_value=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        near=st.booleans(),
+    )
+    def test_kernel_matches_the_independent_emd(self, bins, count, seed, near):
+        rng = np.random.default_rng(seed)
+        binning = Binning.unit(bins)
+        base = rng.integers(0, 1000, bins)
+        histograms = []
+        for _ in range(count):
+            # Near-identical histograms (one count moved) probe tiny distances.
+            counts = base.copy() if near else rng.integers(0, 1000, bins)
+            counts[rng.integers(0, bins)] += int(rng.integers(0, 3))
+            if rng.random() < 0.15:
+                counts[:] = 0
+            histograms.append(Histogram(binning=binning, counts=tuple(counts.tolist())))
+        for name, independent in (("emd", emd), ("normalized_emd", normalized_emd)):
+            formulation = Formulation(distance=get_distance(name), bins=bins)
+            values = pairwise_distances(histograms, formulation)
+            expected = [
+                independent(histograms[i], histograms[j])
+                for i in range(count)
+                for j in range(i + 1, count)
+            ]
+            assert len(values) == len(expected)
+            for value, reference in zip(values, expected):
+                assert math.isclose(value, reference, rel_tol=1e-12, abs_tol=1e-12)
 
-    def test_partition_vs_siblings_no_siblings_is_zero(self, table1_dataset, table1_function):
-        store = ScoreStore(table1_dataset, table1_function)
-        histogram = store.histogram(root_partition(table1_dataset))
-        assert partition_vs_siblings(histogram, [], Formulation()) == 0.0
-
-    def test_partition_vs_siblings_average(self):
-        binning = Binning.unit(5)
-        current = build_histogram([0.0], binning=binning)
-        siblings = [
-            build_histogram([1.0], binning=binning),
-            build_histogram([0.0], binning=binning),
+    def test_a_pair_does_not_depend_on_the_other_histograms(self):
+        # The two-histogram answer is the kernel's, not a separate per-pair path.
+        rng = np.random.default_rng(8)
+        binning = Binning.unit(7)
+        histograms = [
+            Histogram(binning=binning, counts=tuple(rng.integers(0, 50, 7).tolist()))
+            for _ in range(5)
         ]
-        value = partition_vs_siblings(current, siblings, Formulation())
-        assert value == pytest.approx(2.0)  # (4 + 0) / 2
+        formulation = Formulation(bins=7)
+        together = pairwise_distances(histograms, formulation)
+        rows, cols = _upper_pairs(5)
+        for (i, j), value in zip(zip(rows.tolist(), cols.tolist()), together):
+            pair = pairwise_distances([histograms[i], histograms[j]], formulation)
+            assert pair == [value]
 
 
 class TestUnfairness:

@@ -26,6 +26,7 @@ from repro.service import (
     FairnessClient,
     FairnessService,
     QuantifyRequest,
+    ServiceResult,
 )
 
 
@@ -365,6 +366,21 @@ class TestErrorMapping:
                 assert payload["kind"] == "quantify"
         finally:
             connection.close()
+
+    def test_keepalive_requests_do_not_stall(self, server, keepalive_posts):
+        """Twenty POSTs on one HTTP/1.1 connection, each answered promptly.
+
+        The handler writes headers and body separately; with Nagle's
+        algorithm on, each answer would wait for the client's delayed ACK
+        (about 40ms a request, 0.9s for twenty)."""
+        body = json.dumps({"dataset": "table1", "function": "table1-f"})
+        bodies, elapsed = keepalive_posts(server, "/v2/quantify", body, 20)
+        expected = build_service().execute(
+            QuantifyRequest(dataset="table1", function="table1-f")
+        ).canonical()
+        for raw in bodies:
+            assert ServiceResult.from_json(json.loads(raw)).canonical() == expected
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
 
     def test_oversized_body_is_413_unread_and_closes_the_connection(
         self, server, claim_content_length

@@ -390,6 +390,17 @@ class TestShardRouterParity:
         ).encode()
         assert raw("/v2/quantify", body=body) == 400
 
+    def test_keepalive_requests_do_not_stall(self, fleet, reference, keepalive_posts):
+        """Twenty POSTs on one HTTP/1.1 connection to the router, each answered
+        promptly and byte-identical to in-process (see the server twin)."""
+        _, router, _ = fleet
+        body = json.dumps({"dataset": "table1", "function": "table1-f"})
+        bodies, elapsed = keepalive_posts(router, "/v2/quantify", body, 20)
+        expected = reference.quantify("table1", "table1-f").canonical()
+        for raw in bodies:
+            assert ServiceResult.from_json(json.loads(raw)).canonical() == expected
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed:.3f}s"
+
 
 class TestRouterRelay:
     def test_worker_bodies_are_relayed_byte_for_byte(self, fleet, monkeypatch):

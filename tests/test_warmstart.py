@@ -338,24 +338,22 @@ class TestServiceWarmState:
         assert _service().load_warm_state(tmp_path) == {"stores": 0, "results": 0}
         assert _skip_count("manifest") == before + 1
 
-    def test_version_1_bundle_falls_back_cold(self, tmp_path):
-        # Version-1 bundles record row-hash dataset fingerprints: the whole
-        # bundle is refused (reason "manifest"), never re-fingerprinted.
+    def _assert_old_version_falls_back_cold(self, tmp_path, version):
         warm = _service()
         reference = warm.execute(_REQUEST)
         warm.save_warm_state(tmp_path)
         manifest_path = tmp_path / bundle.MANIFEST
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        assert manifest["version"] == bundle.WARM_START.version == 2
-        manifest["version"] = 1
+        assert manifest["version"] == bundle.WARM_START.version == 3
+        manifest["version"] = version
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
 
         with pytest.raises(BundleError) as refused:
             with bundle.open_manifest(tmp_path, bundle.WARM_START):
                 pass
         assert refused.value.reason == "manifest"
-        assert "warm-start bundle version 1" in str(refused.value)
-        assert "reads version 2" in str(refused.value)
+        assert f"warm-start bundle version {version}" in str(refused.value)
+        assert "reads version 3" in str(refused.value)
 
         before = _skip_count("manifest")
         restarted = _service()
@@ -365,6 +363,16 @@ class TestServiceWarmState:
         assert not cold.cached
         assert cold.canonical() == reference.canonical()
         assert restarted.store_stats.scoring_passes == 1
+
+    def test_version_1_bundle_falls_back_cold(self, tmp_path):
+        # Version-1 bundles record row-hash dataset fingerprints: the whole
+        # bundle is refused (reason "manifest"), never re-fingerprinted.
+        self._assert_old_version_falls_back_cold(tmp_path, 1)
+
+    def test_version_2_bundle_falls_back_cold(self, tmp_path):
+        # Version-2 bundles may hold 2-histogram answers from before the one
+        # EMD kernel, which differ in their last bits: refused, never served.
+        self._assert_old_version_falls_back_cold(tmp_path, 2)
 
     def test_load_reports_bytes_restored(self, tmp_path):
         warm = _service()
