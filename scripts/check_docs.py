@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""CI gate for the docs tree: links, anchors, flags and rule ids must exist.
+"""CI gate for the docs tree: links, anchors, flags, rule ids and symbols must exist.
 
-Five checks over ``docs/*.md`` (plus ``README.md`` for links/anchors):
+Six checks over ``docs/*.md`` (plus ``README.md`` for links, anchors and
+symbols):
 
 * **links** — every internal markdown link ``[text](target)`` must point
   at a file that exists, resolved relative to the file containing the
@@ -23,6 +24,10 @@ Five checks over ``docs/*.md`` (plus ``README.md`` for links/anchors):
   :func:`repro.service.request_from_json`, so a documented request is one
   the server accepts (response envelopes, which carry a ``payload``, are
   not requests and are skipped).
+* **symbols** — every dotted ``repro.…`` name (``repro.service``,
+  ``repro.core.scorestore.ScoreStore``, ...) must import, or resolve by
+  ``getattr`` from the longest prefix that imports, so the docs cannot
+  name a module, class or function the package no longer has.
 
 Exit status 0 when clean, 1 with one line per problem otherwise.  Run it
 from the repository root (CI does), or pass ``--root``.
@@ -50,6 +55,10 @@ _RULE_ID = re.compile(r"\bFL\d{3}\b")
 _HEADING = re.compile(r"^#{1,6}\s+(.*?)\s*#*\s*$")
 
 _EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+
+#: A dotted name inside the package: ``repro.service``, ``repro.obs.log.ObsLogger``
+#: (not a path such as ``src/repro/...``; a sentence's final dot is not taken).
+_SYMBOL = re.compile(r"(?<![\w/.-])repro(?:\.[A-Za-z_]\w*)+")
 
 #: A fenced ```json block (its body captured).
 _JSON_BLOCK = re.compile(r"^```json\n(.*?)^```", re.DOTALL | re.MULTILINE)
@@ -187,6 +196,39 @@ def check_request_examples(protocol_doc: Path) -> List[str]:
     return problems
 
 
+def _resolves(dotted: str) -> bool:
+    """True when ``dotted`` imports, or is attributes of a module that does.
+
+    Each step prefers a submodule over a same-named attribute, so
+    ``repro.core.quantify`` names the module, not the function that
+    ``repro.core`` re-exports under that name.
+    """
+    import importlib
+    import importlib.util
+
+    parts = dotted.split(".")
+    target = importlib.import_module(parts[0])
+    for depth in range(2, len(parts) + 1):
+        module = ".".join(parts[:depth])
+        if hasattr(target, "__path__") and importlib.util.find_spec(module) is not None:
+            target = importlib.import_module(module)
+        elif hasattr(target, parts[depth - 1]):
+            target = getattr(target, parts[depth - 1])
+        else:
+            return False
+    return True
+
+
+def check_symbols(markdown_files: List[Path]) -> List[str]:
+    """Every dotted ``repro.…`` name in the docs must resolve."""
+    problems = []
+    for path in markdown_files:
+        for symbol in sorted(set(_SYMBOL.findall(path.read_text(encoding="utf-8")))):
+            if not _resolves(symbol):
+                problems.append(f"{path}: names {symbol} which does not resolve")
+    return problems
+
+
 def main(argv: List[str]) -> int:
     arguments = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     arguments.add_argument(
@@ -209,6 +251,7 @@ def main(argv: List[str]) -> int:
         + check_flags(doc_files)
         + check_rule_ids(doc_files)
         + check_request_examples(root / "docs" / "PROTOCOL.md")
+        + check_symbols(link_files)
     )
     for problem in problems:
         print(problem, file=sys.stderr)
@@ -223,10 +266,18 @@ def main(argv: List[str]) -> int:
         len(set(_RULE_ID.findall(path.read_text(encoding="utf-8"))))
         for path in doc_files
     )
+    symbol_count = len(
+        {
+            symbol
+            for path in link_files
+            for symbol in _SYMBOL.findall(path.read_text(encoding="utf-8"))
+        }
+    )
     print(
         f"docs check OK: {len(link_files)} file(s); links and anchors "
         f"resolve, {flag_count} documented flag reference(s) and "
-        f"{rule_count} rule id reference(s) exist, documented requests parse"
+        f"{rule_count} rule id reference(s) exist, documented requests parse, "
+        f"{symbol_count} repro symbol(s) resolve"
     )
     return 0
 

@@ -10,7 +10,7 @@ re-exported here covers the most common entry points:
   :class:`~repro.scoring.RankDerivedScorer`
 * core: :func:`~repro.core.quantify` (Algorithm 1),
   :func:`~repro.core.exhaustive_search`, :func:`~repro.core.unfairness`,
-  :class:`~repro.core.Formulation`, :class:`~repro.core.FairnessProblem`
+  :class:`~repro.core.Formulation`
 * roles: :class:`~repro.roles.Auditor`, :class:`~repro.roles.JobOwner`,
   :class:`~repro.roles.EndUser`
 * session: :class:`~repro.session.FaiRankEngine`,
@@ -28,13 +28,12 @@ re-exported here covers the most common entry points:
   and :class:`~repro.server.HTTPFairnessClient` (same method surface as the
   in-process client, carried over HTTP)
 
-See README.md for a quickstart and DESIGN.md for the system inventory.
+See README.md for a quickstart and docs/ARCHITECTURE.md for the system inventory.
 """
 
 from repro.catalog import Catalog, Resource, ResourceKind
 from repro.core import (
     Aggregation,
-    FairnessProblem,
     Formulation,
     Objective,
     Partition,
@@ -91,7 +90,6 @@ __all__ = [
     "exhaustive_search",
     "unfairness",
     "unfairness_breakdown",
-    "FairnessProblem",
     "Marketplace",
     "Job",
     "CrowdsourcingGenerator",

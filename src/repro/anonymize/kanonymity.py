@@ -217,7 +217,8 @@ class GlobalRecodingAnonymizer:
                 if tuple(individual.values[name] for name in quasi_identifiers) in violating_keys
             ]
             if len(suppressed) <= max_suppressed:
-                kept = generalized.filter(lambda ind: ind.uid not in set(suppressed))
+                dropped = set(suppressed)
+                kept = generalized.filter(lambda ind: ind.uid not in dropped)
                 return AnonymizationResult(
                     dataset=Dataset(
                         generalized.schema,

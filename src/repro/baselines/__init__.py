@@ -1,15 +1,5 @@
-"""Baselines from prior work: single-attribute and pre-defined groups (S8)."""
+"""Baseline from prior work: groups defined by one protected attribute (S8)."""
 
-from repro.baselines.predefined import (
-    SingleAttributeResult,
-    best_single_attribute,
-    predefined_groups_baseline,
-    single_attribute_baseline,
-)
+from repro.baselines.predefined import SingleAttributeResult, single_attribute_baseline
 
-__all__ = [
-    "SingleAttributeResult",
-    "single_attribute_baseline",
-    "best_single_attribute",
-    "predefined_groups_baseline",
-]
+__all__ = ["SingleAttributeResult", "single_attribute_baseline"]

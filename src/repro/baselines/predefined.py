@@ -3,8 +3,8 @@
 The paper positions FaiRank against earlier group-fairness studies that
 "either assumed that groups are pre-defined or that they are defined using a
 single protected attribute (e.g., males vs females or whites vs blacks)"
-(citing Hannák et al. [5] and Singh & Joachims [9]).  These baselines are
-reproduced here so experiment E12 can show what the single-attribute view
+(citing Hannák et al. [5] and Singh & Joachims [9]).  The single-attribute
+baseline is reproduced here so experiment E12 can show what that view
 misses: intersectional (subgroup) bias that only appears when several
 protected attributes are combined.
 """
@@ -12,7 +12,7 @@ protected attributes are combined.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD
 from repro.core.partition import Partitioning
@@ -21,12 +21,7 @@ from repro.data.dataset import Dataset
 from repro.errors import PartitioningError
 from repro.scoring.base import ScoringFunction
 
-__all__ = [
-    "SingleAttributeResult",
-    "single_attribute_baseline",
-    "best_single_attribute",
-    "predefined_groups_baseline",
-]
+__all__ = ["SingleAttributeResult", "single_attribute_baseline"]
 
 
 @dataclass(frozen=True)
@@ -81,34 +76,3 @@ def single_attribute_baseline(
     )
     return results
 
-
-def best_single_attribute(
-    dataset: Dataset,
-    function: ScoringFunction,
-    formulation: Formulation = MOST_UNFAIR_AVG_EMD,
-    attributes: Optional[Sequence[str]] = None,
-) -> SingleAttributeResult:
-    """The single protected attribute exhibiting the most (or least) unfairness."""
-    return single_attribute_baseline(dataset, function, formulation, attributes)[0]
-
-
-def predefined_groups_baseline(
-    dataset: Dataset,
-    function: ScoringFunction,
-    groups: Dict[str, Sequence[str]],
-    formulation: Formulation = MOST_UNFAIR_AVG_EMD,
-) -> Tuple[Partitioning, float]:
-    """Unfairness for fully pre-defined groups given as ``label -> member ids``.
-
-    Models prior work where an analyst supplies the groups of interest
-    explicitly (e.g. the demographic segments of a platform study).  The
-    groups must be disjoint and cover the whole dataset.
-    """
-    from repro.core.partition import Partition
-
-    partitions = []
-    for label, uids in groups.items():
-        members = dataset.select_uids(uids)
-        partitions.append(Partition(constraints=(("group", label),), members=members))
-    partitioning = Partitioning(dataset, partitions)
-    return partitioning, unfairness(partitioning, function, formulation)

@@ -15,7 +15,6 @@ from repro.core.formulations import (
     resolve_binning,
 )
 from repro.core.partition import Partition, Partitioning, root_partition, split_partition
-from repro.core.problem import FairnessProblem
 from repro.core.quantify import QuantifyResult, most_unfair_attribute, quantify
 from repro.core.scorestore import ScoreStore, ScoreStoreStats
 from repro.core.tree import PartitionNode, PartitionTree
@@ -54,5 +53,4 @@ __all__ = [
     "ExhaustiveResult",
     "enumerate_partitionings",
     "count_partitionings",
-    "FairnessProblem",
 ]

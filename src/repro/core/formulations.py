@@ -19,7 +19,7 @@ greedy and exhaustive algorithms need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -131,15 +131,6 @@ class Formulation:
             f"over {self.effective_binning.bins}-bin score histograms"
         )
 
-    def with_objective(self, objective: Objective) -> "Formulation":
-        return replace(self, objective=objective)
-
-    def with_aggregation(self, aggregation: Aggregation) -> "Formulation":
-        return replace(self, aggregation=aggregation)
-
-    def with_distance(self, distance: DistanceMeasure) -> "Formulation":
-        return replace(self, distance=distance)
-
     # -- comparison semantics -------------------------------------------------
 
     def aggregate(self, pairwise_values: Sequence[float]) -> float:
@@ -152,28 +143,12 @@ class Formulation:
             return candidate > incumbent + tolerance
         return candidate < incumbent - tolerance
 
-    def is_at_least_as_good(
-        self, candidate: float, incumbent: float, tolerance: float = 1e-12
-    ) -> bool:
-        """True when ``candidate`` is at least as good as ``incumbent``."""
-        if self.objective.is_maximizing:
-            return candidate >= incumbent - tolerance
-        return candidate <= incumbent + tolerance
-
     def best(self, values: Sequence[float]) -> float:
         """The best value among ``values`` for this objective."""
         data = list(values)
         if not data:
             raise FormulationError("cannot take the best of an empty sequence")
         return max(data) if self.objective.is_maximizing else min(data)
-
-    def argbest(self, values: Sequence[float]) -> int:
-        """Index of the best value among ``values`` for this objective."""
-        data = list(values)
-        if not data:
-            raise FormulationError("cannot take the argbest of an empty sequence")
-        best_value = self.best(data)
-        return data.index(best_value)
 
     @classmethod
     def from_names(

@@ -151,7 +151,6 @@ class Partitioning:
         self.dataset = dataset
         self.partitions: Tuple[Partition, ...] = tuple(partitions)
         self._by_label: Optional[Dict[str, Partition]] = None
-        self._by_uid: Optional[Dict[str, Partition]] = None
         if validate:
             self._validate()
 
@@ -208,32 +207,12 @@ class Partitioning:
             self._by_label = {partition.label: partition for partition in self.partitions}
         return self._by_label
 
-    def _uid_index(self) -> Dict[str, Partition]:
-        if self._by_uid is None:
-            self._by_uid = {
-                uid: partition for partition in self.partitions for uid in partition.uids
-            }
-        return self._by_uid
-
     def find(self, label: str) -> Partition:
         """Return the partition with the given label (O(1) after the first call)."""
         try:
             return self._label_index()[label]
         except KeyError:
             raise PartitioningError(f"no partition labelled {label!r}") from None
-
-    def partition_of(self, uid: str) -> Partition:
-        """Return the partition containing individual ``uid`` (O(1) after the first call)."""
-        try:
-            return self._uid_index()[uid]
-        except KeyError:
-            raise PartitioningError(
-                f"individual {uid!r} is not covered by this partitioning"
-            ) from None
-
-    def group_sizes(self) -> Dict[str, int]:
-        """Mapping of partition label -> number of members."""
-        return {partition.label: partition.size for partition in self.partitions}
 
     @classmethod
     def single(cls, dataset: Dataset) -> "Partitioning":

@@ -148,21 +148,3 @@ class PartitionTree:
             "split_attributes": list(self.split_attributes_used()),
             "partition_sizes": {leaf.label: leaf.size for leaf in leaves},
         }
-
-    @classmethod
-    def from_partitioning(cls, partitioning: Partitioning) -> "PartitionTree":
-        """Build a flat (depth-1) tree from an existing partitioning.
-
-        Used to display baselines (pre-defined groups) in the same panels as
-        algorithm outputs.
-        """
-        from repro.core.partition import root_partition
-
-        root = PartitionNode(partition=root_partition(partitioning.dataset))
-        if len(partitioning) == 1 and partitioning[0].constraints == ():
-            return cls(root)
-        attrs = {name for partition in partitioning for name, _ in partition.constraints}
-        root.split_attribute = "+".join(sorted(attrs)) if attrs else None
-        for partition in partitioning:
-            root.add_child(PartitionNode(partition=partition))
-        return cls(root)

@@ -1,4 +1,4 @@
-"""Data substrate: schemas, datasets, filters, loaders and validation (S1)."""
+"""Data substrate: schemas, datasets, filters and loaders (S1)."""
 
 from repro.data.dataset import Dataset, Individual
 from repro.data.filters import (
@@ -17,7 +17,6 @@ from repro.data.loaders import (
     TABLE1_WEIGHTS,
     load_csv,
     load_example_table1,
-    load_records,
     table1_schema,
 )
 from repro.data.schema import (
@@ -27,12 +26,6 @@ from repro.data.schema import (
     Schema,
     observed,
     protected,
-)
-from repro.data.validation import (
-    ValidationIssue,
-    ValidationReport,
-    profile_dataset,
-    validate_dataset,
 )
 
 __all__ = [
@@ -56,11 +49,6 @@ __all__ = [
     "load_example_table1",
     "table1_schema",
     "load_csv",
-    "load_records",
     "TABLE1_WEIGHTS",
     "TABLE1_PUBLISHED_SCORES",
-    "ValidationIssue",
-    "ValidationReport",
-    "validate_dataset",
-    "profile_dataset",
 ]

@@ -544,15 +544,6 @@ class Dataset:
         )
         return DatasetView(self, index, name=f"{self.name}/subset")
 
-    def project(self, names: Sequence[str]) -> "Dataset":
-        """Return a dataset with only the attributes in ``names``."""
-        sub_schema = self.schema.project(names)
-        individuals = tuple(
-            Individual(uid=ind.uid, values={n: ind.values[n] for n in sub_schema.names})
-            for ind in self._individuals
-        )
-        return Dataset(sub_schema, individuals, name=f"{self.name}/projected", validate=False)
-
     def map_column(
         self,
         name: str,
@@ -581,10 +572,6 @@ class Dataset:
         )
         return Dataset(new_schema, individuals, name=self.name, validate=False)
 
-    def with_schema(self, schema: Schema) -> "Dataset":
-        """Return this data re-validated under a (compatible) new schema."""
-        return Dataset(schema, self._individuals, name=self.name)
-
     def group_by(self, names: Sequence[str]) -> Dict[Tuple[object, ...], "DatasetView"]:
         """Group individuals by the combination of values of ``names``.
 
@@ -612,16 +599,6 @@ class Dataset:
             index = members[start : int(ends[code])]
             groups[key] = DatasetView(self, index, name=f"{self.name}/{key}")
         return groups
-
-    def concat(self, other: "Dataset", name: Optional[str] = None) -> "Dataset":
-        """Concatenate two datasets over the same schema."""
-        if set(other.schema.names) != set(self.schema.names):
-            raise DataError("cannot concatenate datasets with different schemas")
-        return Dataset(
-            self.schema,
-            self._individuals + tuple(other),
-            name=name or f"{self.name}+{other.name}",
-        )
 
     def require_non_empty(self) -> "Dataset":
         """Return self, raising :class:`EmptyDatasetError` if there are no rows."""

@@ -1,4 +1,4 @@
-"""Dataset loaders: the paper's Table 1 example, CSV files, and plain records.
+"""Dataset loaders: the paper's Table 1 example and CSV files.
 
 ``load_example_table1`` reproduces the running example of the paper verbatim
 (10 individuals of a crowdsourcing platform, protected attributes Gender /
@@ -12,18 +12,11 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.data.columns import CodedColumn, ColumnStoreBuilder
 from repro.data.dataset import Dataset
-from repro.data.schema import (
-    Attribute,
-    AttributeKind,
-    AttributeType,
-    Schema,
-    observed,
-    protected,
-)
+from repro.data.schema import Attribute, AttributeKind, AttributeType, Schema, observed, protected
 from repro.errors import DataError
 
 __all__ = [
@@ -31,7 +24,6 @@ __all__ = [
     "load_example_table1",
     "TABLE1_WEIGHTS",
     "load_csv",
-    "load_records",
 ]
 
 #: Weights of the example scoring function of Table 1.  With these weights the
@@ -103,39 +95,6 @@ def load_example_table1(name: str = "table1-example") -> Dataset:
         record.pop("f")
         records.append(record)
     return Dataset.from_records(table1_schema(), records, name=name, uid_field="uid")
-
-
-def load_records(
-    records: Sequence[Mapping[str, object]],
-    protected_names: Sequence[str],
-    observed_names: Sequence[str],
-    name: str = "records",
-    uid_field: Optional[str] = None,
-) -> Dataset:
-    """Build a dataset from plain records, inferring the schema.
-
-    Protected attributes are treated as categorical with a domain inferred
-    from the data; observed attributes are numeric.
-    """
-    if not records:
-        raise DataError("cannot infer a schema from zero records")
-    attributes: List[Attribute] = []
-    for pname in protected_names:
-        domain = sorted({rec[pname] for rec in records}, key=lambda v: (str(type(v)), str(v)))
-        attributes.append(
-            Attribute(name=pname, kind=AttributeKind.PROTECTED,
-                      atype=AttributeType.CATEGORICAL, domain=tuple(domain))
-        )
-    for oname in observed_names:
-        attributes.append(
-            Attribute(name=oname, kind=AttributeKind.OBSERVED, atype=AttributeType.NUMERIC)
-        )
-    schema = Schema(tuple(attributes))
-    kept_fields = set(protected_names) | set(observed_names)
-    if uid_field:
-        kept_fields.add(uid_field)
-    trimmed = [{k: v for k, v in rec.items() if k in kept_fields} for rec in records]
-    return Dataset.from_records(schema, trimmed, name=name, uid_field=uid_field)
 
 
 def load_csv(

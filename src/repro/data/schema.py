@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import SchemaError, UnknownAttributeError
 
@@ -137,16 +137,6 @@ class Attribute:
             return value in self.domain
         return True
 
-    def with_domain(self, domain: Sequence) -> "Attribute":
-        """Return a copy of this attribute with ``domain`` declared."""
-        return Attribute(
-            name=self.name,
-            kind=self.kind,
-            atype=self.atype,
-            domain=tuple(domain),
-            description=self.description,
-        )
-
 
 def protected(
     name: str,
@@ -262,44 +252,9 @@ class Schema:
 
     # -- construction helpers --------------------------------------------
 
-    @classmethod
-    def from_spec(
-        cls,
-        protected_attrs: Mapping[str, Optional[Sequence]],
-        observed_attrs: Iterable[str],
-    ) -> "Schema":
-        """Build a schema from a compact specification.
-
-        ``protected_attrs`` maps a protected attribute name to its categorical
-        domain (or ``None`` if the domain should be inferred from data later).
-        ``observed_attrs`` is an iterable of numeric observed attribute names.
-        """
-        attrs = [
-            protected(name, domain=dom) for name, dom in protected_attrs.items()
-        ]
-        attrs.extend(observed(name) for name in observed_attrs)
-        return cls(tuple(attrs))
-
-    def with_attribute(self, attribute: Attribute) -> "Schema":
-        """Return a new schema with ``attribute`` appended."""
-        return Schema(self.attributes + (attribute,))
-
-    def without_attribute(self, name: str) -> "Schema":
-        """Return a new schema with attribute ``name`` removed."""
-        self.attribute(name)  # raise if missing
-        return Schema(tuple(a for a in self.attributes if a.name != name))
-
     def replace_attribute(self, attribute: Attribute) -> "Schema":
         """Return a new schema with the same-named attribute replaced."""
         self.attribute(attribute.name)  # raise if missing
         return Schema(
             tuple(attribute if a.name == attribute.name else a for a in self.attributes)
         )
-
-    def project(self, names: Sequence[str]) -> "Schema":
-        """Return a schema restricted to ``names`` (declaration order kept)."""
-        wanted = set(names)
-        missing = wanted - set(self.names)
-        if missing:
-            raise UnknownAttributeError(sorted(missing)[0], self.names)
-        return Schema(tuple(a for a in self.attributes if a.name in wanted))

@@ -1,6 +1,6 @@
 """Marketplace substrate: entities, synthetic generator and simulated crawler (S10)."""
 
-from repro.marketplace.bias import BiasSpec, apply_bias, describe_bias
+from repro.marketplace.bias import BiasSpec, apply_bias
 from repro.marketplace.crawler import (
     PLATFORM_PROFILES,
     MarketplaceCrawler,
@@ -13,20 +13,12 @@ from repro.marketplace.generator import (
     PopulationSpec,
     default_population_spec,
 )
-from repro.marketplace.ranking import (
-    GroupRankingStats,
-    exposure_by_group,
-    group_ranking_stats,
-    ranking_report,
-    top_k_share,
-)
 
 __all__ = [
     "Job",
     "Marketplace",
     "BiasSpec",
     "apply_bias",
-    "describe_bias",
     "CrowdsourcingGenerator",
     "PopulationSpec",
     "default_population_spec",
@@ -34,9 +26,4 @@ __all__ = [
     "PlatformProfile",
     "PLATFORM_PROFILES",
     "available_platforms",
-    "GroupRankingStats",
-    "group_ranking_stats",
-    "exposure_by_group",
-    "top_k_share",
-    "ranking_report",
 ]

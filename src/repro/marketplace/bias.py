@@ -12,14 +12,14 @@ should grow with the planted gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.data.dataset import Dataset, Individual
 from repro.errors import MarketplaceError
 
-__all__ = ["BiasSpec", "apply_bias", "describe_bias"]
+__all__ = ["BiasSpec", "apply_bias"]
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,3 @@ def apply_bias(
             individuals.append(individual)
     return Dataset(dataset.schema, individuals, name=f"{dataset.name}/biased", validate=False)
 
-
-def describe_bias(specs: Sequence[BiasSpec]) -> str:
-    """Multi-line description of all planted biases (for EXPERIMENTS.md tables)."""
-    if not specs:
-        return "no planted bias"
-    return "\n".join(spec.describe() for spec in specs)

@@ -11,7 +11,7 @@ from repro.metrics.distances import (
     available_distances,
     get_distance,
 )
-from repro.metrics.emd import emd, emd_1d, emd_matrix, normalized_emd, pairwise_emd_matrix
+from repro.metrics.emd import emd, emd_1d, emd_matrix, normalized_emd
 from repro.metrics.histogram import DEFAULT_BINS, Binning, Histogram, build_histogram
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "emd_1d",
     "emd_matrix",
     "normalized_emd",
-    "pairwise_emd_matrix",
     "DistanceMeasure",
     "EMDDistance",
     "NormalizedEMDDistance",

@@ -115,14 +115,6 @@ class Binning:
         """The [0, 1] binning used for normalised scoring functions."""
         return cls(low=0.0, high=1.0, bins=bins)
 
-    @classmethod
-    def for_scores(cls, scores: Sequence[float], bins: int = DEFAULT_BINS) -> "Binning":
-        """A binning spanning the observed range of ``scores``."""
-        values = np.asarray(list(scores), dtype=float)
-        if values.size == 0:
-            return cls.unit(bins)
-        return cls(low=float(values.min()), high=float(values.max()), bins=bins)
-
 
 @dataclass(frozen=True)
 class Histogram:
@@ -194,13 +186,6 @@ class Histogram:
         """Approximate mean score using bin centres (for statistics panels)."""
         weights = self.normalized()
         return float(np.dot(weights, self.binning.centers))
-
-    def merge(self, other: "Histogram") -> "Histogram":
-        """Combine two histograms over the same binning (union of groups)."""
-        if other.binning != self.binning:
-            raise FormulationError("cannot merge histograms with different binnings")
-        summed = tuple(a + b for a, b in zip(self.counts, other.counts))
-        return Histogram(binning=self.binning, counts=summed)
 
     def describe(self) -> str:
         """One-line rendering used by the session layer, e.g. ``[2|0|1|3|4]``."""

@@ -1,7 +1,7 @@
 """Scoring substrate: linear, rank-derived and opaque scoring functions (S3)."""
 
 from repro.scoring.base import Ranking, ScoringFunction, rank_by_score
-from repro.scoring.library import ScoringLibrary, weight_sweep
+from repro.scoring.library import weight_sweep
 from repro.scoring.linear import LinearScoringFunction
 from repro.scoring.rank import OpaqueScoringFunction, RankDerivedScorer
 
@@ -12,6 +12,5 @@ __all__ = [
     "LinearScoringFunction",
     "RankDerivedScorer",
     "OpaqueScoringFunction",
-    "ScoringLibrary",
     "weight_sweep",
 ]

@@ -1,90 +1,20 @@
-"""A catalogue of named scoring functions and their variants.
+"""Weight grids for the job owner's scoring-function sweeps.
 
 The job-owner scenario of the demo is "define different scoring functions and
-examine their impact on individuals" — in practice a job has one base scoring
-function plus a family of re-weighted variants, and a marketplace has one such
-family per job.  :class:`ScoringLibrary` is the registry the session layer and
-the role workflows use to enumerate and look up those functions.
+examine their impact on individuals": a job has one base scoring function and
+a family of re-weighted variants of it.  :func:`weight_sweep` generates the
+weight assignments of that family; the service's ``sweep`` kind and
+:class:`~repro.roles.JobOwner` turn each one into a
+:class:`~repro.scoring.LinearScoringFunction`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.errors import ScoringError
-from repro.scoring.base import ScoringFunction
-from repro.scoring.linear import LinearScoringFunction
 
-__all__ = ["ScoringLibrary", "weight_sweep"]
-
-
-class ScoringLibrary:
-    """A named registry of scoring functions."""
-
-    def __init__(self, functions: Optional[Iterable[ScoringFunction]] = None) -> None:
-        self._functions: Dict[str, ScoringFunction] = {}
-        for function in functions or ():
-            self.register(function)
-
-    def register(self, function: ScoringFunction, replace: bool = False) -> ScoringFunction:
-        """Add a function to the library, keyed by its ``name``."""
-        if function.name in self._functions and not replace:
-            raise ScoringError(
-                f"a scoring function named {function.name!r} is already registered"
-            )
-        self._functions[function.name] = function
-        return function
-
-    def get(self, name: str) -> ScoringFunction:
-        """Look up a function by name."""
-        try:
-            return self._functions[name]
-        except KeyError:
-            raise ScoringError(
-                f"unknown scoring function {name!r}; "
-                f"available: {', '.join(sorted(self._functions))}"
-            ) from None
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._functions
-
-    def __iter__(self) -> Iterator[ScoringFunction]:
-        return iter(self._functions.values())
-
-    def __len__(self) -> int:
-        return len(self._functions)
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(self._functions)
-
-    def variants_of(
-        self,
-        base_name: str,
-        weight_grid: Sequence[Mapping[str, float]],
-        register: bool = True,
-    ) -> List[LinearScoringFunction]:
-        """Create (and optionally register) re-weighted variants of a linear function.
-
-        Each entry of ``weight_grid`` is a partial weight override applied to
-        the base function; variants are named ``<base>#<i>``.
-        """
-        base = self.get(base_name)
-        if not isinstance(base, LinearScoringFunction):
-            raise ScoringError(
-                f"variants can only be derived from linear functions, not {type(base).__name__}"
-            )
-        variants: List[LinearScoringFunction] = []
-        for index, overrides in enumerate(weight_grid, start=1):
-            variant = base.with_weights(name=f"{base_name}#{index}", **overrides)
-            if register:
-                self.register(variant, replace=True)
-            variants.append(variant)
-        return variants
-
-    def describe(self) -> List[str]:
-        """One description line per registered function."""
-        return [function.describe() for function in self._functions.values()]
+__all__ = ["weight_sweep"]
 
 
 def weight_sweep(

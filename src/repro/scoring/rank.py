@@ -126,16 +126,6 @@ class OpaqueScoringFunction(ScoringFunction):
         """Return the ranking the marketplace displays (positions only are meaningful)."""
         return self.hidden.rank(dataset)
 
-    def as_rank_scorer(
-        self, dataset: Dataset, weighting: PositionWeighting = "linear"
-    ) -> RankDerivedScorer:
-        """Convenience: observable ranking -> rank-derived scorer in one step."""
-        return RankDerivedScorer(
-            self.reveal_ranking(dataset),
-            weighting=weighting,
-            name=f"{self.name}-from-ranks",
-        )
-
     def describe(self) -> str:
         return f"{self.name}: opaque scoring function (only its ranking is observable)"
 

@@ -105,11 +105,6 @@ class LRUCache:
                 self._entries.popitem(last=False)
                 self._evictions += 1
 
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry; returns True when it existed."""
-        with self._lock:
-            return self._entries.pop(key, _ABSENT) is not _ABSENT
-
     def clear(self) -> None:
         """Drop every entry (statistics counters are kept)."""
         with self._lock:

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.baselines.predefined import (
-    best_single_attribute,
-    predefined_groups_baseline,
-    single_attribute_baseline,
-)
+from repro.baselines.predefined import single_attribute_baseline
 from repro.core.formulations import Formulation, Objective
 from repro.core.partition import Partitioning
 from repro.core.quantify import quantify
@@ -74,17 +70,10 @@ class TestSingleAttributeBaseline:
         with pytest.raises(PartitioningError):
             single_attribute_baseline(dataset, table1_function)
 
-    def test_best_single_attribute(self, table1_dataset, table1_function):
-        best = best_single_attribute(
-            table1_dataset, table1_function, attributes=["Gender", "Country", "Language"]
-        )
-        everything = single_attribute_baseline(
-            table1_dataset, table1_function, attributes=["Gender", "Country", "Language"]
-        )
-        assert best.unfairness == max(r.unfairness for r in everything)
-
     def test_summary(self, table1_dataset, table1_function):
-        best = best_single_attribute(table1_dataset, table1_function, attributes=["Gender"])
+        best = single_attribute_baseline(
+            table1_dataset, table1_function, attributes=["Gender"]
+        )[0]
         summary = best.summary()
         assert summary["attribute"] == "Gender"
         assert summary["unfairness"] == pytest.approx(best.unfairness)
@@ -107,32 +96,7 @@ class TestSubgroupAdvantage:
             rows.append({"Gender": "M", "Age": "young", "S": 0.95})
         dataset = Dataset.from_records(schema, rows)
         function = LinearScoringFunction({"S": 1.0})
-        best_single = best_single_attribute(dataset, function)
+        best_single = single_attribute_baseline(dataset, function)[0]
         subgroup = quantify(dataset, function)
         assert subgroup.unfairness > best_single.unfairness
 
-
-class TestPredefinedGroups:
-    def test_explicit_groups(self, table1_dataset, table1_function):
-        groups = {
-            "top-half": [f"w{i}" for i in (2, 3, 4, 5, 7)],
-            "bottom-half": [f"w{i}" for i in (1, 6, 8, 9, 10)],
-        }
-        partitioning, value = predefined_groups_baseline(
-            table1_dataset, table1_function, groups
-        )
-        assert len(partitioning) == 2
-        assert value > 0.0
-
-    def test_groups_must_cover_everyone(self, table1_dataset, table1_function):
-        groups = {"some": ["w1", "w2"]}
-        with pytest.raises(PartitioningError):
-            predefined_groups_baseline(table1_dataset, table1_function, groups)
-
-    def test_groups_must_be_disjoint(self, table1_dataset, table1_function):
-        groups = {
-            "a": [f"w{i}" for i in range(1, 6)],
-            "b": [f"w{i}" for i in range(5, 11)],
-        }
-        with pytest.raises(PartitioningError):
-            predefined_groups_baseline(table1_dataset, table1_function, groups)

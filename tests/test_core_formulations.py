@@ -10,7 +10,6 @@ from repro.core.formulations import (
     Objective,
 )
 from repro.errors import FormulationError
-from repro.metrics.distances import MeanGapDistance
 from repro.metrics.histogram import Binning
 
 
@@ -73,35 +72,18 @@ class TestFormulation:
         assert formulation.is_better(1.0, 2.0)
         assert not formulation.is_better(2.0, 1.0)
 
-    def test_is_at_least_as_good_allows_ties(self):
-        formulation = Formulation()
-        assert formulation.is_at_least_as_good(1.0, 1.0)
-        assert formulation.is_at_least_as_good(1.0 + 1e-15, 1.0)
-
-    def test_best_and_argbest(self):
+    def test_best(self):
         maximizing = Formulation(objective=Objective.MOST_UNFAIR)
         minimizing = Formulation(objective=Objective.LEAST_UNFAIR)
         values = [0.5, 2.0, 1.0]
         assert maximizing.best(values) == 2.0
-        assert maximizing.argbest(values) == 1
         assert minimizing.best(values) == 0.5
-        assert minimizing.argbest(values) == 0
         with pytest.raises(FormulationError):
             maximizing.best([])
-        with pytest.raises(FormulationError):
-            maximizing.argbest([])
 
     def test_aggregate_delegates_to_aggregation(self):
         formulation = Formulation(aggregation=Aggregation.MAXIMUM)
         assert formulation.aggregate([1.0, 3.0]) == 3.0
-
-    def test_with_methods_return_new_instances(self):
-        base = Formulation()
-        flipped = base.with_objective(Objective.LEAST_UNFAIR)
-        assert flipped.objective is Objective.LEAST_UNFAIR
-        assert base.objective is Objective.MOST_UNFAIR
-        assert base.with_aggregation(Aggregation.VARIANCE).aggregation is Aggregation.VARIANCE
-        assert base.with_distance(MeanGapDistance).distance.name == "mean_gap"
 
     def test_from_names(self):
         formulation = Formulation.from_names(

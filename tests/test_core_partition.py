@@ -120,15 +120,12 @@ class TestPartitioning:
         with pytest.raises(PartitioningError):
             Partitioning(table1_dataset, (empty, root_partition(table1_dataset)))
 
-    def test_find_and_partition_of(self, table1_dataset):
+    def test_find(self, table1_dataset):
         partitioning = Partitioning.by_attributes(table1_dataset, ["Gender"])
         female = partitioning.find("Gender=Female")
         assert female.size == 4
-        assert partitioning.partition_of("w1").label == "Gender=Female"
         with pytest.raises(PartitioningError):
             partitioning.find("Gender=Other")
-        with pytest.raises(PartitioningError):
-            partitioning.partition_of("ghost")
 
     def test_histograms_share_binning(self, table1_dataset, table1_function):
         partitioning = Partitioning.by_attributes(table1_dataset, ["Gender"])
@@ -138,10 +135,12 @@ class TestPartitioning:
         assert histograms[0].binning == histograms[1].binning
         assert sum(h.total for h in histograms) == 10
 
-    def test_group_sizes_and_labels(self, table1_dataset):
+    def test_sizes_and_labels(self, table1_dataset):
         partitioning = Partitioning.by_attributes(table1_dataset, ["Gender"])
-        assert partitioning.group_sizes() == {"Gender=Female": 4, "Gender=Male": 6}
-        assert set(partitioning.labels) == {"Gender=Female", "Gender=Male"}
+        assert dict(zip(partitioning.labels, partitioning.sizes)) == {
+            "Gender=Female": 4,
+            "Gender=Male": 6,
+        }
 
     def test_key_is_order_independent(self, table1_dataset):
         partitioning = Partitioning.by_attributes(table1_dataset, ["Gender"])

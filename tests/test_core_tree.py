@@ -84,15 +84,3 @@ class TestPartitionTree:
         assert summary["depth"] == 2
         assert summary["split_attributes"] == ["Gender", "Language"]
         assert summary["partition_sizes"]["Gender=Female"] == 4
-
-    def test_from_partitioning_flat_tree(self, table1_dataset):
-        partitioning = Partitioning.by_attributes(table1_dataset, ["Country"])
-        tree = PartitionTree.from_partitioning(partitioning)
-        assert tree.depth() == 1
-        assert {leaf.label for leaf in tree.leaves()} == set(partitioning.labels)
-        assert tree.root.split_attribute == "Country"
-
-    def test_from_partitioning_single(self, table1_dataset):
-        tree = PartitionTree.from_partitioning(Partitioning.single(table1_dataset))
-        assert tree.depth() == 0
-        assert tree.leaves()[0].label == "ALL"

@@ -157,11 +157,6 @@ class TestOperations:
         with pytest.raises(DataError):
             dataset.select_uids(["w1", "ghost"])
 
-    def test_project(self, dataset):
-        projected = dataset.project(["Gender", "Rating"])
-        assert projected.schema.names == ("Gender", "Rating")
-        assert "City" not in projected[0].values
-
     def test_map_column(self, dataset):
         mapped = dataset.map_column("City", lambda c: "COAST" if c in ("SF", "LA") else c)
         assert {row["City"] for row in mapped} == {"NY", "COAST"}
@@ -179,21 +174,6 @@ class TestOperations:
         assert len(groups[("F", "NY")]) == 1
         total = sum(len(g) for g in groups.values())
         assert total == len(dataset)
-
-    def test_concat(self, schema, dataset):
-        other = Dataset.from_records(
-            schema, [{"Gender": "M", "City": "SF", "Rating": 0.3}], name="extra",
-        )
-        # Rename uid to avoid collision.
-        renamed = Dataset(schema, [Individual("x1", other[0].values)], name="extra")
-        combined = dataset.concat(renamed)
-        assert len(combined) == 6
-
-    def test_concat_schema_mismatch(self, dataset):
-        other_schema = Schema((protected("Other"), observed("Rating")))
-        other = Dataset.from_records(other_schema, [{"Other": "a", "Rating": 0.5}])
-        with pytest.raises(DataError):
-            dataset.concat(other)
 
     def test_require_non_empty(self, schema, dataset):
         assert dataset.require_non_empty() is dataset

@@ -6,7 +6,6 @@ from repro.data.loaders import (
     TABLE1_PUBLISHED_SCORES,
     TABLE1_WEIGHTS,
     load_csv,
-    load_records,
     table1_schema,
 )
 from repro.errors import DataError
@@ -45,26 +44,6 @@ class TestTable1:
     def test_gender_counts_match_paper(self, table1_dataset):
         counts = table1_dataset.value_counts("Gender")
         assert counts == {"Female": 4, "Male": 6}
-
-
-class TestLoadRecords:
-    def test_infers_domains(self):
-        records = [
-            {"Gender": "F", "Skill": 0.4},
-            {"Gender": "M", "Skill": 0.7},
-        ]
-        ds = load_records(records, protected_names=["Gender"], observed_names=["Skill"])
-        assert ds.schema.attribute("Gender").domain == ("F", "M")
-        assert len(ds) == 2
-
-    def test_rejects_empty(self):
-        with pytest.raises(DataError):
-            load_records([], protected_names=["Gender"], observed_names=["Skill"])
-
-    def test_drops_extra_fields(self):
-        records = [{"Gender": "F", "Skill": 0.4, "noise": "ignored"}]
-        ds = load_records(records, protected_names=["Gender"], observed_names=["Skill"])
-        assert "noise" not in ds[0].values
 
 
 class TestLoadCsv:

@@ -60,13 +60,6 @@ class TestAttribute:
         assert attr.validate_value("Grenoble")
         assert not attr.validate_value(None)
 
-    def test_with_domain_returns_new_attribute(self):
-        attr = protected("Country")
-        updated = attr.with_domain(("France", "USA"))
-        assert updated.domain == ("France", "USA")
-        assert attr.domain is None
-        assert updated.name == attr.name
-
 
 class TestSchema:
     def _schema(self):
@@ -112,35 +105,9 @@ class TestSchema:
         with pytest.raises(SchemaError):
             schema.require_observed("Gender")
 
-    def test_from_spec(self):
-        schema = Schema.from_spec(
-            {"Gender": ("F", "M"), "City": None}, ["Rating", "Skill"]
-        )
-        assert schema.protected_names == ("Gender", "City")
-        assert schema.observed_names == ("Rating", "Skill")
-        assert schema.attribute("Gender").domain == ("F", "M")
-        assert schema.attribute("City").domain is None
-
-    def test_with_and_without_attribute(self):
-        schema = self._schema()
-        extended = schema.with_attribute(protected("Language"))
-        assert "Language" in extended
-        assert "Language" not in schema
-        reduced = extended.without_attribute("Language")
-        assert reduced.names == schema.names
-        with pytest.raises(UnknownAttributeError):
-            schema.without_attribute("Nope")
-
     def test_replace_attribute(self):
         schema = self._schema()
         replaced = schema.replace_attribute(protected("Gender", domain=("X", "Y")))
         assert replaced.attribute("Gender").domain == ("X", "Y")
         with pytest.raises(UnknownAttributeError):
             schema.replace_attribute(protected("Nope"))
-
-    def test_project(self):
-        schema = self._schema()
-        projected = schema.project(["Gender", "Rating"])
-        assert projected.names == ("Gender", "Rating")
-        with pytest.raises(UnknownAttributeError):
-            schema.project(["Gender", "Nope"])

@@ -1,11 +1,12 @@
 """The docs tree and its CI gate (``scripts/check_docs.py``).
 
-The gate promises five invariants: every internal link in ``docs/*.md``
+The gate promises six invariants: every internal link in ``docs/*.md``
 and ``README.md`` resolves to a real file, every ``#fragment`` in those
 links names a real heading in its target, every ``--flag`` the docs name
 exists in the ``fairank`` CLI parser, every ``FLnnn`` rule id the docs
-mention exists in the ``repro.analysis`` registry, and every request
-example in ``docs/PROTOCOL.md`` parses into a request.  These tests run
+mention exists in the ``repro.analysis`` registry, every request
+example in ``docs/PROTOCOL.md`` parses into a request, and every dotted
+``repro.…`` name in the docs and README resolves.  These tests run
 the gate exactly as CI does (a subprocess from the repository root),
 check the negative paths on synthetic broken docs, and pin the docs
 tree's required files.
@@ -128,6 +129,25 @@ def test_docs_gate_rejects_a_request_example_the_server_refuses(tmp_path):
         "'functions' must be an array of strings, got string"
     )
     assert problems[1:] == ["docs check: 1 problem(s)"]
+
+
+def test_docs_gate_rejects_a_symbol_that_does_not_resolve(tmp_path):
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "BAD.md").write_text(
+        "Build a `repro.core.FairnessProblem` or import `repro.nosuchmodule`;\n"
+        "`repro.core.scorestore.ScoreStore` and `repro.service` are real.\n"
+        "A path such as src/repro.broken is not a name.\n",
+        encoding="utf-8",
+    )
+    completed = _run_gate("--root", str(tmp_path))
+    assert completed.returncode == 1
+    problems = completed.stderr.strip().splitlines()
+    assert problems == [
+        f"{tmp_path / 'docs' / 'BAD.md'}: names repro.core.FairnessProblem "
+        "which does not resolve",
+        f"{tmp_path / 'docs' / 'BAD.md'}: names repro.nosuchmodule which does not resolve",
+        "docs check: 2 problem(s)",
+    ]
 
 
 def test_analysis_doc_catalogues_every_rule():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MarketplaceError
-from repro.marketplace.bias import BiasSpec, apply_bias, describe_bias
+from repro.marketplace.bias import BiasSpec, apply_bias
 from repro.marketplace.generator import (
     CrowdsourcingGenerator,
     PopulationSpec,
@@ -91,8 +91,6 @@ class TestBiasSpec:
         spec = BiasSpec({"Gender": "F"}, {"Rating": -0.2})
         assert "Gender=F" in spec.name
         assert "-0.20" in spec.describe()
-        assert "no planted bias" == describe_bias([])
-        assert "Gender" in describe_bias([spec])
 
 
 class TestApplyBias:

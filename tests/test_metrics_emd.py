@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FormulationError
-from repro.metrics.emd import emd, emd_1d, emd_matrix, normalized_emd, pairwise_emd_matrix
+from repro.metrics.emd import emd, emd_1d, emd_matrix, normalized_emd
 from repro.metrics.histogram import Binning, build_histogram
 
 distributions = st.lists(
@@ -135,26 +135,3 @@ class TestHistogramEmd:
         binning = Binning.unit(1)
         histogram = build_histogram([0.5], binning=binning)
         assert normalized_emd(histogram, histogram) == 0.0
-
-    def test_pairwise_matrix_is_symmetric_with_zero_diagonal(self):
-        binning = Binning.unit(5)
-        histograms = [
-            build_histogram([0.1, 0.2], binning=binning),
-            build_histogram([0.5, 0.6], binning=binning),
-            build_histogram([0.9, 0.95], binning=binning),
-        ]
-        matrix = pairwise_emd_matrix(histograms)
-        assert matrix.shape == (3, 3)
-        assert np.allclose(matrix, matrix.T)
-        assert np.allclose(np.diag(matrix), 0.0)
-        # Low vs high should be the largest distance.
-        assert matrix[0, 2] == matrix.max()
-
-    def test_pairwise_matrix_normalized(self):
-        binning = Binning.unit(5)
-        histograms = [
-            build_histogram([0.0], binning=binning),
-            build_histogram([1.0], binning=binning),
-        ]
-        matrix = pairwise_emd_matrix(histograms, normalize=True)
-        assert matrix[0, 1] == pytest.approx(1.0)

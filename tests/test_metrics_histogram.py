@@ -46,15 +46,6 @@ class TestBinning:
         assert binning.bin_index(1.0) == 4
         assert binning.bin_index(2.0) == 4
 
-    def test_for_scores(self):
-        binning = Binning.for_scores([0.2, 0.8, 0.5])
-        assert binning.low == pytest.approx(0.2)
-        assert binning.high == pytest.approx(0.8)
-
-    def test_for_scores_empty_falls_back_to_unit(self):
-        binning = Binning.for_scores([])
-        assert binning.low == 0.0 and binning.high == 1.0
-
 
 class TestHistogram:
     def test_counts_validation(self):
@@ -88,15 +79,6 @@ class TestHistogram:
     def test_mean_score_uses_bin_centers(self):
         histogram = Histogram(Binning.unit(2), (1, 1))
         assert histogram.mean_score() == pytest.approx(0.5)
-
-    def test_merge(self):
-        binning = Binning.unit(3)
-        merged = Histogram(binning, (1, 0, 2)).merge(Histogram(binning, (0, 1, 1)))
-        assert merged.counts == (1, 1, 3)
-
-    def test_merge_rejects_different_binning(self):
-        with pytest.raises(FormulationError):
-            Histogram(Binning.unit(3), (1, 0, 0)).merge(Histogram(Binning.unit(4), (1, 0, 0, 0)))
 
     def test_describe(self):
         assert Histogram(Binning.unit(3), (1, 2, 3)).describe() == "[1|2|3]"

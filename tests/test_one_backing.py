@@ -26,7 +26,7 @@ from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore, store_for
 from repro.data.columns import ColumnStore
 from repro.data.dataset import Dataset, DatasetView, Individual
-from repro.data.loaders import load_csv, load_records
+from repro.data.loaders import load_csv
 from repro.data.schema import Schema, observed, protected
 from repro.errors import DataError, PartitioningError
 from repro.experiments.workloads import biased_population, synthetic_population
@@ -112,12 +112,6 @@ class TestEveryRouteIsColumnBacked:
         assert_same_content(Dataset.from_records(schema, mixed_records()), reference)
         columns = {"Code": MIXED, "City": CITIES, "Rating": RATINGS}
         assert_same_content(Dataset.from_columns(schema, columns), reference)
-
-    def test_load_records(self):
-        records = mixed_records()
-        loaded = load_records(records, ["Code", "City"], ["Rating"])
-        direct = Dataset.from_records(loaded.schema, records)
-        assert_same_content(loaded, direct)
 
     def test_load_csv(self, tmp_path):
         path = tmp_path / "mixed.csv"

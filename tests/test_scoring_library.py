@@ -3,60 +3,8 @@
 import pytest
 
 from repro.errors import ScoringError
-from repro.scoring.base import Ranking
-from repro.scoring.library import ScoringLibrary, weight_sweep
+from repro.scoring.library import weight_sweep
 from repro.scoring.linear import LinearScoringFunction
-from repro.scoring.rank import RankDerivedScorer
-
-
-@pytest.fixture
-def library():
-    return ScoringLibrary([
-        LinearScoringFunction({"Skill": 0.7, "Rating": 0.3}, name="writing"),
-        LinearScoringFunction({"Skill": 0.2, "Rating": 0.8}, name="support"),
-    ])
-
-
-class TestScoringLibrary:
-    def test_register_and_get(self, library):
-        assert library.get("writing").name == "writing"
-        assert "support" in library
-        assert len(library) == 2
-        assert set(library.names) == {"writing", "support"}
-
-    def test_duplicate_registration_rejected(self, library):
-        with pytest.raises(ScoringError):
-            library.register(LinearScoringFunction({"Skill": 1.0}, name="writing"))
-
-    def test_replace_allows_overwrite(self, library):
-        replacement = LinearScoringFunction({"Rating": 1.0}, name="writing")
-        library.register(replacement, replace=True)
-        assert library.get("writing") is replacement
-
-    def test_unknown_name_raises_with_available_list(self, library):
-        with pytest.raises(ScoringError) as excinfo:
-            library.get("ghost")
-        assert "writing" in str(excinfo.value)
-
-    def test_iteration_and_describe(self, library):
-        assert len(list(library)) == 2
-        descriptions = library.describe()
-        assert any("writing" in text for text in descriptions)
-
-    def test_variants_of_registers_numbered_variants(self, library):
-        variants = library.variants_of("writing", [{"Skill": 1.0}, {"Rating": 1.0}])
-        assert [v.name for v in variants] == ["writing#1", "writing#2"]
-        assert "writing#1" in library
-
-    def test_variants_of_without_registering(self, library):
-        library.variants_of("writing", [{"Skill": 1.0}], register=False)
-        assert "writing#1" not in library
-
-    def test_variants_of_non_linear_function_rejected(self):
-        library = ScoringLibrary()
-        library.register(RankDerivedScorer(Ranking((("a", 1.0), ("b", 0.5))), name="ranks"))
-        with pytest.raises(ScoringError):
-            library.variants_of("ranks", [{"Skill": 1.0}])
 
 
 class TestWeightSweep:

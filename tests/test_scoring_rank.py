@@ -72,15 +72,17 @@ class TestOpaqueScoringFunction:
         revealed = opaque.reveal_ranking(table1_dataset).uids
         assert revealed == table1_function.rank(table1_dataset).uids
 
-    def test_as_rank_scorer_preserves_order(self, table1_dataset, table1_function):
+    def test_scorer_from_revealed_ranking_preserves_order(
+        self, table1_dataset, table1_function
+    ):
         opaque = OpaqueScoringFunction(table1_function)
-        scorer = opaque.as_rank_scorer(table1_dataset)
+        scorer = RankDerivedScorer(opaque.reveal_ranking(table1_dataset))
         derived = scorer.rank(table1_dataset)
         assert derived.uids == table1_function.rank(table1_dataset).uids
 
     def test_rank_derived_scores_monotone_with_true_scores(self, table1_dataset, table1_function):
         opaque = OpaqueScoringFunction(table1_function)
-        scorer = opaque.as_rank_scorer(table1_dataset)
+        scorer = RankDerivedScorer(opaque.reveal_ranking(table1_dataset))
         true_scores = table1_function.score_map(table1_dataset)
         derived_scores = scorer.score_map(table1_dataset)
         ordered = sorted(table1_dataset.uids, key=lambda uid: -true_scores[uid])

@@ -25,13 +25,11 @@ class TestBasicSemantics:
         assert cache.get("k") == "new"
         assert len(cache) == 1
 
-    def test_contains_and_invalidate(self):
+    def test_contains(self):
         cache = LRUCache(capacity=4)
         cache.put("k", 1)
         assert "k" in cache
-        assert cache.invalidate("k") is True
-        assert cache.invalidate("k") is False
-        assert "k" not in cache
+        assert "other" not in cache
 
     def test_clear_keeps_counters(self):
         cache = LRUCache(capacity=4)
