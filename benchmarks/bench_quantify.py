@@ -261,7 +261,7 @@ def test_columnar_data_plane():
             dataset, function, min_partition_size=COLUMNAR_MIN_PARTITION
         )
 
-    row_input = Dataset(schema, population.individuals, name="bench-rows")
+    row_input = Dataset(schema, tuple(population), name="bench-rows")
     row_result = quantify(
         row_input, function, min_partition_size=COLUMNAR_MIN_PARTITION
     )

@@ -1,13 +1,15 @@
 """FL002: hot paths must never materialise per-row Python values.
 
-``repro.core`` / ``repro.scoring`` / ``repro.metrics`` operate on
-``codes()`` / ``numeric_column()`` array slices.  The one per-row decode
+``repro.core`` / ``repro.scoring`` / ``repro.metrics``, the serving
+layers ``repro.roles`` / ``repro.service`` and row selection
+(``repro/data/filters.py``) operate on ``codes()`` / ``numeric_column()``
+array slices and decode tables.  The one per-row decode
 the data plane still has is ``CodedColumn.decode_range()`` /
 ``NumericColumn.decode_range()``, which builds one Python value per row;
 calling it on a hot path silently re-introduces the exact regression
 class the million-row benchmarks guard against.  This rule keeps it out
-of the hot modules entirely — the data plane itself (row materialisation,
-``group_by`` keys) may still use it.
+of the hot modules entirely — the rest of the data plane (row
+materialisation, ``group_by`` keys) may still use it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,10 @@ from repro.analysis.source import Project, SourceModule
 
 __all__ = ["HotPathMaterialisation"]
 
-_HOT_PATHS = ("repro/core", "repro/scoring", "repro/metrics")
+_HOT_PATHS = (
+    "repro/core", "repro/scoring", "repro/metrics", "repro/roles", "repro/service",
+    "repro/data/filters.py",
+)
 _ROW_DECODE = "decode_range"
 
 
@@ -30,7 +35,8 @@ class HotPathMaterialisation(Rule):
     id = "FL002"
     name = "hot-path-materialisation"
     description = (
-        "A hot-path module (repro.core / repro.scoring / repro.metrics) "
+        "A hot-path module (repro.core / repro.scoring / repro.metrics / "
+        "repro.roles / repro.service / repro.data.filters) "
         "calls the per-row decode .decode_range().  Use the columnar "
         "slices — codes(), numeric_column(), value_counts() — so "
         "million-row datasets never materialise per-row Python values."

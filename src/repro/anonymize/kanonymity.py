@@ -22,13 +22,15 @@ the inputs FaiRank's transparency experiments need.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
 
 from repro.anonymize.hierarchy import GeneralizationHierarchy, IntervalHierarchy, identity_hierarchy
-from repro.data.dataset import Dataset, Individual
+from repro.data.dataset import Dataset, DatasetView, Individual
 from repro.data.schema import Attribute, AttributeType, Schema
 from repro.errors import AnonymizationError
 
@@ -45,12 +47,9 @@ __all__ = [
 def equivalence_classes(
     dataset: Dataset, quasi_identifiers: Sequence[str]
 ) -> Dict[Tuple[object, ...], int]:
-    """Sizes of the equivalence classes induced by the quasi-identifier columns."""
-    classes: Dict[Tuple[object, ...], int] = {}
-    for individual in dataset:
-        key = tuple(individual.values[name] for name in quasi_identifiers)
-        classes[key] = classes.get(key, 0) + 1
-    return classes
+    """Sizes of the equivalence classes induced by the quasi-identifier columns,
+    keyed by the values of each class's first row, in first-seen row order."""
+    return {key: len(members) for key, members in dataset.group_by(quasi_identifiers).items()}
 
 
 def is_k_anonymous(dataset: Dataset, quasi_identifiers: Sequence[str], k: int) -> bool:
@@ -197,62 +196,72 @@ class GlobalRecodingAnonymizer:
         level_ranges = [range(hierarchies[name].height + 1) for name in quasi_identifiers]
         combos = sorted(itertools.product(*level_ranges), key=lambda combo: (sum(combo), combo))
         max_suppressed = int(self.max_suppression_rate * len(dataset))
+        recoded = {
+            (name, level): _recode(dataset, hierarchies[name], name, level)
+            for name, levels in zip(quasi_identifiers, level_ranges) for level in levels
+        }
 
         for combo in combos:
             levels = dict(zip(quasi_identifiers, combo))
-            generalized = self._apply_levels(dataset, hierarchies, levels, quasi_identifiers)
-            classes = equivalence_classes(generalized, quasi_identifiers)
-            violating_keys = {key for key, size in classes.items() if size < k}
-            if not violating_keys:
-                return AnonymizationResult(
-                    dataset=generalized,
-                    k=k,
-                    quasi_identifiers=quasi_identifiers,
-                    levels=levels,
-                    method="global-recoding",
-                )
-            suppressed = [
-                individual.uid
-                for individual in generalized
-                if tuple(individual.values[name] for name in quasi_identifiers) in violating_keys
-            ]
-            if len(suppressed) <= max_suppressed:
-                dropped = set(suppressed)
-                kept = generalized.filter(lambda ind: ind.uid not in dropped)
-                return AnonymizationResult(
-                    dataset=Dataset(
-                        generalized.schema,
-                        tuple(kept),
-                        name=f"{dataset.name}/k={k}",
-                        validate=False,
-                    ),
-                    k=k,
-                    quasi_identifiers=quasi_identifiers,
-                    levels=levels,
-                    suppressed_uids=tuple(suppressed),
-                    method="global-recoding",
-                )
+            codings = [recoded[name, levels[name]] for name in quasi_identifiers]
+            classes = _class_ids(codings, len(dataset))
+            sizes = np.bincount(classes)
+            if int(sizes[sizes < k].sum()) > max_suppressed:
+                continue
+            generalized = _apply_levels(dataset, hierarchies, levels)
+            dropped = (sizes < k)[classes]
+            return AnonymizationResult(
+                dataset=DatasetView(
+                    generalized, np.flatnonzero(~dropped), name=f"{dataset.name}/k={k}"
+                ) if dropped.any() else generalized,
+                k=k,
+                quasi_identifiers=quasi_identifiers,
+                levels=levels,
+                suppressed_uids=tuple(np.asarray(generalized.uids, dtype=object)[dropped]),
+            )
         raise AnonymizationError(
             f"could not achieve {k}-anonymity on {dataset.name!r} even with full "
             f"generalisation and {self.max_suppression_rate:.0%} suppression"
         )
 
-    @staticmethod
-    def _apply_levels(
-        dataset: Dataset,
-        hierarchies: Mapping[str, GeneralizationHierarchy],
-        levels: Mapping[str, int],
-        quasi_identifiers: Sequence[str],
-    ) -> Dataset:
-        schema = _generalized_schema(dataset.schema, quasi_identifiers)
-        individuals = []
-        for individual in dataset:
-            updates = {
-                name: hierarchies[name].generalize(individual.values[name], levels[name])
-                for name in quasi_identifiers
-            }
-            individuals.append(individual.with_values(**updates))
-        return Dataset(schema, individuals, name=f"{dataset.name}/generalized", validate=False)
+
+def _apply_levels(
+    dataset: Dataset,
+    hierarchies: Mapping[str, GeneralizationHierarchy],
+    levels: Mapping[str, int],
+) -> Dataset:
+    """``map_column`` per quasi-identifier, giving :func:`_generalized_schema`."""
+    generalized = dataset
+    for name, level in levels.items():
+        generalize = functools.partial(hierarchies[name].generalize, level=level)
+        generalized = generalized.map_column(name, generalize, as_categorical=True)
+    return Dataset.from_store(
+        generalized.schema, generalized.store, f"{dataset.name}/generalized", validate=False
+    )
+
+
+def _recode(
+    dataset: Dataset, hierarchy: GeneralizationHierarchy, name: str, level: int
+) -> Tuple[np.ndarray, int]:
+    """Row codes of ``name`` generalised to ``level``, and how many values they
+    number: one generalisation per distinct value, equal results merged."""
+    column = dataset.store[name].coded()
+    ids: Dict[object, int] = {}
+    remap = [ids.setdefault(hierarchy.generalize(v, level), len(ids)) for v in column.values]
+    return np.array(remap, dtype=np.int64)[column.codes], len(ids)
+
+
+def _class_ids(codings: Sequence[Tuple[np.ndarray, int]], n: int) -> np.ndarray:
+    """One equivalence-class id per row for the combination of ``codings``:
+    mixed-radix packing, renumbered densely whenever the radix product passes
+    the row count ``n``, so a ``bincount`` of the ids stays small."""
+    packed, bound = np.zeros(n, dtype=np.int64), 1
+    for codes, distinct in codings:
+        packed, bound = packed * distinct + codes, bound * distinct
+        if bound > n:
+            uniques, packed = np.unique(packed, return_inverse=True)
+            bound = len(uniques)
+    return packed
 
 
 class MondrianAnonymizer:

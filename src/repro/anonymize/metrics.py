@@ -85,17 +85,14 @@ def information_loss(
             ratios.append(level / height)
         intensity = sum(ratios) / len(ratios) if ratios else 0.0
     else:
-        # Local recoding: count generalised (non-atomic) cells.
-        generalised_cells = 0
-        total_cells = 0
-        for individual in dataset:
-            for name in quasi_identifiers:
-                total_cells += 1
-                value = individual.values[name]
-                if isinstance(value, str) and (
-                    value.startswith("[") or "|" in value or value == "*"
-                ):
-                    generalised_cells += 1
+        # Local recoding: count generalised (non-atomic) cells, value by value.
+        generalised_cells = sum(
+            count
+            for name in quasi_identifiers
+            for value, count in dataset.value_counts(name).items()
+            if isinstance(value, str) and (value.startswith("[") or "|" in value or value == "*")
+        )
+        total_cells = len(dataset) * len(quasi_identifiers)
         intensity = generalised_cells / total_cells if total_cells else 0.0
 
     return InformationLoss(

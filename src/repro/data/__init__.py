@@ -10,7 +10,6 @@ from repro.data.filters import (
     OneOf,
     Or,
     TrueFilter,
-    apply_filter,
 )
 from repro.data.loaders import (
     TABLE1_PUBLISHED_SCORES,
@@ -45,7 +44,6 @@ __all__ = [
     "Not",
     "And",
     "Or",
-    "apply_filter",
     "load_example_table1",
     "table1_schema",
     "load_csv",

@@ -101,6 +101,9 @@ class CodedColumn:
         table = self.values
         return [table[code] for code in self.codes[start:stop].tolist()]
 
+    def coded(self) -> "CodedColumn":
+        return self
+
 
 class NumericColumn:
     """A contiguous ``float64`` column of an observed (numeric) attribute."""
@@ -121,6 +124,12 @@ class NumericColumn:
     def decode_range(self, start: int, stop: int) -> List[float]:
         """The Python float values of rows ``start..stop``."""
         return self.values[start:stop].tolist()
+
+    def coded(self) -> CodedColumn:
+        """This column as codes over its distinct ``float64`` bit patterns, so
+        per-value work runs once per distinct value (a coded column is itself)."""
+        bits, codes = np.unique(self.values.view(np.int64), return_inverse=True)
+        return CodedColumn(codes, bits.view(np.float64).tolist())
 
 
 Column = Union[CodedColumn, NumericColumn]

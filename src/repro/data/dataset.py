@@ -37,13 +37,17 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.data.columns import CodedColumn, Column, ColumnStore, ColumnStoreBuilder, NumericColumn
 from repro.data.schema import Attribute, AttributeType, Schema
 from repro.errors import DataError, EmptyDatasetError, UnknownAttributeError
+
+if TYPE_CHECKING:  # pragma: no cover - filters import this module
+    from repro.data.filters import Filter
 
 __all__ = ["Individual", "Dataset", "DatasetView", "order_values", "stable_group_order"]
 
@@ -361,21 +365,9 @@ class Dataset:
         )
 
     @property
-    def individuals(self) -> Tuple[Individual, ...]:
-        """All rows as :class:`Individual` objects (materialised if needed)."""
-        return self._individuals
-
-    @property
     def uids(self) -> Tuple[str, ...]:
         """All row ids, in row order (no rows materialised)."""
         return self.store.uids()
-
-    def by_uid(self, uid: str) -> Individual:
-        """Return the individual with the given id."""
-        for individual in self._individuals:
-            if individual.uid == uid:
-                return individual
-        raise DataError(f"no individual with id {uid!r} in dataset {self.name!r}")
 
     # -- column access -----------------------------------------------------
 
@@ -522,15 +514,11 @@ class Dataset:
 
     # -- relational-ish operations ------------------------------------------
 
-    def filter(
-        self, predicate: Callable[[Individual], bool], name: Optional[str] = None
-    ) -> "DatasetView":
-        """Return a view of the individuals matching ``predicate``."""
-        index = np.fromiter(
-            (position for position, row in enumerate(self._individuals) if predicate(row)),
-            dtype=np.intp,
-        )
-        return DatasetView(self, index, name=name or f"{self.name}/filtered")
+    def filter(self, row_filter: "Filter", name: Optional[str] = None) -> "DatasetView":
+        """Return a view of the rows ``row_filter``'s mask selects
+        (:mod:`repro.data.filters`), named after the filter by default."""
+        index = np.flatnonzero(row_filter.mask(self))
+        return DatasetView(self, index, name=name or f"{self.name}[{row_filter.describe()}]")
 
     def select_uids(self, uids: Iterable[str]) -> "DatasetView":
         """Return a view restricted to the given individual ids."""
@@ -552,6 +540,8 @@ class Dataset:
     ) -> "Dataset":
         """Return a dataset where column ``name`` is rewritten by ``mapper``.
 
+        A decode-table remap: ``mapper`` runs once per distinct value the
+        rows hold and the rows keep their codes; other columns are shared.
         The attribute's declared domain is dropped (set to ``None``) because
         the mapping may introduce values outside it — this is exactly what
         anonymisation/generalisation does.  Pass ``as_categorical=True`` when
@@ -567,10 +557,14 @@ class Dataset:
             description=attr.description,
         )
         new_schema = self.schema.replace_attribute(new_attr)
-        individuals = tuple(
-            ind.with_values(**{name: mapper(ind.values[name])}) for ind in self._individuals
-        )
-        return Dataset(new_schema, individuals, name=self.name, validate=False)
+        store = self.store
+        column = store[name].coded()
+        used = np.bincount(column.codes, minlength=len(column.values)).astype(bool).tolist()
+        mapped = [mapper(value) if hit else None for value, hit in zip(column.values, used)]
+        columns = {other: store[other] for other in store.names}
+        columns[name] = CodedColumn(column.codes, mapped)
+        store = ColumnStore(store.n, columns, uids=store.explicit_uids)
+        return Dataset.from_store(new_schema, store, name=self.name, validate=False)
 
     def group_by(self, names: Sequence[str]) -> Dict[Tuple[object, ...], "DatasetView"]:
         """Group individuals by the combination of values of ``names``.

@@ -1,20 +1,25 @@
-"""Predicate filtering over protected attributes.
+"""Row selection over protected attributes.
 
 The FaiRank interface lets a user "filter the individuals based on protected
 attributes … say only individuals who speak Arabic or who are located in New
-York city" (paper §2).  This module provides a small, composable predicate
-algebra over :class:`~repro.data.dataset.Individual` rows that the session
-configuration and the role workflows use to express such filters
-declaratively (and to print them back to the user).
+York city" (paper §2).  This module provides a small, composable filter
+algebra that session filters, job candidates, end-user groups and planted-bias
+subgroups use to express such selections declaratively (and to print them
+back to the user).  It is the one definition of "these rows": a filter
+compiles to a boolean mask over a dataset's columns, and
+:meth:`Dataset.filter` turns the mask into a view.  A leaf tests each
+distinct value of its column once, with Python's own comparison, and the
+answers are indexed by the row codes; no row object is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, Tuple
 
-from repro.data.dataset import Dataset, Individual
-from repro.errors import UnknownAttributeError
+import numpy as np
+
+from repro.data.dataset import Dataset
 
 __all__ = [
     "Filter",
@@ -25,25 +30,23 @@ __all__ = [
     "And",
     "Or",
     "TrueFilter",
-    "apply_filter",
 ]
 
 
 class Filter:
-    """Base class for declarative row predicates.
+    """Base class for declarative row selections.
 
-    Subclasses implement :meth:`matches`.  Filters compose with ``&``, ``|``
+    Subclasses implement :meth:`mask`.  Filters compose with ``&``, ``|``
     and ``~`` and render to a human-readable string via ``describe()``.
     """
 
-    def matches(self, individual: Individual) -> bool:
+    def mask(self, dataset: Dataset) -> np.ndarray:
+        """One ``bool`` per row of ``dataset``; an attribute outside its
+        schema raises :class:`~repro.errors.UnknownAttributeError`."""
         raise NotImplementedError
 
     def describe(self) -> str:
         raise NotImplementedError
-
-    def __call__(self, individual: Individual) -> bool:
-        return self.matches(individual)
 
     def __and__(self, other: "Filter") -> "Filter":
         return And((self, other))
@@ -62,29 +65,42 @@ class Filter:
 class TrueFilter(Filter):
     """Matches every individual (the default, no-op filter)."""
 
-    def matches(self, individual: Individual) -> bool:
-        return True
+    def mask(self, dataset: Dataset) -> np.ndarray:
+        return np.ones(len(dataset), dtype=bool)
 
     def describe(self) -> str:
         return "all individuals"
 
 
+class _Leaf(Filter):
+    """A test of one attribute's values: :meth:`_accepts` runs once per
+    distinct value of the column."""
+
+    attribute: str
+
+    def mask(self, dataset: Dataset) -> np.ndarray:
+        dataset.schema.attribute(self.attribute)
+        column = dataset.store[self.attribute].coded()
+        table = column.values
+        return np.fromiter(map(self._accepts, table), dtype=bool, count=len(table))[column.codes]
+
+
 @dataclass(frozen=True)
-class Equals(Filter):
+class Equals(_Leaf):
     """``attribute == value``."""
 
     attribute: str
     value: object
 
-    def matches(self, individual: Individual) -> bool:
-        return individual.get(self.attribute, _MISSING) == self.value
+    def _accepts(self, value: object) -> bool:
+        return bool(value == self.value)
 
     def describe(self) -> str:
         return f"{self.attribute} = {self.value!r}"
 
 
 @dataclass(frozen=True)
-class OneOf(Filter):
+class OneOf(_Leaf):
     """``attribute`` takes one of the given values."""
 
     attribute: str
@@ -94,8 +110,8 @@ class OneOf(Filter):
         object.__setattr__(self, "attribute", attribute)
         object.__setattr__(self, "values", tuple(values))
 
-    def matches(self, individual: Individual) -> bool:
-        return individual.get(self.attribute, _MISSING) in self.values
+    def _accepts(self, value: object) -> bool:
+        return value in self.values
 
     def describe(self) -> str:
         rendered = ", ".join(repr(v) for v in self.values)
@@ -103,17 +119,14 @@ class OneOf(Filter):
 
 
 @dataclass(frozen=True)
-class Between(Filter):
+class Between(_Leaf):
     """``low <= attribute <= high`` for numeric/ordinal attributes."""
 
     attribute: str
     low: float
     high: float
 
-    def matches(self, individual: Individual) -> bool:
-        value = individual.get(self.attribute, None)
-        if value is None:
-            return False
+    def _accepts(self, value: object) -> bool:
         try:
             numeric = float(value)  # type: ignore[arg-type]
         except (TypeError, ValueError):
@@ -130,8 +143,8 @@ class Not(Filter):
 
     inner: Filter
 
-    def matches(self, individual: Individual) -> bool:
-        return not self.inner.matches(individual)
+    def mask(self, dataset: Dataset) -> np.ndarray:
+        return ~self.inner.mask(dataset)
 
     def describe(self) -> str:
         return f"not ({self.inner.describe()})"
@@ -142,9 +155,16 @@ class _Combinator(Filter):
 
     _joiner = ""
     _empty_result = True
+    _combine = staticmethod(np.logical_and)
 
     def __init__(self, parts: Iterable[Filter]):
         self.parts: Tuple[Filter, ...] = tuple(parts)
+
+    def mask(self, dataset: Dataset) -> np.ndarray:
+        result = np.full(len(dataset), self._empty_result)
+        for part in self.parts:
+            self._combine(result, part.mask(dataset), out=result)
+        return result
 
     def describe(self) -> str:
         if not self.parts:
@@ -163,54 +183,10 @@ class And(_Combinator):
 
     _joiner = "and"
 
-    def matches(self, individual: Individual) -> bool:
-        return all(part.matches(individual) for part in self.parts)
-
 
 class Or(_Combinator):
     """Disjunction of filters (matches when *any* part matches)."""
 
     _joiner = "or"
-
-    def matches(self, individual: Individual) -> bool:
-        return any(part.matches(individual) for part in self.parts)
-
-
-class _Missing:
-    """Sentinel distinct from any attribute value (including None)."""
-
-    def __eq__(self, other: object) -> bool:
-        return False
-
-    def __hash__(self) -> int:  # pragma: no cover - trivial
-        return id(self)
-
-
-_MISSING = _Missing()
-
-
-def apply_filter(dataset: Dataset, row_filter: Filter) -> Dataset:
-    """Apply a filter to a dataset, validating referenced attribute names.
-
-    Unlike :meth:`Dataset.filter`, this checks that every attribute mentioned
-    by the filter exists in the dataset schema, so typos fail loudly instead
-    of silently matching nothing.
-    """
-    for name in _referenced_attributes(row_filter):
-        if name not in dataset.schema:
-            raise UnknownAttributeError(name, dataset.schema.names)
-    return dataset.filter(row_filter.matches, name=f"{dataset.name}[{row_filter.describe()}]")
-
-
-def _referenced_attributes(row_filter: Filter) -> Sequence[str]:
-    """Collect every attribute name referenced by a (possibly nested) filter."""
-    if isinstance(row_filter, (Equals, OneOf, Between)):
-        return [row_filter.attribute]
-    if isinstance(row_filter, Not):
-        return _referenced_attributes(row_filter.inner)
-    if isinstance(row_filter, _Combinator):
-        names = []
-        for part in row_filter.parts:
-            names.extend(_referenced_attributes(part))
-        return names
-    return []
+    _empty_result = False
+    _combine = staticmethod(np.logical_or)

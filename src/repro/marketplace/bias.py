@@ -12,11 +12,13 @@ should grow with the planted gap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Individual
+from repro.data.columns import CodedColumn, ColumnStore, NumericColumn
+from repro.data.dataset import Dataset
+from repro.data.filters import And, Equals
 from repro.errors import MarketplaceError
 
 __all__ = ["BiasSpec", "apply_bias"]
@@ -61,9 +63,10 @@ class BiasSpec:
         condition_text = ",".join(f"{attr}={value}" for attr, value in self.conditions)
         return f"bias[{condition_text}]"
 
-    def matches(self, individual: Individual) -> bool:
-        """True when the individual belongs to the biased subgroup."""
-        return all(individual.get(attr) == value for attr, value in self.conditions)
+    @property
+    def subgroup(self) -> And:
+        """The biased subgroup as a filter: every condition holds."""
+        return And(tuple(Equals(attr, value) for attr, value in self.conditions))
 
     @property
     def condition_attributes(self) -> Tuple[str, ...]:
@@ -100,21 +103,26 @@ def apply_bias(
                     f"bias shifts must target observed attributes, got {attr!r}"
                 )
     low, high = clamp
-    individuals = []
-    for individual in dataset:
-        updates: Dict[str, float] = {}
-        for spec in specs:
-            if not spec.matches(individual):
-                continue
-            for attr, shift in spec.shifts:
-                current = updates.get(
-                    attr, float(individual.values[attr])  # type: ignore[arg-type]
-                )
-                updates[attr] = current + shift
-        if updates:
-            clamped = {attr: float(np.clip(value, low, high)) for attr, value in updates.items()}
-            individuals.append(individual.with_values(**clamped))
+    store = dataset.store
+    masks = [spec.subgroup.mask(dataset) for spec in specs]
+    columns = {name: store[name] for name in store.names}
+    for attr in dict.fromkeys(a for spec in specs for a in spec.shifted_attributes):
+        column = store[attr]
+        values = dataset.numeric_column(attr)
+        rows = np.zeros(store.n, dtype=bool)
+        for spec, mask in zip(specs, masks):
+            for name, shift in spec.shifts:
+                if name == attr:
+                    values[mask] += shift
+                    rows |= mask
+        values[rows] = np.clip(values[rows], low, high)
+        if isinstance(column, CodedColumn):
+            # Untouched rows keep their exact values; shifted floats are new entries.
+            shifted = NumericColumn(values[rows]).coded()
+            codes = column.codes.copy()
+            codes[rows] = len(column.values) + shifted.codes
+            columns[attr] = CodedColumn(codes, column.values + shifted.values)
         else:
-            individuals.append(individual)
-    return Dataset(dataset.schema, individuals, name=f"{dataset.name}/biased", validate=False)
-
+            columns[attr] = NumericColumn(values)
+    store = ColumnStore(store.n, columns, uids=store.explicit_uids)
+    return Dataset.from_store(dataset.schema, store, name=f"{dataset.name}/biased", validate=False)

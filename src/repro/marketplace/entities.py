@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.data.dataset import Dataset
-from repro.data.filters import Filter, TrueFilter, apply_filter
+from repro.data.filters import Filter, TrueFilter
 from repro.errors import MarketplaceError
 from repro.scoring.base import Ranking, ScoringFunction
 from repro.scoring.rank import OpaqueScoringFunction
@@ -48,7 +48,7 @@ class Job:
         """The sub-population of workers eligible for this job."""
         if isinstance(self.candidate_filter, TrueFilter):
             return workers
-        candidates = apply_filter(workers, self.candidate_filter)
+        candidates = workers.filter(self.candidate_filter)
         if not len(candidates):
             raise MarketplaceError(
                 f"job {self.title!r} has no eligible candidates "

@@ -107,8 +107,8 @@ class EndUser:
         for attribute in self.group:
             candidates.schema.require_protected(attribute)
         group_filter = self.group_filter
-        members = candidates.filter(group_filter.matches, name="group")
-        rest = candidates.filter(lambda ind: not group_filter.matches(ind), name="rest")
+        members = candidates.filter(group_filter, name="group")
+        rest = candidates.filter(~group_filter, name="rest")
         if not len(members):
             raise MarketplaceError(
                 f"no candidate matches the end-user group ({self.group_label()})"

@@ -33,7 +33,7 @@ from repro.anonymize.kanonymity import GlobalRecodingAnonymizer
 from repro.core.quantify import quantify
 from repro.core.unfairness import unfairness_breakdown
 from repro.data.dataset import Dataset
-from repro.data.filters import TrueFilter, apply_filter
+from repro.data.filters import TrueFilter
 from repro.errors import FaiRankError, SessionError
 from repro.marketplace.entities import Marketplace
 from repro.roles.auditor import AuditReport, Auditor
@@ -172,7 +172,7 @@ class FaiRankEngine:
         """Select, filter and (optionally) anonymise the population."""
         population = self.dataset(config.dataset_name)
         if not isinstance(config.row_filter, TrueFilter):
-            population = apply_filter(population, config.row_filter)
+            population = population.filter(config.row_filter)
             if not len(population):
                 raise SessionError(
                     f"the filter ({config.row_filter.describe()}) matches no individuals "

@@ -157,10 +157,17 @@ class TestHotPathMaterialisation:
 
     def test_decode_range_fires_in_every_hot_package(self, tmp_path):
         _, source = SELFTEST_CASES["FL002"]
-        for package in ("core", "scoring", "metrics"):
+        for package in ("core", "scoring", "metrics", "roles", "service"):
             root = tmp_path / package
             report = analyse(root, f"repro/{package}/hot.py", source)
             assert [finding.line for finding in fired(report, "FL002")] == [3]
+
+    def test_decode_range_fires_in_row_selection_only_within_data(self, tmp_path):
+        _, source = SELFTEST_CASES["FL002"]
+        report = analyse(tmp_path / "filters", "repro/data/filters.py", source)
+        assert [finding.line for finding in fired(report, "FL002")] == [3]
+        report = analyse(tmp_path / "dataset", "repro/data/dataset.py", source)
+        assert not fired(report, "FL002")
 
     def test_removed_row_iterators_no_longer_fire(self, tmp_path):
         # Dataset.iter_rows / Dataset.column are gone; a same-named method of

@@ -13,6 +13,7 @@ from repro.anonymize.kanonymity import (
     is_k_anonymous,
 )
 from repro.data.dataset import Dataset
+from repro.data.filters import TrueFilter
 from repro.data.schema import Schema, observed, protected
 from repro.errors import AnonymizationError
 from repro.marketplace.generator import CrowdsourcingGenerator
@@ -32,7 +33,7 @@ class TestEquivalenceClasses:
 
     def test_is_k_anonymous_trivial_cases(self, population):
         assert is_k_anonymous(population, QI, 1)
-        empty = population.filter(lambda i: False)
+        empty = population.filter(~TrueFilter())
         assert is_k_anonymous(empty, QI, 10)
 
     def test_raw_population_is_not_strongly_anonymous(self, population):

@@ -12,6 +12,7 @@ from repro.anonymize.metrics import (
     discernibility,
     information_loss,
 )
+from repro.data.filters import TrueFilter
 from repro.errors import AnonymizationError
 from repro.marketplace.generator import CrowdsourcingGenerator
 
@@ -47,7 +48,7 @@ class TestAverageClassSizeRatio:
         assert average_class_size_ratio(result.dataset, QI, 5) >= 1.0
 
     def test_empty_dataset(self, population):
-        empty = population.filter(lambda i: False)
+        empty = population.filter(~TrueFilter())
         assert average_class_size_ratio(empty, QI, 5) == 0.0
 
     def test_invalid_k(self, population):

@@ -26,6 +26,7 @@ from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
 from repro.data.columns import ColumnStore
 from repro.data.dataset import Dataset
+from repro.data.filters import TrueFilter
 from repro.data.schema import Schema, observed, protected
 from repro.errors import BundleError, CatalogError, DataError, WarmStartError
 from repro.experiments.workloads import synthetic_population
@@ -110,7 +111,7 @@ def test_broken_column_sidecar_is_a_data_error(tmp_path, case):
 
 
 def test_empty_column_sidecar_round_trips(tmp_path):
-    empty = _population().filter(lambda row: False)
+    empty = _population().filter(~TrueFilter())
     empty.store.save(tmp_path / "sidecar")
     assert len(ColumnStore.load(tmp_path / "sidecar")) == 0
 

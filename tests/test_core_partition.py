@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.partition import Partition, Partitioning, root_partition, split_partition
 from repro.core.scorestore import ScoreStore
+from repro.data.filters import Equals, TrueFilter
 from repro.errors import PartitioningError
 from repro.metrics.histogram import Binning
 
@@ -19,7 +20,7 @@ class TestPartition:
         partition = Partition(
             constraints=(("Gender", "Male"), ("Language", "English")),
             members=table1_dataset.filter(
-                lambda i: i["Gender"] == "Male" and i["Language"] == "English"
+                Equals("Gender", "Male") & Equals("Language", "English")
             ),
         )
         assert partition.label == "Gender=Male, Language=English"
@@ -108,14 +109,14 @@ class TestPartitioning:
     def test_validation_rejects_missing_individuals(self, table1_dataset):
         females = Partition(
             constraints=(("Gender", "Female"),),
-            members=table1_dataset.filter(lambda i: i["Gender"] == "Female"),
+            members=table1_dataset.filter(Equals("Gender", "Female")),
         )
         with pytest.raises(PartitioningError):
             Partitioning(table1_dataset, (females,))
 
     def test_validation_rejects_empty_partition(self, table1_dataset):
         empty = Partition(
-            constraints=(("Gender", "X"),), members=table1_dataset.filter(lambda i: False)
+            constraints=(("Gender", "X"),), members=table1_dataset.filter(~TrueFilter())
         )
         with pytest.raises(PartitioningError):
             Partitioning(table1_dataset, (empty, root_partition(table1_dataset)))

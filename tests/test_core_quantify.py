@@ -11,6 +11,7 @@ from repro.core.partition import root_partition
 from repro.core.quantify import _score_node, most_unfair_attribute, quantify
 from repro.core.unfairness import pairwise_distances, unfairness
 from repro.data.dataset import Dataset
+from repro.data.filters import TrueFilter
 from repro.data.schema import Schema, observed, protected
 from repro.errors import PartitioningError
 from repro.metrics.distances import get_distance
@@ -73,7 +74,7 @@ class TestQuantifyBasics:
 
 class TestQuantifyParameters:
     def test_empty_dataset_rejected(self, table1_dataset, table1_function):
-        empty = table1_dataset.filter(lambda i: False)
+        empty = table1_dataset.filter(~TrueFilter())
         with pytest.raises(Exception):
             quantify(empty, table1_function, attributes=["Gender"])
 

@@ -18,11 +18,11 @@ from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore, _root_packs
 from repro.core.unfairness import (
     favored_groups,
-    pairwise_distances,
     unfairness,
     unfairness_breakdown,
 )
 from repro.data.dataset import Dataset, Individual
+from repro.data.filters import Equals
 from repro.data.schema import Schema, observed, protected
 from repro.errors import FormulationError, PartitioningError, ScoringError, WarmStartError
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
@@ -129,7 +129,7 @@ class TestSlicing:
         # memoised scores for the other.
         store = ScoreStore(population, function)
         full = quantify(population, function, min_partition_size=5, store=store)
-        subset = population.filter(lambda ind: ind["Gender"] == "Female", name="women")
+        subset = population.filter(Equals("Gender", "Female"), name="women")
         shared = quantify(subset, function, min_partition_size=5, store=store)
         private = quantify(subset, function, min_partition_size=5)
         assert shared.summary() == private.summary()
@@ -346,7 +346,7 @@ class TestSplitCut:
         # View partitions: a child of the root, and the root of a filtered view.
         for child in _assert_cut_matches(store, root_partition(population), "Band", scorer):
             _assert_cut_matches(store, child, "Code", scorer)
-        kept = population.filter(lambda row: row.values["Gender"] != "X")
+        kept = population.filter(~Equals("Gender", "X"))
         if len(kept):
             _assert_cut_matches(store, root_partition(kept), "Code", scorer)
         # Non-ascending indices: a trusted store fed the shuffled twin.

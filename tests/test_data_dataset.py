@@ -9,6 +9,7 @@ from repro.core.partition import root_partition
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
 from repro.data.dataset import Dataset, Individual
+from repro.data.filters import Equals
 from repro.data.schema import AttributeType, Schema, observed, protected
 from repro.errors import DataError, EmptyDatasetError, UnknownAttributeError
 from repro.experiments.workloads import synthetic_population
@@ -118,11 +119,6 @@ class TestAccess:
         assert dataset[0].uid == "w1"
         assert sum(1 for _ in dataset) == 5
 
-    def test_by_uid(self, dataset):
-        assert dataset.by_uid("w3")["City"] == "SF"
-        with pytest.raises(DataError):
-            dataset.by_uid("nope")
-
     def test_column_and_numeric_column(self, dataset):
         assert tuple(row["Gender"] for row in dataset) == ("F", "M", "F", "M", "F")
         ratings = dataset.numeric_column("Rating")
@@ -145,7 +141,7 @@ class TestAccess:
 
 class TestOperations:
     def test_filter(self, dataset):
-        females = dataset.filter(lambda ind: ind["Gender"] == "F")
+        females = dataset.filter(Equals("Gender", "F"))
         assert len(females) == 3
         assert all(ind["Gender"] == "F" for ind in females)
         # Original unchanged.
@@ -297,7 +293,7 @@ class TestObservedMatrix:
     def test_scores_bit_identical_to_direct_scoring(self):
         population = synthetic_population(size=500, seed=3)
         names = population.schema.observed_names
-        women = population.filter(lambda row: row["Gender"] == "Female", name="women")
+        women = population.filter(Equals("Gender", "Female"), name="women")
         for weights in (dict(zip(names, (0.3, 0.7))), dict(zip(reversed(names), (0.3, 0.7))),
                         {names[-1]: 1.0}):
             function = LinearScoringFunction(weights)

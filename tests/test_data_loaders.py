@@ -25,7 +25,8 @@ class TestTable1:
         assert set(schema.observed_names) == {"Language Test", "Rating"}
 
     def test_row_w7_matches_paper(self, table1_dataset):
-        w7 = table1_dataset.by_uid("w7")
+        w7 = table1_dataset[6]
+        assert w7.uid == "w7"
         assert w7["Gender"] == "Female"
         assert w7["Country"] == "America"
         assert w7["Ethnicity"] == "African-American"

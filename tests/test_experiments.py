@@ -28,7 +28,7 @@ class TestWorkloads:
         dataset, spec = biased_population(size=100, seed=3)
         assert len(dataset) == 100
         assert spec.condition_attributes
-        penalised = dataset.filter(spec.matches)
+        penalised = dataset.filter(spec.subgroup)
         assert len(penalised) > 0
 
     def test_crowdsourcing_marketplace_has_jobs(self):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.data.filters import Equals
 from repro.errors import MarketplaceError
 from repro.marketplace.crawler import (
     PLATFORM_PROFILES,
@@ -63,8 +64,8 @@ class TestCrawler:
     def test_planted_gap_visible_in_data(self):
         marketplace = MarketplaceCrawler(seed=3).crawl("taskrabbit-sim", workers=800)
         workers = marketplace.workers
-        black = workers.filter(lambda i: i["Ethnicity"] == "Black")
-        white = workers.filter(lambda i: i["Ethnicity"] == "White")
+        black = workers.filter(Equals("Ethnicity", "Black"))
+        white = workers.filter(Equals("Ethnicity", "White"))
         assert black.numeric_column("Rating").mean() < white.numeric_column("Rating").mean()
 
     def test_some_jobs_are_opaque(self, crawled_marketplace):

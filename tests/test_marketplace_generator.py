@@ -68,8 +68,8 @@ class TestGenerator:
             300, subgroup={"Gender": "Female", "Ethnicity": "Indian"}, penalty=-0.3
         )
         assert spec.condition_attributes == ("Ethnicity", "Gender")
-        matching = dataset.filter(spec.matches)
-        rest = dataset.filter(lambda i: not spec.matches(i))
+        matching = dataset.filter(spec.subgroup)
+        rest = dataset.filter(~spec.subgroup)
         assert matching.numeric_column("Rating").mean() < rest.numeric_column("Rating").mean()
 
 
@@ -80,12 +80,17 @@ class TestBiasSpec:
         with pytest.raises(MarketplaceError):
             BiasSpec(conditions={"Gender": "F"}, shifts={})
 
-    def test_matches(self):
+    def test_subgroup(self):
         spec = BiasSpec({"Gender": "Female", "Country": "India"}, {"Rating": -0.1})
-        from repro.data.dataset import Individual
+        from repro.data.dataset import Dataset
+        from repro.data.schema import Schema, observed, protected
 
-        assert spec.matches(Individual("w", {"Gender": "Female", "Country": "India"}))
-        assert not spec.matches(Individual("w", {"Gender": "Female", "Country": "USA"}))
+        schema = Schema((protected("Gender"), protected("Country"), observed("Rating")))
+        dataset = Dataset.from_records(schema, [
+            {"Gender": "Female", "Country": "India", "Rating": 0.5},
+            {"Gender": "Female", "Country": "USA", "Rating": 0.5},
+        ])
+        assert spec.subgroup.mask(dataset).tolist() == [True, False]
 
     def test_default_name_and_describe(self):
         spec = BiasSpec({"Gender": "F"}, {"Rating": -0.2})

@@ -26,6 +26,7 @@ from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore, store_for
 from repro.data.columns import ColumnStore
 from repro.data.dataset import Dataset, DatasetView, Individual
+from repro.data.filters import Equals
 from repro.data.loaders import load_csv
 from repro.data.schema import Schema, observed, protected
 from repro.errors import DataError, PartitioningError
@@ -166,7 +167,7 @@ class TestViewsAndProvenance:
         return [where[uid] for uid in view.uids]
 
     def test_nested_views_map_to_root_rows_at_every_depth(self, population):
-        filtered = population.filter(lambda row: row["Gender"] == "Female")
+        filtered = population.filter(Equals("Gender", "Female"))
         language, grouped = next(iter(filtered.group_by(["Language"]).items()))
         store = store_for(population, FUNCTION)
         parent = Partition(

@@ -146,8 +146,8 @@ class TestEndUserMatchesDirectScoring:
         candidates = job.candidates(marketplace.workers)
         user = EndUser({"Gender": "Female"})
         outcome = user.assess_job(marketplace, title)
-        members = candidates.filter(lambda ind: ind["Gender"] == "Female")
-        rest = candidates.filter(lambda ind: ind["Gender"] != "Female")
+        members = candidates.filter(Equals("Gender", "Female"))
+        rest = candidates.filter(~Equals("Gender", "Female"))
         binning = user.formulation.effective_binning
         ranking = function.rank(candidates)
         assert outcome.mean_score == float(function.score_dataset(members).mean())
