@@ -103,21 +103,6 @@ class CategoricalHierarchy(GeneralizationHierarchy):
             return SUPPRESSED
         return chain[level - 1]
 
-    @classmethod
-    def two_level(
-        cls, attribute: str, grouping: Mapping[object, Sequence[object]]
-    ) -> "CategoricalHierarchy":
-        """Build a one-intermediate-level hierarchy from ``group label -> values``."""
-        ladders: Dict[object, Tuple[object, ...]] = {}
-        for group_label, values in grouping.items():
-            for value in values:
-                if value in ladders:
-                    raise AnonymizationError(
-                        f"value {value!r} of {attribute!r} appears in two groups"
-                    )
-                ladders[value] = (group_label,)
-        return cls(attribute=attribute, ladders=ladders)
-
 
 @dataclass
 class IntervalHierarchy(GeneralizationHierarchy):

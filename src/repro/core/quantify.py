@@ -23,7 +23,7 @@ renders) and as the leaf :class:`~repro.core.partition.Partitioning`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,7 +32,7 @@ from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD, resolve_bi
 from repro.core.partition import Partition, Partitioning, root_partition, split_partition
 from repro.core.scorestore import ScoreStore, store_for
 from repro.core.tree import PartitionNode, PartitionTree
-from repro.core.unfairness import pair_distances, unfairness, upper_pairs
+from repro.core.unfairness import _row_distances, pair_distances, upper_pairs
 from repro.data.dataset import Dataset
 from repro.errors import PartitioningError
 from repro.metrics.histogram import Binning, Histogram
@@ -79,14 +79,14 @@ class QuantifyResult:
         return summary
 
 
-def _candidate_histograms(
+def _candidate_counts(
     partition: Partition,
     attributes: Sequence[str],
     binning: Binning,
     min_partition_size: int,
     store: ScoreStore,
-) -> Dict[str, Tuple[Histogram, ...]]:
-    """Admissible candidate splits as histogram batches, one per attribute.
+) -> Dict[str, np.ndarray]:
+    """Admissible candidate splits as count-row batches, one per attribute.
 
     A split is admissible when it yields at least two children and every
     child keeps at least ``min_partition_size`` members, so the search never
@@ -95,63 +95,61 @@ def _candidate_histograms(
     materialises only the winner.
     """
     schema = partition.members.schema
-    evaluated: Dict[str, Tuple[Histogram, ...]] = {}
+    evaluated: Dict[str, np.ndarray] = {}
     for attribute in attributes:
         attr = schema.require_protected(attribute)
         if attribute in partition.constrained_attributes:
             raise PartitioningError(
                 f"partition {partition.label!r} already constrains {attribute!r}"
             )
-        values, sizes, batch = store.candidate_split(partition, attr, binning)
+        values, sizes, counts = store.candidate_split(partition, attr, binning)
         if len(values) < 2 or any(size < min_partition_size for size in sizes):
             continue
-        evaluated[attribute] = batch
+        evaluated[attribute] = counts
     return evaluated
 
 
 def _score_node(
-    own: Optional[Histogram],
-    siblings: Sequence[Histogram],
-    candidates: Sequence[Tuple[Histogram, ...]],
+    own: Optional[np.ndarray],
+    siblings: np.ndarray,
+    candidates: Sequence[np.ndarray],
+    binning: Binning,
     formulation: Formulation,
 ) -> Tuple[float, List[float]]:
     """``(currentAvg, one score per candidate)`` for one node, in one batch.
 
-    ``own`` (when given), the siblings and every candidate's children are
-    the rows of one CDF matrix, and every distance the node needs comes
-    from one kernel call (:func:`~repro.core.unfairness.pair_distances`).
-    A candidate's score aggregates the distances of ``children + siblings``
-    in the i < j order of :func:`~repro.core.unfairness.pairwise_distances`:
-    first every pair that involves a child, then the sibling×sibling
-    block, which is computed once and shared by every candidate and by
-    ``currentAvg`` (``[own] + siblings``).  So ``aggregate`` sees the same
-    floats in the same order as it would from one ``pairwise_distances``
-    call per set.  currentAvg is 0.0 when ``own`` is not given.
+    ``own`` (a count row; currentAvg is 0.0 without it) is scored as a first
+    candidate with one child.  Sibling and child rows form one count matrix,
+    and every distance comes from one kernel call
+    (:func:`~repro.core.unfairness.pair_distances`).  A candidate's score
+    aggregates the distances of ``children + siblings`` in the i < j order
+    of :func:`~repro.core.unfairness.pairwise_distances`: first every pair
+    that involves a child, then the sibling×sibling block, computed once
+    and shared by every candidate.  So ``aggregate`` sees the same floats
+    in the same order as from one ``pairwise_distances`` call per set.
     """
-    count = len(siblings)
-    first = 0 if own is None else 1
-    histograms: List[Histogram] = ([] if own is None else [own]) + list(siblings)
-    block_rows, block_cols = upper_pairs(count)
-    rows = [block_rows + first]
-    cols = [block_cols + first]
     if own is not None:
-        rows.append(np.zeros(count, dtype=block_rows.dtype))
-        cols.append(np.arange(first, first + count, dtype=block_rows.dtype))
+        candidates = [own[None, :], *candidates]
+    count = len(siblings)
+    block_rows, block_cols = upper_pairs(count)
+    blocks, rows, cols = [siblings], [block_rows], [block_cols]
+    start = count
     for children in candidates:
         # Each candidate's rows are its children followed by a repeat of the
         # siblings' rows, so its pairs are upper_pairs(children + siblings)
         # shifted by one offset.  Row-major, the pairs whose first member is
         # a child come first.
-        start = len(histograms)
         pair_rows, pair_cols = upper_pairs(len(children) + count)
         involving = pair_rows.size - block_rows.size
         rows.append(pair_rows[:involving] + start)
         cols.append(pair_cols[:involving] + start)
-        histograms.extend(children)
-        histograms.extend(siblings)
-    if len(histograms) < 2:
+        blocks.extend((children, siblings))
+        start += len(children) + count
+    if start < 2:
         return 0.0, []
-    values = pair_distances(histograms, np.concatenate(rows), np.concatenate(cols), formulation)
+    values = pair_distances(
+        np.concatenate(blocks), binning, np.concatenate(rows), np.concatenate(cols), formulation
+    )
     ends = np.cumsum([part.size for part in rows]).tolist()
     block = values[: ends[0]]
     scores = [
@@ -165,7 +163,10 @@ def _score_node(
 
 @dataclass
 class _Search:
-    """What every node of one greedy search shares, and its split count."""
+    """What every node of one greedy search shares, its split count and leaf rows.
+
+    Depth first, :meth:`grow` keeps leaf rows in :meth:`PartitionNode.leaves` order.
+    """
 
     formulation: Formulation
     binning: Binning
@@ -173,27 +174,27 @@ class _Search:
     min_partition_size: int = 1
     max_depth: Optional[int] = None
     splits_evaluated: int = 0
+    leaves: List[np.ndarray] = field(default_factory=list)
 
     def best_split(
         self,
         partition: Partition,
-        own: Optional[Histogram],
-        siblings: Sequence[Histogram],
+        own: Optional[np.ndarray],
+        siblings: np.ndarray,
         attributes: Sequence[str],
-    ) -> Tuple[float, Optional[Tuple[str, Tuple[Partition, ...], float, Tuple[Histogram, ...]]]]:
+    ) -> Tuple[float, Optional[Tuple[str, Tuple[Partition, ...], float, np.ndarray]]]:
         """``(currentAvg, best split)`` of one node, scored by :func:`_score_node`.
 
-        The best split is ``(attribute, children, score, child histograms)``,
+        The best split is ``(attribute, children, score, child count rows)``,
         or ``None`` when no attribute is admissible; currentAvg is 0.0 when
         ``own`` is not given.  Ties go to the first attribute by name.
         """
-        evaluated = _candidate_histograms(
+        evaluated = _candidate_counts(
             partition, attributes, self.binning, self.min_partition_size, self.store
         )
         order = sorted(evaluated)
-        current, scores = _score_node(
-            own, siblings, [evaluated[attribute] for attribute in order], self.formulation
-        )
+        candidates = [evaluated[attribute] for attribute in order]
+        current, scores = _score_node(own, siblings, candidates, self.binning, self.formulation)
         best: Optional[Tuple[str, float]] = None
         for attribute, score in zip(order, scores):
             self.splits_evaluated += len(evaluated[attribute])
@@ -210,7 +211,7 @@ class _Search:
         node: PartitionNode,
         attribute: str,
         children: Tuple[Partition, ...],
-        histograms: Tuple[Histogram, ...],
+        counts: np.ndarray,
         attributes: Tuple[str, ...],
         depth: int,
     ) -> None:
@@ -218,23 +219,21 @@ class _Search:
         remaining = tuple(a for a in attributes if a != attribute)
         node.split_attribute = attribute
         for index, child in enumerate(children):
-            self.visit(
-                node.add_child(PartitionNode(partition=child)),
-                histograms[index],
-                histograms[:index] + histograms[index + 1 :],
-                remaining,
-                depth,
-            )
+            child_node = node.add_child(PartitionNode(partition=child))
+            self.visit(child_node, counts, index, remaining, depth)
+            if child_node.is_leaf:
+                # Finalised: any leaves below a child were kept while visiting it.
+                self.leaves.append(counts[index])
 
     def visit(
         self,
         node: PartitionNode,
-        own: Histogram,
-        siblings: Sequence[Histogram],
+        counts: np.ndarray,
+        index: int,
         attributes: Tuple[str, ...],
         depth: int,
     ) -> None:
-        """Recursive body of Algorithm 1, growing the tree in place."""
+        """Algorithm 1 for the node of row ``counts[index]``, growing the tree in place."""
         if not attributes:
             return
         if self.max_depth is not None and depth >= self.max_depth:
@@ -249,11 +248,12 @@ class _Search:
         # (line 8): the unfairness it would exhibit if current were replaced
         # by its children, which is the winning candidate's score (the same
         # histograms in the same order).
+        own, siblings = counts[index], np.delete(counts, index, axis=0)
         current_value, choice = self.best_split(node.partition, own, siblings, attributes)
         node.annotation["vs_siblings"] = current_value
         if choice is None:
             return
-        attribute, children, children_value, histograms = choice
+        attribute, children, children_value, child_counts = choice
         node.annotation["children_vs_siblings"] = children_value
 
         # Algorithm 1, line 9: keep the partition unless replacing it by its
@@ -261,7 +261,7 @@ class _Search:
         # no siblings this degenerates to "split only if the children differ
         # at all", since a single partition has zero unfairness.)
         if self.formulation.is_better(children_value, current_value):
-            self.grow(node, attribute, children, histograms, attributes, depth + 1)
+            self.grow(node, attribute, children, child_counts, attributes, depth + 1)
 
 
 def most_unfair_attribute(
@@ -287,7 +287,9 @@ def most_unfair_attribute(
     """
     store = store_for(partition.members, function, store)
     search = _Search(formulation, resolve_binning(formulation), store, min_partition_size)
-    _, choice = search.best_split(partition, None, siblings, attributes)
+    rows = np.array([sibling.counts for sibling in siblings], dtype=np.int64)
+    rows = rows.reshape(len(siblings), search.binning.bins)
+    _, choice = search.best_split(partition, None, rows, attributes)
     return None if choice is None else choice[:3]
 
 
@@ -358,25 +360,24 @@ def quantify(
     # First invocation (paper §3.2): split the whole population on the most
     # unfair attribute, then run the recursive procedure once per resulting
     # partition with the other partitions as its siblings.
-    _, first_choice = search.best_split(root.partition, None, (), attributes)
+    no_siblings = np.empty((0, search.binning.bins), dtype=np.int64)
+    _, first_choice = search.best_split(root.partition, None, no_siblings, attributes)
     if first_choice is not None:
-        attribute, children, root_value, histograms = first_choice
-        search.grow(root, attribute, children, histograms, attributes, depth=1)
+        attribute, children, _, counts = first_choice
+        search.grow(root, attribute, children, counts, attributes, depth=1)
 
     tree = PartitionTree(root)
     # The tree was grown by recursive splits, so its leaves partition the
     # population by construction; re-validating would re-walk every uid.
     partitioning = tree.to_partitioning(validate=False)
-    if first_choice is not None and all(child.is_leaf for child in root.children):
-        # The leaves are the root's children, in order: unfairness(P, f) is
-        # the winning split's score.
-        value = root_value
-    else:
-        value = unfairness(partitioning, function, formulation, store=store)
+    # unfairness(P, f) from the leaves' rows, kept in partitioning order (a
+    # root that no attribute splits is the only leaf: no pairs, so 0).
     return QuantifyResult(
         tree=tree,
         partitioning=partitioning,
-        unfairness=value,
+        unfairness=formulation.aggregate(
+            _row_distances(np.array(search.leaves), search.binning, formulation)
+        ),
         formulation=formulation,
         splits_evaluated=search.splits_evaluated,
     )

@@ -18,7 +18,10 @@ tree node, every sibling histogram re-walks the same individuals.  The
   ``(dataset, function, partition, binning)`` as the paper's interactive
   workload demands.  Counts come from one edge-counting pass over the
   full vector per binning plus a ``bincount`` per partition, verified
-  bin-for-bin identical to :func:`~repro.metrics.histogram.build_histogram`;
+  bin-for-bin identical to :func:`~repro.metrics.histogram.build_histogram`.
+  Inside the store and the search a histogram is a read-only ``int64``
+  count row; :meth:`~ScoreStore.histogram` wraps one as a
+  :class:`~repro.metrics.histogram.Histogram` only for callers outside it;
 * **splits are index operations**: protected columns are integer-coded once,
   so a candidate split is one ``bincount`` over (value code × bin code) and
   the winning split is one stable ``argsort`` of the partition's codes, cut
@@ -137,24 +140,26 @@ class ScoreStoreStats:
         )
 
 
+#: One candidate split: ordered child values, sizes, (children × bins) count rows.
+_Candidate = Tuple[Tuple[object, ...], Tuple[int, ...], np.ndarray]
+
+
 class _Entry:
     """Per-partition store entry: row indices and histogram memos.
 
+    ``counts`` memoises the partition's read-only count row per binning.
     ``candidates`` memoises the outcome of candidate-split evaluation —
-    ``(attribute, binning) -> (ordered values, child sizes, child
-    histograms)`` — so re-running a search under a different formulation
-    with the same binning reuses the whole per-split histogram batch.
+    ``(attribute, binning) -> (ordered values, child sizes, child count
+    rows)`` — so re-running a search under a different formulation with
+    the same binning reuses the whole per-split batch.
     """
 
-    __slots__ = ("indices", "histograms", "candidates", "bin_slices")
+    __slots__ = ("indices", "counts", "candidates", "bin_slices")
 
     def __init__(self, indices: np.ndarray) -> None:
         self.indices = indices
-        self.histograms: Dict[Binning, Histogram] = {}
-        self.candidates: Dict[
-            Tuple[str, Binning],
-            Tuple[Tuple[object, ...], Tuple[int, ...], Tuple[Histogram, ...]],
-        ] = {}
+        self.counts: Dict[Binning, np.ndarray] = {}
+        self.candidates: Dict[Tuple[str, Binning], _Candidate] = {}
         # binning -> this partition's slice of the per-row bin codes, shared
         # by every candidate attribute evaluated at this node.
         self.bin_slices: Dict[Binning, np.ndarray] = {}
@@ -338,7 +343,13 @@ class ScoreStore:
         return values
 
     def histogram(self, partition: "Partition", binning: Optional[Binning] = None) -> Histogram:
-        """Memoised score histogram of the partition over ``binning``.
+        """The partition's count row over ``binning`` (:meth:`_counts`) as a histogram."""
+        if binning is None:
+            binning = Binning.unit()
+        return Histogram(binning=binning, counts=tuple(self._counts(partition, binning).tolist()))
+
+    def _counts(self, partition: "Partition", binning: Binning) -> np.ndarray:
+        """Memoised read-only ``int64`` count row of the partition over ``binning``.
 
         The memo key is ``(partition.key, binning)``; the same partition
         re-requested under the same binning (candidate splits, sibling sets,
@@ -346,11 +357,9 @@ class ScoreStore:
         precomputed per-row bin indices — identical to
         :func:`~repro.metrics.histogram.build_histogram` on the same scores.
         """
-        if binning is None:
-            binning = Binning.unit()
         entry = self._entry(partition)
         with self._lock:
-            cached = entry.histograms.get(binning)
+            cached = entry.counts.get(binning)
             if cached is not None:
                 self._histogram_hits += 1
                 return cached
@@ -359,12 +368,10 @@ class ScoreStore:
         if partition.members is not self.dataset:
             codes = codes[entry.indices]
         # minlength covers the NaN sentinel bin; the slice discards it.
-        counts = np.bincount(codes, minlength=binning.bins)
-        histogram = Histogram(
-            binning=binning, counts=tuple(int(c) for c in counts[: binning.bins])
-        )
+        counts = np.bincount(codes, minlength=binning.bins)[: binning.bins]
+        counts.setflags(write=False)
         with self._lock:
-            return entry.histograms.setdefault(binning, histogram)
+            return entry.counts.setdefault(binning, counts)
 
     def statistics(self, partition: "Partition") -> Dict[str, float]:
         """Summary statistics of the partition (the session layer's Node box)."""
@@ -383,17 +390,18 @@ class ScoreStore:
 
     def candidate_split(
         self, partition: "Partition", attr: Attribute, binning: Binning
-    ) -> Tuple[Tuple[object, ...], Tuple[int, ...], Tuple[Histogram, ...]]:
+    ) -> _Candidate:
         """Evaluate splitting ``partition`` on ``attr`` without materialising it.
 
-        Returns ``(ordered child values, child sizes, child histograms)`` —
-        everything the greedy search needs to *score* a candidate split.  The
-        histograms come from one two-dimensional ``bincount`` over the
-        partition's rows (value code × bin code), bit-identical to building
-        each child and histogramming it, but with no per-child Python work;
-        only the winning attribute ever becomes real :class:`Partition`
-        objects (via :meth:`split`).  Results are memoised per
-        ``(partition, attribute, binning)``.
+        Returns ``(ordered child values, child sizes, child counts)`` —
+        everything the greedy search needs to *score* a candidate split.
+        ``counts`` is a read-only (children × bins) ``int64`` array, one
+        row per child in ``values`` order, taken from one two-dimensional
+        ``bincount`` over the partition's rows (value code × bin code):
+        bit-identical to building each child and histogramming it, but with
+        no per-child Python work; only the winning attribute ever becomes
+        real :class:`Partition` objects (via :meth:`split`).  Results are
+        memoised per ``(partition, attribute, binning)``.
 
         At the root the ``bincount`` counts the attribute's whole pack and
         memoises every attribute in it (:meth:`_root_candidates`), so the
@@ -427,9 +435,7 @@ class ScoreStore:
             self._histogram_misses += len(result[2])
             return result
 
-    def _root_candidates(
-        self, entry: _Entry, attr: Attribute, binning: Binning
-    ) -> Tuple[Tuple[object, ...], Tuple[int, ...], Tuple[Histogram, ...]]:
+    def _root_candidates(self, entry: _Entry, attr: Attribute, binning: Binning) -> _Candidate:
         """Candidate splits of the root on ``attr``'s whole pack, all memoised.
 
         One ``bincount`` over (pack value combination × bin code) of the
@@ -463,26 +469,17 @@ class ScoreStore:
 
     def _candidates(
         self, attr: Attribute, binning: Binning, counts: np.ndarray, encode: Dict[object, int]
-    ) -> Tuple[Tuple[object, ...], Tuple[int, ...], Tuple[Histogram, ...]]:
+    ) -> _Candidate:
         """One candidate split from its (value code × bin code) count matrix."""
-        # Sizes count members (including NaN-scored ones); histogram counts
-        # drop the sentinel column, matching build_histogram's NaN handling.
+        # Sizes count members (including NaN-scored ones); count rows drop
+        # the sentinel column, matching build_histogram's NaN handling.
         sizes = counts.sum(axis=1).tolist()
-        counts_list = counts[:, : binning.bins].tolist()
         # order_values over a subset is a filter of the full ordering.
         ordered = tuple(value for value in self._ordered_values(attr) if sizes[encode[value]])
-        child_sizes = []
-        histograms = []
-        for value in ordered:
-            code = encode[value]
-            child_sizes.append(sizes[code])
-            # Trusted construction: bincount rows are valid histogram counts
-            # by construction, so the dataclass validation is skipped.
-            histogram = object.__new__(Histogram)
-            object.__setattr__(histogram, "binning", binning)
-            object.__setattr__(histogram, "counts", tuple(counts_list[code]))
-            histograms.append(histogram)
-        return ordered, tuple(child_sizes), tuple(histograms)
+        codes = [encode[value] for value in ordered]
+        rows = counts[codes, : binning.bins]
+        rows.setflags(write=False)
+        return ordered, tuple(sizes[code] for code in codes), rows
 
     def split(self, partition: "Partition", attr: Attribute) -> Tuple["Partition", ...]:
         """Children of ``partition`` split on ``attr``, via index operations.
@@ -543,13 +540,13 @@ class ScoreStore:
                     partitions[key] = child_entry
                     self._sliced_partitions += 1
                 new_entries.append(child_entry)
-            # Seed the children's histogram memos from this partition's
+            # Seed the children's count-row memos from this partition's
             # candidate-split batches (same attribute, any binning), so the
-            # winning split's histograms are never recomputed.
-            for (cand_attr, binning), (values, _, batch) in entry.candidates.items():
+            # winning split's rows are never recounted.
+            for (cand_attr, binning), (values, _, rows) in entry.candidates.items():
                 if cand_attr == attr.name and values == ordered:
-                    for child_entry, histogram in zip(new_entries, batch):
-                        child_entry.histograms.setdefault(binning, histogram)
+                    for child_entry, row in zip(new_entries, rows):
+                        child_entry.counts.setdefault(binning, row)
             self._evict_over_bound_locked()
         return tuple(children)
 
@@ -721,9 +718,9 @@ class ScoreStore:
                 )
             bin_codes = list(self._bin_codes.items())
             partitions = [
-                (key, entry.indices, dict(entry.histograms))
+                (key, entry.indices, dict(entry.counts))
                 for key, entry in self._partitions.items()
-                if entry.histograms
+                if entry.counts
             ]
         # File writes happen outside the lock: the captured arrays are
         # immutable once published, so serving continues while saving.
@@ -737,14 +734,14 @@ class ScoreStore:
                 {"binning": binning.to_json(), "file": file_name}
             )
         memo_manifest: List[Dict[str, object]] = []
-        for index, (key, indices, histograms) in enumerate(partitions):
+        for index, (key, indices, rows) in enumerate(partitions):
             entry_json = {
                 "key": [[attribute, value] for attribute, value in key],
                 "indices": f"part_{index}.bin",
                 "length": int(indices.size),
                 "histograms": [
-                    {"binning": binning.to_json(), "counts": list(h.counts)}
-                    for binning, h in histograms.items()
+                    {"binning": binning.to_json(), "counts": row.tolist()}
+                    for binning, row in rows.items()
                 ],
             }
             try:
@@ -849,10 +846,11 @@ class ScoreStore:
                 loaded = _Entry(indices.astype(np.intp, copy=False))
                 for memo in entry["histograms"]:
                     binning = _bundle_binning(memo["binning"])
-                    loaded.histograms[binning] = Histogram(
-                        binning=binning,
-                        counts=tuple(int(count) for count in memo["counts"]),
-                    )
+                    row = np.array([int(count) for count in memo["counts"]], dtype=np.int64)
+                    if row.shape != (binning.bins,) or (row < 0).any():
+                        raise WarmStartError(f"corrupted counts at {key!r}", reason="truncated")
+                    row.setflags(write=False)
+                    loaded.counts[binning] = row
                 store._partitions[key] = loaded
             store._evict_over_bound_locked()
             return store

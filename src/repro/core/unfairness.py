@@ -9,6 +9,7 @@ distances come from the :class:`~repro.core.formulations.Formulation`.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -17,6 +18,7 @@ import numpy as np
 from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD, resolve_binning
 from repro.core.partition import Partitioning
 from repro.core.scorestore import ScoreStore, store_for
+from repro.errors import FormulationError
 from repro.metrics.histogram import Binning, Histogram, cdf_matrix
 from repro.scoring.base import ScoringFunction
 
@@ -67,28 +69,41 @@ def upper_pairs(count: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def pair_distances(
-    histograms: Sequence[Histogram],
+    counts: np.ndarray,
+    binning: Binning,
     rows: np.ndarray,
     cols: np.ndarray,
     formulation: Formulation,
 ) -> np.ndarray:
-    """Distances between ``histograms[rows[p]]`` and ``histograms[cols[p]]`` for every p.
+    """Distances between count rows ``counts[rows[p]]`` and ``counts[cols[p]]`` for every p.
 
+    ``counts`` is a (histograms × bins) integer array over ``binning``.
     EMD and normalized EMD go through the one EMD kernel: the L1 distance
     between the two CDF rows of one matrix (:func:`~repro.metrics.histogram.cdf_matrix`),
-    times the distance's scale, for any number of histograms.  Each pair's
-    value depends on its two histograms alone, not on which other pairs
-    share the call.  Other distances call ``formulation.distance`` per pair.
+    times the distance's scale, for any number of rows.  Each pair's value
+    depends on its two rows alone, not on which other pairs share the call.
+    Other distances wrap only the rows they compare as histograms and call
+    ``formulation.distance`` per pair.
     """
     if formulation.distance.name in _EMD_LIKE:
-        cdfs = cdf_matrix(histograms)
+        cdfs = cdf_matrix(counts)
         gaps = np.abs(cdfs[rows] - cdfs[cols]).sum(axis=1)
-        return gaps * _emd_scale(formulation, histograms[0].binning.bins)
+        return gaps * _emd_scale(formulation, binning.bins)
     distance = formulation.distance
+    histograms = {
+        index: Histogram(binning=binning, counts=tuple(counts[index].tolist()))
+        for index in np.union1d(rows, cols).tolist()
+    }
     return np.array(
         [distance(histograms[i], histograms[j]) for i, j in zip(rows.tolist(), cols.tolist())],
         dtype=float,
     )
+
+
+def _row_distances(counts: np.ndarray, binning: Binning, formulation: Formulation) -> np.ndarray:
+    """Every pairwise distance between the rows of ``counts`` (maybe none), in i < j order."""
+    rows = counts.reshape(len(counts), binning.bins)
+    return pair_distances(rows, binning, *upper_pairs(len(counts)), formulation)
 
 
 def pairwise_distances(
@@ -96,10 +111,13 @@ def pairwise_distances(
     formulation: Formulation,
 ) -> List[float]:
     """All pairwise distances between the given histograms (i < j order)."""
-    count = len(histograms)
-    if count < 2:
+    if len(histograms) < 2:
         return []
-    return pair_distances(histograms, *upper_pairs(count), formulation).tolist()
+    binning = histograms[0].binning
+    if any(histogram.binning != binning for histogram in histograms):
+        raise FormulationError("histograms must share a binning to be compared")
+    counts = np.array([histogram.counts for histogram in histograms], dtype=np.int64)
+    return _row_distances(counts, binning, formulation).tolist()
 
 
 def unfairness(
@@ -121,8 +139,8 @@ def unfairness(
     """
     effective = resolve_binning(formulation, binning)
     store = store_for(partitioning.dataset, function, store)
-    histograms = [store.histogram(partition, effective) for partition in partitioning]
-    return formulation.aggregate(pairwise_distances(histograms, formulation))
+    counts = np.array([store._counts(partition, effective) for partition in partitioning])
+    return formulation.aggregate(_row_distances(counts, effective, formulation))
 
 
 def _leaf_means(partitioning: Partitioning, store: ScoreStore) -> Dict[str, float]:
@@ -211,18 +229,12 @@ def unfairness_breakdown(
     """
     effective = resolve_binning(formulation, binning)
     store = store_for(partitioning.dataset, function, store)
-    histograms = [store.histogram(partition, effective) for partition in partitioning]
+    counts = np.array([store._counts(partition, effective) for partition in partitioning])
     labels = partitioning.labels
 
-    # pairwise_distances yields values in (i < j) order, matching
-    # itertools-style combinations over the labels.
-    values = pairwise_distances(histograms, formulation)
-    label_pairs = [
-        (labels[i], labels[j])
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-    ]
-    pairwise: Dict[Tuple[str, str], float] = dict(zip(label_pairs, values))
+    # Distances come in (i < j) order, as combinations of the labels do.
+    values = _row_distances(counts, effective, formulation).tolist()
+    pairwise: Dict[Tuple[str, str], float] = dict(zip(itertools.combinations(labels, 2), values))
 
     most_separated = max(pairwise, key=lambda k: pairwise[k]) if pairwise else None
     least_separated = min(pairwise, key=lambda k: pairwise[k]) if pairwise else None

@@ -374,9 +374,10 @@ class Dataset:
     def numeric_column(self, name: str) -> np.ndarray:
         """Return a fresh float array of an observed (numeric) attribute column.
 
-        A ``float64`` column is copied (no per-row ``float()`` calls); the
-        copy keeps the contract that callers may mutate the result without
-        corrupting the dataset.
+        A ``float64`` column is copied, and a coded column floats each
+        decode-table entry once and gathers by its codes: no per-row
+        ``float()`` calls.  The result is a fresh array either way, so
+        callers may mutate it without corrupting the dataset.
         """
         attr = self.schema.attribute(name)
         if attr.atype is not AttributeType.NUMERIC:
@@ -384,7 +385,7 @@ class Dataset:
         column = self.store[name]
         if isinstance(column, NumericColumn):
             return np.array(column.values, dtype=float)
-        return np.asarray([float(v) for v in column.decode_range(0, len(column))], dtype=float)
+        return np.array([float(value) for value in column.values], dtype=float)[column.codes]
 
     def codes(self, name: str) -> Tuple[np.ndarray, Tuple[object, ...], Dict[object, int]]:
         """Integer coding of attribute ``name``: ``(codes, decode, encode)``.

@@ -243,13 +243,6 @@ class Schema:
             raise SchemaError(f"attribute {name!r} is not protected")
         return attr
 
-    def require_observed(self, name: str) -> Attribute:
-        """Return the observed attribute ``name`` or raise :class:`SchemaError`."""
-        attr = self.attribute(name)
-        if not attr.is_observed:
-            raise SchemaError(f"attribute {name!r} is not observed")
-        return attr
-
     # -- construction helpers --------------------------------------------
 
     def replace_attribute(self, attribute: Attribute) -> "Schema":

@@ -131,14 +131,6 @@ class Marketplace:
 
     # -- views -------------------------------------------------------------------
 
-    def ranking_for(self, title: str) -> Ranking:
-        """The ranking the marketplace displays for a job."""
-        return self.job(title).ranking(self.workers)
-
-    def candidates_for(self, title: str) -> Dataset:
-        """The eligible candidates for a job."""
-        return self.job(title).candidates(self.workers)
-
     def summary(self) -> Dict[str, object]:
         """Summary used by reports and the session layer."""
         return {

@@ -14,9 +14,8 @@ which is what the EMD compares.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -94,12 +93,6 @@ class Binning:
         edges = self.edges
         return float(edges[1] - edges[0])
 
-    def bin_index(self, score: float) -> int:
-        """Index of the bin containing ``score`` (clamped to the range)."""
-        edges = self.edges
-        index = int(np.searchsorted(edges, score, side="right")) - 1
-        return int(np.clip(index, 0, self.bins - 1))
-
     def to_json(self) -> Dict[str, object]:
         """``low``/``high``/``bins`` as JSON: exact, as JSON round-trips floats."""
         return {"low": self.low, "high": self.high, "bins": self.bins}
@@ -141,10 +134,6 @@ class Histogram:
     def is_empty(self) -> bool:
         return self.total == 0
 
-    def as_array(self) -> np.ndarray:
-        """Raw counts as a float array."""
-        return np.asarray(self.counts, dtype=float)
-
     def normalized(self) -> np.ndarray:
         """Counts normalised to a probability distribution (sums to 1).
 
@@ -157,7 +146,7 @@ class Histogram:
         cached = getattr(self, "_normalized_cache", None)
         if cached is not None:
             return cached
-        counts = self.as_array()
+        counts = np.asarray(self.counts, dtype=float)
         total = counts.sum()
         if total <= 0:
             normalized = np.full(self.binning.bins, 1.0 / self.binning.bins)
@@ -192,26 +181,20 @@ class Histogram:
         return "[" + "|".join(str(c) for c in self.counts) + "]"
 
 
-def cdf_matrix(histograms: Sequence[Histogram]) -> np.ndarray:
-    """The CDFs of ``histograms`` over one binning, one row each.
+def cdf_matrix(counts: np.ndarray) -> np.ndarray:
+    """The CDFs of the rows of a (histograms × bins) count array, one row each.
 
-    Computed in one batch from the counts: normalised and summed as the
-    rows of one matrix, instead of one small array operation each.  Each
-    row is bit-identical to that histogram's :meth:`~Histogram.cdf`: the
-    division is element-wise and a cumulative sum adds in order along its
-    axis.  A zero-total row normalises to the uniform distribution, as an
-    empty histogram does.
+    One division and one cumulative sum over the whole matrix, instead of
+    one small array operation per histogram.  Each row is bit-identical to
+    :meth:`Histogram.cdf` of a histogram with those counts: integer totals
+    are exact, the division is element-wise over the same float64 values,
+    and a cumulative sum adds in order along its axis.  A zero-total row
+    normalises to the uniform distribution, as an empty histogram does.
     """
-    bins = histograms[0].binning.bins
-    counts = np.fromiter(
-        itertools.chain.from_iterable(histogram.counts for histogram in histograms),
-        dtype=float,
-        count=len(histograms) * bins,
-    ).reshape(len(histograms), bins)
     totals = counts.sum(axis=1, keepdims=True)
     empty = totals[:, 0] <= 0
-    normalized = counts / np.where(empty[:, None], 1.0, totals)
-    normalized[empty] = 1.0 / bins
+    normalized = counts / np.where(empty[:, None], 1, totals)
+    normalized[empty] = 1.0 / counts.shape[1]
     return np.cumsum(normalized, axis=1)[:, :-1]
 
 

@@ -75,12 +75,6 @@ class AuditReport:
             return None
         return min(self.audits, key=lambda audit: audit.unfairness)
 
-    def audit_for(self, job_title: str) -> JobAudit:
-        for audit in self.audits:
-            if audit.job_title == job_title:
-                return audit
-        raise MarketplaceError(f"the report contains no audit for job {job_title!r}")
-
     def to_table(self) -> ReportTable:
         table = ReportTable(
             title=f"Fairness report — {self.marketplace_name} ({self.formulation_name})",

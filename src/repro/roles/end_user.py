@@ -26,11 +26,11 @@ from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD
 from repro.core.partition import Partition, root_partition
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore, StoreProvider
+from repro.core.unfairness import pair_distances, upper_pairs
 from repro.data.dataset import Dataset
 from repro.data.filters import And, Equals, Filter
 from repro.errors import MarketplaceError
 from repro.marketplace.entities import Marketplace
-from repro.metrics.histogram import Histogram
 from repro.roles.report import ReportTable
 from repro.scoring.base import ScoringFunction, rank_by_score
 from repro.scoring.rank import observed_function
@@ -143,19 +143,13 @@ class EndUser:
         )
 
         binning = self.formulation.effective_binning
-        member_histogram = store.histogram(group, binning)
+        member_counts = store._counts(group, binning)
         if len(rest):
             # Everyone outside the group: per-bin counts of the whole
             # population minus the group's (each individual lands in one bin).
-            everyone = store.histogram(root_partition(candidates), binning)
-            rest_histogram = Histogram(
-                binning=binning,
-                counts=tuple(
-                    total - own
-                    for total, own in zip(everyone.counts, member_histogram.counts)
-                ),
-            )
-            emd_vs_rest = self.formulation.distance(member_histogram, rest_histogram)
+            everyone = store._counts(root_partition(candidates), binning)
+            counts = np.stack((member_counts, everyone - member_counts))
+            emd_vs_rest = pair_distances(counts, binning, *upper_pairs(2), self.formulation)[0]
         else:
             emd_vs_rest = 0.0
 

@@ -82,12 +82,6 @@ class JobOwnerReport:
             return None
         return max(self.evaluations, key=lambda evaluation: evaluation.unfairness)
 
-    def evaluation_for(self, name: str) -> VariantEvaluation:
-        for evaluation in self.evaluations:
-            if evaluation.name == name:
-                return evaluation
-        raise ScoringError(f"no variant named {name!r} in the report")
-
     def to_table(self) -> ReportTable:
         table = ReportTable(
             title=f"Scoring-function variants — {self.job_title} ({self.formulation_name})",

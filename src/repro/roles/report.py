@@ -57,13 +57,6 @@ class ReportTable:
     def add_note(self, note: str) -> None:
         self.notes.append(note)
 
-    def sort_by(self, column: str, descending: bool = False) -> None:
-        """Sort rows by a named column."""
-        if column not in self.headers:
-            raise ValueError(f"table {self.title!r} has no column {column!r}")
-        index = self.headers.index(column)
-        self.rows.sort(key=lambda row: row[index], reverse=descending)
-
     def column(self, name: str) -> List[object]:
         """Values of one named column, in row order."""
         if name not in self.headers:

@@ -16,7 +16,7 @@ Two transparency regimes exist (paper §1/§2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -145,17 +145,6 @@ class Ranking:
         if k < 0:
             raise ScoringError(f"top-k requires k >= 0, got {k}")
         return self.uids[:k]
-
-    def score_of(self, uid: str) -> float:
-        """Score of ``uid`` (raises if absent)."""
-        return self.entries[self._index(uid)][1]
-
-    def as_table(self) -> List[Dict[str, object]]:
-        """Rows of (position, uid, score) for display/export."""
-        return [
-            {"position": index, "uid": uid, "score": score}
-            for index, (uid, score) in enumerate(self.entries, start=1)
-        ]
 
 
 def rank_by_score(

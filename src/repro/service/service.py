@@ -34,13 +34,13 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.catalog import Catalog, ResourceKind
-from repro.core.formulations import Formulation, resolve_binning
-from repro.core.partition import root_partition, split_partition
+from repro.core.formulations import Formulation
+from repro.core.partition import Partitioning, root_partition, split_partition
 from repro.core.quantify import QuantifyResult, quantify
 from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import (
     favored_groups,
-    pairwise_distances,
+    unfairness,
     unfairness_breakdown,
 )
 from repro.data.dataset import Dataset
@@ -302,14 +302,6 @@ class FairnessService:
     @property
     def function_names(self) -> Tuple[str, ...]:
         return self.catalog.names(ResourceKind.FUNCTION)
-
-    @property
-    def marketplace_names(self) -> Tuple[str, ...]:
-        return self.catalog.names(ResourceKind.MARKETPLACE)
-
-    @property
-    def formulation_names(self) -> Tuple[str, ...]:
-        return self.catalog.names(ResourceKind.FORMULATION)
 
     def dataset(self, ref: str) -> Dataset:
         """Resolve a dataset by name or content-fingerprint prefix."""
@@ -666,7 +658,6 @@ class FairnessService:
             dataset, request.function, request.use_ranks_only
         )
         formulation = request.formulation()
-        binning = resolve_binning(formulation)
         attributes = (
             request.attributes
             if request.attributes is not None
@@ -688,13 +679,12 @@ class FairnessService:
             admissible = len(children) >= 2 and all(
                 child.size >= request.min_partition_size for child in children
             )
-            if len(children) >= 2:
-                histograms = [store.histogram(child, binning) for child in children]
-                value = formulation.aggregate(
-                    pairwise_distances(histograms, formulation)
-                )
-            else:
-                value = 0.0
+            value = unfairness(
+                Partitioning(dataset, children, validate=False),
+                function,
+                formulation,
+                store=store,
+            )
             groups = []
             for child in children:
                 scores = store.scores(child)

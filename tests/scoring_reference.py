@@ -107,11 +107,12 @@ def reference_candidate_split(
     bin_codes: np.ndarray,
     binning: Binning,
     rows: Optional[np.ndarray] = None,
-) -> Tuple[Tuple[object, ...], Tuple[int, ...], Tuple[Histogram, ...]]:
+) -> Tuple[Tuple[object, ...], Tuple[int, ...], np.ndarray]:
     """One candidate split from :func:`reference_candidate_counts`.
 
-    Returns ``(ordered values, sizes, histograms)`` like
-    ``ScoreStore.candidate_split``; sizes count NaN-scored members too.
+    Returns ``(ordered values, sizes, counts)`` like
+    ``ScoreStore.candidate_split``: one ``int64`` count row per child, in
+    value order; sizes count NaN-scored members too.
     """
     _, decode, encode = dataset.codes(attr.name)
     counts = reference_candidate_counts(dataset, attr, bin_codes, binning, rows)
@@ -120,10 +121,9 @@ def reference_candidate_split(
     return (
         ordered,
         tuple(sizes[encode[value]] for value in ordered),
-        tuple(
-            Histogram(binning=binning, counts=tuple(counts[encode[value], : binning.bins].tolist()))
-            for value in ordered
-        ),
+        np.array(
+            [counts[encode[value], : binning.bins] for value in ordered], dtype=np.int64
+        ).reshape(len(ordered), binning.bins),
     )
 
 

@@ -61,19 +61,6 @@ class TestCategoricalHierarchy:
         # The shorter ladder repeats its last ancestor.
         assert hierarchy.generalize("a", 2) == "group-a"
 
-    def test_two_level_constructor(self):
-        hierarchy = CategoricalHierarchy.two_level(
-            "Language", {"European": ["French", "German"], "Asian": ["Hindi"]}
-        )
-        assert hierarchy.generalize("French", 1) == "European"
-        assert hierarchy.generalize("Hindi", 1) == "Asian"
-        assert hierarchy.height == 2
-
-    def test_two_level_rejects_duplicates(self):
-        with pytest.raises(AnonymizationError):
-            CategoricalHierarchy.two_level(
-                "Language", {"A": ["French"], "B": ["French"]}
-            )
 
 
 class TestIntervalHierarchy:

@@ -73,8 +73,9 @@ class TestGlobalRecoding:
         assert sum(high.levels.values()) >= sum(low.levels.values())
 
     def test_custom_hierarchy_is_used(self, population):
-        hierarchy = CategoricalHierarchy.two_level(
-            "Country", {"Western": ["America", "Other"], "Asian": ["India"]}
+        hierarchy = CategoricalHierarchy(
+            attribute="Country",
+            ladders={"America": ("Western",), "Other": ("Western",), "India": ("Asian",)},
         )
         anonymizer = GlobalRecodingAnonymizer(hierarchies={"Country": hierarchy})
         result = anonymizer.anonymize(population, k=30, quasi_identifiers=["Country", "Gender"])

@@ -77,8 +77,8 @@ class TestRoundTrip:
         filtered = reloaded.job("English transcription")
         assert filtered.candidate_filter == Equals("Language", "English")
         assert (
-            reloaded.ranking_for("Content writing").entries
-            == original.ranking_for("Content writing").entries
+            reloaded.job("Content writing").ranking(reloaded.workers).entries
+            == original.job("Content writing").ranking(original.workers).entries
         )
 
     def test_composed_filters_round_trip(self, tmp_path):

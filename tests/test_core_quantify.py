@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from repro.core.exhaustive import exhaustive_search
 from repro.core.formulations import Aggregation, Formulation, Objective
-from repro.core.partition import root_partition
+from repro.core.partition import root_partition, split_partition
 from repro.core.quantify import _score_node, most_unfair_attribute, quantify
+from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import pairwise_distances, unfairness
 from repro.data.dataset import Dataset
 from repro.data.filters import TrueFilter
@@ -196,27 +197,43 @@ class TestMostUnfairAttribute:
         assert len(children) >= 2
         assert score >= 0.0
 
+    def test_scores_candidates_with_the_given_siblings(self, table1_dataset, table1_function):
+        formulation = Formulation()
+        binning = formulation.effective_binning
+        store = ScoreStore(table1_dataset, table1_function)
+        first, *others = split_partition(root_partition(table1_dataset), "Gender", store=store)
+        siblings = [store.histogram(other, binning) for other in others]
+        attributes = [name for name in CATEGORICAL_ATTRS if name != "Gender"]
+        choice = most_unfair_attribute(
+            first, table1_function, attributes, formulation, siblings=siblings, store=store
+        )
+        assert choice is not None
+        _, children, score = choice
+        histograms = [store.histogram(child, binning) for child in children]
+        expected = formulation.aggregate(pairwise_distances(histograms + siblings, formulation))
+        assert score.hex() == expected.hex()
+
 
 @st.composite
 def node_cases(draw):
-    """One node's histograms: an optional own one, 0-3 siblings, 0-4 candidates."""
+    """One node's count rows: an optional own row, 0-3 siblings, 0-4 candidates."""
     bins = draw(st.integers(min_value=1, max_value=MAX_BINS))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    # Share of all-zero (empty) histograms, and how sparse the others are.
+    # Share of all-zero (empty) rows, and how sparse the others are.
     empty = draw(st.sampled_from([0.0, 0.3, 1.0]))
     density = draw(st.sampled_from([0.05, 0.5, 1.0]))
     binning = Binning.unit(bins)
 
-    def histogram() -> Histogram:
-        counts = rng.integers(0, 40, bins) * (rng.random(bins) < density)
-        if rng.random() < empty:
-            counts[:] = 0
-        return Histogram(binning=binning, counts=tuple(int(count) for count in counts))
+    def rows(count: int) -> np.ndarray:
+        counts = rng.integers(0, 40, (count, bins)) * (rng.random((count, bins)) < density)
+        counts[rng.random(count) < empty] = 0
+        counts.setflags(write=False)
+        return counts
 
-    own = histogram() if draw(st.booleans()) else None
-    siblings = [histogram() for _ in range(draw(st.integers(min_value=0, max_value=3)))]
+    own = rows(1)[0] if draw(st.booleans()) else None
+    siblings = rows(draw(st.integers(min_value=0, max_value=3)))
     sizes = draw(st.lists(st.integers(min_value=2, max_value=7), max_size=4))
-    candidates = [tuple(histogram() for _ in range(size)) for size in sizes]
+    candidates = [rows(size) for size in sizes]
     formulation = Formulation(
         aggregation=draw(st.sampled_from(list(Aggregation))),
         distance=get_distance(
@@ -224,7 +241,12 @@ def node_cases(draw):
         ),
         bins=bins,
     )
-    return own, siblings, candidates, formulation
+    return own, siblings, candidates, binning, formulation
+
+
+def _histograms(counts, binning):
+    """Count rows as validated histograms, for the public adapter."""
+    return [Histogram(binning=binning, counts=tuple(row.tolist())) for row in counts]
 
 
 class TestBatchedNodeScoring:
@@ -234,25 +256,26 @@ class TestBatchedNodeScoring:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(node_cases())
     def test_scores_equal_one_pairwise_call_per_set(self, case):
-        own, siblings, candidates, formulation = case
-        current, scores = _score_node(own, siblings, candidates, formulation)
+        own, siblings, candidates, binning, formulation = case
+        current, scores = _score_node(own, siblings, candidates, binning, formulation)
         assert len(scores) == len(candidates)
+        sibling_histograms = _histograms(siblings, binning)
         for children, score in zip(candidates, scores):
             expected = formulation.aggregate(
-                pairwise_distances(list(children) + siblings, formulation)
+                pairwise_distances(_histograms(children, binning) + sibling_histograms, formulation)
             )
             assert score.hex() == expected.hex()
         if own is None:
             assert current == 0.0
         else:
             expected = formulation.aggregate(
-                pairwise_distances([own] + siblings, formulation)
+                pairwise_distances(_histograms([own], binning) + sibling_histograms, formulation)
             )
             assert current.hex() == expected.hex()
 
     def test_two_child_candidate_without_siblings(self):
         binning = Binning.unit(5)
-        first = Histogram(binning=binning, counts=(3, 0, 1, 0, 0))
-        second = Histogram(binning=binning, counts=(0, 0, 1, 2, 5))
-        _, (score,) = _score_node(None, [], [(first, second)], Formulation())
-        assert score == pairwise_distances([first, second], Formulation())[0]
+        counts = np.array([[3, 0, 1, 0, 0], [0, 0, 1, 2, 5]], dtype=np.int64)
+        no_siblings = np.empty((0, 5), dtype=np.int64)
+        _, (score,) = _score_node(None, no_siblings, [counts], binning, Formulation())
+        assert score == pairwise_distances(_histograms(counts, binning), Formulation())[0]

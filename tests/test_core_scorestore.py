@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import threading
@@ -238,14 +239,15 @@ class TestSplit:
             attr = population.schema.require_protected(attribute)
             candidate = store.candidate_split(parent, attr, binning)
             assert candidate is not None
-            values, sizes, histograms = candidate
+            values, sizes, counts = candidate
             children = split_partition(parent, attribute)
             assert list(values) == [c.constraint_value(attribute) for c in children]
             assert list(sizes) == [c.size for c in children]
-            for histogram, child in zip(histograms, children):
+            assert counts.dtype == np.int64 and not counts.flags.writeable
+            assert counts.shape == (len(children), binning.bins)
+            for row, child in zip(counts, children):
                 direct = build_histogram(function.score_dataset(child.members), binning=binning)
-                assert histogram.counts == direct.counts
-                assert histogram.binning == direct.binning
+                assert tuple(row.tolist()) == direct.counts
 
 
 class NaNEveryScorer(LinearScoringFunction):
@@ -322,12 +324,13 @@ def _assert_cut_matches(store, partition, attribute, scorer):
             store.scores(fast), scorer.score_dataset(slow.members), equal_nan=True
         )
     for binning in (Binning.unit(), Binning.unit(bins=7)):
-        values, sizes, histograms = store.candidate_split(partition, attr, binning)
+        values, sizes, counts = store.candidate_split(partition, attr, binning)
         assert list(values) == [c.constraint_value(attribute) for c in plain]
         assert list(sizes) == [c.size for c in plain]
-        for histogram, child in zip(histograms, plain):
+        assert counts.shape == (len(plain), binning.bins)
+        for row, child in zip(counts, plain):
             direct = build_histogram(scorer.score_dataset(child.members), binning=binning)
-            assert histogram.counts == direct.counts
+            assert tuple(row.tolist()) == direct.counts
     return stored
 
 
@@ -385,11 +388,18 @@ class TestHistogramMemo:
         second = store.histogram(partition, binning)
         stats = store.stats
         assert (stats.histogram_hits, stats.histogram_misses) == (1, 1)
-        assert second is first  # the memo returns the same object
+        assert second == first
+        # The memo returns the same read-only count row, which histogram() wraps.
+        row = store._counts(partition, binning)
+        assert row is store._counts(partition, binning)
+        assert row.dtype == np.int64 and not row.flags.writeable
+        assert tuple(row.tolist()) == first.counts
+        stats = store.stats
+        assert (stats.histogram_hits, stats.histogram_misses) == (3, 1)
         store.histogram(partition, Binning.unit(bins=10))  # different binning: miss
         stats = store.stats
-        assert (stats.histogram_hits, stats.histogram_misses) == (1, 2)
-        assert stats.histogram_hit_rate == pytest.approx(1 / 3)
+        assert (stats.histogram_hits, stats.histogram_misses) == (3, 2)
+        assert stats.histogram_hit_rate == pytest.approx(3 / 5)
 
     def test_histograms_match_build_histogram(self, population, function):
         store = ScoreStore(population, function)
@@ -437,16 +447,16 @@ class TestHistogramMemo:
                 attr = population.schema.require_protected(attribute)
                 candidate = store.candidate_split(parent, attr, binning)
                 assert candidate is not None
-                values, sizes, histograms = candidate
+                values, sizes, counts = candidate
                 children = split_partition(parent, attribute)
                 # Sizes count members (NaN-scored included)...
                 assert list(sizes) == [c.size for c in children]
-                # ...while histogram counts drop NaN, like build_histogram.
-                for histogram, child in zip(histograms, children):
+                # ...while count rows drop NaN, like build_histogram.
+                for row, child in zip(counts, children):
                     direct = build_histogram(
                         scorer.score_dataset(child.members), binning=binning
                     )
-                    assert histogram.counts == direct.counts
+                    assert tuple(row.tolist()) == direct.counts
 
 
 class TestQuantifyRegression:
@@ -810,7 +820,7 @@ class TestBinCodeKernel:
 
 
 class TestBatchedCdfs:
-    """``cdf_matrix`` rows equal each histogram's own cdf(), bit for bit."""
+    """``cdf_matrix`` rows equal the cdf() of a histogram with the same counts, bit for bit."""
 
     @pytest.mark.parametrize("bins", [1, 2, 5, 256])
     def test_matrix_rows_equal_fresh_histograms(self, bins):
@@ -830,14 +840,14 @@ class TestBatchedCdfs:
         for partition in (root, band[0]):
             for attribute in _CUT_SCHEMA.protected_names:
                 attr = _CUT_SCHEMA.require_protected(attribute)
-                values, _, histograms = store.candidate_split(partition, attr, binning)
-                matrix = cdf_matrix(histograms)
-                assert matrix.shape == (len(histograms), bins - 1)
-                for value, histogram, row in zip(values, histograms, matrix):
-                    fresh = Histogram(binning=binning, counts=histogram.counts)
+                values, _, counts = store.candidate_split(partition, attr, binning)
+                matrix = cdf_matrix(counts)
+                assert matrix.shape == (len(counts), bins - 1)
+                for value, counts_row, row in zip(values, counts, matrix):
+                    fresh = Histogram(binning=binning, counts=tuple(counts_row.tolist()))
                     assert row.tobytes() == fresh.cdf().tobytes()
                     if attribute == "Gender" and value == "X":
-                        assert histogram.is_empty
+                        assert fresh.is_empty
                         assert np.array_equal(
                             fresh.normalized(), np.full(bins, 1.0 / bins)
                         )
@@ -907,9 +917,9 @@ class TestRootGrouping:
 
 
 def _triples(candidates):
-    """A candidate split as plain values: (values, sizes, (binning, counts) per child)."""
-    values, sizes, histograms = candidates
-    return values, sizes, tuple((h.binning, h.counts) for h in histograms)
+    """A candidate split as plain values: values, sizes, count dtype, shape and rows."""
+    values, sizes, counts = candidates
+    return values, sizes, counts.dtype, counts.shape, counts.tolist()
 
 
 @st.composite
@@ -1143,6 +1153,10 @@ class TestSearchMatchesReference:
         reference = reference_quantify(population, scorer, formulation, **options)
         assert result.summary() == reference.summary()
         assert result.unfairness.hex() == reference.unfairness.hex()
+        # Aggregated from the leaves' rows, as unfairness() computes it afresh.
+        assert result.unfairness.hex() == unfairness(
+            result.partitioning, scorer, formulation
+        ).hex()
         assert result.splits_evaluated == reference.splits_evaluated
         assert result.partitioning.labels == reference.partitioning.labels
         # currentAvg and childrenAvg of every node, bit for bit.
@@ -1150,3 +1164,99 @@ class TestSearchMatchesReference:
             assert {key: value.hex() for key, value in node.annotation.items()} == {
                 key: value.hex() for key, value in expected.annotation.items()
             }
+
+
+class TestLeafRowUnfairness:
+    """``QuantifyResult.unfairness`` comes from the rows the search kept."""
+
+    @pytest.mark.parametrize("distance", ["emd", "normalized_emd", "total_variation"])
+    @pytest.mark.parametrize("max_depth", [1, None])
+    def test_equals_unfairness_of_the_partitioning(self, population, function, distance,
+                                                   max_depth):
+        formulation = Formulation.from_names(distance=distance, bins=7)
+        result = quantify(
+            population, function, formulation, max_depth=max_depth, min_partition_size=5
+        )
+        depth = result.tree.root.depth()
+        assert depth == 1 if max_depth == 1 else depth > 1
+        expected = unfairness(result.partitioning, function, formulation)
+        assert result.unfairness.hex() == expected.hex()
+
+    def test_unsplit_root_has_zero_unfairness(self, population, function):
+        result = quantify(population, function, min_partition_size=len(population))
+        assert result.tree.root.is_leaf
+        assert result.unfairness == 0.0 == unfairness(result.partitioning, function)
+
+
+#: sha256 of every file of the bundle that ``_bundle_state`` saves, as
+#: written while memoised histograms were ``Histogram`` objects: keeping
+#: them as count rows leaves the bundle format byte for byte the same.
+BUNDLE_SHA256 = {
+    "bins_0.bin": "4b56021e1e77e8df699e0aa8d72996b2c9d13b5d7ce4bee54403e7c36e5c54d3",
+    "bins_1.bin": "d5805bf11449255cff51cb2c64319e430352cbfd4ae9e2f3a15b26c8a5fa7846",
+    "bins_2.bin": "63e421c1d712c47c41915d6a3dd862743f8e71fa0bc46c4ecabeeba1775aeb3b",
+    "manifest.json": "1d8d39453923a9e651dfcbbe70c3c1dbd661890a40b8520d45c0155974e87c1d",
+    "part_0.bin": "98e038d3a30a991777ce2f66d2e9b9f377e44b6444635d2b5dd70d38ae78f241",
+    "part_1.bin": "b9804badad1fc4ce8d8609e9fedeb451f7306d7faadf9d4840e99f2f872a431c",
+    "part_2.bin": "91df4ff88d23af2b8ff3ac7ca0f035d2674bcf1ffd44dfe25c9a3c3ca22cc405",
+    "part_3.bin": "bd4d4e5fa74fd6a9870e2992c10086378ef407905f63512f88863ebb9f0c4981",
+    "part_4.bin": "5cb3c9e52c69b20c44260a991bbdbea342f844625744973a1040a3827c9cb380",
+    "part_5.bin": "fbe099849b05eeaf4894b162f6f1e5e58cc9da74f8cc5eff3da79197ad115b14",
+    "vector.bin": "59cf916049bebc7815ad9526d1907d0e072b9cdde31b37c29568eda009b00655",
+}
+
+
+def _bundle_state():
+    """A store memoising root, candidate, seeded and requested rows over three binnings."""
+    dataset = synthetic_population(size=300, seed=3)
+    function = LinearScoringFunction({"Language Test": 0.6, "Rating": 0.4}, name="f")
+    store = ScoreStore(dataset, function)
+    schema = dataset.schema
+    root = root_partition(dataset)
+    for binning in (Binning.unit(), Binning.unit(9)):
+        store.histogram(root, binning)
+        for name in schema.protected_names:
+            store.candidate_split(root, schema.require_protected(name), binning)
+    children = store.split(root, schema.require_protected("Gender"))
+    for child in children:
+        store.histogram(child, Binning.unit(7))
+    grand = store.split(children[0], schema.require_protected("Country"))
+    unfairness(Partitioning(dataset, children[1:] + grand, validate=False), function, store=store)
+    return dataset, function, store
+
+
+def _sha256s(directory):
+    return {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.iterdir())
+    }
+
+
+class TestBundleBytes:
+    def test_saved_files_are_unchanged(self, tmp_path):
+        _, _, store = _bundle_state()
+        store.save(tmp_path)
+        assert _sha256s(tmp_path) == BUNDLE_SHA256
+
+    def test_load_then_save_round_trips_byte_for_byte(self, tmp_path):
+        dataset, function, store = _bundle_state()
+        store.save(tmp_path / "first")
+        loaded = ScoreStore.load(tmp_path / "first", dataset, function)
+        loaded.save(tmp_path / "second")
+        assert _sha256s(tmp_path / "second") == _sha256s(tmp_path / "first")
+        row = loaded._counts(root_partition(dataset), Binning.unit())
+        assert row.dtype == np.int64 and not row.flags.writeable
+        assert row.tolist() == store._counts(root_partition(dataset), Binning.unit()).tolist()
+
+    @pytest.mark.parametrize("counts", [[1, 2], [1, 2, 3, 4, 5, 6], [1, -2, 3, 4, 5]])
+    def test_counts_that_are_no_histogram_are_refused(self, tmp_path, counts):
+        dataset, function, store = _bundle_state()
+        store.save(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        memo = manifest["partitions"][0]["histograms"][0]
+        memo["binning"] = Binning.unit(5).to_json()
+        memo["counts"] = counts
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(WarmStartError, match="corrupted") as raised:
+            ScoreStore.load(tmp_path, dataset, function)
+        assert raised.value.reason == "truncated"

@@ -16,6 +16,7 @@ from repro.core.unfairness import (
     unfairness,
     unfairness_breakdown,
 )
+from repro.errors import FormulationError
 from repro.metrics.distances import get_distance
 from repro.metrics.emd import emd, normalized_emd
 from repro.metrics.histogram import MAX_BINS, Binning, Histogram, build_histogram
@@ -40,6 +41,14 @@ class TestPairwiseDistances:
         store = ScoreStore(table1_dataset, table1_function)
         histograms = [store.histogram(p) for p in Partitioning.single(table1_dataset)]
         assert pairwise_distances(histograms, Formulation()) == []
+
+    @pytest.mark.parametrize("distance", ["emd", "total_variation"])
+    @pytest.mark.parametrize("other", [Binning.unit(4), Binning(0.0, 2.0, 5)])
+    def test_histograms_over_different_binnings_are_refused(self, distance, other):
+        first = Histogram(Binning.unit(5), (1, 2, 3, 4, 5))
+        second = Histogram(other, (5,) * other.bins)
+        with pytest.raises(FormulationError, match="share a binning"):
+            pairwise_distances([first, second], Formulation.from_names(distance=distance))
 
     def test_vectorised_fast_path_matches_scalar_path(self):
         binning = Binning.unit(5)

@@ -96,14 +96,11 @@ class TestSchema:
             schema.attribute("Missing")
         assert "Missing" in str(excinfo.value)
 
-    def test_require_protected_and_observed(self):
+    def test_require_protected(self):
         schema = self._schema()
         assert schema.require_protected("Gender").name == "Gender"
-        assert schema.require_observed("Rating").name == "Rating"
         with pytest.raises(SchemaError):
             schema.require_protected("Rating")
-        with pytest.raises(SchemaError):
-            schema.require_observed("Gender")
 
     def test_replace_attribute(self):
         schema = self._schema()

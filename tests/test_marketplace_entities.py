@@ -94,9 +94,10 @@ class TestMarketplace:
         with pytest.raises(MarketplaceError):
             Marketplace(name="m", workers=[1, 2, 3])
 
-    def test_ranking_and_candidates_for(self, marketplace):
-        ranking = marketplace.ranking_for("Content writing")
-        candidates = marketplace.candidates_for("Content writing")
+    def test_job_ranking_and_candidates(self, marketplace):
+        job = marketplace.job("Content writing")
+        ranking = job.ranking(marketplace.workers)
+        candidates = job.candidates(marketplace.workers)
         assert len(ranking) == len(candidates)
 
     def test_summary_and_describe(self, marketplace):

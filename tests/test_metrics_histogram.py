@@ -38,14 +38,6 @@ class TestBinning:
         assert len(edges) == 4
         assert edges[0] < 0.5 < edges[-1]
 
-    def test_bin_index_clamps(self):
-        binning = Binning.unit(5)
-        assert binning.bin_index(-1.0) == 0
-        assert binning.bin_index(0.0) == 0
-        assert binning.bin_index(0.5) == 2
-        assert binning.bin_index(1.0) == 4
-        assert binning.bin_index(2.0) == 4
-
 
 class TestHistogram:
     def test_counts_validation(self):

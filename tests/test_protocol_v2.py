@@ -454,7 +454,7 @@ class TestCatalogUnification:
 
         name = service.register_formulation(LEAST_UNFAIR_AVG_EMD)
         assert name == LEAST_UNFAIR_AVG_EMD.name
-        assert name in service.formulation_names
+        assert name in service.catalog.names(ResourceKind.FORMULATION)
         assert service.formulation(name) is LEAST_UNFAIR_AVG_EMD
         with pytest.raises(ServiceError, match="unknown formulation"):
             service.formulation("nope")

@@ -37,12 +37,6 @@ class TestAuditJob:
         assert most.unfairness == max(values)
         assert least.unfairness == min(values)
 
-    def test_audit_for_lookup(self, audit_report):
-        title = audit_report.audits[0].job_title
-        assert audit_report.audit_for(title).job_title == title
-        with pytest.raises(MarketplaceError):
-            audit_report.audit_for("ghost job")
-
     def test_report_table_rendering(self, audit_report):
         table = audit_report.to_table()
         assert len(table) == len(audit_report.audits)
@@ -55,7 +49,7 @@ class TestAuditJob:
         opaque_titles = [job.title for job in crawled_marketplace if not job.is_transparent]
         assert opaque_titles
         for title in opaque_titles:
-            audit = report.audit_for(title)
+            audit = next(audit for audit in report.audits if audit.job_title == title)
             assert audit.transparent_function is False
             assert audit.unfairness >= 0.0
 

@@ -33,12 +33,6 @@ class TestCompareVariants:
         assert owner_report.fairest.unfairness == min(values)
         assert owner_report.most_unfair.unfairness == max(values)
 
-    def test_variant_lookup(self, owner_report):
-        name = owner_report.evaluations[0].name
-        assert owner_report.evaluation_for(name).name == name
-        with pytest.raises(ScoringError):
-            owner_report.evaluation_for("nope")
-
     def test_table_sorted_by_unfairness_and_mentions_recommendation(self, owner_report):
         table = owner_report.to_table()
         values = table.column("unfairness")
@@ -90,6 +84,8 @@ class TestJobOwnerConfiguration:
         report = owner.explore_job(
             crowdsourcing_marketplace_fixture, "English transcription", sweep_steps=3
         )
-        candidates = crowdsourcing_marketplace_fixture.candidates_for("English transcription")
+        candidates = crowdsourcing_marketplace_fixture.job("English transcription").candidates(
+            crowdsourcing_marketplace_fixture.workers
+        )
         for evaluation in report.evaluations:
             assert sum(evaluation.result.partitioning.sizes) == len(candidates)

@@ -41,13 +41,6 @@ class TestReportTable:
         with pytest.raises(ValueError):
             table.column("missing")
 
-    def test_sort_by(self):
-        table = self._table()
-        table.sort_by("unfairness", descending=True)
-        assert table.column("job") == ["coding", "design", "writing"]
-        with pytest.raises(ValueError):
-            table.sort_by("missing")
-
     def test_render_includes_title_rows_and_notes(self):
         table = self._table()
         table.add_note("a note about the data")

@@ -10,6 +10,7 @@ path returns what the row reference returns.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -211,6 +212,38 @@ class TestBias:
             )
 
 
+# -- numeric columns ------------------------------------------------------------
+
+#: Values a coded numeric column may hold: ints, floats, bools, numeric strings.
+NUMERIC_LIKE = (0, 1, 2, -3, 0.5, 1.0, -0.0, NAN, float("inf"), True, False,
+                "1", "0.25", "-2", "1e3", "nan", " 7 ")
+
+
+@st.composite
+def coded_numeric_datasets(draw):
+    """A dataset whose observed ``N`` column is coded (it holds a string)."""
+    size = draw(st.integers(min_value=1, max_value=30))
+    values = draw(st.lists(st.sampled_from(NUMERIC_LIKE), min_size=size - 1, max_size=size - 1))
+    values.insert(draw(st.integers(min_value=0, max_value=size - 1)), draw(
+        st.sampled_from([value for value in NUMERIC_LIKE if isinstance(value, str)])
+    ))
+    groups = draw(st.lists(st.sampled_from(("a", "b")), min_size=size, max_size=size))
+    dataset = _dataset(Schema((protected("G"), observed("N"))), {"G": groups, "N": values})
+    assert isinstance(dataset.store["N"], CodedColumn)
+    return dataset
+
+
+class TestNumericColumn:
+    @SETTINGS
+    @given(coded_numeric_datasets())
+    def test_coded_column_equals_row_by_row_floats(self, dataset):
+        for population in (dataset, dataset.filter(Equals("G", "a"))):
+            expected = np.array([float(row.values["N"]) for row in population], dtype=float)
+            got = population.numeric_column("N")
+            assert got.dtype == np.float64 and got.flags.writeable
+            assert got.tobytes() == expected.tobytes()
+
+
 # -- map_column and equivalence classes ---------------------------------------
 
 MAPPERS = {
@@ -303,7 +336,10 @@ def _quantify_bytes(dataset: Dataset) -> str:
 HIERARCHIES = {
     "default": {},
     "custom": {
-        "C": CategoricalHierarchy.two_level("C", {"letters": ("a", "b"), "ones": (1, "1")}),
+        "C": CategoricalHierarchy(
+            attribute="C",
+            ladders={"a": ("letters",), "b": ("letters",), 1: ("ones",), "1": ("ones",)},
+        ),
         "Y": IntervalHierarchy("Y", widths=(2.0, 4.0), origin=1980.0),
     },
 }

@@ -161,15 +161,13 @@ class TestRanking:
         ranking = LinearScoringFunction({"Skill": 1.0}).rank(ds)
         assert ranking.uids == ("w1", "w2")
 
-    def test_position_and_score_of(self, dataset):
+    def test_position(self, dataset):
         ranking = LinearScoringFunction({"Skill": 1.0}).rank(dataset)
         assert ranking.position("w1") == 1
         assert ranking.position("w4") == 4
-        assert ranking.score_of("w3") == pytest.approx(0.6)
+        assert ranking.entries[ranking.position("w3") - 1][1] == pytest.approx(0.6)
         with pytest.raises(ScoringError):
             ranking.position("ghost")
-        with pytest.raises(ScoringError):
-            ranking.score_of("ghost")
 
     def test_top_k(self, dataset):
         ranking = LinearScoringFunction({"Skill": 1.0}).rank(dataset)
@@ -181,12 +179,6 @@ class TestRanking:
     def test_duplicate_entries_rejected(self):
         with pytest.raises(ScoringError):
             Ranking((("w1", 0.5), ("w1", 0.4)))
-
-    def test_as_table(self, dataset):
-        ranking = LinearScoringFunction({"Skill": 1.0}).rank(dataset)
-        table = ranking.as_table()
-        assert table[0] == {"position": 1, "uid": "w1", "score": pytest.approx(0.9)}
-        assert len(table) == len(dataset)
 
     def test_rank_by_score_matches_method(self, dataset):
         function = LinearScoringFunction({"Rating": 1.0})

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from repro.catalog import ResourceKind
 from repro.cli import main
 from repro.core.quantify import quantify
 from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
@@ -49,7 +50,7 @@ class TestRegistry:
         assert name == "crowdsourcing-sim"
         assert "crowdsourcing-sim" in service.dataset_names
         assert "Content writing" in service.function_names
-        assert "crowdsourcing-sim" in service.marketplace_names
+        assert "crowdsourcing-sim" in service.catalog.names(ResourceKind.MARKETPLACE)
 
 
 class TestCachedKernels:
