@@ -41,9 +41,10 @@ pins the perf trajectory of that layer:
 * **million-row leg** — a 1M-row population is built and QUANTIFYed in a
   fresh interpreter; wall-clock and peak RSS (``VmHWM``) are recorded;
 * **deep leg** — the serving benchmark's hot quantify (10k rows,
-  ``min_partition_size`` 24, a deep tree): a fresh store per round, each
-  result equal to ``reference_quantify``; the median and its cost per
-  evaluated split are recorded;
+  ``min_partition_size`` 24, a deep tree), under EMD and again under total
+  variation: a fresh store per round, each result equal to
+  ``reference_quantify``; the medians and their cost per evaluated split
+  are recorded;
 * **roles leg** — the three role scenarios of the serving benchmark run
   cold on a freshly generated 400-worker marketplace each round (audit of
   every job, job-owner sweep, end-user assessment); every search a role
@@ -66,6 +67,7 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.core.formulations import Formulation
 from repro.core.partition import root_partition
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
@@ -130,6 +132,8 @@ DEEP_POPULATION = 10_000
 DEEP_SEED = 1
 DEEP_MIN_PARTITION = 24
 DEEP_ROUNDS = 9
+#: Result key -> the distance its deep search runs under.
+DEEP_DISTANCES = {"deep_10k": "emd", "deep_10k_total_variation": "total_variation"}
 
 #: The roles leg (the serving benchmark's role requests, cold).
 ROLES_MARKET_SIZE = 400
@@ -561,41 +565,48 @@ def test_deep_leg():
     """A deep search: 10k rows at ``min_partition_size`` 24, a fresh store per round.
 
     The cost is per evaluated split, not per row: every node scores all
-    its candidate splits, so the median is also recorded per split.
+    its candidate splits, so the median is also recorded per split.  The
+    same search runs under the paper's EMD and under total variation: every
+    distance scores count rows through one kernel call per node.
     """
     dataset = synthetic_population(size=DEEP_POPULATION, seed=DEEP_SEED)
     function = LinearScoringFunction({"Language Test": 0.6, "Rating": 0.4}, name="skill-mix")
-    reference = reference_quantify(dataset, function, min_partition_size=DEEP_MIN_PARTITION)
-    elapsed: List[float] = []
-    for round_index in range(DEEP_ROUNDS + 1):
-        started = time.perf_counter()
-        result = quantify(dataset, function, min_partition_size=DEEP_MIN_PARTITION)
-        took = time.perf_counter() - started
-        _assert_same_search(result, reference)
-        if round_index:  # round 0 builds the dataset's codings
-            elapsed.append(took)
-    median = statistics.median(elapsed)
-    per_split_us = median / result.splits_evaluated * 1e6
-    print()
-    print(
-        f"deep {DEEP_POPULATION} rows: median {median * 1000:.2f}ms, "
-        f"{result.splits_evaluated} splits evaluated ({per_split_us:.0f}us each), "
-        f"{len(result.partitioning)} leaves"
-    )
-    _write_results(
-        {
-            "deep_10k": {
-                "population": DEEP_POPULATION,
-                "min_partition_size": DEEP_MIN_PARTITION,
-                "rounds": DEEP_ROUNDS,
-                "median_ms": round(median * 1000, 2),
-                "per_split_us": round(per_split_us, 1),
-                "splits_evaluated": result.splits_evaluated,
-                "partitions": len(result.partitioning),
-                "identical_results": True,
+    for key, distance in DEEP_DISTANCES.items():
+        formulation = Formulation.from_names(distance=distance)
+        reference = reference_quantify(
+            dataset, function, formulation, min_partition_size=DEEP_MIN_PARTITION
+        )
+        elapsed: List[float] = []
+        for round_index in range(DEEP_ROUNDS + 1):
+            started = time.perf_counter()
+            result = quantify(dataset, function, formulation, min_partition_size=DEEP_MIN_PARTITION)
+            took = time.perf_counter() - started
+            _assert_same_search(result, reference)
+            if round_index:  # round 0 builds the dataset's codings
+                elapsed.append(took)
+        median = statistics.median(elapsed)
+        per_split_us = median / result.splits_evaluated * 1e6
+        print()
+        print(
+            f"deep {DEEP_POPULATION} rows, {distance}: median {median * 1000:.2f}ms, "
+            f"{result.splits_evaluated} splits evaluated ({per_split_us:.0f}us each), "
+            f"{len(result.partitioning)} leaves"
+        )
+        _write_results(
+            {
+                key: {
+                    "population": DEEP_POPULATION,
+                    "min_partition_size": DEEP_MIN_PARTITION,
+                    "distance": distance,
+                    "rounds": DEEP_ROUNDS,
+                    "median_ms": round(median * 1000, 2),
+                    "per_split_us": round(per_split_us, 1),
+                    "splits_evaluated": result.splits_evaluated,
+                    "partitions": len(result.partitioning),
+                    "identical_results": True,
+                }
             }
-        }
-    )
+        )
 
 
 def _check_role_searches(market, audit, owner, formulation) -> None:

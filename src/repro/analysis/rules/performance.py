@@ -9,7 +9,11 @@ the data plane still has is ``CodedColumn.decode_range()`` /
 calling it on a hot path silently re-introduces the exact regression
 class the million-row benchmarks guard against.  This rule keeps it out
 of the hot modules entirely — the rest of the data plane (row
-materialisation, ``group_by`` keys) may still use it.
+materialisation) may still use it.
+
+Likewise the search, unfairness, distance and role modules compare score
+histograms as count rows: a ``Histogram(...)`` built there re-opens the
+per-pair distance path.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ _HOT_PATHS = (
     "repro/data/filters.py",
 )
 _ROW_DECODE = "decode_range"
+#: Modules where a score histogram is a count row, never a ``Histogram``.
+_COUNT_ROW_PATHS = (
+    "repro/core/quantify.py", "repro/core/unfairness.py", "repro/metrics/distances.py",
+    "repro/roles",
+)
 
 
 @register
@@ -39,7 +48,8 @@ class HotPathMaterialisation(Rule):
         "repro.roles / repro.service / repro.data.filters) "
         "calls the per-row decode .decode_range().  Use the columnar "
         "slices — codes(), numeric_column(), value_counts() — so "
-        "million-row datasets never materialise per-row Python values."
+        "million-row datasets never materialise per-row Python values; "
+        "or builds a Histogram(...) where histograms are count rows."
     )
 
     def check_module(
@@ -50,6 +60,7 @@ class HotPathMaterialisation(Rule):
         tree = module.tree
         if tree is None:
             return
+        count_rows = module.in_path(*_COUNT_ROW_PATHS)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -59,4 +70,11 @@ class HotPathMaterialisation(Rule):
                     module, node.lineno, node.col_offset + 1,
                     f".{_ROW_DECODE}() decodes one Python value per row on the "
                     "hot path; use codes()/numeric_column() column slices",
+                )
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if count_rows and name == "Histogram":
+                yield self.finding(
+                    module, node.lineno, node.col_offset + 1,
+                    "Histogram(...) where histograms are count rows; "
+                    "pass the rows to formulation.distance",
                 )

@@ -48,8 +48,10 @@ def equivalence_classes(
     dataset: Dataset, quasi_identifiers: Sequence[str]
 ) -> Dict[Tuple[object, ...], int]:
     """Sizes of the equivalence classes induced by the quasi-identifier columns,
-    keyed by the values of each class's first row, in first-seen row order."""
-    return {key: len(members) for key, members in dataset.group_by(quasi_identifiers).items()}
+    keyed by the values of each class's first row, in first-seen row order
+    (the groups of :meth:`Dataset.group_by`, counted without a view each)."""
+    keys, sizes, _ = dataset._groups(quasi_identifiers)
+    return dict(zip(keys, sizes.tolist()))
 
 
 def is_k_anonymous(dataset: Dataset, quasi_identifiers: Sequence[str], k: int) -> bool:

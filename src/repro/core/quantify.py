@@ -32,7 +32,7 @@ from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD, resolve_bi
 from repro.core.partition import Partition, Partitioning, root_partition, split_partition
 from repro.core.scorestore import ScoreStore, store_for
 from repro.core.tree import PartitionNode, PartitionTree
-from repro.core.unfairness import _row_distances, pair_distances, upper_pairs
+from repro.core.unfairness import _row_distances, upper_pairs
 from repro.data.dataset import Dataset
 from repro.errors import PartitioningError
 from repro.metrics.histogram import Binning, Histogram
@@ -120,13 +120,13 @@ def _score_node(
 
     ``own`` (a count row; currentAvg is 0.0 without it) is scored as a first
     candidate with one child.  Sibling and child rows form one count matrix,
-    and every distance comes from one kernel call
-    (:func:`~repro.core.unfairness.pair_distances`).  A candidate's score
-    aggregates the distances of ``children + siblings`` in the i < j order
-    of :func:`~repro.core.unfairness.pairwise_distances`: first every pair
-    that involves a child, then the sibling×sibling block, computed once
-    and shared by every candidate.  So ``aggregate`` sees the same floats
-    in the same order as from one ``pairwise_distances`` call per set.
+    and every distance comes from one ``formulation.distance`` call.  A
+    candidate's score aggregates the distances of ``children + siblings`` in
+    the i < j order of :func:`~repro.core.unfairness.pairwise_distances`:
+    first every pair that involves a child, then the sibling×sibling block,
+    computed once and shared by every candidate.  So ``aggregate`` sees the
+    same floats in the same order as from one ``pairwise_distances`` call
+    per set.
     """
     if own is not None:
         candidates = [own[None, :], *candidates]
@@ -147,8 +147,8 @@ def _score_node(
         start += len(children) + count
     if start < 2:
         return 0.0, []
-    values = pair_distances(
-        np.concatenate(blocks), binning, np.concatenate(rows), np.concatenate(cols), formulation
+    values = formulation.distance(
+        np.concatenate(blocks), binning, np.concatenate(rows), np.concatenate(cols)
     )
     ends = np.cumsum([part.size for part in rows]).tolist()
     block = values[: ends[0]]

@@ -19,29 +19,17 @@ from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD, resolve_bi
 from repro.core.partition import Partitioning
 from repro.core.scorestore import ScoreStore, store_for
 from repro.errors import FormulationError
-from repro.metrics.histogram import Binning, Histogram, cdf_matrix
+from repro.metrics.histogram import Binning, Histogram
 from repro.scoring.base import ScoringFunction
 
 __all__ = [
     "unfairness",
     "pairwise_distances",
-    "pair_distances",
     "upper_pairs",
     "UnfairnessBreakdown",
     "unfairness_breakdown",
     "favored_groups",
 ]
-
-#: Distances computed by the EMD kernel (the 1-D closed form over CDFs).
-_EMD_LIKE = {"emd", "normalized_emd"}
-
-
-def _emd_scale(formulation: Formulation, bins: int) -> float:
-    """Per-distance scale factor of the EMD kernel."""
-    if formulation.distance.name == "normalized_emd" and bins > 1:
-        return 1.0 / (bins - 1)
-    return 1.0
-
 
 #: Histogram counts whose upper-triangle pair indices are memoised; a node
 #: rarely has more than a few dozen children plus siblings, and the bound
@@ -68,42 +56,10 @@ def upper_pairs(count: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(count, k=1)
 
 
-def pair_distances(
-    counts: np.ndarray,
-    binning: Binning,
-    rows: np.ndarray,
-    cols: np.ndarray,
-    formulation: Formulation,
-) -> np.ndarray:
-    """Distances between count rows ``counts[rows[p]]`` and ``counts[cols[p]]`` for every p.
-
-    ``counts`` is a (histograms × bins) integer array over ``binning``.
-    EMD and normalized EMD go through the one EMD kernel: the L1 distance
-    between the two CDF rows of one matrix (:func:`~repro.metrics.histogram.cdf_matrix`),
-    times the distance's scale, for any number of rows.  Each pair's value
-    depends on its two rows alone, not on which other pairs share the call.
-    Other distances wrap only the rows they compare as histograms and call
-    ``formulation.distance`` per pair.
-    """
-    if formulation.distance.name in _EMD_LIKE:
-        cdfs = cdf_matrix(counts)
-        gaps = np.abs(cdfs[rows] - cdfs[cols]).sum(axis=1)
-        return gaps * _emd_scale(formulation, binning.bins)
-    distance = formulation.distance
-    histograms = {
-        index: Histogram(binning=binning, counts=tuple(counts[index].tolist()))
-        for index in np.union1d(rows, cols).tolist()
-    }
-    return np.array(
-        [distance(histograms[i], histograms[j]) for i, j in zip(rows.tolist(), cols.tolist())],
-        dtype=float,
-    )
-
-
 def _row_distances(counts: np.ndarray, binning: Binning, formulation: Formulation) -> np.ndarray:
     """Every pairwise distance between the rows of ``counts`` (maybe none), in i < j order."""
     rows = counts.reshape(len(counts), binning.bins)
-    return pair_distances(rows, binning, *upper_pairs(len(counts)), formulation)
+    return formulation.distance(rows, binning, *upper_pairs(len(counts)))
 
 
 def pairwise_distances(

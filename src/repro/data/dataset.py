@@ -567,6 +567,29 @@ class Dataset:
         store = ColumnStore(store.n, columns, uids=store.explicit_uids)
         return Dataset.from_store(new_schema, store, name=self.name, validate=False)
 
+    def _groups(self, names: Sequence[str]) -> Tuple[List[tuple], np.ndarray, np.ndarray]:
+        """``(keys, sizes, group)`` of the rows grouped by the values of ``names``.
+
+        Groups are numbered in first-seen row order: ``group`` holds each
+        row's group number, ``sizes`` each group's row count and ``keys``
+        the values of each group's first row, read from the decode tables.
+        """
+        combined = np.zeros(len(self), dtype=np.int64)
+        for name in names:
+            codes, decode, _ = self.codes(name)
+            # Re-densify after each attribute so the combined code never
+            # overflows, however many attributes are grouped.
+            _, combined = np.unique(combined * len(decode) + codes, return_inverse=True)
+        _, first, group, sizes = np.unique(
+            combined, return_index=True, return_inverse=True, return_counts=True
+        )
+        order = np.argsort(first)
+        columns = [self.store[name].coded() for name in names]
+        values = [[column.values[code] for code in column.codes[first[order]].tolist()]
+                  for column in columns]
+        keys = list(zip(*values)) if names else [()] * len(order)
+        return keys, sizes[order], np.argsort(order)[group]
+
     def group_by(self, names: Sequence[str]) -> Dict[Tuple[object, ...], "DatasetView"]:
         """Group individuals by the combination of values of ``names``.
 
@@ -575,25 +598,13 @@ class Dataset:
         keys are emitted in first-seen order; each key holds the values of
         its group's first row.
         """
-        combined = np.zeros(len(self), dtype=np.int64)
-        for name in names:
-            codes, decode, _ = self.codes(name)
-            # Re-densify after each attribute so the combined code never
-            # overflows, however many attributes are grouped.
-            _, combined = np.unique(combined * len(decode) + codes, return_inverse=True)
-        _, first, group = np.unique(combined, return_index=True, return_inverse=True)
+        keys, sizes, group = self._groups(names)
         members = np.argsort(group, kind="stable")
-        ends = np.cumsum(np.bincount(group, minlength=len(first)))
-        store = self.store
-        columns = [store[name] for name in names]
-        groups: Dict[Tuple[object, ...], DatasetView] = {}
-        for code in np.argsort(first, kind="stable").tolist():
-            row = int(first[code])
-            key = tuple(column.decode_range(row, row + 1)[0] for column in columns)
-            start = int(ends[code - 1]) if code else 0
-            index = members[start : int(ends[code])]
-            groups[key] = DatasetView(self, index, name=f"{self.name}/{key}")
-        return groups
+        ends = np.cumsum(sizes)
+        return {
+            key: DatasetView(self, members[start:end], name=f"{self.name}/{key}")
+            for key, start, end in zip(keys, (ends - sizes).tolist(), ends.tolist())
+        }
 
     def require_non_empty(self) -> "Dataset":
         """Return self, raising :class:`EmptyDatasetError` if there are no rows."""

@@ -11,7 +11,7 @@ from repro.metrics.distances import (
     available_distances,
     get_distance,
 )
-from repro.metrics.emd import emd, emd_1d, emd_matrix, normalized_emd
+from repro.metrics.emd import emd_1d, emd_matrix
 from repro.metrics.histogram import DEFAULT_BINS, Binning, Histogram, build_histogram
 
 __all__ = [
@@ -19,10 +19,8 @@ __all__ = [
     "Histogram",
     "build_histogram",
     "DEFAULT_BINS",
-    "emd",
     "emd_1d",
     "emd_matrix",
-    "normalized_emd",
     "DistanceMeasure",
     "EMDDistance",
     "NormalizedEMDDistance",

@@ -1,23 +1,23 @@
-"""Alternative distribution distances.
+"""Histogram distances, each one function over count rows.
 
 The paper quantifies group unfairness with the EMD, but explicitly notes that
 FaiRank "is generic and provides the ability to quantify different notions of
-fairness".  This module supplies the common alternatives — total variation,
-Kolmogorov–Smirnov, Jensen–Shannon divergence and mean-score gap — behind a
+fairness".  This module supplies the EMD and the common alternatives behind a
 single :class:`DistanceMeasure` interface so formulations can swap them in.
+Called as ``measure(counts, binning, rows, cols)`` on a (histograms × bins)
+count matrix, a measure returns the distances of the pairs ``counts[rows[p]]``
+and ``counts[cols[p]]``; each depends on its two rows alone.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Tuple
 
 import numpy as np
 
 from repro.errors import FormulationError
-from repro.metrics.emd import emd, normalized_emd
-from repro.metrics.histogram import Histogram
+from repro.metrics.histogram import Binning, cdf_matrix, normalized_matrix
 
 __all__ = [
     "DistanceMeasure",
@@ -31,62 +31,98 @@ __all__ = [
     "available_distances",
 ]
 
-
 @dataclass(frozen=True)
 class DistanceMeasure:
-    """A named, symmetric distance between two score histograms."""
+    """A named, symmetric distance between score histograms given as count rows."""
 
     name: str
-    func: Callable[[Histogram, Histogram], float]
+    func: Callable[[np.ndarray, Binning, np.ndarray, np.ndarray], np.ndarray]
     description: str = ""
 
-    def __call__(self, first: Histogram, second: Histogram) -> float:
-        if first.binning != second.binning:
-            raise FormulationError("histograms must share a binning to be compared")
-        return float(self.func(first, second))
+    def __call__(
+        self, counts: np.ndarray, binning: Binning, rows: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        return self.func(counts, binning, rows, cols)
 
 
-def _total_variation(first: Histogram, second: Histogram) -> float:
-    return float(0.5 * np.abs(first.normalized() - second.normalized()).sum())
+def _emd(counts: np.ndarray, binning: Binning, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    # The 1-D closed form: the L1 distance between the two CDFs, in bins moved.
+    cdfs = cdf_matrix(counts)
+    return np.abs(cdfs[rows] - cdfs[cols]).sum(axis=1)
 
 
-def _kolmogorov_smirnov(first: Histogram, second: Histogram) -> float:
-    cdf_first = np.cumsum(first.normalized())
-    cdf_second = np.cumsum(second.normalized())
-    return float(np.abs(cdf_first - cdf_second).max())
+def _normalized_emd(
+    counts: np.ndarray, binning: Binning, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    # The farthest-apart distributions over k bins are k - 1 bins apart.
+    gaps = _emd(counts, binning, rows, cols)
+    return gaps * (1.0 / (binning.bins - 1)) if binning.bins > 1 else gaps
 
 
-def _jensen_shannon(first: Histogram, second: Histogram) -> float:
-    p = first.normalized()
-    q = second.normalized()
-    mixture = 0.5 * (p + q)
+def _total_variation(
+    counts: np.ndarray, binning: Binning, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    normalized = normalized_matrix(counts)
+    return 0.5 * np.abs(normalized[rows] - normalized[cols]).sum(axis=1)
 
-    def _kl(a: np.ndarray, b: np.ndarray) -> float:
-        mask = a > 0
-        return float(np.sum(a[mask] * np.log2(a[mask] / b[mask])))
 
-    divergence = 0.5 * _kl(p, mixture) + 0.5 * _kl(q, mixture)
+def _kolmogorov_smirnov(
+    counts: np.ndarray, binning: Binning, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    cdfs = np.cumsum(normalized_matrix(counts), axis=1)
+    return np.abs(cdfs[rows] - cdfs[cols]).max(axis=1)
+
+
+def _kl_rows(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Row-wise Kullback–Leibler divergence (base 2) of ``first`` from ``second``.
+
+    A row's positive-mass terms are packed to the left and summed over just
+    those columns (rows of one length together): the floats and the order a
+    sum over that row's terms alone would add.
+    """
+    mask = first > 0
+    lengths = mask.sum(axis=1)
+    at, bins = np.nonzero(mask)
+    packed = np.zeros(first.shape)
+    packed[at, (np.cumsum(mask, axis=1) - 1)[at, bins]] = first[at, bins] * np.log2(
+        first[at, bins] / second[at, bins]
+    )
+    sums = np.empty(len(first))
+    for length in np.unique(lengths).tolist():
+        chosen = lengths == length
+        sums[chosen] = packed[chosen, :length].sum(axis=1)
+    return sums
+
+
+def _jensen_shannon(
+    counts: np.ndarray, binning: Binning, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    normalized = normalized_matrix(counts)
+    first, second = normalized[rows], normalized[cols]
+    mixture = 0.5 * (first + second)
+    divergence = 0.5 * _kl_rows(first, mixture) + 0.5 * _kl_rows(second, mixture)
     # Numerical noise can push the value a hair above 1 or below 0.
-    return float(min(max(divergence, 0.0), 1.0))
+    return np.sqrt(np.clip(divergence, 0.0, 1.0))
 
 
-def _jensen_shannon_distance(first: Histogram, second: Histogram) -> float:
-    return math.sqrt(_jensen_shannon(first, second))
-
-
-def _mean_gap(first: Histogram, second: Histogram) -> float:
-    return abs(first.mean_score() - second.mean_score())
+def _mean_gap(
+    counts: np.ndarray, binning: Binning, rows: np.ndarray, cols: np.ndarray
+) -> np.ndarray:
+    # One dot product per row: a matrix-vector product may sum in another order.
+    centers = binning.centers
+    means = np.array([np.dot(row, centers) for row in normalized_matrix(counts)], dtype=float)
+    return np.abs(means[rows] - means[cols])
 
 
 EMDDistance = DistanceMeasure(
     name="emd",
-    func=lambda a, b: emd(a, b),
+    func=_emd,
     description="Earth Mover's Distance in bin units (paper default, Definition 2)",
 )
 
 NormalizedEMDDistance = DistanceMeasure(
     name="normalized_emd",
-    func=normalized_emd,
+    func=_normalized_emd,
     description="EMD divided by its maximum (k-1 bins); comparable across binnings",
 )
 
@@ -104,7 +140,7 @@ KolmogorovSmirnovDistance = DistanceMeasure(
 
 JensenShannonDistance = DistanceMeasure(
     name="jensen_shannon",
-    func=_jensen_shannon_distance,
+    func=_jensen_shannon,
     description="Square root of the Jensen-Shannon divergence (base 2)",
 )
 

@@ -8,9 +8,11 @@ unequal the treatment.
 For one-dimensional histograms over a shared equal-width binning the EMD with
 ground distance |i - j| has a closed form: the L1 distance between the two
 cumulative distributions (times the bin width if distances are expressed in
-score units).  We implement that closed form, plus a transport solver over
-an explicit cost matrix (:func:`emd_matrix`) that the tests use as an
-independent check of the closed form.
+score units).  The library computes it over count rows
+(:data:`~repro.metrics.distances.EMDDistance`); the per-pair closed form
+(:func:`emd_1d`) and a transport solver over an explicit cost matrix
+(:func:`emd_matrix`) share no code with that kernel, and the tests check
+it against both.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.errors import FormulationError
-from repro.metrics.histogram import Histogram
 
-__all__ = ["emd", "emd_1d", "emd_matrix", "normalized_emd"]
+__all__ = ["emd_1d", "emd_matrix"]
 
 ArrayLike = Union[Sequence[float], np.ndarray]
 
@@ -39,7 +40,7 @@ def _as_distribution(weights: ArrayLike) -> np.ndarray:
     array = np.clip(array, 0.0, None)
     total = array.sum()
     if total <= 0:
-        # Mass-less histogram: treat as uniform, mirroring Histogram.normalized.
+        # Mass-less histogram: treat as uniform, as normalized_matrix does.
         return np.full(array.size, 1.0 / array.size)
     return array / total
 
@@ -155,40 +156,3 @@ def emd_matrix(
                     total_cost += moved * delta
                     improved = True
     return float(max(total_cost, 0.0))
-
-
-def emd(
-    first: Union[Histogram, ArrayLike],
-    second: Union[Histogram, ArrayLike],
-    use_score_units: bool = False,
-) -> float:
-    """EMD between two histograms (or raw weight vectors).
-
-    When both arguments are :class:`Histogram` instances over the same
-    binning, the distance defaults to "bins moved" units (``use_score_units
-    =False``), which is the convention of the paper's examples; pass
-    ``use_score_units=True`` to weight moves by actual score distance
-    between bin centres.
-    """
-    if isinstance(first, Histogram) and isinstance(second, Histogram):
-        if first.binning != second.binning:
-            raise FormulationError("histograms must share a binning to be compared")
-        positions = first.binning.centers if use_score_units else None
-        return emd_1d(first.normalized(), second.normalized(), positions=positions)
-    if isinstance(first, Histogram) or isinstance(second, Histogram):
-        raise FormulationError("cannot mix a Histogram and a raw vector in emd()")
-    return emd_1d(first, second)
-
-
-def normalized_emd(first: Histogram, second: Histogram) -> float:
-    """EMD normalised to [0, 1] by the maximum possible distance.
-
-    The farthest-apart distributions over ``k`` bins are the two point masses
-    on the extreme bins, at distance ``k - 1`` bins; dividing by that yields
-    a scale-free unfairness score that is comparable across binnings.
-    """
-    bins = first.binning.bins
-    if bins <= 1:
-        return 0.0
-    return emd(first, second) / float(bins - 1)
-

@@ -8,8 +8,9 @@ fall in each bin" (§3.1).
 
 The :class:`Histogram` here is that object: a fixed binning shared across all
 partitions being compared (so the EMD is well defined), plus the counts of a
-particular group.  Histograms can be normalised to mass-1 distributions,
-which is what the EMD compares.
+particular group.  Inside the library a group's histogram is a count row of
+a (histograms × bins) matrix; :func:`normalized_matrix` turns such rows into
+the mass-1 distributions every distance compares.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ import numpy as np
 from repro.errors import FormulationError
 
 __all__ = [
-    "Binning", "Histogram", "build_histogram", "cdf_matrix", "DEFAULT_BINS", "MAX_BINS",
+    "Binning", "Histogram", "build_histogram", "cdf_matrix", "normalized_matrix",
+    "DEFAULT_BINS", "MAX_BINS",
 ]
 
 #: Default number of equal-width bins over the score range, matching the
@@ -123,7 +125,6 @@ class Histogram:
             )
         if any(count < 0 for count in self.counts):
             raise FormulationError("histogram counts must be non-negative")
-        object.__setattr__(self, "counts", tuple(int(c) for c in self.counts))
 
     @property
     def total(self) -> int:
@@ -134,68 +135,32 @@ class Histogram:
     def is_empty(self) -> bool:
         return self.total == 0
 
-    def normalized(self) -> np.ndarray:
-        """Counts normalised to a probability distribution (sums to 1).
-
-        An empty histogram normalises to the uniform distribution so that
-        distances against it are defined; callers that care should check
-        :attr:`is_empty` first (the partitioning code never produces empty
-        partitions).  The result is cached (histograms are immutable) because
-        the partitioning search normalises the same histograms many times.
-        """
-        cached = getattr(self, "_normalized_cache", None)
-        if cached is not None:
-            return cached
-        counts = np.asarray(self.counts, dtype=float)
-        total = counts.sum()
-        if total <= 0:
-            normalized = np.full(self.binning.bins, 1.0 / self.binning.bins)
-        else:
-            normalized = counts / total
-        normalized.setflags(write=False)
-        object.__setattr__(self, "_normalized_cache", normalized)
-        return normalized
-
-    def cdf(self) -> np.ndarray:
-        """Cumulative distribution over the bins, without the final all-ones bin.
-
-        This is the quantity the EMD kernel compares; :func:`cdf_matrix`
-        computes the same rows, bit for bit, for many histograms at once.
-        Cached, as histograms are immutable.
-        """
-        cached = getattr(self, "_cdf_cache", None)
-        if cached is not None:
-            return cached
-        cdf = np.cumsum(self.normalized())[:-1]
-        cdf.setflags(write=False)
-        object.__setattr__(self, "_cdf_cache", cdf)
-        return cdf
-
-    def mean_score(self) -> float:
-        """Approximate mean score using bin centres (for statistics panels)."""
-        weights = self.normalized()
-        return float(np.dot(weights, self.binning.centers))
-
     def describe(self) -> str:
         """One-line rendering used by the session layer, e.g. ``[2|0|1|3|4]``."""
         return "[" + "|".join(str(c) for c in self.counts) + "]"
 
 
-def cdf_matrix(counts: np.ndarray) -> np.ndarray:
-    """The CDFs of the rows of a (histograms × bins) count array, one row each.
+def normalized_matrix(counts: np.ndarray) -> np.ndarray:
+    """The rows of a (histograms × bins) count array as distributions (each sums to 1).
 
-    One division and one cumulative sum over the whole matrix, instead of
-    one small array operation per histogram.  Each row is bit-identical to
-    :meth:`Histogram.cdf` of a histogram with those counts: integer totals
-    are exact, the division is element-wise over the same float64 values,
-    and a cumulative sum adds in order along its axis.  A zero-total row
-    normalises to the uniform distribution, as an empty histogram does.
+    The division is element-wise, so a row does not depend on the others.
+    A zero-total (empty) row normalises to the uniform distribution, so that
+    every distance against it is defined.
     """
     totals = counts.sum(axis=1, keepdims=True)
     empty = totals[:, 0] <= 0
     normalized = counts / np.where(empty[:, None], 1, totals)
     normalized[empty] = 1.0 / counts.shape[1]
-    return np.cumsum(normalized, axis=1)[:, :-1]
+    return normalized
+
+
+def cdf_matrix(counts: np.ndarray) -> np.ndarray:
+    """The CDFs of the rows of a (histograms × bins) count array, without the final all-ones bin.
+
+    A cumulative sum adds in order along its axis, so each row depends on
+    its own counts alone.
+    """
+    return np.cumsum(normalized_matrix(counts), axis=1)[:, :-1]
 
 
 def build_histogram(

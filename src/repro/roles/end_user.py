@@ -26,7 +26,7 @@ from repro.core.formulations import Formulation, MOST_UNFAIR_AVG_EMD
 from repro.core.partition import Partition, root_partition
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore, StoreProvider
-from repro.core.unfairness import pair_distances, upper_pairs
+from repro.core.unfairness import upper_pairs
 from repro.data.dataset import Dataset
 from repro.data.filters import And, Equals, Filter
 from repro.errors import MarketplaceError
@@ -149,7 +149,7 @@ class EndUser:
             # population minus the group's (each individual lands in one bin).
             everyone = store._counts(root_partition(candidates), binning)
             counts = np.stack((member_counts, everyone - member_counts))
-            emd_vs_rest = pair_distances(counts, binning, *upper_pairs(2), self.formulation)[0]
+            emd_vs_rest = self.formulation.distance(counts, binning, *upper_pairs(2))[0]
         else:
             emd_vs_rest = 0.0
 

@@ -4,10 +4,11 @@
 function" question through :class:`repro.core.scorestore.ScoreStore`.  This
 module answers the same questions the direct way — score each partition's
 members with :func:`repro.scoring.base.frozen_scores` and bin them with
-:func:`repro.metrics.histogram.build_histogram` — and runs the greedy
-Algorithm 1 over group-by splits on top of that.  The store-equivalence
-tests and ``benchmarks/bench_quantify.py`` compare the store against it:
-results must match exactly, and the store must be faster.
+:func:`repro.metrics.histogram.build_histogram`, compare them one pair at a
+time (``distance_reference``) — and runs the greedy Algorithm 1 over
+group-by splits on top of that.  The store-equivalence tests and
+``benchmarks/bench_quantify.py`` compare the store against it: results must
+match exactly, and the store must be faster.
 
 Tests import it as ``scoring_reference``; the benchmarks as
 ``tests.scoring_reference``.
@@ -23,11 +24,16 @@ from repro.core.formulations import MOST_UNFAIR_AVG_EMD, Formulation, resolve_bi
 from repro.core.partition import Partition, Partitioning, root_partition, split_partition
 from repro.core.quantify import QuantifyResult
 from repro.core.tree import PartitionNode, PartitionTree
-from repro.core.unfairness import UnfairnessBreakdown, pairwise_distances
+from repro.core.unfairness import UnfairnessBreakdown
 from repro.data.dataset import Dataset, order_values
 from repro.data.schema import Attribute
 from repro.metrics.histogram import Binning, Histogram, build_histogram
 from repro.scoring.base import ScoringFunction, frozen_scores
+
+if __package__:  # imported as ``tests.scoring_reference``
+    from tests.distance_reference import reference_pairwise
+else:
+    from distance_reference import reference_pairwise
 
 __all__ = [
     "DirectScorer",
@@ -149,7 +155,7 @@ def reference_unfairness(
     scorer = scorer or DirectScorer(function)
     binning = resolve_binning(formulation)
     histograms = [scorer.histogram(partition, binning) for partition in partitioning]
-    return formulation.aggregate(pairwise_distances(histograms, formulation))
+    return formulation.aggregate(reference_pairwise(histograms, formulation))
 
 
 def reference_breakdown(
@@ -161,7 +167,7 @@ def reference_breakdown(
     binning = resolve_binning(formulation)
     histograms = [scorer.histogram(partition, binning) for partition in partitioning]
     labels = partitioning.labels
-    values = pairwise_distances(histograms, formulation)
+    values = reference_pairwise(histograms, formulation)
     pairs = [(labels[i], labels[j]) for i in range(len(labels)) for j in range(i + 1, len(labels))]
     pairwise = dict(zip(pairs, values))
     mean_scores = {}
@@ -207,7 +213,7 @@ def reference_quantify(
         for attribute in sorted(candidates):
             histograms = [scorer.histogram(child, binning) for child in candidates[attribute]]
             splits_evaluated += len(histograms)
-            score = formulation.aggregate(pairwise_distances(histograms + siblings, formulation))
+            score = formulation.aggregate(reference_pairwise(histograms + siblings, formulation))
             if best is None or formulation.is_better(score, best[2]):
                 best = (attribute, candidates[attribute], score)
         return best
@@ -228,7 +234,7 @@ def reference_quantify(
         if partition.size < 2 * min_partition_size:
             return
         current = formulation.aggregate(
-            pairwise_distances([scorer.histogram(partition, binning)] + siblings, formulation)
+            reference_pairwise([scorer.histogram(partition, binning)] + siblings, formulation)
         )
         node.annotation["vs_siblings"] = current
         choice = best_split(partition, names, siblings)
@@ -237,7 +243,7 @@ def reference_quantify(
         attribute, children, _ = choice
         histograms = [scorer.histogram(child, binning) for child in children]
         children_value = formulation.aggregate(
-            pairwise_distances(histograms + siblings, formulation)
+            reference_pairwise(histograms + siblings, formulation)
         )
         node.annotation["children_vs_siblings"] = children_value
         if formulation.is_better(children_value, current):

@@ -178,6 +178,39 @@ class TestHotPathMaterialisation:
         ))
         assert not fired(report, "FL002")
 
+    _HISTOGRAM_SOURCE = (
+        "from repro.metrics import histogram\n"
+        "from repro.metrics.histogram import Histogram\n\n\n"
+        "def wrap(binning, row):\n"
+        "    first = Histogram(binning=binning, counts=tuple(row.tolist()))\n"
+        "    return first, histogram.Histogram(binning, tuple(row.tolist()))\n"
+    )
+
+    def test_histogram_fires_in_the_unfairness_module(self, tmp_path):
+        report = analyse(tmp_path, "repro/core/unfairness.py", self._HISTOGRAM_SOURCE)
+        assert [finding.line for finding in fired(report, "FL002")] == [6, 7]
+        assert report.failed
+
+    @pytest.mark.parametrize("relpath", [
+        "repro/core/quantify.py",
+        "repro/core/unfairness.py",
+        "repro/metrics/distances.py",
+        "repro/roles/end_user.py",
+        "repro/roles/new_role.py",
+    ])
+    def test_histogram_fires_on_every_count_row_path(self, tmp_path, relpath):
+        report = analyse(tmp_path, relpath, self._HISTOGRAM_SOURCE)
+        assert [finding.line for finding in fired(report, "FL002")] == [6, 7]
+
+    @pytest.mark.parametrize("relpath", [
+        "repro/core/scorestore.py",
+        "repro/metrics/histogram.py",
+        "repro/session/render.py",
+    ])
+    def test_histogram_is_fine_at_the_public_edges(self, tmp_path, relpath):
+        report = analyse(tmp_path, relpath, self._HISTOGRAM_SOURCE)
+        assert not fired(report, "FL002")
+
     def test_columnar_access_on_hot_path_is_fine(self, tmp_path):
         report = analyse(tmp_path, "repro/core/hot.py", (
             "def total(dataset):\n"

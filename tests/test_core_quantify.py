@@ -15,7 +15,7 @@ from repro.data.dataset import Dataset
 from repro.data.filters import TrueFilter
 from repro.data.schema import Schema, observed, protected
 from repro.errors import PartitioningError
-from repro.metrics.distances import get_distance
+from repro.metrics.distances import available_distances, get_distance
 from repro.metrics.histogram import MAX_BINS, Binning, Histogram
 from repro.scoring.linear import LinearScoringFunction
 
@@ -236,9 +236,7 @@ def node_cases(draw):
     candidates = [rows(size) for size in sizes]
     formulation = Formulation(
         aggregation=draw(st.sampled_from(list(Aggregation))),
-        distance=get_distance(
-            draw(st.sampled_from(["emd", "normalized_emd", "total_variation"]))
-        ),
+        distance=get_distance(draw(st.sampled_from(available_distances()))),
         bins=bins,
     )
     return own, siblings, candidates, binning, formulation

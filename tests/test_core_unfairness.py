@@ -17,10 +17,11 @@ from repro.core.unfairness import (
     unfairness_breakdown,
 )
 from repro.errors import FormulationError
-from repro.metrics.distances import get_distance
-from repro.metrics.emd import emd, normalized_emd
+from repro.metrics.distances import available_distances, get_distance
+from repro.metrics.emd import emd_1d
 from repro.metrics.histogram import MAX_BINS, Binning, Histogram, build_histogram
 from repro.scoring.linear import LinearScoringFunction
+from distance_reference import reference_pairwise
 
 
 @pytest.fixture
@@ -50,20 +51,17 @@ class TestPairwiseDistances:
         with pytest.raises(FormulationError, match="share a binning"):
             pairwise_distances([first, second], Formulation.from_names(distance=distance))
 
-    def test_vectorised_fast_path_matches_scalar_path(self):
+    @pytest.mark.parametrize("distance", available_distances())
+    def test_equals_the_per_pair_reference(self, distance):
         binning = Binning.unit(5)
         rng = np.random.default_rng(3)
         histograms = [
             build_histogram(rng.random(20), binning=binning) for _ in range(6)
         ]
-        formulation = Formulation()
-        fast = pairwise_distances(histograms, formulation)
-        slow = [
-            formulation.distance(histograms[i], histograms[j])
-            for i in range(6)
-            for j in range(i + 1, 6)
-        ]
-        assert fast == pytest.approx(slow)
+        formulation = Formulation.from_names(distance=distance)
+        values = pairwise_distances(histograms, formulation)
+        assert len(values) == 15
+        assert values == reference_pairwise(histograms, formulation)
 
     def test_memoised_pairs_give_identical_lists(self):
         # The upper-triangle pair indices are memoised per count: repeated
@@ -83,12 +81,7 @@ class TestPairwiseDistances:
             assert np.array_equal(cols, expected_cols)
             assert not rows.flags.writeable and not cols.flags.writeable
             assert _upper_pairs(count)[0] is rows
-            slow = [
-                formulation.distance(histograms[i], histograms[j])
-                for i in range(count)
-                for j in range(i + 1, count)
-            ]
-            assert values == pytest.approx(slow)
+            assert values == reference_pairwise(histograms[:count], formulation)
 
     def test_fast_path_normalized_emd(self):
         binning = Binning.unit(5)
@@ -100,20 +93,19 @@ class TestPairwiseDistances:
         formulation = Formulation(distance=get_distance("normalized_emd"))
         values = pairwise_distances(histograms, formulation)
         assert all(0.0 <= v <= 1.0 for v in values)
-        assert max(values) == pytest.approx(
-            formulation.distance(histograms[0], histograms[2])
-        )
-
-    def test_non_emd_distance_uses_fallback(self):
-        binning = Binning.unit(5)
-        histograms = [build_histogram([0.1 * i], binning=binning) for i in range(4)]
-        formulation = Formulation(distance=get_distance("total_variation"))
-        values = pairwise_distances(histograms, formulation)
-        assert len(values) == 6
+        assert max(values) == pytest.approx(1.0)
+        assert max(values) == pairwise_distances([histograms[0], histograms[2]], formulation)[0]
 
 
 class TestOneEmdKernel:
     """Every histogram count, 2 included, goes through the one CDF kernel."""
+
+    @staticmethod
+    def _independent(name, first, second):
+        """The closed form over weight vectors, scaled as the distance is."""
+        gap = emd_1d(first.counts, second.counts)
+        bins = first.binning.bins
+        return gap / (bins - 1) if name == "normalized_emd" and bins > 1 else gap
 
     @settings(max_examples=120, deadline=None)
     @given(
@@ -134,11 +126,11 @@ class TestOneEmdKernel:
             if rng.random() < 0.15:
                 counts[:] = 0
             histograms.append(Histogram(binning=binning, counts=tuple(counts.tolist())))
-        for name, independent in (("emd", emd), ("normalized_emd", normalized_emd)):
+        for name in ("emd", "normalized_emd"):
             formulation = Formulation(distance=get_distance(name), bins=bins)
             values = pairwise_distances(histograms, formulation)
             expected = [
-                independent(histograms[i], histograms[j])
+                self._independent(name, histograms[i], histograms[j])
                 for i in range(count)
                 for j in range(i + 1, count)
             ]

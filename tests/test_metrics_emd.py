@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.formulations import Formulation
+from repro.core.unfairness import pairwise_distances
 from repro.errors import FormulationError
-from repro.metrics.emd import emd, emd_1d, emd_matrix, normalized_emd
+from repro.metrics.emd import emd_1d, emd_matrix
 from repro.metrics.histogram import Binning, build_histogram
 
 distributions = st.lists(
@@ -102,36 +104,38 @@ class TestEmdMatrix:
         assert emd_matrix([0.3, 0.7], [0.6, 0.4], np.zeros((2, 2))) == pytest.approx(0.0)
 
 
+def _histogram_distance(name, first, second):
+    """One distance between two histograms, through the library's count-row kernel."""
+    return pairwise_distances([first, second], Formulation.from_names(distance=name))[0]
+
+
 class TestHistogramEmd:
     def test_histogram_emd(self):
         binning = Binning.unit(5)
         low = build_histogram([0.05, 0.1], binning=binning)
         high = build_histogram([0.95, 0.9], binning=binning)
-        assert emd(low, high) == pytest.approx(4.0)
+        assert _histogram_distance("emd", low, high) == pytest.approx(4.0)
 
     def test_histogram_emd_in_score_units(self):
         binning = Binning.unit(5)
         low = build_histogram([0.05, 0.1], binning=binning)
         high = build_histogram([0.95, 0.9], binning=binning)
-        assert emd(low, high, use_score_units=True) == pytest.approx(0.8)
-
-    def test_mixed_arguments_rejected(self):
-        histogram = build_histogram([0.5])
-        with pytest.raises(FormulationError):
-            emd(histogram, [1, 0, 0, 0, 0])
+        assert emd_1d(low.counts, high.counts, positions=binning.centers) == pytest.approx(0.8)
 
     def test_different_binnings_rejected(self):
         with pytest.raises(FormulationError):
-            emd(build_histogram([0.5], bins=5), build_histogram([0.5], bins=6))
+            _histogram_distance(
+                "emd", build_histogram([0.5], bins=5), build_histogram([0.5], bins=6)
+            )
 
     def test_normalized_emd_in_unit_interval(self):
         binning = Binning.unit(5)
         low = build_histogram([0.0], binning=binning)
         high = build_histogram([1.0], binning=binning)
-        assert normalized_emd(low, high) == pytest.approx(1.0)
-        assert normalized_emd(low, low) == pytest.approx(0.0)
+        assert _histogram_distance("normalized_emd", low, high) == pytest.approx(1.0)
+        assert _histogram_distance("normalized_emd", low, low) == pytest.approx(0.0)
 
     def test_normalized_emd_single_bin(self):
         binning = Binning.unit(1)
         histogram = build_histogram([0.5], binning=binning)
-        assert normalized_emd(histogram, histogram) == 0.0
+        assert _histogram_distance("normalized_emd", histogram, histogram) == 0.0

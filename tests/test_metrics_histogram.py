@@ -1,11 +1,20 @@
 """Tests for repro.metrics.histogram."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FormulationError
-from repro.metrics.histogram import DEFAULT_BINS, MAX_BINS, Binning, Histogram, build_histogram
+from repro.metrics.histogram import (
+    DEFAULT_BINS,
+    MAX_BINS,
+    Binning,
+    Histogram,
+    build_histogram,
+    cdf_matrix,
+    normalized_matrix,
+)
 
 
 class TestBinning:
@@ -52,26 +61,6 @@ class TestHistogram:
         assert Histogram(binning, (0, 0, 0)).is_empty
         assert Histogram(binning, (1, 2, 3)).total == 6
 
-    def test_normalized_sums_to_one(self):
-        histogram = Histogram(Binning.unit(4), (1, 1, 2, 0))
-        assert histogram.normalized().sum() == pytest.approx(1.0)
-
-    def test_normalized_empty_is_uniform(self):
-        histogram = Histogram(Binning.unit(4), (0, 0, 0, 0))
-        assert histogram.normalized().tolist() == pytest.approx([0.25] * 4)
-
-    def test_normalized_is_cached_and_readonly(self):
-        histogram = Histogram(Binning.unit(4), (1, 2, 3, 4))
-        first = histogram.normalized()
-        second = histogram.normalized()
-        assert first is second
-        with pytest.raises(ValueError):
-            first[0] = 0.5
-
-    def test_mean_score_uses_bin_centers(self):
-        histogram = Histogram(Binning.unit(2), (1, 1))
-        assert histogram.mean_score() == pytest.approx(0.5)
-
     def test_describe(self):
         assert Histogram(Binning.unit(3), (1, 2, 3)).describe() == "[1|2|3]"
 
@@ -108,6 +97,25 @@ class TestBuildHistogram:
     @settings(max_examples=60, deadline=None)
     def test_normalized_is_distribution(self, scores):
         histogram = build_histogram(scores)
-        weights = histogram.normalized()
+        weights = normalized_matrix(np.array([histogram.counts]))[0]
         assert weights.sum() == pytest.approx(1.0)
         assert (weights >= 0).all()
+
+
+class TestNormalizedMatrix:
+    def test_rows_sum_to_one(self):
+        weights = normalized_matrix(np.array([[1, 1, 2, 0], [0, 0, 0, 7]]))
+        assert weights.tolist() == [[0.25, 0.25, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]]
+
+    def test_empty_row_is_uniform(self):
+        weights = normalized_matrix(np.array([[0, 0, 0, 0], [1, 2, 3, 4]]))
+        assert weights[0].tolist() == [0.25] * 4
+        assert weights[1].tolist() == pytest.approx([0.1, 0.2, 0.3, 0.4])
+
+    def test_no_rows(self):
+        assert normalized_matrix(np.zeros((0, 3), dtype=np.int64)).shape == (0, 3)
+
+    def test_cdf_matrix_drops_the_final_bin(self):
+        cdfs = cdf_matrix(np.array([[1, 1, 2, 0], [0, 0, 0, 0]]))
+        assert cdfs.tolist() == [[0.25, 0.5, 1.0], [0.25, 0.5, 0.75]]
+        assert cdf_matrix(np.array([[3], [0]])).shape == (2, 0)

@@ -22,7 +22,7 @@ from repro.data.filters import Equals
 from repro.errors import ScoringError
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
 from repro.marketplace.entities import Marketplace
-from repro.metrics.emd import emd
+from repro.metrics.emd import emd_1d
 from repro.metrics.histogram import build_histogram
 from repro.roles.auditor import Auditor
 from repro.roles.end_user import EndUser
@@ -162,7 +162,9 @@ class TestEndUserMatchesDirectScoring:
         # The one EMD kernel over the directly scored histograms, exactly...
         assert outcome.emd_vs_rest == pairwise_distances(direct, user.formulation)[0]
         # ...and the per-pair closed form as an independent check.
-        assert outcome.emd_vs_rest == pytest.approx(emd(*direct), abs=1e-12)
+        assert outcome.emd_vs_rest == pytest.approx(
+            emd_1d(direct[0].counts, direct[1].counts), abs=1e-12
+        )
 
 
 class TestPanelsRenderFromTheSearchStore:
