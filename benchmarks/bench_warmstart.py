@@ -9,8 +9,8 @@ directory.  The restarted fleet's very first wave must be:
 * **warm**: first-request p50 within 2x of the first life's steady-state
   warm p50 (the cold wave today runs ~4-5x warmer-than-warm, so this gate
   fails whenever a reboot silently recomputes instead of reloading);
-* **load-verified**: the store pools report loaded stores and zero scoring
-  passes before the wave lands.
+* **load-verified**: the workers' result caches report restored entries
+  and their store pools zero scoring passes before the wave lands.
 
 Percentiles for all three waves land in ``BENCH_warmstart.json``.
 """
@@ -112,7 +112,7 @@ def _drive_waves(
 
 
 def _pool_accounting(snapshot: Path, workers: int, warm_dir: Path) -> Dict[str, int]:
-    """Boot the restarted fleet and read its store pools *before* traffic."""
+    """Boot the restarted fleet and read its caches and store pools *before* traffic."""
     from repro.shard import ShardRouter, WorkerPool
     from repro.snapshot import snapshot_fingerprints
 
@@ -122,13 +122,10 @@ def _pool_accounting(snapshot: Path, workers: int, warm_dir: Path) -> Dict[str, 
     router.serve_in_background()
     try:
         client = HTTPFairnessClient(router.base_url, timeout=120.0)
-        pools = [
-            entry["store_pool"]
-            for entry in client.health()["workers"]["health"]
-        ]
+        health = client.health()["workers"]["health"]
         return {
-            "stores": sum(stats["stores"] for stats in pools),
-            "scoring_passes": sum(stats["scoring_passes"] for stats in pools),
+            "cache_entries": sum(entry["cache"]["entries"] for entry in health),
+            "scoring_passes": sum(entry["store_pool"]["scoring_passes"] for entry in health),
         }
     finally:
         router.shutdown()
@@ -153,10 +150,10 @@ def test_restarted_fleet_serves_within_2x_of_warm():
         assert list(warm_dir.glob("slot-*/manifest.json")), (
             "graceful fleet stop saved no warm bundles"
         )
-        # A probe boot proves the reload happens before any traffic: stores
-        # are back, and not one scoring pass has run.
+        # A probe boot proves the reload happens before any traffic: cached
+        # answers are back, and not one scoring pass has run.
         preloaded = _pool_accounting(snapshot, workers, warm_dir)
-        assert preloaded["stores"] >= 1
+        assert preloaded["cache_entries"] >= 1
         assert preloaded["scoring_passes"] == 0
         second_life = _drive_waves(
             snapshot, workers, requests, warm_dir, waves=["warm_started"]
@@ -170,7 +167,7 @@ def test_restarted_fleet_serves_within_2x_of_warm():
         if left != right
     ]
     assert not mismatched, f"restarted fleet diverged: {mismatched}"
-    # The restarted fleet served the whole wave without re-materializing.
+    # The restarted fleet served the whole wave from its reloaded caches.
     assert second_life["scoring_passes"] == 0
 
     warm_p50 = first_life["warm"]["latency_ms"]["p50"]

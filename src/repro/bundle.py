@@ -2,9 +2,9 @@
 
 This module is the only code that reads or writes the bytes of FaiRank's
 persisted artifacts: column sidecars (:mod:`repro.data.columns`),
-score-store bundles (:mod:`repro.core.scorestore`), warm-start bundles
-(:mod:`repro.service.warmstart`, score-store bundles under ``stores/`` plus
-``results.json``) and catalog snapshot documents (:mod:`repro.snapshot`).
+warm-start bundles (:mod:`repro.service.warmstart`: a manifest naming the
+catalog fingerprint plus ``results.json``, the result-cache bytes) and
+catalog snapshot documents (:mod:`repro.snapshot`).
 
 Writing (:class:`BundleWriter`) unlinks the old manifest first, replaces
 every file atomically (temporary name, then ``os.replace``) and writes the
@@ -37,7 +37,7 @@ import numpy as np
 from repro.errors import BundleError
 
 __all__ = [
-    "MANIFEST", "BundleKind", "COLUMNS", "SCORE_STORE", "WARM_START", "SNAPSHOT",
+    "MANIFEST", "BundleKind", "COLUMNS", "WARM_START", "SNAPSHOT",
     "BundleWriter", "local_path", "open_manifest", "read_array", "read_document",
     "read_json", "replace_text", "write_document",
 ]
@@ -55,15 +55,13 @@ class BundleKind(NamedTuple):
 
 
 COLUMNS = BundleKind("fairank-columns", 1, "column sidecar")
-#: Version 2 records the length of every partition-index file; version-1
-#: bundles are refused (reason ``manifest``) and recomputed cold.
-SCORE_STORE = BundleKind("fairank-scorestore", 2, "score-store bundle")
-#: Version 2 records dataset fingerprints hashed from column buffers
-#: (``dataset-v2``); version-1 files carry the older row hash.  Version 3
-#: marks answers computed by the one EMD kernel (a 2-histogram distance
-#: differs from version 2's in its last bits).  Older bundles are refused
-#: (reason ``manifest``) and boot cold, so an old answer is never served.
-WARM_START = BundleKind("fairank-warmstart", 3, "warm-start bundle")
+#: Version 4 holds the catalog fingerprint and the result cache only.
+#: Older bundles are refused (reason ``manifest``) and boot cold, so an old
+#: answer is never served: version 3 also listed score-store bundles,
+#: version 2 holds answers from before the one EMD kernel (a 2-histogram
+#: distance differs in its last bits), and version 1 carries row-hash
+#: dataset fingerprints.
+WARM_START = BundleKind("fairank-warmstart", 4, "warm-start bundle")
 #: Version 3 stores every dataset as a column bundle (or a ``csv`` reference);
 #: version 2 (inline rows, generator loaders) and version 1 (row-hash
 #: fingerprints) are refused (reason ``manifest``), never converted.
@@ -73,8 +71,9 @@ SNAPSHOT = BundleKind("fairank-catalog", 3, "catalog snapshot")
 def local_path(directory: Path, name: object) -> Path:
     """``directory / name``, refusing any name that could leave ``directory``.
 
-    Relative names with several components (``stores/store_00``) are
-    accepted; absolute names and ``.``/``..`` components are not.
+    Relative names with several components (a snapshot's
+    ``snap.json.columns/<fingerprint>``) are accepted; absolute names and
+    ``.``/``..`` components are not.
     """
     if not isinstance(name, str) or any(
         part in ("", ".", "..") for part in name.split("/")
@@ -121,14 +120,11 @@ def read_document(path: Path, kind: BundleKind) -> Dict[str, object]:
     return document
 
 
-def read_array(
-    directory: Path, name: object, dtype: type, length: int, *, mmap: bool
-) -> np.ndarray:
-    """One read-only raw array of exactly ``length`` values.
+def read_array(directory: Path, name: object, dtype: type, length: int) -> np.ndarray:
+    """One read-only raw array of exactly ``length`` values, memory-mapped.
 
-    ``mmap=True`` maps the file (column sidecars: rows page in on demand);
-    ``mmap=False`` reads it into memory (score-store arrays: a bundle holds
-    thousands of partition files, and each map would hold a descriptor).
+    Rows page in on demand, and a re-save that replaces the file's name
+    leaves the mapped inode intact.
     """
     path = local_path(directory, name)
     dtype = np.dtype(dtype)
@@ -146,10 +142,8 @@ def read_array(
     try:
         if length == 0:
             array = np.empty(0, dtype=dtype)
-        elif mmap:
-            array = np.memmap(path, dtype=dtype, mode="r", shape=(length,))
         else:
-            array = np.fromfile(path, dtype=dtype, count=length)
+            array = np.memmap(path, dtype=dtype, mode="r", shape=(length,))
     # The file changed size between the stat and the read.
     except (OSError, ValueError) as error:
         raise BundleError(f"cannot read {path}: {error}", reason="truncated") from None

@@ -192,10 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
                                   "milliseconds even without --verbose")
     http_parser.add_argument(
         "--warm-dir", default=None, metavar="PATH", dest="warm_dir",
-        help="warm-start bundle directory: reload hot state "
-             "(materialized score stores, cached results) saved by the "
-             "previous graceful shutdown, and save it again on this one; "
-             "stale or foreign bundles are skipped and computed cold")
+        help="warm-start bundle directory: reload the cached results "
+             "saved by the previous graceful shutdown, and save them again "
+             "on this one; stale or foreign bundles are skipped and "
+             "computed cold")
     _add_registry_arguments(http_parser)
 
     return parser
@@ -514,8 +514,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.warm_dir:
         from pathlib import Path
 
-        # Load after the catalogue is populated: warm components are
-        # verified against the live resources by content fingerprint.
+        # Load after the catalogue is populated: the bundle is verified
+        # against the live resources by content fingerprint.
         service.warm_dir = Path(args.warm_dir)
         service.load_warm_state()
     server = FairnessHTTPServer(

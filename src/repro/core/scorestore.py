@@ -61,21 +61,16 @@ service batch executor) can share one store.
 
 from __future__ import annotations
 
-import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
-from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple, Union,
-)
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.data.dataset import Dataset, DatasetView, order_values, stable_group_order
 from repro.data.schema import Attribute
-from repro.bundle import SCORE_STORE, BundleWriter, open_manifest, read_array
-from repro.errors import FormulationError, PartitioningError, ScoringError, WarmStartError
+from repro.errors import PartitioningError, ScoringError
 from repro.metrics.histogram import Binning, Histogram
 from repro.obs.trace import span as trace_span
 from repro.scoring.base import ScoringFunction, frozen_scores
@@ -645,13 +640,7 @@ class ScoreStore:
         own = self._indices_for_members(members)
         if own is indices:
             return True
-        if not np.array_equal(own, indices):
-            return False
-        if own is self._root:
-            # A loaded bundle's root entry: adopt the shared array, so later
-            # checks see it by identity.
-            entry.indices = own
-        return True
+        return bool(np.array_equal(own, indices))
 
     def _entry(self, partition: "Partition") -> _Entry:
         """The store entry for a partition, creating (and bounding) it once.
@@ -685,175 +674,6 @@ class ScoreStore:
             while len(self._partitions) > self.max_partitions:
                 self._partitions.popitem(last=False)
                 self._evictions += 1
-
-    # -- persistence (warm-start bundles) ---------------------------------------
-
-    @property
-    def materialized(self) -> bool:
-        """Whether the score vector has been computed (the store is warm)."""
-        return self._vector is not None
-
-    def save(self, directory: Union[str, Path]) -> Dict[str, object]:
-        """Persist the store's hot state as a score-store bundle; returns its manifest.
-
-        Written (see :mod:`repro.bundle`): the materialized score vector, the
-        precomputed per-binning bin codes, and the histogram memo — partition
-        keys, row indices and counts — for every sliced partition that has
-        memoised histograms.  The manifest records the (dataset, function)
-        content fingerprints, so a later :meth:`load` can verify the bundle
-        still describes the live catalog content, and the length of every
-        partition-index file.
-
-        Raises :class:`~repro.errors.WarmStartError` when the vector was
-        never materialized (there is nothing warm to persist).
-        """
-        from repro.service.fingerprint import fingerprint_dataset, fingerprint_function
-
-        with self._lock:
-            vector = self._vector
-            if vector is None:
-                raise WarmStartError(
-                    "cannot save a score store before its vector is materialized",
-                    reason="cold",
-                )
-            bin_codes = list(self._bin_codes.items())
-            partitions = [
-                (key, entry.indices, dict(entry.counts))
-                for key, entry in self._partitions.items()
-                if entry.counts
-            ]
-        # File writes happen outside the lock: the captured arrays are
-        # immutable once published, so serving continues while saving.
-        writer = BundleWriter(directory, SCORE_STORE)
-        writer.array("vector.bin", vector, np.float64)
-        codes_manifest: List[Dict[str, object]] = []
-        for index, (binning, codes) in enumerate(bin_codes):
-            file_name = f"bins_{index}.bin"
-            writer.array(file_name, codes, np.int64)
-            codes_manifest.append(
-                {"binning": binning.to_json(), "file": file_name}
-            )
-        memo_manifest: List[Dict[str, object]] = []
-        for index, (key, indices, rows) in enumerate(partitions):
-            entry_json = {
-                "key": [[attribute, value] for attribute, value in key],
-                "indices": f"part_{index}.bin",
-                "length": int(indices.size),
-                "histograms": [
-                    {"binning": binning.to_json(), "counts": row.tolist()}
-                    for binning, row in rows.items()
-                ],
-            }
-            try:
-                json.dumps(entry_json)
-            # A partition constrained on a non-JSON value (exotic dataset
-            # domain) is simply not persisted; everything else still is.
-            # fairlint: disable=FL007 -- documented skip of one memo entry
-            except (TypeError, ValueError):
-                continue
-            writer.array(str(entry_json["indices"]), indices, np.int64)
-            memo_manifest.append(entry_json)
-        return writer.commit({
-            "rows": int(vector.size),
-            "dataset": self.dataset.name,
-            "function": self.function.name,
-            "dataset_fingerprint": fingerprint_dataset(self.dataset),
-            "function_fingerprint": fingerprint_function(self.function),
-            "vector": "vector.bin",
-            "bin_codes": codes_manifest,
-            "partitions": memo_manifest,
-        })
-
-    @classmethod
-    def load(
-        cls,
-        directory: Union[str, Path],
-        dataset: Dataset,
-        function: ScoringFunction,
-        *,
-        max_partitions: Optional[int] = DEFAULT_MAX_PARTITIONS,
-        trust_uids: bool = False,
-    ) -> "ScoreStore":
-        """Rebuild a warm store from :meth:`save` output, fingerprint-verified.
-
-        The bundle's recorded (dataset, function) fingerprints must match
-        the *live* objects, and every buffer must have exactly the recorded
-        element count — drift, truncation, a foreign or older-version bundle
-        raises :class:`~repro.errors.WarmStartError` (with a stable
-        ``reason``) so callers fall back to cold compute instead of serving
-        wrong scores.  The loaded vector does **not** count as a scoring
-        pass: ``stats.scoring_passes`` stays 0 until a genuine recompute.
-        """
-        from repro.service.fingerprint import fingerprint_dataset, fingerprint_function
-
-        directory = Path(directory)
-        with open_manifest(directory, SCORE_STORE) as manifest:
-            rows = int(manifest["rows"])  # type: ignore[arg-type]
-            if rows != len(dataset):
-                raise WarmStartError(
-                    f"score-store bundle covers {rows} rows but dataset "
-                    f"{dataset.name!r} has {len(dataset)}",
-                    reason="fingerprint",
-                )
-            if manifest["dataset_fingerprint"] != fingerprint_dataset(dataset):
-                raise WarmStartError(
-                    f"score-store bundle was built over different dataset "
-                    f"content than the live {dataset.name!r} (fingerprint drift)",
-                    reason="fingerprint",
-                )
-            if manifest["function_fingerprint"] != fingerprint_function(function):
-                raise WarmStartError(
-                    f"score-store bundle was built for different function "
-                    f"content than the live {function.name!r} (fingerprint drift)",
-                    reason="fingerprint",
-                )
-            store = cls(
-                dataset, function, max_partitions=max_partitions, trust_uids=trust_uids
-            )
-            # Assigned directly — a warm load is not a scoring pass, so
-            # the pool accounting can prove a restarted fleet never re-scored.
-            store._vector = read_array(
-                directory, manifest["vector"], np.float64, rows, mmap=False
-            )
-            for entry in manifest["bin_codes"]:  # type: ignore[union-attr]
-                binning = _bundle_binning(entry["binning"])
-                codes = read_array(directory, entry["file"], np.int64, rows, mmap=False)
-                if codes.size and (codes.min() < 0 or codes.max() > binning.bins):
-                    raise WarmStartError(
-                        f"score-store bin codes for {binning} fall outside "
-                        f"[0, {binning.bins}] (corrupted bundle)",
-                        reason="truncated",
-                    )
-                codes = codes.astype(_bin_code_dtype(binning.bins))
-                codes.setflags(write=False)
-                store._bin_codes[binning] = codes
-            for entry in manifest["partitions"]:  # type: ignore[union-attr]
-                key = tuple(
-                    (str(attribute), value) for attribute, value in entry["key"]
-                )
-                length = int(entry["length"])
-                indices = read_array(
-                    directory, entry["indices"], np.int64, length, mmap=False
-                )
-                if indices.size > rows or (
-                    indices.size and (indices.min() < 0 or indices.max() >= rows)
-                ):
-                    raise WarmStartError(
-                        f"score-store partition indices for key {key!r} fall "
-                        f"outside the dataset's {rows} rows (corrupted bundle)",
-                        reason="truncated",
-                    )
-                loaded = _Entry(indices.astype(np.intp, copy=False))
-                for memo in entry["histograms"]:
-                    binning = _bundle_binning(memo["binning"])
-                    row = np.array([int(count) for count in memo["counts"]], dtype=np.int64)
-                    if row.shape != (binning.bins,) or (row < 0).any():
-                        raise WarmStartError(f"corrupted counts at {key!r}", reason="truncated")
-                    row.setflags(write=False)
-                    loaded.counts[binning] = row
-                store._partitions[key] = loaded
-            store._evict_over_bound_locked()
-            return store
 
     # -- introspection ----------------------------------------------------------
 
@@ -927,22 +747,6 @@ def _root_packs(dataset: Dataset, stride: int) -> Tuple[Tuple[str, ...], ...]:
 def _bin_code_dtype(bins: int) -> np.dtype:
     """The narrowest unsigned type holding every bin code, the sentinel ``bins`` too."""
     return np.min_scalar_type(bins)
-
-
-def _bundle_binning(payload: Dict[str, object]) -> Binning:
-    """A bundle's binning, or ``WarmStartError`` when this build refuses it.
-
-    An older build accepted more than :data:`~repro.metrics.histogram.MAX_BINS`
-    bins, so a bundle it saved can hold a binning that is now out of bounds:
-    the store then boots cold instead of failing the load.
-    """
-    try:
-        return Binning.from_json(payload)
-    except FormulationError as error:
-        raise WarmStartError(
-            f"score-store bundle holds a binning this build refuses: {error}",
-            reason="manifest",
-        ) from None
 
 
 #: Supplies the store a role or panel scores ``(dataset, function)`` through:

@@ -66,12 +66,19 @@ def pairwise_distances(
     histograms: Sequence[Histogram],
     formulation: Formulation,
 ) -> List[float]:
-    """All pairwise distances between the given histograms (i < j order)."""
-    if len(histograms) < 2:
+    """All pairwise distances between the given histograms (i < j order).
+
+    The histograms must share the formulation's binning (see
+    :func:`~repro.core.formulations.resolve_binning`), as in
+    :func:`unfairness`.
+    """
+    if not histograms:
         return []
-    binning = histograms[0].binning
+    binning = resolve_binning(formulation, histograms[0].binning)
     if any(histogram.binning != binning for histogram in histograms):
         raise FormulationError("histograms must share a binning to be compared")
+    if len(histograms) < 2:
+        return []
     counts = np.array([histogram.counts for histogram in histograms], dtype=np.int64)
     return _row_distances(counts, binning, formulation).tolist()
 

@@ -292,7 +292,7 @@ class ColumnStore:
                 name = str(entry["name"])
                 # The kind fixes the dtype; an unknown kind is a KeyError.
                 dtype = {"coded": np.int64, "numeric": np.float64}[entry["kind"]]
-                array = bundle.read_array(directory, entry["file"], dtype, n, mmap=True)
+                array = bundle.read_array(directory, entry["file"], dtype, n)
                 if entry["kind"] == "coded":
                     values = [
                         bool(value["v"])

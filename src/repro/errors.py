@@ -72,25 +72,16 @@ class CatalogError(FaiRankError):
     """A resource-registry operation was invalid (unknown name, frozen entry...)."""
 
 
-class WarmStartError(FaiRankError):
-    """A warm-start bundle component cannot be loaded (drift, truncation...).
-
-    ``reason`` is a stable, low-cardinality label (``manifest``,
-    ``fingerprint``, ``truncated``, ...) surfaced on the
-    ``fairank_warmstart_skips_total`` metric family, so operators can tell a
-    stale bundle from a corrupted one without reading logs.
-    """
-
-    def __init__(self, message: str, reason: str = "invalid") -> None:
-        super().__init__(message)
-        self.reason = reason
-
-
-class BundleError(WarmStartError, DataError):
+class BundleError(DataError):
     """An on-disk bundle (see :mod:`repro.bundle`) cannot be read.
 
     ``reason`` is ``manifest`` (unreadable, foreign, stale or malformed
     metadata) or ``truncated`` (an array file missing or of the wrong size).
-    It is a :class:`DataError` to column-sidecar callers, and a
-    :class:`WarmStartError` that warm-start loaders skip under its reason.
+    It is a :class:`DataError` to column-sidecar callers; warm-start loaders
+    skip the bundle and count it on ``fairank_warmstart_skips_total`` under
+    its reason.
     """
+
+    def __init__(self, message: str, reason: str) -> None:
+        super().__init__(message)
+        self.reason = reason

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from typing import Dict, Literal
 
+import numpy as np
+
 from repro.data.dataset import Dataset, Individual
 from repro.errors import ScoringError
 from repro.scoring.base import Ranking, ScoringFunction
@@ -77,9 +79,15 @@ class RankDerivedScorer(ScoringFunction):
         try:
             return self._scores[individual.uid]
         except KeyError:
-            raise ScoringError(
-                f"individual {individual.uid!r} does not appear in the observed ranking"
-            ) from None
+            raise _unranked(individual.uid) from None
+
+    def score_dataset(self, dataset: Dataset) -> np.ndarray:
+        """Look every row's score up by uid, in row order (no row objects)."""
+        uids = dataset.uids
+        try:
+            return np.fromiter(map(self._scores.__getitem__, uids), dtype=float, count=len(uids))
+        except KeyError as error:
+            raise _unranked(error.args[0]) from None
 
     def describe(self) -> str:
         return f"{self.name}: scores derived from ranking positions ({self.weighting})"
@@ -98,6 +106,10 @@ class RankDerivedScorer(ScoringFunction):
         for uid in self.ranking.uids:
             digest.update(uid.encode("utf-8") + b"\x00")
         return digest.hexdigest()
+
+
+def _unranked(uid: str) -> ScoringError:
+    return ScoringError(f"individual {uid!r} does not appear in the observed ranking")
 
 
 class OpaqueScoringFunction(ScoringFunction):

@@ -184,9 +184,10 @@ class FairnessService:
         """Reload warm state from ``directory`` (default: ``warm_dir``).
 
         A no-op returning ``None`` when no directory is configured.  Load
-        failures never propagate: each component is individually verified and
-        skipped on mismatch (see :mod:`repro.service.warmstart`), so a stale
-        or corrupted bundle degrades to a cold boot, never a crashed one.
+        failures never propagate: the bundle is verified against the live
+        catalog and skipped on mismatch (see :mod:`repro.service.warmstart`),
+        so a stale or corrupted bundle degrades to a cold boot, never a
+        crashed one.
         """
         target = Path(directory) if directory is not None else self.warm_dir
         if target is None:

@@ -501,6 +501,10 @@ class WorkerPool:
                 try:
                     handle = self._boot_worker(slot)
                 except ServiceError as error:
+                    if self._stopping.is_set():
+                        # stop() interrupted this boot: a deliberate stop,
+                        # not a failed boot.
+                        return
                     attempt += 1
                     with self._lock:
                         self._restart_reasons[slot]["failed_boot"] += 1

@@ -1,14 +1,13 @@
 """One bundle format: every persisted artifact refuses broken files the same way.
 
-One negative suite per bundle kind (column sidecar, score-store bundle,
-warm-start bundle, catalog snapshot), each covering a truncated ``.bin``, an
-over-long ``.bin``, a non-local file name, a foreign ``format``, a foreign
-``version`` and a manifest missing a required field.  Every case must end in
-the kind's typed error (or a warm-start skip reason), never a builtin
-``ValueError``/``KeyError`` and never a silent load.  Then the previous
-on-disk layout: v1 column sidecars inside a current snapshot still load
-byte-identically, and v1 score-store bundles inside a warm bundle are
-skipped while its results load.
+One negative suite per bundle kind (column sidecar, warm-start bundle,
+catalog snapshot), each covering a truncated file, a non-local file name, a
+foreign ``format``, a foreign ``version`` and a manifest missing a required
+field (and, for the kinds with ``.bin`` arrays, an over-long one).  Every
+case must end in the kind's typed error (or a warm-start skip reason), never
+a builtin ``ValueError``/``KeyError`` and never a silent load.  Then the
+previous on-disk layout: v1 column sidecars inside a current snapshot still
+load byte-identically.
 """
 
 from __future__ import annotations
@@ -22,13 +21,11 @@ import pytest
 
 from repro import bundle
 from repro.catalog import Catalog, ResourceKind
-from repro.core.quantify import quantify
-from repro.core.scorestore import ScoreStore
 from repro.data.columns import ColumnStore
 from repro.data.dataset import Dataset
 from repro.data.filters import TrueFilter
 from repro.data.schema import Schema, observed, protected
-from repro.errors import BundleError, CatalogError, DataError, WarmStartError
+from repro.errors import BundleError, CatalogError, DataError
 from repro.experiments.workloads import synthetic_population
 from repro.obs.metrics import get_registry
 from repro.scoring.linear import LinearScoringFunction
@@ -131,54 +128,7 @@ def test_commit_removes_only_the_bin_files_it_did_not_write(tmp_path):
         "a.bin", "child", bundle.MANIFEST, "notes.txt"
     ]
     assert (tmp_path / "child" / "d.bin").read_bytes() == b"kept"
-    assert bundle.read_array(tmp_path, "a.bin", np.int64, 2, mmap=False).tolist() == [0, 1]
-
-
-# -- score-store bundles ------------------------------------------------------
-
-
-def _store_outside(root: Path) -> None:
-    shutil.copy(root / "store" / "vector.bin", root / "outside.bin")
-    _edit_json(root / "store" / bundle.MANIFEST, _set("vector", "../outside.bin"))
-
-
-def _store_manifest(edit):
-    return lambda root: _edit_json(root / "store" / bundle.MANIFEST, edit)
-
-
-STORE_CASES = {
-    "truncated": (lambda root: _truncate(root / "store" / "vector.bin"), "truncated"),
-    "over-long": (lambda root: _extend(root / "store" / "vector.bin"), "truncated"),
-    "truncated-partition": (
-        lambda root: _truncate(root / "store" / "part_0.bin"), "truncated"
-    ),
-    "non-local": (_store_outside, "manifest"),
-    "absolute": (
-        lambda root: _store_manifest(_set("vector", str(root / "store" / "vector.bin")))(root),
-        "manifest",
-    ),
-    "foreign-format": (_store_manifest(_set("format", "x")), "manifest"),
-    "previous-version": (_store_manifest(_set("version", 1)), "manifest"),
-    "foreign-version": (_store_manifest(_set("version", 99)), "manifest"),
-    "missing-field": (_store_manifest(_delete("rows")), "manifest"),
-    "missing-partition-length": (
-        _store_manifest(lambda manifest: manifest["partitions"][0].pop("length")),
-        "manifest",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(STORE_CASES))
-def test_broken_score_store_bundle_is_a_warm_start_error(tmp_path, case):
-    population = _population()
-    store = ScoreStore(population, _FUNCTION)
-    quantify(population, _FUNCTION, min_partition_size=5, store=store)
-    assert store.save(tmp_path / "store")["partitions"]
-    mutate, reason = STORE_CASES[case]
-    mutate(tmp_path)
-    with pytest.raises(WarmStartError) as excinfo:
-        ScoreStore.load(tmp_path / "store", population, _FUNCTION)
-    assert excinfo.value.reason == reason
+    assert bundle.read_array(tmp_path, "a.bin", np.int64, 2).tolist() == [0, 1]
 
 
 # -- warm-start bundles -------------------------------------------------------
@@ -197,50 +147,26 @@ def _warm_manifest(edit):
     return lambda root: _edit_json(root / "warm" / bundle.MANIFEST, edit)
 
 
-def _warm_store_outside(root: Path) -> None:
-    shutil.copytree(root / "warm" / "stores" / "store_00", root / "elsewhere")
-    _warm_manifest(
-        lambda manifest: manifest["stores"][0].__setitem__("directory", "../elsewhere")
-    )(root)
-
-
 def _warm_results_outside(root: Path) -> None:
     shutil.copy(root / "warm" / "results.json", root / "results.json")
     _warm_manifest(_set("results", "../results.json"))(root)
 
 
-_VECTOR = Path("warm", "stores", "store_00", "vector.bin")
+_COLD = {"results": 0}
 
-#: case -> (mutation, skip reason, load counts)
+#: case -> (mutation, skip reason)
 WARM_CASES = {
-    "truncated": (
-        lambda root: _truncate(root / _VECTOR), "truncated", {"stores": 0, "results": 1}
-    ),
-    "over-long": (
-        lambda root: _extend(root / _VECTOR), "truncated", {"stores": 0, "results": 1}
-    ),
-    "non-local-store": (_warm_store_outside, "manifest", {"stores": 0, "results": 1}),
-    "absolute-store": (
-        lambda root: _warm_manifest(
-            lambda manifest: manifest["stores"][0].__setitem__(
-                "directory", str(root / "warm" / "stores" / "store_00")
-            )
-        )(root),
+    "truncated-results": (lambda root: _truncate(root / "warm" / "results.json"), "manifest"),
+    "missing-results": (lambda root: (root / "warm" / "results.json").unlink(), "manifest"),
+    "non-local-results": (_warm_results_outside, "manifest"),
+    "absolute-results": (
+        lambda root: _warm_manifest(_set("results", str(root / "warm" / "results.json")))(root),
         "manifest",
-        {"stores": 0, "results": 1},
     ),
-    "non-local-results": (
-        _warm_results_outside, "manifest", {"stores": 0, "results": 0}
-    ),
-    "foreign-format": (
-        _warm_manifest(_set("format", "x")), "manifest", {"stores": 0, "results": 0}
-    ),
-    "foreign-version": (
-        _warm_manifest(_set("version", 99)), "manifest", {"stores": 0, "results": 0}
-    ),
-    "missing-field": (
-        _warm_manifest(_delete("stores")), "manifest", {"stores": 0, "results": 0}
-    ),
+    "foreign-format": (_warm_manifest(_set("format", "x")), "manifest"),
+    "foreign-version": (_warm_manifest(_set("version", 99)), "manifest"),
+    "missing-field": (_warm_manifest(_delete("catalog_fingerprint")), "manifest"),
+    "catalog-drift": (_warm_manifest(_set("catalog_fingerprint", "0" * 64)), "catalog_drift"),
 }
 
 
@@ -253,13 +179,15 @@ def test_broken_warm_bundle_is_skipped_with_a_reason(tmp_path, case):
     warm = _warm_service()
     reference = warm.execute(_REQUEST)
     warm.save_warm_state(tmp_path / "warm")
-    mutate, reason, counts = WARM_CASES[case]
+    mutate, reason = WARM_CASES[case]
     mutate(tmp_path)
     before = _skips(reason)
     restarted = _warm_service()
-    assert restarted.load_warm_state(tmp_path / "warm") == counts
+    assert restarted.load_warm_state(tmp_path / "warm") == _COLD
     assert _skips(reason) == before + 1
-    assert restarted.execute(_REQUEST).canonical() == reference.canonical()
+    result = restarted.execute(_REQUEST)
+    assert not result.cached
+    assert result.canonical() == reference.canonical()
 
 
 # -- catalog snapshots --------------------------------------------------------
@@ -391,41 +319,3 @@ def test_previous_layout_sidecar_and_snapshot_load_byte_identically(tmp_path):
     request = QuantifyRequest(dataset="toy", function="toy-f", min_partition_size=1)
     booted = FairnessService(catalog=loaded).execute(request)
     assert booted.canonical() == live.execute(request).canonical()
-
-
-def test_previous_layout_warm_bundle_loads_results_and_skips_v1_stores(tmp_path):
-    warm = _warm_service()
-    reference = warm.execute(_REQUEST)
-    manifest = warm.save_warm_state(tmp_path)
-    # Rewrite into the previous layout: v1 store manifests carried no
-    # partition lengths, and warm entries repeated the store's metadata.
-    for entry in manifest["stores"]:
-        store_manifest = tmp_path / entry["directory"] / bundle.MANIFEST
-
-        def downgrade(document):
-            document["version"] = 1
-            for partition in document["partitions"]:
-                partition.pop("length")
-
-        _edit_json(store_manifest, downgrade)
-        recorded = json.loads(store_manifest.read_text(encoding="utf-8"))
-        entry.update(
-            dataset=recorded["dataset"],
-            rows=recorded["rows"],
-            function_fingerprint=recorded["function_fingerprint"],
-        )
-    (tmp_path / bundle.MANIFEST).write_text(json.dumps(manifest, indent=2) + "\n")
-
-    before = _skips("manifest")
-    restarted = _warm_service()
-    assert restarted.load_warm_state(tmp_path) == {"stores": 0, "results": 1}
-    assert _skips("manifest") == before + len(manifest["stores"])
-    replay = restarted.execute(_REQUEST)
-    assert replay.cached and replay.canonical() == reference.canonical()
-    novel = QuantifyRequest(
-        dataset="pop", function="bundle-f", aggregation="maximum", min_partition_size=5
-    )
-    assert restarted.execute(novel).payload_json == (
-        _warm_service().execute(novel).payload_json
-    )
-    assert restarted.store_stats.scoring_passes == 1

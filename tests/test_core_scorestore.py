@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
 import threading
 import weakref
@@ -25,7 +23,7 @@ from repro.core.unfairness import (
 from repro.data.dataset import Dataset, Individual
 from repro.data.filters import Equals
 from repro.data.schema import Schema, observed, protected
-from repro.errors import FormulationError, PartitioningError, ScoringError, WarmStartError
+from repro.errors import FormulationError, PartitioningError, ScoringError
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
 from repro.metrics.histogram import MAX_BINS, Binning, build_histogram, cdf_matrix
 from repro.metrics.distances import available_distances
@@ -782,44 +780,6 @@ class TestBinCodeKernel:
             direct = build_histogram(child_scores, binning=binning)
             assert store.histogram(child, binning).counts == direct.counts
 
-    def test_save_load_keeps_int64_bin_codes(self, tmp_path):
-        binnings = (Binning.unit(), Binning(-3.0, 2.0, bins=256))
-        scores = _edge_scores(binnings[1])
-        population, scorer = _table_population(scores)
-        store = ScoreStore(population, scorer)
-        root = root_partition(population)
-        for binning in binnings:
-            store.histogram(root, binning)
-        manifest = store.save(tmp_path)
-        loaded = ScoreStore.load(tmp_path, population, scorer)
-        for entry in manifest["bin_codes"]:
-            binning = Binning.from_json(entry["binning"])
-            raw = np.fromfile(tmp_path / entry["file"], dtype=np.int64)
-            assert raw.size == len(population)
-            assert np.array_equal(raw, store._bin_codes_for(binning))
-            assert np.array_equal(loaded._bin_codes_for(binning), raw)
-            assert loaded._bin_codes_for(binning).dtype == store._bin_codes_for(binning).dtype
-        assert sorted(loaded._bin_codes, key=str) == sorted(binnings, key=str)
-
-
-    @pytest.mark.parametrize("section", ["bin_codes", "partitions"])
-    def test_out_of_bounds_bundle_binning_is_refused(
-        self, tmp_path, population, function, section
-    ):
-        # A bundle saved when more than MAX_BINS bins were accepted.
-        store = ScoreStore(population, function)
-        store.histogram(root_partition(population), Binning.unit())
-        store.save(tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        entry = manifest[section][0]
-        if section == "partitions":
-            entry = entry["histograms"][0]
-        entry["binning"]["bins"] = MAX_BINS + 1
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(WarmStartError, match="refuses") as raised:
-            ScoreStore.load(tmp_path, population, function)
-        assert raised.value.reason == "manifest"
-
 
 class TestBatchedCdfs:
     """``cdf_matrix`` rows equal the per-histogram CDF of the same counts, bit for bit."""
@@ -1186,77 +1146,3 @@ class TestLeafRowUnfairness:
         result = quantify(population, function, min_partition_size=len(population))
         assert result.tree.root.is_leaf
         assert result.unfairness == 0.0 == unfairness(result.partitioning, function)
-
-
-#: sha256 of every file of the bundle that ``_bundle_state`` saves, as
-#: written while memoised histograms were ``Histogram`` objects: keeping
-#: them as count rows leaves the bundle format byte for byte the same.
-BUNDLE_SHA256 = {
-    "bins_0.bin": "4b56021e1e77e8df699e0aa8d72996b2c9d13b5d7ce4bee54403e7c36e5c54d3",
-    "bins_1.bin": "d5805bf11449255cff51cb2c64319e430352cbfd4ae9e2f3a15b26c8a5fa7846",
-    "bins_2.bin": "63e421c1d712c47c41915d6a3dd862743f8e71fa0bc46c4ecabeeba1775aeb3b",
-    "manifest.json": "1d8d39453923a9e651dfcbbe70c3c1dbd661890a40b8520d45c0155974e87c1d",
-    "part_0.bin": "98e038d3a30a991777ce2f66d2e9b9f377e44b6444635d2b5dd70d38ae78f241",
-    "part_1.bin": "b9804badad1fc4ce8d8609e9fedeb451f7306d7faadf9d4840e99f2f872a431c",
-    "part_2.bin": "91df4ff88d23af2b8ff3ac7ca0f035d2674bcf1ffd44dfe25c9a3c3ca22cc405",
-    "part_3.bin": "bd4d4e5fa74fd6a9870e2992c10086378ef407905f63512f88863ebb9f0c4981",
-    "part_4.bin": "5cb3c9e52c69b20c44260a991bbdbea342f844625744973a1040a3827c9cb380",
-    "part_5.bin": "fbe099849b05eeaf4894b162f6f1e5e58cc9da74f8cc5eff3da79197ad115b14",
-    "vector.bin": "59cf916049bebc7815ad9526d1907d0e072b9cdde31b37c29568eda009b00655",
-}
-
-
-def _bundle_state():
-    """A store memoising root, candidate, seeded and requested rows over three binnings."""
-    dataset = synthetic_population(size=300, seed=3)
-    function = LinearScoringFunction({"Language Test": 0.6, "Rating": 0.4}, name="f")
-    store = ScoreStore(dataset, function)
-    schema = dataset.schema
-    root = root_partition(dataset)
-    for binning in (Binning.unit(), Binning.unit(9)):
-        store.histogram(root, binning)
-        for name in schema.protected_names:
-            store.candidate_split(root, schema.require_protected(name), binning)
-    children = store.split(root, schema.require_protected("Gender"))
-    for child in children:
-        store.histogram(child, Binning.unit(7))
-    grand = store.split(children[0], schema.require_protected("Country"))
-    unfairness(Partitioning(dataset, children[1:] + grand, validate=False), function, store=store)
-    return dataset, function, store
-
-
-def _sha256s(directory):
-    return {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(directory.iterdir())
-    }
-
-
-class TestBundleBytes:
-    def test_saved_files_are_unchanged(self, tmp_path):
-        _, _, store = _bundle_state()
-        store.save(tmp_path)
-        assert _sha256s(tmp_path) == BUNDLE_SHA256
-
-    def test_load_then_save_round_trips_byte_for_byte(self, tmp_path):
-        dataset, function, store = _bundle_state()
-        store.save(tmp_path / "first")
-        loaded = ScoreStore.load(tmp_path / "first", dataset, function)
-        loaded.save(tmp_path / "second")
-        assert _sha256s(tmp_path / "second") == _sha256s(tmp_path / "first")
-        row = loaded._counts(root_partition(dataset), Binning.unit())
-        assert row.dtype == np.int64 and not row.flags.writeable
-        assert row.tolist() == store._counts(root_partition(dataset), Binning.unit()).tolist()
-
-    @pytest.mark.parametrize("counts", [[1, 2], [1, 2, 3, 4, 5, 6], [1, -2, 3, 4, 5]])
-    def test_counts_that_are_no_histogram_are_refused(self, tmp_path, counts):
-        dataset, function, store = _bundle_state()
-        store.save(tmp_path)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        memo = manifest["partitions"][0]["histograms"][0]
-        memo["binning"] = Binning.unit(5).to_json()
-        memo["counts"] = counts
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(WarmStartError, match="corrupted") as raised:
-            ScoreStore.load(tmp_path, dataset, function)
-        assert raised.value.reason == "truncated"

@@ -104,9 +104,10 @@ class TestEmdMatrix:
         assert emd_matrix([0.3, 0.7], [0.6, 0.4], np.zeros((2, 2))) == pytest.approx(0.0)
 
 
-def _histogram_distance(name, first, second):
+def _histogram_distance(name, first, second, bins=5):
     """One distance between two histograms, through the library's count-row kernel."""
-    return pairwise_distances([first, second], Formulation.from_names(distance=name))[0]
+    formulation = Formulation.from_names(distance=name, bins=bins)
+    return pairwise_distances([first, second], formulation)[0]
 
 
 class TestHistogramEmd:
@@ -138,4 +139,13 @@ class TestHistogramEmd:
     def test_normalized_emd_single_bin(self):
         binning = Binning.unit(1)
         histogram = build_histogram([0.5], binning=binning)
-        assert _histogram_distance("normalized_emd", histogram, histogram) == 0.0
+        assert _histogram_distance("normalized_emd", histogram, histogram, bins=1) == 0.0
+
+    @pytest.mark.parametrize("name", ["emd", "normalized_emd", "total_variation"])
+    def test_histograms_off_the_formulation_binning_are_refused(self, name):
+        # 1-bin histograms under a 5-bin formulation: refused like unfairness().
+        histogram = build_histogram([0.5], binning=Binning.unit(1))
+        with pytest.raises(FormulationError, match="conflicts with the formulation"):
+            _histogram_distance(name, histogram, histogram)
+        with pytest.raises(FormulationError, match="conflicts with the formulation"):
+            pairwise_distances([histogram], Formulation())

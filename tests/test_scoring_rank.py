@@ -1,10 +1,15 @@
 """Tests for repro.scoring.rank (function-opaque transparency setting)."""
 
+import numpy as np
 import pytest
 
+from repro.data.filters import Equals
 from repro.errors import ScoringError
+from repro.experiments.workloads import synthetic_population
+from repro.scoring.linear import LinearScoringFunction
 from repro.scoring.base import Ranking
 from repro.scoring.rank import OpaqueScoringFunction, RankDerivedScorer
+from repro.service import BreakdownRequest, FairnessService, QuantifyRequest
 
 
 @pytest.fixture
@@ -53,6 +58,37 @@ class TestRankDerivedScorer:
         scorer = RankDerivedScorer(ranking)
         with pytest.raises(ScoringError):
             scorer.score_individual(table1_dataset[0])  # uid w1 not in ranking
+
+    def test_unknown_uid_in_a_dataset_raises(self, ranking, table1_dataset):
+        scorer = RankDerivedScorer(ranking)
+        with pytest.raises(ScoringError, match="does not appear in the observed ranking"):
+            scorer.score_dataset(table1_dataset)
+
+    @pytest.mark.parametrize("weighting", ["linear", "exposure"])
+    def test_score_dataset_is_a_uid_lookup_building_no_rows(self, weighting):
+        population = synthetic_population(size=300, seed=5)
+        function = LinearScoringFunction({"Language Test": 0.6, "Rating": 0.4}, name="f")
+        scorer = RankDerivedScorer(function.rank(population), weighting=weighting)
+        view = population.filter(Equals("Gender", "Female"))
+        for dataset in (population, view):
+            scores = scorer.score_dataset(dataset)
+            assert "_rows" not in dataset.__dict__, "score_dataset built row objects"
+            expected = [scorer.score_individual(row) for row in dataset]
+            assert scores.dtype == np.float64
+            assert scores.tolist() == expected
+
+    def test_ranks_only_requests_cache_no_rows_on_the_catalog_dataset(self):
+        service = FairnessService()
+        service.register_dataset(synthetic_population(size=300, seed=5), name="pop")
+        service.register_function(
+            LinearScoringFunction({"Language Test": 0.6, "Rating": 0.4}, name="f")
+        )
+        for request in (
+            QuantifyRequest(dataset="pop", function="f", use_ranks_only=True),
+            BreakdownRequest(dataset="pop", function="f", use_ranks_only=True),
+        ):
+            assert service.execute(request).ok
+        assert "_rows" not in service.dataset("pop").__dict__
 
     def test_is_not_transparent(self, ranking):
         assert RankDerivedScorer(ranking).transparent is False

@@ -17,6 +17,8 @@ import pytest
 
 from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
 from repro.errors import ServiceError
+from repro.obs.log import get_logger
+from repro.obs.metrics import get_registry
 from repro.scoring.linear import LinearScoringFunction
 from repro.server import HTTPFairnessClient
 from repro.service import (
@@ -473,8 +475,6 @@ class TestRouterRelay:
         assert payload["error"] == {"code": code, "message": message}
 
     def test_router_records_response_bytes(self, fleet):
-        from repro.obs.metrics import get_registry
-
         _, router, client = fleet
         histogram = get_registry().histogram("fairank_router_response_bytes")
         before = histogram.count(endpoint="/v2/quantify")
@@ -538,9 +538,17 @@ class TestFailureRecovery:
         assert pool.restarts(0) == restarts
 
     def test_stop_terminates_a_replacement_worker_mid_boot(self, snapshot):
-        """stop() during a restart's boot must not orphan the new process."""
+        """stop() during a restart's boot must not orphan the new process,
+        and must not read as a failed boot in the metrics or the event log."""
+        from io import StringIO
+
+        failed_boots = get_registry().counter("fairank_worker_incidents_total")
+        before = failed_boots.value(slot="0", reason="failed_boot")
+        captured = StringIO()
+        logger = get_logger()
         pool = WorkerPool(snapshot, 1, backoff_base_s=0.01, backoff_max_s=0.01)
         pool.start()
+        logger.stream = captured
         try:
             victim = pool.peek(0)
             victim.process.kill()
@@ -562,10 +570,20 @@ class TestFailureRecovery:
             assert replacement is not None, "restart never spawned a process"
         finally:
             pool.stop()
+            # The restart thread leaves _restarting once it has returned.
+            deadline = time.monotonic() + 10
+            while time.monotonic() < deadline and pool._restarting:
+                time.sleep(0.05)
+            logger.stream = None
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline and replacement.poll() is None:
             time.sleep(0.05)
         assert replacement.poll() is not None, "stop() orphaned the mid-boot worker"
+        assert not pool._restarting, "the restart thread outlived stop()"
+        assert pool.restart_reasons(0)["failed_boot"] == 0
+        assert failed_boots.value(slot="0", reason="failed_boot") == before
+        events = [json.loads(line)["event"] for line in captured.getvalue().splitlines()]
+        assert "worker_boot_failed" not in events
 
 
 class TestShutdownUnderRetry:
@@ -651,20 +669,19 @@ class TestWarmRestart:
                 assert client.quantify("table1", function).canonical() == canonical
         finally:
             self._stop(pool, router)
-        assert list(warm_root.glob("slot-*/manifest.json")), (
-            "graceful shutdown saved no warm bundle"
-        )
+        manifests = list(warm_root.glob("slot-*/manifest.json"))
+        assert manifests, "graceful shutdown saved no warm bundle"
+        for manifest in manifests:
+            saved = sorted(path.name for path in manifest.parent.iterdir())
+            assert saved == ["manifest.json", "results.json"]
 
         pool, router, client = self._boot(snapshot, warm_root)
         try:
-            # Before any traffic: the reloaded pool already holds stores,
-            # and not a single scoring pass has run.
-            pools = [
-                entry["store_pool"]
-                for entry in client.health()["workers"]["health"]
-            ]
-            assert sum(stats["stores"] for stats in pools) >= 1
-            assert sum(stats["scoring_passes"] for stats in pools) == 0
+            # Before any traffic: the reloaded result caches hold both
+            # answers, and not a single scoring pass has run.
+            health = client.health()["workers"]["health"]
+            assert sum(entry["cache"]["entries"] for entry in health) == len(expected)
+            assert sum(entry["store_pool"]["scoring_passes"] for entry in health) == 0
             for function, canonical in expected.items():
                 result = client.quantify("table1", function)
                 assert result.canonical() == canonical
@@ -713,13 +730,13 @@ class TestWarmRestart:
             result = client.quantify("table1", "table1-f")
             assert result.canonical() == expected
             assert result.cached, "the replacement must reload the result cache"
-            # The replacement's own health proves the warm reload: stores
-            # are back without a scoring pass.
+            # The replacement's own health proves the warm reload: its result
+            # cache is back, and the answer needed no scoring pass.
             with urllib.request.urlopen(
                 f"{handle.base_url}/v2/health", timeout=10
             ) as response:
                 payload = json.loads(response.read())
-            assert payload["store_pool"]["stores"] >= 1
+            assert payload["cache"]["entries"] >= 1
             assert payload["store_pool"]["scoring_passes"] == 0
         finally:
             self._stop(pool, router)
