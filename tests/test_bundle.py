@@ -5,7 +5,8 @@ catalog snapshot), each covering a truncated file, a non-local file name, a
 foreign ``format``, a foreign ``version`` and a manifest missing a required
 field (and, for the kinds with ``.bin`` arrays, an over-long one).  Every
 case must end in the kind's typed error (or a warm-start skip reason), never
-a builtin ``ValueError``/``KeyError`` and never a silent load.  Then the
+a builtin ``ValueError``/``KeyError`` and never a silent load; the warm-start
+suite also breaks ``results.json`` and its entries one way at a time.  Then the
 previous on-disk layout: v1 column sidecars inside a current snapshot still
 load byte-identically.
 """
@@ -152,6 +153,23 @@ def _warm_results_outside(root: Path) -> None:
     _warm_manifest(_set("results", "../results.json"))(root)
 
 
+def _warm_results(edit):
+    return lambda root: _edit_json(root / "warm" / "results.json", edit)
+
+
+def _warm_entry(edit):
+    return _warm_results(lambda document: edit(document["results"][0]))
+
+
+def _warm_results_in_a_directory(root: Path) -> None:
+    (root / "warm" / "sub").mkdir()
+    _warm_manifest(_set("results", "sub"))(root)
+
+
+def _write(path: Path, text: str) -> None:
+    path.write_text(text, encoding="utf-8")
+
+
 _COLD = {"results": 0}
 
 #: case -> (mutation, skip reason)
@@ -167,6 +185,22 @@ WARM_CASES = {
     "foreign-version": (_warm_manifest(_set("version", 99)), "manifest"),
     "missing-field": (_warm_manifest(_delete("catalog_fingerprint")), "manifest"),
     "catalog-drift": (_warm_manifest(_set("catalog_fingerprint", "0" * 64)), "catalog_drift"),
+    "truncated-manifest": (lambda root: _truncate(root / "warm" / bundle.MANIFEST), "manifest"),
+    "manifest-not-an-object": (
+        lambda root: _write(root / "warm" / bundle.MANIFEST, "[]"), "manifest"
+    ),
+    "previous-version": (_warm_manifest(_set("version", 3)), "manifest"),
+    "missing-results-field": (_warm_manifest(_delete("results")), "manifest"),
+    "results-name-not-a-string": (_warm_manifest(_set("results", 5)), "manifest"),
+    "results-is-a-directory": (_warm_results_in_a_directory, "manifest"),
+    "results-not-an-object": (
+        lambda root: _write(root / "warm" / "results.json", "[]"), "manifest"
+    ),
+    "results-missing-list": (_warm_results(_delete("results")), "manifest"),
+    "results-not-a-list": (_warm_results(_set("results", 5)), "manifest"),
+    "entry-not-an-object": (_warm_results(_set("results", ["entry"])), "manifest"),
+    "entry-missing-key": (_warm_entry(_delete("key")), "manifest"),
+    "entry-payload-not-an-object": (_warm_entry(_set("payload", "{}")), "manifest"),
 }
 
 

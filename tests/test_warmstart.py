@@ -51,16 +51,28 @@ def _files(directory: Path) -> set:
     }
 
 
-def _load_logging_events(service: FairnessService, directory: Path):
-    """``service.load_warm_state(directory)`` and the events it logged."""
+def _logging_events(call):
+    """``call()`` and the events it logged."""
     captured = io.StringIO()
     logger = get_logger()
     logger.stream = captured
     try:
-        loaded = service.load_warm_state(directory)
+        returned = call()
     finally:
         logger.stream = None
-    return loaded, [json.loads(line) for line in captured.getvalue().splitlines()]
+    return returned, [json.loads(line) for line in captured.getvalue().splitlines()]
+
+
+def _load_logging_events(service: FairnessService, directory: Path):
+    """``service.load_warm_state(directory)`` and the events it logged."""
+    return _logging_events(lambda: service.load_warm_state(directory))
+
+
+def _edit_results(directory: Path, edit) -> None:
+    results_file = directory / "results.json"
+    document = json.loads(results_file.read_text(encoding="utf-8"))
+    edit(document)
+    results_file.write_text(json.dumps(document), encoding="utf-8")
 
 
 class TestServiceWarmState:
@@ -113,6 +125,113 @@ class TestServiceWarmState:
         replay = restarted.execute(_REQUEST)
         assert replay.cached
         assert replay.payload_json == dict(computed)[replay.key]
+
+    def test_result_entries_with_a_cost_field_still_load(self, tmp_path):
+        # An entry field the loader does not read (an older build's "cost")
+        # is ignored.
+        warm = _service()
+        reference = warm.execute(_REQUEST)
+        warm.save_warm_state(tmp_path)
+
+        def add_cost(document):
+            for entry in document["results"]:
+                entry["cost"] = 42.0
+
+        _edit_results(tmp_path, add_cost)
+        restarted = _service()
+        assert restarted.load_warm_state(tmp_path) == {"results": 1}
+        replay = restarted.execute(_REQUEST)
+        assert replay.cached and replay.payload_json == reference.payload_json
+        assert restarted.store_stats.scoring_passes == 0
+
+    def test_broken_entries_are_skipped_and_the_rest_load(self, tmp_path):
+        warm = _service()
+        reference = warm.execute(_REQUEST)
+        warm.save_warm_state(tmp_path)
+        _edit_results(
+            tmp_path,
+            lambda document: document["results"].insert(0, {"key": "k", "payload": [1, 2]}),
+        )
+
+        before = _skip_count("manifest")
+        restarted = _service()
+        assert restarted.load_warm_state(tmp_path) == {"results": 1}
+        assert _skip_count("manifest") == before + 1
+        assert "k" not in restarted.cache
+        replay = restarted.execute(_REQUEST)
+        assert replay.cached
+        assert replay.canonical() == reference.canonical()
+
+    def test_a_smaller_cache_keeps_the_most_recently_used_entries(self, tmp_path):
+        warm = _service()
+        requests = (
+            _REQUEST,
+            BreakdownRequest(dataset="pop", function="balanced"),
+            SweepRequest(dataset="pop", function="balanced", steps=3),
+        )
+        for request in requests:
+            assert warm.execute(request).ok
+        warm.save_warm_state(tmp_path)
+
+        restarted = FairnessService(cache_size=2)
+        restarted.register_dataset(synthetic_population(size=300, seed=7), name="pop")
+        restarted.register_function(
+            LinearScoringFunction({"Language Test": 0.5, "Rating": 0.5}, name="balanced")
+        )
+        restarted.load_warm_state(tmp_path)
+        # Entries load least recently used first, so the LRU drops the oldest.
+        assert list(restarted.cache.items()) == list(warm.cache.items())[1:]
+        assert restarted.execute(requests[2]).cached
+        assert restarted.execute(requests[1]).cached
+        oldest = restarted.execute(requests[0])
+        assert not oldest.cached
+        assert oldest.canonical() == warm.execute(requests[0]).canonical()
+
+    def test_an_empty_cache_saves_a_bundle_that_loads_quietly(self, tmp_path):
+        manifest = _service().save_warm_state(tmp_path)
+        assert manifest is not None
+        assert json.loads((tmp_path / "results.json").read_text(encoding="utf-8")) == {
+            "results": []
+        }
+        counter = get_registry().counter("fairank_warmstart_bytes_total")
+        skips_before = _skip_count("manifest")
+        bytes_before = counter.value()
+        loaded, events = _load_logging_events(_service(), tmp_path)
+        assert loaded == {"results": 0}
+        assert _skip_count("manifest") == skips_before
+        assert counter.value() == bytes_before
+        assert not [event for event in events if event["event"] == "warmstart_load"]
+
+    def test_manifest_names_the_catalog_and_the_results_file_only(self, tmp_path):
+        warm = _service()
+        warm.execute(_REQUEST)
+        manifest = warm.save_warm_state(tmp_path)
+        on_disk = json.loads((tmp_path / bundle.MANIFEST).read_text(encoding="utf-8"))
+        assert on_disk == manifest
+        assert manifest["format"] == bundle.WARM_START.format
+        assert manifest["version"] == 4
+        assert manifest["results"] == "results.json"
+        assert set(manifest) == {"format", "version", "catalog_fingerprint", "results"}
+        assert len(manifest["catalog_fingerprint"]) == 64
+
+    def test_save_logs_one_event_with_the_result_count(self, tmp_path):
+        warm = _service()
+        warm.execute(_REQUEST)
+        warm.execute(BreakdownRequest(dataset="pop", function="balanced"))
+        _, events = _logging_events(lambda: warm.save_warm_state(tmp_path))
+        [save] = [event for event in events if event["event"] == "warmstart_save"]
+        assert save["results"] == 2
+        assert save["directory"] == str(tmp_path)
+
+    def test_load_counts_each_restored_result(self, tmp_path):
+        warm = _service()
+        warm.execute(_REQUEST)
+        warm.execute(BreakdownRequest(dataset="pop", function="balanced"))
+        warm.save_warm_state(tmp_path)
+        counter = get_registry().counter("fairank_warmstart_loads_total")
+        before = counter.value(component="result")
+        assert _service().load_warm_state(tmp_path) == {"results": 2}
+        assert counter.value(component="result") == before + 2
 
     def test_results_saved_under_per_kind_keys_load_as_unserved_orphans(
         self, tmp_path
@@ -212,6 +331,69 @@ class TestServiceWarmState:
         result = drifted.execute(_REQUEST)
         assert not result.cached
         assert result.canonical() == reference.canonical()
+
+    def test_dataset_drift_skips_results(self, tmp_path):
+        # Same dataset name, other rows: every saved answer is dropped.
+        warm = _service()
+        warm.execute(_REQUEST)
+        warm.save_warm_state(tmp_path)
+
+        drifted = FairnessService()
+        drifted.register_dataset(synthetic_population(size=300, seed=8), name="pop")
+        drifted.register_function(
+            LinearScoringFunction({"Language Test": 0.5, "Rating": 0.5}, name="balanced")
+        )
+        before = _skip_count("catalog_drift")
+        assert drifted.load_warm_state(tmp_path) == {"results": 0}
+        assert _skip_count("catalog_drift") == before + 1
+        result = drifted.execute(_REQUEST)
+        assert not result.cached and result.error is None
+
+    def test_function_drift_skips_results(self, tmp_path):
+        # Same function name, other weights: every saved answer is dropped.
+        warm = _service()
+        reference = warm.execute(_REQUEST)
+        warm.save_warm_state(tmp_path)
+
+        drifted = FairnessService()
+        drifted.register_dataset(synthetic_population(size=300, seed=7), name="pop")
+        drifted.register_function(
+            LinearScoringFunction({"Language Test": 0.7, "Rating": 0.3}, name="balanced")
+        )
+        before = _skip_count("catalog_drift")
+        assert drifted.load_warm_state(tmp_path) == {"results": 0}
+        assert _skip_count("catalog_drift") == before + 1
+        result = drifted.execute(_REQUEST)
+        assert not result.cached and result.error is None
+        assert result.payload_json != reference.payload_json
+
+    def test_catalog_fingerprint_ignores_registration_order(self, tmp_path):
+        warm = _service()
+        reference = warm.execute(_REQUEST)
+        warm.save_warm_state(tmp_path)
+
+        reordered = FairnessService()
+        reordered.register_function(
+            LinearScoringFunction({"Language Test": 0.5, "Rating": 0.5}, name="balanced")
+        )
+        reordered.register_dataset(synthetic_population(size=300, seed=7), name="pop")
+        assert reordered.load_warm_state(tmp_path) == {"results": 1}
+        replay = reordered.execute(_REQUEST)
+        assert replay.cached
+        assert replay.canonical() == reference.canonical()
+
+    def test_skipped_bundle_restores_no_bytes(self, tmp_path):
+        warm = _service()
+        warm.execute(_REQUEST)
+        warm.save_warm_state(tmp_path)
+        drifted = _service()
+        drifted.register_function(
+            LinearScoringFunction({"Language Test": 0.9, "Rating": 0.1}, name="skewed")
+        )
+        counter = get_registry().counter("fairank_warmstart_bytes_total")
+        before = counter.value()
+        assert drifted.load_warm_state(tmp_path) == {"results": 0}
+        assert counter.value() == before
 
     def test_foreign_bundle_directory_is_skipped(self, tmp_path):
         (tmp_path / "manifest.json").write_text(
@@ -339,6 +521,23 @@ class TestReSave:
         ).canonical()
         assert third.store_stats.scoring_passes == 0
         assert not list(tmp_path.glob("**/.*.tmp")), "temporary files left behind"
+
+    def test_re_save_under_a_changed_catalog_replaces_the_fingerprint(self, tmp_path):
+        # Life 1 saves under a one-function catalog; life 2 registers a
+        # second function and re-saves.  Life 3, with life 2's catalog,
+        # loads life 2's answers only.
+        first = _service()
+        first.execute(_REQUEST)
+        first.save_warm_state(tmp_path)
+
+        second = _two_function_service()
+        second.execute(_pair_request("alpha"))
+        second.save_warm_state(tmp_path)
+
+        third = _two_function_service()
+        assert third.load_warm_state(tmp_path) == {"results": 1}
+        assert third.execute(_pair_request("alpha")).cached
+        assert _service().load_warm_state(tmp_path) == {"results": 0}
 
     def test_smaller_re_save_leaves_only_referenced_files(self, tmp_path):
         # Life 1 answers both functions: two saved results.
