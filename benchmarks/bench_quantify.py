@@ -245,9 +245,9 @@ def test_store_speedup_and_exactness(benchmark):
 def test_columnar_data_plane():
     """Validate + cold QUANTIFY over the column store at 100k rows.
 
-    Every dataset is column-backed; one built from row input (converted once
-    through ``ColumnStoreBuilder``) must give results identical to one built
-    straight from the store.  Each timed round constructs a fresh
+    Every dataset is column-backed; one built from dict records (converted
+    once through ``ColumnStoreBuilder``) must give results identical to one
+    built straight from the store.  Each timed round constructs a fresh
     ``Dataset`` wrapper so per-object memos (integer codings, fingerprints)
     cannot leak between rounds.
     """
@@ -258,14 +258,14 @@ def test_columnar_data_plane():
     schema, store = population.schema, population.store
 
     def columnar_pass():
-        dataset = Dataset.from_store(
-            schema, store, name="bench-columnar", validate=True
-        )
+        dataset = Dataset(schema, store, name="bench-columnar", validate=True)
         return quantify(
             dataset, function, min_partition_size=COLUMNAR_MIN_PARTITION
         )
 
-    row_input = Dataset(schema, tuple(population), name="bench-rows")
+    row_input = Dataset.from_records(
+        schema, population.to_records(), name="bench-rows", uid_field="uid"
+    )
     row_result = quantify(
         row_input, function, min_partition_size=COLUMNAR_MIN_PARTITION
     )

@@ -21,10 +21,9 @@ def main() -> None:
     dataset = load_example_table1()
     function = LinearScoringFunction(TABLE1_WEIGHTS, name="f = 0.3*LanguageTest + 0.7*Rating")
     print("== Table 1: individuals and their scores ==")
-    for individual in dataset:
-        score = function.score_individual(individual)
-        print(f"  {individual.uid:>4}  {individual['Gender']:<7} {individual['Language']:<8} "
-              f"{individual['Ethnicity']:<17} f(w) = {score:.3f}")
+    for record, score in zip(dataset.to_records(), function.score_dataset(dataset)):
+        print(f"  {record['uid']:>4}  {record['Gender']:<7} {record['Language']:<8} "
+              f"{record['Ethnicity']:<17} f(w) = {score:.3f}")
 
     # 2. The Figure 2 partitioning: split on Gender, then split Male on Language.
     formulation = Formulation()  # most unfair / average pairwise EMD / 5 bins

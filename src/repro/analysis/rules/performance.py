@@ -8,8 +8,8 @@ the data plane still has is ``CodedColumn.decode_range()`` /
 ``NumericColumn.decode_range()``, which builds one Python value per row;
 calling it on a hot path silently re-introduces the exact regression
 class the million-row benchmarks guard against.  This rule keeps it out
-of the hot modules entirely — the rest of the data plane (row
-materialisation) may still use it.
+of the hot modules entirely; its one remaining user is the record export
+``Dataset.to_records()``.
 
 Likewise the search, unfairness, distance and role modules compare score
 histograms as count rows: a ``Histogram(...)`` built there re-opens the

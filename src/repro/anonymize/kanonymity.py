@@ -30,7 +30,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.anonymize.hierarchy import GeneralizationHierarchy, IntervalHierarchy, identity_hierarchy
-from repro.data.dataset import Dataset, DatasetView, Individual
+from repro.data.columns import CodedColumn, ColumnStore
+from repro.data.dataset import Dataset, DatasetView
 from repro.data.schema import Attribute, AttributeType, Schema
 from repro.errors import AnonymizationError
 
@@ -42,6 +43,11 @@ __all__ = [
     "equivalence_classes",
     "default_hierarchies",
 ]
+
+#: Separator of Mondrian's set labels (``a|b``) for a box's categorical
+#: values; :func:`repro.anonymize.metrics.information_loss` counts a cell
+#: holding it as generalised.
+CATEGORICAL_JOINER = "|"
 
 
 def equivalence_classes(
@@ -78,7 +84,7 @@ def default_hierarchies(
         attr = dataset.schema.attribute(name)
         values = dataset.distinct_values(name)
         numeric = attr.atype in (AttributeType.NUMERIC, AttributeType.ORDINAL) and all(
-            _is_number(v) for v in values
+            _as_float(v) is not None for v in values
         )
         if numeric and values:
             hierarchies[name] = IntervalHierarchy(attribute=name, widths=(5.0, 10.0, 25.0))
@@ -87,12 +93,12 @@ def default_hierarchies(
     return hierarchies
 
 
-def _is_number(value: object) -> bool:
+def _as_float(value: object) -> Optional[float]:
+    """``float(value)``, or ``None`` when ``float()`` refuses it."""
     try:
-        float(value)  # type: ignore[arg-type]
-        return True
+        return float(value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        return False
+        return None
 
 
 @dataclass
@@ -237,7 +243,7 @@ def _apply_levels(
     for name, level in levels.items():
         generalize = functools.partial(hierarchies[name].generalize, level=level)
         generalized = generalized.map_column(name, generalize, as_categorical=True)
-    return Dataset.from_store(
+    return Dataset(
         generalized.schema, generalized.store, f"{dataset.name}/generalized", validate=False
     )
 
@@ -272,13 +278,17 @@ class MondrianAnonymizer:
     Recursively splits the population on the quasi-identifier with the widest
     normalised span, at the median, as long as both halves keep at least k
     records; each final box's quasi-identifier values are replaced by the
-    box's value span (an interval for numeric attributes, a ``{a, b}`` set
+    box's value span (an interval for numeric attributes, an ``a|b`` set
     label for categorical ones).  Local recoding loses less information than
     global recoding, which the information-loss benchmark demonstrates.
-    """
 
-    def __init__(self, categorical_joiner: str = "|") -> None:
-        self.categorical_joiner = categorical_joiner
+    Boxes are ``intp`` arrays of row positions over :meth:`Dataset.codes`, so
+    values equal under ``==`` (``1``, ``1.0``, ``True``) are one value, shown
+    as the dataset's first-seen of them.  A median split orders a box by
+    value (as numbers when every value in the box is one, else as strings),
+    ties by uid.  Each quasi-identifier's box summaries become one coded
+    column; every other column is shared with the input.
+    """
 
     def anonymize(
         self,
@@ -298,19 +308,23 @@ class MondrianAnonymizer:
                 f"dataset has {len(dataset)} records, cannot be {k}-anonymous"
             )
 
-        boxes = self._partition(list(dataset), quasi_identifiers, k)
-        schema = _generalized_schema(dataset.schema, quasi_identifiers)
-        individuals: List[Individual] = []
-        for box in boxes:
-            summary = self._summarize_box(box, quasi_identifiers)
-            for individual in box:
-                individuals.append(individual.with_values(**summary))
-        # Preserve the original row order for reproducibility.
-        order = {uid: index for index, uid in enumerate(dataset.uids)}
-        individuals.sort(key=lambda ind: order[ind.uid])
+        store = dataset.store
+        columns = {name: store[name] for name in store.names}
+        if len(dataset):
+            identifiers = [_QuasiIdentifier(dataset, name) for name in quasi_identifiers]
+            uid_rank = np.argsort(np.argsort(np.array(dataset.uids, dtype=str)))
+            boxes = _mondrian_boxes(dataset.positions(), identifiers, uid_rank, k)
+            box_of = np.empty(len(dataset), dtype=np.intp)
+            for box, members in enumerate(boxes):
+                box_of[members] = box
+            for identifier in identifiers:
+                columns[identifier.name] = identifier.summaries(box_of, len(boxes))
         return AnonymizationResult(
             dataset=Dataset(
-                schema, individuals, name=f"{dataset.name}/mondrian-k={k}", validate=False
+                _generalized_schema(dataset.schema, quasi_identifiers),
+                ColumnStore(store.n, columns, uids=store.explicit_uids),
+                name=f"{dataset.name}/mondrian-k={k}",
+                validate=False,
             ),
             k=k,
             quasi_identifiers=quasi_identifiers,
@@ -318,74 +332,104 @@ class MondrianAnonymizer:
             method="mondrian",
         )
 
-    def _partition(
-        self, records: List[Individual], quasi_identifiers: Sequence[str], k: int
-    ) -> List[List[Individual]]:
-        if len(records) < 2 * k:
-            return [records]
-        attribute = self._widest_attribute(records, quasi_identifiers)
-        if attribute is None:
-            return [records]
-        left, right = self._median_split(records, attribute)
-        if len(left) < k or len(right) < k:
-            return [records]
-        return self._partition(left, quasi_identifiers, k) + self._partition(
-            right, quasi_identifiers, k
+
+class _QuasiIdentifier:
+    """One quasi-identifier's :meth:`Dataset.codes` and per-code tables: the
+    value as a number (NaN where ``float()`` refuses it, flagged in
+    ``numeric``), and dense ranks of the numbers, the ``str()`` labels and
+    the summary order."""
+
+    def __init__(self, dataset: Dataset, name: str) -> None:
+        self.name = name
+        self.codes, self.decode, _ = dataset.codes(name)
+        self.labels = [str(value) for value in self.decode]
+        numbers = [_as_float(value) for value in self.decode]
+        self.numeric = np.array([number is not None for number in numbers], dtype=bool)
+        self.floats = np.array(
+            [np.nan if number is None else number for number in numbers], dtype=float
         )
+        self.number_rank = np.unique(self.floats, return_inverse=True)[1]
+        self.label_rank = np.unique(np.array(self.labels, dtype=object), return_inverse=True)[1]
+        order = sorted(
+            range(len(self.decode)),
+            key=lambda code: (str(type(self.decode[code])), self.labels[code]),
+        )
+        self.summary_rank = np.argsort(order).tolist()
 
-    @staticmethod
-    def _widest_attribute(
-        records: List[Individual], quasi_identifiers: Sequence[str]
-    ) -> Optional[str]:
-        best_name = None
-        best_width = -1.0
-        for name in quasi_identifiers:
-            values = [record.values[name] for record in records]
-            distinct = set(values)
-            if len(distinct) < 2:
-                continue
-            if all(_is_number(v) for v in values):
-                numeric = [float(v) for v in values]  # type: ignore[arg-type]
-                span = max(numeric) - min(numeric)
-                width = span
-            else:
-                width = float(len(distinct))
-            if width > best_width:
-                best_width = width
-                best_name = name
-        return best_name
+    def present(self, members: np.ndarray) -> np.ndarray:
+        """The codes the rows ``members`` hold, ascending."""
+        codes = self.codes[members]
+        if len(self.decode) <= len(members):
+            return np.flatnonzero(np.bincount(codes, minlength=len(self.decode)))
+        return np.unique(codes)
 
-    @staticmethod
-    def _median_split(
-        records: List[Individual], attribute: str
-    ) -> Tuple[List[Individual], List[Individual]]:
-        values = [record.values[attribute] for record in records]
-        if all(_is_number(v) for v in values):
-            ordered = sorted(
-                records,
-                key=lambda r: (float(r.values[attribute]), r.uid),  # type: ignore[arg-type]
-            )
-        else:
-            ordered = sorted(records, key=lambda r: (str(r.values[attribute]), r.uid))
-        middle = len(ordered) // 2
-        return ordered[:middle], ordered[middle:]
+    def span(self, present: np.ndarray) -> Optional[Tuple[float, float]]:
+        """``(low, high)`` of the numbers ``present`` holds (NaN if one is
+        NaN), or ``None`` when one of them is not a number."""
+        if not self.numeric[present].all():
+            return None
+        floats = self.floats[present]
+        return float(floats.min()), float(floats.max())
 
-    def _summarize_box(
-        self, box: List[Individual], quasi_identifiers: Sequence[str]
-    ) -> Dict[str, object]:
-        summary: Dict[str, object] = {}
-        for name in quasi_identifiers:
-            values = [record.values[name] for record in box]
-            distinct = sorted(set(values), key=lambda v: (str(type(v)), str(v)))
-            if len(distinct) == 1:
-                summary[name] = distinct[0]
-            elif all(_is_number(v) for v in distinct):
-                numbers = [float(v) for v in distinct]  # type: ignore[arg-type]
-                low, high = min(numbers), max(numbers)
-                if low.is_integer() and high.is_integer():
-                    summary[name] = f"[{int(low)}-{int(high)}]"
-                else:
-                    summary[name] = f"[{low:g}-{high:g}]"
-            else:
-                summary[name] = self.categorical_joiner.join(str(v) for v in distinct)
-        return summary
+    def summaries(self, box_of: np.ndarray, boxes: int) -> CodedColumn:
+        """This column generalised: each row's value becomes its box's summary
+        (its one value, a ``[low-high]`` span of numbers, or a set label)."""
+        size = len(self.decode)
+        pairs = np.unique(box_of.astype(np.int64) * size + self.codes)
+        owners, codes = np.divmod(pairs, size)
+        starts = np.flatnonzero(np.diff(owners, prepend=-1)).tolist() + [len(pairs)]
+        values: List[object] = []
+        table: Dict[Tuple[type, object], int] = {}
+        box_codes = np.empty(boxes, dtype=np.int64)
+        for box in range(boxes):
+            summary = self._summary(codes[starts[box]:starts[box + 1]])
+            code = table.setdefault((type(summary), summary), len(values))
+            if code == len(values):
+                values.append(summary)
+            box_codes[box] = code
+        return CodedColumn(box_codes[box_of], values)
+
+    def _summary(self, present: np.ndarray) -> object:
+        if len(present) == 1:
+            return self.decode[int(present[0])]
+        span = self.span(present)
+        if span is not None:
+            low, high = span
+            if low.is_integer() and high.is_integer():
+                return f"[{int(low)}-{int(high)}]"
+            return f"[{low:g}-{high:g}]"
+        ordered = sorted(present.tolist(), key=self.summary_rank.__getitem__)
+        return CATEGORICAL_JOINER.join(self.labels[code] for code in ordered)
+
+
+def _mondrian_boxes(
+    root: np.ndarray, identifiers: Sequence[_QuasiIdentifier], uid_rank: np.ndarray, k: int
+) -> List[np.ndarray]:
+    """Mondrian's boxes of the rows ``root``: a box of at least ``2k`` rows
+    with a quasi-identifier holding two values splits at the median of the
+    widest one (the span of its numbers, or else its count of values; the
+    first of equals), ordered by value rank then uid rank."""
+    boxes: List[np.ndarray] = []
+    pending = [root]
+    while pending:
+        members = pending.pop()
+        widest: Optional[Tuple[_QuasiIdentifier, bool]] = None
+        best = -1.0
+        if len(members) >= 2 * k:
+            for identifier in identifiers:
+                present = identifier.present(members)
+                if len(present) < 2:
+                    continue
+                span = identifier.span(present)
+                width = float(len(present)) if span is None else span[1] - span[0]
+                if width > best:
+                    best, widest = width, (identifier, span is not None)
+        if widest is None:
+            boxes.append(members)
+            continue
+        identifier, numeric = widest
+        rank = identifier.number_rank if numeric else identifier.label_rank
+        members = members[np.lexsort((uid_rank[members], rank[identifier.codes[members]]))]
+        middle = len(members) // 2
+        pending += [members[middle:], members[:middle]]
+    return boxes

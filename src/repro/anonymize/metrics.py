@@ -19,7 +19,11 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence
 
 from repro.anonymize.hierarchy import GeneralizationHierarchy
-from repro.anonymize.kanonymity import AnonymizationResult, equivalence_classes
+from repro.anonymize.kanonymity import (
+    CATEGORICAL_JOINER,
+    AnonymizationResult,
+    equivalence_classes,
+)
 from repro.data.dataset import Dataset
 from repro.errors import AnonymizationError
 
@@ -90,7 +94,8 @@ def information_loss(
             count
             for name in quasi_identifiers
             for value, count in dataset.value_counts(name).items()
-            if isinstance(value, str) and (value.startswith("[") or "|" in value or value == "*")
+            if isinstance(value, str)
+            and (value.startswith("[") or CATEGORICAL_JOINER in value or value == "*")
         )
         total_cells = len(dataset) * len(quasi_identifiers)
         intensity = generalised_cells / total_cells if total_cells else 0.0

@@ -248,17 +248,12 @@ def _build_function(args: argparse.Namespace, dataset) -> LinearScoringFunction:
 def _cmd_table1(_: argparse.Namespace) -> int:
     dataset = load_example_table1()
     function = LinearScoringFunction(TABLE1_WEIGHTS, name="table1-f")
-    scores = function.score_map(dataset)
+    scores = function.score_dataset(dataset).tolist()
     header = ("uid", "Gender", "Country", "Language", "Ethnicity",
-              "Language Test", "Rating", "f(w)")
-    print(" | ".join(header))
-    for individual in dataset:
-        print(" | ".join(str(x) for x in (
-            individual.uid, individual["Gender"], individual["Country"],
-            individual["Language"], individual["Ethnicity"],
-            individual["Language Test"], individual["Rating"],
-            round(scores[individual.uid], 3),
-        )))
+              "Language Test", "Rating")
+    print(" | ".join(header + ("f(w)",)))
+    for record, score in zip(dataset.to_records(), scores):
+        print(" | ".join(str(record[name]) for name in header) + f" | {round(score, 3)}")
     return 0
 
 

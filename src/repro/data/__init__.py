@@ -1,6 +1,6 @@
 """Data substrate: schemas, datasets, filters and loaders (S1)."""
 
-from repro.data.dataset import Dataset, Individual
+from repro.data.dataset import Dataset
 from repro.data.filters import (
     And,
     Between,
@@ -35,7 +35,6 @@ __all__ = [
     "protected",
     "observed",
     "Dataset",
-    "Individual",
     "Filter",
     "TrueFilter",
     "Equals",

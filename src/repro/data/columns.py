@@ -316,8 +316,8 @@ class ColumnStoreBuilder:
     """Accumulates row chunks into one :class:`ColumnStore`, never row dicts.
 
     The builder is the streaming half of ingestion: callers (the chunked CSV
-    loader, the row constructor of :class:`~repro.data.dataset.Dataset`)
-    push per-column value chunks via :meth:`append_chunk`; coded columns
+    loader, :meth:`~repro.data.dataset.Dataset.from_records`) push
+    per-column value chunks via :meth:`append_chunk`; coded columns
     keep one type-exact encode dict across chunks (codes are first-seen row
     order), numeric columns accumulate ``float64`` chunk arrays, and
     :meth:`finish` concatenates each column once.  Peak memory is one chunk

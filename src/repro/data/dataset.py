@@ -11,33 +11,31 @@ observed attributes, optionally memory-mapped from disk.  FaiRank's pipeline
 (select a population, filter or anonymise it, partition it) touches
 populations of exactly two origins:
 
-* **ingested** populations own their store.  The row constructor
-  ``Dataset(schema, individuals)`` is the ingestion route for row input: it
-  converts once through :class:`~repro.data.columns.ColumnStoreBuilder` (a
-  numeric attribute whose values are all plain floats becomes a ``float64``
-  array, every other attribute an integer-coded column whose decode table
-  keeps the exact values, so ``1``, ``1.0``, ``True`` and ``"1"`` stay
-  distinct).  :meth:`Dataset.from_store`, the loaders, the generator and
-  snapshot sidecars hand over a store directly.
+* **ingested** populations own their store.  ``Dataset(schema, store)``
+  wraps a store built elsewhere: by the loaders, the generator, snapshot
+  sidecars or :meth:`Dataset.from_records`, which converts dict records once
+  through :class:`~repro.data.columns.ColumnStoreBuilder` (a numeric
+  attribute whose values are all plain floats becomes a ``float64`` array,
+  every other attribute an integer-coded column whose decode table keeps the
+  exact values, so ``1``, ``1.0``, ``True`` and ``"1"`` stay distinct).
 * **derived** populations are :class:`DatasetView` objects: a parent plus an
   ``intp`` index array of the parent's rows.  :meth:`Dataset.filter`,
-  :meth:`Dataset.select_uids`, :meth:`Dataset.group_by` and the score
-  store's splits all return views.  A view's length and uids come from the
-  index alone; its columns are gathered from the parent only on first column
-  access (:meth:`DatasetView._realize`), so a losing candidate split never
-  copies a column.  The parent chain is the view's *provenance*:
+  :meth:`Dataset.group_by` and the score store's splits all return views.
+  A view's length and uids come from the index alone; its columns are
+  gathered from the parent only on first column access
+  (:meth:`DatasetView._realize`), so a losing candidate split never copies
+  a column.  The parent chain is the view's *provenance*:
   :meth:`Dataset.indices_in` composes the index arrays up to an ancestor,
   which is how a score store proves a partition is drawn from its dataset.
 
-:class:`Individual` rows are a lazily materialised view of the columns,
-built once on first iteration; no scoring or partitioning path needs them.
+There is no row object: plain dicts are the only row shape, taken in by
+:meth:`Dataset.from_records` and given out by :meth:`Dataset.to_records`.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Mapping, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Mapping, Optional
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -49,11 +47,11 @@ from repro.errors import DataError, EmptyDatasetError, UnknownAttributeError
 if TYPE_CHECKING:  # pragma: no cover - filters import this module
     from repro.data.filters import Filter
 
-__all__ = ["Individual", "Dataset", "DatasetView", "order_values", "stable_group_order"]
+__all__ = ["Dataset", "DatasetView", "order_values", "stable_group_order"]
 
-#: Guards per-dataset lazy caches (integer codings, realised view columns,
-#: materialised rows) so concurrent readers (the service batch executor)
-#: never duplicate work.  Re-entrant: realising a view realises its parent.
+#: Guards per-dataset lazy caches (integer codings, realised view columns) so
+#: concurrent readers (the service batch executor) never duplicate work.
+#: Re-entrant: realising a view realises its parent.
 _lazy_lock = threading.RLock()
 
 
@@ -109,71 +107,27 @@ def _build_store(
     return builder.finish()
 
 
-@dataclass(frozen=True)
-class Individual:
-    """A single individual (worker) with an identifier and attribute values.
-
-    ``values`` maps attribute name to value.  Individuals are immutable; the
-    dataset is the unit of mutation (by producing new datasets).  Rows of a
-    dataset are a *materialised view* of its columns: built on first
-    iteration from the decode tables and numeric arrays, carrying exactly
-    the values the columns hold.
-    """
-
-    uid: str
-    values: Mapping[str, object] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", dict(self.values))
-
-    def __getitem__(self, name: str) -> object:
-        try:
-            return self.values[name]
-        except KeyError:
-            raise UnknownAttributeError(name, tuple(self.values)) from None
-
-    def get(self, name: str, default: object = None) -> object:
-        return self.values.get(name, default)
-
-    def with_values(self, **updates: object) -> "Individual":
-        """Return a copy of this individual with some attribute values replaced."""
-        merged = dict(self.values)
-        merged.update(updates)
-        return Individual(uid=self.uid, values=merged)
-
-
 class Dataset:
     """A set of individuals conforming to a :class:`Schema`, column-backed.
 
     :attr:`store` is always a :class:`~repro.data.columns.ColumnStore`;
     :meth:`numeric_column`, :meth:`observed_matrix`, :meth:`codes`,
     :meth:`value_counts` and :meth:`distinct_values` are served from its
-    arrays, and validation is vectorised over them.  The filtering,
-    subset and group-by operations return :class:`DatasetView` objects over
-    this dataset.  :class:`Individual` rows materialise once, on first
-    iteration.
+    arrays, and validation is vectorised over them.  The filtering and
+    group-by operations return :class:`DatasetView` objects over this
+    dataset.
     """
 
     def __init__(
         self,
         schema: Schema,
-        individuals: Iterable[Individual],
+        store: ColumnStore,
         name: str = "dataset",
         validate: bool = True,
     ) -> None:
-        rows = tuple(individuals)
-        columns: Dict[str, List[object]] = {}
-        for attr in schema:
-            try:
-                columns[attr.name] = [row.values[attr.name] for row in rows]
-            except KeyError:
-                missing = next(row for row in rows if attr.name not in row.values)
-                raise DataError(
-                    f"individual {missing.uid!r} is missing attribute {attr.name!r}"
-                ) from None
         self.schema = schema
         self.name = name
-        self._store = _build_store(schema, columns, [row.uid for row in rows])
+        self._store = store
         if validate:
             self._validate()
 
@@ -183,27 +137,36 @@ class Dataset:
     def from_records(
         cls,
         schema: Schema,
-        records: Sequence[Mapping[str, object]],
+        records: Iterable[Mapping[str, object]],
         name: str = "dataset",
         uid_field: Optional[str] = None,
     ) -> "Dataset":
-        """Build a dataset from a sequence of dict-like records.
+        """Build a dataset from dict-like records, one column at a time.
 
-        If ``uid_field`` is given, that key supplies each individual's id and
-        is removed from the attribute values; otherwise ids ``w1, w2, ...``
-        are assigned in order (matching the paper's Table 1 convention).
+        If ``uid_field`` is given, that key supplies each individual's id
+        (it is not an attribute); otherwise ids ``w1, w2, ...`` are assigned
+        in order (matching the paper's Table 1 convention).  Keys outside the
+        schema are ignored.
         """
-        individuals: List[Individual] = []
+        records = list(records)
+        uids: List[str] = []
         for index, record in enumerate(records, start=1):
-            values = dict(record)
-            if uid_field is not None:
-                if uid_field not in values:
-                    raise DataError(f"record {index} is missing uid field {uid_field!r}")
-                uid = str(values.pop(uid_field))
+            if uid_field is None:
+                uids.append(f"w{index}")
+            elif uid_field in record:
+                uids.append(str(record[uid_field]))
             else:
-                uid = f"w{index}"
-            individuals.append(Individual(uid=uid, values=values))
-        return cls(schema=schema, individuals=individuals, name=name)
+                raise DataError(f"record {index} is missing uid field {uid_field!r}")
+        columns: Dict[str, List[object]] = {}
+        for attr in schema:
+            try:
+                columns[attr.name] = [record[attr.name] for record in records]
+            except KeyError:
+                row = next(i for i, record in enumerate(records) if attr.name not in record)
+                raise DataError(
+                    f"individual {uids[row]!r} is missing attribute {attr.name!r}"
+                ) from None
+        return cls(schema, _build_store(schema, columns, uids), name=name)
 
     @classmethod
     def from_columns(
@@ -214,9 +177,7 @@ class Dataset:
         uids: Optional[Sequence[str]] = None,
     ) -> "Dataset":
         """Build a dataset from column vectors keyed by name."""
-        if not columns:
-            return cls(schema=schema, individuals=(), name=name)
-        lengths = {len(values) for values in columns.values()}
+        lengths = {len(values) for values in columns.values()} or {0}
         if len(lengths) != 1:
             raise DataError(f"columns have inconsistent lengths: {sorted(lengths)}")
         n = lengths.pop()
@@ -229,28 +190,7 @@ class Dataset:
             if attr.name not in columns and n:
                 raise DataError(f"individual {uids[0]!r} is missing attribute {attr.name!r}")
         values = {attr.name: list(columns.get(attr.name, ())) for attr in schema}
-        return cls.from_store(schema, _build_store(schema, values, uids), name=name)
-
-    @classmethod
-    def from_store(
-        cls,
-        schema: Schema,
-        store: ColumnStore,
-        name: str = "dataset",
-        validate: bool = True,
-    ) -> "Dataset":
-        """Build a dataset over an existing :class:`ColumnStore`.
-
-        No :class:`Individual` objects are created — rows materialise lazily
-        on first iteration.
-        """
-        dataset = cls.__new__(cls)
-        dataset.schema = schema
-        dataset.name = name
-        dataset._store = store
-        if validate:
-            dataset._validate()
-        return dataset
+        return cls(schema, _build_store(schema, values, uids), name=name)
 
     def _validate(self) -> None:
         """Vectorised validation: unique uids, every attribute, every value.
@@ -318,41 +258,10 @@ class Dataset:
             return self.positions()
         return None
 
-    @property
-    def _individuals(self) -> Tuple[Individual, ...]:
-        """The row tuple, materialised from the columns on first use."""
-        rows = self.__dict__.get("_rows")
-        if rows is None:
-            with _lazy_lock:
-                rows = self.__dict__.get("_rows")
-                if rows is None:
-                    rows = self._materialize_rows()
-                    self.__dict__["_rows"] = rows
-        return rows
-
-    def _materialize_rows(self) -> Tuple[Individual, ...]:
-        store = self.store
-        names = self.schema.names
-        decoded = {name: store[name].decode_range(0, store.n) for name in names}
-        uids = self.uids
-        return tuple(
-            Individual(
-                uid=uids[index],
-                values={name: decoded[name][index] for name in names},
-            )
-            for index in range(store.n)
-        )
-
     # -- basic protocol ----------------------------------------------------
 
     def __len__(self) -> int:
         return self.store.n
-
-    def __iter__(self) -> Iterator[Individual]:
-        return iter(self._individuals)
-
-    def __getitem__(self, index: int) -> Individual:
-        return self._individuals[index]
 
     def __bool__(self) -> bool:
         return len(self) > 0
@@ -521,18 +430,6 @@ class Dataset:
         index = np.flatnonzero(row_filter.mask(self))
         return DatasetView(self, index, name=name or f"{self.name}[{row_filter.describe()}]")
 
-    def select_uids(self, uids: Iterable[str]) -> "DatasetView":
-        """Return a view restricted to the given individual ids."""
-        wanted = set(uids)
-        own = self.uids
-        missing = wanted - set(own)
-        if missing:
-            raise DataError(f"unknown individual ids: {sorted(missing)}")
-        index = np.fromiter(
-            (position for position, uid in enumerate(own) if uid in wanted), dtype=np.intp
-        )
-        return DatasetView(self, index, name=f"{self.name}/subset")
-
     def map_column(
         self,
         name: str,
@@ -565,7 +462,7 @@ class Dataset:
         columns = {other: store[other] for other in store.names}
         columns[name] = CodedColumn(column.codes, mapped)
         store = ColumnStore(store.n, columns, uids=store.explicit_uids)
-        return Dataset.from_store(new_schema, store, name=self.name, validate=False)
+        return Dataset(new_schema, store, name=self.name, validate=False)
 
     def _groups(self, names: Sequence[str]) -> Tuple[List[tuple], np.ndarray, np.ndarray]:
         """``(keys, sizes, group)`` of the rows grouped by the values of ``names``.
@@ -615,15 +512,17 @@ class Dataset:
     # -- export -------------------------------------------------------------
 
     def to_records(self, include_uid: bool = True) -> List[Dict[str, object]]:
-        """Return the dataset as a list of plain dicts (for CSV/JSON export)."""
-        records = []
-        for individual in self._individuals:
-            record: Dict[str, object] = {}
-            if include_uid:
-                record["uid"] = individual.uid
-            record.update({name: individual.values[name] for name in self.schema.names})
-            records.append(record)
-        return records
+        """Return the dataset as a list of plain dicts (for CSV/JSON export).
+
+        Each column is decoded once; the records are zipped from the columns.
+        """
+        names = self.schema.names
+        columns = [self.store[name].decode_range(0, len(self)) for name in names]
+        if include_uid:
+            names = ("uid", *names)
+            columns.insert(0, list(self.uids))
+        rows = zip(*columns) if columns else [()] * len(self)
+        return [dict(zip(names, values)) for values in rows]
 
     def observed_matrix(self, names: Optional[Sequence[str]] = None) -> np.ndarray:
         """Return a C-contiguous (n, m) float matrix of observed attribute columns.

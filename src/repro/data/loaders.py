@@ -210,6 +210,4 @@ def load_csv(
         attributes.append(
             Attribute(name=oname, kind=AttributeKind.OBSERVED, atype=AttributeType.NUMERIC)
         )
-    return Dataset.from_store(
-        Schema(tuple(attributes)), store, name=name or path.stem
-    )
+    return Dataset(Schema(tuple(attributes)), store, name=name or path.stem)

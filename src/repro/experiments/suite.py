@@ -52,26 +52,25 @@ __all__ = ["registry"]
 @registry.register("E1", "Table 1: example dataset, scoring function and published f(w)")
 def run_table1_example() -> List[ReportTable]:
     dataset, function = table1_workload()
-    scores = function.score_map(dataset)
+    scores = function.score_dataset(dataset).tolist()
     table = ReportTable(
         title="Table 1 — example dataset (reproduced)",
         headers=["individual", "Gender", "Country", "Year of Birth", "Language",
                  "Ethnicity", "Experience", "Language Test", "Rating",
                  "f(w) computed", "f(w) paper", "match"],
     )
-    for individual in dataset:
-        computed = scores[individual.uid]
-        published = TABLE1_PUBLISHED_SCORES[individual.uid]
+    for record, computed in zip(dataset.to_records(), scores):
+        published = TABLE1_PUBLISHED_SCORES[record["uid"]]
         table.add_row(
-            individual.uid,
-            individual["Gender"],
-            individual["Country"],
-            individual["Year of Birth"],
-            individual["Language"],
-            individual["Ethnicity"],
-            individual["Experience"],
-            individual["Language Test"],
-            individual["Rating"],
+            record["uid"],
+            record["Gender"],
+            record["Country"],
+            record["Year of Birth"],
+            record["Language"],
+            record["Ethnicity"],
+            record["Experience"],
+            record["Language Test"],
+            record["Rating"],
             computed,
             published,
             "yes" if abs(computed - published) < 1e-9 else "no",

@@ -125,4 +125,4 @@ def apply_bias(
         else:
             columns[attr] = NumericColumn(values)
     store = ColumnStore(store.n, columns, uids=store.explicit_uids)
-    return Dataset.from_store(dataset.schema, store, name=f"{dataset.name}/biased", validate=False)
+    return Dataset(dataset.schema, store, name=f"{dataset.name}/biased", validate=False)

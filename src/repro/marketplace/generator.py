@@ -149,7 +149,7 @@ class CrowdsourcingGenerator:
             )
 
         store = ColumnStore(size, columns)  # sequential w1..wn uids
-        dataset = Dataset.from_store(schema, store, name=name, validate=False)
+        dataset = Dataset(schema, store, name=name, validate=False)
         if biases:
             dataset = apply_bias(dataset, biases)
         return dataset

@@ -1,9 +1,11 @@
 """Scoring-function interface.
 
 A scoring function maps every individual to a score in (ideally) [0, 1]; the
-marketplace ranks candidates for a job by decreasing score.  FaiRank treats
-the scoring function as the object under audit: it asks how differently the
-function scores groups of individuals defined by protected attributes.
+marketplace ranks candidates for a job by decreasing score.  A function
+scores a whole dataset at once (:meth:`ScoringFunction.score_dataset`: one
+score per row, in row order).  FaiRank treats the scoring function as the
+object under audit: it asks how differently the function scores groups of
+individuals defined by protected attributes.
 
 Two transparency regimes exist (paper §1/§2):
 
@@ -16,11 +18,11 @@ Two transparency regimes exist (paper §1/§2):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Individual
+from repro.data.dataset import Dataset
 from repro.errors import ScoringError
 
 __all__ = ["ScoringFunction", "Ranking", "rank_by_score", "frozen_scores"]
@@ -42,8 +44,8 @@ def frozen_scores(function: "ScoringFunction", dataset: "Dataset") -> np.ndarray
 class ScoringFunction:
     """Abstract scoring function ``f: W -> [0, 1]``.
 
-    Concrete subclasses implement :meth:`score_individual`; the convenience
-    methods for scoring whole datasets and producing rankings are shared.
+    Concrete subclasses implement :meth:`score_dataset`; ranking and the
+    other convenience methods are shared.
     """
 
     #: Human-readable name shown in panels and experiment tables.
@@ -53,20 +55,9 @@ class ScoringFunction:
     #: functions only expose the ranking they induce.
     transparent: bool = True
 
-    def score_individual(self, individual: Individual) -> float:
-        """Score one individual."""
-        raise NotImplementedError
-
     def score_dataset(self, dataset: Dataset) -> np.ndarray:
-        """Score every individual of ``dataset`` in row order."""
-        return np.asarray(
-            [self.score_individual(individual) for individual in dataset], dtype=float
-        )
-
-    def score_map(self, dataset: Dataset) -> Dict[str, float]:
-        """Mapping of individual id -> score."""
-        scores = self.score_dataset(dataset)
-        return {individual.uid: float(score) for individual, score in zip(dataset, scores)}
+        """Score every individual of ``dataset``, in row order."""
+        raise NotImplementedError
 
     def rank(self, dataset: Dataset) -> "Ranking":
         """Rank the dataset by decreasing score (ties broken by id for determinism)."""
@@ -117,7 +108,7 @@ class Ranking:
 
     @property
     def uids(self) -> Tuple[str, ...]:
-        """Individual ids, best first."""
+        """The individuals' ids, best first."""
         return tuple(uid for uid, _ in self.entries)
 
     @property
@@ -154,11 +145,14 @@ def rank_by_score(
 
     ``scores`` are the function's scores of ``dataset`` in row order when the
     caller already holds them (a score store's vector); otherwise the
-    dataset is scored here.
+    dataset is scored here.  Rows are ordered by decreasing score, ties by
+    uid, and NaN scores last (ties among them by uid too): one
+    ``np.lexsort``.
     """
     if scores is None:
         scores = function.score_dataset(dataset)
+    scores = np.asarray(scores, dtype=float)
     uids = dataset.uids
-    order: Sequence[int] = sorted(range(len(dataset)), key=lambda i: (-scores[i], uids[i]))
+    order = np.lexsort((np.array(uids, dtype=str), -scores)).tolist()
     entries = tuple((uids[i], float(scores[i])) for i in order)
     return Ranking(entries=entries, function_name=function.name)

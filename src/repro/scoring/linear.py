@@ -12,7 +12,7 @@ from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Individual
+from repro.data.dataset import Dataset
 from repro.data.schema import Schema
 from repro.errors import ScoringError
 from repro.scoring.base import ScoringFunction
@@ -68,21 +68,6 @@ class LinearScoringFunction(ScoringFunction):
         self.transparent = True
 
     # -- scoring -----------------------------------------------------------
-
-    def score_individual(self, individual: Individual) -> float:
-        total = 0.0
-        for attribute, weight in self.weights.items():
-            if weight == 0.0:
-                continue
-            try:
-                value = float(individual[attribute])  # type: ignore[arg-type]
-            except (TypeError, ValueError):
-                raise ScoringError(
-                    f"individual {individual.uid!r} has non-numeric value for "
-                    f"{attribute!r}: {individual.get(attribute)!r}"
-                ) from None
-            total += weight * value
-        return total
 
     def score_dataset(self, dataset: Dataset) -> np.ndarray:
         """Vectorised scoring of a whole dataset."""

@@ -24,7 +24,7 @@ from typing import Dict, Literal
 
 import numpy as np
 
-from repro.data.dataset import Dataset, Individual
+from repro.data.dataset import Dataset
 from repro.errors import ScoringError
 from repro.scoring.base import Ranking, ScoringFunction
 
@@ -75,12 +75,6 @@ class RankDerivedScorer(ScoringFunction):
                 scores[uid] = 1.0 if span == 0 else (exposure - min_exposure) / span
         return scores
 
-    def score_individual(self, individual: Individual) -> float:
-        try:
-            return self._scores[individual.uid]
-        except KeyError:
-            raise _unranked(individual.uid) from None
-
     def score_dataset(self, dataset: Dataset) -> np.ndarray:
         """Look every row's score up by uid, in row order (no row objects)."""
         uids = dataset.uids
@@ -119,7 +113,7 @@ class OpaqueScoringFunction(ScoringFunction):
     real scores with ``hidden``, but the auditor only ever sees positions.
     ``reveal_ranking`` returns the observable artefact; the auditor then
     analyses it through a :class:`RankDerivedScorer`.  Calling
-    :meth:`score_individual` directly raises, which keeps experiments honest
+    :meth:`score_dataset` directly raises, which keeps experiments honest
     about what information each transparency setting uses.
     """
 
@@ -128,7 +122,7 @@ class OpaqueScoringFunction(ScoringFunction):
         self.name = name
         self.transparent = False
 
-    def score_individual(self, individual: Individual) -> float:
+    def score_dataset(self, dataset: Dataset) -> np.ndarray:
         raise ScoringError(
             f"scoring function {self.name!r} is opaque; use reveal_ranking() and a "
             "RankDerivedScorer instead of reading scores directly"

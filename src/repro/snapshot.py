@@ -121,7 +121,7 @@ def _columns_dataset(reference: Mapping[str, object], base_dir: Path):
             f"column bundle reference is missing field {missing.args[0]!r} "
             "(needs dir, schema)"
         ) from None
-    return Dataset.from_store(
+    return Dataset(
         schema,
         ColumnStore.load(directory),
         name=str(reference.get("name", "dataset")),

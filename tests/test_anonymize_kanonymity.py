@@ -55,11 +55,11 @@ class TestGlobalRecoding:
 
     def test_observed_attributes_untouched(self, population):
         result = GlobalRecodingAnonymizer().anonymize(population, k=5, quasi_identifiers=QI)
-        kept = {ind.uid: ind for ind in result.dataset}
-        for individual in population:
-            if individual.uid in kept:
-                assert kept[individual.uid]["Rating"] == individual["Rating"]
-                assert kept[individual.uid]["Language Test"] == individual["Language Test"]
+        kept = {record["uid"]: record for record in result.dataset.to_records()}
+        for record in population.to_records():
+            if record["uid"] in kept:
+                assert kept[record["uid"]]["Rating"] == record["Rating"]
+                assert kept[record["uid"]]["Language Test"] == record["Language Test"]
 
     def test_suppression_bounded(self, population):
         anonymizer = GlobalRecodingAnonymizer(max_suppression_rate=0.05)
@@ -79,7 +79,7 @@ class TestGlobalRecoding:
         )
         anonymizer = GlobalRecodingAnonymizer(hierarchies={"Country": hierarchy})
         result = anonymizer.anonymize(population, k=30, quasi_identifiers=["Country", "Gender"])
-        values = {row["Country"] for row in result.dataset}
+        values = {record["Country"] for record in result.dataset.to_records()}
         assert values <= {"America", "India", "Other", "Western", "Asian", SUPPRESSED}
 
     def test_invalid_parameters(self, population):
@@ -122,7 +122,7 @@ class TestMondrian:
         result = MondrianAnonymizer().anonymize(
             population, k=10, quasi_identifiers=["Year of Birth", "Gender"]
         )
-        values = {row["Year of Birth"] for row in result.dataset}
+        values = {record["Year of Birth"] for record in result.dataset.to_records()}
         assert any(isinstance(v, str) and v.startswith("[") for v in values)
 
     def test_dataset_smaller_than_k_rejected(self):
@@ -131,6 +131,14 @@ class TestMondrian:
         tiny = Dataset.from_records(schema, rows)
         with pytest.raises(AnonymizationError):
             MondrianAnonymizer().anonymize(tiny, k=5)
+
+    def test_empty_dataset_gives_an_empty_result(self):
+        schema = Schema((protected("G", domain=("a", "b")), observed("S")))
+        empty = Dataset.from_records(schema, [], name="none")
+        result = MondrianAnonymizer().anonymize(empty, k=5)
+        assert len(result.dataset) == 0
+        assert result.dataset.name == "none/mondrian-k=5"
+        assert result.dataset.schema.attribute("G").domain is None
 
     def test_mondrian_preserves_more_classes_than_global(self, population):
         k = 5

@@ -345,7 +345,7 @@ def test_previous_layout_sidecar_and_snapshot_load_byte_identically(tmp_path):
     loaded = load_catalog(path)
     reloaded = loaded.resolve(ResourceKind.DATASET, "toy")
     assert fingerprint_dataset(reloaded) == fingerprint_dataset(dataset)
-    assert [row["Senior"] for row in reloaded] == [row["Senior"] for row in dataset]
+    assert reloaded.to_records() == dataset.to_records()
 
     live = FairnessService()
     live.register_dataset(dataset, name="toy")

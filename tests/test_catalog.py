@@ -53,7 +53,7 @@ class TestRegistration:
         from repro.data.dataset import Dataset
 
         source = load_example_table1()
-        nameless = Dataset(source.schema, list(source), name="", validate=False)
+        nameless = Dataset(source.schema, source.store, name="", validate=False)
         with pytest.raises(CatalogError, match="non-empty name"):
             Catalog().register(nameless, name=None)
 

@@ -334,7 +334,7 @@ class TestColumnBundles:
         # The earlier catalog's memory maps outlive their removed directory.
         regions = loaded_before.resolve(ResourceKind.DATASET, "regions")
         assert regions.numeric_column("Rating").tolist() == [0.5, 0.2]
-        assert [row["Region"] for row in regions] == ["eu", "us"]
+        assert [record["Region"] for record in regions.to_records()] == ["eu", "us"]
 
 
 class TestColumnarReSave:
@@ -456,7 +456,8 @@ class TestFingerprintVersion:
                 "dataset": {
                     "name": dataset.name, "schema": [],
                     "individuals": [
-                        {"uid": row.uid, "values": dict(row.values)} for row in dataset
+                        {"uid": uid, "values": values}
+                        for uid, values in zip(dataset.uids, dataset.to_records(False))
                     ],
                 },
             }],

@@ -20,7 +20,7 @@ from repro.core.unfairness import (
     unfairness,
     unfairness_breakdown,
 )
-from repro.data.dataset import Dataset, Individual
+from repro.data.dataset import Dataset, DatasetView
 from repro.data.filters import Equals
 from repro.data.schema import Schema, observed, protected
 from repro.errors import FormulationError, PartitioningError, ScoringError
@@ -175,10 +175,8 @@ class TestRefusal:
     def test_leaf_of_a_rebuilt_twin_raises_on_a_private_store(self, population, function):
         # Same content, new row objects: an untrusted store cannot prove
         # the leaf's members are its own rows.
-        twin = Dataset(
-            population.schema,
-            [Individual(uid=ind.uid, values=dict(ind.values)) for ind in population],
-            name="twin",
+        twin = Dataset.from_records(
+            population.schema, population.to_records(), name="twin", uid_field="uid"
         )
         leaf = quantify(population, function, min_partition_size=5).partitioning[0]
         store = ScoreStore(twin, function)
@@ -191,11 +189,8 @@ class TestRefusal:
     def test_permuted_twin_root_never_serves_the_store_root(self, population, function):
         # A trusted store maps a shuffled twin's root (key ()) onto all its
         # rows, in the twin's order; the store's own root must not reuse it.
-        rows = list(population)[::-1]
-        twin = Dataset(
-            population.schema,
-            [Individual(uid=ind.uid, values=dict(ind.values)) for ind in rows],
-            name="twin",
+        twin = Dataset.from_records(
+            population.schema, population.to_records()[::-1], name="twin", uid_field="uid"
         )
         store = ScoreStore(population, function, trust_uids=True)
         twin_root, own_root = root_partition(twin), root_partition(population)
@@ -432,8 +427,8 @@ class TestHistogramMemo:
             # individual, so direct and sliced scoring agree.
             def score_dataset(self, dataset):
                 scores = np.array(LinearScoringFunction.score_dataset(self, dataset))
-                for row, individual in enumerate(dataset):
-                    if int(individual.uid.lstrip("w")) % 7 == 0:
+                for row, uid in enumerate(dataset.uids):
+                    if int(uid.lstrip("w")) % 7 == 0:
                         scores[row] = float("nan")
                 return scores
 
@@ -623,7 +618,9 @@ class TestServicePool:
     def test_content_identical_dataset_shares_store(self):
         service = self._service()
         dataset = service.dataset("pop")
-        rebuilt = Dataset(dataset.schema, list(dataset), name="copy")
+        rebuilt = Dataset.from_records(
+            dataset.schema, dataset.to_records(), name="copy", uid_field="uid"
+        )
         function = service.function("balanced")
         first = service.score_store(dataset, function)
         second = service.score_store(rebuilt, function)
@@ -1033,7 +1030,9 @@ def favored_cases(draw):
         partitions = list(split_partition(root, draw(st.sampled_from(_CUT_SCHEMA.protected_names))))
         if shape == "split+empty":
             # An empty leaf's mean is 0.0, placed anywhere in the label order.
-            empty = Partition(constraints=(("Gender", "none"),), members=population.select_uids([]))
+            empty = Partition(
+                constraints=(("Gender", "none"),), members=DatasetView(population, [], "empty")
+            )
             partitions.insert(draw(st.integers(min_value=0, max_value=len(partitions))), empty)
     return population, scorer, Partitioning(population, partitions, validate=False)
 

@@ -8,7 +8,7 @@ import pytest
 from repro.core.partition import root_partition
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
-from repro.data.dataset import Dataset, Individual
+from repro.data.dataset import Dataset
 from repro.data.filters import Equals
 from repro.data.schema import AttributeType, Schema, observed, protected
 from repro.errors import DataError, EmptyDatasetError, UnknownAttributeError
@@ -42,22 +42,6 @@ def dataset(schema, records):
     return Dataset.from_records(schema, records, name="toy")
 
 
-class TestIndividual:
-    def test_getitem_and_get(self):
-        ind = Individual(uid="w1", values={"Gender": "F"})
-        assert ind["Gender"] == "F"
-        assert ind.get("Missing", "default") == "default"
-        with pytest.raises(UnknownAttributeError):
-            ind["Missing"]
-
-    def test_with_values_does_not_mutate_original(self):
-        ind = Individual(uid="w1", values={"Gender": "F", "Rating": 0.5})
-        updated = ind.with_values(Rating=0.9)
-        assert updated["Rating"] == 0.9
-        assert ind["Rating"] == 0.5
-        assert updated.uid == ind.uid
-
-
 class TestConstruction:
     def test_from_records_assigns_sequential_uids(self, dataset):
         assert dataset.uids == ("w1", "w2", "w3", "w4", "w5")
@@ -66,7 +50,7 @@ class TestConstruction:
         records = [{"id": "alice", "Gender": "F", "City": "NY", "Rating": 0.9}]
         ds = Dataset.from_records(schema, records, uid_field="id")
         assert ds.uids == ("alice",)
-        assert "id" not in ds[0].values
+        assert ds.to_records() == [{"uid": "alice", "Gender": "F", "City": "NY", "Rating": 0.9}]
 
     def test_from_records_missing_uid_field(self, schema):
         with pytest.raises(DataError):
@@ -79,7 +63,7 @@ class TestConstruction:
             {"Gender": ["F", "M"], "City": ["NY", "SF"], "Rating": [0.1, 0.2]},
         )
         assert len(ds) == 2
-        assert tuple(row["City"] for row in ds) == ("NY", "SF")
+        assert tuple(record["City"] for record in ds.to_records()) == ("NY", "SF")
 
     def test_from_columns_inconsistent_lengths(self, schema):
         with pytest.raises(DataError):
@@ -96,31 +80,31 @@ class TestConstruction:
             )
 
     def test_validation_missing_attribute(self, schema):
-        with pytest.raises(DataError):
-            Dataset(schema, [Individual("w1", {"Gender": "F", "City": "NY"})])
+        with pytest.raises(DataError, match="'w1' is missing attribute 'Rating'"):
+            Dataset.from_records(schema, [{"Gender": "F", "City": "NY"}])
 
     def test_validation_invalid_value(self, schema):
         with pytest.raises(DataError):
-            Dataset(schema, [Individual("w1", {"Gender": "X", "City": "NY", "Rating": 0.5})])
+            Dataset.from_records(schema, [{"Gender": "X", "City": "NY", "Rating": 0.5}])
 
     def test_validation_duplicate_uid(self, schema):
-        rows = [
-            Individual("w1", {"Gender": "F", "City": "NY", "Rating": 0.5}),
-            Individual("w1", {"Gender": "M", "City": "SF", "Rating": 0.6}),
+        records = [
+            {"uid": "w1", "Gender": "F", "City": "NY", "Rating": 0.5},
+            {"uid": "w1", "Gender": "M", "City": "SF", "Rating": 0.6},
         ]
         with pytest.raises(DataError):
-            Dataset(schema, rows)
+            Dataset.from_records(schema, records, uid_field="uid")
 
 
 class TestAccess:
-    def test_len_iter_getitem_bool(self, dataset):
+    def test_len_and_bool(self, schema, dataset):
         assert len(dataset) == 5
         assert bool(dataset)
-        assert dataset[0].uid == "w1"
-        assert sum(1 for _ in dataset) == 5
+        assert not Dataset.from_records(schema, [])
 
     def test_column_and_numeric_column(self, dataset):
-        assert tuple(row["Gender"] for row in dataset) == ("F", "M", "F", "M", "F")
+        records = dataset.to_records()
+        assert tuple(record["Gender"] for record in records) == ("F", "M", "F", "M", "F")
         ratings = dataset.numeric_column("Rating")
         assert isinstance(ratings, np.ndarray)
         assert ratings.tolist() == [0.9, 0.4, 0.7, 0.2, 0.6]
@@ -143,19 +127,13 @@ class TestOperations:
     def test_filter(self, dataset):
         females = dataset.filter(Equals("Gender", "F"))
         assert len(females) == 3
-        assert all(ind["Gender"] == "F" for ind in females)
+        assert all(record["Gender"] == "F" for record in females.to_records())
         # Original unchanged.
         assert len(dataset) == 5
 
-    def test_select_uids(self, dataset):
-        subset = dataset.select_uids(["w1", "w4"])
-        assert subset.uids == ("w1", "w4")
-        with pytest.raises(DataError):
-            dataset.select_uids(["w1", "ghost"])
-
     def test_map_column(self, dataset):
         mapped = dataset.map_column("City", lambda c: "COAST" if c in ("SF", "LA") else c)
-        assert {row["City"] for row in mapped} == {"NY", "COAST"}
+        assert {record["City"] for record in mapped.to_records()} == {"NY", "COAST"}
         # Domain is dropped so new values are allowed.
         assert mapped.schema.attribute("City").domain is None
 
@@ -173,7 +151,7 @@ class TestOperations:
 
     def test_require_non_empty(self, schema, dataset):
         assert dataset.require_non_empty() is dataset
-        empty = Dataset(schema, [])
+        empty = Dataset.from_records(schema, [])
         with pytest.raises(EmptyDatasetError):
             empty.require_non_empty()
 
@@ -189,7 +167,7 @@ class TestOperations:
     def test_to_records_roundtrip(self, schema, dataset):
         records = dataset.to_records(include_uid=False)
         rebuilt = Dataset.from_records(schema, records)
-        assert [row["Rating"] for row in rebuilt] == [row["Rating"] for row in dataset]
+        assert rebuilt.to_records(include_uid=False) == records
 
     def test_summary(self, dataset):
         summary = dataset.summary()

@@ -99,7 +99,7 @@ class TestDatasetFilter:
     def test_returns_matching_rows(self, dataset):
         result = dataset.filter(Equals("Gender", "F"))
         assert len(result) == 2
-        assert all(ind["Gender"] == "F" for ind in result)
+        assert all(record["Gender"] == "F" for record in result.to_records())
 
     def test_records_description_in_name(self, dataset):
         assert dataset.filter(Equals("City", "NY")).name == "filter-test[City = 'NY']"

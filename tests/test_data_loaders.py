@@ -25,8 +25,8 @@ class TestTable1:
         assert set(schema.observed_names) == {"Language Test", "Rating"}
 
     def test_row_w7_matches_paper(self, table1_dataset):
-        w7 = table1_dataset[6]
-        assert w7.uid == "w7"
+        w7 = table1_dataset.to_records()[6]
+        assert w7["uid"] == "w7"
         assert w7["Gender"] == "Female"
         assert w7["Country"] == "America"
         assert w7["Ethnicity"] == "African-American"
@@ -34,7 +34,7 @@ class TestTable1:
         assert w7["Rating"] == 0.98
 
     def test_published_scores_reproduced_exactly(self, table1_dataset, table1_function):
-        scores = table1_function.score_map(table1_dataset)
+        scores = dict(zip(table1_dataset.uids, table1_function.score_dataset(table1_dataset)))
         for uid, published in TABLE1_PUBLISHED_SCORES.items():
             assert scores[uid] == pytest.approx(published, abs=1e-9), uid
 
@@ -55,7 +55,7 @@ class TestLoadCsv:
         )
         ds = load_csv(path, protected_names=["Gender", "City"], observed_names=["Rating"])
         assert len(ds) == 3
-        assert tuple(row["Gender"] for row in ds) == ("F", "M", "F")
+        assert tuple(record["Gender"] for record in ds.to_records()) == ("F", "M", "F")
         assert ds.numeric_column("Rating").tolist() == [0.9, 0.4, 0.7]
         assert ds.name == "workers"
 

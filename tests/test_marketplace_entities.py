@@ -38,7 +38,7 @@ class TestJob:
         )
         candidates = job.candidates(small_population)
         assert 0 < len(candidates) < len(small_population)
-        assert all(ind["Language"] == "English" for ind in candidates)
+        assert all(record["Language"] == "English" for record in candidates.to_records())
 
     def test_candidates_empty_filter_raises(self, small_population):
         job = Job(

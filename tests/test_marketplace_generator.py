@@ -102,7 +102,7 @@ class TestApplyBias:
     def test_shift_applied_only_to_matching_individuals(self, small_population):
         spec = BiasSpec({"Gender": "Female"}, {"Rating": -0.2})
         biased = apply_bias(small_population, [spec])
-        for before, after in zip(small_population, biased):
+        for before, after in zip(small_population.to_records(), biased.to_records()):
             if before["Gender"] == "Female":
                 expected = max(0.0, float(before["Rating"]) - 0.2)
                 assert after["Rating"] == pytest.approx(expected)
@@ -120,7 +120,7 @@ class TestApplyBias:
             BiasSpec({"Country": "India"}, {"Rating": -0.1}),
         ]
         biased = apply_bias(small_population, specs)
-        for before, after in zip(small_population, biased):
+        for before, after in zip(small_population.to_records(), biased.to_records()):
             if before["Gender"] == "Female" and before["Country"] == "India":
                 expected = max(0.0, float(before["Rating"]) - 0.2)
                 assert after["Rating"] == pytest.approx(expected)

@@ -8,7 +8,7 @@
   maps them to root rows at any depth; a private store accepts exactly the
   views drawn from its dataset and refuses a content-equal rebuilt subset;
 * a large QUANTIFY never realises a split child's columns;
-* row input keeps its duplicate-uid, missing-attribute and invalid-value
+* record input keeps its duplicate-uid, missing-attribute and invalid-value
   errors.
 """
 
@@ -25,7 +25,7 @@ from repro.core.partition import Partition, root_partition, split_partition
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore, store_for
 from repro.data.columns import ColumnStore
-from repro.data.dataset import Dataset, DatasetView, Individual
+from repro.data.dataset import Dataset, DatasetView
 from repro.data.filters import Equals
 from repro.data.loaders import load_csv
 from repro.data.schema import Schema, observed, protected
@@ -79,10 +79,11 @@ def assert_same_content(left: Dataset, right: Dataset) -> None:
         assert typed(left_counts) == typed(right_counts) and left_counts == right_counts
 
 
-def rebuilt_from_rows(dataset: Dataset) -> Dataset:
-    """The same content re-ingested through the row constructor."""
-    rows = [Individual(uid=row.uid, values=dict(row.values)) for row in dataset]
-    return Dataset(dataset.schema, rows, name="rebuilt")
+def rebuilt_from_records(dataset: Dataset) -> Dataset:
+    """The same content exported as records and re-ingested."""
+    return Dataset.from_records(
+        dataset.schema, dataset.to_records(), name="rebuilt", uid_field="uid"
+    )
 
 
 def reload(dataset: Dataset, tmp_path: Path) -> Dataset:
@@ -96,21 +97,20 @@ def reload(dataset: Dataset, tmp_path: Path) -> Dataset:
 class TestEveryRouteIsColumnBacked:
     @pytest.fixture
     def reference(self):
-        schema = mixed_schema()
-        rows = [
-            Individual(uid=f"w{index}", values=record)
-            for index, record in enumerate(mixed_records(), start=1)
-        ]
-        return Dataset(schema, rows, name="rows")
+        return Dataset.from_records(mixed_schema(), mixed_records(), name="records")
 
-    def test_row_constructor_converts_once(self, reference):
+    def test_records_convert_once_and_there_are_no_rows(self, reference):
         assert isinstance(reference.store, ColumnStore)
-        assert reference.__dict__.get("_rows") is None
-        assert typed(tuple(row["Code"] for row in reference)) == typed(MIXED)
+        assert typed(record["Code"] for record in reference.to_records()) == typed(MIXED)
+        with pytest.raises(TypeError):
+            iter(reference)
 
     def test_from_records_and_from_columns(self, reference):
         schema = mixed_schema()
-        assert_same_content(Dataset.from_records(schema, mixed_records()), reference)
+        records = [
+            {"id": f"w{index}", **record} for index, record in enumerate(mixed_records(), 1)
+        ]
+        assert_same_content(Dataset.from_records(schema, records, uid_field="id"), reference)
         columns = {"Code": MIXED, "City": CITIES, "Rating": RATINGS}
         assert_same_content(Dataset.from_columns(schema, columns), reference)
 
@@ -133,16 +133,16 @@ class TestEveryRouteIsColumnBacked:
 
     def test_generator_without_biases(self, tmp_path):
         generated = synthetic_population(300, seed=3)
-        assert_same_content(generated, rebuilt_from_rows(generated))
+        assert_same_content(generated, rebuilt_from_records(generated))
         assert_same_content(reload(generated, tmp_path), generated)
 
     def test_generator_with_biases(self):
         biased, _ = biased_population(300, seed=3)
-        assert_same_content(biased, rebuilt_from_rows(biased))
+        assert_same_content(biased, rebuilt_from_records(biased))
 
     def test_crawler(self):
         workers = MarketplaceCrawler(seed=5).crawl("fiverr-sim", workers=120).workers
-        assert_same_content(workers, rebuilt_from_rows(workers))
+        assert_same_content(workers, rebuilt_from_records(workers))
 
     def test_mixed_column_counts_equal_values_together(self, reference):
         # 1, 1.0 and True are one value under ==; "1" is another.
@@ -178,6 +178,7 @@ class TestViewsAndProvenance:
         deeper = children[0].members.group_by(["Country"])
         views = [filtered, grouped, *(c.members for c in children), *deeper.values()]
         vector = store.vector()
+        root = population.to_records()
         for view in views:
             assert isinstance(view, DatasetView)
             expected = self.positions(population, view)
@@ -185,9 +186,7 @@ class TestViewsAndProvenance:
             partition = Partition(constraints=(), members=view)
             assert np.array_equal(store.scores(partition), vector[expected])
             # Realised columns hold exactly the root rows' values.
-            for name in population.schema.names:
-                root = tuple(row[name] for row in population)
-                assert tuple(row[name] for row in view) == tuple(root[i] for i in expected)
+            assert view.to_records() == [root[i] for i in expected]
         assert store.stats.scoring_passes == 1
 
     def test_store_children_are_views_of_the_store_dataset(self, population):
@@ -199,20 +198,20 @@ class TestViewsAndProvenance:
     def test_content_equal_rebuilt_subset_is_refused(self, population):
         grouped = population.group_by(["Gender"])
         subset = next(iter(grouped.values()))
-        rebuilt = Dataset(population.schema, list(subset), name="rebuilt")
+        rebuilt = rebuilt_from_records(subset)
         assert fingerprint_dataset(rebuilt) == fingerprint_dataset(subset)
         assert rebuilt.indices_in(population) is None
         store = store_for(population, FUNCTION)
         with pytest.raises(PartitioningError):
             store.scores(Partition(constraints=(), members=rebuilt))
         # A view of the rebuilt copy is refused too: its chain ends elsewhere.
-        view = rebuilt.select_uids(rebuilt.uids[:10])
+        view = DatasetView(rebuilt, np.arange(10), "rebuilt/subset")
         with pytest.raises(PartitioningError):
             store.scores(Partition(constraints=(), members=view))
         assert len(store) == 0
 
     def test_view_uids_come_from_the_parent_without_realising(self, population):
-        view = population.select_uids(population.uids[5:50])
+        view = DatasetView(population, np.arange(5, 50), "subset")
         assert view.uids == population.uids[5:50]
         assert len(view) == 45
         assert view.__dict__.get("_store") is None
@@ -246,37 +245,28 @@ class TestRowInputErrors:
         ))
 
     def test_duplicate_uid(self):
-        rows = [
-            Individual("a", {"City": "NY", "Rating": 0.5}),
-            Individual("a", {"City": "SF", "Rating": 0.6}),
+        records = [
+            {"uid": "a", "City": "NY", "Rating": 0.5},
+            {"uid": "a", "City": "SF", "Rating": 0.6},
         ]
         with pytest.raises(DataError, match="^duplicate individual id 'a'$"):
-            Dataset(self.schema(), rows)
+            Dataset.from_records(self.schema(), records, uid_field="uid")
 
     def test_missing_attribute(self):
-        rows = [
-            Individual("w1", {"City": "NY", "Rating": 0.5}),
-            Individual("w2", {"City": "SF"}),
-        ]
+        records = [{"City": "NY", "Rating": 0.5}, {"City": "SF"}]
         with pytest.raises(DataError, match="^individual 'w2' is missing attribute 'Rating'$"):
-            Dataset(self.schema(), rows)
+            Dataset.from_records(self.schema(), records)
         with pytest.raises(DataError, match="^individual 'w1' is missing attribute 'Rating'$"):
             Dataset.from_columns(self.schema(), {"City": ["NY"]})
 
     def test_invalid_values(self):
-        coded = [
-            Individual("w1", {"City": "NY", "Rating": 0.5}),
-            Individual("w2", {"City": "Paris", "Rating": 0.6}),
-        ]
+        coded = [{"City": "NY", "Rating": 0.5}, {"City": "Paris", "Rating": 0.6}]
         with pytest.raises(
             DataError, match="^individual 'w2' has invalid value 'Paris' for attribute 'City'$"
         ):
-            Dataset(self.schema(), coded)
-        numeric = [
-            Individual("w1", {"City": "NY", "Rating": 0.5}),
-            Individual("w2", {"City": "SF", "Rating": 1.5}),
-        ]
+            Dataset.from_records(self.schema(), coded)
+        numeric = [{"City": "NY", "Rating": 0.5}, {"City": "SF", "Rating": 1.5}]
         with pytest.raises(
             DataError, match="^individual 'w2' has invalid value 1.5 for attribute 'Rating'$"
         ):
-            Dataset(self.schema(), numeric)
+            Dataset.from_records(self.schema(), numeric)

@@ -139,9 +139,9 @@ class TestRankDerivedInvariants:
         function = LinearScoringFunction(weights)
         ranking = function.rank(dataset)
         scorer = RankDerivedScorer(ranking)
-        true_scores = function.score_map(dataset)
-        derived = scorer.score_map(dataset)
         uids = list(dataset.uids)
+        true_scores = dict(zip(uids, function.score_dataset(dataset)))
+        derived = dict(zip(uids, scorer.score_dataset(dataset)))
         for first in uids:
             for second in uids:
                 if true_scores[first] > true_scores[second] + 1e-12:
@@ -152,7 +152,7 @@ class TestRankDerivedInvariants:
     def test_rank_scores_span_unit_interval(self, dataset, weights):
         function = LinearScoringFunction(weights)
         scorer = RankDerivedScorer(function.rank(dataset))
-        values = np.asarray(list(scorer.score_map(dataset).values()))
+        values = scorer.score_dataset(dataset)
         assert values.min() >= 0.0 and values.max() <= 1.0
         if len(dataset) > 1:
             assert values.max() == pytest.approx(1.0)

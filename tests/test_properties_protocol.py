@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.catalog import Catalog, ResourceKind
 from repro.core.formulations import Formulation
-from repro.data.dataset import Dataset, Individual
+from repro.data.dataset import Dataset
 from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
 from repro.data.schema import Schema, observed, protected
 from repro.errors import ServiceError
@@ -533,19 +533,15 @@ def datasets(draw):
         )
     )
     size = draw(st.integers(min_value=1, max_value=8))
-    individuals = []
+    records = []
     for uid in range(size):
-        values = {name: draw(st.sampled_from(domains[name])) for name in protected_names}
+        record = {name: draw(st.sampled_from(domains[name])) for name in protected_names}
         for name in observed_names:
-            values[name] = draw(
+            record[name] = draw(
                 st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
             )
-        individuals.append(Individual(uid=f"u{uid}", values=values))
-    return Dataset(
-        schema=schema,
-        individuals=tuple(individuals),
-        name=draw(names),
-    )
+        records.append({"uid": f"u{uid}", **record})
+    return Dataset.from_records(schema, records, name=draw(names), uid_field="uid")
 
 
 @st.composite

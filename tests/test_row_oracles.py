@@ -1,11 +1,11 @@
 """Column paths against their row-at-a-time references (``row_reference``).
 
-Filters, planted bias, ``map_column``, equivalence classes, global recoding
-and the local-recoding information loss all work over column arrays; each
-property here draws small datasets whose columns mix values that are equal
-under ``==`` but differently typed (``1``, ``1.0``, ``True``), look alike
-(``"1"``), or are awkward (``None``, NaN, ``-0.0``), and checks the column
-path returns what the row reference returns.
+Filters, planted bias, ``map_column``, equivalence classes, global recoding,
+Mondrian local recoding and its information loss all work over column
+arrays; each property here draws small datasets whose columns mix values
+that are equal under ``==`` but differently typed (``1``, ``1.0``,
+``True``), look alike (``"1"``), or are awkward (``None``, NaN, ``-0.0``),
+and checks the column path returns what the row reference returns.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from row_reference import (
     row_generalised_cells,
     row_global_recoding,
     row_map_column,
+    row_mondrian,
 )
 
 from repro.anonymize.hierarchy import CategoricalHierarchy, IntervalHierarchy
@@ -33,7 +34,7 @@ from repro.anonymize.kanonymity import (
 )
 from repro.anonymize.metrics import information_loss
 from repro.data.columns import CodedColumn, NumericColumn
-from repro.data.dataset import Dataset, Individual
+from repro.data.dataset import Dataset, _build_store
 from repro.data.filters import And, Between, Equals, Not, OneOf, Or, TrueFilter
 from repro.data.schema import AttributeType, Schema, observed, protected
 from repro.errors import AnonymizationError
@@ -60,13 +61,10 @@ FLOAT_VALUES = (1.0, 0.0, -0.0, 0.5, 2.0, NAN, -1.5)
 PROBES = CODED_VALUES + (1.5, "b", float("nan"))
 
 
-def _dataset(schema, columns, name="oracle"):
-    size = len(next(iter(columns.values())))
-    rows = [
-        Individual(f"u{index}", {name_: values[index] for name_, values in columns.items()})
-        for index in range(size)
-    ]
-    return Dataset(schema, rows, name=name, validate=False)
+def _dataset(schema, columns, name="oracle", uids=None):
+    if uids is None:
+        uids = [f"u{index}" for index in range(len(next(iter(columns.values()))))]
+    return Dataset(schema, _build_store(schema, columns, uids), name=name, validate=False)
 
 
 @st.composite
@@ -207,8 +205,8 @@ class TestBias:
         dataset, specs = case
         for spec in specs:
             assert dataset.filter(spec.subgroup).uids == tuple(
-                row.uid for row in dataset
-                if all(row.values[attr] == value for attr, value in spec.conditions)
+                record["uid"] for record in dataset.to_records()
+                if all(record[attr] == value for attr, value in spec.conditions)
             )
 
 
@@ -238,7 +236,9 @@ class TestNumericColumn:
     @given(coded_numeric_datasets())
     def test_coded_column_equals_row_by_row_floats(self, dataset):
         for population in (dataset, dataset.filter(Equals("G", "a"))):
-            expected = np.array([float(row.values["N"]) for row in population], dtype=float)
+            expected = np.array(
+                [float(record["N"]) for record in population.to_records()], dtype=float
+            )
             got = population.numeric_column("N")
             assert got.dtype == np.float64 and got.flags.writeable
             assert got.tobytes() == expected.tobytes()
@@ -404,3 +404,100 @@ class TestLocalRecodingLoss:
         result = AnonymizationResult(dataset=dataset, k=1, quasi_identifiers=("C", "F"),
                                      method="mondrian")
         assert information_loss(result).generalization_intensity == 3 / 10
+
+
+# -- Mondrian local recoding ---------------------------------------------------
+
+#: Classes of values equal under ``==``; a column holds at most one value of
+#: each, so no box mixes ``==``-equal values of different types.
+MONDRIAN_CLASSES = (
+    (1, 1.0, True), (0, 0.0, False), (2, 2.0), (7,), (-3,), (1.5,), (12.25,),
+    ("1",), ("2.5",), (" 7 ",), ("a",), ("b",), ("a|b",), ("[1-2]",), (None,),
+)
+#: Values a ``float64`` quasi-identifier may hold (no NaN, no ``-0.0``).
+MONDRIAN_FLOATS = (0.0, 1.0, 2.5, 3.0, 12.0, 7.25, -1.5, 1e20)
+
+
+@st.composite
+def mondrian_cases(draw):
+    """Coded QIs ``C`` and ``D``, a float64 QI ``F`` and a skill, shuffled uids."""
+    size = draw(st.integers(min_value=1, max_value=40))
+
+    def coded_column():
+        chosen = draw(st.lists(st.sampled_from(MONDRIAN_CLASSES), min_size=1, unique=True))
+        pool = [draw(st.sampled_from(equals)) for equals in chosen]
+        return draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size))
+
+    schema = Schema((
+        protected("C"),
+        protected("D", atype=AttributeType.ORDINAL),
+        protected("F", atype=AttributeType.NUMERIC),
+        observed("Skill"),
+    ))
+    columns = {
+        "C": coded_column(),
+        "D": coded_column(),
+        "F": draw(st.lists(st.sampled_from(MONDRIAN_FLOATS), min_size=size, max_size=size)),
+        "Skill": draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                               min_size=size, max_size=size)),
+    }
+    uids = draw(st.permutations([f"u{index}" for index in range(size)]))
+    names = draw(st.lists(st.sampled_from(("C", "D", "F")), max_size=3, unique=True))
+    dataset = _dataset(schema, columns, uids=uids)
+    assert isinstance(dataset.store["F"], NumericColumn)
+    return dataset, tuple(names), draw(st.integers(min_value=1, max_value=6))
+
+
+class TestMondrian:
+    @SETTINGS
+    @given(mondrian_cases())
+    def test_matches_row_reference(self, case):
+        dataset, names, k = case
+        if len(dataset) < k:
+            with pytest.raises(AnonymizationError):
+                row_mondrian(dataset, k, names)
+            with pytest.raises(AnonymizationError):
+                MondrianAnonymizer().anonymize(dataset, k, names)
+            return
+        result = MondrianAnonymizer().anonymize(dataset, k, names)
+        expected = row_mondrian(dataset, k, names)
+        _same_content(result.dataset, expected.dataset)
+        assert information_loss(result) == information_loss(expected)
+        assert (result.method, result.levels) == (expected.method, expected.levels)
+
+    def test_other_columns_are_shared(self, small_population):
+        names = ["Gender", "Country"]
+        result = MondrianAnonymizer().anonymize(small_population, 3, names)
+        store = result.dataset.store
+        for name in small_population.store.names:
+            shared = store[name] is small_population.store[name]
+            assert shared == (name not in names)
+        _same_content(result.dataset, row_mondrian(small_population, 3, names).dataset)
+
+    def test_nan_is_one_value_and_its_span_is_nan(self):
+        # The row reference reads a fresh NaN per row of a float64 column, so
+        # two NaN rows are two values there and their box is "[nan-nan]";
+        # over codes every NaN is one value, which a box of NaN rows keeps.
+        # A box holding NaN among numbers spans NaN: never split on, and
+        # labelled "[nan-nan]".
+        schema = Schema((protected("F", atype=AttributeType.NUMERIC), protected("C")))
+        dataset = _dataset(schema, {"F": [NAN, NAN, 1.0, 2.0], "C": ["a", "a", "b", "b"]})
+        split = MondrianAnonymizer().anonymize(dataset, 2, ("F", "C")).dataset
+        assert repr([record["F"] for record in split.to_records()]) == repr(
+            [NAN, NAN, "[1-2]", "[1-2]"]
+        )
+        assert [record["C"] for record in split.to_records()] == ["a", "a", "b", "b"]
+        assert row_mondrian(dataset, 2, ("F", "C")).dataset.to_records()[0]["F"] == "[nan-nan]"
+        whole = MondrianAnonymizer().anonymize(dataset, 1, ("F",)).dataset
+        assert {record["F"] for record in whole.to_records()} == {"[nan-nan]"}
+
+    def test_equal_values_of_different_types_are_one_value(self):
+        # ``1`` and ``1.0`` are one value of C (Dataset.codes), shown as the
+        # dataset's first-seen of them, even in a box holding only the other;
+        # the row reference keeps each box's own first value.
+        schema = Schema((protected("C"), protected("D")))
+        dataset = _dataset(schema, {"C": [1, 1.0, True], "D": ["b", "a", "c"]})
+        result = MondrianAnonymizer().anonymize(dataset, 1, ("D", "C")).dataset
+        assert repr([record["C"] for record in result.to_records()]) == "[1, 1, 1]"
+        expected = row_mondrian(dataset, 1, ("D", "C")).dataset
+        assert repr([record["C"] for record in expected.to_records()]) == "[1, 1.0, True]"

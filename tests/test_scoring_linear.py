@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.data.dataset import Dataset
 from repro.data.schema import Schema, observed, protected
-from repro.errors import ScoringError
+from repro.errors import DataError, ScoringError
 from repro.scoring.base import Ranking, rank_by_score
 from repro.scoring.linear import LinearScoringFunction
 
@@ -78,15 +80,18 @@ class TestConstruction:
 
 
 class TestScoring:
-    def test_score_individual_matches_weighted_sum(self, dataset):
+    def test_first_row_matches_weighted_sum(self, dataset):
         function = LinearScoringFunction({"Skill": 0.75, "Rating": 0.25})
         expected = 0.75 * 0.9 + 0.25 * 0.8
-        assert function.score_individual(dataset[0]) == pytest.approx(expected)
+        assert function.score_dataset(dataset)[0] == pytest.approx(expected)
 
     def test_score_dataset_is_vectorised_and_consistent(self, dataset):
         function = LinearScoringFunction({"Skill": 0.6, "Rating": 0.4})
         vectorised = function.score_dataset(dataset)
-        rowwise = np.asarray([function.score_individual(ind) for ind in dataset])
+        rowwise = np.asarray([
+            sum(weight * record[name] for name, weight in function.weights.items())
+            for record in dataset.to_records()
+        ])
         assert np.allclose(vectorised, rowwise)
 
     def test_scores_stay_in_unit_interval(self, dataset):
@@ -101,20 +106,16 @@ class TestScoring:
             dataset.numeric_column("Skill").tolist()
         )
 
-    def test_score_map(self, dataset):
+    def test_scores_follow_row_order(self, dataset):
         function = LinearScoringFunction({"Skill": 1.0})
-        mapping = function.score_map(dataset)
-        assert set(mapping) == set(dataset.uids)
-        assert mapping["w1"] == pytest.approx(0.9)
+        scores = function.score_dataset(dataset)
+        assert len(scores) == len(dataset.uids)
+        assert dict(zip(dataset.uids, scores))["w1"] == pytest.approx(0.9)
 
-    def test_non_numeric_value_raises(self, schema):
-        ds = Dataset.from_records(
-            schema, [{"Gender": "F", "Skill": 0.5, "Rating": 0.5}]
-        )
-        bad = ds[0].with_values(Skill="high")
-        function = LinearScoringFunction({"Skill": 1.0})
-        with pytest.raises(ScoringError):
-            function.score_individual(bad)
+    def test_non_numeric_value_is_refused_at_ingest(self, schema):
+        # A scoring function only ever sees validated numeric columns.
+        with pytest.raises(DataError, match="invalid value 'high' for attribute 'Skill'"):
+            Dataset.from_records(schema, [{"Gender": "F", "Skill": "high", "Rating": 0.5}])
 
     def test_validate_against_schema(self, schema):
         LinearScoringFunction({"Skill": 1.0}).validate_against(schema)
@@ -183,3 +184,37 @@ class TestRanking:
     def test_rank_by_score_matches_method(self, dataset):
         function = LinearScoringFunction({"Rating": 1.0})
         assert rank_by_score(dataset, function).uids == function.rank(dataset).uids
+
+    def test_nan_scores_sort_last_with_ties_by_uid(self):
+        schema = Schema((observed("Skill"),))
+        uids = ["b", "a", "d", "c", "e"]
+        dataset = Dataset.from_records(
+            schema, [{"uid": uid, "Skill": 0.5} for uid in uids], uid_field="uid"
+        )
+        scores = [float("nan"), 0.5, float("nan"), 0.5, 0.9]
+        ranking = rank_by_score(dataset, LinearScoringFunction({"Skill": 1.0}), scores)
+        assert ranking.uids == ("e", "a", "c", "b", "d")
+        assert repr(ranking.scores) == "(0.9, 0.5, 0.5, nan, nan)"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_sorted_reference_on_nan_free_scores(self, data):
+        uids = data.draw(st.lists(
+            st.text(alphabet="abw019", min_size=1, max_size=4), unique=True, max_size=30
+        ))
+        scores = data.draw(st.lists(
+            st.one_of(
+                st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0)),
+                st.floats(allow_nan=False),
+            ),
+            min_size=len(uids), max_size=len(uids),
+        ))
+        dataset = Dataset.from_records(
+            Schema((observed("Skill"),)),
+            [{"uid": uid, "Skill": 0.5} for uid in uids],
+            uid_field="uid",
+        )
+        ranking = rank_by_score(dataset, LinearScoringFunction({"Skill": 1.0}), scores)
+        order = sorted(range(len(uids)), key=lambda i: (-scores[i], uids[i]))
+        assert ranking.uids == tuple(uids[i] for i in order)
+        assert repr(ranking.scores) == repr(tuple(scores[i] for i in order))

