@@ -6,7 +6,7 @@ perf trajectory is tracked per commit.  Every write also refreshes two
 bookkeeping keys:
 
 * ``meta`` — where the numbers came from: interpreter version, commit,
-  UTC timestamp, and any row counts the benchmark passes in;
+  CPU count, UTC timestamp, and any row counts the benchmark passes in;
 * ``metrics`` — a snapshot of the process metrics registry
   (:mod:`repro.obs.metrics`), so a benchmark run's request counters and
   latency histograms land in the artifact next to its timings.
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import datetime
 import json
+import os
 import platform
 import subprocess
 from pathlib import Path
@@ -48,6 +49,7 @@ def run_meta(**rows: object) -> Dict[str, object]:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "commit": _commit(),
+        "nproc": os.cpu_count(),
         "timestamp_utc": datetime.datetime.now(datetime.timezone.utc).isoformat(
             timespec="seconds"
         ),

@@ -9,7 +9,10 @@ Exercises the full deployment workflow exactly as an operator would:
    addresses ``table1`` by content-fingerprint prefix, and a mixed batch
    (with a duplicate slot and a slot naming an unknown dataset, sent under
    a pinned trace id) through :class:`~repro.server.client.HTTPFairnessClient`,
-   then 20 quantify POSTs on one keep-alive connection within 0.4s;
+   then 20 quantify POSTs on one keep-alive connection within 0.4s, then
+   100 quantify POSTs on fresh connections, one after another, over which
+   no serving process (router and workers alike) may grow by more than one
+   thread (read from ``/proc/<pid>/status``; skipped where it is absent);
 4. assert every HTTP response is byte-identical (``ServiceResult.canonical``)
    to the in-process :class:`~repro.service.client.FairnessClient` answer
    over a service booted from the *same* snapshot, and that the result
@@ -232,6 +235,72 @@ def check_keepalive(port: int, reference) -> int:
     if not failures:
         print(f"[e2e] keep-alive: {KEEPALIVE_POSTS} POSTs on one connection in "
               f"{elapsed * 1000:.0f} ms, byte-identical")
+    return failures
+
+
+#: Thread-growth leg: untimed warm-up POSTs, then sequential fresh-connection
+#: POSTs and the threads a serving process may add over them.  One more acceptor may start when a
+#: client reconnects before the thread that answered it is back in
+#: accept(); a thread per connection would add one per request.
+THREAD_GROWTH_WARMUP = 10
+THREAD_GROWTH_POSTS = 100
+THREAD_GROWTH_ALLOWED = 1
+
+
+def thread_count(pid: int) -> "int | None":
+    """The ``Threads:`` line of ``/proc/<pid>/status``; None without /proc."""
+    try:
+        with open(f"/proc/{pid}/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("Threads:"):
+                    return int(line.split()[1])
+    except OSError:
+        return None
+    return None
+
+
+def check_thread_growth(process: subprocess.Popen, port: int, workers: int,
+                        remote) -> int:
+    """POST sequentially on fresh connections; no serving process may grow
+    by more than :data:`THREAD_GROWTH_ALLOWED` threads."""
+    import json
+    import urllib.request
+
+    pids = {("router" if workers > 1 else "server"): process.pid}
+    if workers > 1:
+        for entry in remote.health()["workers"]["health"]:
+            pids[f"worker {entry['slot']}"] = int(entry["pid"])
+    body = json.dumps(
+        QuantifyRequest(dataset="table1", function="table1-f").to_json()
+    ).encode("utf-8")
+
+    def post() -> None:
+        request = urllib.request.Request(
+            f"http://127.0.0.1:{port}/v2/quantify", data=body, method="POST"
+        )
+        with urllib.request.urlopen(request, timeout=60) as response:
+            response.read()
+
+    for _ in range(THREAD_GROWTH_WARMUP):  # the first answer may compute
+        post()
+    before = {name: thread_count(pid) for name, pid in pids.items()}
+    if None in before.values():
+        print("[e2e] thread growth: skipped (no /proc/<pid>/status here)")
+        return 0
+    for _ in range(THREAD_GROWTH_POSTS):
+        post()
+    after = {name: thread_count(pid) or 0 for name, pid in pids.items()}
+    failures = 0
+    for name in pids:
+        if after[name] - before[name] > THREAD_GROWTH_ALLOWED:
+            failures += 1
+            print(f"[e2e] FAIL: {name} went from {before[name]} to {after[name]} "
+                  f"threads over {THREAD_GROWTH_POSTS} sequential connections "
+                  f"(at most {THREAD_GROWTH_ALLOWED} more allowed)")
+    if not failures:
+        counts = ", ".join(f"{name} {before[name]} -> {after[name]}" for name in pids)
+        print(f"[e2e] thread growth over {THREAD_GROWTH_POSTS} sequential "
+              f"connections: {counts}")
     return failures
 
 
@@ -564,6 +633,7 @@ def main() -> int:
             failures += check_metrics(port, arguments.workers)
             failures += check_trace(port, arguments.workers)
             failures += check_keepalive(port, reference)
+            failures += check_thread_growth(process, port, arguments.workers, remote)
         finally:
             failures += shutdown_server(process, "server")
 

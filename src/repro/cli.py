@@ -455,10 +455,11 @@ def _serve_service(args: argparse.Namespace):
 def _install_shutdown_handlers(server) -> "threading.Event":
     """Make SIGINT/SIGTERM stop ``serve_forever`` instead of killing the process.
 
-    The handler only *requests* the stop (``shutdown()`` must run off the
-    serving thread, and must not run before ``serve_forever`` does); the
-    caller then closes the listening socket with ``server_close()``, which
-    drains in-flight requests before returning.  Outside the main thread
+    The handler only *requests* the stop: ``shutdown()`` waits for the
+    acceptor threads, so it runs on a helper thread, never inside the signal
+    handler on the main thread; the caller then closes the listening socket
+    with ``server_close()``, which drains in-flight requests before
+    returning.  Outside the main thread
     (in-process tests) signal installation is skipped silently.
     """
     import signal
@@ -529,7 +530,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     except KeyboardInterrupt:
         stop_requested.set()
     finally:
-        # server_close() drains: it joins in-flight handler threads, so a
+        # server_close() drains: it waits for every connection thread, so a
         # SIGTERM'd server finishes the responses it already accepted.
         server.server_close()
     # After the drain, so the bundle includes the final requests' state.

@@ -286,7 +286,9 @@ class Dataset:
         A ``float64`` column is copied, and a coded column floats each
         decode-table entry once and gathers by its codes: no per-row
         ``float()`` calls.  The result is a fresh array either way, so
-        callers may mutate it without corrupting the dataset.
+        callers may mutate it without corrupting the dataset.  A coded
+        value that is no number (possible in a dataset built with
+        ``validate=False``) raises :class:`~repro.errors.DataError`.
         """
         attr = self.schema.attribute(name)
         if attr.atype is not AttributeType.NUMERIC:
@@ -294,7 +296,16 @@ class Dataset:
         column = self.store[name]
         if isinstance(column, NumericColumn):
             return np.array(column.values, dtype=float)
-        return np.array([float(value) for value in column.values], dtype=float)[column.codes]
+        decoded = np.empty(len(column.values), dtype=float)
+        for code, value in enumerate(column.values):
+            try:
+                decoded[code] = float(value)
+            except (TypeError, ValueError):
+                raise DataError(
+                    f"dataset {self.name!r} has non-numeric value {value!r} "
+                    f"for numeric attribute {name!r}"
+                ) from None
+        return decoded[column.codes]
 
     def codes(self, name: str) -> Tuple[np.ndarray, Tuple[object, ...], Dict[object, int]]:
         """Integer coding of attribute ``name``: ``(codes, decode, encode)``.

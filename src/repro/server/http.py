@@ -2,8 +2,9 @@
 
 FaiRank is presented as an *interactive system*: auditors, end users and job
 owners query it live.  :class:`FairnessHTTPServer` is that serving surface —
-a :class:`http.server.ThreadingHTTPServer` (one thread per connection, no
-third-party dependencies) exposing one POST endpoint per protocol-v2 request
+a stdlib :class:`http.server.HTTPServer` whose acceptor threads each serve
+the connections they accept (see :class:`V2ServerBase`; no third-party
+dependencies) exposing one POST endpoint per protocol-v2 request
 kind plus batch execution and three read-only GETs:
 
 ================  ======  ====================================================
@@ -51,11 +52,13 @@ breached ``slow_ms``.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from http.server import BaseHTTPRequestHandler, HTTPServer
+from typing import Dict, List, Optional, Set, Tuple
 from urllib.parse import urlsplit
 
 from repro.errors import FaiRankError, ServiceError
@@ -91,6 +94,11 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 #: Bucket upper bounds (bytes) of ``<prefix>_response_bytes``: 256 B to
 #: 16 MiB in factors of four (a warm 10k-row quantify is ~1.4 MB).
 RESPONSE_BYTES_BUCKETS: Tuple[float, ...] = tuple(float(4 ** n) for n in range(4, 13))
+
+#: Pause (seconds) before an acceptor retries a failed ``accept()``
+#: (``EMFILE`` and the like): long enough not to spin, short enough that
+#: serving resumes promptly once descriptors free up.
+ACCEPT_RETRY_S = 0.1
 
 #: Content type of every JSON response (envelopes and transport errors).
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
@@ -140,7 +148,7 @@ class _JSONRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     # Bound idle keep-alive connections: without a socket timeout a client
     # that holds its connection open would block the drain on shutdown
-    # (server_close joins in-flight handler threads) indefinitely.
+    # (server_close waits for every connection thread) indefinitely.
     timeout = 30.0
 
     server: "V2ServerBase"
@@ -235,9 +243,10 @@ class _JSONRequestHandler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         """Route one request under a fresh (or header-inherited) trace.
 
-        A keep-alive connection reuses one handler thread for many requests,
-        so the trace is activated per dispatch (contextvar token reset on the
-        way out) — never stored on the thread.
+        One thread serves many requests (a keep-alive connection's, then
+        the next connections it accepts), so the trace is activated per
+        dispatch (contextvar token reset on the way out) — never stored on
+        the thread.
         """
         started = time.perf_counter()
         self._status: Optional[int] = None
@@ -393,7 +402,7 @@ class _Handler(_JSONRequestHandler):
         )
 
 
-class V2ServerBase(ThreadingHTTPServer):
+class V2ServerBase(HTTPServer):
     """Shared lifecycle + serving statistics for the v2 serving surfaces.
 
     Both :class:`FairnessHTTPServer` and the shard router
@@ -402,21 +411,36 @@ class V2ServerBase(ThreadingHTTPServer):
     serve ``/v2/metrics``, record HTTP metrics and structured request logs,
     and expose the same drain-on-close, background-serving and context-
     manager semantics — one place to fix means both surfaces get the fix.
+
+    Connections are served by *acceptor threads*.  Each blocks in
+    ``accept()`` on the shared listening socket and serves the connection it
+    got on the same thread, keep-alive loop included, then goes back to
+    ``accept()``: no connection is handed from one thread to another.  A
+    thread that takes a connection while no other thread waits in
+    ``accept()`` starts one more acceptor before it serves, so a new client
+    never queues behind a busy (or idle keep-alive) connection.  Threads
+    are never retired: the pool stays at the most connections ever served
+    at once, plus one waiting in ``accept()``.
+
+    ``shutdown()`` stops accepting and returns once no thread waits in
+    ``accept()``; it never waits for an in-flight request.
+    ``server_close()`` drains: it returns once every thread has written its
+    in-flight response, so a SIGTERM'd ``fairank serve`` (or a restarting
+    shard worker) never cuts a response short.  The handler's socket
+    timeout bounds how long an idle keep-alive connection can hold the
+    drain up.  The threads are daemons (an idle acceptor never leaves
+    ``accept()`` on its own, so it must not hold interpreter exit); the
+    drain is ``server_close()``'s job, and every ``fairank serve`` path
+    runs it.
     """
 
-    # Non-daemon handler threads + block_on_close means ``server_close()``
-    # *drains*: it joins every in-flight handler before returning, so a
-    # SIGTERM'd ``fairank serve`` (or a restarting shard worker) never cuts a
-    # response short.  The handler's socket timeout bounds how long an idle
-    # keep-alive connection can hold the drain up.
-    daemon_threads = False
-    block_on_close = True
     allow_reuse_address = True
     # The default listen backlog (5) drops connections under a concurrent
     # burst; size it for benchmark/batch-style waves of simultaneous clients.
     request_queue_size = 128
 
-    #: Name of the background serving thread (subclasses override).
+    #: Name of the background serving thread (subclasses override); the
+    #: acceptor threads are named ``<thread_name>-conn``.
     thread_name = "fairank-v2"
 
     #: Metric family prefix for this surface's HTTP metrics (the router
@@ -425,6 +449,11 @@ class V2ServerBase(ThreadingHTTPServer):
     metrics_prefix = "fairank_http"
 
     def __init__(self, host: str, port: int, handler_class) -> None:
+        # Set before binding: a failed bind runs server_close().
+        self._acceptors = threading.Condition()
+        self._accepting = 0  # threads in (or on their way into) accept()
+        self._connection_threads: Set[threading.Thread] = set()
+        self._shutdown_requested = threading.Event()
         try:
             super().__init__((host, port), handler_class)
         except OSError as error:
@@ -432,7 +461,6 @@ class V2ServerBase(ThreadingHTTPServer):
         self._started = time.monotonic()
         self._requests_served = 0
         self._stats_lock = threading.Lock()
-        self._serving = False
         self.verbose = False
         self.slow_ms: Optional[float] = None
         self.obs = ObsLogger()
@@ -513,14 +541,102 @@ class V2ServerBase(ThreadingHTTPServer):
     # -- lifecycle -------------------------------------------------------------
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
-        self._serving = True
-        super().serve_forever(poll_interval)
+        """Start the first acceptor thread, then wait for :meth:`shutdown`.
+
+        This thread serves no connection itself, so ``shutdown()`` never
+        waits behind a request.  ``poll_interval`` is accepted for the
+        stdlib signature and unused: nothing polls.
+        """
+        with self._acceptors:
+            if not self._shutdown_requested.is_set():
+                self._start_acceptor_locked()
+        self._shutdown_requested.wait()
+
+    def _start_acceptor_locked(self) -> None:
+        """Start one acceptor thread, counted as accepting from the start.
+
+        Counted after ``start()`` succeeds; the new thread cannot uncount
+        itself before then, since that needs the lock the caller holds.
+        """
+        thread = threading.Thread(
+            target=self._accept_and_serve, name=f"{self.thread_name}-conn", daemon=True
+        )
+        thread.start()
+        self._accepting += 1
+        self._connection_threads.add(thread)
+
+    def _accept_and_serve(self) -> None:
+        """An acceptor's life: accept, serve on this thread, repeat until stopped."""
+        accepting = True
+        try:
+            while True:
+                try:
+                    request, client_address = self.get_request()
+                except OSError:
+                    if self._shutdown_requested.is_set():
+                        return
+                    # EMFILE, ENFILE, ENOBUFS...: nothing was accepted and the
+                    # next call would fail the same way, so pause (waking at
+                    # once on shutdown) instead of spinning on the error.
+                    self._shutdown_requested.wait(ACCEPT_RETRY_S)
+                    continue
+                with self._acceptors:
+                    self._accepting -= 1
+                    accepting = False
+                    if not self._accepting and not self._shutdown_requested.is_set():
+                        # Out of threads ("can't start new thread"): serve
+                        # anyway; new clients wait in the listen backlog
+                        # until this thread is back in accept().
+                        with contextlib.suppress(RuntimeError):
+                            self._start_acceptor_locked()
+                self._serve_connection(request, client_address)
+                with self._acceptors:
+                    if self._shutdown_requested.is_set():
+                        return
+                    self._accepting += 1
+                    accepting = True
+        finally:
+            with self._acceptors:
+                if accepting:
+                    self._accepting -= 1
+                self._connection_threads.discard(threading.current_thread())
+                self._acceptors.notify_all()
+
+    def _serve_connection(self, request, client_address) -> None:
+        """``socketserver``'s per-connection contract, on the accepting thread."""
+        try:
+            if self.verify_request(request, client_address):
+                self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
+        finally:
+            self.shutdown_request(request)
+
+    def shutdown(self) -> None:
+        """Stop accepting; return once no thread waits in ``accept()``.
+
+        Safe from any thread, before or after ``serve_forever`` starts, and
+        more than once.  In-flight requests are not waited for.
+        """
+        with self._acceptors:
+            if not self._shutdown_requested.is_set():
+                self._shutdown_requested.set()
+                # Linux wakes every thread blocked in accept() on a listening
+                # socket that is shut down; accept() then fails (EINVAL).  A
+                # socket that never listened (a failed bind) has no waiter.
+                with contextlib.suppress(OSError):
+                    self.socket.shutdown(socket.SHUT_RDWR)
+            self._acceptors.wait_for(lambda: not self._accepting)
+
+    def server_close(self) -> None:
+        """Stop accepting, close the listener, then drain every connection."""
+        self.shutdown()
+        super().server_close()
+        with self._acceptors:
+            self._acceptors.wait_for(lambda: not self._connection_threads)
 
     def serve_in_background(self, name: Optional[str] = None) -> threading.Thread:
         """Start ``serve_forever`` on a daemon thread (tests and benchmarks)."""
-        # Flagged here too: __exit__ may run before the thread is scheduled,
-        # and BaseServer.shutdown() deadlocks unless serve_forever runs.
-        self._serving = True
         thread = threading.Thread(
             target=self.serve_forever, name=name or self.thread_name, daemon=True
         )
@@ -531,17 +647,16 @@ class V2ServerBase(ThreadingHTTPServer):
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        if self._serving:
-            self.shutdown()
         self.server_close()
 
 
 class FairnessHTTPServer(V2ServerBase):
     """A threaded HTTP server over one shared :class:`FairnessService`.
 
-    HTTP concurrency is one thread per connection.  A ``/v2/batch`` runs
-    its slots one after another in its connection's thread, under that
-    request's trace (see :class:`~repro.service.executor.BatchExecutor`).
+    Each connection is served on the acceptor thread that accepted it
+    (:class:`V2ServerBase`).  A ``/v2/batch`` runs its slots one after
+    another on that thread, under that request's trace (see
+    :class:`~repro.service.executor.BatchExecutor`).
 
     Parameters
     ----------

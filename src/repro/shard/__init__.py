@@ -15,8 +15,9 @@ while the fleet as a whole serves the full catalogue in parallel.
 * :mod:`repro.shard.pool` — :class:`WorkerPool`, the subprocess lifecycle:
   boot on ephemeral ports, readiness-poll ``/v2/health``, restart-on-crash
   with capped exponential backoff;
-* :mod:`repro.shard.router` — :class:`ShardRouter`, the stdlib
-  ``ThreadingHTTPServer`` front: per-kind forwarding with retry-on-failure,
+* :mod:`repro.shard.router` — :class:`ShardRouter`, the stdlib HTTP front
+  (the same acceptor threads as the single-process server: each serves the
+  connections it accepts): per-kind forwarding with retry-on-failure,
   ``/v2/batch`` split/fan-out/reassembly, aggregated ``/v2/health`` and a
   proxied ``/v2/catalog``.
 """

@@ -223,6 +223,11 @@ class ShardRouter(V2ServerBase):
         verbose: bool = False,
         slow_ms: Optional[float] = None,
     ) -> None:
+        # Set once the router starts closing: interrupts the retry pacing of
+        # any request still sweeping the fleet, so server_close()'s drain is
+        # never stalled for the rest of a retry window.  Made before binding:
+        # a failed bind runs server_close().
+        self._stopping = threading.Event()
         super().__init__(host, port, _RouterHandler)
         self.pool = pool
         self.fingerprints: FingerprintIndex = dict(fingerprints or {})
@@ -230,15 +235,11 @@ class ShardRouter(V2ServerBase):
         self.retry_window_s = retry_window_s
         self.configure_observability(verbose=verbose, slow_ms=slow_ms)
         self._retried_forwards = 0
-        # Set once the router starts closing: interrupts the retry pacing of
-        # any request still sweeping the fleet, so server_close()'s drain is
-        # never stalled for the rest of a retry window.
-        self._stopping = threading.Event()
 
     def server_close(self) -> None:
         """Close the listener, interrupting any in-flight retry pauses first.
 
-        ``server_close`` drains (it joins in-flight handler threads); a
+        ``server_close`` drains (it waits for every in-flight response); a
         handler pacing between fleet sweeps wakes immediately and answers
         503 instead of serving out up to ``retry_window_s`` of sleep.
         """

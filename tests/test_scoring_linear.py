@@ -1,5 +1,7 @@
 """Tests for repro.scoring.linear and repro.scoring.base."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +118,23 @@ class TestScoring:
         # A scoring function only ever sees validated numeric columns.
         with pytest.raises(DataError, match="invalid value 'high' for attribute 'Skill'"):
             Dataset.from_records(schema, [{"Gender": "F", "Skill": "high", "Rating": 0.5}])
+
+    @pytest.mark.parametrize("bad", ["high", None])
+    def test_unvalidated_non_numeric_value_is_a_data_error(self, schema, bad):
+        # validate=False skips the ingest check (snapshot loads use it): the
+        # bad value must still surface as DataError naming attribute and value.
+        from repro.data.dataset import _build_store
+
+        columns = {"Gender": ["F", "M"], "Skill": [0.5, bad], "Rating": [0.1, 0.2]}
+        unchecked = Dataset(
+            schema, _build_store(schema, columns, ["w1", "w2"]), name="raw",
+            validate=False,
+        )
+        message = f"non-numeric value {bad!r} for numeric attribute 'Skill'"
+        with pytest.raises(DataError, match=re.escape(message)):
+            unchecked.numeric_column("Skill")
+        with pytest.raises(DataError, match=re.escape(message)):
+            LinearScoringFunction({"Skill": 1.0}).score_dataset(unchecked)
 
     def test_validate_against_schema(self, schema):
         LinearScoringFunction({"Skill": 1.0}).validate_against(schema)

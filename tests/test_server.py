@@ -328,6 +328,37 @@ class TestErrorMapping:
         assert payload["error"]["code"] == "scoring"
         assert "sum is not finite" in payload["error"]["message"]
 
+    def test_non_numeric_value_in_an_unvalidated_dataset_is_422_data(self):
+        """A dataset built with ``validate=False`` may hold a non-number in a
+        numeric column: scoring it answers a structured 4xx, never a 500."""
+        from repro.data.dataset import Dataset, _build_store
+
+        table1 = load_example_table1()
+        records = table1.to_records()
+        columns = {
+            attribute.name: [record[attribute.name] for record in records]
+            for attribute in table1.schema
+        }
+        columns["Rating"][3] = "high"
+        service = build_service()
+        service.register_dataset(
+            Dataset(
+                table1.schema, _build_store(table1.schema, columns, table1.uids),
+                name="raw", validate=False,
+            ),
+            name="raw",
+        )
+        with FairnessHTTPServer(service, port=0) as running:
+            running.serve_in_background()
+            status, payload = raw_call(
+                running, "/v2/quantify", method="POST",
+                body=json.dumps({"dataset": "raw", "function": "table1-f"}).encode(),
+            )
+        assert status == 422
+        assert payload["error"]["code"] == "data"
+        assert "'high'" in payload["error"]["message"]
+        assert "'Rating'" in payload["error"]["message"]
+
     def test_unknown_endpoint_is_404(self, server):
         status, payload = raw_call(server, "/v2/nonsense", method="POST", body=b"{}")
         assert status == 404
@@ -473,6 +504,122 @@ class TestServerLifecycle:
         ghost = HTTPFairnessClient("http://127.0.0.1:9", timeout=2)
         with pytest.raises(ServiceError, match="cannot reach"):
             ghost.quantify("table1", "table1-f")
+
+
+QUANTIFY_BODY = json.dumps({"dataset": "table1", "function": "table1-f"})
+
+
+class TestAcceptorThreads:
+    """Each connection is served on the thread that accepted it."""
+
+    def test_sequential_fresh_connections_start_at_most_one_thread(
+        self, server, sequential_thread_starts
+    ):
+        started = sequential_thread_starts(server, "/v2/quantify", QUANTIFY_BODY, 50)
+        assert len(started) <= 1, f"50 sequential connections started {started}"
+
+    def test_client_is_answered_beside_idle_keepalive_connections(
+        self, server, answer_beside_idle_keepalives
+    ):
+        status, elapsed = answer_beside_idle_keepalives(
+            server, "/v2/quantify", QUANTIFY_BODY, idle=8
+        )
+        assert status == 200
+        assert elapsed < 1.0, f"the 9th client waited {elapsed:.3f}s"
+
+    def test_shutdown_never_waits_for_an_in_flight_request(
+        self, request_gate, shutdown_with_request_in_flight
+    ):
+        service = build_service()
+        service.execute = request_gate.hold(service.execute)
+        server = FairnessHTTPServer(service, port=0)
+        shutdown_s, close_s, status, body = shutdown_with_request_in_flight(
+            server, request_gate, "/v2/quantify", QUANTIFY_BODY
+        )
+        assert shutdown_s < 1.0, f"shutdown() waited {shutdown_s:.3f}s"
+        assert close_s >= 0.2, "server_close() returned before the response"
+        assert status == 200
+        expected = build_service().execute(
+            QuantifyRequest(dataset="table1", function="table1-f")
+        ).canonical()
+        assert ServiceResult.from_json(json.loads(body)).canonical() == expected
+
+    def test_concurrent_clients_leave_consistent_acceptor_counts(self):
+        """Sixteen clients on two cores, a tiny switch interval: a lost update
+        to the acceptor bookkeeping would hang ``shutdown()`` or the drain."""
+        import sys
+        import threading
+
+        server = FairnessHTTPServer(build_service(), port=0)
+        server.serve_in_background()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=16) as clients:
+                statuses = list(clients.map(
+                    lambda _: raw_call(server, "/v2/health")[0], range(160)
+                ))
+        finally:
+            sys.setswitchinterval(interval)
+            closer = threading.Thread(target=server.server_close)
+            closer.start()
+            closer.join(10)
+        assert not closer.is_alive(), "shutdown or drain hung"
+        assert statuses == [200] * 160
+        assert server._accepting == 0 and not server._connection_threads
+
+    def test_shutdown_before_serve_forever_returns_at_once(self):
+        server = FairnessHTTPServer(FairnessService(), port=0)
+        server.shutdown()
+        serving = server.serve_in_background()
+        serving.join(5)
+        assert not serving.is_alive()
+        server.server_close()
+
+    def test_serving_goes_on_when_no_thread_can_be_started(self, monkeypatch):
+        import threading
+
+        server = FairnessHTTPServer(build_service(), port=0)
+        start = threading.Thread.start
+        acceptors = []
+
+        def one_acceptor_only(thread):
+            if thread.name.endswith("-conn"):
+                acceptors.append(thread.name)
+                if len(acceptors) > 1:
+                    raise RuntimeError("can't start new thread")
+            return start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", one_acceptor_only)
+        with server:
+            server.serve_in_background()
+            statuses = [raw_call(server, "/v2/health")[0] for _ in range(5)]
+        assert statuses == [200] * 5
+        assert len(acceptors) == 6  # the first, then one refused spare per request
+
+    def test_accept_errors_back_off_instead_of_spinning(self, monkeypatch):
+        import errno
+        import time
+
+        from repro.server.http import ACCEPT_RETRY_S
+
+        server = FairnessHTTPServer(build_service(), port=0)
+        accept = server.get_request
+        failures = []
+
+        def out_of_descriptors():
+            if len(failures) < 3:
+                failures.append(time.perf_counter())
+                raise OSError(errno.EMFILE, "Too many open files")
+            return accept()
+
+        monkeypatch.setattr(server, "get_request", out_of_descriptors)
+        with server:
+            server.serve_in_background()
+            status, _ = raw_call(server, "/v2/health")
+        assert status == 200
+        assert len(failures) == 3
+        assert failures[-1] - failures[0] >= 2 * ACCEPT_RETRY_S * 0.9
 
 
 class TestServeCLI:

@@ -636,6 +636,52 @@ class TestShutdownUnderRetry:
         assert statuses == [503], "the paced request must answer 503, not hang"
 
 
+QUANTIFY_BODY = json.dumps({"dataset": "table1", "function": "table1-f"})
+
+
+class TestRouterAcceptorThreads:
+    """The router's ingress serves each connection on its accepting thread."""
+
+    def test_sequential_fresh_connections_start_at_most_one_thread(
+        self, fleet, sequential_thread_starts
+    ):
+        _, router, _ = fleet
+        started = sequential_thread_starts(router, "/v2/quantify", QUANTIFY_BODY, 50)
+        assert len(started) <= 1, f"50 sequential connections started {started}"
+
+    def test_client_is_answered_beside_idle_keepalive_connections(
+        self, fleet, answer_beside_idle_keepalives
+    ):
+        _, router, _ = fleet
+        status, elapsed = answer_beside_idle_keepalives(
+            router, "/v2/quantify", QUANTIFY_BODY, idle=8
+        )
+        assert status == 200
+        assert elapsed < 1.0, f"the 9th client waited {elapsed:.3f}s"
+
+    def test_shutdown_never_waits_for_an_in_flight_request(
+        self, fleet, snapshot, reference, request_gate, shutdown_with_request_in_flight
+    ):
+        pool, _, _ = fleet
+        # A second router over the module's fleet: closing it leaves the
+        # pool (and the module's own router) serving.
+        router = ShardRouter(pool, fingerprints=snapshot_fingerprints(snapshot))
+        router.forward = request_gate.hold(router.forward)
+        shutdown_s, close_s, status, body = shutdown_with_request_in_flight(
+            router, request_gate, "/v2/quantify", QUANTIFY_BODY
+        )
+        assert shutdown_s < 1.0, f"shutdown() waited {shutdown_s:.3f}s"
+        assert close_s >= 0.2, "server_close() returned before the response"
+        assert status == 200
+        expected = reference.quantify("table1", "table1-f").canonical()
+        assert ServiceResult.from_json(json.loads(body)).canonical() == expected
+
+    def test_binding_a_taken_port_raises_service_error(self, fleet):
+        pool, router, _ = fleet
+        with pytest.raises(ServiceError, match="cannot bind"):
+            ShardRouter(pool, port=router.port)
+
+
 class TestWarmRestart:
     """--warm-dir: a restarted fleet serves hot, byte-identically."""
 
