@@ -28,6 +28,14 @@ pins the perf trajectory of that layer:
   store pool; every payload must equal, byte for byte, the one built from
   ``reference_quantify`` plus ``reference_breakdown``; the median is
   recorded;
+* **ranks-only leg** — the function-opaque shape served: each round one
+  cold ``use_ranks_only`` quantify through ``FairnessService.execute``
+  (the seed-1 100k population, ``min_partition_size`` 2000, a fresh
+  function per round), so the ranking, the rank-derived scorer and its
+  fingerprint are all built inside the timed call; every payload must
+  equal, byte for byte, the one built from ``reference_quantify`` plus
+  ``reference_breakdown`` over the same ``RankDerivedScorer``; the median
+  is recorded;
 * **root-candidates leg** — at 100k rows, the six root candidate splits
   of a fresh store (its attributes counted in packs, one ``bincount`` per
   pack) must equal the per-attribute reference
@@ -80,8 +88,8 @@ from repro.roles.auditor import Auditor
 from repro.roles.end_user import EndUser
 from repro.roles.job_owner import JobOwner
 from repro.scoring.linear import LinearScoringFunction
-from repro.scoring.rank import observed_function
-from repro.service import FairnessService, SweepRequest
+from repro.scoring.rank import RankDerivedScorer, observed_function
+from repro.service import FairnessService, QuantifyRequest, SweepRequest
 
 from benchmarks.results import REPO_ROOT, write_results
 from tests.scoring_reference import (
@@ -114,6 +122,12 @@ WHATIF_ROUNDS = 9
 SWEEP_POPULATION = 100_000
 SWEEP_MIN_PARTITION = 2000
 SWEEP_ROUNDS = 9
+
+#: The ranks-only leg (a cold use_ranks_only quantify per round at 100k rows).
+RANKS_POPULATION = 100_000
+RANKS_SEED = 1
+RANKS_MIN_PARTITION = 2000
+RANKS_ROUNDS = 9
 
 #: The root-candidates leg (the six root candidate splits at 100k rows).
 ROOT_POPULATION = 100_000
@@ -433,6 +447,81 @@ def test_sweep_service_leg():
                 "population": SWEEP_POPULATION,
                 "min_partition_size": SWEEP_MIN_PARTITION,
                 "rounds": SWEEP_ROUNDS,
+                "median_ms": round(median * 1000, 2),
+                "identical_results": True,
+            }
+        }
+    )
+
+
+def _reference_ranks_payload(dataset: Dataset, name: str, scorer: RankDerivedScorer):
+    """A ranks-only quantify payload built from the direct reference alone."""
+    result = reference_quantify(dataset, scorer, min_partition_size=RANKS_MIN_PARTITION)
+    breakdown = reference_breakdown(result.partitioning, scorer)
+    return {
+        "dataset": dataset.name,
+        "function": name,
+        "formulation": result.formulation.name,
+        "population": len(dataset),
+        "unfairness": result.unfairness,
+        "partitions": [
+            {"label": label, "size": size}
+            for label, size in zip(result.partitioning.labels, result.partitioning.sizes)
+        ],
+        "splits_evaluated": result.splits_evaluated,
+        "most_favored": breakdown.most_favored,
+        "least_favored": breakdown.least_favored,
+        "pairwise": [
+            [first, second, value] for (first, second), value in breakdown.pairwise.items()
+        ],
+    }
+
+
+def test_ranks_only_leg():
+    """Cold ranks-only quantify requests through the service at 100k rows.
+
+    Each round registers a fresh function, so the request misses the result
+    cache and the store pool: the ranking, the rank-derived scorer, its
+    fingerprint, one scoring pass and the search all run inside the timed
+    ``execute``.  Every payload must be byte-identical to the one built from
+    the direct reference over the same ``RankDerivedScorer``.
+    """
+    dataset = synthetic_population(size=RANKS_POPULATION, seed=RANKS_SEED)
+    service = FairnessService()
+    service.register_dataset(dataset, name=dataset.name)
+    elapsed: List[float] = []
+    for round_index in range(RANKS_ROUNDS + 1):
+        share = 0.07 + 0.9 * round_index / RANKS_ROUNDS
+        function = LinearScoringFunction(
+            {"Language Test": share, "Rating": 1.0 - share}, name=f"ranks-{round_index}"
+        )
+        name = service.register_function(function)
+        request = QuantifyRequest(
+            dataset=dataset.name, function=name,
+            min_partition_size=RANKS_MIN_PARTITION, use_ranks_only=True,
+        )
+        started = time.perf_counter()
+        served = service.execute(request)
+        took = time.perf_counter() - started
+        assert served.ok and not served.cached, served.error
+        scorer = RankDerivedScorer(function.rank(dataset), name=f"{name}-from-ranks")
+        expected = _reference_ranks_payload(dataset, name, scorer)
+        assert json.dumps(served.payload) == json.dumps(expected)
+        if round_index:  # round 0 builds the dataset's codings
+            elapsed.append(took)
+    median = statistics.median(elapsed)
+    print()
+    print(
+        f"ranks-only quantify {RANKS_POPULATION} rows: median {median * 1000:.2f}ms over "
+        f"{RANKS_ROUNDS} fresh functions"
+    )
+    _write_results(
+        {
+            "ranks_only_100k": {
+                "population": RANKS_POPULATION,
+                "seed": RANKS_SEED,
+                "min_partition_size": RANKS_MIN_PARTITION,
+                "rounds": RANKS_ROUNDS,
                 "median_ms": round(median * 1000, 2),
                 "identical_results": True,
             }

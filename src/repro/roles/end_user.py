@@ -32,8 +32,8 @@ from repro.data.filters import And, Equals, Filter
 from repro.errors import MarketplaceError
 from repro.marketplace.entities import Marketplace
 from repro.roles.report import ReportTable
-from repro.scoring.base import ScoringFunction, rank_by_score
-from repro.scoring.rank import observed_function
+from repro.scoring.base import ScoringFunction, rank_order
+from repro.scoring.rank import exposure_discount, observed_function
 
 __all__ = ["GroupOutcome", "EndUser"]
 
@@ -135,12 +135,15 @@ class EndUser:
         group = Partition(constraints=tuple(self.group.items()), members=members)
         member_scores = store.scores(group)
 
-        ranking = rank_by_score(candidates, function, scores=all_scores)
-        member_positions = [ranking.position(uid) for uid in members.uids]
-        exposure = sum(1.0 / np.log2(position + 1) for position in member_positions)
-        total_exposure = sum(
-            1.0 / np.log2(position + 1) for position in range(1, len(ranking) + 1)
-        )
+        # 1-based rank of every candidate (the inverse of the rank order),
+        # gathered at the members' rows.  Both exposure sums run left to
+        # right, one rounding per term (``np.sum`` would sum pairwise).
+        order = rank_order(candidates.uids, all_scores)
+        positions = np.empty(len(order), dtype=np.intp)
+        positions[order] = np.arange(1, len(order) + 1)
+        member_positions = positions[members.indices_in(candidates)]
+        exposure = np.cumsum(exposure_discount(member_positions))[-1]
+        total_exposure = np.cumsum(exposure_discount(np.arange(1, len(order) + 1)))[-1]
 
         binning = self.formulation.effective_binning
         member_counts = store._counts(group, binning)

@@ -25,7 +25,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.errors import ScoringError
 
-__all__ = ["ScoringFunction", "Ranking", "rank_by_score", "frozen_scores"]
+__all__ = ["ScoringFunction", "Ranking", "rank_by_score", "rank_order", "frozen_scores"]
 
 
 def frozen_scores(function: "ScoringFunction", dataset: "Dataset") -> np.ndarray:
@@ -82,60 +82,45 @@ class ScoringFunction:
         return f"<{type(self).__name__} {self.describe()}>"
 
 
-@dataclass(frozen=True)
+def rank_order(uids: Sequence[str], scores: np.ndarray) -> np.ndarray:
+    """Row positions best first: decreasing score, ties by uid, NaN last.
+
+    The one definition of a ranking's order (ties among NaN scores are
+    broken by uid too): one ``np.lexsort``.
+    """
+    return np.lexsort((np.array(uids, dtype=str), -scores))
+
+
+@dataclass(frozen=True, eq=False)
 class Ranking:
     """An ordered ranking of individuals with their (possibly hidden) scores.
 
-    ``entries`` is a tuple of ``(uid, score)`` pairs ordered best-first.  When
-    the scoring function is opaque the scores carried here are *not* shown to
-    the auditor — only positions are (see :class:`repro.scoring.rank.RankDerivedScorer`).
+    ``uids`` are the individuals' ids, best first, and ``scores`` is a
+    read-only float array aligned with them.  When the scoring function is
+    opaque the scores carried here are *not* shown to the auditor — only
+    positions are (see :class:`repro.scoring.rank.RankDerivedScorer`).
     """
 
-    entries: Tuple[Tuple[str, float], ...]
+    uids: Tuple[str, ...]
+    scores: np.ndarray
     function_name: str = "scoring-function"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple((str(u), float(s)) for u, s in self.entries))
-        uids = [uid for uid, _ in self.entries]
+        uids = tuple(self.uids)
+        scores = np.array(self.scores, dtype=float)
+        scores.setflags(write=False)
+        if scores.shape != (len(uids),):
+            raise ScoringError(
+                f"a ranking needs one score per individual: {len(uids)} uids, "
+                f"scores of shape {scores.shape}"
+            )
         if len(set(uids)) != len(uids):
             raise ScoringError("ranking contains duplicate individuals")
+        object.__setattr__(self, "uids", uids)
+        object.__setattr__(self, "scores", scores)
 
     def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    @property
-    def uids(self) -> Tuple[str, ...]:
-        """The individuals' ids, best first."""
-        return tuple(uid for uid, _ in self.entries)
-
-    @property
-    def scores(self) -> Tuple[float, ...]:
-        """Scores aligned with :attr:`uids`."""
-        return tuple(score for _, score in self.entries)
-
-    def _index(self, uid: str) -> int:
-        """0-based index of ``uid``; the uid map is built once, on first use."""
-        index = self.__dict__.get("_uid_index")
-        if index is None:
-            index = {candidate: row for row, (candidate, _) in enumerate(self.entries)}
-            object.__setattr__(self, "_uid_index", index)
-        try:
-            return index[uid]
-        except KeyError:
-            raise ScoringError(f"individual {uid!r} does not appear in the ranking") from None
-
-    def position(self, uid: str) -> int:
-        """1-based position of ``uid`` in the ranking."""
-        return self._index(uid) + 1
-
-    def top(self, k: int) -> Tuple[str, ...]:
-        """Ids of the best ``k`` individuals."""
-        if k < 0:
-            raise ScoringError(f"top-k requires k >= 0, got {k}")
-        return self.uids[:k]
+        return len(self.uids)
 
 
 def rank_by_score(
@@ -145,14 +130,12 @@ def rank_by_score(
 
     ``scores`` are the function's scores of ``dataset`` in row order when the
     caller already holds them (a score store's vector); otherwise the
-    dataset is scored here.  Rows are ordered by decreasing score, ties by
-    uid, and NaN scores last (ties among them by uid too): one
-    ``np.lexsort``.
+    dataset is scored here.  The order is :func:`rank_order`'s.
     """
     if scores is None:
         scores = function.score_dataset(dataset)
     scores = np.asarray(scores, dtype=float)
     uids = dataset.uids
-    order = np.lexsort((np.array(uids, dtype=str), -scores)).tolist()
-    entries = tuple((uids[i], float(scores[i])) for i in order)
-    return Ranking(entries=entries, function_name=function.name)
+    order = rank_order(uids, scores)
+    ranked = tuple(np.array(uids, dtype=object)[order])
+    return Ranking(ranked, scores[order], function.name)

@@ -19,7 +19,6 @@ Two position-to-score conventions are provided:
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Literal
 
 import numpy as np
@@ -28,9 +27,14 @@ from repro.data.dataset import Dataset
 from repro.errors import ScoringError
 from repro.scoring.base import Ranking, ScoringFunction
 
-__all__ = ["RankDerivedScorer", "OpaqueScoringFunction", "observed_function"]
+__all__ = ["RankDerivedScorer", "OpaqueScoringFunction", "exposure_discount", "observed_function"]
 
 PositionWeighting = Literal["linear", "exposure"]
+
+
+def exposure_discount(positions: np.ndarray) -> np.ndarray:
+    """The attention a 1-based ranking position receives: ``1 / log2(position + 1)``."""
+    return 1.0 / np.log2(positions + 1)
 
 
 class RankDerivedScorer(ScoringFunction):
@@ -55,25 +59,16 @@ class RankDerivedScorer(ScoringFunction):
         self._scores = self._derive_scores()
 
     def _derive_scores(self) -> Dict[str, float]:
+        """One vector expression over the positions, as a ``{uid: score}`` table."""
         count = len(self.ranking)
-        scores: Dict[str, float] = {}
         if self.weighting == "linear":
-            for position, (uid, _) in enumerate(self.ranking, start=1):
-                if count == 1:
-                    scores[uid] = 1.0
-                else:
-                    scores[uid] = 1.0 - (position - 1) / (count - 1)
+            derived = 1.0 - np.arange(count) / max(count - 1, 1)
         else:  # exposure
-            raw = {
-                uid: 1.0 / math.log2(position + 1)
-                for position, (uid, _) in enumerate(self.ranking, start=1)
-            }
-            max_exposure = max(raw.values())
-            min_exposure = min(raw.values())
-            span = max_exposure - min_exposure
-            for uid, exposure in raw.items():
-                scores[uid] = 1.0 if span == 0 else (exposure - min_exposure) / span
-        return scores
+            raw = exposure_discount(np.arange(1, count + 1))
+            low = raw.min()
+            span = raw.max() - low
+            derived = (raw - low) / span if span else np.ones(count)
+        return dict(zip(self.ranking.uids, derived.tolist()))
 
     def score_dataset(self, dataset: Dataset) -> np.ndarray:
         """Look every row's score up by uid, in row order (no row objects)."""
@@ -97,8 +92,7 @@ class RankDerivedScorer(ScoringFunction):
         digest = hashlib.sha256()
         digest.update(b"rank-derived\x00")
         digest.update(self.weighting.encode("ascii") + b"\x00")
-        for uid in self.ranking.uids:
-            digest.update(uid.encode("utf-8") + b"\x00")
+        digest.update("\x00".join(self.ranking.uids).encode("utf-8") + b"\x00")
         return digest.hexdigest()
 
 

@@ -79,13 +79,16 @@ class _StdoutPump:
 
     def _pump(self, process: subprocess.Popen) -> None:
         assert process.stdout is not None
-        for line in process.stdout:
-            self.tail.append(line.rstrip())
-            if not self.port_found.is_set():
-                match = _PORT_PATTERN.search(line)
-                if match:
-                    self.port = int(match.group(1))
-                    self.port_found.set()
+        # EOF means the worker is gone (stopped, crashed or killed after a
+        # boot timeout): close the pipe then, so no restart leaks one.
+        with process.stdout:
+            for line in process.stdout:
+                self.tail.append(line.rstrip())
+                if not self.port_found.is_set():
+                    match = _PORT_PATTERN.search(line)
+                    if match:
+                        self.port = int(match.group(1))
+                        self.port_found.set()
         # EOF: release any waiter so boot failure is detected promptly.
         self.port_found.set()
 

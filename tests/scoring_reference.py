@@ -10,12 +10,19 @@ group-by splits on top of that.  The store-equivalence tests and
 ``benchmarks/bench_quantify.py`` compare the store against it: results must
 match exactly, and the store must be faster.
 
+The rank-derived scores of the function-opaque setting and the end
+user's rank statistics have their one-position-at-a-time references here
+too (:func:`reference_rank_scores`, :func:`reference_rank_fingerprint`,
+:func:`reference_group_ranks`): the library computes them as arrays.
+
 Tests import it as ``scoring_reference``; the benchmarks as
 ``tests.scoring_reference``.
 """
 
 from __future__ import annotations
 
+import hashlib
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +35,7 @@ from repro.core.unfairness import UnfairnessBreakdown
 from repro.data.dataset import Dataset, order_values
 from repro.data.schema import Attribute
 from repro.metrics.histogram import Binning, Histogram, build_histogram
-from repro.scoring.base import ScoringFunction, frozen_scores
+from repro.scoring.base import Ranking, ScoringFunction, frozen_scores
 
 if __package__:  # imported as ``tests.scoring_reference``
     from tests.distance_reference import reference_pairwise
@@ -41,7 +48,10 @@ __all__ = [
     "reference_breakdown",
     "reference_candidate_counts",
     "reference_candidate_split",
+    "reference_group_ranks",
     "reference_quantify",
+    "reference_rank_fingerprint",
+    "reference_rank_scores",
     "reference_statistics",
     "reference_unfairness",
 ]
@@ -262,3 +272,54 @@ def reference_quantify(
         formulation=formulation,
         splits_evaluated=splits_evaluated,
     )
+
+
+def reference_rank_scores(ranking: Ranking, weighting: str) -> Dict[str, float]:
+    """Rank-derived scores one position at a time (``math.log2`` for exposure).
+
+    ``linear``: the best gets 1.0, the worst 0.0, evenly spaced; ``exposure``:
+    ``1 / log2(position + 1)`` min-max scaled to [0, 1].
+    """
+    count = len(ranking)
+    scores: Dict[str, float] = {}
+    if weighting == "linear":
+        for position, uid in enumerate(ranking.uids, start=1):
+            if count == 1:
+                scores[uid] = 1.0
+            else:
+                scores[uid] = 1.0 - (position - 1) / (count - 1)
+        return scores
+    raw = {
+        uid: 1.0 / math.log2(position + 1)
+        for position, uid in enumerate(ranking.uids, start=1)
+    }
+    max_exposure = max(raw.values())
+    min_exposure = min(raw.values())
+    span = max_exposure - min_exposure
+    for uid, exposure in raw.items():
+        scores[uid] = 1.0 if span == 0 else (exposure - min_exposure) / span
+    return scores
+
+
+def reference_rank_fingerprint(ranking: Ranking, weighting: str) -> str:
+    """The rank-derived scorer's fingerprint, one ``update`` per uid."""
+    digest = hashlib.sha256()
+    digest.update(b"rank-derived\x00")
+    digest.update(weighting.encode("ascii") + b"\x00")
+    for uid in ranking.uids:
+        digest.update(uid.encode("utf-8") + b"\x00")
+    return digest.hexdigest()
+
+
+def reference_group_ranks(ranking: Ranking, members: Dataset) -> Tuple[float, float]:
+    """A group's mean rank and exposure share, one member at a time.
+
+    Positions are looked up by uid, and both exposure sums are generator
+    sums over ``1 / np.log2(position + 1)``, left to right.
+    """
+    position = {uid: rank for rank, uid in enumerate(ranking.uids, start=1)}
+    member_positions = [position[uid] for uid in members.uids]
+    exposure = sum(1.0 / np.log2(rank + 1) for rank in member_positions)
+    total_exposure = sum(1.0 / np.log2(rank + 1) for rank in range(1, len(ranking) + 1))
+    share = float(exposure / total_exposure) if total_exposure else 0.0
+    return float(np.mean(member_positions)), share

@@ -312,6 +312,7 @@ class TestServerObservability:
         )
         with pytest.raises(urllib.error.HTTPError) as caught:
             urllib.request.urlopen(request, timeout=30)
+        caught.value.close()  # the error holds the response and its socket
         assert caught.value.code == 405
 
     def test_trace_header_is_echoed_and_lands_in_timings(self, server):

@@ -1,9 +1,17 @@
 """Tests for the END-USER role workflow."""
 
+from collections import Counter
+
 import pytest
 
+from repro.core.unfairness import pairwise_distances
 from repro.errors import MarketplaceError
+from repro.experiments.workloads import crowdsourcing_marketplace
+from repro.metrics.histogram import build_histogram
 from repro.roles.end_user import EndUser
+from repro.scoring.base import rank_by_score
+from repro.scoring.rank import observed_function
+from scoring_reference import reference_group_ranks
 
 
 @pytest.fixture(scope="module")
@@ -86,3 +94,57 @@ class TestComparisons:
     ):
         with pytest.raises(MarketplaceError):
             end_user.compare_marketplaces([crowdsourcing_marketplace_fixture], "Unicorn grooming")
+
+
+def lone_member_group(candidates):
+    """Protected-attribute values that exactly one candidate holds."""
+    names = candidates.schema.protected_names
+    combos = Counter(
+        tuple(record[name] for name in names) for record in candidates.to_records()
+    )
+    lone = next(combo for combo, count in combos.items() if count == 1)
+    return dict(zip(names, lone))
+
+
+@pytest.fixture(scope="module", params=[400, 5000])
+def sized_marketplace(request):
+    return crowdsourcing_marketplace(request.param, seed=1)
+
+
+class TestRankStatisticsMatchTheMemberByMemberReference:
+    """mean_rank, exposure_share and emd_vs_rest, bit for bit, against member
+    positions looked up one uid at a time and generator sums of discounts."""
+
+    @pytest.mark.parametrize("case", ["group", "lone member", "every candidate"])
+    def test_outcome_hex_equals_reference(self, sized_marketplace, case):
+        title = "English transcription" if case == "every candidate" else "Content writing"
+        job = sized_marketplace.job(title)
+        candidates = job.candidates(sized_marketplace.workers)
+        group = {
+            "group": {"Gender": "Female"},
+            "lone member": lone_member_group(candidates),
+            "every candidate": {"Language": "English"},
+        }[case]
+        user = EndUser(group)
+        outcome = user.assess_job(sized_marketplace, title)
+
+        function = observed_function(job.function, candidates, title)
+        members = candidates.filter(user.group_filter)
+        rest = candidates.filter(~user.group_filter)
+        expected = {"lone member": 1, "every candidate": len(candidates)}.get(case)
+        assert expected in (None, len(members))
+        mean_rank, exposure_share = reference_group_ranks(
+            rank_by_score(candidates, function), members
+        )
+        assert outcome.mean_rank.hex() == mean_rank.hex()
+        assert outcome.exposure_share.hex() == exposure_share.hex()
+        if len(rest):
+            binning = user.formulation.effective_binning
+            histograms = [
+                build_histogram(function.score_dataset(part), binning=binning)
+                for part in (members, rest)
+            ]
+            emd = pairwise_distances(histograms, user.formulation)[0]
+        else:
+            emd = 0.0
+        assert outcome.emd_vs_rest.hex() == float(emd).hex()

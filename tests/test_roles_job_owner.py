@@ -69,7 +69,7 @@ class TestJobOwnerConfiguration:
         from repro.scoring.base import Ranking
         from repro.scoring.rank import RankDerivedScorer
 
-        scorer = RankDerivedScorer(Ranking((("a", 1.0), ("b", 0.5))))
+        scorer = RankDerivedScorer(Ranking(("a", "b"), (1.0, 0.5)))
         with pytest.raises(ScoringError):
             JobOwner().compare_variants(small_population, scorer, overrides=[])
 

@@ -2,18 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.data.dataset import Dataset, DatasetView
 from repro.data.filters import Equals
+from repro.data.schema import Schema, observed
 from repro.errors import ScoringError
 from repro.experiments.workloads import synthetic_population
 from repro.scoring.linear import LinearScoringFunction
-from repro.scoring.base import Ranking
+from repro.scoring.base import Ranking, rank_by_score
 from repro.scoring.rank import OpaqueScoringFunction, RankDerivedScorer
+from scoring_reference import reference_rank_fingerprint, reference_rank_scores
 
 
 @pytest.fixture
 def ranking():
-    return Ranking((("a", 0.9), ("b", 0.7), ("c", 0.5), ("d", 0.1)), function_name="hidden")
+    return Ranking(("a", "b", "c", "d"), (0.9, 0.7, 0.5, 0.1), function_name="hidden")
 
 
 class TestRankDerivedScorer:
@@ -42,12 +47,12 @@ class TestRankDerivedScorer:
         assert top_gap_exposure > top_gap_linear
 
     def test_single_individual_ranking(self):
-        scorer = RankDerivedScorer(Ranking((("only", 0.3),)))
+        scorer = RankDerivedScorer(Ranking(("only",), (0.3,)))
         assert scorer._scores["only"] == pytest.approx(1.0)
 
     def test_empty_ranking_rejected(self):
         with pytest.raises(ScoringError):
-            RankDerivedScorer(Ranking(()))
+            RankDerivedScorer(Ranking((), ()))
 
     def test_unknown_weighting_rejected(self, ranking):
         with pytest.raises(ScoringError):
@@ -75,6 +80,81 @@ class TestRankDerivedScorer:
 
     def test_describe_mentions_weighting(self, ranking):
         assert "linear" in RankDerivedScorer(ranking, weighting="linear").describe()
+
+
+#: Printable uids without NUL (a numpy ``str`` array drops trailing NULs).
+UIDS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    min_size=1,
+    max_size=5,
+)
+SCORES = st.one_of(
+    st.sampled_from((0.0, -0.0, 0.5, -0.5, 1.0, float("nan"))),
+    st.floats(allow_nan=True),
+)
+
+
+def hexes(values):
+    return [float(value).hex() for value in values]
+
+
+class TestRankDerivedMatchesPerPositionOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_scores_lookup_and_fingerprint(self, data):
+        uids = data.draw(st.lists(UIDS, unique=True, min_size=1, max_size=300))
+        scores = data.draw(st.lists(SCORES, min_size=len(uids), max_size=len(uids)))
+        dataset = Dataset.from_records(
+            Schema((observed("Skill"),)),
+            [{"uid": uid, "Skill": 0.5} for uid in uids],
+            uid_field="uid",
+        )
+        ranking = rank_by_score(dataset, LinearScoringFunction({"Skill": 1.0}), scores)
+        positions = data.draw(st.lists(
+            st.integers(0, len(uids) - 1), unique=True, max_size=len(uids)
+        ))
+        view = DatasetView(dataset, np.array(sorted(positions), dtype=np.intp), "view")
+        foreign = Dataset.from_records(
+            Schema((observed("Skill"),)),
+            [{"uid": uid, "Skill": 0.5} for uid in uids[:1] + ["\x00absent"]],
+            uid_field="uid",
+        )
+        for weighting in ("linear", "exposure"):
+            scorer = RankDerivedScorer(ranking, weighting=weighting)
+            oracle = reference_rank_scores(ranking, weighting)
+            assert list(scorer._scores) == list(oracle) == list(ranking.uids)
+            assert hexes(scorer._scores.values()) == hexes(oracle.values())
+            for members in (dataset, view):
+                derived = scorer.score_dataset(members)
+                assert derived.dtype == np.float64
+                assert hexes(derived) == hexes(oracle[uid] for uid in members.uids)
+            with pytest.raises(ScoringError, match="does not appear in the observed ranking"):
+                scorer.score_dataset(foreign)
+            assert scorer.fingerprint() == reference_rank_fingerprint(ranking, weighting)
+
+    def test_fingerprint_bytes_are_pinned(self):
+        # A changed tag, separator or uid encoding moves these: request keys,
+        # pooled stores and warm bundles of rank-derived functions hash them.
+        ranking = Ranking(("w2", "\u00e9", "w10"), (0.9, 0.5, 0.1))
+        assert RankDerivedScorer(ranking).fingerprint() == (
+            "72099a44a5ac0bd8c42908eab5c3cccd48b5111dc17a540ca00620ccc9ea5624"
+        )
+        assert RankDerivedScorer(ranking, weighting="exposure").fingerprint() == (
+            "82cf4d48528680e7e61c654623c128b87496058eb740633ab048fd4e04b1762f"
+        )
+
+
+class TestRankingArrays:
+    def test_scores_are_a_read_only_float_array(self):
+        ranking = Ranking(["a", "b"], [1, 0.5])
+        assert ranking.uids == ("a", "b")
+        assert ranking.scores.dtype == np.float64
+        with pytest.raises(ValueError):
+            ranking.scores[0] = 0.0
+
+    def test_misaligned_scores_are_rejected(self):
+        with pytest.raises(ScoringError, match="one score per individual"):
+            Ranking(("a", "b"), (1.0,))
 
 
 class TestOpaqueScoringFunction:

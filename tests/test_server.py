@@ -658,6 +658,7 @@ class TestServeCLI:
             except subprocess.TimeoutExpired:
                 process.kill()
                 process.wait(timeout=15)
+            process.stdout.close()
 
 
 class TestBatchMalformedSlotsOverHTTP:

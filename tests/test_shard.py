@@ -586,6 +586,33 @@ class TestFailureRecovery:
         assert "worker_boot_failed" not in events
 
 
+class TestWorkerPipes:
+    def test_stop_and_restart_close_every_worker_stdout(self, snapshot):
+        """A worker's stdout pipe is closed once the worker is gone: after a
+        crash restart (the old handle) and after stop() (the replacement)."""
+        pool = WorkerPool(snapshot, 1, backoff_base_s=0.01, backoff_max_s=0.01)
+        pool.start()
+        try:
+            victim = pool.peek(0)
+            victim.process.kill()
+            victim.process.wait(timeout=10)
+            pool.candidates(0)  # reap: schedules the backoff restart
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline and (
+                pool.restarts(0) == 0 or pool.peek(0) is None
+            ):
+                time.sleep(0.05)
+            replacement = pool.peek(0)
+            assert replacement is not None and replacement is not victim
+            victim.pump._thread.join(timeout=10)
+            assert victim.process.stdout.closed
+            assert not replacement.process.stdout.closed
+        finally:
+            pool.stop()
+        replacement.pump._thread.join(timeout=10)
+        assert replacement.process.stdout.closed
+
+
 class TestShutdownUnderRetry:
     def test_server_close_interrupts_the_retry_window(self, snapshot):
         """Regression: retry pacing used a bare sleep, so closing the router
@@ -912,7 +939,15 @@ def boot_serve(arguments, timeout_s=90):
         if time.monotonic() > deadline:
             break
     process.kill()
+    process.wait(timeout=10)
+    process.stdout.close()
     raise AssertionError("server never announced its port")
+
+
+def remaining_output(process) -> str:
+    """The rest of a `fairank serve` subprocess's output; closes its pipe."""
+    with process.stdout:
+        return process.stdout.read()
 
 
 class TestServeCLISharded:
@@ -934,7 +969,7 @@ class TestServeCLISharded:
             except subprocess.TimeoutExpired:
                 process.kill()
                 raise AssertionError("sharded serve did not exit after SIGTERM")
-        assert "shutting down" in process.stdout.read()
+        assert "shutting down" in remaining_output(process)
 
     def test_workers_flag_must_be_positive(self, capsys):
         from repro.cli import main
@@ -954,8 +989,7 @@ class TestServeCLIGracefulShutdown:
         finally:
             process.send_signal(signal.SIGTERM)
         assert process.wait(timeout=30) == 0
-        output = process.stdout.read()
-        assert "shutting down" in output
+        assert "shutting down" in remaining_output(process)
 
     def test_sigint_is_equivalent(self):
         process, port = boot_serve(["--port", "0", "--market-size", "30"])
@@ -963,7 +997,7 @@ class TestServeCLIGracefulShutdown:
         # same port succeeding is the observable proof of a clean close.
         process.send_signal(signal.SIGINT)
         assert process.wait(timeout=30) == 0
-        assert "shutting down" in process.stdout.read()
+        assert "shutting down" in remaining_output(process)
         from repro.server import FairnessHTTPServer
 
         with FairnessHTTPServer(FairnessService(), port=port) as rebound:

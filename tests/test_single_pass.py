@@ -19,7 +19,6 @@ from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
 from repro.core.unfairness import pairwise_distances
 from repro.data.filters import Equals
-from repro.errors import ScoringError
 from repro.experiments.workloads import crowdsourcing_marketplace, synthetic_population
 from repro.marketplace.entities import Marketplace
 from repro.metrics.emd import emd_1d
@@ -27,7 +26,6 @@ from repro.metrics.histogram import build_histogram
 from repro.roles.auditor import Auditor
 from repro.roles.end_user import EndUser
 from repro.roles.job_owner import JobOwner
-from repro.scoring.base import Ranking
 from repro.scoring.linear import LinearScoringFunction
 from repro.session.config import SessionConfig
 from repro.session.engine import FaiRankEngine
@@ -154,7 +152,8 @@ class TestEndUserMatchesDirectScoring:
         ranking = function.rank(candidates)
         assert outcome.mean_score == float(function.score_dataset(members).mean())
         assert outcome.population_mean_score == float(function.score_dataset(candidates).mean())
-        assert outcome.mean_rank == float(np.mean([ranking.position(u) for u in members.uids]))
+        position = {uid: rank for rank, uid in enumerate(ranking.uids, start=1)}
+        assert outcome.mean_rank == float(np.mean([position[u] for u in members.uids]))
         direct = [
             build_histogram(function.score_dataset(members), binning=binning),
             build_histogram(function.score_dataset(rest), binning=binning),
@@ -233,14 +232,3 @@ class TestSlicedUids:
             )
         assert uids == parent.uids
 
-
-class TestRankingIndex:
-    def test_position_matches_enumeration(self):
-        ranking = Ranking(entries=tuple((f"u{i}", 1.0 - i / 100) for i in range(50)))
-        for position, (uid, _) in enumerate(ranking.entries, start=1):
-            assert ranking.position(uid) == position
-
-    def test_unknown_uid_raises(self):
-        ranking = Ranking(entries=(("a", 0.5), ("b", 0.25)))
-        with pytest.raises(ScoringError):
-            ranking.position("ghost")
