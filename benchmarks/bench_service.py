@@ -10,8 +10,9 @@ workload (E11's synthetic populations):
   to serial execution on a fresh service, in the same order;
 * **sweep reuse** — a protocol-v2 ``SweepRequest`` over N weight vectors on
   a 10k-row population must share one materialized scoring pass per vector
-  via the score-store pool (``store_stats`` records the reuse) while staying
-  byte-identical to N serial quantify calls over the same variants.
+  via the score-store pool (the service's ``store_stats`` records the reuse)
+  while staying byte-identical to N serial quantify calls over the same
+  variants.
 """
 
 from __future__ import annotations
@@ -277,7 +278,7 @@ def test_sweep_shares_scoring_passes(benchmark):
     result = service.execute(request)
     sweep_elapsed = time.perf_counter() - started
     assert result.ok and len(result.payload["points"]) == len(SWEEP_WEIGHTS)
-    stats = result.store_stats
+    stats = service.store_stats.as_dict()
     assert stats["misses"] == len(SWEEP_WEIGHTS), "one pooled store per sweep point"
     assert stats["hits"] == 0, "each sweep point scores a new function"
     assert stats["scoring_passes"] == len(SWEEP_WEIGHTS), (

@@ -12,7 +12,8 @@ Exercises the full deployment workflow exactly as an operator would:
    then 20 quantify POSTs on one keep-alive connection within 0.4s, then
    100 quantify POSTs on fresh connections, one after another, over which
    no serving process (router and workers alike) may grow by more than one
-   thread (read from ``/proc/<pid>/status``; skipped where it is absent);
+   thread or four open descriptors (read from ``/proc/<pid>/status`` and
+   ``/proc/<pid>/fd``; skipped where they are absent);
 4. assert every HTTP response is byte-identical (``ServiceResult.canonical``)
    to the in-process :class:`~repro.service.client.FairnessClient` answer
    over a service booted from the *same* snapshot, and that the result
@@ -238,13 +239,15 @@ def check_keepalive(port: int, reference) -> int:
     return failures
 
 
-#: Thread-growth leg: untimed warm-up POSTs, then sequential fresh-connection
-#: POSTs and the threads a serving process may add over them.  One more acceptor may start when a
-#: client reconnects before the thread that answered it is back in
-#: accept(); a thread per connection would add one per request.
-THREAD_GROWTH_WARMUP = 10
-THREAD_GROWTH_POSTS = 100
+#: Growth leg: untimed warm-up POSTs, then sequential fresh-connection POSTs
+#: and what a serving process may add over them.  One more acceptor thread
+#: may start when a client reconnects before the thread that answered it is
+#: back in accept(); a thread per connection would add one per request.  A
+#: descriptor leaked per request (socket, pipe or file) would add 100.
+GROWTH_WARMUP = 10
+GROWTH_POSTS = 100
 THREAD_GROWTH_ALLOWED = 1
+FD_GROWTH_ALLOWED = 4
 
 
 def thread_count(pid: int) -> "int | None":
@@ -259,10 +262,26 @@ def thread_count(pid: int) -> "int | None":
     return None
 
 
-def check_thread_growth(process: subprocess.Popen, port: int, workers: int,
-                        remote) -> int:
+def fd_count(pid: int) -> "int | None":
+    """The entries of ``/proc/<pid>/fd``; None without /proc."""
+    try:
+        return len(os.listdir(f"/proc/{pid}/fd"))
+    except OSError:
+        return None
+
+
+#: ``(what, probe, growth allowed)`` per serving process.
+GROWTH_PROBES = (
+    ("threads", thread_count, THREAD_GROWTH_ALLOWED),
+    ("descriptors", fd_count, FD_GROWTH_ALLOWED),
+)
+
+
+def check_growth(process: subprocess.Popen, port: int, workers: int,
+                 remote) -> int:
     """POST sequentially on fresh connections; no serving process may grow
-    by more than :data:`THREAD_GROWTH_ALLOWED` threads."""
+    by more than :data:`THREAD_GROWTH_ALLOWED` threads or
+    :data:`FD_GROWTH_ALLOWED` open descriptors."""
     import json
     import urllib.request
 
@@ -281,26 +300,32 @@ def check_thread_growth(process: subprocess.Popen, port: int, workers: int,
         with urllib.request.urlopen(request, timeout=60) as response:
             response.read()
 
-    for _ in range(THREAD_GROWTH_WARMUP):  # the first answer may compute
+    def sample():
+        return {(what, name): probe(pid)
+                for what, probe, _ in GROWTH_PROBES for name, pid in pids.items()}
+
+    for _ in range(GROWTH_WARMUP):  # the first answer may compute
         post()
-    before = {name: thread_count(pid) for name, pid in pids.items()}
+    before = sample()
     if None in before.values():
-        print("[e2e] thread growth: skipped (no /proc/<pid>/status here)")
+        print("[e2e] growth: skipped (no /proc/<pid>/status or fd here)")
         return 0
-    for _ in range(THREAD_GROWTH_POSTS):
+    for _ in range(GROWTH_POSTS):
         post()
-    after = {name: thread_count(pid) or 0 for name, pid in pids.items()}
+    after = sample()
     failures = 0
-    for name in pids:
-        if after[name] - before[name] > THREAD_GROWTH_ALLOWED:
-            failures += 1
-            print(f"[e2e] FAIL: {name} went from {before[name]} to {after[name]} "
-                  f"threads over {THREAD_GROWTH_POSTS} sequential connections "
-                  f"(at most {THREAD_GROWTH_ALLOWED} more allowed)")
-    if not failures:
-        counts = ", ".join(f"{name} {before[name]} -> {after[name]}" for name in pids)
-        print(f"[e2e] thread growth over {THREAD_GROWTH_POSTS} sequential "
-              f"connections: {counts}")
+    for what, _, allowed in GROWTH_PROBES:
+        for name in pids:
+            start, end = before[what, name], after[what, name] or 0
+            if end - start > allowed:
+                failures += 1
+                print(f"[e2e] FAIL: {name} went from {start} to {end} {what} "
+                      f"over {GROWTH_POSTS} sequential connections "
+                      f"(at most {allowed} more allowed)")
+        counts = ", ".join(
+            f"{name} {before[what, name]} -> {after[what, name]}" for name in pids
+        )
+        print(f"[e2e] {what} over {GROWTH_POSTS} sequential connections: {counts}")
     return failures
 
 
@@ -633,7 +658,7 @@ def main() -> int:
             failures += check_metrics(port, arguments.workers)
             failures += check_trace(port, arguments.workers)
             failures += check_keepalive(port, reference)
-            failures += check_thread_growth(process, port, arguments.workers, remote)
+            failures += check_growth(process, port, arguments.workers, remote)
         finally:
             failures += shutdown_server(process, "server")
 

@@ -689,20 +689,6 @@ class ScoreStore:
                 evictions=self._evictions,
             )
 
-    def counters(self) -> Tuple[int, int, int, int]:
-        """``(scoring passes, sliced partitions, histogram hits, histogram misses)``.
-
-        Read without the lock: each counter is one int, so every value is
-        one that :attr:`stats` could have returned, though not necessarily
-        from the same instant.
-        """
-        return (
-            self._scoring_passes,
-            self._sliced_partitions,
-            self._histogram_hits,
-            self._histogram_misses,
-        )
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._partitions)

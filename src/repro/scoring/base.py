@@ -82,12 +82,22 @@ class ScoringFunction:
         return f"<{type(self).__name__} {self.describe()}>"
 
 
+def _refuse_nul(uids: Sequence[str]) -> None:
+    # A numpy ``str`` array drops trailing NULs (so "a" and "a\x00" would
+    # tie), and the rank fingerprint joins uids with NUL (so two orders of
+    # NUL-bearing uids could hash alike).
+    if "\x00" in "".join(uids):
+        raise ScoringError("a ranked uid may not contain the NUL character")
+
+
 def rank_order(uids: Sequence[str], scores: np.ndarray) -> np.ndarray:
     """Row positions best first: decreasing score, ties by uid, NaN last.
 
     The one definition of a ranking's order (ties among NaN scores are
-    broken by uid too): one ``np.lexsort``.
+    broken by uid too): one ``np.lexsort``.  A uid containing NUL raises
+    :class:`~repro.errors.ScoringError`.
     """
+    _refuse_nul(uids)
     return np.lexsort((np.array(uids, dtype=str), -scores))
 
 
@@ -99,6 +109,8 @@ class Ranking:
     read-only float array aligned with them.  When the scoring function is
     opaque the scores carried here are *not* shown to the auditor — only
     positions are (see :class:`repro.scoring.rank.RankDerivedScorer`).
+    Duplicate uids and uids containing NUL raise
+    :class:`~repro.errors.ScoringError`.
     """
 
     uids: Tuple[str, ...]
@@ -116,6 +128,7 @@ class Ranking:
             )
         if len(set(uids)) != len(uids):
             raise ScoringError("ranking contains duplicate individuals")
+        _refuse_nul(uids)
         object.__setattr__(self, "uids", uids)
         object.__setattr__(self, "scores", scores)
 

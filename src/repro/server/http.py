@@ -66,8 +66,8 @@ from repro.obs.log import ObsLogger
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import TRACE_HEADER, Trace, activate, valid_trace_id
 from repro.service.executor import BatchExecutor
-from repro.service.jobs import PROTOCOL_VERSION, ServiceResult, request_from_json
-from repro.service.service import FairnessService, _error_code
+from repro.service.jobs import PROTOCOL_VERSION, ServiceResult, error_code, request_from_json
+from repro.service.service import FairnessService
 
 __all__ = ["FairnessHTTPServer", "MAX_BODY_BYTES", "REQUEST_ENDPOINTS", "V2ServerBase"]
 
@@ -112,6 +112,12 @@ _KNOWN_PATHS = frozenset(
     {"/v2/health", "/v2/catalog", "/v2/metrics", "/v2/batch"}
     | {f"/v2/{kind}" for kind in REQUEST_ENDPOINTS}
 )
+
+
+def _slot_kind(entry: object) -> str:
+    """The kind a batch entry declares, for the error envelope of its slot."""
+    kind = entry.get("kind") if isinstance(entry, dict) else None
+    return str(kind) if kind else "unknown"
 
 
 def _transport_error(code: str, message: str) -> Dict[str, object]:
@@ -259,7 +265,7 @@ class _JSONRequestHandler(BaseHTTPRequestHandler):
             except ServiceError as error:
                 status = 413 if isinstance(error, TooLargeError) else 400
                 self._send_json(
-                    status, _transport_error(_error_code(error), str(error))
+                    status, _transport_error(error_code(error), str(error))
                 )
             else:
                 try:
@@ -269,7 +275,7 @@ class _JSONRequestHandler(BaseHTTPRequestHandler):
                         self._handle_post(path, raw)
                 except ServiceError as error:
                     self._send_json(
-                        400, _transport_error(_error_code(error), str(error))
+                        400, _transport_error(error_code(error), str(error))
                     )
                 except Exception as error:  # pragma: no cover - defensive 500
                     self._send_json(500, _transport_error("internal", str(error)))
@@ -380,11 +386,8 @@ class _Handler(_JSONRequestHandler):
             try:
                 parsed.append((index, self._parse_request(entry)))
             except FaiRankError as error:
-                kind = entry.get("kind") if isinstance(entry, dict) else None
-                envelopes[index] = ServiceResult(
-                    kind=str(kind) if kind else "unknown",
-                    key="",
-                    error={"code": _error_code(error), "message": str(error)},
+                envelopes[index] = ServiceResult.failure(
+                    _slot_kind(entry), error_code(error), str(error)
                 )
         results = self.server.executor.run([request for _, request in parsed])
         for (index, _), result in zip(parsed, results):

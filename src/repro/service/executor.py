@@ -22,7 +22,7 @@ import time
 from typing import TYPE_CHECKING, Dict, List, Sequence
 
 from repro.errors import FaiRankError
-from repro.service.jobs import ServiceRequest, ServiceResult
+from repro.service.jobs import ServiceRequest, ServiceResult, error_code
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from repro.service.service import FairnessService
@@ -60,7 +60,9 @@ class BatchExecutor:
             try:
                 key = self.service.request_key(request)
             except FaiRankError as error:
-                results.append(self.service.error_result(request, error))
+                results.append(
+                    ServiceResult.failure(request.kind, error_code(error), str(error))
+                )
                 continue
             if key not in by_key:
                 queue_s = time.perf_counter() - started

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import functools
 import json
+import re
 from dataclasses import MISSING, dataclass, field, fields
 from typing import (
     Any,
@@ -72,6 +73,7 @@ from typing import (
 from repro.core.formulations import Formulation
 from repro.errors import ServiceError
 from repro.metrics.histogram import DEFAULT_BINS, MAX_BINS
+from repro.obs.trace import Trace, current_trace_id
 
 __all__ = [
     "MAX_SWEEP_POINTS",
@@ -85,6 +87,7 @@ __all__ = [
     "JobOwnerRequest",
     "ServiceRequest",
     "ServiceResult",
+    "error_code",
     "request_from_json",
     "request_references",
 ]
@@ -605,6 +608,15 @@ def request_from_json(payload: Mapping[str, object]) -> ServiceRequest:
     return request_type.from_json(payload)
 
 
+def error_code(error: BaseException) -> str:
+    """Stable wire code for an exception class (``ServiceError`` -> ``service``)."""
+    name = type(error).__name__
+    if name.endswith("Error"):
+        name = name[: -len("Error")]
+    code = re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
+    return code or "error"
+
+
 @dataclass(frozen=True)
 class ServiceResult:
     """Uniform response envelope for every request kind.
@@ -620,12 +632,13 @@ class ServiceResult:
     with the code derived from the library's exception hierarchy, e.g.
     ``"service"`` for a :class:`~repro.errors.ServiceError`) instead of only
     raising server-side — a batch with one bad request still returns a
-    result per request.
+    result per request.  Every error envelope is built by :meth:`failure`.
 
-    ``store_stats`` is serving metadata: a snapshot of the service's
-    score-store pool (materialized scoring passes, histogram hits/misses,
-    store reuse) taken when the response was assembled, so clients can watch
-    the compute-once layer work without a separate monitoring call.
+    An envelope carries facts about its own request only.  Process-wide
+    counters (the score-store pool's) are read from the service
+    (``FairnessService.store_stats``) or over HTTP from ``/v2/health`` and
+    ``/v2/metrics``, so an answer's bytes do not depend on how many
+    requests the process has served before it.
 
     ``timings`` is per-request observability metadata (:mod:`repro.obs`):
     the request's trace id plus a phase breakdown in milliseconds
@@ -633,7 +646,7 @@ class ServiceResult:
     for batched requests).  The shard router reports its forwarding time
     in the ``X-Fairank-Route-Ms`` response header instead, so relayed
     envelopes stay byte-for-byte what the worker encoded.  Like
-    ``elapsed_s`` and ``store_stats`` it is *excluded* from ``canonical()``
+    ``elapsed_s`` it is *excluded* from ``canonical()``
     — two envelopes with different timings still compare byte-identical
     on semantic content.
 
@@ -651,7 +664,6 @@ class ServiceResult:
     payload: Dict[str, Any] = field(default_factory=dict)
     cached: bool = False
     elapsed_s: float = 0.0
-    store_stats: Optional[Dict[str, Any]] = None
     timings: Optional[Dict[str, Any]] = None
     protocol: int = PROTOCOL_VERSION
     error: Optional[Dict[str, Any]] = None
@@ -672,6 +684,29 @@ class ServiceResult:
         payload = json.loads(self.payload_json)
         object.__setattr__(self, "payload", payload)
         return payload
+
+    @classmethod
+    def failure(
+        cls,
+        kind: str,
+        code: str,
+        message: str,
+        *,
+        key: str = "",
+        elapsed_s: float = 0.0,
+        timings: Optional[Dict[str, Any]] = None,
+    ) -> "ServiceResult":
+        """The error envelope: empty payload, ``error`` = ``{code, message}``.
+
+        Without ``timings`` (a slot that never ran) the envelope still
+        carries the active trace id.
+        """
+        if timings is None:
+            timings = Trace(current_trace_id()).timings()
+        return cls(
+            kind=kind, key=key, elapsed_s=elapsed_s, timings=timings,
+            error={"code": code, "message": message},
+        )
 
     @property
     def ok(self) -> bool:
@@ -704,7 +739,6 @@ class ServiceResult:
             "payload": self.payload,
             "cached": self.cached,
             "elapsed_s": self.elapsed_s,
-            "store_stats": self.store_stats,
             "timings": self.timings,
             "error": self.error,
         }
@@ -726,7 +760,6 @@ class ServiceResult:
             {
                 "cached": self.cached,
                 "elapsed_s": self.elapsed_s,
-                "store_stats": self.store_stats,
                 "timings": self.timings,
                 "error": self.error,
             }
@@ -745,7 +778,6 @@ class ServiceResult:
 
     @classmethod
     def from_json(cls, payload: Mapping[str, object]) -> "ServiceResult":
-        store_stats = payload.get("store_stats")
         timings = payload.get("timings")
         error = payload.get("error")
         return cls(
@@ -754,9 +786,6 @@ class ServiceResult:
             payload=dict(payload.get("payload", {})),  # type: ignore[arg-type]
             cached=bool(payload.get("cached", False)),
             elapsed_s=float(payload.get("elapsed_s", 0.0)),  # type: ignore[arg-type]
-            store_stats=(
-                None if store_stats is None else dict(store_stats)  # type: ignore[arg-type]
-            ),
             timings=None if timings is None else dict(timings),  # type: ignore[arg-type]
             protocol=int(payload.get("protocol", 1)),  # type: ignore[arg-type]
             error=None if error is None else dict(error),  # type: ignore[arg-type]

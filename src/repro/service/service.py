@@ -27,7 +27,6 @@ layer turns the library's pure functions into a servable engine:
 from __future__ import annotations
 
 import json
-import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,19 +71,11 @@ from repro.service.jobs import (
     ServiceRequest,
     ServiceResult,
     SweepRequest,
+    error_code,
     request_references,
 )
 
 __all__ = ["FairnessService", "StorePoolStats"]
-
-
-def _error_code(error: BaseException) -> str:
-    """Stable wire code for an exception class (``ServiceError`` -> ``service``)."""
-    name = type(error).__name__
-    if name.endswith("Error"):
-        name = name[: -len("Error")]
-    code = re.sub(r"(?<!^)(?=[A-Z])", "_", name).lower()
-    return code or "error"
 
 
 @dataclass(frozen=True)
@@ -360,21 +351,16 @@ class FairnessService:
     def store_stats(self) -> StorePoolStats:
         """Aggregate effectiveness of the score-store pool (for monitoring)."""
         pool = self._store_pool.stats
-        # Built on every request and batch slot: sum the live stores' plain
-        # counters rather than one locked snapshot object per store.
-        totals = [0, 0, 0, 0]
-        for store in self._store_pool.values():
-            for index, value in enumerate(store.counters()):
-                totals[index] += value
+        stores = [store.stats for store in self._store_pool.values()]
         return StorePoolStats(
             stores=pool.entries,
             hits=pool.hits,
             misses=pool.misses,
             evictions=pool.evictions,
-            scoring_passes=totals[0],
-            sliced_partitions=totals[1],
-            histogram_hits=totals[2],
-            histogram_misses=totals[3],
+            scoring_passes=sum(stats.scoring_passes for stats in stores),
+            sliced_partitions=sum(stats.sliced_partitions for stats in stores),
+            histogram_hits=sum(stats.histogram_hits for stats in stores),
+            histogram_misses=sum(stats.histogram_misses for stats in stores),
         )
 
     # -- request execution (the wire protocol) --------------------------------
@@ -403,30 +389,6 @@ class FairnessService:
             raise ServiceError(str(error)) from None
         request.formulation()
         return combine_fingerprints("request", fingerprint_value(wire), *resources)
-
-    def error_result(
-        self,
-        request: ServiceRequest,
-        error: BaseException,
-        key: str = "",
-        elapsed_s: float = 0.0,
-        timings: Optional[Dict[str, object]] = None,
-    ) -> ServiceResult:
-        """The protocol-v2 error envelope for a failed request.
-
-        Without ``timings`` (a batch slot whose key failed) the envelope
-        still carries the active trace id.
-        """
-        return ServiceResult(
-            kind=request.kind,
-            key=key,
-            payload={},
-            cached=False,
-            elapsed_s=elapsed_s,
-            store_stats=self.store_stats.as_dict(),
-            timings=timings or Trace(trace_id=current_trace_id()).timings(),
-            error={"code": _error_code(error), "message": str(error)},
-        )
 
     @staticmethod
     def _finish_timings(trace: Trace, elapsed: float) -> Dict[str, object]:
@@ -509,9 +471,9 @@ class FairnessService:
             except FaiRankError as error:
                 elapsed = time.perf_counter() - started
                 self._record_request(request.kind, "error", False, elapsed, registry)
-                return self.error_result(
-                    request, error, key=key or "", elapsed_s=elapsed,
-                    timings=self._finish_timings(trace, elapsed),
+                return ServiceResult.failure(
+                    request.kind, error_code(error), str(error), key=key or "",
+                    elapsed_s=elapsed, timings=self._finish_timings(trace, elapsed),
                 )
         elapsed = time.perf_counter() - started
         self._record_request(request.kind, "ok", hit, elapsed, registry)
@@ -521,7 +483,6 @@ class FairnessService:
             payload_json=payload_json,
             cached=hit,
             elapsed_s=elapsed,
-            store_stats=self.store_stats.as_dict(),
             timings=self._finish_timings(trace, elapsed),
         )
 

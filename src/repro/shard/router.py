@@ -61,9 +61,10 @@ from repro.server.http import (
     REQUEST_ENDPOINTS,
     V2ServerBase,
     _JSONRequestHandler,
+    _slot_kind,
     _transport_error,
 )
-from repro.service.jobs import PROTOCOL_VERSION
+from repro.service.jobs import PROTOCOL_VERSION, ServiceResult
 from repro.shard.pool import WorkerHandle, WorkerPool
 from repro.shard.routing import (
     FingerprintIndex,
@@ -165,7 +166,10 @@ class _RouterHandler(_JSONRequestHandler):
                 envelopes = None
             if envelopes is None:
                 envelopes = [
-                    self.server.unavailable_envelope(entries[index])
+                    ServiceResult.failure(
+                        _slot_kind(entries[index]), "unavailable",
+                        "no worker was reachable for this batch slot",
+                    ).to_json()
                     for index in indices
                 ]
             for index, envelope in zip(indices, envelopes):
@@ -351,23 +355,6 @@ class ShardRouter(V2ServerBase):
                     f"the router is shutting down; abandoned {method} {path} "
                     f"after {failures} failed forward(s)"
                 )
-
-    def unavailable_envelope(self, entry: object) -> Dict[str, object]:
-        """A protocol-v2 error envelope for a batch slot no worker served."""
-        kind = entry.get("kind") if isinstance(entry, dict) else None
-        return {
-            "protocol": PROTOCOL_VERSION,
-            "kind": str(kind) if kind else "unknown",
-            "key": "",
-            "payload": {},
-            "cached": False,
-            "elapsed_s": 0.0,
-            "store_stats": None,
-            "error": {
-                "code": "unavailable",
-                "message": "no worker was reachable for this batch slot",
-            },
-        }
 
     # -- observability ---------------------------------------------------------
 

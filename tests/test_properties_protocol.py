@@ -437,7 +437,6 @@ def service_results(draw):
         payload={} if failed else draw(json_payloads),
         cached=draw(st.booleans()),
         elapsed_s=draw(st.floats(min_value=0, max_value=100, allow_nan=False)),
-        store_stats=draw(st.none() | json_payloads),
         timings=draw(st.none() | json_payloads),
         error=(
             {"code": draw(names), "message": draw(names)} if failed else None
@@ -453,6 +452,10 @@ class TestResultRoundTrips:
         assert rebuilt == result
         assert rebuilt.canonical() == result.canonical()
         assert rebuilt.ok == result.ok
+        # An older server's envelope still carries a pool snapshot; it is
+        # ignored on decode.
+        legacy = dict(result.to_json(), store_stats={"scoring_passes": 1})
+        assert ServiceResult.from_json(legacy) == result
 
 
 # Payload trees as the service builds them: nested objects and arrays over
@@ -488,7 +491,6 @@ class TestEncodeOnce:
             payload_json=json.dumps(tree).encode("utf-8"),
             cached=envelope.cached,
             elapsed_s=envelope.elapsed_s,
-            store_stats=envelope.store_stats,
             timings=envelope.timings,
             error=envelope.error,
         )
@@ -498,7 +500,6 @@ class TestEncodeOnce:
             payload=tree,
             cached=envelope.cached,
             elapsed_s=envelope.elapsed_s,
-            store_stats=envelope.store_stats,
             timings=envelope.timings,
             error=envelope.error,
         )

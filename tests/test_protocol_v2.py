@@ -9,6 +9,7 @@ resolve via a raw wire request).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -17,7 +18,9 @@ from repro.catalog import ResourceKind
 from repro.cli import main
 from repro.core.quantify import quantify
 from repro.core.scorestore import ScoreStore
+from repro.data.dataset import Dataset
 from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
+from repro.data.schema import Schema, observed, protected
 from repro.errors import ServiceError, SessionError
 from repro.experiments.workloads import crowdsourcing_marketplace
 from repro.scoring.linear import LinearScoringFunction
@@ -158,13 +161,30 @@ class TestVersioning:
             JobOwnerRequest(marketplace="m", job="")
 
 
-@pytest.fixture()
-def service():
+def build_service() -> FairnessService:
     service = FairnessService()
     service.register_dataset(load_example_table1(), name="table1")
     service.register_function(LinearScoringFunction(TABLE1_WEIGHTS, name="table1-f"))
     service.register_marketplace(crowdsourcing_marketplace(size=80, seed=13))
     return service
+
+
+@pytest.fixture()
+def service():
+    return build_service()
+
+
+class TestPerRequestFactsOnly:
+    def test_cold_answer_bytes_do_not_depend_on_earlier_requests(self):
+        def masked(result):
+            assert result.ok and not result.cached
+            return dataclasses.replace(result, elapsed_s=0.0, timings=None).encode()
+
+        busy = build_service()
+        for bins in range(2, 42):
+            busy.execute(QuantifyRequest(dataset="table1", function="table1-f", bins=bins))
+        request = AuditRequest(marketplace="crowdsourcing-sim", min_partition_size=3)
+        assert masked(busy.execute(request)) == masked(build_service().execute(request))
 
 
 class TestErrorEnvelopes:
@@ -184,6 +204,31 @@ class TestErrorEnvelopes:
         assert rebuilt.canonical() == result.canonical()
         ok = service.execute(QuantifyRequest(dataset="table1", function="table1-f"))
         assert ok.canonical() != result.canonical()
+
+    def test_key_failure_slot_has_the_envelope_wire_shape(self, service):
+        [slot] = BatchExecutor(service).run(
+            [QuantifyRequest(dataset="nope", function="table1-f")]
+        )
+        wire = json.loads(slot.encode())
+        assert list(wire) == list(ServiceResult(kind="", key="").to_json())
+        assert wire["timings"]["trace_id"]
+        assert ServiceResult.from_json(wire) == slot
+
+    def test_ranking_a_nul_uid_is_a_scoring_error(self, service):
+        schema = Schema((protected("Gender"), observed("Skill")))
+        records = [
+            {"uid": uid, "Gender": gender, "Skill": skill}
+            for uid, gender, skill in (("a", "F", 0.5), ("a\x00", "M", 0.5), ("b", "F", 0.9))
+        ]
+        service.register_dataset(
+            Dataset.from_records(schema, records, uid_field="uid"), name="nul"
+        )
+        service.register_function(LinearScoringFunction({"Skill": 1.0}, name="skill"))
+        result = service.execute(
+            QuantifyRequest(dataset="nul", function="skill", use_ranks_only=True)
+        )
+        assert result.error["code"] == "scoring"
+        assert "NUL" in result.error["message"]
 
     def test_error_results_are_not_cached(self, service):
         request = QuantifyRequest(dataset="late", function="table1-f")
@@ -262,9 +307,10 @@ class TestNewKindsServing:
         assert result.ok and len(result.payload["points"]) == 5
         # Each point's search, favoured groups and mean score share one
         # pooled store, looked up once, and one materialized vector.
-        assert result.store_stats["misses"] == 5
-        assert result.store_stats["hits"] == 0
-        assert result.store_stats["scoring_passes"] == 5
+        stats = sweep_service.store_stats
+        assert stats.misses == 5
+        assert stats.hits == 0
+        assert stats.scoring_passes == 5
 
         # Byte-identical to serial quantify calls over the same variants.
         dataset = sweep_service.dataset("pop")

@@ -82,9 +82,9 @@ class TestRankDerivedScorer:
         assert "linear" in RankDerivedScorer(ranking, weighting="linear").describe()
 
 
-#: Printable uids without NUL (a numpy ``str`` array drops trailing NULs).
+#: Printable uids; one containing NUL must be refused before it is ranked.
 UIDS = st.text(
-    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    alphabet=st.characters(blacklist_categories=("Cs",)),
     min_size=1,
     max_size=5,
 )
@@ -109,7 +109,14 @@ class TestRankDerivedMatchesPerPositionOracle:
             [{"uid": uid, "Skill": 0.5} for uid in uids],
             uid_field="uid",
         )
-        ranking = rank_by_score(dataset, LinearScoringFunction({"Skill": 1.0}), scores)
+        function = LinearScoringFunction({"Skill": 1.0})
+        if any("\x00" in uid for uid in uids):
+            with pytest.raises(ScoringError, match="NUL"):
+                rank_by_score(dataset, function, scores)
+            with pytest.raises(ScoringError, match="NUL"):
+                Ranking(uids, scores)
+            return
+        ranking = rank_by_score(dataset, function, scores)
         positions = data.draw(st.lists(
             st.integers(0, len(uids) - 1), unique=True, max_size=len(uids)
         ))
@@ -155,6 +162,24 @@ class TestRankingArrays:
     def test_misaligned_scores_are_rejected(self):
         with pytest.raises(ScoringError, match="one score per individual"):
             Ranking(("a", "b"), (1.0,))
+
+    def test_nul_uid_is_refused_before_it_is_sorted(self):
+        # A numpy str array drops trailing NULs: "a\x00" would tie with
+        # "a" and keep row order, giving ("a\x00", "a", "b").
+        dataset = Dataset.from_records(
+            Schema((observed("Skill"),)),
+            [{"uid": uid, "Skill": 0.5} for uid in ("b", "a\x00", "a")],
+            uid_field="uid",
+        )
+        with pytest.raises(ScoringError, match="NUL"):
+            rank_by_score(dataset, LinearScoringFunction({"Skill": 1.0}))
+
+    def test_nul_uid_is_refused_before_it_is_fingerprinted(self):
+        # Joined with NUL and no length prefix, these two orders of the
+        # same uids would hash to one rank-derived fingerprint.
+        for uids in (("a\x00b", "c", "a", "b\x00c"), ("a", "b\x00c", "a\x00b", "c")):
+            with pytest.raises(ScoringError, match="NUL"):
+                Ranking(uids, (0.4, 0.3, 0.2, 0.1))
 
 
 class TestOpaqueScoringFunction:

@@ -17,6 +17,7 @@ from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
 from repro.errors import ServiceError
 from repro.experiments.workloads import crowdsourcing_marketplace
 from repro.metrics.histogram import MAX_BINS
+from repro.obs.trace import TRACE_HEADER
 from repro.scoring.linear import LinearScoringFunction
 from repro.server import REQUEST_ENDPOINTS, FairnessHTTPServer, HTTPFairnessClient
 from repro.server.http import MAX_BODY_BYTES
@@ -684,6 +685,18 @@ class TestBatchMalformedSlotsOverHTTP:
             assert slot["kind"] == "unknown"
             assert slot["error"]["code"] == "service"
             assert "must be a JSON object" in slot["error"]["message"]
+
+    def test_unparsable_slot_has_the_envelope_wire_shape(self, server):
+        body = json.dumps({"requests": [{"kind": "quantify", "bins": "x"}]}).encode()
+        status, payload = raw_call(
+            server, "/v2/batch", method="POST", body=body,
+            headers={TRACE_HEADER: "0123456789abcdef"},
+        )
+        assert status == 200
+        [slot] = payload["results"]
+        assert slot["kind"] == "quantify" and slot["error"]["code"] == "service"
+        assert slot["timings"] == {"trace_id": "0123456789abcdef"}
+        assert json.dumps(slot) == json.dumps(ServiceResult.from_json(slot).to_json())
 
     def test_batch_body_that_is_not_a_list_is_400(self, server):
         status, payload = raw_call(

@@ -19,6 +19,7 @@ from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
 from repro.errors import ServiceError
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
+from repro.obs.trace import TRACE_HEADER
 from repro.scoring.linear import LinearScoringFunction
 from repro.server import HTTPFairnessClient
 from repro.service import (
@@ -285,9 +286,11 @@ class TestShardRouterParity:
         body = json.dumps({"requests": [good, bad]}).encode()
 
         def post_batch(base_url):
+            # One pinned trace id: the unparsable slot's envelope carries it.
             request = urllib.request.Request(
                 f"{base_url}/v2/batch", data=body, method="POST",
-                headers={"Content-Type": "application/json"},
+                headers={"Content-Type": "application/json",
+                         TRACE_HEADER: "5a5a5a5a5a5a5a5a"},
             )
             with urllib.request.urlopen(request, timeout=120) as response:
                 assert response.status == 200
@@ -307,8 +310,6 @@ class TestShardRouterParity:
         assert json.dumps(sharded[1]) == json.dumps(single_process[1])
 
     def test_batch_carries_the_callers_trace_id_into_every_slot(self, fleet):
-        from repro.obs.trace import TRACE_HEADER
-
         _, router, _ = fleet
         requests = [
             QuantifyRequest(dataset="table1", function="table1-f"),
@@ -613,6 +614,32 @@ class TestWorkerPipes:
         assert replacement.process.stdout.closed
 
 
+class TestUnreachableSlot:
+    def test_unreachable_slot_has_the_envelope_wire_shape(self, fleet, snapshot):
+        pool, _, _ = fleet
+
+        def unreachable(*args, **kwargs):
+            raise ServiceError("no worker answered")
+
+        body = json.dumps(
+            {"requests": [{"kind": "quantify", "dataset": "table1"}, "not-a-request"]}
+        ).encode()
+        with ShardRouter(pool, fingerprints=snapshot_fingerprints(snapshot)) as router:
+            router.forward = unreachable
+            router.serve_in_background()
+            request = urllib.request.Request(
+                f"{router.base_url}/v2/batch", data=body, method="POST",
+                headers={TRACE_HEADER: "0123456789abcdef"},
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                results = json.loads(response.read())["results"]
+        assert [slot["kind"] for slot in results] == ["quantify", "unknown"]
+        for slot in results:
+            assert slot["error"]["code"] == "unavailable"
+            assert slot["timings"] == {"trace_id": "0123456789abcdef"}
+            assert json.dumps(slot) == json.dumps(ServiceResult.from_json(slot).to_json())
+
+
 class TestShutdownUnderRetry:
     def test_server_close_interrupts_the_retry_window(self, snapshot):
         """Regression: retry pacing used a bare sleep, so closing the router
@@ -822,7 +849,6 @@ class TestTracePropagation:
         from io import StringIO
 
         from repro.obs.log import ObsLogger
-        from repro.obs.trace import TRACE_HEADER
         from repro.shard.router import ROUTE_MS_HEADER
 
         pool = WorkerPool(
