@@ -1,4 +1,4 @@
-"""Service layer — cold vs. warm vs. batched throughput, and sweep reuse.
+"""Service layer — cold vs. warm cache, batch = serial, and sweep reuse.
 
 Measures what the :mod:`repro.service` subsystem buys on the scalability
 workload (E11's synthetic populations):
@@ -205,38 +205,6 @@ def test_batched_matches_serial(benchmark):
     print()
     print(f"16-request mixed batch: byte-identical to serial ({len(serial_bytes)} results)")
     _write_results({"batch_matches_serial": {"requests": len(serial_bytes), "identical": True}})
-
-
-def test_batched_throughput_vs_serial(benchmark):
-    """Report the wall-clock cost of the executor's dedup loop on one cold batch."""
-    started = time.perf_counter()
-    BatchExecutor(build_service()).run_serial(mixed_batch())
-    serial_elapsed = time.perf_counter() - started
-
-    def batched_run():
-        return BatchExecutor(build_service()).run(mixed_batch())
-
-    benchmark.pedantic(batched_run, rounds=1, iterations=1)
-    started = time.perf_counter()
-    batched_run()
-    batched_elapsed = time.perf_counter() - started
-
-    print()
-    print(
-        f"serial: {serial_elapsed * 1000:.1f}ms  batched: {batched_elapsed * 1000:.1f}ms  "
-        f"speedup: {serial_elapsed / max(batched_elapsed, 1e-9):.2f}x"
-    )
-    _write_results(
-        {
-            "batch_throughput": {
-                "serial_ms": round(serial_elapsed * 1000, 1),
-                "batched_ms": round(batched_elapsed * 1000, 1),
-                "speedup": round(serial_elapsed / max(batched_elapsed, 1e-9), 2),
-            }
-        }
-    )
-    # The batch must never be pathologically slower than serial execution.
-    assert batched_elapsed < serial_elapsed * 2.0
 
 
 SWEEP_WEIGHTS = [

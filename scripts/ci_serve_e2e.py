@@ -13,7 +13,9 @@ Exercises the full deployment workflow exactly as an operator would:
    100 quantify POSTs on fresh connections, one after another, over which
    no serving process (router and workers alike) may grow by more than one
    thread or four open descriptors (read from ``/proc/<pid>/status`` and
-   ``/proc/<pid>/fd``; skipped where they are absent);
+   ``/proc/<pid>/fd``; skipped where they are absent); sharded, one worker
+   is then SIGKILLed and, once the pool has restarted it, the same bound
+   holds over the kill and 100 more POSTs;
 4. assert every HTTP response is byte-identical (``ServiceResult.canonical``)
    to the in-process :class:`~repro.service.client.FairnessClient` answer
    over a service booted from the *same* snapshot, and that the result
@@ -38,6 +40,7 @@ import argparse
 import os
 import queue
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -62,6 +65,7 @@ from repro.obs.metrics import parse_prometheus  # noqa: E402
 from repro.obs.trace import TRACE_HEADER, Trace, activate  # noqa: E402
 from repro.server import HTTPFairnessClient  # noqa: E402
 from repro.shard.router import ROUTE_MS_HEADER  # noqa: E402
+from repro.shard.routing import request_references, routing_key, worker_slot  # noqa: E402
 from repro.snapshot import snapshot_fingerprints  # noqa: E402
 from repro.service import (  # noqa: E402
     AuditRequest,
@@ -277,56 +281,122 @@ GROWTH_PROBES = (
 )
 
 
+def serving_pids(process: subprocess.Popen, workers: int, remote) -> "dict[str, int]":
+    """The pid of every serving process: the server, or the router and workers."""
+    pids = {("router" if workers > 1 else "server"): process.pid}
+    if workers > 1:
+        for entry in remote.health()["workers"]["health"]:
+            pids[f"worker {entry['slot']}"] = int(entry["pid"])
+    return pids
+
+
+GROWTH_REQUEST = QuantifyRequest(dataset="table1", function="table1-f")
+
+
+def post_growth_request(port: int) -> None:
+    """One :data:`GROWTH_REQUEST` POST on a fresh connection."""
+    import json
+    import urllib.request
+
+    request = urllib.request.Request(
+        f"http://127.0.0.1:{port}/v2/quantify",
+        data=json.dumps(GROWTH_REQUEST.to_json()).encode("utf-8"),
+        method="POST",
+    )
+    with urllib.request.urlopen(request, timeout=60) as response:
+        response.read()
+
+
+def sample_growth(pids: "dict[str, int]") -> dict:
+    """``(what, process name) -> count`` for every probe and process."""
+    return {(what, name): probe(pid)
+            for what, probe, _ in GROWTH_PROBES for name, pid in pids.items()}
+
+
+def report_growth(before: dict, after: dict, names, over: str) -> int:
+    """Print each probe's counts; one failure per process that grew too much."""
+    failures = 0
+    for what, _, allowed in GROWTH_PROBES:
+        for name in names:
+            start, end = before[what, name], after[what, name] or 0
+            if end - start > allowed:
+                failures += 1
+                print(f"[e2e] FAIL: {name} went from {start} to {end} {what} "
+                      f"over {over} (at most {allowed} more allowed)")
+        counts = ", ".join(
+            f"{name} {before[what, name]} -> {after[what, name]}" for name in names
+        )
+        print(f"[e2e] {what} over {over}: {counts}")
+    return failures
+
+
 def check_growth(process: subprocess.Popen, port: int, workers: int,
                  remote) -> int:
     """POST sequentially on fresh connections; no serving process may grow
     by more than :data:`THREAD_GROWTH_ALLOWED` threads or
     :data:`FD_GROWTH_ALLOWED` open descriptors."""
-    import json
-    import urllib.request
-
-    pids = {("router" if workers > 1 else "server"): process.pid}
-    if workers > 1:
-        for entry in remote.health()["workers"]["health"]:
-            pids[f"worker {entry['slot']}"] = int(entry["pid"])
-    body = json.dumps(
-        QuantifyRequest(dataset="table1", function="table1-f").to_json()
-    ).encode("utf-8")
-
-    def post() -> None:
-        request = urllib.request.Request(
-            f"http://127.0.0.1:{port}/v2/quantify", data=body, method="POST"
-        )
-        with urllib.request.urlopen(request, timeout=60) as response:
-            response.read()
-
-    def sample():
-        return {(what, name): probe(pid)
-                for what, probe, _ in GROWTH_PROBES for name, pid in pids.items()}
-
+    pids = serving_pids(process, workers, remote)
     for _ in range(GROWTH_WARMUP):  # the first answer may compute
-        post()
-    before = sample()
+        post_growth_request(port)
+    before = sample_growth(pids)
     if None in before.values():
         print("[e2e] growth: skipped (no /proc/<pid>/status or fd here)")
         return 0
     for _ in range(GROWTH_POSTS):
-        post()
-    after = sample()
-    failures = 0
-    for what, _, allowed in GROWTH_PROBES:
-        for name in pids:
-            start, end = before[what, name], after[what, name] or 0
-            if end - start > allowed:
-                failures += 1
-                print(f"[e2e] FAIL: {name} went from {start} to {end} {what} "
-                      f"over {GROWTH_POSTS} sequential connections "
-                      f"(at most {allowed} more allowed)")
-        counts = ", ".join(
-            f"{name} {before[what, name]} -> {after[what, name]}" for name in pids
-        )
-        print(f"[e2e] {what} over {GROWTH_POSTS} sequential connections: {counts}")
-    return failures
+        post_growth_request(port)
+    return report_growth(
+        before, sample_growth(pids), pids, f"{GROWTH_POSTS} sequential connections"
+    )
+
+
+#: How long a SIGKILLed worker may take to be replaced by the pool.
+RESTART_TIMEOUT_S = 60.0
+
+
+def check_worker_kill(process: subprocess.Popen, port: int, workers: int,
+                      remote, snapshot: Path) -> int:
+    """SIGKILL the worker that serves :data:`GROWTH_REQUEST`, wait for its
+    restart, then POST as :func:`check_growth` does.  Over the kill, the
+    restart and the next POSTs, the router and the surviving workers may
+    grow by at most the same constants, measured from before the kill (the
+    router must close its side of the dead worker: its stdout pipe and its
+    pooled connections); the replacement is measured from its warm-up."""
+    pids = serving_pids(process, workers, remote)
+    before = sample_growth(pids)
+    if None in before.values():
+        print("[e2e] worker kill: skipped (no /proc/<pid>/status or fd here)")
+        return 0
+    key = routing_key(
+        request_references(GROWTH_REQUEST.to_json()), snapshot_fingerprints(snapshot)
+    )
+    victim = f"worker {worker_slot(key, workers)}"
+    os.kill(pids[victim], signal.SIGKILL)
+    deadline = time.monotonic() + RESTART_TIMEOUT_S
+    while True:
+        health = remote.health()
+        restarted = {
+            f"worker {entry['slot']}": int(entry["pid"])
+            for entry in health["workers"]["health"]
+            if entry["alive"]
+        }
+        if health["status"] == "ok" and restarted.get(victim) not in (None, pids[victim]):
+            break
+        if time.monotonic() > deadline:
+            print(f"[e2e] FAIL: {victim} was not restarted within {RESTART_TIMEOUT_S}s")
+            return 1
+        time.sleep(0.1)
+    print(f"[e2e] {victim} SIGKILLed (pid {pids[victim]}), restarted as pid "
+          f"{restarted[victim]}")
+    pids[victim] = restarted[victim]
+    for _ in range(GROWTH_WARMUP):  # the replacement's first answer computes
+        post_growth_request(port)
+    before.update(sample_growth({victim: pids[victim]}))
+    for _ in range(GROWTH_POSTS):
+        post_growth_request(port)
+    return report_growth(
+        before, sample_growth(pids), pids,
+        f"a worker kill and {GROWTH_POSTS} sequential connections",
+    )
 
 
 def check_prefix_quantify(remote, snapshot: Path, keys: "set[str]") -> int:
@@ -659,6 +729,10 @@ def main() -> int:
             failures += check_trace(port, arguments.workers)
             failures += check_keepalive(port, reference)
             failures += check_growth(process, port, arguments.workers, remote)
+            if arguments.workers > 1:
+                failures += check_worker_kill(
+                    process, port, arguments.workers, remote, snapshot
+                )
         finally:
             failures += shutdown_server(process, "server")
 

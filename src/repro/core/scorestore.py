@@ -8,9 +8,9 @@ tree node, every sibling histogram re-walks the same individuals.  The
 
 * the **full score vector** of the store's dataset is computed exactly once
   (one ``function.score_dataset`` pass) and every partition's scores are
-  derived from it by uid-index slicing — bit-for-bit identical to scoring the
-  partition directly, because each individual's score is a pure function of
-  its own row;
+  derived from it by row-index slicing — bit-for-bit identical to scoring
+  the partition directly, because each individual's score is a pure function
+  of its own row;
 * **histograms are memoised** keyed by ``(partition.key, binning)`` — the
   scoring function is fixed per store, and the service layer keys whole
   stores by ``(dataset fingerprint, function fingerprint)``, so the
@@ -22,7 +22,9 @@ tree node, every sibling histogram re-walks the same individuals.  The
   Inside the store and the search a histogram is a read-only ``int64``
   count row; :meth:`~ScoreStore.histogram` wraps one as a
   :class:`~repro.metrics.histogram.Histogram` only for callers outside it;
-* **splits are index operations**: protected columns are integer-coded once,
+* **splits are index operations**: protected columns are integer-coded once
+  per dataset (:meth:`~repro.data.dataset.Dataset.codes`, beside the
+  ordered values of :meth:`~repro.data.dataset.Dataset.distinct_values`),
   so a candidate split is one ``bincount`` over (value code × bin code) and
   the winning split is one stable ``argsort`` of the partition's codes, cut
   into one contiguous slice per child, instead of a Python group-by.  The
@@ -41,16 +43,21 @@ tree node, every sibling histogram re-walks the same individuals.  The
   children's member datasets are :class:`~repro.data.dataset.DatasetView`
   index views of the store's dataset — a losing candidate split never
   copies a column;
-* the memo is **bounded** (LRU over partitions) so a long-lived service
-  store cannot grow without limit, and every counter needed to audit the
-  layer (scoring passes, slices, hits/misses/evictions) is exposed as an
-  immutable :class:`ScoreStoreStats` snapshot.
+* the memo is **bounded** (LRU over :data:`MAX_PARTITIONS` partitions) so
+  a long-lived service store cannot grow without limit, and every counter
+  needed to audit the layer (scoring passes, slices, hits/misses/evictions)
+  is exposed as an immutable :class:`ScoreStoreStats` snapshot.
 
 Every entry point that takes a scoring function (``quantify``,
 ``unfairness``, the roles, the session renderers) resolves its store through
 :func:`store_for`: the caller's store when given, else a private store over
-the call's root dataset.  Mismatches raise instead of re-scoring: a store
-that does not :meth:`~ScoreStore.serves` the function raises
+the call's root dataset.  The store proves no content equality: a partition
+maps onto its rows by provenance (a view drawn from the store's dataset),
+and it serves its own function.  The service pool, which keys stores by
+content fingerprint, is the one place that proves two objects equal; it
+hands the caller's twins to the store it returns (:meth:`ScoreStore.adopt`).
+Mismatches raise instead of re-scoring: a store that does not
+:meth:`~ScoreStore.serves` the function raises
 :class:`~repro.errors.ScoringError`, and a partition whose members cannot be
 mapped onto the store's rows raises :class:`~repro.errors.PartitioningError`.
 
@@ -65,10 +72,11 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Tuple
+from weakref import WeakValueDictionary
 
 import numpy as np
 
-from repro.data.dataset import Dataset, DatasetView, order_values, stable_group_order
+from repro.data.dataset import Dataset, DatasetView, stable_group_order
 from repro.data.schema import Attribute
 from repro.errors import PartitioningError, ScoringError
 from repro.metrics.histogram import Binning, Histogram
@@ -85,10 +93,10 @@ __all__ = [
     "store_for",
 ]
 
-#: Default bound on memoised partitions per store.  A QUANTIFY search over a
-#: 10k-row population touches a couple of thousand candidate partitions; the
-#: default leaves headroom while keeping a long-lived service store bounded.
-DEFAULT_MAX_PARTITIONS = 8192
+#: Bound on memoised partitions per store.  A QUANTIFY search over a 10k-row
+#: population touches a couple of thousand candidate partitions; the bound
+#: leaves headroom while keeping a long-lived service store bounded.
+MAX_PARTITIONS = 8192
 
 
 @dataclass(frozen=True)
@@ -166,91 +174,66 @@ class ScoreStore:
     Parameters
     ----------
     dataset:
-        The root population.  Every partition handed to the store should be
-        drawn from this dataset (subsets produced by splitting/filtering it).
+        The root population.  Every partition handed to the store must be
+        drawn from this dataset (subsets produced by splitting/filtering it):
+        a view whose provenance chain
+        (:meth:`~repro.data.dataset.Dataset.indices_in`) reaches it.
     function:
         The scoring function whose scores are materialized.
-    max_partitions:
-        LRU bound on the number of distinct partitions whose indices and
-        histograms are memoised; ``None`` disables the bound.
-    trust_uids:
-        When False (default), a partition is sliced only if its members are
-        derived from the store's dataset — a view whose provenance chain
-        (:meth:`~repro.data.dataset.Dataset.indices_in`) reaches it; a
-        content-equal rebuilt dataset is refused.  The service layer keys
-        stores by content fingerprint and sets True, so content-identical
-        datasets rebuilt between requests (re-filtered copies, re-parsed
-        uploads) still share one scoring pass via uid mapping.
+
+    The store proves no content equality itself.  The service pool keys
+    stores by content fingerprint and hands every caller's dataset and
+    function to the store it returns (:meth:`adopt`); the store serves those
+    twins as its own objects and nothing else.  The memo is LRU-bounded at
+    :data:`MAX_PARTITIONS` partitions.
     """
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        function: ScoringFunction,
-        max_partitions: Optional[int] = DEFAULT_MAX_PARTITIONS,
-        trust_uids: bool = False,
-    ) -> None:
-        if max_partitions is not None and max_partitions < 1:
-            raise ValueError(f"max_partitions must be >= 1, got {max_partitions}")
+    def __init__(self, dataset: Dataset, function: ScoringFunction) -> None:
         self.dataset = dataset
         self.function = function
-        self.max_partitions = max_partitions
-        self.trust_uids = trust_uids
         self._lock = threading.RLock()
         self._vector: Optional[np.ndarray] = None
-        self._row_index: Optional[Dict[str, int]] = None
         # arange(n): the root entry's indices, shared by every store over
         # the dataset.
         self._root = dataset.positions()
         self._partitions: "OrderedDict[object, _Entry]" = OrderedDict()
-        # attribute name -> (per-row codes, code -> value, value -> code,
-        # code -> member-dataset name suffix); see _attribute_codes.
-        self._codes: Dict[
-            str, Tuple[np.ndarray, Tuple[object, ...], Dict[object, int], Tuple[str, ...]]
-        ] = {}
-        # attribute name -> canonical full ordering of its values
-        self._ordered: Dict[str, Tuple[object, ...]] = {}
         # binning -> per-row bin index (for bincount-based histograms)
         self._bin_codes: Dict[Binning, np.ndarray] = {}
+        # id -> adopted twin, held weakly: a twin lives as long as its caller.
+        self._twin_datasets: "WeakValueDictionary[int, Dataset]" = WeakValueDictionary()
+        self._twin_functions: "WeakValueDictionary[int, ScoringFunction]" = (
+            WeakValueDictionary()
+        )
         self._scoring_passes = 0
         self._sliced_partitions = 0
         self._histogram_hits = 0
         self._histogram_misses = 0
         self._evictions = 0
-        # Functions (beyond self.function) verified fingerprint-equal, so
-        # repeated serves() checks are an identity lookup.
-        self._accepted_functions: Dict[ScoringFunction, bool] = {}
-        self._own_fingerprint: Optional[str] = None
+
+    def adopt(self, dataset: Dataset, function: ScoringFunction) -> None:
+        """Serve ``dataset`` and ``function`` as twins of the store's own.
+
+        The caller vouches for their content: the service pool adopts the
+        objects of every request its fingerprint key matched.  The dataset
+        fingerprint is row-order sensitive, so an adopted dataset's rows are
+        the store's rows one for one: its root is the store's root, and a
+        view drawn from it maps through its provenance.
+        """
+        with self._lock:
+            if dataset is not self.dataset:
+                self._twin_datasets[id(dataset)] = dataset
+            if function is not self.function:
+                self._twin_functions[id(function)] = function
 
     def serves(self, function: ScoringFunction) -> bool:
         """Whether this store's materialized scores are valid for ``function``.
 
-        True for the store's own function object, and for distinct objects
-        that prove content equality via the ``fingerprint()`` protocol (the
-        service pool hands out stores keyed by fingerprint, so a rebuilt but
-        identical scorer must still be served).  :func:`store_for` refuses a
-        store that does not serve the caller's function — sharing a store
-        across *different* functions must never silently serve wrong scores.
+        True for the store's own function object and for adopted twins.
+        :func:`store_for` refuses a store that does not serve the caller's
+        function — sharing a store across *different* functions must never
+        silently serve wrong scores.
         """
-        if function is self.function:
-            return True
-        with self._lock:
-            accepted = self._accepted_functions.get(function)
-        if accepted is not None:
-            return accepted
-        try:
-            own = self._own_fingerprint
-            if own is None:
-                own = str(self.function.fingerprint())
-            matches = str(function.fingerprint()) == own
-        except NotImplementedError:
-            return False
-        with self._lock:
-            self._own_fingerprint = own
-            if len(self._accepted_functions) >= 16:
-                self._accepted_functions.pop(next(iter(self._accepted_functions)))
-            self._accepted_functions[function] = matches
-        return matches
+        return function is self.function or self._twin_functions.get(id(function)) is function
 
     # -- the materialized vector ----------------------------------------------
 
@@ -273,44 +256,26 @@ class ScoreStore:
                 self._scoring_passes += 1
             return self._vector
 
-    def _row_index_map(self) -> Dict[str, int]:
-        """uid -> row position, built lazily (only uid-mapped partitions need it).
-
-        Built from ``dataset.uids``, which every dataset serves without
-        materialising rows.
-        """
-        index = self._row_index
-        if index is not None:
-            return index
-        with self._lock:
-            if self._row_index is None:
-                self._row_index = {
-                    uid: position for position, uid in enumerate(self.dataset.uids)
-                }
-            return self._row_index
-
     def _indices_for_members(self, members: Dataset) -> np.ndarray:
         """Row indices of ``members`` in the store's dataset.
 
         Proven by provenance: a view whose parent chain reaches the store's
-        dataset maps by composing its index arrays.  A trusted store also
-        maps any other dataset by uid, so content-identical populations
-        rebuilt between requests share one scoring pass.  Anything else
-        raises :class:`~repro.errors.PartitioningError`.
+        dataset, or an adopted twin of it, maps by composing its index
+        arrays, and a twin itself is the root.  Anything else raises
+        :class:`~repro.errors.PartitioningError`.
         """
         indices = members.indices_in(self.dataset)
         if indices is not None:
             return indices
-        if not self.trust_uids:
-            raise self._foreign(members)
-        row_index = self._row_index_map()
-        indices = np.empty(len(members), dtype=np.intp)
-        for position, uid in enumerate(members.uids):
-            index = row_index.get(uid)
-            if index is None:
-                raise self._foreign(members)
-            indices[position] = index
-        return indices
+        with self._lock:
+            twins = list(self._twin_datasets.values())
+        for twin in twins:
+            if members is twin:
+                return self._root
+            indices = members.indices_in(twin)
+            if indices is not None:
+                return indices
+        raise self._foreign(members)
 
     def _foreign(self, members: Dataset) -> PartitioningError:
         return PartitioningError(
@@ -331,7 +296,7 @@ class ScoreStore:
         """
         entry = self._entry(partition)
         vector = self.vector()
-        if partition.members is self.dataset:
+        if entry.indices is self._root:
             return vector  # the root partition: the full vector itself
         values = vector[entry.indices]
         values.setflags(write=False)
@@ -360,7 +325,7 @@ class ScoreStore:
                 return cached
             self._histogram_misses += 1
         codes = self._bin_codes_for(binning)
-        if partition.members is not self.dataset:
+        if entry.indices is not self._root:
             codes = codes[entry.indices]
         # minlength covers the NaN sentinel bin; the slice discards it.
         counts = np.bincount(codes, minlength=binning.bins)[: binning.bins]
@@ -409,10 +374,10 @@ class ScoreStore:
             if cached is not None:
                 self._histogram_hits += len(cached[2])
                 return cached
-        if partition.members is self.dataset:
+        if entry.indices is self._root:
             # The root's indices are arange(n): read the full arrays directly.
             return self._root_candidates(entry, attr, binning)
-        codes, decode, encode, _ = self._attribute_codes(attr.name)
+        codes, decode, encode = self.dataset.codes(attr.name)
         # Stride bins + 1: bin codes include the NaN sentinel ``bins``, which
         # must not spill into the next value's bin 0.
         stride = binning.bins + 1
@@ -424,7 +389,7 @@ class ScoreStore:
         cells = codes[entry.indices] * stride
         cells += bin_sub
         counts = np.bincount(cells, minlength=len(decode) * stride)
-        result = self._candidates(attr, binning, counts.reshape(len(decode), stride), encode)
+        result = self._candidates(attr.name, binning, counts.reshape(len(decode), stride), encode)
         with self._lock:
             result = entry.candidates.setdefault(memo_key, result)
             self._histogram_misses += len(result[2])
@@ -442,18 +407,16 @@ class ScoreStore:
             (pack for pack in _root_packs(self.dataset, stride) if attr.name in pack),
             (attr.name,),
         )
-        codings = [self._attribute_codes(name) for name in pack]
+        codings = [self.dataset.codes(name) for name in pack]
         shape = tuple(len(coding[1]) for coding in codings) + (stride,)
         cells = self.dataset.packed_codes(pack) * stride
         cells += self._bin_codes_for(binning)
         counts = np.bincount(cells, minlength=int(np.prod(shape))).reshape(shape)
-        schema = self.dataset.schema
         results = []
         for axis, (name, coding) in enumerate(zip(pack, codings)):
             others = tuple(other for other in range(len(pack)) if other != axis)
-            pack_attr = attr if name == attr.name else schema.attribute(name)
             results.append(
-                (name, self._candidates(pack_attr, binning, counts.sum(axis=others), coding[2]))
+                (name, self._candidates(name, binning, counts.sum(axis=others), coding[2]))
             )
         with self._lock:
             for name, result in results:
@@ -463,14 +426,14 @@ class ScoreStore:
             return result
 
     def _candidates(
-        self, attr: Attribute, binning: Binning, counts: np.ndarray, encode: Dict[object, int]
+        self, name: str, binning: Binning, counts: np.ndarray, encode: Dict[object, int]
     ) -> _Candidate:
-        """One candidate split from its (value code × bin code) count matrix."""
+        """One candidate split on ``name`` from its (value code × bin code) count matrix."""
         # Sizes count members (including NaN-scored ones); count rows drop
         # the sentinel column, matching build_histogram's NaN handling.
         sizes = counts.sum(axis=1).tolist()
         # order_values over a subset is a filter of the full ordering.
-        ordered = tuple(value for value in self._ordered_values(attr) if sizes[encode[value]])
+        ordered = tuple(v for v in self.dataset.distinct_values(name) if sizes[encode[v]])
         codes = [encode[value] for value in ordered]
         rows = counts[codes, : binning.bins]
         rows.setflags(write=False)
@@ -493,8 +456,8 @@ class ScoreStore:
         from repro.core.partition import Partition
 
         entry = self._entry(partition)
-        codes, decode, encode, suffixes = self._attribute_codes(attr.name)
-        if partition.members is self.dataset:
+        codes, decode, encode = self.dataset.codes(attr.name)
+        if entry.indices is self._root:
             # The root's grouping depends on the dataset alone: shared by
             # every store over it, whatever the scoring function.
             grouped, counts = self.dataset.grouping(attr.name)
@@ -505,7 +468,7 @@ class ScoreStore:
             grouped.setflags(write=False)
         ends = np.cumsum(counts).tolist()
         sizes = counts.tolist()
-        ordered = tuple(v for v in self._ordered_values(attr) if sizes[encode[v]])
+        ordered = tuple(v for v in self.dataset.distinct_values(attr.name) if sizes[encode[v]])
         children: List[Partition] = []
         entries: List[Tuple[object, np.ndarray]] = []
         base_name = partition.members.name
@@ -514,9 +477,8 @@ class ScoreStore:
         for value in ordered:
             code = encode[value]
             child_indices = grouped[ends[code] - sizes[code] : ends[code]]
-            members = DatasetView(
-                self.dataset, child_indices, name=base_name + suffixes[code]
-            )
+            # The same "/(value,)" suffix Dataset.group_by gives a group's name.
+            members = DatasetView(self.dataset, child_indices, name=f"{base_name}/{(value,)}")
             # Fast construction: the dataclass __init__/__post_init__ only
             # normalises and validates the constraints, which hold here by
             # construction (the parent was valid and attr is new).
@@ -544,43 +506,6 @@ class ScoreStore:
                         child_entry.counts.setdefault(binning, row)
             self._evict_over_bound_locked()
         return tuple(children)
-
-    def _attribute_codes(
-        self, name: str
-    ) -> Tuple[np.ndarray, Tuple[object, ...], Dict[object, int], Tuple[str, ...]]:
-        """Integer-coded column for ``name``, served by the dataset itself.
-
-        Returns ``(per-row codes, code -> value, value -> code, code ->
-        member-dataset name suffix)``; entries are immutable once published,
-        so the fast path reads without the lock.  The coding lives on
-        :meth:`Dataset.codes`, which derives it from the stored integer
-        codes once per dataset object and caches it, so every store over
-        the same dataset shares it (an audit fanning out over many
-        functions codes each column once).
-        """
-        cached = self._codes.get(name)
-        if cached is not None:
-            return cached
-        codes, decode, encode = self.dataset.codes(name)
-        # The same "/(value,)" suffix Dataset.group_by gives a group's name.
-        suffixes = tuple(f"/{(value,)}" for value in decode)
-        cached = (codes, decode, encode, suffixes)
-        with self._lock:
-            return self._codes.setdefault(name, cached)
-
-    def _ordered_values(self, attr: Attribute) -> Tuple[object, ...]:
-        """Canonical ordering of every value of ``attr`` in the dataset, cached.
-
-        ``order_values`` over any subset of an attribute's values is a filter
-        of this full ordering, so splits never re-sort.
-        """
-        cached = self._ordered.get(attr.name)
-        if cached is not None:
-            return cached
-        _, decode, _, _ = self._attribute_codes(attr.name)
-        cached = order_values(attr, decode)
-        with self._lock:
-            return self._ordered.setdefault(attr.name, cached)
 
     def _bin_codes_for(self, binning: Binning) -> np.ndarray:
         """Per-row bin index of the full vector under ``binning``, cached.
@@ -625,14 +550,12 @@ class ScoreStore:
         """Whether a memoised entry really describes this partition's members.
 
         Partition keys are constraint tuples, so partitions of *different*
-        datasets can share a key (e.g. every root partition has key ``()``,
-        and a trusted store maps a permuted twin's root onto all its rows).
+        datasets can share a key (e.g. every root partition has key ``()``:
+        the store's own root and the root of a view filtered from it).
         Reusing another dataset's entry would silently serve wrong scores, so
-        every memo hit is validated — O(1) for the root and for partitions
-        produced by this store's own splits (the common case: their index
-        *is* the entry's), O(members) otherwise.  The root is checked like
-        any other partition, so a twin's permuted root entry never serves
-        the store's own root, whose scores and splits read the full arrays.
+        every memo hit is validated — O(1) for the root, its adopted twins
+        and partitions produced by this store's own splits (the common case:
+        their index *is* the entry's), O(members) otherwise.
         """
         indices = entry.indices
         if len(members) != indices.size:
@@ -670,10 +593,9 @@ class ScoreStore:
             return entry
 
     def _evict_over_bound_locked(self) -> None:
-        if self.max_partitions is not None:
-            while len(self._partitions) > self.max_partitions:
-                self._partitions.popitem(last=False)
-                self._evictions += 1
+        while len(self._partitions) > MAX_PARTITIONS:
+            self._partitions.popitem(last=False)
+            self._evictions += 1
 
     # -- introspection ----------------------------------------------------------
 

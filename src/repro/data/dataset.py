@@ -424,14 +424,22 @@ class Dataset:
         return dict(zip(decode, counts))
 
     def distinct_values(self, name: str) -> Tuple[object, ...]:
-        """Distinct values of attribute ``name``.
+        """Distinct values of attribute ``name``, cached once per attribute.
 
         Uses the declared domain order when available; otherwise values are
         returned in a stable sorted order (by string representation for mixed
-        types) so downstream algorithms are deterministic.
+        types) so downstream algorithms are deterministic.  Any subset's
+        ordering is a filter of this one, so the score store's splits never
+        re-sort.
         """
-        attr = self.schema.attribute(name)
-        return order_values(attr, self.codes(name)[1])
+        cache: Dict[str, Tuple[object, ...]]
+        cache = self.__dict__.setdefault("_distinct_cache", {})
+        cached = cache.get(name)
+        if cached is not None:
+            return cached
+        ordered = order_values(self.schema.attribute(name), self.codes(name)[1])
+        with _lazy_lock:
+            return cache.setdefault(name, ordered)
 
     # -- relational-ish operations ------------------------------------------
 

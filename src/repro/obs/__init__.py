@@ -31,7 +31,6 @@ from repro.obs.trace import (
     TRACE_HEADER,
     Trace,
     activate,
-    current_trace,
     current_trace_id,
     new_trace_id,
     span,
@@ -47,7 +46,6 @@ __all__ = [
     "Trace",
     "WORKER_SLOT_ENV",
     "activate",
-    "current_trace",
     "current_trace_id",
     "get_logger",
     "get_registry",

@@ -36,7 +36,6 @@ __all__ = [
     "TRACE_HEADER",
     "Trace",
     "activate",
-    "current_trace",
     "current_trace_id",
     "new_trace_id",
     "span",
@@ -102,11 +101,6 @@ class Trace:
 
 
 _CURRENT: "ContextVar[Optional[Trace]]" = ContextVar("fairank_trace", default=None)
-
-
-def current_trace() -> Optional[Trace]:
-    """The trace active in this context, if any."""
-    return _CURRENT.get()
 
 
 def current_trace_id() -> Optional[str]:

@@ -335,16 +335,16 @@ class FairnessService:
         Stores are keyed by *content* fingerprints, so an AUDIT or COMPARE
         fan-out that re-runs searches over the same population and scoring
         function — even via rebuilt, content-identical objects — shares one
-        materialized scoring pass.  The pool is LRU-bounded by ``max_stores``.
+        materialized scoring pass.  The key is the proof of equality: the
+        returned store adopts the caller's dataset and function as twins of
+        its own (:meth:`~repro.core.scorestore.ScoreStore.adopt`).  The pool
+        is LRU-bounded by ``max_stores``.
         """
         key = combine_fingerprints(
             "score-store", fingerprint_dataset(dataset), fingerprint_function(function)
         )
-        store, _ = self._store_pool.get_or_compute(
-            # Content-keyed, so uid-based slicing is safe for rebuilt copies.
-            key,
-            lambda: ScoreStore(dataset, function, trust_uids=True),
-        )
+        store, _ = self._store_pool.get_or_compute(key, lambda: ScoreStore(dataset, function))
+        store.adopt(dataset, function)
         return store
 
     @property

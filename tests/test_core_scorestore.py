@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.core.formulations import Formulation, resolve_binning
 from repro.core.partition import Partition, Partitioning, root_partition, split_partition
 from repro.core.quantify import quantify
+from repro.core import scorestore
 from repro.core.scorestore import ScoreStore, _root_packs
 from repro.core.unfairness import (
     favored_groups,
@@ -173,8 +174,8 @@ class TestRefusal:
         assert store.stats.histogram_requests == 0
 
     def test_leaf_of_a_rebuilt_twin_raises_on_a_private_store(self, population, function):
-        # Same content, new row objects: an untrusted store cannot prove
-        # the leaf's members are its own rows.
+        # Same content, new row objects: a store cannot prove the leaf's
+        # members are its own rows.
         twin = Dataset.from_records(
             population.schema, population.to_records(), name="twin", uid_field="uid"
         )
@@ -182,30 +183,39 @@ class TestRefusal:
         store = ScoreStore(twin, function)
         with pytest.raises(PartitioningError):
             store.scores(leaf)
-        # A trusted (fingerprint-keyed) store maps the same leaf by uid.
-        trusted = ScoreStore(twin, function, trust_uids=True)
-        assert np.array_equal(trusted.scores(leaf), function.score_dataset(leaf.members))
+        assert len(store) == 0
+        # Once adopted (the pool proved the twin by fingerprint), the leaf
+        # maps through its provenance to the twin.
+        store.adopt(population, function)
+        assert np.array_equal(store.scores(leaf), function.score_dataset(leaf.members))
 
-    def test_permuted_twin_root_never_serves_the_store_root(self, population, function):
-        # A trusted store maps a shuffled twin's root (key ()) onto all its
-        # rows, in the twin's order; the store's own root must not reuse it.
+    def test_permuted_twin_gets_its_own_pool_store(self, population, function):
+        # The dataset fingerprint is row-order sensitive: a shuffled twin is
+        # another pool key, and the first store never maps its rows.
         twin = Dataset.from_records(
             population.schema, population.to_records()[::-1], name="twin", uid_field="uid"
         )
-        store = ScoreStore(population, function, trust_uids=True)
-        twin_root, own_root = root_partition(twin), root_partition(population)
-        assert np.array_equal(store.scores(twin_root), function.score_dataset(twin))
+        service = FairnessService()
+        store = service.score_store(population, function)
+        assert service.score_store(twin, function) is not store
+        with pytest.raises(PartitioningError):
+            store.scores(root_partition(twin))
+        own_root = root_partition(population)
         assert np.array_equal(store.scores(own_root), function.score_dataset(population))
-        assert np.array_equal(store.scores(twin_root), function.score_dataset(twin))
         for plain, stored in zip(
             split_partition(own_root, "Gender"),
             split_partition(own_root, "Gender", store=store),
         ):
             assert stored.members.uids == plain.members.uids
 
-    def test_fingerprint_equal_twin_function_is_served(self, population, function):
+    def test_twin_function_is_served_once_adopted(self, population, function):
         twin = LinearScoringFunction({"Language Test": 0.6, "Rating": 0.4}, name="renamed-twin")
         store = ScoreStore(population, function)
+        # A store proves no content equality itself.
+        assert not store.serves(twin)
+        with pytest.raises(ScoringError):
+            quantify(population, twin, min_partition_size=5, store=store)
+        store.adopt(population, twin)
         assert store.serves(twin)
         result = quantify(population, twin, min_partition_size=5, store=store)
         reference = reference_quantify(population, twin, min_partition_size=5)
@@ -280,17 +290,11 @@ def cut_populations(draw):
     }
     uids = [f"w{position + 1}" for position in range(size)]
     population = Dataset.from_columns(_CUT_SCHEMA, columns, name="cut", uids=uids)
-    # A content-identical twin rebuilt in a shuffled row order: a trusted
-    # store maps its rows by uid onto non-ascending indices.
-    order = rng.permutation(size).tolist()
-    twin = Dataset.from_columns(
-        _CUT_SCHEMA,
-        {name: [values[row] for row in order] for name, values in columns.items()},
-        name="twin",
-        uids=[uids[row] for row in order],
-    )
+    # The population's rows in a shuffled order: a view whose indices in the
+    # store's dataset do not ascend.
+    shuffled = DatasetView(population, rng.permutation(size), name="shuffled")
     nan_every = draw(st.sampled_from([0, 3]))
-    return population, twin, nan_every
+    return population, shuffled, nan_every
 
 
 def _store_rows(store, members):
@@ -335,7 +339,7 @@ class TestSplitCut:
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(cut_populations())
     def test_cut_matches_group_by_and_mask(self, drawn):
-        population, twin, nan_every = drawn
+        population, shuffled, nan_every = drawn
         scorer = NaNEveryScorer({"Skill": 1.0}, name="cut-f")
         scorer.nan_every = nan_every
         store = ScoreStore(population, scorer)
@@ -347,12 +351,11 @@ class TestSplitCut:
         kept = population.filter(~Equals("Gender", "X"))
         if len(kept):
             _assert_cut_matches(store, root_partition(kept), "Code", scorer)
-        # Non-ascending indices: a trusted store fed the shuffled twin.
-        trusted = ScoreStore(population, scorer, trust_uids=True)
+        # Non-ascending indices: the root of the shuffled view, and its children.
         for attribute in _CUT_SCHEMA.protected_names:
-            for child in _assert_cut_matches(trusted, root_partition(twin), attribute, scorer):
+            for child in _assert_cut_matches(store, root_partition(shuffled), attribute, scorer):
                 other = "Code" if attribute != "Code" else "Gender"
-                _assert_cut_matches(trusted, child, other, scorer)
+                _assert_cut_matches(store, child, other, scorer)
 
     def test_wide_column_takes_the_sixteen_bit_path(self):
         # More than 256 distinct codes: the argsort key is narrowed to uint16.
@@ -407,18 +410,15 @@ class TestHistogramMemo:
                 )
                 assert fast.counts == slow.counts
 
-    def test_eviction_bound_respected(self, population, function):
-        store = ScoreStore(population, function, max_partitions=4)
+    def test_eviction_bound_respected(self, population, function, monkeypatch):
+        monkeypatch.setattr(scorestore, "MAX_PARTITIONS", 4)
+        store = ScoreStore(population, function)
         partitioning = Partitioning.by_attributes(population, ["Gender", "Language"])
         assert len(partitioning) > 4
         for partition in partitioning:
             store.histogram(partition, Binning.unit())
         assert len(store) <= 4
         assert store.stats.evictions >= len(partitioning) - 4
-
-    def test_rejects_non_positive_bound(self, population, function):
-        with pytest.raises(ValueError):
-            ScoreStore(population, function, max_partitions=0)
 
     def test_nan_scores_match_build_histogram(self, population):
         # np.histogram silently drops NaN; the store's bincount path must too.
@@ -625,7 +625,7 @@ class TestServicePool:
         first = service.score_store(dataset, function)
         second = service.score_store(rebuilt, function)
         assert second is first
-        # uid-mapped slicing over the rebuilt copy still avoids re-scoring.
+        # The adopted copy is the store's root: no re-scoring.
         result = quantify(rebuilt, function, min_partition_size=5, store=second)
         reference = reference_quantify(rebuilt, function, min_partition_size=5)
         assert_matches_reference(result, reference, function, store=second)
@@ -833,28 +833,18 @@ class TestRootGrouping:
                 assert np.array_equal(left.members.index, np.flatnonzero(codes == code))
                 assert np.array_equal(right.members.index, left.members.index)
 
-    def test_twin_never_reuses_another_datasets_grouping(self):
+    def test_shuffled_view_never_reuses_another_datasets_grouping(self):
         population, scorer = _table_population(np.linspace(0.0, 1.0, 300), name="base")
-        order = np.random.default_rng(3).permutation(len(population)).tolist()
-        uids = population.uids
-        twin = Dataset.from_columns(
-            _CUT_SCHEMA,
-            {
-                name: [population.store[name].decode_range(0, len(population))[row]
-                       for row in order]
-                for name in _CUT_SCHEMA.names
-            },
-            name="twin",
-            uids=[uids[row] for row in order],
-        )
-        store = ScoreStore(population, scorer, trust_uids=True)
+        order = np.random.default_rng(3).permutation(len(population))
+        shuffled = DatasetView(population, order, name="shuffled")
+        store = ScoreStore(population, scorer)
         for attribute in _CUT_SCHEMA.protected_names:
             attr = _CUT_SCHEMA.require_protected(attribute)
-            assert twin.grouping(attribute)[0] is not population.grouping(attribute)[0]
-            for child in store.split(root_partition(twin), attr):
+            assert shuffled.grouping(attribute)[0] is not population.grouping(attribute)[0]
+            for child in store.split(root_partition(shuffled), attr):
                 index = child.members.index
                 assert not np.shares_memory(index, population.grouping(attribute)[0])
-                assert not np.shares_memory(index, twin.grouping(attribute)[0])
+                assert not np.shares_memory(index, shuffled.grouping(attribute)[0])
                 assert np.array_equal(index, _store_rows(store, child.members))
 
     def test_non_root_split_is_cut_from_its_own_indices(self, population, function):
@@ -900,16 +890,12 @@ def packed_cases(draw):
         scores[::nan_every] = np.nan
     scorer = TableScorer({"Skill": 1.0}, name="packed-f")
     scorer.table = dict(zip(uids, scores.tolist()))
-    # Uid-mapped twins a trusted store accepts: all rows shuffled, and a subset.
-    twins = []
-    for rows in (rng.permutation(size), np.flatnonzero(rng.random(size) < 0.5)):
-        twins.append(Dataset.from_columns(
-            _CUT_SCHEMA,
-            {name: [values[row] for row in rows.tolist()] for name, values in columns.items()},
-            name="twin",
-            uids=[uids[row] for row in rows.tolist()],
-        ))
-    return population, scorer, Binning.unit(bins), twins
+    # Views of the population: all rows shuffled, and a subset.
+    views = [
+        DatasetView(population, rows, name="view")
+        for rows in (rng.permutation(size), np.flatnonzero(rng.random(size) < 0.5))
+    ]
+    return population, scorer, Binning.unit(bins), views
 
 
 class TestPackedRootCandidates:
@@ -918,7 +904,7 @@ class TestPackedRootCandidates:
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(packed_cases())
     def test_packed_root_equals_the_per_attribute_oracle(self, case):
-        population, scorer, binning, twins = case
+        population, scorer, binning, views = case
         names = _CUT_SCHEMA.protected_names
         stride = binning.bins + 1
 
@@ -927,16 +913,16 @@ class TestPackedRootCandidates:
             attr = _CUT_SCHEMA.require_protected(name)
             return _triples(reference_candidate_split(dataset, attr, codes, binning, rows))
 
-        # A trusted store fed uid-mapped twins: their roots gather, and no
+        # A store fed views of its dataset: their roots gather, and no
         # dataset's packs are built for them.
-        trusted = ScoreStore(population, scorer, trust_uids=True)
-        for twin in twins:
-            if len(twin):
+        gathering = ScoreStore(population, scorer)
+        for view in views:
+            if len(view):
                 for name in names:
                     attr = _CUT_SCHEMA.require_protected(name)
-                    got = trusted.candidate_split(root_partition(twin), attr, binning)
-                    assert _triples(got) == oracle(twin, name)
-        for dataset in [population, *twins]:
+                    got = gathering.candidate_split(root_partition(view), attr, binning)
+                    assert _triples(got) == oracle(view, name)
+        for dataset in [population, *views]:
             assert "_packed_cache" not in vars(dataset)
 
         # The pack rule: ascending cardinality (name breaks ties), greedy,

@@ -8,6 +8,12 @@ the name it was asked under, so a cache hit across twins would hand one
 client the bytes another client asked for.  Every twin case checks the
 second request against a *fresh* service that never saw the first, in
 process and over HTTP.
+
+The pool's content key is the only proof that two objects are twins: on a
+hit it hands the caller's dataset and function to the store it returns
+(``ScoreStore.adopt``), so the store serves a twin function (even one with
+no ``fingerprint()``, keyed by its pickle) and treats a twin dataset's rows
+as its own, one for one.
 """
 
 from __future__ import annotations
@@ -16,13 +22,18 @@ import functools
 import json
 import urllib.request
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.partition import root_partition
+from repro.data.filters import Equals
 from repro.data.loaders import TABLE1_WEIGHTS, load_example_table1
-from repro.experiments.workloads import crowdsourcing_marketplace
-from repro.marketplace.entities import Marketplace
+from repro.experiments.workloads import biased_population, crowdsourcing_marketplace
+from repro.marketplace.entities import Job, Marketplace
+from repro.metrics.histogram import Binning
+from repro.roles.auditor import Auditor
 from repro.scoring.base import ScoringFunction
 from repro.scoring.linear import LinearScoringFunction
 from repro.server import FairnessHTTPServer
@@ -37,6 +48,7 @@ from repro.service import (
     ServiceResult,
     SweepRequest,
 )
+from repro.service.fingerprint import fingerprint_dataset
 
 MARKET_SIZE = 40
 
@@ -186,6 +198,124 @@ class TestTwinNames:
         assert service.store_stats.scoring_passes == passes
         if first.kind in ("quantify", "breakdown"):
             assert passes == 1
+
+
+class SkillScorer(ScoringFunction):
+    """A user-defined scorer without ``fingerprint()``: the pool keys it by its pickle."""
+
+    name = "skill"
+
+    def __init__(self, weight: float) -> None:
+        self.weight = weight
+
+    def score_dataset(self, dataset):
+        language = dataset.numeric_column("Language Test")
+        rating = dataset.numeric_column("Rating")
+        return self.weight * language + (1.0 - self.weight) * rating
+
+
+def _skill_market() -> Marketplace:
+    """Two jobs scored by equal but distinct ``SkillScorer`` instances."""
+    workers, _ = biased_population(size=200, seed=5)
+    market = Marketplace("skill-market", workers)
+    market.add_job(Job(title="Writing", function=SkillScorer(0.6)))
+    market.add_job(Job(title="Editing", function=SkillScorer(0.6)))
+    return market
+
+
+def _skill_service() -> FairnessService:
+    service = FairnessService()
+    service.register_marketplace(_skill_market())
+    return service
+
+
+class TestFunctionTwins:
+    """Equal instances of a fingerprint-less scorer share one pool store."""
+
+    REQUEST = AuditRequest(marketplace="skill-market", min_partition_size=5)
+
+    def _private_unfairness(self):
+        report = Auditor(min_partition_size=5).audit_marketplace(_skill_market())
+        return {audit.job_title: audit.unfairness for audit in report.audits}
+
+    def _assert_answers_like_the_auditor(self, result):
+        assert result.ok, result.error
+        answered = {job["job"]: job["unfairness"] for job in result.payload["jobs"]}
+        assert answered == self._private_unfairness()
+
+    def test_audit_over_the_service(self):
+        service = _skill_service()
+        self._assert_answers_like_the_auditor(service.execute(self.REQUEST))
+        # Both jobs scored through one store: one pass, not two.
+        assert service.store_stats.stores == 1
+        assert service.store_stats.scoring_passes == 1
+
+    def test_audit_over_http(self):
+        with FairnessHTTPServer(_skill_service(), port=0) as server:
+            server.serve_in_background()
+            self._assert_answers_like_the_auditor(_post(server, self.REQUEST))
+
+    def test_a_private_store_serves_only_its_adopted_twins(self):
+        service = _skill_service()
+        market = service.marketplace("skill-market")
+        first, second = (job.function for job in market)
+        store = service.score_store(market.workers, first)
+        assert store.serves(first) and not store.serves(second)
+        assert service.score_store(market.workers, second) is store
+        assert store.serves(second)
+
+
+class TestDatasetTwins:
+    """A filtered job's candidates rebuilt per request adopt the pooled store."""
+
+    def test_rebuilt_view_is_served_as_the_store_root(self):
+        market = crowdsourcing_marketplace(size=300, seed=7)
+        job = market.job("English transcription")
+        service = FairnessService()
+        service.register_marketplace(market)
+        first = job.candidates(market.workers)
+        twin = job.candidates(market.workers)
+        assert twin is not first
+        assert fingerprint_dataset(twin) == fingerprint_dataset(first)
+        store = service.score_store(first, job.function)
+        assert service.score_store(twin, job.function) is store
+        root = root_partition(twin)
+        assert store.scores(root) is store.vector()
+        # The twin's root counts the store's dataset packs and reads its
+        # grouping, as the store's own root would; nothing is built on the twin.
+        attr = twin.schema.require_protected("Gender")
+        store.candidate_split(root, attr, Binning.unit())
+        assert "_packed_cache" in vars(store.dataset)
+        assert "_packed_cache" not in vars(twin)
+        order, _ = store.dataset.grouping("Gender")
+        for child in store.split(root, attr):
+            assert child.members.index.base is order
+            assert child.members.name.startswith(twin.name + "/")
+        assert "_grouping_cache" not in vars(twin)
+        # A view drawn from the twin maps through its provenance.
+        women = twin.filter(Equals("Gender", "Female"))
+        assert np.array_equal(
+            store.scores(root_partition(women)), job.function.score_dataset(women)
+        )
+
+    def test_rebuilt_view_answers_like_a_fresh_service(self):
+        def build():
+            service = FairnessService()
+            service.register_marketplace(crowdsourcing_marketplace(size=300, seed=7))
+            return service
+
+        request = AuditRequest(marketplace="crowdsourcing-sim", min_partition_size=5)
+        again = AuditRequest(
+            marketplace="crowdsourcing-sim", min_partition_size=5, aggregation="maximum"
+        )
+        service = build()
+        assert service.execute(request).ok
+        passes = service.store_stats.scoring_passes
+        shared = service.execute(again)
+        assert not shared.cached
+        # Every job's candidates were rebuilt, and no job scored again.
+        assert service.store_stats.scoring_passes == passes
+        assert shared.canonical() == build().execute(again).canonical()
 
 
 class TestKeyDerivation:
